@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceededError, NotNapError
 from .graphs import Edge, Graph, normalized_edge
@@ -99,22 +99,6 @@ class ColoringSet:
         return iter(self.colorings)
 
 
-def _vertex_edge_masks(g: Graph) -> dict[int, int]:
-    masks = {v: 0 for v in g.vertices}
-    for i, (a, b) in enumerate(g.edges):
-        masks[a] |= 1 << i
-        masks[b] |= 1 << i
-    return masks
-
-
-def _is_nap_mask(g: Graph, mask: int, vmasks: dict[int, int]) -> bool:
-    full = (1 << len(g.edges)) - 1
-    if mask == 0 or mask == full:
-        return False  # not surjective
-    mono = {v: (mask & vm == 0 or mask & vm == vm) for v, vm in vmasks.items()}
-    return all(mono[a] or mono[b] for a, b in g.edges)
-
-
 def is_surjective(c: EdgeColoring) -> bool:
     full = (1 << len(c.graph.edges)) - 1
     return full != 0 and c.mask not in (0, full)
@@ -126,7 +110,12 @@ def is_nap(c: EdgeColoring) -> bool:
     Uses the local criterion: every edge must have an endpoint all of whose
     incident edges share one color.
     """
-    return _is_nap_mask(c.graph, c.mask, _vertex_edge_masks(c.graph))
+    if not is_surjective(c):
+        return False
+    g = c.graph
+    _, incident = _adjacency(g)
+    mono = {v: c.mask & inc in (0, inc) for v, inc in zip(g.vertices, incident)}
+    return all(mono[a] or mono[b] for a, b in g.edges)
 
 
 def find_alternating_path(c: EdgeColoring) -> Optional[tuple[int, int, int, int]]:
@@ -187,45 +176,197 @@ def is_nac(c: EdgeColoring) -> bool:
     return True
 
 
-def enumerate_nap(g: Graph, modulo_swap: bool = True) -> ColoringSet:
-    """All NAP-colorings by exhaustive scan of the 2^|E| colorings.
-
-    With ``modulo_swap`` the representative with the smaller bitmask of each
-    swap pair is kept.  Graphs beyond ``MAX_ENUM_EDGES`` edges are rejected
-    rather than sampled.
-    """
+def _check_edge_budget(g: Graph) -> None:
     m = len(g.edges)
     if m > MAX_ENUM_EDGES:
         raise BudgetExceededError(
             f"{m} edges exceeds the exhaustive enumeration budget of {MAX_ENUM_EDGES}"
         )
-    vmasks = _vertex_edge_masks(g)
-    full = (1 << m) - 1
-    found = []
-    for mask in range(1, max(full, 1)):
-        if modulo_swap and mask > (mask ^ full):
-            continue
-        if _is_nap_mask(g, mask, vmasks):
-            found.append(EdgeColoring(g, mask))
-    return ColoringSet(tuple(found), modulo_swap)
+
+
+def _union(masks: list[int], members: int) -> int:
+    """OR of ``masks[i]`` over the set bits ``i`` of ``members``."""
+    out = 0
+    while members:
+        low = members & -members
+        members ^= low
+        out |= masks[low.bit_length() - 1]
+    return out
+
+
+def _adjacency(g: Graph) -> tuple[list[int], list[int]]:
+    """Neighbour bitset and incident-edge mask of each vertex, by index in
+    ``g.vertices``."""
+    n = len(g.vertices)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nbrs = [0] * n
+    incident = [0] * n
+    for e, (a, b) in enumerate(g.edges):
+        i, j = index[a], index[b]
+        nbrs[i] |= 1 << j
+        nbrs[j] |= 1 << i
+        incident[i] |= 1 << e
+        incident[j] |= 1 << e
+    return nbrs, incident
+
+
+def _pole_sets(g: Graph) -> Iterator[tuple[list[int], list[int]]]:
+    """Candidate pole sets P with the components of G - P.
+
+    P ranges over the non-empty independent sets of vertices of degree at
+    least two.  For each P this yields the edge masks of the components of
+    G - P, in descending order, and for each pole the bitset of the
+    (indices of the) components it touches.  Every edge has an endpoint
+    outside P, so the component masks are disjoint and cover all edges,
+    and the first component holds the last edge.  Sets where some pole
+    touches fewer than two components are skipped: that pole could not see
+    both colors.
+    """
+    nbrs, incident = _adjacency(g)
+    n = len(nbrs)
+    candidates = [i for i in range(n) if nbrs[i].bit_count() >= 2]
+    everyone = (1 << n) - 1
+
+    def split(poles: int) -> Optional[tuple[list[int], list[int]]]:
+        rest = everyone & ~poles
+        comps = []  # (edge mask, vertex bitset)
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                frontier = _union(nbrs, frontier) & rest & ~comp
+                comp |= frontier
+            rest &= ~comp
+            comps.append((_union(incident, comp), comp))
+        comps.sort(reverse=True)
+        touched = []
+        for p in range(n):
+            if poles >> p & 1:
+                t = sum(1 << k for k, (_, verts) in enumerate(comps) if nbrs[p] & verts)
+                if t.bit_count() < 2:
+                    return None
+                touched.append(t)
+        return [edges for edges, _ in comps], touched
+
+    def independent_sets(start: int, poles: int, blocked: int) -> Iterator[int]:
+        for k in range(start, len(candidates)):
+            v = candidates[k]
+            if not blocked >> v & 1:
+                grown = poles | 1 << v
+                yield grown
+                yield from independent_sets(k + 1, grown, blocked | nbrs[v])
+
+    for poles in independent_sets(0, 0, 0):
+        parts = split(poles)
+        if parts is not None:
+            yield parts
+
+
+def _component_colorings(comp_masks: list[int], touched: list[int]) -> Iterator[int]:
+    """Red-edge masks of the component 2-colorings where every pole sees
+    both colors and component 0 is blue.
+
+    The color swaps of these are the remaining such colorings.  Components
+    are colored one at a time, and a pole is checked as soon as its last
+    component is colored.
+    """
+    k = len(comp_masks)
+    closing: list[list[int]] = [[] for _ in range(k)]
+    for t in touched:
+        closing[t.bit_length() - 1].append(t)
+
+    def search(i: int, red: int, mask: int) -> Iterator[int]:
+        if i == k:
+            yield mask
+            return
+        for grown, grown_mask in ((red, mask), (red | 1 << i, mask | comp_masks[i])):
+            if all(0 != t & grown != t for t in closing[i]):
+                yield from search(i + 1, grown, grown_mask)
+
+    return search(1, 0, 0)
+
+
+def enumerate_nap(g: Graph, modulo_swap: bool = True) -> ColoringSet:
+    """All NAP-colorings, in ascending mask order.
+
+    In a NAP-coloring the bichromatic vertices (the poles) form an
+    independent set and every component of G - poles is monochromatic, so
+    the colorings are enumerated pole set by pole set: each admissible set
+    contributes the colorings of its components in which every pole sees
+    both colors.  Different pole sets give different colorings.  With
+    ``modulo_swap`` the representative with the smaller bitmask of each
+    swap pair is kept: the one with the last edge blue, so only those are
+    searched for.  Graphs beyond ``MAX_ENUM_EDGES`` edges are still
+    rejected rather than sampled, as the output can be exponential.
+    """
+    _check_edge_budget(g)
+    full = (1 << len(g.edges)) - 1
+    masks = [
+        mask
+        for comp_masks, touched in _pole_sets(g)
+        for mask in _component_colorings(comp_masks, touched)
+    ]
+    if not modulo_swap:
+        masks += [mask ^ full for mask in masks]
+    masks.sort()
+    return ColoringSet(tuple(EdgeColoring(g, mask) for mask in masks), modulo_swap)
 
 
 def flexibility_certificate(g: Graph) -> Optional[EdgeColoring]:
-    """Some NAP-coloring if one exists, else None.
+    """The NAP-coloring with the smallest mask if one exists, else None.
 
     Existence is equivalent to the graph having an edge-length assignment
-    that is flexible on the sphere.
+    that is flexible on the sphere.  One red component of a NAP-coloring
+    is a NAP-coloring on its own, with fewer red edges, so the smallest
+    coloring colors red exactly the edges meeting a connected vertex set X
+    whose outside neighbours N(X), the poles, are independent and each have
+    a neighbour outside X and N(X).  Conversely every such X gives a
+    NAP-coloring.  The red mask only grows with X, so a branch and bound
+    over connected sets finds the smallest without enumerating colorings;
+    it also drops a subtree once no vertex outside X and N(X) is left, or
+    once a pole that can no longer join X has no such neighbour or is
+    adjacent to another such pole.  The ``MAX_ENUM_EDGES`` budget still
+    applies.
     """
-    m = len(g.edges)
-    if m > MAX_ENUM_EDGES:
-        raise BudgetExceededError(
-            f"{m} edges exceeds the exhaustive enumeration budget of {MAX_ENUM_EDGES}"
-        )
-    vmasks = _vertex_edge_masks(g)
-    for mask in range(1, (1 << m) - 1 if m else 0):
-        if _is_nap_mask(g, mask, vmasks):
-            return EdgeColoring(g, mask)
-    return None
+    _check_edge_budget(g)
+    nbrs, incident = _adjacency(g)
+    everyone = (1 << len(nbrs)) - 1
+    best = 1 << len(g.edges)  # above every mask
+
+    def grow(inside: int, red: int, poles: int, banned: int) -> None:
+        # inside is connected, poles = N(inside), and banned vertices never
+        # join inside in this subtree
+        nonlocal best
+        if red >= best:
+            return
+        rest = everyone & ~inside & ~poles
+        if not rest:
+            return
+        valid = True
+        members = poles
+        while members:
+            low = members & -members
+            members ^= low
+            u = low.bit_length() - 1
+            clash = nbrs[u] & poles
+            lonely = not nbrs[u] & rest
+            if clash or lonely:
+                if low & banned and (lonely or clash & banned):
+                    return
+                valid = False
+        if valid:
+            best = red
+            return
+        ext = poles & ~banned
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            v = low.bit_length() - 1
+            grow(inside | low, red | incident[v], (poles | nbrs[v]) & ~inside & ~low, banned)
+            banned |= low
+
+    for v in range(len(nbrs)):
+        grow(1 << v, incident[v], nbrs[v], (1 << v) - 1)
+    return None if best >> len(g.edges) else EdgeColoring(g, best)
 
 
 @dataclass(frozen=True)

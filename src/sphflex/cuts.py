@@ -141,34 +141,70 @@ def enumerate_valid_cuts(g: Graph, modulo_symmetry: bool = True) -> list[Cut]:
     """All bond-valid cuts inducing surjective colorings.
 
     Cuts are unordered partitions; with ``modulo_symmetry`` the global
-    P/Q swap is also quotiented out.  The scan is exhaustive over the
-    2^(2|V|) bipartitions, so graphs beyond 8 vertices are rejected.
+    P/Q swap is also quotiented out.  Bond validity and the induced
+    coloring depend only on how many of each vertex's two labels lie on
+    the I side, so the search backtracks over these per-vertex counts in
+    {0, 1, 2}, rejecting an edge as soon as its counts sum to 2, and keeps
+    count vectors whose edge sums reach both >= 3 (red) and <= 1 (blue).
+    Each survivor expands into label bitmasks (bit 2k for P, 2k + 1 for Q
+    of the k-th vertex) by choosing P or Q wherever the count is 1.  A
+    class of equivalent cuts is represented by its smallest mask, and the
+    classes are listed by that mask in ascending order.  Graphs beyond 8
+    vertices are still rejected.
     """
     if g.num_vertices > 8:
         raise BudgetExceededError("cut enumeration is exhaustive; at most 8 vertices")
     labels = marked_labels(g)
-    n = len(labels)
-    seen: set[frozenset[frozenset[Label]]] = set()
-    out: list[Cut] = []
-    for mask in range(1, (1 << n) - 1):
-        bits = mask.bit_count()
-        if bits < 2 or n - bits < 2:
-            continue
-        I = frozenset(labels[i] for i in range(n) if mask >> i & 1)
-        cut = cut_for(g, I)
-        key = cut.unordered()
-        if key in seen:
-            continue
-        seen.add(key)
-        if modulo_symmetry:
-            seen.add(cut.conjugate().unordered())
-        if not cut_valid_for_bond(g, cut):
-            continue
-        col = coloring_from_cut(g, cut)
-        if not (0 < col.mask < (1 << g.num_edges) - 1):
-            continue
-        out.append(cut)
-    return out
+    n = g.num_vertices
+    full = (1 << 2 * n) - 1
+    p_bits = full // 3  # 0b0101...: the P label of every vertex
+    index = {v: k for k, v in enumerate(g.vertices)}
+    earlier: list[list[int]] = [[] for _ in range(n)]
+    for a, b in g.edges:
+        earlier[max(index[a], index[b])].append(min(index[a], index[b]))
+    keys: set[int] = set()
+
+    def expand(counts: list[int]) -> None:
+        base = 0
+        singles = []
+        for k, c in enumerate(counts):
+            if c == 2:
+                base |= 0b11 << 2 * k
+            elif c == 1:
+                singles.append(k)
+        for choice in itertools.product((0, 1), repeat=len(singles)):
+            mask = base
+            for k, q in zip(singles, choice):
+                mask |= 1 << (2 * k + q)
+            key = min(mask, mask ^ full)
+            if modulo_symmetry:
+                conj = (mask & p_bits) << 1 | (mask >> 1) & p_bits
+                key = min(key, conj, conj ^ full)
+            keys.add(key)
+
+    def search(k: int, counts: list[int], total: int, red: bool, blue: bool) -> None:
+        if k == n:
+            if red and blue and 2 <= total <= 2 * n - 2:
+                expand(counts)
+            return
+        for c in (0, 1, 2):
+            sums = [c + counts[j] for j in earlier[k]]
+            if 2 not in sums:
+                counts.append(c)
+                search(
+                    k + 1,
+                    counts,
+                    total + c,
+                    red or any(x >= 3 for x in sums),
+                    blue or any(x <= 1 for x in sums),
+                )
+                counts.pop()
+
+    search(0, [], 0, False, False)
+    return [
+        cut_for(g, (labels[i] for i in range(2 * n) if key >> i & 1))
+        for key in sorted(keys)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +653,6 @@ class Equation:
     label: str
 
 
-_TAG_OF_ENTRY = {"g": "g", "o": "o", "e": "e", "r": "r", "l": "l"}
-
-
 def build_pullback_system(
     dt: DegreeTable,
     tt: TypeTable,
@@ -642,11 +675,7 @@ def build_pullback_system(
                 raise InconsistentTypesError(
                     f"type of quadrilateral without {{{k},{l}}} is unresolved"
                 )
-            sub = subcases.get((k, l))
-            if tag == "g" and sub is None:
-                row = mu_lookup("g", None)
-            else:
-                row = mu_lookup(_TAG_OF_ENTRY[tag], sub)
+            row = mu_lookup(tag, subcases.get((k, l)))
             deg = dt.entry(k, l)
             for kind in divisors:
                 rhs = getattr(row, kind) * deg

@@ -32,7 +32,14 @@ class DisconnectedError(GraphError):
 
 
 class BudgetExceededError(SphflexError):
-    """Exhaustive enumeration would exceed the configured budget."""
+    """Input exceeds an enumeration budget.
+
+    NAP-colorings are enumerated pole set by pole set and valid cuts by
+    per-vertex label counts, but the number of results can still grow
+    exponentially, so graphs beyond ``coloring.MAX_ENUM_EDGES`` edges
+    (colorings and the flexibility certificate) or 8 vertices (cuts) are
+    refused rather than sampled.
+    """
 
 
 class NotNapError(SphflexError):

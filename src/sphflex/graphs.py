@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     DisconnectedError,
@@ -280,13 +280,3 @@ def three_prism() -> Graph:
         range(1, 7),
         [(1, 3), (3, 5), (1, 5), (2, 4), (4, 6), (2, 6), (1, 2), (3, 4), (5, 6)],
     )
-
-
-def connected_subgraph_vertex_sets(g: Graph) -> Iterator[tuple[int, ...]]:
-    """Vertex subsets (size >= 1) that induce connected subgraphs."""
-    for k in range(1, g.num_vertices + 1):
-        for subset in combinations(g.vertices, k):
-            sub = set(subset)
-            edges = [e for e in g.edges if e[0] in sub and e[1] in sub]
-            if _is_connected(sub, edges):
-                yield subset

@@ -1,4 +1,5 @@
-"""Exhaustive generation of small connected graphs up to isomorphism.
+"""Exhaustive generation of small connected graphs up to isomorphism, and
+the exhaustive scans kept as oracles for the structural enumerators.
 
 Search over isomorphism classes: grow from a single edge by either adding
 an edge between existing vertices or attaching a new leaf vertex, which
@@ -7,10 +8,13 @@ invariants and settles ties with networkx isomorphism tests.
 """
 
 from collections import defaultdict
+from functools import lru_cache
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 
+from sphflex.cuts import Cut, cut_for, marked_labels
 from sphflex.graphs import Graph, build_graph
 
 
@@ -20,12 +24,17 @@ def _invariant(g: nx.Graph):
     return (g.number_of_nodes(), g.number_of_edges(), tuple(degs), tri)
 
 
-def connected_graphs(max_edges: int, max_vertices: int):
+def connected_graphs(max_edges: int, max_vertices: int) -> list[Graph]:
     """All connected graphs (one per isomorphism class) within the bounds.
 
     Includes the single-vertex graph.  Returned as sphflex Graphs with
-    vertices 1..n.
+    vertices 1..n.  Generated once per bounds for the whole test session.
     """
+    return list(_connected_graphs(max_edges, max_vertices))
+
+
+@lru_cache(maxsize=None)
+def _connected_graphs(max_edges: int, max_vertices: int) -> tuple[Graph, ...]:
     seen: dict[tuple, list[nx.Graph]] = defaultdict(list)
 
     def register(g: nx.Graph) -> bool:
@@ -75,7 +84,7 @@ def connected_graphs(max_edges: int, max_vertices: int):
                 )
             )
     out.sort(key=lambda g: (g.num_vertices, g.num_edges, g.edges))
-    return out
+    return tuple(out)
 
 
 def edge_count_histogram(graphs: list[Graph]) -> dict[int, int]:
@@ -83,3 +92,63 @@ def edge_count_histogram(graphs: list[Graph]) -> dict[int, int]:
     for g in graphs:
         hist[g.num_edges] += 1
     return dict(hist)
+
+
+def nap_masks_by_scan(g: Graph, modulo_swap: bool = False) -> list[int]:
+    """NAP-coloring masks in ascending order, by testing all 2^|E| colorings.
+
+    Every mask is tested at once with numpy against the local criterion:
+    surjective, and every edge has an endpoint whose edges share a color.
+    With ``modulo_swap`` a mask is dropped when its color swap is smaller.
+    """
+    full = (1 << g.num_edges) - 1
+    masks = np.arange(1 << g.num_edges, dtype=np.int64)
+    mono = {}
+    for v in g.vertices:
+        incident = sum(1 << i for i, e in enumerate(g.edges) if v in e)
+        red = masks & incident
+        mono[v] = (red == 0) | (red == incident)
+    keep = (masks != 0) & (masks != full)
+    for a, b in g.edges:
+        keep &= mono[a] | mono[b]
+    if modulo_swap:
+        keep &= masks < masks ^ full
+    return [int(mask) for mask in np.flatnonzero(keep)]
+
+
+def valid_cuts_by_scan(g: Graph, modulo_symmetry: bool) -> list[Cut]:
+    """Bond-valid surjective cuts by scanning all 2^(2|V|) label bipartitions.
+
+    Label ``i`` of :func:`marked_labels` is bit ``i`` of a mask, and every
+    mask is tested at once with numpy.  Visiting masks in ascending order,
+    the scan reports a class of cuts (a mask and its complement, and with
+    ``modulo_symmetry`` their P/Q conjugates too) at its first mask, which
+    is the smallest one; validity is the same for every mask of a class.
+    """
+    labels = marked_labels(g)
+    n = len(labels)
+    full = (1 << n) - 1
+    pos = {label: i for i, label in enumerate(labels)}
+    masks = np.arange(1 << n, dtype=np.int64)
+    bit = [((masks >> i) & 1).astype(np.int8) for i in range(n)]
+    size = sum(bit, np.zeros_like(masks))
+    valid = (size >= 2) & (n - size >= 2)
+    red = np.zeros_like(valid)
+    blue = np.zeros_like(valid)
+    for a, b in g.edges:
+        on_i = bit[pos["P", a]] + bit[pos["Q", a]] + bit[pos["P", b]] + bit[pos["Q", b]]
+        valid &= on_i != 2
+        red |= on_i >= 3
+        blue |= on_i <= 1
+    found = masks[valid & red & blue]
+    first = found < found ^ full
+    if modulo_symmetry:
+        conj = sum(
+            ((found >> pos[kind, v]) & 1) << pos["Q" if kind == "P" else "P", v]
+            for kind, v in labels
+        )
+        first &= (found <= conj) & (found <= conj ^ full)
+    return [
+        cut_for(g, (labels[i] for i in range(n) if mask >> i & 1))
+        for mask in map(int, found[first])
+    ]

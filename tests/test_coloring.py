@@ -19,6 +19,7 @@ from sphflex.graphs import (
     apex_double_triangle,
     build_graph,
     complete,
+    complete_bipartite,
     cycle_graph,
     k22,
     k32,
@@ -162,6 +163,19 @@ def test_enumerate_matches_bruteforce_filter():
     for g in SMALL_GRAPHS:
         brute = [c.mask for c in all_colorings(g) if is_nap(c)]
         assert [c.mask for c in enumerate_nap(g, modulo_swap=False)] == brute
+
+
+def test_certificate_does_not_enumerate_all_colorings():
+    # star(24) has 2^24 - 2 NAP-colorings; the smallest is one red leaf
+    assert flexibility_certificate(star(24)).mask == 1
+    # C25 has about 1.7e5 candidate pole sets; the smallest coloring makes
+    # the two edges at vertex 1 red
+    assert flexibility_certificate(cycle_graph(25)).mask == 0b11
+
+
+def test_enumerate_nap_bipartite_counts():
+    assert len(enumerate_nap(complete_bipartite(range(1, 3), range(3, 13)))) == 512
+    assert len(enumerate_nap(complete_bipartite(range(1, 5), range(5, 10)))) == 22
 
 
 def test_budget_exceeded():
