@@ -7,7 +7,9 @@ vertex to (1,0,0), one confining the meridian vertex to the plane z = 0),
 which kill the three rotational degrees of freedom.  On a flexible
 framework the Jacobian then has corank exactly 1 at a regular curve point,
 and the curve is followed with a tangent predictor and a Gauss-Newton
-corrector.
+corrector.  Every Newton solve here, tracing, seeding and the polishing of
+projection preimages, assembles its equations through one
+``ConstraintSystem``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import (
 )
 from .graphs import Graph, k33
 from .motions import (
+    HALF_TURN_Z,
     KIND_TRACED,
     CdaParams,
     MotionTrajectory,
@@ -41,6 +44,7 @@ from .spherical import (
     SphericalRealization,
     Vec,
     essentially_distinct,
+    row_dots,
 )
 
 CORANK_REL_TOL = 1e-7
@@ -79,16 +83,13 @@ class TraceConfig:
 
 
 def _rotation_taking(a: Vec, b: Vec) -> np.ndarray:
-    """Rotation matrix sending unit vector a to unit vector b."""
+    """Rotation matrix sending unit vector a to unit vector b.
+
+    Accurate to roundoff over 1/(1 + a . b), so callers keep a . b well
+    away from -1.
+    """
     v = np.cross(a, b)
     c = float(a @ b)
-    if 1.0 + c < 1e-12:
-        # antipodal: half-turn about any axis orthogonal to a
-        axis = np.cross(a, [1.0, 0.0, 0.0])
-        if np.linalg.norm(axis) < 1e-6:
-            axis = np.cross(a, [0.0, 1.0, 0.0])
-        axis /= np.linalg.norm(axis)
-        return 2.0 * np.outer(axis, axis) - np.eye(3)
     k = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
     return np.eye(3) + k + k @ k / (1.0 + c)
 
@@ -99,7 +100,14 @@ def re_gauge(rho: SphericalRealization, gauge: GaugeFix) -> SphericalRealization
     The anchor goes to (1,0,0); the meridian vertex is spun about the x
     axis onto {z = 0, y > 0}.
     """
-    r1 = _rotation_taking(rho.point(gauge.anchor), np.array([1.0, 0.0, 0.0]))
+    anchor = rho.point(gauge.anchor)
+    x_axis = np.array([1.0, 0.0, 0.0])
+    if anchor[0] < -0.99:
+        # near (-1,0,0) a direct rotation is off orthogonal by 1e-12 at
+        # 1 + anchor[0] = 1e-4; a half-turn about z first keeps it accurate
+        r1 = _rotation_taking(HALF_TURN_Z @ anchor, x_axis) @ HALF_TURN_Z
+    else:
+        r1 = _rotation_taking(anchor, x_axis)
     pts = {v: r1 @ p for v, p in rho.placement.items()}
     m = pts[gauge.meridian]
     phi = np.arctan2(m[2], m[1])
@@ -108,49 +116,108 @@ def re_gauge(rho: SphericalRealization, gauge: GaugeFix) -> SphericalRealization
     return SphericalRealization({v: r2 @ p for v, p in pts.items()})
 
 
-def _vertex_order(g: Graph) -> tuple[int, ...]:
-    return g.vertices
+class ConstraintSystem:
+    """The equations of one Newton solve, assembled with array ops.
+
+    All rows but the gauge and arclength rows are pair rows
+    ``s (o - p_a . p_b) - t``.  In order: one sphere row per vertex (the
+    vertex paired with itself, s = -1, o = 0, t = 1, i.e. ``p . p - 1``);
+    one row per edge (s = 1/2, o = 1, t the edge length); one row per
+    matched pair (s = -1, o = 0, t the goal, i.e. ``p_a . p_b - t``); then
+    the three gauge rows when a gauge is given, and the pseudo-arclength row
+    ``(x - base) . tangent - h`` when a call passes
+    ``arc = (base, tangent, h)``.
+
+    Index arrays and lengths are built once.  The residual and Jacobian
+    buffers are preallocated, the constant gauge entries set once, and
+    ``residual``/``jacobian`` return views of them that the next call
+    overwrites.
+    """
+
+    def __init__(
+        self,
+        g: Graph,
+        lam: LengthAssignment,
+        gauge: Optional[GaugeFix] = None,
+        matches: Sequence[tuple[int, int, float]] = (),
+    ):
+        self.order = g.vertices
+        n = len(self.order)
+        idx = {v: i for i, v in enumerate(self.order)}
+        rows = [(i, i, -1.0, 0.0, 1.0) for i in range(n)]
+        rows += [(idx[a], idx[b], 0.5, 1.0, lam.length(a, b)) for a, b in g.edges]
+        rows += [(idx[a], idx[b], -1.0, 0.0, goal) for a, b, goal in matches]
+        left, right, scale, offset, target = zip(*rows)
+        self._left = np.array(left, dtype=np.intp)
+        self._right = np.array(right, dtype=np.intp)
+        self._scale = np.array(scale)
+        self._offset = np.array(offset)
+        self._target = np.array(target)
+        self._num_pair_rows = len(rows)
+        self.num_rows = len(rows) + (0 if gauge is None else 3)
+
+        # Jacobian blocks: the sphere row of vertex i holds 2 p_i at i; a
+        # pair row holds -s p_b at a and -s p_a at b
+        verts, pair = np.arange(n), np.arange(n, len(rows))
+        a, b, coef = self._left[n:], self._right[n:], -self._scale[n:]
+        block_row = np.concatenate([verts, pair, pair])
+        block_col = np.concatenate([verts, a, b])
+        self._block_src = np.concatenate([verts, b, a])
+        self._block_coef = np.concatenate([np.full(n, 2.0), coef, coef])[:, None]
+        width = 3 * n
+        starts = block_row * width + 3 * block_col
+        self._block_flat = (starts[:, None] + np.arange(3)).ravel()
+        self._res = np.empty(self.num_rows + 1)
+        self._jac = np.zeros((self.num_rows + 1, width))
+        self._jac_flat = self._jac.reshape(-1)
+        self._gauge_cols = None
+        if gauge is not None:
+            ia, im = idx[gauge.anchor], idx[gauge.meridian]
+            self._gauge_cols = np.array([3 * ia + 1, 3 * ia + 2, 3 * im + 2])
+            self._jac[len(rows) + np.arange(3), self._gauge_cols] = 1.0
+
+    def residual(
+        self, coords: Vec, arc: Optional[tuple[Vec, Vec, float]] = None
+    ) -> Vec:
+        pts = coords.reshape(-1, 3)
+        k = self.num_rows
+        r = self._res
+        dots = row_dots(pts[self._left], pts[self._right])
+        r[: self._num_pair_rows] = self._scale * (self._offset - dots) - self._target
+        if self._gauge_cols is not None:
+            r[k - 3 : k] = coords[self._gauge_cols]
+        if arc is None:
+            return r[:k]
+        base, tangent, h = arc
+        r[k] = float((coords - base) @ tangent) - h
+        return r
+
+    def jacobian(
+        self, coords: Vec, arc: Optional[tuple[Vec, Vec, float]] = None
+    ) -> Vec:
+        pts = coords.reshape(-1, 3)
+        blocks = self._block_coef * pts[self._block_src]
+        self._jac_flat[self._block_flat] = blocks.ravel()
+        if arc is None:
+            return self._jac[: self.num_rows]
+        self._jac[self.num_rows] = arc[1]
+        return self._jac
 
 
 def residual_vector(
     g: Graph, lam: LengthAssignment, coords: Vec, gauge: GaugeFix
 ) -> Vec:
     """Sphere, edge and gauge residuals, in that order."""
-    order = _vertex_order(g)
-    idx = {v: i for i, v in enumerate(order)}
-    pts = coords.reshape(len(order), 3)
-    rows = [pts[i] @ pts[i] - 1.0 for i in range(len(order))]
-    for a, b in g.edges:
-        rows.append(0.5 * (1.0 - pts[idx[a]] @ pts[idx[b]]) - lam.length(a, b))
-    pa = pts[idx[gauge.anchor]]
-    rows.extend([pa[1], pa[2], pts[idx[gauge.meridian]][2]])
-    return np.array(rows)
+    return ConstraintSystem(g, lam, gauge).residual(coords)
 
 
 def jacobian(g: Graph, lam: LengthAssignment, coords: Vec, gauge: GaugeFix) -> Vec:
-    order = _vertex_order(g)
-    idx = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    pts = coords.reshape(n, 3)
-    rows = n + g.num_edges + 3
-    jac = np.zeros((rows, 3 * n))
-    for i in range(n):
-        jac[i, 3 * i : 3 * i + 3] = 2.0 * pts[i]
-    for r, (a, b) in enumerate(g.edges, start=n):
-        ia, ib = idx[a], idx[b]
-        jac[r, 3 * ia : 3 * ia + 3] = -0.5 * pts[ib]
-        jac[r, 3 * ib : 3 * ib + 3] = -0.5 * pts[ia]
-    base = n + g.num_edges
-    ia = idx[gauge.anchor]
-    im = idx[gauge.meridian]
-    jac[base, 3 * ia + 1] = 1.0
-    jac[base + 1, 3 * ia + 2] = 1.0
-    jac[base + 2, 3 * im + 2] = 1.0
-    return jac
+    return ConstraintSystem(g, lam, gauge).jacobian(coords)
 
 
 def corank_and_tangent(jac: Vec, rel_tol: float = CORANK_REL_TOL) -> tuple[int, Vec]:
     """Numeric corank and the unit kernel direction of smallest stretch."""
+    # full V: with fewer rows than columns a thin SVD's last row is no kernel vector
     _, svals, vt = np.linalg.svd(jac)
     n = jac.shape[1]
     svals = np.concatenate([svals, np.zeros(n - len(svals))])
@@ -160,10 +227,8 @@ def corank_and_tangent(jac: Vec, rel_tol: float = CORANK_REL_TOL) -> tuple[int, 
 
 
 def newton_correct(
-    g: Graph,
-    lam: LengthAssignment,
+    system: ConstraintSystem,
     coords: Vec,
-    gauge: GaugeFix,
     tol: float,
     max_iters: int,
     arc_constraint: Optional[tuple[Vec, Vec, float]] = None,
@@ -177,23 +242,15 @@ def newton_correct(
     """
     x = coords.copy()
     for _ in range(max_iters):
-        r = residual_vector(g, lam, x, gauge)
-        if arc_constraint is not None:
-            base, tangent, h = arc_constraint
-            r = np.concatenate([r, [float((x - base) @ tangent) - h]])
+        r = system.residual(x, arc_constraint)
         if np.abs(r).max() <= tol:
             return x
-        jac = jacobian(g, lam, x, gauge)
-        if arc_constraint is not None:
-            jac = np.vstack([jac, arc_constraint[1]])
+        jac = system.jacobian(x, arc_constraint)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         x = x + step
         if not np.all(np.isfinite(x)):
             return None
-    r = residual_vector(g, lam, x, gauge)
-    if arc_constraint is not None:
-        base, tangent, h = arc_constraint
-        r = np.concatenate([r, [float((x - base) @ tangent) - h]])
+    r = system.residual(x, arc_constraint)
     return x if np.abs(r).max() <= tol else None
 
 
@@ -222,13 +279,14 @@ def trace(
     """
     gauge = gauge or default_gauge(g)
     cfg = config or TraceConfig()
-    order = _vertex_order(g)
+    order = g.vertices
+    system = ConstraintSystem(g, lam, gauge)
 
     x0 = re_gauge(seed, gauge).as_array(order)
-    x0 = newton_correct(g, lam, x0, gauge, cfg.newton_tol, cfg.max_newton_iters)
+    x0 = newton_correct(system, x0, cfg.newton_tol, cfg.max_newton_iters)
     if x0 is None:
         raise SeedNotOnCurveError("seed does not satisfy the constraints")
-    corank, tangent = corank_and_tangent(jacobian(g, lam, x0, gauge))
+    corank, tangent = corank_and_tangent(system.jacobian(x0))
     if corank == 0:
         raise RankDeficientError(0, "corank 0 at seed: framework is rigid")
     if corank != 1:
@@ -251,16 +309,14 @@ def trace(
         nxt = None
         while h >= cfg.min_step:
             cand = newton_correct(
-                g,
-                lam,
+                system,
                 x + h * t_prev,
-                gauge,
                 cfg.newton_tol,
                 cfg.max_newton_iters,
                 arc_constraint=(x, t_prev, h),
             )
             if cand is not None:
-                crk, t_new = corank_and_tangent(jacobian(g, lam, cand, gauge))
+                crk, t_new = corank_and_tangent(system.jacobian(cand))
                 if crk >= 2:
                     reason = "singular_point"
                     nxt = None
@@ -295,10 +351,8 @@ def trace(
             # seed orthogonal to the seed tangent; a genuine loop lands on
             # the seed itself, a near-miss pass does not
             back = newton_correct(
-                g,
-                lam,
+                system,
                 x,
-                gauge,
                 cfg.newton_tol,
                 cfg.max_newton_iters,
                 arc_constraint=(x0, tangent, 0.0),
@@ -328,14 +382,15 @@ def cda_seed_realization(
     """
     g = k33()
     gauge = GaugeFix(1, 2)
-    order = _vertex_order(g)
+    order = g.vertices
     reference = cda_params_from_e(0.75)
     start = cda_motion(reference, [8.0, 8.3]).samples[0].realization
     x = re_gauge(start, gauge).as_array(order)
 
     for e_mid in np.linspace(0.75, abs(params.e), steps + 1)[1:]:
         mid = cda_params_from_e(float(e_mid))
-        corrected = newton_correct(g, cda_lengths(mid), x, gauge, newton_tol, 40)
+        system = ConstraintSystem(g, cda_lengths(mid), gauge)
+        corrected = newton_correct(system, x, newton_tol, 40)
         if corrected is None:
             raise StepFailureError(
                 f"parameter homotopy stalled at e={e_mid:.4f}; use more steps"
@@ -387,7 +442,6 @@ def fiber_count(
         return 0
     if rank == 3:
         return 1 if abs(x0 @ x0 - 1.0) <= 2 * tol else 0
-    w = vt[-1]
     t_sq = 1.0 - float(x0 @ x0)
     if t_sq > tol:
         return 2
@@ -432,7 +486,7 @@ def empirical_map_degree(
     retained = [v for v in traj.graph.vertices if v not in forgotten]
     if len(retained) < 3:
         raise InsufficientSamplesError("need at least three retained vertices")
-    order = _vertex_order(traj.graph)
+    order = traj.graph.vertices
 
     target_ids = sorted({0, len(samples) // 3, (2 * len(samples)) // 3})
     best = 1
@@ -461,7 +515,7 @@ def empirical_map_degree(
         ]
         polished: list[Vec] = []
         for i in hits:
-            x = _polish_to_match(traj, samples[i], target, retained, order, newton_tol)
+            x = _polish_to_match(traj, samples[i], target, retained, newton_tol)
             if x is None:
                 continue
             rho = SphericalRealization.from_array(order, x)
@@ -484,7 +538,6 @@ def _polish_to_match(
     start: SphericalRealization,
     target: SphericalRealization,
     retained: Sequence[int],
-    order: Sequence[int],
     newton_tol: float,
 ) -> Optional[Vec]:
     """Newton-correct a sample onto the curve point whose retained Gram
@@ -495,18 +548,13 @@ def _polish_to_match(
     unconstrained, which is harmless since the match test is
     rotation-invariant.
     """
-    g, lam = traj.graph, traj.lengths
-    idx = {v: i for i, v in enumerate(order)}
     pairs = list(combinations(retained, 2))
-
-    x = start.as_array(order)
-    pts = x.reshape(len(order), 3)
     # pick the retained pair whose delta differs most from the target but is
     # still in the attraction basin; fall back to the largest gradient proxy
     best_pair, best_gap = pairs[0], -1.0
     for a, b in pairs:
         gap = abs(
-            float(pts[idx[a]] @ pts[idx[b]])
+            float(start.point(a) @ start.point(b))
             - float(target.point(a) @ target.point(b))
         )
         if gap > best_gap:
@@ -514,39 +562,5 @@ def _polish_to_match(
             best_pair = (a, b)
     a, b = best_pair
     goal = float(target.point(a) @ target.point(b))
-
-    def full_residual(vec: Vec) -> Vec:
-        pts = vec.reshape(len(order), 3)
-        rows = [pts[i] @ pts[i] - 1.0 for i in range(len(order))]
-        for ea, eb in g.edges:
-            rows.append(
-                0.5 * (1.0 - pts[idx[ea]] @ pts[idx[eb]]) - lam.length(ea, eb)
-            )
-        rows.append(pts[idx[a]] @ pts[idx[b]] - goal)
-        return np.array(rows)
-
-    def full_jacobian(vec: Vec) -> Vec:
-        pts = vec.reshape(len(order), 3)
-        n = len(order)
-        jac = np.zeros((n + g.num_edges + 1, 3 * n))
-        for i in range(n):
-            jac[i, 3 * i : 3 * i + 3] = 2.0 * pts[i]
-        for r, (ea, eb) in enumerate(g.edges, start=n):
-            ia, ib = idx[ea], idx[eb]
-            jac[r, 3 * ia : 3 * ia + 3] = -0.5 * pts[ib]
-            jac[r, 3 * ib : 3 * ib + 3] = -0.5 * pts[ia]
-        ia, ib = idx[a], idx[b]
-        jac[-1, 3 * ia : 3 * ia + 3] = pts[ib]
-        jac[-1, 3 * ib : 3 * ib + 3] = pts[ia]
-        return jac
-
-    for _ in range(50):
-        r = full_residual(x)
-        if np.abs(r).max() <= newton_tol:
-            return x
-        step, *_ = np.linalg.lstsq(full_jacobian(x), -r, rcond=None)
-        x = x + step
-        if not np.all(np.isfinite(x)):
-            return None
-    r = full_residual(x)
-    return x if np.abs(r).max() <= newton_tol else None
+    system = ConstraintSystem(traj.graph, traj.lengths, matches=[(a, b, goal)])
+    return newton_correct(system, start.as_array(system.order), newton_tol, 50)

@@ -47,10 +47,11 @@ from .spherical import (
     LengthAssignment,
     SphericalRealization,
     Vec,
-    degenerate_pairs,
+    degenerate_pairs_of_all,
     essentially_distinct,
-    max_edge_residual,
     rotation_about_axis,
+    row_dots,
+    stack_points,
 )
 
 KIND_POLAR = "polar_nap"
@@ -103,12 +104,13 @@ class MotionTrajectory:
     def __post_init__(self):
         if len(self.samples) < 2:
             raise DegenerateTrajectoryError("need at least two samples")
-        for s in self.samples:
-            r = max_edge_residual(self.graph, s.realization, self.lengths)
-            if r > self.tol:
-                raise DegenerateTrajectoryError(
-                    f"sample at parameter {s.parameter} has edge residual {r:.3e}"
-                )
+        worst = self._worst_edge_residuals()
+        bad = np.flatnonzero(worst > self.tol)
+        if bad.size:
+            s, r = self.samples[bad[0]], float(worst[bad[0]])
+            raise DegenerateTrajectoryError(
+                f"sample at parameter {s.parameter} has edge residual {r:.3e}"
+            )
         first = self.samples[0].realization
         if not any(
             essentially_distinct(first, s.realization) for s in self.samples[1:]
@@ -122,26 +124,41 @@ class MotionTrajectory:
         return [s.parameter for s in self.samples]
 
     def max_residual(self) -> float:
-        return max(
-            max_edge_residual(self.graph, s.realization, self.lengths)
-            for s in self.samples
-        )
+        return float(self._worst_edge_residuals().max())
+
+    def _worst_edge_residuals(self) -> Vec:
+        """Largest |edge residual| of each sample, all samples in one array op."""
+        edges = self.graph.edges
+        if not edges:
+            return np.zeros(len(self.samples))
+        order = self.graph.vertices
+        idx = {v: i for i, v in enumerate(order)}
+        a = [idx[u] for u, _ in edges]
+        b = [idx[w] for _, w in edges]
+        lam = np.array([self.lengths.length(*e) for e in edges])
+        pts = stack_points(self.realizations(), order)
+        res = 0.5 * (1.0 - row_dots(pts[:, a], pts[:, b])) - lam
+        return np.abs(res).max(axis=1)
 
     def restrict(self, keep: Iterable[int], kind: Optional[str] = None) -> "MotionTrajectory":
         """Trajectory of the induced subgraph on ``keep``."""
         kept = set(keep)
         sub = induced_subgraph(self.graph, kept)
         lengths = self.lengths.restrict(sub.edges)
-        samples = tuple(
-            _make_sample(s.parameter, s.realization.restrict(kept))
-            for s in self.samples
+        samples = _make_samples(
+            [(s.parameter, s.realization.restrict(kept)) for s in self.samples]
         )
         return MotionTrajectory(sub, lengths, samples, kind or self.kind, self.tol)
 
 
-def _make_sample(parameter: float, rho: SphericalRealization) -> TrajectorySample:
-    coincident, antipodal = degenerate_pairs(rho)
-    return TrajectorySample(parameter, rho, tuple(coincident), tuple(antipodal))
+def _make_samples(
+    realizations: Sequence[tuple[float, SphericalRealization]]
+) -> tuple[TrajectorySample, ...]:
+    pairs = degenerate_pairs_of_all([rho for _, rho in realizations])
+    return tuple(
+        TrajectorySample(t, rho, tuple(coincident), tuple(antipodal))
+        for (t, rho), (coincident, antipodal) in zip(realizations, pairs)
+    )
 
 
 def make_trajectory(
@@ -151,8 +168,7 @@ def make_trajectory(
     kind: str,
     tol: float = COMPAT_TOL,
 ) -> MotionTrajectory:
-    samples = tuple(_make_sample(t, rho) for t, rho in realizations)
-    return MotionTrajectory(graph, lengths, samples, kind, tol)
+    return MotionTrajectory(graph, lengths, _make_samples(realizations), kind, tol)
 
 
 # ---------------------------------------------------------------------------

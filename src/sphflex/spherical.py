@@ -226,18 +226,6 @@ def gram_distance(r1: SphericalRealization, r2: SphericalRealization) -> float:
     return float(np.abs(gram_matrix(r1, order) - gram_matrix(r2, order)).max())
 
 
-def orientation_sign(
-    rho: SphericalRealization, det_tol: float = ORIENT_DET_TOL
-) -> Optional[int]:
-    """Sign of the first vertex triple with |det| above ``det_tol``, else None."""
-    order = rho.vertices
-    for triple in combinations(order, 3):
-        d = float(np.linalg.det(np.stack([rho.point(v) for v in triple])))
-        if abs(d) > det_tol:
-            return 1 if d > 0 else -1
-    return None
-
-
 @dataclass(frozen=True)
 class Distinctness:
     """Verdict of an essential-distinctness comparison.
@@ -295,3 +283,51 @@ def degenerate_pairs(
         elif d <= -1.0 + tol:
             antipodal.append((a, b))
     return coincident, antipodal
+
+
+# ---------------------------------------------------------------------------
+# batched forms
+# ---------------------------------------------------------------------------
+
+
+def row_dots(a: Vec, b: Vec) -> Vec:
+    """Inner products of matching rows of two (..., 3) arrays.
+
+    Evaluated as a stack of (1x3)(3x1) products, which round like
+    ``a[i] @ b[i]`` does (an ``einsum`` or ``(a * b).sum(-1)`` does not), so
+    the batched values equal the per-pair ones exactly.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def stack_points(rhos: Sequence[SphericalRealization], order: Sequence[int]) -> Vec:
+    """Points of every realization in ``order``, shape (len(rhos), len(order), 3)."""
+    flat = np.concatenate([rho.placement[v] for rho in rhos for v in order])
+    return flat.reshape(len(rhos), len(order), 3)
+
+
+def degenerate_pairs_of_all(
+    rhos: Sequence[SphericalRealization], tol: float = 1e-9
+) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
+    """``degenerate_pairs`` of every realization, from batched Gram entries.
+
+    Realizations are grouped by vertex set; the upper-triangle Gram entries
+    of a group are computed in one array op, in the order of
+    ``combinations``, and compared with the same thresholds.
+    """
+    out: list = [([], []) for _ in rhos]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, rho in enumerate(rhos):
+        groups.setdefault(rho.vertices, []).append(i)
+    for order, ids in groups.items():
+        if len(order) < 2:
+            continue
+        iu, ju = np.triu_indices(len(order), 1)
+        pts = stack_points([rhos[i] for i in ids], order)
+        d = row_dots(pts[:, iu], pts[:, ju])
+        coincident = d >= 1.0 - tol
+        antipodal = ~coincident & (d <= -1.0 + tol)
+        for side, hits in enumerate((coincident, antipodal)):
+            for k, p in zip(*np.nonzero(hits)):
+                out[ids[k]][side].append((order[iu[p]], order[ju[p]]))
+    return out

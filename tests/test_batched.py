@@ -1,0 +1,224 @@
+"""The array-op assembly and validation against the loops they replaced.
+
+``ConstraintSystem`` must give exactly the rows and Jacobian of the per-edge
+loop assemblers in ``assembly.py``, with and without the arclength row and
+the Gram row of ``_polish_to_match``.  Batched trajectory validation must
+give exactly the per-sample ``max_edge_residual`` and ``degenerate_pairs``.
+Exact equality is what keeps traced paths and exported residuals identical
+to the loop implementation.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sphflex.coloring import enumerate_nap, nap_pole_partition
+from sphflex.continuation import ConstraintSystem, GaugeFix, jacobian, residual_vector
+from sphflex.errors import DegenerateTrajectoryError
+from sphflex.graphs import build_graph, k33
+from sphflex.motions import (
+    Dixon1Params,
+    MotionTrajectory,
+    dixon1_motion,
+    make_trajectory,
+    polar_nap_motion,
+)
+from sphflex.spherical import (
+    LengthAssignment,
+    SphericalRealization,
+    degenerate_pairs,
+    degenerate_pairs_of_all,
+    max_edge_residual,
+    random_unit_point,
+    rotation_about_axis,
+)
+
+from assembly import (
+    jacobian_by_loop,
+    match_jacobian_by_loop,
+    match_residual_by_loop,
+    residual_by_loop,
+    with_arc_row,
+)
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+@st.composite
+def graphs(draw, min_vertices=2, max_vertices=9, max_edges=16):
+    """A random connected graph on labels drawn from 1..30."""
+    n = draw(st.integers(min_vertices, max_vertices))
+    labels = draw(st.lists(st.integers(1, 30), min_size=n, max_size=n, unique=True))
+    edges = {(labels[draw(st.integers(0, v - 1))], labels[v]) for v in range(1, n)}
+    others = [
+        (labels[a], labels[b])
+        for b in range(n)
+        for a in range(b)
+        if (labels[a], labels[b]) not in edges
+    ]
+    if others and len(edges) < max_edges:
+        room = max_edges - len(edges)
+        edges.update(draw(st.lists(st.sampled_from(others), unique=True, max_size=room)))
+    return build_graph(labels, edges)
+
+
+@st.composite
+def problems(draw):
+    """Graph, lengths, coordinates off the curve, two distinct vertices, a
+    goal inner product and an arclength row."""
+    g = draw(graphs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = LengthAssignment({e: rng.uniform(0.05, 0.95) for e in g.edges})
+    coords = rng.normal(size=3 * g.num_vertices)
+    a, b = draw(st.lists(st.sampled_from(g.vertices), min_size=2, max_size=2, unique=True))
+    goal = rng.uniform(-1.0, 1.0)
+    base, tangent = rng.normal(size=(2, coords.size))
+    arc = (base, tangent, rng.uniform(0.0, 0.1))
+    return g, lam, coords, (a, b), goal, arc
+
+
+@PROPERTY
+@given(problems(), st.booleans())
+def test_gauged_system_matches_loop_assembler(problem, use_arc):
+    g, lam, coords, (anchor, meridian), _, arc = problem
+    gauge = GaugeFix(anchor, meridian)
+    want_r = residual_by_loop(g, lam, coords, gauge)
+    want_j = jacobian_by_loop(g, lam, coords, gauge)
+    system = ConstraintSystem(g, lam, gauge)
+    if use_arc:
+        want_r, want_j = with_arc_row(want_r, want_j, coords, arc)
+        got_r, got_j = system.residual(coords, arc), system.jacobian(coords, arc)
+    else:
+        got_r, got_j = system.residual(coords), system.jacobian(coords)
+        assert np.array_equal(residual_vector(g, lam, coords, gauge), want_r)
+        assert np.array_equal(jacobian(g, lam, coords, gauge), want_j)
+    assert np.array_equal(got_r, want_r)
+    assert np.array_equal(got_j, want_j)
+
+
+@PROPERTY
+@given(problems(), st.booleans())
+def test_system_with_gram_row_matches_polish_assembler(problem, use_arc):
+    g, lam, coords, (a, b), goal, arc = problem
+    want_r = match_residual_by_loop(g, lam, coords, a, b, goal)
+    want_j = match_jacobian_by_loop(g, lam, coords, a, b, goal)
+    system = ConstraintSystem(g, lam, matches=[(a, b, goal)])
+    if use_arc:
+        want_r, want_j = with_arc_row(want_r, want_j, coords, arc)
+        got_r, got_j = system.residual(coords, arc), system.jacobian(coords, arc)
+    else:
+        got_r, got_j = system.residual(coords), system.jacobian(coords)
+    assert np.array_equal(got_r, want_r)
+    assert np.array_equal(got_j, want_j)
+
+
+def test_system_buffers_switch_between_arc_and_plain_calls():
+    g = k33()
+    rng = np.random.default_rng(4)
+    lam = LengthAssignment({e: rng.uniform(0.1, 0.9) for e in g.edges})
+    gauge = GaugeFix(1, 2)
+    system = ConstraintSystem(g, lam, gauge)
+    x, y = rng.normal(size=18), rng.normal(size=18)
+    arc = (rng.normal(size=18), rng.normal(size=18), 0.05)
+    system.jacobian(x, arc)
+    system.residual(x, arc)
+    assert np.array_equal(system.jacobian(y), jacobian_by_loop(g, lam, y, gauge))
+    assert np.array_equal(system.residual(y), residual_by_loop(g, lam, y, gauge))
+    assert system.residual(y).shape == (6 + 9 + 3,)
+
+
+# ---------------------------------------------------------------------------
+# batched trajectory validation
+# ---------------------------------------------------------------------------
+
+
+def assert_samples_match_loops(traj: MotionTrajectory):
+    for s in traj.samples:
+        coincident, antipodal = degenerate_pairs(s.realization)
+        assert s.coincident_pairs == tuple(coincident)
+        assert s.antipodal_pairs == tuple(antipodal)
+    assert traj.max_residual() == max(
+        max_edge_residual(traj.graph, s.realization, traj.lengths) for s in traj.samples
+    )
+
+
+@PROPERTY
+@given(graphs(max_vertices=8, max_edges=10), st.data())
+def test_polar_samples_match_per_sample_validation(g, data):
+    colorings = enumerate_nap(g).colorings
+    if not colorings:
+        return
+    # the coloring with the most poles, split between north and south, so
+    # that pole pairs coincide or are antipodal
+    coloring = max(colorings, key=lambda c: len(nap_pole_partition(c).poles))
+    poles = sorted(nap_pole_partition(coloring).poles)
+    k = len(poles)
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k))
+    degrees = data.draw(st.lists(st.integers(0, 359), min_size=2, max_size=12, unique=True))
+    traj = polar_nap_motion(
+        g,
+        coloring,
+        np.radians(degrees),
+        seed=data.draw(st.integers(0, 99)),
+        pole_assignment=dict(zip(poles, signs)),
+    )
+    assert_samples_match_loops(traj)
+    north = [p for p, s in zip(poles, signs) if s > 0]
+    south = [p for p, s in zip(poles, signs) if s < 0]
+    if north and south:
+        assert all(s.antipodal_pairs for s in traj.samples)
+
+
+def test_antipodal_poles_found_in_every_sample():
+    g = k33()
+    coloring = next(c for c in enumerate_nap(g) if len(nap_pole_partition(c).poles) >= 2)
+    poles = sorted(nap_pole_partition(coloring).poles)
+    angles = np.linspace(0.0, 6.0, 9)
+    traj = polar_nap_motion(g, coloring, angles, pole_assignment={poles[0]: -1})
+    assert_samples_match_loops(traj)
+    for s in traj.samples:
+        assert {(poles[0], q) for q in poles[1:]} <= set(s.antipodal_pairs)
+
+
+def test_batched_pairs_use_each_realization_vertex_set():
+    rng = np.random.default_rng(8)
+    base = {v: random_unit_point(rng) for v in range(1, 7)}
+    base[4] = -base[1]
+    base[6] = base[2].copy()
+    full = SphericalRealization(base)
+    rhos = [full, full.restrict([1, 2, 3]), full.restrict([1, 4, 6]), full]
+    rhos.append(full.restrict([2, 6]))
+    got = degenerate_pairs_of_all(rhos)
+    assert got == [degenerate_pairs(rho) for rho in rhos]
+    assert got[0] == ([(2, 6)], [(1, 4)])
+    assert degenerate_pairs_of_all([full.restrict([5])]) == [([], [])]
+
+
+def test_validation_raises_on_first_offending_sample():
+    gen = dixon1_motion(
+        Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7}),
+        np.linspace(1.0, 1.2, 6),
+    )
+    frames = [(s.parameter, s.realization) for s in gen.samples]
+    for k, angle in ((4, 1e-3), (2, 1e-4)):
+        pts = dict(frames[k][1].placement)
+        pts[3] = rotation_about_axis([0.0, 0.0, 1.0], angle).apply(pts[3])
+        frames[k] = (frames[k][0], SphericalRealization(pts))
+    r = max_edge_residual(gen.graph, frames[2][1], gen.lengths)
+    with pytest.raises(DegenerateTrajectoryError) as err:
+        make_trajectory(gen.graph, gen.lengths, frames, gen.kind)
+    assert str(err.value) == f"sample at parameter {frames[2][0]} has edge residual {r:.3e}"
+
+
+def test_batched_pairs_thresholds_match_loop_near_boundary():
+    # vertex 1 at (1,0,0); the others have inner product d with it, half a
+    # threshold inside or outside the 1e-9 band at +1 and at -1
+    pts = {1: np.array([1.0, 0.0, 0.0])}
+    for v, d in ((2, 1 - 0.5e-9), (3, 1 - 1.5e-9), (4, -1 + 0.5e-9), (5, -1 + 1.5e-9)):
+        pts[v] = np.array([d, np.sqrt(1.0 - d * d), 0.0])
+    rho = SphericalRealization(pts)
+    [(coincident, antipodal)] = degenerate_pairs_of_all([rho])
+    assert (coincident, antipodal) == degenerate_pairs(rho)
+    assert (1, 2) in coincident and (1, 3) not in coincident
+    assert (1, 4) in antipodal and (1, 5) not in antipodal

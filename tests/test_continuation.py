@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphflex.continuation import (
+    ConstraintSystem,
     GaugeFix,
     TraceConfig,
+    cda_seed_realization,
     corank_and_tangent,
+    default_gauge,
     empirical_map_degree,
     fiber_count,
     jacobian,
@@ -23,6 +28,7 @@ from sphflex.errors import (
 from sphflex.graphs import k22, k33, path_graph, triangle
 from sphflex.motions import (
     Dixon1Params,
+    cda_lengths,
     cda_motion,
     cda_params_from_e,
     dixon1_motion,
@@ -32,6 +38,7 @@ from sphflex.spherical import (
     SphericalRealization,
     apply_rotation,
     gram_matrix,
+    max_edge_residual,
     random_rotation,
     random_unit_point,
 )
@@ -264,7 +271,7 @@ def test_newton_correct_polishes_perturbed_point():
     gauge = GaugeFix(1, 2)
     x = re_gauge(seed, gauge).as_array(g.vertices)
     noisy = x + 1e-4 * np.random.default_rng(3).normal(size=x.shape)
-    fixed = newton_correct(g, lam, noisy, gauge, 1e-12, 30)
+    fixed = newton_correct(ConstraintSystem(g, lam, gauge), noisy, 1e-12, 30)
     assert fixed is not None
     assert np.abs(residual_vector(g, lam, fixed, gauge)).max() <= 1e-12
 
@@ -285,3 +292,110 @@ def test_trace_samples_meet_newton_tol():
     for s in res.trajectory.samples:
         x = s.realization.as_array(g.vertices)
         assert np.abs(residual_vector(g, lam, x, gauge)).max() <= cfg.newton_tol
+
+
+# ---------------------------------------------------------------------------
+# corank of a wide Jacobian
+# ---------------------------------------------------------------------------
+
+
+def test_corank_tangent_is_kernel_vector_on_wide_jacobian():
+    # K(2,2) has 4 + 4 + 3 = 11 rows and 12 columns: a thin SVD would
+    # return only 11 right singular vectors, none of them the kernel
+    c1, c2 = 0.8, 0.5
+    s1, s2 = math.sqrt(1 - c1 * c1), math.sqrt(1 - c2 * c2)
+    rho = SphericalRealization(
+        {
+            1: np.array([s1, 0.0, c1]),
+            2: np.array([0.0, s2, c2]),
+            3: np.array([-s1, 0.0, c1]),
+            4: np.array([0.0, -s2, c2]),
+        }
+    )
+    g = k22()
+    gauge = default_gauge(g)
+    lam = LengthAssignment.induced(g, rho)
+    jac = jacobian(g, lam, re_gauge(rho, gauge).as_array(g.vertices), gauge)
+    assert jac.shape == (11, 12)
+    corank, t = corank_and_tangent(jac)
+    assert corank == 1
+    assert np.linalg.norm(jac @ t) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# gauge fixing
+# ---------------------------------------------------------------------------
+
+GAUGE_PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+def random_k33_realization(seed):
+    rng = np.random.default_rng(seed)
+    return rng, SphericalRealization({v: random_unit_point(rng) for v in k33().vertices})
+
+
+def max_point_distance(r1, r2):
+    return max(float(np.abs(r1.point(v) - r2.point(v)).max()) for v in r1.vertices)
+
+
+@GAUGE_PROPERTY
+@given(st.integers(0, 2**32 - 1))
+def test_re_gauge_is_idempotent(seed):
+    _, rho = random_k33_realization(seed)
+    gauge = GaugeFix(1, 2)
+    once = re_gauge(rho, gauge)
+    assert np.abs(once.point(1) - [1.0, 0.0, 0.0]).max() <= 1e-12
+    assert abs(once.point(2)[2]) <= 1e-12 and once.point(2)[1] > 0
+    assert max_point_distance(re_gauge(once, gauge), once) <= 1e-12
+
+
+@GAUGE_PROPERTY
+@given(st.integers(0, 2**32 - 1))
+def test_re_gauge_is_invariant_under_rotation(seed):
+    rng, rho = random_k33_realization(seed)
+    gauge = GaugeFix(1, 2)
+    turned = apply_rotation(random_rotation(rng), rho)
+    assert max_point_distance(re_gauge(turned, gauge), re_gauge(rho, gauge)) <= 1e-12
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-8, 1e-11, 1e-14, 0.0])
+def test_re_gauge_accurate_with_anchor_near_minus_x(gap):
+    # 1 + anchor[0] = gap; a direct rotation to (1,0,0) loses accuracy as
+    # 1/gap and pushed points off the sphere below about gap = 1e-4
+    rng, rho = random_k33_realization(3)
+    c = -1.0 + gap
+    anchor = np.array([c, math.sqrt(1.0 - c * c), 0.0])
+    pts = dict(rho.placement)
+    pts[1] = anchor
+    rho = SphericalRealization(pts)
+    gauge = GaugeFix(1, 2)
+    fixed = re_gauge(rho, gauge)
+    assert np.abs(fixed.point(1) - [1.0, 0.0, 0.0]).max() <= 1e-12
+    assert np.abs(gram_matrix(fixed) - gram_matrix(rho)).max() <= 1e-12
+    turned = apply_rotation(random_rotation(rng), rho)
+    assert max_point_distance(re_gauge(turned, gauge), fixed) <= 1e-12
+
+
+@GAUGE_PROPERTY
+@given(st.integers(0, 2**32 - 1))
+def test_sphere_and_edge_rows_invariant_under_rotation(seed):
+    rng, rho = random_k33_realization(seed)
+    g = k33()
+    lam = LengthAssignment({e: rng.uniform(0.05, 0.95) for e in g.edges})
+    system = ConstraintSystem(g, lam)
+    before = system.residual(rho.as_array(g.vertices)).copy()
+    after = system.residual(apply_rotation(random_rotation(rng), rho).as_array(g.vertices))
+    assert len(before) == g.num_vertices + g.num_edges
+    assert np.abs(after - before).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# constant-diagonal-angle seeds off the reference pair
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("e", [0.6, -0.6, 0.74])
+def test_cda_seed_realization_is_compatible(e):
+    params = cda_params_from_e(e)
+    rho = cda_seed_realization(params)
+    assert max_edge_residual(k33(), rho, cda_lengths(params)) <= 1e-12
