@@ -13,7 +13,7 @@ from typing import Any
 from .coloring import ColoringSet, EdgeColoring
 from .graphs import Graph, build_graph
 from .motions import MotionTrajectory, make_trajectory
-from .spherical import LengthAssignment, SphericalRealization, max_edge_residual
+from .spherical import LengthAssignment, SphericalRealization
 
 
 def graph_to_dict(g: Graph) -> dict[str, Any]:
@@ -125,13 +125,11 @@ def trajectory_to_csv(traj: MotionTrajectory) -> str:
         header += [f"x{v}", f"y{v}", f"z{v}"]
     header.append("residual")
     rows = [",".join(header)]
-    for s in traj.samples:
+    for s, worst in zip(traj.samples, traj.worst_edge_residuals()):
         cells = [repr(s.parameter)]
         for v in order:
             cells += [repr(float(c)) for c in s.realization.point(v)]
-        cells.append(
-            repr(max_edge_residual(traj.graph, s.realization, traj.lengths))
-        )
+        cells.append(repr(float(worst)))
         rows.append(",".join(cells))
     return "\n".join(rows) + "\n"
 

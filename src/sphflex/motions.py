@@ -49,7 +49,7 @@ from .spherical import (
     Vec,
     degenerate_pairs_of_all,
     essentially_distinct,
-    rotation_about_axis,
+    rotations_about_axis,
     row_dots,
     stack_points,
 )
@@ -104,7 +104,7 @@ class MotionTrajectory:
     def __post_init__(self):
         if len(self.samples) < 2:
             raise DegenerateTrajectoryError("need at least two samples")
-        worst = self._worst_edge_residuals()
+        worst = self.worst_edge_residuals()
         bad = np.flatnonzero(worst > self.tol)
         if bad.size:
             s, r = self.samples[bad[0]], float(worst[bad[0]])
@@ -124,10 +124,13 @@ class MotionTrajectory:
         return [s.parameter for s in self.samples]
 
     def max_residual(self) -> float:
-        return float(self._worst_edge_residuals().max())
+        return float(self.worst_edge_residuals().max())
 
-    def _worst_edge_residuals(self) -> Vec:
-        """Largest |edge residual| of each sample, all samples in one array op."""
+    def worst_edge_residuals(self) -> Vec:
+        """Largest |edge residual| of each sample, all samples in one array op.
+
+        Equal, bit for bit, to ``max_edge_residual`` of each sample.
+        """
         edges = self.graph.edges
         if not edges:
             return np.zeros(len(self.samples))
@@ -214,14 +217,16 @@ def polar_nap_motion(
     base = SphericalRealization(placement)
     lengths = LengthAssignment.induced(g, base)
 
+    thetas = [float(theta) for theta in angles]
+    blue = [v for v in placement if v in part.blue_side]
+    rots = rotations_about_axis(NORTH, thetas)
+    # a stack of (3x3)(3x1) products rounds like each ``rot.apply(p)``
+    spun = (rots[:, None] @ np.stack([placement[v] for v in blue])[None, :, :, None])[..., 0]
     frames = []
-    blue = part.blue_side
-    for theta in angles:
-        rot = rotation_about_axis(NORTH, float(theta))
-        moved = {
-            v: (rot.apply(p) if v in blue else p) for v, p in placement.items()
-        }
-        frames.append((float(theta), SphericalRealization(moved)))
+    for theta, moved_blue in zip(thetas, spun):
+        moved = dict(placement)
+        moved.update(zip(blue, moved_blue))
+        frames.append((theta, SphericalRealization(moved)))
     return make_trajectory(g, lengths, frames, KIND_POLAR)
 
 

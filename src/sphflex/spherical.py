@@ -71,10 +71,7 @@ class Rotation:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise SphflexError("rotation matrix must be 3x3")
-        if np.abs(m @ m.T - np.eye(3)).max() > ALGEBRA_TOL:
-            raise SphflexError("matrix is not orthogonal")
-        if abs(np.linalg.det(m) - 1.0) > ALGEBRA_TOL:
-            raise SphflexError("matrix determinant is not +1")
+        check_rotations(m)
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -88,14 +85,32 @@ class Rotation:
         return Rotation(self.matrix @ other.matrix)
 
 
+def check_rotations(m: Vec) -> None:
+    """Raise unless every matrix of a (..., 3, 3) stack is orthogonal with
+    determinant +1, within ``ALGEBRA_TOL``."""
+    if np.abs(m @ np.swapaxes(m, -1, -2) - np.eye(3)).max() > ALGEBRA_TOL:
+        raise SphflexError("matrix is not orthogonal")
+    if np.abs(np.linalg.det(m) - 1.0).max() > ALGEBRA_TOL:
+        raise SphflexError("matrix determinant is not +1")
+
+
 def rotation_about_axis(axis: Sequence[float], angle: float) -> Rotation:
     """Rodrigues rotation by ``angle`` about a unit ``axis``."""
+    return Rotation(rotations_about_axis(axis, [angle])[0])
+
+
+def rotations_about_axis(axis: Sequence[float], angles: Sequence[float]) -> Vec:
+    """Rodrigues matrices of the rotations by each of ``angles`` about a
+    unit ``axis``, stacked to shape (len(angles), 3, 3) and checked in one
+    pass."""
     u = normalize(axis)
     k = np.array(
         [[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]]
     )
-    m = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-    return Rotation(m)
+    t = np.asarray(angles, dtype=float)[:, None, None]
+    m = np.eye(3) + np.sin(t) * k + (1.0 - np.cos(t)) * (k @ k)
+    check_rotations(m)
+    return m
 
 
 def random_rotation(rng: np.random.Generator) -> Rotation:

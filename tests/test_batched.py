@@ -16,10 +16,14 @@ from hypothesis import strategies as st
 from sphflex.coloring import enumerate_nap, nap_pole_partition
 from sphflex.continuation import ConstraintSystem, GaugeFix, jacobian, residual_vector
 from sphflex.errors import DegenerateTrajectoryError
+from sphflex.formats import trajectory_to_csv
 from sphflex.graphs import build_graph, k33
 from sphflex.motions import (
+    NORTH,
     Dixon1Params,
     MotionTrajectory,
+    cda_motion,
+    cda_params_from_e,
     dixon1_motion,
     make_trajectory,
     polar_nap_motion,
@@ -179,6 +183,40 @@ def test_antipodal_poles_found_in_every_sample():
     assert_samples_match_loops(traj)
     for s in traj.samples:
         assert {(poles[0], q) for q in poles[1:]} <= set(s.antipodal_pairs)
+
+
+def test_polar_motion_matches_per_angle_rotations():
+    g = k33()
+    angles = [0.0, *np.linspace(-7.0, 7.0, 120)]
+    for coloring in enumerate_nap(g):
+        blue = nap_pole_partition(coloring).blue_side
+        traj = polar_nap_motion(g, coloring, angles, seed=3)
+        base = traj.samples[0].realization
+        for theta, s in zip(angles, traj.samples):
+            rot = rotation_about_axis(NORTH, theta)
+            assert s.realization.vertices == base.vertices
+            for v in base.vertices:
+                p = base.point(v)
+                want = rot.apply(p) if v in blue else p
+                assert np.array_equal(s.realization.point(v), want)
+
+
+def k33_trajectories():
+    g = k33()
+    dixon1 = Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7})
+    return [
+        polar_nap_motion(g, next(iter(enumerate_nap(g))), np.linspace(0.0, 6.0, 600)),
+        dixon1_motion(dixon1, np.linspace(0.95, 1.35, 300)),
+        cda_motion(cda_params_from_e(0.75), np.linspace(7.2, 30.0, 300)),
+    ]
+
+
+@pytest.mark.parametrize("traj", k33_trajectories(), ids=["polar", "dixon1", "cda"])
+def test_csv_residuals_match_per_sample_residual(traj):
+    want = [max_edge_residual(traj.graph, s.realization, traj.lengths) for s in traj.samples]
+    assert traj.worst_edge_residuals().tolist() == want
+    rows = trajectory_to_csv(traj).splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == [repr(w) for w in want]
 
 
 def test_batched_pairs_use_each_realization_vertex_set():

@@ -9,6 +9,8 @@ from sphflex.continuation import (
     ConstraintSystem,
     GaugeFix,
     TraceConfig,
+    _full_rank_lstsq,
+    bordered_corank_and_tangent,
     cda_seed_realization,
     corank_and_tangent,
     default_gauge,
@@ -25,13 +27,15 @@ from sphflex.errors import (
     SeedNotOnCurveError,
     UnderConstrainedError,
 )
-from sphflex.graphs import k22, k33, path_graph, triangle
+from sphflex.graphs import complete_bipartite, k22, k33, path_graph, triangle
 from sphflex.motions import (
     Dixon1Params,
+    Dixon2Params,
     cda_lengths,
     cda_motion,
     cda_params_from_e,
     dixon1_motion,
+    dixon2_motion,
 )
 from sphflex.spherical import (
     LengthAssignment,
@@ -399,3 +403,215 @@ def test_cda_seed_realization_is_compatible(e):
     params = cda_params_from_e(e)
     rho = cda_seed_realization(params)
     assert max_edge_residual(k33(), rho, cda_lengths(params)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# bordered solves against lstsq and the full SVD
+# ---------------------------------------------------------------------------
+
+
+def bordered_system(seed, n, extra_rows, singular_values):
+    """[J; t^T] with J of corank 1 (kernel v) and unit t with t . v >= 0.89,
+    as at an accepted trace point."""
+    rng = np.random.default_rng(seed)
+    m = n - 1 + extra_rows
+    u, _ = np.linalg.qr(rng.normal(size=(m, n - 1)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    jac = (u * singular_values) @ v[:, :-1].T
+    tilt = v[:, :-1] @ rng.normal(size=n - 1)
+    t = v[:, -1] + 0.5 * rng.uniform() * tilt / np.linalg.norm(tilt)
+    return np.vstack([jac, t / np.linalg.norm(t)]), rng
+
+
+@GAUGE_PROPERTY
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 36),
+    st.integers(0, 24),
+    st.floats(1.0, 40.0),
+)
+def test_normal_equation_solve_matches_lstsq(seed, n, extra_rows, spread):
+    # spread 40 covers the bordered matrices traced by the benchmark, whose
+    # condition numbers reach about 41
+    svals = np.geomspace(1.0, spread, n - 1)
+    bordered, rng = bordered_system(seed, n, extra_rows, svals)
+    e_last = np.zeros(len(bordered))
+    e_last[-1] = 1.0
+    residual = rng.normal(size=len(bordered)) * 10.0 ** rng.uniform(-12, 0)
+    for rhs in (residual, e_last):
+        want = np.linalg.lstsq(bordered, rhs, rcond=None)[0]
+        got = _full_rank_lstsq(bordered, rhs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def constructed_jacobian(seed, rows, cols, smallest):
+    """Random rows x cols matrix whose trailing singular values are
+    ``smallest`` and whose others lie in [1, 10]."""
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    u, _ = np.linalg.qr(rng.normal(size=(rows, k)))
+    v, _ = np.linalg.qr(rng.normal(size=(cols, k)))
+    svals = rng.uniform(1.0, 10.0, k)
+    svals[k - len(smallest) :] = smallest
+    return (u * svals) @ v.T, rng
+
+
+def lozenge_jacobian():
+    c1, c2 = 0.8, 0.5
+    s1, s2 = math.sqrt(1 - c1 * c1), math.sqrt(1 - c2 * c2)
+    rho = SphericalRealization(
+        {
+            1: np.array([s1, 0.0, c1]),
+            2: np.array([0.0, s2, c2]),
+            3: np.array([-s1, 0.0, c1]),
+            4: np.array([0.0, -s2, c2]),
+        }
+    )
+    g = k22()
+    gauge = default_gauge(g)
+    lam = LengthAssignment.induced(g, rho)
+    return jacobian(g, lam, re_gauge(rho, gauge).as_array(g.vertices), gauge)
+
+
+def near(t, rng, tilt=0.3):
+    """A unit vector at a small angle to t."""
+    d = t + tilt * rng.normal(size=t.size) / math.sqrt(t.size)
+    return d / np.linalg.norm(d)
+
+
+@pytest.mark.parametrize(
+    "name, jac_rng, corank",
+    [
+        # smallest singular value 1e-6, above the 1e-7 cutoff
+        ("corank 0", constructed_jacobian(1, 18, 18, [1e-6]), 0),
+        ("corank 1, square", constructed_jacobian(2, 18, 18, [0.0]), 1),
+        ("corank 1, tall", constructed_jacobian(3, 52, 36, [0.0]), 1),
+        ("corank 1, wide", constructed_jacobian(4, 11, 12, []), 1),
+        ("K(2,2) lozenge", (lozenge_jacobian(), np.random.default_rng(5)), 1),
+        ("corank 2", constructed_jacobian(6, 28, 24, [0.0, 0.0]), 2),
+    ],
+)
+def test_bordered_corank_and_tangent_match_full_svd(name, jac_rng, corank):
+    jac, rng = jac_rng
+    want_corank, want = corank_and_tangent(jac)
+    assert want_corank == corank
+    t_prev = near(want, rng)
+    got_corank, got = bordered_corank_and_tangent(np.vstack([jac, t_prev]))
+    assert got_corank == want_corank
+    assert abs(np.linalg.norm(got) - 1.0) <= 1e-14
+    assert float(got @ t_prev) > 0.0
+    if corank <= 1:
+        assert min(np.abs(got - want).max(), np.abs(got + want).max()) <= 1e-10
+    else:
+        # a plane of kernel directions: the tangent is one of them
+        assert np.linalg.norm(jac @ got) <= 1e-10
+
+
+def counting_lstsq(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+def test_singular_bordered_matrix_falls_back_to_lstsq(monkeypatch):
+    # the kernel of J is e_0 and t_prev = e_1 is orthogonal to it, so the
+    # bordered matrix has a zero column and its normal matrix is singular
+    jac, _ = constructed_jacobian(7, 18, 17, [])
+    jac = np.hstack([np.zeros((18, 1)), jac])
+    t_prev = np.eye(18)[1]
+    bordered = np.vstack([jac, t_prev])
+    e_last = np.eye(19)[-1]
+    want = np.linalg.lstsq(bordered, e_last, rcond=None)[0]
+    calls = counting_lstsq(monkeypatch)
+    corank, t = bordered_corank_and_tangent(bordered)
+    assert len(calls) == 1
+    assert corank == 1
+    assert np.array_equal(t, want / np.linalg.norm(want))
+
+
+def test_non_finite_normal_solution_falls_back_to_lstsq(monkeypatch):
+    # a^T a overflows, so the normal equations give NaN
+    rng = np.random.default_rng(9)
+    a, b = 1e200 * rng.normal(size=(7, 5)), rng.normal(size=7)
+    calls = counting_lstsq(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _full_rank_lstsq(a, b)
+    assert len(calls) == 1
+    assert np.array_equal(got, np.linalg.lstsq(a, b, rcond=None)[0])
+
+
+def test_bordered_tangent_orthogonal_to_kernel_does_not_raise():
+    jac = lozenge_jacobian()
+    _, kernel = corank_and_tangent(jac)
+    t_prev = np.linalg.svd(jac)[2][0]
+    assert abs(float(t_prev @ kernel)) <= 1e-12
+    corank, t = bordered_corank_and_tangent(np.vstack([jac, t_prev]))
+    assert corank == 1
+    assert np.all(np.isfinite(t)) and abs(np.linalg.norm(t) - 1.0) <= 1e-12
+
+
+def test_solves_without_arc_row_use_minimum_norm_step(monkeypatch):
+    g = k33()
+    lam, seed = cda_seed()
+    gauge = default_gauge(g)
+    system = ConstraintSystem(g, lam, gauge)
+    x = re_gauge(seed, gauge).as_array(g.vertices) + 1e-6
+    calls = counting_lstsq(monkeypatch)
+    plain = newton_correct(system, x, 1e-12, 30)
+    assert plain is not None and calls
+    calls.clear()
+    _, t = corank_and_tangent(system.jacobian(plain))
+    arc = newton_correct(system, plain + 0.01 * t, 1e-12, 30, arc_constraint=(plain, t, 0.01))
+    assert arc is not None and not calls
+    assert abs(float((arc - plain) @ t) - 0.01) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# traced paths pinned: a solver change must not lengthen or cut a trace
+# ---------------------------------------------------------------------------
+
+
+def dixon1_seed(m, n):
+    """K(m,n) with the odd side on {y = 0} and the even side on {x = 0}."""
+    odd, even = range(1, 2 * m, 2), range(2, 2 * n + 1, 2)
+    g = complete_bipartite(odd, even)
+    pts = {}
+    for v, c in zip(odd, np.linspace(0.2, 0.6, m)):
+        pts[v] = np.array([math.sqrt(1.0 - c * c), 0.0, c])
+    for v, d in zip(even, np.linspace(0.3, 0.7, n)):
+        pts[v] = np.array([0.0, math.sqrt(1.0 - d * d), d])
+    rho = SphericalRealization(pts)
+    return g, LengthAssignment.induced(g, rho), rho
+
+
+def cda_loop():
+    gen = cda_motion(cda_params_from_e(0.75), [8.0, 8.2])
+    return gen.graph, gen.lengths, gen.samples[0].realization
+
+
+def dixon2_k44_loop():
+    gen = dixon2_motion(Dixon2Params(0.2, 0.15, 0.1), [0.45, 0.5])
+    return gen.graph, gen.lengths, gen.samples[0].realization
+
+
+@pytest.mark.parametrize(
+    "make, step, steps",
+    [
+        (lambda: dixon1_seed(3, 3), 0.05, 154),
+        (lambda: dixon1_seed(6, 6), 0.05, 169),
+        (cda_loop, 0.03, 305),
+        (dixon2_k44_loop, 0.05, 351),
+    ],
+    ids=["dixon1-K(3,3)", "dixon1-K(6,6)", "cda", "dixon2-K(4,4)"],
+)
+def test_traced_loops_keep_their_step_counts(make, step, steps):
+    g, lam, rho = make()
+    res = trace(g, lam, rho, config=TraceConfig(step_size=step, max_steps=4000))
+    assert (res.steps, res.stop_reason, res.closed) == (steps, "loop_closed", True)
+    assert res.trajectory.max_residual() <= 1e-12

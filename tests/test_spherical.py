@@ -10,6 +10,7 @@ from sphflex.spherical import (
     Rotation,
     SphericalRealization,
     apply_rotation,
+    check_rotations,
     delta,
     essentially_distinct,
     gram_matrix,
@@ -18,6 +19,7 @@ from sphflex.spherical import (
     random_rotation,
     random_unit_point,
     rotation_about_axis,
+    rotations_about_axis,
     sph_dist,
     unit_point,
 )
@@ -79,6 +81,31 @@ def test_rotation_validation():
         Rotation(np.diag([1.0, 1.0, -1.0]))  # reflection
     with pytest.raises(SphflexError):
         Rotation(np.ones((3, 3)))
+
+
+def test_batched_rotations_match_per_angle_rotations():
+    angles = np.concatenate([RNG.uniform(-10.0, 10.0, 200), [0.0, math.pi, -math.pi / 2]])
+    for axis in ([1.0, 0.0, 0.0], [0.3, 0.4, math.sqrt(0.75)], RNG.normal(size=3)):
+        stack = rotations_about_axis(axis, angles)
+        assert stack.shape == (len(angles), 3, 3)
+        for m, angle in zip(stack, angles):
+            assert np.array_equal(m, rotation_about_axis(axis, float(angle)).matrix)
+
+
+def test_batched_rotation_check_rejects_one_bad_matrix():
+    stack = rotations_about_axis([0.0, 0.0, 1.0], np.linspace(0.0, 3.0, 5))
+    check_rotations(stack)
+    off = stack.copy()
+    off[3, 0, 1] += 1e-9
+    for bad in (off, off[3]):
+        with pytest.raises(SphflexError, match="matrix is not orthogonal"):
+            check_rotations(bad)
+    with pytest.raises(SphflexError, match="matrix is not orthogonal"):
+        Rotation(off[3])
+    flipped = stack.copy()
+    flipped[2] = -flipped[2]
+    with pytest.raises(SphflexError, match=r"matrix determinant is not \+1"):
+        check_rotations(flipped)
 
 
 def test_apply_rotation_preserves_deltas():
