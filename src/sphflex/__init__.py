@@ -48,7 +48,6 @@ from .cuts import (
     mu_system_feasible,
     nap_iff_separated_nonedge,
     normalize_cut,
-    row_col_allowed,
     theta,
     type_table,
 )

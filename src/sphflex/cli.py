@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
+import time
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
@@ -32,6 +35,8 @@ from .graphs import (
     three_prism,
     triangle,
 )
+
+_log = logging.getLogger("sphflex")
 
 CORPUS: dict[str, Callable[[], Graph]] = {
     "k3": triangle,
@@ -102,24 +107,7 @@ class FactCheck:
         return self.computed == self.expected
 
 
-def verify_suite() -> list[FactCheck]:
-    """Recompute the embedded combinatorial facts and compare."""
-    facts: list[FactCheck] = []
-
-    facts.append(
-        FactCheck("degree-table-orbits", cuts.count_degree_table_orbits(), 26)
-    )
-    facts.append(
-        FactCheck(
-            "degree-table-orbits-burnside",
-            cuts.count_degree_table_orbits_burnside(),
-            26.0,
-        )
-    )
-    facts.append(
-        FactCheck("k33-subgraph-classes", cuts.count_k33_subgraph_classes(), 26)
-    )
-
+def _admissible_cases_match() -> tuple[int, bool]:
     cases = cuts.admissible_cases()
     summary = []
     for case, expect in zip(cases, EXPECTED_CASES):
@@ -135,80 +123,90 @@ def verify_suite() -> list[FactCheck]:
             for c in range(3)
         )
         summary.append(type_ok)
-    facts.append(
-        FactCheck("admissible-cases", (len(cases), all(summary)), (4, True))
-    )
+    return len(cases), all(summary)
 
-    facts.append(
-        FactCheck(
-            "all-general-case-infeasible",
-            cuts.mu_system_feasible(_case1_system()) is None,
-            True,
-        )
-    )
 
-    systems = _case3_systems()
-    sols = cuts.mu_solutions(systems["type1"], max_solutions=2)
+def _three_rhomboids_type1_unique() -> bool:
+    sols = cuts.mu_solutions(_case3_systems()["type1"], max_solutions=2)
     expected_nonzero = {
         cuts.NormalCut(1, "PQQ").canonical(): 1,
         cuts.NormalCut(3, "QPQ").canonical(): 1,
         cuts.NormalCut(5, "QQP").canonical(): 1,
     }
-    unique_and_right = len(sols) == 1 and {
+    return len(sols) == 1 and {
         k: v for k, v in sols[0].items() if v
     } == expected_nonzero
-    facts.append(FactCheck("three-rhomboids-type1-unique", unique_and_right, True))
-    facts.append(
-        FactCheck(
-            "three-rhomboids-type2-infeasible",
-            cuts.mu_system_feasible(systems["type2"]) is None,
-            True,
-        )
-    )
 
+
+def _diagonal_angle_relation() -> Fraction:
     a, e = Fraction(3, 5), Fraction(3, 4)
-    facts.append(
-        FactCheck(
-            "diagonal-angle-relation-exact",
-            a**3 * e**2 + a**3 - a * e**2,
-            Fraction(0),
-        )
-    )
+    return a**3 * e**2 + a**3 - a * e**2
 
-    naps = enumerate_nap(k33(), modulo_swap=True)
-    facts.append(FactCheck("k33-nap-count-mod-swap", len(naps), 6))
-    facts.append(
-        FactCheck(
-            "k33-nap-count", len(enumerate_nap(k33(), modulo_swap=False)), 12
-        )
-    )
 
+def _nap_not_nac_in_corpus() -> int:
     violations = 0
     for builder in CORPUS.values():
         g = builder()
         for c in enumerate_nap(g, modulo_swap=False):
             if not is_nac(c):
                 violations += 1
-    facts.append(FactCheck("nap-implies-nac-corpus", violations, 0))
+    return violations
 
-    verdicts = {
-        name: flexibility_certificate(builder()) is not None
-        for name, builder in CORPUS.items()
-    }
-    facts.append(
-        FactCheck(
-            "corpus-flexibility",
-            verdicts,
-            {
-                "k3": False,
-                "k4": False,
-                "k22": True,
-                "k32": True,
-                "k33": True,
-                "laman5": True,
-                "prism3": False,
-            },
+
+def verify_suite() -> list[FactCheck]:
+    """Recompute the embedded combinatorial facts and compare.
+
+    Each fact's computation is timed, and its name and elapsed seconds go
+    to a debug record (``fact``, ``elapsed_s``) on the ``sphflex`` logger.
+    """
+    facts: list[FactCheck] = []
+
+    def check(name: str, compute: Callable[[], Any], expected: Any) -> None:
+        start = time.perf_counter()
+        computed = compute()
+        elapsed = time.perf_counter() - start
+        _log.debug(
+            "verify fact %s took %.6f s",
+            name,
+            elapsed,
+            extra={"fact": name, "elapsed_s": elapsed},
         )
+        facts.append(FactCheck(name, computed, expected))
+
+    check("degree-table-orbits", cuts.count_degree_table_orbits, 26)
+    check("degree-table-orbits-burnside", cuts.count_degree_table_orbits_burnside, 26.0)
+    check("k33-subgraph-classes", cuts.count_k33_subgraph_classes, 26)
+    check("admissible-cases", _admissible_cases_match, (4, True))
+    check(
+        "all-general-case-infeasible",
+        lambda: cuts.mu_system_feasible(_case1_system()) is None,
+        True,
+    )
+    check("three-rhomboids-type1-unique", _three_rhomboids_type1_unique, True)
+    check(
+        "three-rhomboids-type2-infeasible",
+        lambda: cuts.mu_system_feasible(_case3_systems()["type2"]) is None,
+        True,
+    )
+    check("diagonal-angle-relation-exact", _diagonal_angle_relation, Fraction(0))
+    check("k33-nap-count-mod-swap", lambda: len(enumerate_nap(k33(), modulo_swap=True)), 6)
+    check("k33-nap-count", lambda: len(enumerate_nap(k33(), modulo_swap=False)), 12)
+    check("nap-implies-nac-corpus", _nap_not_nac_in_corpus, 0)
+    check(
+        "corpus-flexibility",
+        lambda: {
+            name: flexibility_certificate(builder()) is not None
+            for name, builder in CORPUS.items()
+        },
+        {
+            "k3": False,
+            "k4": False,
+            "k22": True,
+            "k32": True,
+            "k33": True,
+            "laman5": True,
+            "prism3": False,
+        },
     )
     return facts
 
@@ -233,6 +231,18 @@ def _emit(args, text: str):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _seed(args) -> int:
+    """``--seed``, else the SPHFLEX_SEED environment variable, else 0; the
+    variable is read per call, so one process can run with several."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("SPHFLEX_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise SphflexError(f"SPHFLEX_SEED must be an integer, got {text!r}") from None
 
 
 def _floats(text: str) -> list[float]:
@@ -273,7 +283,7 @@ def _cmd_colorings(args) -> int:
     g = _load_graph(args)
     result = enumerate_nap(g, modulo_swap=args.modulo_swap)
     if args.format == "structured":
-        _emit(args, formats.dumps(formats.coloring_set_to_dict(result)))
+        _emit(args, formats.dump_coloring_set(result))
     else:
         lines = [f"{len(result)} NAP-colorings"]
         for c in result:
@@ -310,7 +320,7 @@ def _cmd_realize(args) -> int:
         if coloring is None:
             raise SphflexError("graph admits no NAP-coloring, nothing to realize")
     angles = np.linspace(0.0, 2.0 * np.pi, args.samples, endpoint=False)
-    traj = motions.polar_nap_motion(g, coloring, list(angles), seed=args.seed)
+    traj = motions.polar_nap_motion(g, coloring, list(angles), seed=_seed(args))
     _emit(args, _trajectory_text(args, traj))
     return 0
 
@@ -475,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sphflex",
         description="spherical flexibility of graphs: colorings, cuts, motions",
     )
-    default_seed = int(os.environ.get("SPHFLEX_SEED", "0"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("colorings", help="enumerate NAP-colorings")
@@ -493,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p)
     p.add_argument("--coloring", help="coloring file (JSON triples)")
     p.add_argument("--samples", type=int, default=12)
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, help="motion seed (default: SPHFLEX_SEED or 0)")
     _add_io_args(p)
     p.set_defaults(func=_cmd_realize)
 
@@ -547,9 +556,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``run`` call in this process shares; parsing
+    leaves it unchanged, and nothing in it depends on the environment."""
+    return build_parser()
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SphflexError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

@@ -17,6 +17,15 @@ The module also ships the intersection-multiplicity table for the five
 quadrilateral motion types, the degree-table and type-table machinery with
 its group action, and a bounded integer-feasibility solver for the linear
 systems obtained by pulling divisor cuts back along forgetful projections.
+
+The 72-element row/column/transpose group acts on 3x3 grids by moving
+cells.  With a grid flattened row by row to 9 cells, ``GROUP_INDEX`` is the
+(72, 9) index array with ``flat(_act(grid, *GROUP[k])) ==
+flat(grid)[GROUP_INDEX[k]]``.  ``TABLE_BITS`` holds the 512 degree tables
+as one (512, 9) 0/1 array in ``all_degree_tables()`` order, so a table's
+row number is its binary code.  The orbit counts and the admissibility
+filter work on these arrays: one product of the tables with the group's
+moved cell weights gives every table's image code under every element.
 """
 
 from __future__ import annotations
@@ -25,6 +34,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .coloring import BLUE, RED, EdgeColoring, is_nap
 from .errors import (
@@ -482,17 +493,6 @@ def _resolutions(tt: TypeTable) -> list[TypeTable]:
     return out
 
 
-def row_col_allowed(tt: TypeTable) -> bool:
-    """True iff some resolution of 'r/l' entries has all rows and columns on
-    the allowed lists (each checked up to permutation)."""
-    for cand in _resolutions(tt):
-        rows_ok = all(row in ALLOWED_ROWS for row in cand.rows())
-        cols_ok = all(col in ALLOWED_COLS for col in cand.cols())
-        if rows_ok and cols_ok:
-            return True
-    return False
-
-
 def allowed_resolutions(tt: TypeTable) -> list[TypeTable]:
     return [
         cand
@@ -550,25 +550,52 @@ def all_degree_tables() -> Iterable[DegreeTable]:
         yield DegreeTable(tuple(tuple(bits[3 * r + c] for c in range(3)) for r in range(3)))
 
 
+# GROUP_INDEX[k, i] is the cell of a flattened grid that GROUP[k] moves to
+# cell i: flat(_act(grid, *GROUP[k])) == flat(grid)[GROUP_INDEX[k]]
+GROUP_INDEX = np.array(
+    [_act(((0, 1, 2), (3, 4, 5), (6, 7, 8)), *gel) for gel in GROUP], dtype=np.intp
+).reshape(len(GROUP), 9)
+GROUP_INDEX.flags.writeable = False
+
+# the 512 degree tables in all_degree_tables() order, 1 where the entry is 2;
+# cell 0 is the most significant bit, so a table's row is its binary code
+TABLE_BITS = (np.arange(512)[:, None] >> np.arange(8, -1, -1)) & 1
+TABLE_BITS.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def _orbit_codes() -> np.ndarray:
+    """(512, 72) array: row of TABLE_BITS that GROUP[k] carries table t onto.
+
+    One product of the tables with the cell weights moved by each group
+    element, rather than gathering a (512, 72, 9) array of moved cells.
+    """
+    weights = 1 << np.arange(8, -1, -1)
+    moved = np.zeros((9, len(GROUP)), dtype=np.int64)
+    moved[GROUP_INDEX.T, np.arange(len(GROUP))] = weights[:, None]
+    codes = TABLE_BITS @ moved
+    codes.flags.writeable = False
+    return codes
+
+
+def _orbit_minima() -> np.ndarray:
+    """Each table's orbit representative: the smallest code in its orbit,
+    which is also the orbit's first table in all_degree_tables() order."""
+    return _orbit_codes().min(axis=1)
+
+
 def count_degree_table_orbits() -> int:
-    """Orbits of the row/column/transpose group on the 512 degree tables."""
-    seen: set[Grid] = set()
-    count = 0
-    for dt in all_degree_tables():
-        if dt.grid in seen:
-            continue
-        seen |= orbit(dt.grid)
-        count += 1
-    return count
+    """Orbits of the row/column/transpose group on the 512 degree tables,
+    counted as the tables that are the smallest in their orbit."""
+    canon = _orbit_minima()
+    return int(np.count_nonzero(canon == np.arange(len(canon))))
 
 
 def count_degree_table_orbits_burnside() -> float:
     """Same count via averaging fixed points over the 72 group elements."""
-    total = 0
-    tables = [dt.grid for dt in all_degree_tables()]
-    for gel in GROUP:
-        total += sum(1 for t in tables if _act(t, *gel) == t)
-    return total / len(GROUP)
+    codes = _orbit_codes()
+    fixed = np.count_nonzero(codes == np.arange(len(codes))[:, None])
+    return int(fixed) / len(GROUP)
 
 
 def count_k33_subgraph_classes() -> int:
@@ -577,17 +604,13 @@ def count_k33_subgraph_classes() -> int:
     Encodes a subgraph by which of the nine edges are present; the
     automorphism group acts exactly like the degree-table group (entry 2
     marking a present edge), so this is an independent route to the same
-    orbit count.
+    orbit count: a subgraph's class is the set of subgraphs it can be
+    carried onto, and the count is the number of distinct such sets.
     """
-    seen: set[Grid] = set()
-    count = 0
-    for bits in itertools.product((0, 1), repeat=9):
-        grid = tuple(tuple(bits[3 * r + c] for c in range(3)) for r in range(3))
-        if grid in seen:
-            continue
-        seen |= frozenset(_act(grid, *g) for g in GROUP)
-        count += 1
-    return count
+    codes = _orbit_codes()
+    present = np.zeros((len(codes), len(codes)), dtype=bool)
+    present[np.arange(len(codes))[:, None], codes] = True
+    return len({row.tobytes() for row in np.packbits(present, axis=1)})
 
 
 @dataclass(frozen=True)
@@ -603,25 +626,32 @@ class AdmissibleCase:
     resolutions: tuple[TypeTable, ...]
 
 
+def _admissible_orbits() -> list[tuple[DegreeTable, tuple[TypeTable, ...], int]]:
+    """Representative, allowed resolutions and size of each degree-table
+    orbit with some allowed resolution, in all_degree_tables() order.
+
+    The row/column filter is invariant under the group, so it is tested
+    once per orbit, on its representative.
+    """
+    canon = _orbit_minima()
+    sizes = np.bincount(canon, minlength=len(canon))
+    out = []
+    for rep in np.flatnonzero(canon == np.arange(len(canon))):
+        dt = DegreeTable(tuple(map(tuple, (TABLE_BITS[rep] + 1).reshape(3, 3).tolist())))
+        res = tuple(allowed_resolutions(type_table(dt)))
+        if res:
+            out.append((dt, res, int(sizes[rep])))
+    return out
+
+
 def admissible_cases() -> list[AdmissibleCase]:
     """Degree-table orbits whose type table passes the row/column filter.
 
     Exactly four orbits survive.  Representatives are chosen to match the
     standard display: sorted by the number of degree-2 entries.
     """
-    reps: list[DegreeTable] = []
-    seen: set[Grid] = set()
-    for dt in all_degree_tables():
-        if dt.grid in seen:
-            continue
-        seen |= orbit(dt.grid)
-        if row_col_allowed(type_table(dt)):
-            reps.append(dt)
-
     cases = []
-    for dt in reps:
-        tt = type_table(dt)
-        res = tuple(allowed_resolutions(tt))
+    for dt, res, _ in _admissible_orbits():
         grid = []
         for r in range(3):
             row = []
@@ -635,8 +665,9 @@ def admissible_cases() -> list[AdmissibleCase]:
 
 
 def count_admissible_tables_raw() -> int:
-    """Admissible degree tables before quotienting by the group action."""
-    return sum(1 for dt in all_degree_tables() if row_col_allowed(type_table(dt)))
+    """Admissible degree tables before quotienting by the group action:
+    the summed sizes of the admissible orbits."""
+    return sum(size for _, _, size in _admissible_orbits())
 
 
 # ---------------------------------------------------------------------------

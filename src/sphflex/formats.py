@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .coloring import ColoringSet, EdgeColoring
+from .coloring import BLUE, RED, ColoringSet, EdgeColoring
 from .graphs import Graph, build_graph
 from .motions import MotionTrajectory, make_trajectory
 from .spherical import LengthAssignment, SphericalRealization
@@ -88,6 +88,40 @@ def coloring_set_to_dict(cs: ColoringSet) -> dict[str, Any]:
         "count": len(cs),
         "colorings": [coloring_to_list(c) for c in cs],
     }
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list, as ``dumps`` writes it, of items already encoded at
+    the next indent level; ``indent`` is the list's own indent."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def dump_coloring_set(cs: ColoringSet) -> str:
+    """``dumps(coloring_set_to_dict(cs))``, assembled from one text fragment
+    per edge and colour instead of through the JSON encoder."""
+    items = []
+    graph = None
+    for c in cs:
+        if c.graph is not graph:
+            graph = c.graph
+            # fragments[i][bit]: edge i's triple, blue for bit 0, red for 1
+            fragments = [
+                tuple(
+                    "      "
+                    + _json_list([f"        {json.dumps(x)}" for x in (a, b, col)], "      ")
+                    for col in (BLUE, RED)
+                )
+                for a, b in graph.edges
+            ]
+        triples = [pair[c.mask >> i & 1] for i, pair in enumerate(fragments)]
+        items.append("    " + _json_list(triples, "    "))
+    return (
+        f'{{\n  "colorings": {_json_list(items, "  ")},\n'
+        f'  "count": {json.dumps(len(cs))},\n'
+        f'  "modulo_swap": {json.dumps(cs.modulo_swap)}\n}}\n'
+    )
 
 
 def trajectory_to_dict(traj: MotionTrajectory) -> dict[str, Any]:

@@ -13,6 +13,7 @@ from itertools import combinations
 
 import networkx as nx
 import numpy as np
+from hypothesis import strategies as st
 
 from sphflex.cuts import Cut, cut_for, marked_labels
 from sphflex.graphs import Graph, build_graph
@@ -152,3 +153,18 @@ def valid_cuts_by_scan(g: Graph, modulo_symmetry: bool) -> list[Cut]:
         cut_for(g, (labels[i] for i in range(n) if mask >> i & 1))
         for mask in map(int, found[first])
     ]
+
+
+@st.composite
+def relabeled_graphs(draw, max_vertices=8, max_edges=12):
+    """A random connected graph and a copy under a random vertex relabelling."""
+    n = draw(st.integers(1, max_vertices))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # spanning tree
+    others = [(a, b) for b in range(n) for a in range(b) if (a, b) not in edges]
+    if others and len(edges) < max_edges:
+        room = max_edges - len(edges)
+        edges.update(draw(st.lists(st.sampled_from(others), unique=True, max_size=room)))
+    labels = draw(st.permutations(range(n)))
+    g = build_graph(range(n), edges)
+    h = build_graph(labels, [(labels[a], labels[b]) for a, b in edges])
+    return g, h

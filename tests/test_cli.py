@@ -1,13 +1,23 @@
+import hashlib
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from sphflex import formats
-from sphflex.cli import run, verify_suite
-from sphflex.graphs import k33, three_prism
+from sphflex.cli import CORPUS, run, verify_suite
+from sphflex.coloring import enumerate_nap
+from sphflex.graphs import complete_bipartite, k33, three_prism
 from sphflex.motions import cda_motion, cda_params_from_e
 from sphflex.spherical import LengthAssignment, SphericalRealization
+
+from enumeration import relabeled_graphs
 
 
 def test_graph_round_trips():
@@ -176,3 +186,143 @@ def test_mu_table_data_file_matches_constant():
         key = (case, None if sub == "-" else ("coincide" if sub == "coincide" else ("antipodal" if sub == "antipodal" else int(sub))))
         parsed[key] = (int(om), int(ou), int(em), int(eu))
     assert parsed == {k: tuple(v) for k, v in MU_TABLE.items()}
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def realize_output(capsys, *extra):
+    argv = ["realize", "--corpus", "k33", "--samples", "4", "--format", "structured"]
+    assert run([*argv, *extra]) == 0
+    return capsys.readouterr().out
+
+
+def test_seed_variable_read_on_each_run(monkeypatch, capsys):
+    monkeypatch.setenv("SPHFLEX_SEED", "1")
+    first = realize_output(capsys)
+    monkeypatch.setenv("SPHFLEX_SEED", "2")
+    second = realize_output(capsys)
+    assert first != second
+    monkeypatch.delenv("SPHFLEX_SEED")
+    assert realize_output(capsys) == realize_output(capsys, "--seed", "0")
+
+
+def test_explicit_seed_beats_seed_variable(monkeypatch, capsys):
+    monkeypatch.setenv("SPHFLEX_SEED", "3")
+    from_variable = realize_output(capsys)
+    monkeypatch.setenv("SPHFLEX_SEED", "5")
+    assert realize_output(capsys, "--seed", "3") == from_variable
+    assert realize_output(capsys) != from_variable
+
+
+def test_bad_seed_variable_is_an_error(monkeypatch, capsys):
+    monkeypatch.setenv("SPHFLEX_SEED", "soon")
+    assert run(["realize", "--corpus", "k33"]) == 1
+    assert "SPHFLEX_SEED" in capsys.readouterr().err
+
+
+def test_usage_errors_repeat(capsys):
+    for argv in (["k33"], ["colorings", "--format", "xml"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+    assert run(["certify", "--corpus", "k3"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# byte-identical structured output
+# ---------------------------------------------------------------------------
+
+EXPECTED = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text()
+)
+
+
+@pytest.mark.parametrize("command", ["verify", "tables"])
+def test_structured_fact_output_matches_pinned_digest(command, capsys):
+    assert run([command, "--format", "structured"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPECTED["digests"][command]
+
+
+def test_fact_commands_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma loads lazily (np.unique pulls it in) and adds to peak memory
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from sphflex.cli import run\n"
+        "for command in ('verify', 'tables', 'colorings'):\n"
+        "    run([command, '--corpus', 'k33'] if command == 'colorings' else [command])\n"
+        "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"
+
+
+def assert_writer_matches_encoder(g):
+    for modulo_swap in (False, True):
+        cs = enumerate_nap(g, modulo_swap=modulo_swap)
+        expected = formats.dumps(formats.coloring_set_to_dict(cs))
+        assert formats.dump_coloring_set(cs) == expected
+
+
+WRITER_GRAPHS = {
+    **{f"corpus-{name}": builder for name, builder in CORPUS.items()},
+    **{
+        f"K({m},{n})": (
+            lambda m=m, n=n: complete_bipartite(range(1, m + 1), range(m + 1, m + n + 1))
+        )
+        for m in range(2, 5)
+        for n in range(m, 20 // m + 1)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_GRAPHS))
+def test_coloring_set_writer_matches_encoder(name):
+    assert_writer_matches_encoder(WRITER_GRAPHS[name]())
+
+
+def test_coloring_set_writer_on_rigid_graph():
+    assert enumerate_nap(three_prism()).colorings == ()
+    assert_writer_matches_encoder(three_prism())
+    empty = formats.dump_coloring_set(enumerate_nap(three_prism()))
+    assert json.loads(empty)["colorings"] == []
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(relabeled_graphs())
+def test_coloring_set_writer_on_random_graphs(pair):
+    for g in pair:
+        assert_writer_matches_encoder(g)
+
+
+def test_cli_colorings_structured_uses_identical_text(capsys):
+    for flag in ([], ["--modulo-swap"]):
+        assert run(["colorings", "--corpus", "k33", "--format", "structured", *flag]) == 0
+        cs = enumerate_nap(k33(), modulo_swap=bool(flag))
+        assert capsys.readouterr().out == formats.dumps(formats.coloring_set_to_dict(cs))
+
+
+# ---------------------------------------------------------------------------
+# per-fact timing records
+# ---------------------------------------------------------------------------
+
+
+def test_verify_logs_one_timing_record_per_fact(caplog, capsys):
+    with caplog.at_level(logging.DEBUG, logger="sphflex"):
+        facts = verify_suite()
+        records = [r for r in caplog.records if r.name == "sphflex"]
+        assert [r.fact for r in records] == [f.name for f in facts]
+        assert all(r.levelno == logging.DEBUG for r in records)
+        assert all(isinstance(r.elapsed_s, float) and r.elapsed_s >= 0 for r in records)
+        assert run(["verify", "--format", "structured"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPECTED["digests"]["verify"]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sphflex.coloring import BLUE, RED, is_nap
@@ -12,6 +13,8 @@ from sphflex.cuts import (
     allowed_resolutions,
     build_pullback_system,
     coloring_from_cut,
+    all_degree_tables,
+    count_admissible_tables_raw,
     count_degree_table_orbits,
     count_degree_table_orbits_burnside,
     count_k33_subgraph_classes,
@@ -24,13 +27,15 @@ from sphflex.cuts import (
     mu_system_feasible,
     nap_iff_separated_nonedge,
     normalize_cut,
-    row_col_allowed,
+    orbit,
     tables_equivalent,
     theta,
     type_table,
 )
 from sphflex.errors import InvalidCutError, UnknownRowError
 from sphflex.graphs import k22, k32, k33, triangle
+
+import tables
 
 T_OU = cut_for(k22(), {("P", 1), ("Q", 1), ("P", 2), ("P", 4)})
 T_EU = cut_for(k22(), {("P", 2), ("Q", 2), ("P", 1), ("P", 3)})
@@ -187,11 +192,11 @@ def test_type_table_case2_forced_resolution():
 
 
 def test_row_col_allowed_examples():
-    assert row_col_allowed(
+    assert allowed_resolutions(
         TypeTable((("r", "r", "e"), ("r", "r", "e"), ("o", "o", "l")))
     )
-    assert row_col_allowed(TypeTable((("g",) * 3,) * 3))
-    assert not row_col_allowed(
+    assert allowed_resolutions(TypeTable((("g",) * 3,) * 3))
+    assert not allowed_resolutions(
         TypeTable((("e", "e", "o"), ("g", "g", "g"), ("g", "g", "g")))
     )
 
@@ -202,9 +207,55 @@ def test_orbit_counts():
     assert count_k33_subgraph_classes() == 26
 
 
-def test_orbit_sizes_partition_512():
-    from sphflex.cuts import all_degree_tables, orbit
+def test_orbit_counts_match_oracles_as_python_numbers():
+    # verify prints repr(computed), so a numpy scalar would change its output
+    pairs = [
+        (count_degree_table_orbits(), tables.orbit_count_by_walk()),
+        (count_degree_table_orbits_burnside(), tables.orbit_count_by_burnside()),
+        (count_k33_subgraph_classes(), tables.subgraph_classes_by_walk()),
+    ]
+    for computed, oracle in pairs:
+        assert computed == oracle
+        assert type(computed) is type(oracle)
+    assert repr(count_degree_table_orbits_burnside()) == "26.0"
 
+
+def flat(grid):
+    return tuple(x for row in grid for x in row)
+
+
+def test_group_index_agrees_with_act_on_every_table():
+    from sphflex.cuts import GROUP, GROUP_INDEX, TABLE_BITS, _act, _orbit_codes
+
+    grids = [dt.grid for dt in all_degree_tables()]
+    assert GROUP_INDEX.shape == (len(GROUP), 9)
+    assert [flat(g) for g in grids] == [tuple(row) for row in (TABLE_BITS + 1).tolist()]
+    code = {flat(g): t for t, g in enumerate(grids)}
+    codes = _orbit_codes()
+    for t, grid in enumerate(grids):
+        cells = np.array(flat(grid))
+        for k, gel in enumerate(GROUP):
+            moved = flat(_act(grid, *gel))
+            assert moved == tuple(cells[GROUP_INDEX[k]].tolist())
+            assert codes[t, k] == code[moved]
+
+
+def test_admissibility_is_constant_on_orbits():
+    # the library tests one representative per orbit and adds orbit sizes
+    admissible = {dt.grid for dt in tables.admissible_tables_by_scan()}
+    for dt in all_degree_tables():
+        verdicts = {g in admissible for g in orbit(dt.grid)}
+        assert len(verdicts) == 1, dt
+
+
+def test_admissible_counts_match_the_scan():
+    raw = count_admissible_tables_raw()
+    assert raw == len(tables.admissible_tables_by_scan())
+    assert type(raw) is int
+    assert admissible_cases() == tables.admissible_cases_by_walk()
+
+
+def test_orbit_sizes_partition_512():
     seen = set()
     total = 0
     for dt in all_degree_tables():

@@ -9,7 +9,6 @@ the smallest scanned mask as the certificate.
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sphflex.cli import CORPUS
 from sphflex.coloring import (
@@ -21,14 +20,18 @@ from sphflex.coloring import (
 from sphflex.cuts import enumerate_valid_cuts
 from sphflex.errors import BudgetExceededError
 from sphflex.graphs import (
-    build_graph,
     complete,
     complete_bipartite,
     cycle_graph,
     three_prism,
 )
 
-from enumeration import connected_graphs, nap_masks_by_scan, valid_cuts_by_scan
+from enumeration import (
+    connected_graphs,
+    nap_masks_by_scan,
+    relabeled_graphs,
+    valid_cuts_by_scan,
+)
 
 MAX_CUT_VERTICES = 8
 
@@ -89,21 +92,6 @@ def test_nap_and_cuts_match_scan_on_named_graphs(name):
 # ---------------------------------------------------------------------------
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
-
-
-@st.composite
-def relabeled_graphs(draw, max_vertices=MAX_CUT_VERTICES, max_edges=12):
-    """A random connected graph and a copy under a random vertex relabelling."""
-    n = draw(st.integers(1, max_vertices))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # spanning tree
-    others = [(a, b) for b in range(n) for a in range(b) if (a, b) not in edges]
-    if others and len(edges) < max_edges:
-        room = max_edges - len(edges)
-        edges.update(draw(st.lists(st.sampled_from(others), unique=True, max_size=room)))
-    labels = draw(st.permutations(range(n)))
-    g = build_graph(range(n), edges)
-    h = build_graph(labels, [(labels[a], labels[b]) for a, b in edges])
-    return g, h
 
 
 @PROPERTY
