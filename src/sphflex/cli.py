@@ -261,15 +261,16 @@ def _add_io_args(p: argparse.ArgumentParser, formats_=("text", "structured", "ta
 
 def _trajectory_text(args, traj: motions.MotionTrajectory) -> str:
     if args.format == "structured":
-        return formats.dumps(formats.trajectory_to_dict(traj))
+        return formats.dump_trajectory(traj)
     if args.format == "tabular":
         return formats.trajectory_to_csv(traj)
+    injective, proper = traj.sample_flags()
     lines = [
         f"kind: {traj.kind}",
-        f"samples: {len(traj.samples)}",
+        f"samples: {len(traj.points)}",
         f"max edge residual: {traj.max_residual():.3e}",
-        f"all samples injective: {all(s.injective for s in traj.samples)}",
-        f"all samples proper: {all(s.proper for s in traj.samples)}",
+        f"all samples injective: {bool(injective.all())}",
+        f"all samples proper: {bool(proper.all())}",
     ]
     return "\n".join(lines) + "\n"
 

@@ -42,9 +42,8 @@ from .motions import (
     CdaParams,
     MotionTrajectory,
     cda_lengths,
-    cda_motion,
     cda_params_from_e,
-    make_trajectory,
+    cda_point,
 )
 from .spherical import (
     LengthAssignment,
@@ -348,7 +347,7 @@ def trace(
     if tangent[np.argmax(np.abs(tangent))] < 0:
         tangent = -tangent
 
-    frames = [(0.0, SphericalRealization.from_array(order, x0))]
+    xs, arclengths = [x0], [0.0]
     x, t_prev = x0, tangent
     arclength = 0.0
     went_far = False
@@ -390,7 +389,8 @@ def trace(
         x, t_prev = nxt
         arclength += h
         steps_done += 1
-        frames.append((arclength, SphericalRealization.from_array(order, x)))
+        xs.append(x)
+        arclengths.append(arclength)
         h = min(h * 1.3, cfg.step_size)
 
         dist_to_seed = float(np.linalg.norm(x - x0))
@@ -416,9 +416,16 @@ def trace(
                 reason = "loop_closed"
                 break
 
-    if len(frames) < 2:
+    if len(xs) < 2:
         raise StepFailureError("no step succeeded from the seed")
-    traj = make_trajectory(g, lam, frames, KIND_TRACED, tol=max(1e-9, cfg.newton_tol))
+    traj = MotionTrajectory(
+        g,
+        lam,
+        np.array(xs).reshape(len(xs), -1, 3),
+        arclengths,
+        KIND_TRACED,
+        tol=max(1e-9, cfg.newton_tol),
+    )
     return TraceResult(traj, closed, reason, steps_done)
 
 
@@ -438,7 +445,7 @@ def cda_seed_realization(
     gauge = GaugeFix(1, 2)
     order = g.vertices
     reference = cda_params_from_e(0.75)
-    start = cda_motion(reference, [8.0, 8.3]).samples[0].realization
+    start = cda_point(reference, 8.0)
     x = re_gauge(start, gauge).as_array(order)
 
     for e_mid in np.linspace(0.75, abs(params.e), steps + 1)[1:]:
@@ -451,8 +458,7 @@ def cda_seed_realization(
             )
         x = corrected
 
-    rho = SphericalRealization.from_array(order, x)
-    pts = {v: rho.point(v).copy() for v in order}
+    pts = dict(zip(order, x.reshape(-1, 3)))
     if params.e < 0:
         pts[6] = -pts[6]
     if params.a < 0:
@@ -507,6 +513,10 @@ def fiber_count(
 # ---------------------------------------------------------------------------
 # empirical degrees of forgetful projections
 # ---------------------------------------------------------------------------
+
+
+def _realization(order: Sequence[int], coords: Vec) -> SphericalRealization:
+    return SphericalRealization(dict(zip(order, coords.reshape(-1, 3))))
 
 
 def _retained_gram(rho: SphericalRealization, retained: Sequence[int]) -> Vec:
@@ -572,7 +582,7 @@ def empirical_map_degree(
             x = _polish_to_match(traj, samples[i], target, retained, newton_tol)
             if x is None:
                 continue
-            rho = SphericalRealization.from_array(order, x)
+            rho = _realization(order, x)
             if np.abs(_retained_gram(rho, retained) - g_target).max() > match_tol:
                 continue
             if all(np.abs(x - y).max() > 1e-6 for y in polished):
@@ -580,7 +590,7 @@ def empirical_map_degree(
 
         classes: list[SphericalRealization] = []
         for x in polished:
-            rho = SphericalRealization.from_array(order, x)
+            rho = _realization(order, x)
             if all(essentially_distinct(rho, c) for c in classes):
                 classes.append(rho)
         best = max(best, len(classes))

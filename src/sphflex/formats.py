@@ -1,8 +1,8 @@
 """File formats: structured JSON text plus a plain edge-list format.
 
 All structured output is JSON with sorted keys, so identical inputs give
-byte-identical files.  Graphs can also be read from and written to a bare
-edge list ("a b" per line, vertices inferred).
+byte-identical files.  Graphs can also be read from a bare edge list
+("a b" per line, vertices inferred).
 """
 
 from __future__ import annotations
@@ -10,10 +10,13 @@ from __future__ import annotations
 import json
 from typing import Any
 
+import numpy as np
+
 from .coloring import BLUE, RED, ColoringSet, EdgeColoring
+from .errors import DegenerateTrajectoryError
 from .graphs import Graph, build_graph
-from .motions import MotionTrajectory, make_trajectory
-from .spherical import LengthAssignment, SphericalRealization
+from .motions import MotionTrajectory
+from .spherical import LengthAssignment, SphericalRealization, check_on_sphere
 
 
 def graph_to_dict(g: Graph) -> dict[str, Any]:
@@ -22,10 +25,6 @@ def graph_to_dict(g: Graph) -> dict[str, Any]:
 
 def graph_from_dict(data: dict[str, Any]) -> Graph:
     return build_graph(data["vertices"], [tuple(e) for e in data["edges"]])
-
-
-def dump_graph(g: Graph) -> str:
-    return json.dumps(graph_to_dict(g), sort_keys=True)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -39,10 +38,6 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((int(a), int(b)))
     vertices = sorted({v for e in edges for v in e})
     return build_graph(vertices, edges)
-
-
-def dump_edge_list(g: Graph) -> str:
-    return "\n".join(f"{a} {b}" for a, b in g.edges) + "\n"
 
 
 def load_graph_text(text: str) -> Graph:
@@ -141,14 +136,73 @@ def trajectory_to_dict(traj: MotionTrajectory) -> dict[str, Any]:
     }
 
 
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+def dump_trajectory(traj: MotionTrajectory) -> str:
+    """``dumps(trajectory_to_dict(traj))``, with each sample written from
+    one text template over its row of the stack instead of through the
+    JSON encoder.
+
+    Placement keys sort as strings, as ``dumps`` sorts them ("10" < "2").
+    """
+    head = dumps(
+        {
+            "graph": graph_to_dict(traj.graph),
+            "kind": traj.kind,
+            "lengths": lengths_to_dict(traj.lengths)["lengths"],
+        }
+    )
+    order = traj.graph.vertices
+    cols = sorted(range(len(order)), key=lambda i: str(order[i]))
+    # "%r" of a float is its repr, as the JSON encoder writes it
+    placement = ",\n".join(
+        f'        "{order[i]}": [\n          %r,\n          %r,\n          %r\n        ]'
+        for i in cols
+    )
+    coords = traj.points[:, cols].reshape(len(traj.points), -1).tolist()
+    injective, proper = traj.sample_flags()
+    items = [
+        f'    {{\n      "injective": {_JSON_BOOL[inj]},\n      "parameter": {t!r},\n'
+        f'      "placement": {{\n{placement % tuple(xyz)}\n      }},\n'
+        f'      "proper": {_JSON_BOOL[prop]}\n    }}'
+        for t, xyz, inj, prop in zip(
+            traj.parameters.tolist(), coords, injective.tolist(), proper.tolist()
+        )
+    ]
+    # the head ends in "\n}\n"; the samples go in as its last key
+    return f'{head[:-3]},\n  "samples": {_json_list(items, "  ")}\n}}\n'
+
+
 def trajectory_from_dict(data: dict[str, Any]) -> MotionTrajectory:
+    """Trajectory from ``trajectory_to_dict`` data.
+
+    All placements are parsed into one array and checked on the sphere in
+    the order of the file, samples first and then keys, before they are
+    put in the graph's vertex order.
+    """
     g = graph_from_dict(data["graph"])
     lam = lengths_from_dict({"lengths": data["lengths"]})
-    frames = [
-        (float(s["parameter"]), realization_from_dict(s))
-        for s in data["samples"]
-    ]
-    return make_trajectory(g, lam, frames, data["kind"])
+    samples = data["samples"]
+    placements = [s["placement"] for s in samples]
+    labels = [int(v) for p in placements for v in p]
+    pts = np.empty((len(labels), 3))
+    pts[:] = [c for p in placements for c in p.values()]
+    check_on_sphere(pts, labels)
+    n = g.num_vertices
+    if len(labels) != n * len(placements):
+        raise DegenerateTrajectoryError("every sample must place the graph's vertices")
+    by_sample = np.array(labels, dtype=np.int64).reshape(-1, n)
+    perm = np.argsort(by_sample, axis=1)
+    if not (np.take_along_axis(by_sample, perm, axis=1) == g.vertices).all():
+        raise DegenerateTrajectoryError("every sample must place the graph's vertices")
+    return MotionTrajectory(
+        g,
+        lam,
+        np.take_along_axis(pts.reshape(-1, n, 3), perm[..., None], axis=1),
+        [float(s["parameter"]) for s in samples],
+        data["kind"],
+    )
 
 
 def trajectory_to_csv(traj: MotionTrajectory) -> str:
@@ -158,14 +212,16 @@ def trajectory_to_csv(traj: MotionTrajectory) -> str:
     for v in order:
         header += [f"x{v}", f"y{v}", f"z{v}"]
     header.append("residual")
-    rows = [",".join(header)]
-    for s, worst in zip(traj.samples, traj.worst_edge_residuals()):
-        cells = [repr(s.parameter)]
-        for v in order:
-            cells += [repr(float(c)) for c in s.realization.point(v)]
-        cells.append(repr(float(worst)))
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
+    table = np.concatenate(
+        [
+            traj.parameters[:, None],
+            traj.points.reshape(len(traj.points), -1),
+            traj.worst_edge_residuals()[:, None],
+        ],
+        axis=1,
+    )
+    row = ",".join(["%r"] * table.shape[1])
+    return "\n".join([",".join(header), *(row % tuple(r) for r in table.tolist())]) + "\n"
 
 
 def dumps(data: Any) -> str:

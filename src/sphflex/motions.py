@@ -19,9 +19,10 @@ distinct samples, which is the numerical witness of flexibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, permutations, product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -47,11 +48,12 @@ from .spherical import (
     LengthAssignment,
     SphericalRealization,
     Vec,
-    degenerate_pairs_of_all,
-    essentially_distinct,
+    check_on_sphere,
+    degenerate_pair_masks,
+    distinct_from,
+    realizations_of_stack,
     rotations_about_axis,
     row_dots,
-    stack_points,
 )
 
 KIND_POLAR = "polar_nap"
@@ -87,81 +89,123 @@ class TrajectorySample:
         return not self.coincident_pairs and not self.antipodal_pairs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MotionTrajectory:
     """Sampled one-parameter family of compatible realizations.
 
-    Construction validates that every sample meets the length assignment
-    within ``tol`` and that at least two samples are essentially distinct.
+    ``points`` holds every sample as one read-only (S, |V|, 3) array, the
+    vertices in ``graph.vertices`` order, and ``parameters`` the S parameter
+    values.  Construction validates the stack in one pass: every point lies
+    on the unit sphere, every sample meets the length assignment within
+    ``tol`` and at least two samples are essentially distinct.  A point or
+    residual that is NaN fails these checks.  ``samples`` and
+    ``realizations()`` are views of the stack, built on first use.
     """
 
     graph: Graph
     lengths: LengthAssignment
-    samples: tuple[TrajectorySample, ...]
+    points: Vec
+    parameters: Vec
     kind: str
-    tol: float = field(default=COMPAT_TOL, compare=False)
+    tol: float = COMPAT_TOL
 
     def __post_init__(self):
-        if len(self.samples) < 2:
-            raise DegenerateTrajectoryError("need at least two samples")
-        worst = self.worst_edge_residuals()
-        bad = np.flatnonzero(worst > self.tol)
-        if bad.size:
-            s, r = self.samples[bad[0]], float(worst[bad[0]])
+        order = self.graph.vertices
+        pts = np.array(self.points, dtype=float)
+        params = np.array(self.parameters, dtype=float)
+        if pts.shape[1:] != (len(order), 3) or params.shape != pts.shape[:1]:
             raise DegenerateTrajectoryError(
-                f"sample at parameter {s.parameter} has edge residual {r:.3e}"
+                f"{params.shape} parameters and points of shape {pts.shape} "
+                f"do not fit a stack of samples of {len(order)} vertices"
             )
-        first = self.samples[0].realization
-        if not any(
-            essentially_distinct(first, s.realization) for s in self.samples[1:]
-        ):
+        pts.flags.writeable = False
+        params.flags.writeable = False
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "parameters", params)
+        check_on_sphere(pts, order)
+        if len(pts) < 2:
+            raise DegenerateTrajectoryError("need at least two samples")
+        if not np.isfinite(params).all():
+            raise DegenerateTrajectoryError("sample parameters must be finite")
+        worst = self.worst_edge_residuals()
+        bad = np.flatnonzero(~(worst <= self.tol))
+        if bad.size:
+            k = bad[0]
+            raise DegenerateTrajectoryError(
+                f"sample at parameter {float(params[k])} has edge residual {worst[k]:.3e}"
+            )
+        if not distinct_from(pts[0], pts[1:])[0].any():
             raise DegenerateTrajectoryError("no two samples are essentially distinct")
 
-    def realizations(self) -> list[SphericalRealization]:
-        return [s.realization for s in self.samples]
+    @cached_property
+    def _realizations(self) -> tuple[SphericalRealization, ...]:
+        return tuple(realizations_of_stack(self.graph.vertices, self.points))
 
-    def parameters(self) -> list[float]:
-        return [s.parameter for s in self.samples]
+    @cached_property
+    def _degenerate_masks(self) -> tuple[Vec, Vec]:
+        return degenerate_pair_masks(self.points)
+
+    @cached_property
+    def samples(self) -> tuple[TrajectorySample, ...]:
+        order = self.graph.vertices
+        pairs = list(combinations(order, 2))
+        coincident, antipodal = self._degenerate_masks
+        return tuple(
+            TrajectorySample(
+                t,
+                rho,
+                tuple(pairs[k] for k in np.flatnonzero(c)),
+                tuple(pairs[k] for k in np.flatnonzero(a)),
+            )
+            for t, rho, c, a in zip(
+                self.parameters.tolist(), self._realizations, coincident, antipodal
+            )
+        )
+
+    def realizations(self) -> list[SphericalRealization]:
+        return list(self._realizations)
+
+    def sample_flags(self) -> tuple[Vec, Vec]:
+        """``injective`` and ``proper`` of every sample, as two bool arrays."""
+        coincident, antipodal = self._degenerate_masks
+        injective = ~coincident.any(axis=1)
+        return injective, injective & ~antipodal.any(axis=1)
 
     def max_residual(self) -> float:
         return float(self.worst_edge_residuals().max())
 
     def worst_edge_residuals(self) -> Vec:
-        """Largest |edge residual| of each sample, all samples in one array op.
+        """Largest |edge residual| of each sample, equal bit for bit to
+        ``max_edge_residual`` of each sample."""
+        return self._worst_edge_residuals
 
-        Equal, bit for bit, to ``max_edge_residual`` of each sample.
-        """
+    @cached_property
+    def _worst_edge_residuals(self) -> Vec:
         edges = self.graph.edges
         if not edges:
-            return np.zeros(len(self.samples))
-        order = self.graph.vertices
-        idx = {v: i for i, v in enumerate(order)}
+            return np.zeros(len(self.points))
+        idx = {v: i for i, v in enumerate(self.graph.vertices)}
         a = [idx[u] for u, _ in edges]
         b = [idx[w] for _, w in edges]
         lam = np.array([self.lengths.length(*e) for e in edges])
-        pts = stack_points(self.realizations(), order)
-        res = 0.5 * (1.0 - row_dots(pts[:, a], pts[:, b])) - lam
-        return np.abs(res).max(axis=1)
+        res = 0.5 * (1.0 - row_dots(self.points[:, a], self.points[:, b])) - lam
+        worst = np.abs(res).max(axis=1)
+        worst.flags.writeable = False
+        return worst
 
     def restrict(self, keep: Iterable[int], kind: Optional[str] = None) -> "MotionTrajectory":
         """Trajectory of the induced subgraph on ``keep``."""
-        kept = set(keep)
-        sub = induced_subgraph(self.graph, kept)
-        lengths = self.lengths.restrict(sub.edges)
-        samples = _make_samples(
-            [(s.parameter, s.realization.restrict(kept)) for s in self.samples]
+        sub = induced_subgraph(self.graph, keep)
+        kept = set(sub.vertices)
+        cols = [i for i, v in enumerate(self.graph.vertices) if v in kept]
+        return MotionTrajectory(
+            sub,
+            self.lengths.restrict(sub.edges),
+            self.points[:, cols],
+            self.parameters,
+            kind or self.kind,
+            self.tol,
         )
-        return MotionTrajectory(sub, lengths, samples, kind or self.kind, self.tol)
-
-
-def _make_samples(
-    realizations: Sequence[tuple[float, SphericalRealization]]
-) -> tuple[TrajectorySample, ...]:
-    pairs = degenerate_pairs_of_all([rho for _, rho in realizations])
-    return tuple(
-        TrajectorySample(t, rho, tuple(coincident), tuple(antipodal))
-        for (t, rho), (coincident, antipodal) in zip(realizations, pairs)
-    )
 
 
 def make_trajectory(
@@ -171,7 +215,24 @@ def make_trajectory(
     kind: str,
     tol: float = COMPAT_TOL,
 ) -> MotionTrajectory:
-    return MotionTrajectory(graph, lengths, _make_samples(realizations), kind, tol)
+    """Trajectory from (parameter, realization) pairs, each realization
+    placing exactly the graph's vertices."""
+    order = graph.vertices
+    for t, rho in realizations:
+        if rho.vertices != order:
+            raise DegenerateTrajectoryError(
+                f"sample at parameter {t} places vertices {list(rho.vertices)}, "
+                f"not the graph's {list(order)}"
+            )
+    pts = np.array([[rho.point(v) for v in order] for _, rho in realizations])
+    return MotionTrajectory(
+        graph,
+        lengths,
+        pts.reshape(len(realizations), len(order), 3),
+        [t for t, _ in realizations],
+        kind,
+        tol,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +275,15 @@ def polar_nap_motion(
             vec /= np.linalg.norm(vec)
         placement[v] = vec
 
-    base = SphericalRealization(placement)
-    lengths = LengthAssignment.induced(g, base)
-
+    lengths = LengthAssignment.induced(g, SphericalRealization(placement))
     thetas = [float(theta) for theta in angles]
-    blue = [v for v in placement if v in part.blue_side]
+    base = np.array([placement[v] for v in g.vertices])
+    blue = [i for i, v in enumerate(g.vertices) if v in part.blue_side]
     rots = rotations_about_axis(NORTH, thetas)
+    pts = np.repeat(base[None], len(thetas), axis=0)
     # a stack of (3x3)(3x1) products rounds like each ``rot.apply(p)``
-    spun = (rots[:, None] @ np.stack([placement[v] for v in blue])[None, :, :, None])[..., 0]
-    frames = []
-    for theta, moved_blue in zip(thetas, spun):
-        moved = dict(placement)
-        moved.update(zip(blue, moved_blue))
-        frames.append((theta, SphericalRealization(moved)))
-    return make_trajectory(g, lengths, frames, KIND_POLAR)
+    pts[:, blue] = (rots[:, None] @ base[blue][None, :, :, None])[..., 0]
+    return MotionTrajectory(g, lengths, pts, thetas, KIND_POLAR)
 
 
 # ---------------------------------------------------------------------------
@@ -263,24 +319,29 @@ def dixon1_motion(params: Dixon1Params, s_values: Sequence[float]) -> MotionTraj
         (i, j): params.c[i] * params.d[j] for i in (1, 3, 5) for j in (2, 4, 6)
     }
     lengths = LengthAssignment.from_deltas(deltas)
-    frames = []
-    for s in s_values:
-        s = float(s)
-        if s == 0.0:
+    s_list = [float(s) for s in s_values]
+    s = np.array(s_list).reshape(-1, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sin_t = np.array([params.c[i] for i in (1, 3, 5)]) * s
+        sin_p = np.array([params.d[j] for j in (2, 4, 6)]) / s
+    bad_t, bad_p = np.abs(sin_t) > 1.0, np.abs(sin_p) > 1.0
+    bad = np.flatnonzero((s[:, 0] == 0.0) | bad_t.any(axis=1) | bad_p.any(axis=1))
+    if bad.size:
+        k = bad[0]
+        if s_list[k] == 0.0:
             raise DomainViolationError("s = 0 is outside the parametrization")
-        placement = {}
-        for i in (1, 3, 5):
-            sin_t = params.c[i] * s
-            if abs(sin_t) > 1.0:
-                raise DomainViolationError(f"|c_{i} * s| > 1 at s={s}")
-            placement[i] = np.array([math.sqrt(1.0 - sin_t**2), 0.0, sin_t])
-        for j in (2, 4, 6):
-            sin_p = params.d[j] / s
-            if abs(sin_p) > 1.0:
-                raise DomainViolationError(f"|d_{j} / s| > 1 at s={s}")
-            placement[j] = np.array([0.0, math.sqrt(1.0 - sin_p**2), sin_p])
-        frames.append((s, SphericalRealization(placement)))
-    return make_trajectory(g, lengths, frames, KIND_DIXON1)
+        for i, off in zip((1, 3, 5), bad_t[k]):
+            if off:
+                raise DomainViolationError(f"|c_{i} * s| > 1 at s={s_list[k]}")
+        j = (2, 4, 6)[int(np.argmax(bad_p[k]))]
+        raise DomainViolationError(f"|d_{j} / s| > 1 at s={s_list[k]}")
+    pts = np.zeros((len(s_list), 6, 3))
+    # float_power is C pow, which rounds x**2 as Python floats do
+    pts[:, 0::2, 0] = np.sqrt(1.0 - np.float_power(sin_t, 2))
+    pts[:, 0::2, 2] = sin_t
+    pts[:, 1::2, 1] = np.sqrt(1.0 - np.float_power(sin_p, 2))
+    pts[:, 1::2, 2] = sin_p
+    return MotionTrajectory(g, lengths, pts, s_list, KIND_DIXON1)
 
 
 # ---------------------------------------------------------------------------
@@ -302,40 +363,60 @@ class Dixon2Params:
             raise DegenerateAxisError("zero product would park a vertex on an axis")
 
 
-def _solve_dixon2_point(
-    params: Dixon2Params, p1: float, branch: str
+def _solve_dixon2_points(
+    params: Dixon2Params, p1_list: Sequence[float], branch: str
 ) -> tuple[Vec, Vec]:
-    """Find p = (p1, p2, p3) and q = (a/p1, b/p2, c/p3), both unit."""
+    """For every p1 find p = (p1, p2, p3) and q = (a/p1, b/p2, c/p3), both
+    unit, as two (S, 3) arrays.
+
+    The 200 bisection halvings run as array ops over all p1 at once;
+    elementwise float64 arithmetic rounds as the scalar code does, so each
+    row equals the one-p1-at-a-time solution bit for bit.
+    """
     a2, b2, c2 = params.alpha**2, params.beta**2, params.gamma**2
-    if abs(p1) >= 1.0 or p1 == 0.0:
-        raise NoRealSolutionError(f"p1={p1} outside (0,1)")
-    r2 = 1.0 - p1 * p1
-    base = a2 / (p1 * p1) - 1.0
+    low = branch == "low"
+    p1 = np.array(p1_list)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r2 = 1.0 - p1 * p1
+        base = a2 / (p1 * p1) - 1.0
 
-    def residual(u: float) -> float:
-        return base + b2 / u + c2 / (r2 - u)
+        def residual(u: Vec) -> Vec:
+            return base + b2 / u + c2 / (r2 - u)
 
-    # the residual is convex on (0, r2) with poles at both ends; its
-    # minimum locates the two roots when a real solution exists
-    u_star = abs(params.beta) * r2 / (abs(params.beta) + abs(params.gamma))
-    if residual(u_star) > 0.0:
-        raise NoRealSolutionError(
-            f"no real companion point for p1={p1} at these products"
-        )
-    lo, hi = (1e-300, u_star) if branch == "low" else (u_star, r2 * (1 - 1e-16))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (residual(mid) > 0.0) == (branch == "low"):
-            lo = mid
+        # the residual is convex on (0, r2) with poles at both ends; its
+        # minimum locates the two roots when a real solution exists
+        u_star = abs(params.beta) * r2 / (abs(params.beta) + abs(params.gamma))
+        no_root = residual(u_star) > 0.0
+        if low:
+            lo, hi = np.full_like(p1, 1e-300), u_star
         else:
-            hi = mid
-    u = 0.5 * (lo + hi)
-    p = np.array([p1, math.sqrt(u), math.sqrt(max(r2 - u, 0.0))])
-    if np.any(p == 0.0):
+            lo, hi = u_star, r2 * (1 - 1e-16)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            up = (residual(mid) > 0.0) == low
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        u = 0.5 * (lo + hi)
+        p = np.stack([p1, np.sqrt(u), np.sqrt(np.maximum(r2 - u, 0.0))], axis=1)
+        q = np.array([params.alpha, params.beta, params.gamma]) / p
+    outside = (np.abs(p1) >= 1.0) | (p1 == 0.0)
+    touches = (p == 0.0).any(axis=1)
+    bad = np.flatnonzero(outside | no_root | touches)
+    if bad.size:
+        k = bad[0]
+        if outside[k]:
+            raise NoRealSolutionError(f"p1={p1_list[k]} outside (0,1)")
+        if no_root[k]:
+            raise NoRealSolutionError(
+                f"no real companion point for p1={p1_list[k]} at these products"
+            )
         raise DegenerateAxisError("solution touches a coordinate plane")
-    q = np.array([params.alpha, params.beta, params.gamma]) / p
-    q /= np.linalg.norm(q)  # absorb roundoff; residual check follows
+    q /= np.sqrt(row_dots(q, q))[:, None]  # absorb roundoff; residual check follows
     return p, q
+
+
+# the identity and the half-turns about x, y and z as coordinate signs: a
+# half-turn about a coordinate axis flips two signs, exactly
+_DIXON2_SIGNS = np.array([np.diag(m) for m in (np.eye(3), HALF_TURN_X, HALF_TURN_Y, HALF_TURN_Z)])
 
 
 def dixon2_motion(
@@ -350,24 +431,15 @@ def dixon2_motion(
     (``trajectory.restrict(range(1, 7))``) for the K(3,3) motion.
     """
     g = k44()
-    frames = []
-    lengths = None
-    for p1 in p1_values:
-        p, q = _solve_dixon2_point(params, float(p1), branch)
-        odd = {1: p, 3: HALF_TURN_X @ p, 5: HALF_TURN_Y @ p, 7: HALF_TURN_Z @ p}
-        even = {2: q, 4: HALF_TURN_X @ q, 6: HALF_TURN_Y @ q, 8: HALF_TURN_Z @ q}
-        rho = SphericalRealization({**odd, **even})
-        if lengths is None:
-            lengths = LengthAssignment.induced(g, rho)
-        frames.append((float(p1), rho))
-    if lengths is None:
+    p1_list = [float(p1) for p1 in p1_values]
+    if not p1_list:
         raise DegenerateTrajectoryError("no parameter values supplied")
-    return make_trajectory(g, lengths, frames, KIND_DIXON2)
-
-
-def dixon2_involutions() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three half-turns (tau, sigma, rho) with tau o sigma o rho = id."""
-    return HALF_TURN_X, HALF_TURN_Z, HALF_TURN_Y
+    p, q = _solve_dixon2_points(params, p1_list, branch)
+    pts = np.empty((len(p1_list), 8, 3))
+    pts[:, 0::2] = p[:, None] * _DIXON2_SIGNS
+    pts[:, 1::2] = q[:, None] * _DIXON2_SIGNS
+    lengths = LengthAssignment.induced(g, SphericalRealization(dict(zip(g.vertices, pts[0]))))
+    return MotionTrajectory(g, lengths, pts, p1_list, KIND_DIXON2)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +511,12 @@ def cda_point(
     consistent choices parametrize arcs of the same configuration curve.
     """
     _require_reference_cda(params)
-    t = float(t)
+    return SphericalRealization(dict(zip(range(1, 7), _cda_rows(float(t), y2_sign, z5_sign))))
+
+
+def _cda_rows(t: float, y2_sign: int, z5_sign: int) -> Vec:
+    """Points of vertices 1..6 of ``cda_point`` at parameter t, as a (6, 3)
+    array."""
     if t in (-1.0, 0.0, 1.0):
         raise PoleError(f"t={t} is a pole of the parametrization")
     y2_rad = (t + 7.0) * (7.0 * t + 1.0)
@@ -466,15 +543,15 @@ def cda_point(
     z4 = -0.6 * (t + 1.0) / (t - 1.0)
     x5 = t * (16.0 * z5**2 + 9.0) / (8.0 * z5 * (t**2 - 1.0))
     y4 = y2 + 8.0 * (t**2 + 1.0) * z5 / (5.0 * (t**2 - 1.0))
-    return SphericalRealization(
-        {
-            1: np.array([1.0, 0.0, 0.0]),
-            2: np.array([0.6, y2, z2]),
-            3: np.array([x3, 0.0, z3]),
-            4: np.array([0.6, y4, z4]),
-            5: np.array([x5, 0.75, z5]),
-            6: np.array([0.0, 1.0, 0.0]),
-        }
+    return np.array(
+        [
+            [1.0, 0.0, 0.0],
+            [0.6, y2, z2],
+            [x3, 0.0, z3],
+            [0.6, y4, z4],
+            [x5, 0.75, z5],
+            [0.0, 1.0, 0.0],
+        ]
     )
 
 
@@ -506,10 +583,9 @@ def cda_motion(
     """
     _require_reference_cda(params)
     lengths = cda_lengths(params)
-    frames = [
-        (float(t), cda_point(params, t, y2_sign, z5_sign)) for t in t_values
-    ]
-    return make_trajectory(k33(), lengths, frames, KIND_CDA)
+    ts = [float(t) for t in t_values]
+    pts = np.array([_cda_rows(t, y2_sign, z5_sign) for t in ts]).reshape(-1, 6, 3)
+    return MotionTrajectory(k33(), lengths, pts, ts, KIND_CDA)
 
 
 def cda_feasible_intervals(
@@ -551,78 +627,58 @@ def cda_feasible_intervals(
 # ---------------------------------------------------------------------------
 
 
-def _coplanar_normal(points: Sequence[Vec], tol: float) -> Optional[Vec]:
-    """Unit normal of a common plane through the origin, if one exists."""
-    m = np.stack(points)
-    _, svals, vt = np.linalg.svd(m)
-    if svals[-1] > tol:
-        return None
-    return vt[-1]
+def _dixon1_samples(pts: Vec, tol: float) -> Vec:
+    """Per sample: odd vertices on one great circle, even vertices on
+    another, the two circles orthogonal; from batched SVDs of the (S, 3, 3)
+    stacks of odd and of even points."""
+    _, s_odd, vt_odd = np.linalg.svd(pts[:, 0::2])
+    _, s_even, vt_even = np.linalg.svd(pts[:, 1::2])
+    return (
+        (s_odd[:, -1] <= tol)
+        & (s_even[:, -1] <= tol)
+        & (np.abs(row_dots(vt_odd[:, -1], vt_even[:, -1])) <= tol)
+    )
 
 
-def _is_dixon1_sample(rho: SphericalRealization, tol: float) -> bool:
-    n_odd = _coplanar_normal([rho.point(v) for v in (1, 3, 5)], tol)
-    n_even = _coplanar_normal([rho.point(v) for v in (2, 4, 6)], tol)
-    if n_odd is None or n_even is None:
-        return False
-    return abs(float(n_odd @ n_even)) <= tol
+# vertex index pairs (1,3), (1,5), (3,5) and (2,4), (2,6), (4,6) of K(3,3)
+_ODD_PAIRS = ((0, 2), (0, 4), (2, 4))
+_EVEN_PAIRS = ((1, 3), (1, 5), (3, 5))
 
 
-def _axis_candidates(a: Vec, b: Vec, tol: float) -> list[Vec]:
-    out = []
-    for sign in (1.0, -1.0):
-        v = a + sign * b
-        n = np.linalg.norm(v)
-        if n > tol:
-            out.append(v / n)
-    return out
+def _pair_axes(pts: Vec, pairs: Sequence[tuple[int, int]]) -> tuple[Vec, Vec]:
+    """Half-turn axis candidates (a + b)/|a + b| and (a - b)/|a - b| of each
+    vertex pair, shape (S, 3, 2, 3), and whether each norm exceeds 1e-7."""
+    a = pts[:, [i for i, _ in pairs]]
+    b = pts[:, [j for _, j in pairs]]
+    v = np.stack([a + b, a - b], axis=2)
+    norm = np.sqrt(row_dots(v, v))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return v / norm[..., None], norm > 1e-7
 
 
-def _is_dixon2_sample(rho: SphericalRealization, tol: float) -> bool:
-    """Look for three mutually orthogonal half-turn axes pairing the odd
-    and even vertices (allowing antipodal partners)."""
-    odd_pairs = list(combinations((1, 3, 5), 2))
-    even_pairs = list(combinations((2, 4, 6), 2))
-
-    def pair_axes(u: int, v: int) -> list[Vec]:
-        return _axis_candidates(rho.point(u), rho.point(v), 1e-7)
-
-    for even_perm in (
-        [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    ):
-        for choices in _product_axes(odd_pairs, even_pairs, even_perm, pair_axes, tol):
-            axes = choices
-            ok = True
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if abs(float(axes[i] @ axes[j])) > tol:
-                        ok = False
-            if ok:
-                return True
-    return False
-
-
-def _product_axes(odd_pairs, even_pairs, even_perm, pair_axes, tol):
-    """Axis triples where the k-th odd pair shares an axis with the
-    permuted k-th even pair."""
-    per_slot = []
-    for k in range(3):
-        o = odd_pairs[k]
-        e = even_pairs[even_perm[k]]
-        slot = []
-        for ax_o in pair_axes(*o):
-            for ax_e in pair_axes(*e):
-                if min(
-                    np.abs(ax_o - ax_e).max(), np.abs(ax_o + ax_e).max()
-                ) <= tol:
-                    slot.append(ax_o)
-        if not slot:
-            return
-        per_slot.append(slot)
-    for a0 in per_slot[0]:
-        for a1 in per_slot[1]:
-            for a2 in per_slot[2]:
-                yield (a0, a1, a2)
+def _dixon2_samples(pts: Vec, tol: float) -> Vec:
+    """Per sample: three mutually orthogonal half-turn axes, each shared by
+    an odd pair and an even pair (allowing antipodal partners)."""
+    odd_axes, odd_ok = _pair_axes(pts, _ODD_PAIRS)
+    even_axes, even_ok = _pair_axes(pts, _EVEN_PAIRS)
+    o, e = odd_axes[:, :, :, None, None], even_axes[:, None, None]
+    with np.errstate(invalid="ignore"):
+        close = np.minimum(np.abs(o - e).max(axis=-1), np.abs(o + e).max(axis=-1)) <= tol
+        orth = np.abs(row_dots(o, odd_axes[:, None, None])) <= tol
+    # shares[:, k, so, m]: the sign-so axis of odd pair k is one of even pair m
+    shares = odd_ok[..., None] & (close & even_ok[:, None, None]).any(axis=-1)
+    found = np.zeros(len(pts), dtype=bool)
+    for m0, m1, m2 in permutations(range(3)):
+        for s0, s1, s2 in product((0, 1), repeat=3):
+            found |= (
+                shares[:, 0, s0, m0]
+                & shares[:, 1, s1, m1]
+                & shares[:, 2, s2, m2]
+                & orth[:, 0, s0, 1, s1]
+                & orth[:, 0, s0, 2, s2]
+                & orth[:, 1, s1, 2, s2]
+            )
+    return found
 
 
 def _cda_pattern(lengths: LengthAssignment, tol: float) -> bool:
@@ -658,33 +714,39 @@ def _cda_pattern(lengths: LengthAssignment, tol: float) -> bool:
     return False
 
 
+def _three_distinct(pts: Vec) -> bool:
+    """Whether a greedy scan in sample order picks three pairwise
+    essentially distinct samples."""
+    from_first = distinct_from(pts[0], pts)[0]
+    later = np.flatnonzero(from_first)
+    if not later.size:
+        return False
+    j = later[0]
+    return bool((from_first[j + 1 :] & distinct_from(pts[j], pts[j + 1 :])[0]).any())
+
+
 def detect_k33_motion_kind(traj: MotionTrajectory, tol: float = 1e-8) -> str:
     """Classify a K(3,3) trajectory as dixon1, dixon2 or const_diag_angle.
 
     Requires at least three pairwise essentially distinct samples and no
     coincident or antipodal vertices anywhere.  Returns ``unclassified``
-    when no signature matches; it never guesses.
+    when no signature matches; it never guesses.  Every test runs on the
+    whole stack of samples at once.
     """
     if set(traj.graph.vertices) != {1, 2, 3, 4, 5, 6} or traj.graph.num_edges != 9:
         raise DegenerateRealizationError("detector expects the standard K(3,3)")
-    rhos = traj.realizations()
-    distinct = [rhos[0]]
-    for rho in rhos[1:]:
-        if all(essentially_distinct(rho, d) for d in distinct):
-            distinct.append(rho)
-        if len(distinct) >= 3:
-            break
-    if len(distinct) < 3:
+    pts = traj.points
+    if not _three_distinct(pts):
         raise InsufficientSamplesError("need three essentially distinct samples")
-    for s in traj.samples:
-        if not s.proper:
-            raise DegenerateRealizationError(
-                f"sample at {s.parameter} has coincident or antipodal vertices"
-            )
+    improper = np.flatnonzero(~traj.sample_flags()[1])
+    if improper.size:
+        raise DegenerateRealizationError(
+            f"sample at {float(traj.parameters[improper[0]])} has coincident or antipodal vertices"
+        )
 
-    if all(_is_dixon1_sample(rho, tol) for rho in rhos):
+    if _dixon1_samples(pts, tol).all():
         return KIND_DIXON1
-    if all(_is_dixon2_sample(rho, tol) for rho in rhos):
+    if _dixon2_samples(pts, tol).all():
         return KIND_DIXON2
     if _cda_pattern(traj.lengths, tol):
         return KIND_CDA

@@ -10,12 +10,13 @@ interval (0, 1), so adjacent vertices can never coincide nor be antipodal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import SphflexError
+from .errors import AmbiguousToleranceError, SphflexError
 from .graphs import Edge, Graph, normalized_edge
 
 ON_SPHERE_TOL = 1e-12
@@ -24,13 +25,6 @@ COMPAT_TOL = 1e-9
 ORIENT_DET_TOL = 1e-8
 
 Vec = np.ndarray
-
-
-def unit_point(x: float, y: float, z: float, tol: float = ON_SPHERE_TOL) -> Vec:
-    p = np.array([x, y, z], dtype=float)
-    if abs(p @ p - 1.0) > tol:
-        raise SphflexError(f"point {p} is off the unit sphere by {abs(p @ p - 1.0):.3e}")
-    return p
 
 
 def normalize(v: Sequence[float]) -> Vec:
@@ -131,15 +125,13 @@ class SphericalRealization:
     placement: dict[int, Vec] = field(repr=False)
 
     def __post_init__(self):
-        clean = {}
-        for v, p in self.placement.items():
-            a = np.asarray(p, dtype=float)
-            if abs(a @ a - 1.0) > ON_SPHERE_TOL:
-                raise SphflexError(
-                    f"vertex {v} placed off the sphere by {abs(a @ a - 1.0):.3e}"
-                )
-            clean[int(v)] = a
-        object.__setattr__(self, "placement", clean)
+        labels = [int(v) for v in self.placement]
+        rows = [np.asarray(p, dtype=float) for p in self.placement.values()]
+        pts = np.array(rows) if rows else np.empty((0, 3))
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise SphflexError("every point needs three coordinates")
+        check_on_sphere(pts, labels)
+        object.__setattr__(self, "placement", dict(zip(labels, rows)))
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -155,11 +147,6 @@ class SphericalRealization:
     def as_array(self, order: Optional[Sequence[int]] = None) -> Vec:
         order = self.vertices if order is None else order
         return np.concatenate([self.placement[v] for v in order])
-
-    @classmethod
-    def from_array(cls, order: Sequence[int], coords: Vec) -> "SphericalRealization":
-        pts = np.asarray(coords, dtype=float).reshape(len(order), 3)
-        return cls({v: pts[i] for i, v in enumerate(order)})
 
 
 @dataclass(frozen=True)
@@ -234,13 +221,6 @@ def gram_matrix(rho: SphericalRealization, order: Optional[Sequence[int]] = None
     return pts @ pts.T
 
 
-def gram_distance(r1: SphericalRealization, r2: SphericalRealization) -> float:
-    order = r1.vertices
-    if order != r2.vertices:
-        raise SphflexError("realizations have different vertex sets")
-    return float(np.abs(gram_matrix(r1, order) - gram_matrix(r2, order)).max())
-
-
 @dataclass(frozen=True)
 class Distinctness:
     """Verdict of an essential-distinctness comparison.
@@ -268,21 +248,59 @@ def essentially_distinct(
 
     Equal Gram matrices mean the realizations are related by an orthogonal
     map; equal orientation upgrades it to a rotation.  Gram-equal but
-    orientation-flipped pairs (mirror images) count as distinct.
+    orientation-flipped pairs (mirror images) count as distinct.  The rule
+    is that of ``distinct_from``, applied to a stack of one.
     """
-    gd = gram_distance(r1, r2)
-    if gd > tol:
-        return Distinctness(True, gd, False, False)
     order = r1.vertices
-    for triple in combinations(order, 3):
-        d1 = float(np.linalg.det(np.stack([r1.point(v) for v in triple])))
-        if abs(d1) > ORIENT_DET_TOL:
-            d2 = float(np.linalg.det(np.stack([r2.point(v) for v in triple])))
-            flipped = (d1 > 0) != (d2 > 0)
-            return Distinctness(flipped, gd, True, False)
-    # rank <= 2: a reflection fixing the common plane turns any orthogonal
-    # match into a rotation, so Gram equality already means not distinct
-    return Distinctness(False, gd, False, True)
+    if order != r2.vertices:
+        raise SphflexError("realizations have different vertex sets")
+    p1 = np.array([r1.point(v) for v in order])
+    p2 = np.array([r2.point(v) for v in order])
+    distinct, gram_dist, spans = distinct_from(p1, p2[None], tol)
+    compared = not gram_dist[0] > tol
+    return Distinctness(
+        bool(distinct[0]), float(gram_dist[0]), compared and spans, compared and not spans
+    )
+
+
+@lru_cache(maxsize=None)
+def _triples(n: int) -> Vec:
+    """Index triples of ``combinations(range(n), 3)``, shape (T, 3)."""
+    return np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+
+
+def distinct_from(ref: Vec, pts: Vec, tol: float = COMPAT_TOL) -> tuple[Vec, Vec, bool]:
+    """Essential distinctness of one realization from each of a stack.
+
+    ``ref`` has shape (|V|, 3) and ``pts`` (S, |V|, 3), rows in one vertex
+    order.  A sample is distinct when its Gram matrix differs from the
+    reference's by more than ``tol``; a Gram-equal sample is distinct when
+    its orientation is flipped.  Orientation is read on the triple of
+    vertices with the largest |det| in the reference, and a Gram-equal
+    sample whose determinant on that triple lies within ``ORIENT_DET_TOL``
+    of 0 raises ``AmbiguousToleranceError`` rather than guess a sign.
+    Returns the verdicts, the Gram distances and whether the reference
+    spans space (if not, Gram equality alone means not distinct).
+    """
+    gram_dist = np.abs(pts @ np.swapaxes(pts, 1, 2) - ref @ ref.T).max(axis=(1, 2))
+    distinct = gram_dist > tol
+    triples = _triples(len(ref))
+    dets = np.linalg.det(ref[triples])
+    if not dets.size or np.abs(dets).max() <= ORIENT_DET_TOL:
+        # rank <= 2: a reflection fixing the common plane turns any
+        # orthogonal match into a rotation
+        return distinct, gram_dist, False
+    best = int(np.argmax(np.abs(dets)))
+    close = np.flatnonzero(~distinct)
+    if close.size:
+        other = np.linalg.det(pts[close][:, triples[best]])
+        if np.any(np.abs(other) <= ORIENT_DET_TOL):
+            raise AmbiguousToleranceError(
+                "Gram-equal realizations with an orientation within "
+                f"{ORIENT_DET_TOL:g} of zero on the best-conditioned triple"
+            )
+        distinct[close] = (other > 0) != (dets[best] > 0)
+    return distinct, gram_dist, True
 
 
 def degenerate_pairs(
@@ -315,34 +333,42 @@ def row_dots(a: Vec, b: Vec) -> Vec:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def stack_points(rhos: Sequence[SphericalRealization], order: Sequence[int]) -> Vec:
-    """Points of every realization in ``order``, shape (len(rhos), len(order), 3)."""
-    flat = np.concatenate([rho.placement[v] for rho in rhos for v in order])
-    return flat.reshape(len(rhos), len(order), 3)
+def degenerate_pair_masks(pts: Vec, tol: float = 1e-9) -> tuple[Vec, Vec]:
+    """Coincident and antipodal vertex pairs of every realization of a stack.
 
-
-def degenerate_pairs_of_all(
-    rhos: Sequence[SphericalRealization], tol: float = 1e-9
-) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
-    """``degenerate_pairs`` of every realization, from batched Gram entries.
-
-    Realizations are grouped by vertex set; the upper-triangle Gram entries
-    of a group are computed in one array op, in the order of
-    ``combinations``, and compared with the same thresholds.
+    ``pts`` has shape (S, |V|, 3).  Both masks have shape (S, P), one
+    column per vertex pair in the order of ``combinations(range(|V|), 2)``;
+    the inner products equal those of ``degenerate_pairs`` exactly and are
+    compared with the same thresholds.
     """
-    out: list = [([], []) for _ in rhos]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, rho in enumerate(rhos):
-        groups.setdefault(rho.vertices, []).append(i)
-    for order, ids in groups.items():
-        if len(order) < 2:
-            continue
-        iu, ju = np.triu_indices(len(order), 1)
-        pts = stack_points([rhos[i] for i in ids], order)
-        d = row_dots(pts[:, iu], pts[:, ju])
-        coincident = d >= 1.0 - tol
-        antipodal = ~coincident & (d <= -1.0 + tol)
-        for side, hits in enumerate((coincident, antipodal)):
-            for k, p in zip(*np.nonzero(hits)):
-                out[ids[k]][side].append((order[iu[p]], order[ju[p]]))
+    iu, ju = np.triu_indices(pts.shape[1], 1)
+    d = row_dots(pts[:, iu], pts[:, ju])
+    coincident = d >= 1.0 - tol
+    return coincident, ~coincident & (d <= -1.0 + tol)
+
+
+def check_on_sphere(pts: Vec, labels: Sequence[int]) -> None:
+    """Raise for the first point off the unit sphere by more than
+    ``ON_SPHERE_TOL``; a point with a NaN coordinate is off it too.
+
+    ``pts`` is any (..., 3) stack, read in row-major order, and
+    ``labels[k % len(labels)]`` names its k-th point.
+    """
+    err = np.abs(row_dots(pts, pts) - 1.0).ravel()
+    bad = np.flatnonzero(~(err <= ON_SPHERE_TOL))
+    if bad.size:
+        k = bad[0]
+        raise SphflexError(
+            f"vertex {labels[k % len(labels)]} placed off the sphere by {err[k]:.3e}"
+        )
+
+
+def realizations_of_stack(order: Sequence[int], pts: Vec) -> list[SphericalRealization]:
+    """One realization per (|V|, 3) slab of a stack already checked on the
+    sphere, its points views of the stack's rows."""
+    out = []
+    for slab in pts:
+        rho = object.__new__(SphericalRealization)
+        object.__setattr__(rho, "placement", dict(zip(order, slab)))
+        out.append(rho)
     return out

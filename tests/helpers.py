@@ -1,0 +1,31 @@
+"""Small constructors and writers that only the tests use."""
+
+import json
+
+import numpy as np
+
+from sphflex.formats import graph_to_dict
+from sphflex.graphs import Graph
+from sphflex.motions import HALF_TURN_X, HALF_TURN_Y, HALF_TURN_Z
+from sphflex.spherical import ON_SPHERE_TOL, Vec
+from sphflex.errors import SphflexError
+
+
+def unit_point(x: float, y: float, z: float, tol: float = ON_SPHERE_TOL) -> Vec:
+    p = np.array([x, y, z], dtype=float)
+    if abs(p @ p - 1.0) > tol:
+        raise SphflexError(f"point {p} is off the unit sphere by {abs(p @ p - 1.0):.3e}")
+    return p
+
+
+def dump_graph(g: Graph) -> str:
+    return json.dumps(graph_to_dict(g), sort_keys=True)
+
+
+def dump_edge_list(g: Graph) -> str:
+    return "\n".join(f"{a} {b}" for a, b in g.edges) + "\n"
+
+
+def dixon2_involutions() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three half-turns (tau, sigma, rho) with tau o sigma o rho = id."""
+    return HALF_TURN_X, HALF_TURN_Z, HALF_TURN_Y

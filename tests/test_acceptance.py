@@ -28,7 +28,6 @@ from sphflex.motions import (
     cda_motion,
     cda_params_from_e,
     dixon1_motion,
-    dixon2_involutions,
     dixon2_motion,
     polar_nap_motion,
 )
@@ -41,6 +40,7 @@ from sphflex.spherical import (
 )
 
 from enumeration import connected_graphs
+from helpers import dixon2_involutions
 
 
 def report(criterion: int, ok: bool, detail: str):

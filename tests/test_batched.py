@@ -32,7 +32,6 @@ from sphflex.spherical import (
     LengthAssignment,
     SphericalRealization,
     degenerate_pairs,
-    degenerate_pairs_of_all,
     max_edge_residual,
     random_unit_point,
     rotation_about_axis,
@@ -45,6 +44,7 @@ from assembly import (
     residual_by_loop,
     with_arc_row,
 )
+from trajectories import degenerate_pairs_of_all
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 

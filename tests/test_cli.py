@@ -18,12 +18,13 @@ from sphflex.motions import cda_motion, cda_params_from_e
 from sphflex.spherical import LengthAssignment, SphericalRealization
 
 from enumeration import relabeled_graphs
+from helpers import dump_edge_list, dump_graph
 
 
 def test_graph_round_trips():
     for g in (k33(), three_prism()):
-        assert formats.load_graph_text(formats.dump_graph(g)) == g
-        assert formats.parse_edge_list(formats.dump_edge_list(g)) == g
+        assert formats.load_graph_text(dump_graph(g)) == g
+        assert formats.parse_edge_list(dump_edge_list(g)) == g
 
 
 def test_lengths_round_trip():
@@ -108,7 +109,7 @@ def test_cli_verify_passes(capsys):
 def test_cli_trace_subcommand(tmp_path, capsys):
     traj = cda_motion(cda_params_from_e(0.75), [8.0, 8.2])
     graph_file = tmp_path / "g.json"
-    graph_file.write_text(formats.dump_graph(k33()))
+    graph_file.write_text(dump_graph(k33()))
     lengths_file = tmp_path / "lengths.json"
     lengths_file.write_text(json.dumps(formats.lengths_to_dict(traj.lengths)))
     seed_file = tmp_path / "seed.json"

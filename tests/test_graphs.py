@@ -6,12 +6,7 @@ from sphflex.errors import (
     SelfLoopError,
     UnknownVertexError,
 )
-from sphflex.formats import (
-    dump_edge_list,
-    dump_graph,
-    load_graph_text,
-    parse_edge_list,
-)
+from sphflex.formats import load_graph_text, parse_edge_list
 from sphflex.graphs import (
     build_graph,
     complete,
@@ -28,6 +23,7 @@ from sphflex.graphs import (
 )
 
 from enumeration import connected_graphs
+from helpers import dump_edge_list, dump_graph
 
 
 def test_build_k33_from_odd_even_pairs():

@@ -32,12 +32,13 @@ from sphflex.motions import (
     cda_point,
     detect_k33_motion_kind,
     dixon1_motion,
-    dixon2_involutions,
     dixon2_motion,
     polar_nap_motion,
 )
 from sphflex.quads import EVEN_DELTOID, GENERAL, QuadLengths, classify
 from sphflex.spherical import essentially_distinct, gram_matrix
+
+from helpers import dixon2_involutions
 
 ANGLES = list(np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False))
 

@@ -21,8 +21,9 @@ from sphflex.spherical import (
     rotation_about_axis,
     rotations_about_axis,
     sph_dist,
-    unit_point,
 )
+
+from helpers import unit_point
 
 RNG = np.random.default_rng(42)
 

@@ -1,0 +1,676 @@
+"""The stacked trajectory against the per-sample code it replaced.
+
+Output of ``realize``, ``k33`` and ``trace`` must hash to the digests of the
+per-sample writers; the fragment writers must equal the JSON encoder and
+the per-sample CSV writer; the vectorized generators and the detector must
+equal their scalar oracles in ``trajectories.py``; error messages name the
+same first offender; NaN never gets through.
+"""
+
+import contextlib
+import copy
+import hashlib
+import io
+import json
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sphflex import cli, formats
+from sphflex.coloring import EdgeColoring, enumerate_nap, flexibility_certificate
+from sphflex.continuation import TraceConfig, trace
+from sphflex.errors import (
+    AmbiguousToleranceError,
+    DegenerateAxisError,
+    DegenerateRealizationError,
+    DegenerateTrajectoryError,
+    InsufficientSamplesError,
+    NoRealSolutionError,
+    SphflexError,
+)
+from sphflex.graphs import apex_double_triangle, build_graph, complete_bipartite, cycle_graph, k33
+from sphflex.motions import (
+    KIND_DIXON2,
+    Dixon1Params,
+    Dixon2Params,
+    MotionTrajectory,
+    _dixon1_samples,
+    _dixon2_samples,
+    _solve_dixon2_points,
+    cda_motion,
+    cda_params_from_e,
+    detect_k33_motion_kind,
+    dixon1_motion,
+    dixon2_motion,
+    make_trajectory,
+    polar_nap_motion,
+)
+from sphflex.spherical import (
+    ORIENT_DET_TOL,
+    LengthAssignment,
+    SphericalRealization,
+    degenerate_pair_masks,
+    degenerate_pairs,
+    essentially_distinct,
+    random_rotation,
+    random_unit_point,
+)
+
+from trajectories import (
+    detect_by_samples,
+    dixon1_rows,
+    encoded,
+    is_dixon1_sample,
+    is_dixon2_sample,
+    parsed,
+    solve_dixon2_point,
+    trajectory_from_dict_by_samples,
+    trajectory_to_csv_by_samples,
+)
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+DIXON1 = Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7})
+# K(3,7): vertices 10, 12 and 14 sort before 2 as JSON keys
+K37 = complete_bipartite((1, 3, 5), (2, 4, 6, 8, 10, 12, 14))
+
+
+# ---------------------------------------------------------------------------
+# byte-identical CLI output
+# ---------------------------------------------------------------------------
+
+# sha256 of the output of the per-sample writers (and per-sample
+# generators) for each case and format
+DIGESTS = {
+    "realize-k33/text": "9bba2fee9bd85a5d0dea2b1c5d763c5fdc13641757d1bfaf83eeb59452c9d370",
+    "realize-k33/structured": "26691605e90b3fe6869d9b99d5c4f53c4e8ae967845b3b8913d0e8161c23903c",
+    "realize-k33/tabular": "22bf318e2d3686d21fcbf6767619e05f67264858a333c98a5d64a8594cf0328b",
+    "realize-k37/text": "b0e15b4b7d2d61bcd87d250196756c6a8eeca506aed1c50c65734dbe09015f17",
+    "realize-k37/structured": "d5ae769f15b81f1ee47faa0ce58a84f5d74e21c503b49ddc95c63260fe2817fe",
+    "realize-k37/tabular": "7568a2eb80bde49fb091c3881f5db3a904094c9223f46c1f7d94670c1aef5c4b",
+    "realize-c12/text": "84c3667241c813c10375a689119d70a657f84bc40e22af00c927809e24c7ad27",
+    "realize-c12/structured": "b0827df5a931d6ffbbd8c9bf7c75c339ffa652f65356461ab185e8635aca3c0a",
+    "realize-c12/tabular": "084a203f8197adb372194babed7d3ecfcde6ef715bceadece7e4f432aaeee659",
+    "k33-dixon1/text": "7edc1b51a78089d0351f16c7d3d95734e80c1ecc658c202017d3cf1e7254735e",
+    "k33-dixon1/structured": "5cf91d2b97f921d876f3bdba18aa643a9b26088a35c6180b3c87fb87ebc239cd",
+    "k33-dixon1/tabular": "5a7c6cec59b1723aed278db6e92407b09bdb7b2a0706a73b1dc912c92d3416a8",
+    "k33-dixon1-slopes/text": "bcc3a119688cf9ba659a6edd0a6f8c8269ec66f99db00d84c43cfdb67bb6d1fd",
+    "k33-dixon1-slopes/structured": "07d91286898d0d7ec99226b934983dae4227765ef66dee8e425dc4ee9f80755b",
+    "k33-dixon1-slopes/tabular": "758ff276390c854471263bd8192cd9303bd497b397bee3aa53ad110b71f87c3e",
+    "k33-dixon2/text": "e90660fccf7eb6637cf3551e47f2b5f69cef8fb03638ffbb4bf40e2e9cfc810e",
+    "k33-dixon2/structured": "e76fbfe8aa87ed059a02c16625e08ffd04d04099197c8800fbed577d5d43ce85",
+    "k33-dixon2/tabular": "605b0fefa8f662c3de06d8170b78f2741c9a42f1f296648a3a0aecfa5d914fa2",
+    "k33-dixon2-k44/text": "e90660fccf7eb6637cf3551e47f2b5f69cef8fb03638ffbb4bf40e2e9cfc810e",
+    "k33-dixon2-k44/structured": "110d0919caa0d1270eb2277274bae7512720f5964160c447b77d8d460a380d82",
+    "k33-dixon2-k44/tabular": "ba4225d6904067c9ceaaea401b52e4968c4a1e6192ce91d18e7b31df37af9ad6",
+    "k33-dixon2-wide/text": "dd59f814e83bede1a5d1894155a3f5d21527f9a5fdffb75774f3ed4476527a12",
+    "k33-dixon2-wide/structured": "d7fdb8d95f665963d758f7b2bce565db3ecadc93a52a83bbd29357840e58a3bd",
+    "k33-dixon2-wide/tabular": "1718f6a11f80211926a4615b8fa2096f9c2c750441b408ebc429bdb9c320af57",
+    "k33-cda/text": "f696cf91124b0d28f6f7722e06a48e3c352aee5ce75911d30acd34d21e2234ed",
+    "k33-cda/structured": "cc0316b76440812a9e722a5fb3ea90fdbb07f80204d53eb7e52969af7675b017",
+    "k33-cda/tabular": "47916db0d6474345431032af61e0907b1198860e385d36f2766dd90e91864802",
+    "k33-cda-signs/text": "76d051477567f1ba7eb92785e168736fe411f698d54171c3919a9b09329211ec",
+    "k33-cda-signs/structured": "058d45b7ea29f5aa59c57ca8003c75cdead7a90b96a7c4e316d3249103a36eae",
+    "k33-cda-signs/tabular": "938862b3b55fe999e1138399688e48727fc886be327456b2af67a1ae9a5077da",
+    "trace-k33/text": "5d242a7aa2150d3e40056ac9a9d3240d0207032f9204406103f8ccd333d8f88a",
+    "trace-k33/structured": "0d97b18b358c013b0425b623fa2761792585160e5ae0a449dc968771a9e09db1",
+    "trace-k33/tabular": "ce44f096ad64c2c2ef4f4d02a58ea82f697c902edf85772f944e6c8669b14a84",
+    "trace-k55/text": "45b8bf0e2d7b6b221a4093383d4711ec241a2d089d95b715feb6e5cbf531ba93",
+    "trace-k55/structured": "4c250dea0af9c702bc6d836fb9ca951351bc734ea2e3d84ae36e065f148c6187",
+    "trace-k55/tabular": "33155eff95d34faa4203a98abbb8adfc064df0fdc16d38553c37e0b0c2830c71",
+}
+
+
+def dixon1_placement(g, c, d):
+    """Odd vertices on {y = 0} at heights c, even ones on {x = 0} at d."""
+    odd = [v for v in g.vertices if v % 2]
+    even = [v for v in g.vertices if not v % 2]
+    pts = {v: [float(np.sqrt(1 - ci * ci)), 0.0, float(ci)] for v, ci in zip(odd, c)}
+    pts.update({v: [0.0, float(np.sqrt(1 - dj * dj)), float(dj)] for v, dj in zip(even, d)})
+    return SphericalRealization(pts)
+
+
+def cli_cases(tmp):
+    def write(name, payload):
+        path = tmp / name
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    cases = {
+        "realize-k33": ["realize", "--corpus", "k33", "--samples", "40", "--seed", "7"],
+        "realize-k37": ["realize", "--graph", write("k37.json", formats.graph_to_dict(K37)),
+                        "--samples", "30", "--seed", "2"],
+        "realize-c12": ["realize", "--graph",
+                        write("c12.json", formats.graph_to_dict(cycle_graph(12))),
+                        "--samples", "25", "--seed", "4"],
+        "k33-dixon1": ["k33", "--kind", "dixon1", "--samples", "60"],
+        "k33-dixon1-slopes": ["k33", "--kind", "dixon1", "--samples", "33",
+                              "--c", "0.15,0.3,0.55", "--d", "0.2,0.45,0.6",
+                              "--s-min", "0.9", "--s-max", "1.3"],
+        "k33-dixon2": ["k33", "--kind", "dixon2", "--samples", "60"],
+        "k33-dixon2-k44": ["k33", "--kind", "dixon2", "--samples", "60", "--full-k44"],
+        "k33-dixon2-wide": ["k33", "--kind", "dixon2", "--samples", "41", "--p1-min", "0.3",
+                            "--p1-max", "0.7", "--alpha", "0.25", "--beta", "-0.1",
+                            "--gamma", "0.12"],
+        "k33-cda": ["k33", "--kind", "cda", "--samples", "60"],
+        "k33-cda-signs": ["k33", "--kind", "cda", "--samples", "30", "--y2-sign", "-1",
+                          "--z5-sign", "-1", "--t-min", "8", "--t-max", "20"],
+    }
+    d1 = dixon1_motion(DIXON1, [1.0, 1.1])
+    k55 = complete_bipartite((1, 3, 5, 7, 9), (2, 4, 6, 8, 10))
+    rho = dixon1_placement(k55, np.linspace(0.2, 0.6, 5), np.linspace(0.3, 0.7, 5))
+    traces = {
+        "trace-k33": (k33(), d1.lengths, d1.samples[0].realization),
+        "trace-k55": (k55, LengthAssignment.induced(k55, rho), rho),
+    }
+    for name, (g, lam, seed) in traces.items():
+        cases[name] = [
+            "trace",
+            "--graph", write(f"{name}-g.json", formats.graph_to_dict(g)),
+            "--lengths", write(f"{name}-l.json", formats.lengths_to_dict(lam)),
+            "--seed-realization", write(f"{name}-s.json", formats.realization_to_dict(seed)),
+            "--step", "0.05",
+        ]
+    return cases
+
+
+def cli_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.run(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_cli_output_hashes_to_per_sample_digests(tmp_path):
+    got = {}
+    for name, argv in cli_cases(tmp_path).items():
+        for fmt in ("text", "structured", "tabular"):
+            rc, text, _ = cli_output([*argv, "--format", fmt])
+            assert rc == 0, name
+            got[f"{name}/{fmt}"] = hashlib.sha256(text.encode()).hexdigest()
+            if fmt == "structured":
+                # the parse-back writes the same text again
+                assert encoded(parsed(text)) == text
+                assert formats.dump_trajectory(parsed(text)) == text
+    assert got == DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# writers and parse-back
+# ---------------------------------------------------------------------------
+
+
+def example_trajectories():
+    g = k33()
+    coloring = flexibility_certificate(K37)
+    d2 = dixon2_motion(Dixon2Params(0.2, 0.15, 0.1), np.linspace(0.45, 0.6, 40))
+    d1 = dixon1_motion(DIXON1, [1.0, 1.1])
+    return {
+        "polar-k33": polar_nap_motion(g, next(iter(enumerate_nap(g))), np.linspace(0, 6, 50)),
+        "polar-k37": polar_nap_motion(K37, coloring, np.linspace(0, 6, 30), seed=9),
+        "polar-south": polar_nap_motion(
+            K37, coloring, np.linspace(0, 6, 7),
+            pole_assignment={v: -1 for v in K37.vertices if v % 4 == 1},
+        ),
+        # poles 1 (north) and 4 (south): antipodal, never coincident
+        "polar-antipodal": polar_nap_motion(
+            apex_double_triangle(),
+            EdgeColoring.from_red_edges(apex_double_triangle(), [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]),
+            np.linspace(0, 6, 9),
+            pole_assignment={1: 1, 4: -1},
+        ),
+        "dixon1": dixon1_motion(DIXON1, np.linspace(0.95, 1.35, 80)),
+        "dixon2-k44": d2,
+        "dixon2-k33": d2.restrict(range(1, 7)),
+        "cda": cda_motion(cda_params_from_e(0.75), np.linspace(7.2, 30.0, 80)),
+        "traced": trace(
+            k33(), d1.lengths, d1.samples[0].realization, config=TraceConfig(step_size=0.1)
+        ).trajectory,
+    }
+
+
+EXAMPLES = example_trajectories()
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_writers_equal_per_sample_writers(name):
+    traj = EXAMPLES[name]
+    text = formats.dump_trajectory(traj)
+    assert text == encoded(traj)
+    assert formats.trajectory_to_csv(traj) == trajectory_to_csv_by_samples(traj)
+    again = parsed(text)
+    oracle = trajectory_from_dict_by_samples(json.loads(text))
+    assert np.array_equal(again.points, traj.points)
+    assert np.array_equal(again.points, oracle.points)
+    assert again.parameters.tolist() == traj.parameters.tolist()
+    assert formats.dump_trajectory(again) == text
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A random connected graph on up to 12 labels drawn from 0..40."""
+    n = draw(st.integers(2, 12))
+    labels = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    tree = [(labels[draw(st.integers(0, v - 1))], labels[v]) for v in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels)), max_size=8))
+    edges = {(min(a, b), max(a, b)) for a, b in tree + extra if a != b}
+    return build_graph(labels, edges)
+
+
+@PROPERTY
+@given(labelled_graphs(), st.integers(2, 30), st.integers(0, 9))
+def test_polar_writers_equal_encoder_on_random_labels(g, samples, seed):
+    coloring = flexibility_certificate(g)
+    if coloring is None:
+        return
+    traj = polar_nap_motion(g, coloring, np.linspace(0.0, 6.0, samples), seed=seed)
+    text = formats.dump_trajectory(traj)
+    assert text == encoded(traj)
+    assert formats.trajectory_to_csv(traj) == trajectory_to_csv_by_samples(traj)
+    assert encoded(parsed(text)) == text
+
+
+def test_samples_are_views_of_the_read_only_stack():
+    traj = EXAMPLES["polar-south"]
+    order = traj.graph.vertices
+    assert traj.points.shape == (7, len(order), 3)
+    assert not traj.points.flags.writeable
+    with pytest.raises(ValueError):
+        traj.points[0, 0, 0] = 2.0
+    for k, s in enumerate(traj.samples):
+        assert s.parameter == traj.parameters[k]
+        for i, v in enumerate(order):
+            assert np.array_equal(s.realization.point(v), traj.points[k, i])
+        coincident, antipodal = degenerate_pairs(s.realization)
+        assert (s.coincident_pairs, s.antipodal_pairs) == (tuple(coincident), tuple(antipodal))
+    injective, proper = traj.sample_flags()
+    assert injective.tolist() == [s.injective for s in traj.samples]
+    assert proper.tolist() == [s.proper for s in traj.samples]
+    assert not proper.any()
+    injective, proper = EXAMPLES["polar-antipodal"].sample_flags()
+    assert injective.all() and not proper.any()
+
+
+# ---------------------------------------------------------------------------
+# error messages
+# ---------------------------------------------------------------------------
+
+
+def k37_data():
+    """``realize --samples 6 --seed 2`` on K(3,7), parsed."""
+    angles = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
+    traj = polar_nap_motion(K37, flexibility_certificate(K37), angles, seed=2)
+    return json.loads(formats.dump_trajectory(traj))
+
+
+def test_parse_names_first_off_sphere_vertex_in_key_order():
+    data = k37_data()
+    sample = data["samples"][2]["placement"]
+    # vertex 2 is off too, but "12" comes first among the keys
+    sample["2"] = [c * 1.001 for c in sample["2"]]
+    sample["12"] = [c * 1.01 for c in sample["12"]]
+    later = data["samples"][4]["placement"]
+    later["1"] = [c * 1.1 for c in later["1"]]
+    with pytest.raises(SphflexError, match=r"^vertex 12 placed off the sphere by 2\.010e-02$"):
+        formats.trajectory_from_dict(data)
+    with pytest.raises(SphflexError, match=r"^vertex 12 placed off the sphere by 2\.010e-02$"):
+        trajectory_from_dict_by_samples(data)
+
+
+def test_parse_error_messages():
+    data = k37_data()
+    moved = copy.deepcopy(data)
+    p = moved["samples"][3]["placement"]["3"]
+    c, s = np.cos(1e-3), np.sin(1e-3)
+    moved["samples"][3]["placement"]["3"] = [c * p[0] - s * p[1], s * p[0] + c * p[1], p[2]]
+    one = copy.deepcopy(data)
+    one["samples"] = one["samples"][:1]
+    same = copy.deepcopy(data)
+    same["samples"] = [same["samples"][0]] * 3
+    cases = [
+        (moved, "sample at parameter 3.141592653589793 has edge residual 2.778e-04"),
+        (one, "need at least two samples"),
+        (same, "no two samples are essentially distinct"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(DegenerateTrajectoryError) as err:
+            formats.trajectory_from_dict(bad)
+        assert str(err.value) == message
+
+
+def test_parse_rejects_samples_placing_other_vertices():
+    data = k37_data()
+    extra = copy.deepcopy(data)
+    extra["samples"][1]["placement"]["99"] = [1.0, 0.0, 0.0]
+    missing = copy.deepcopy(data)
+    del missing["samples"][1]["placement"]["10"]
+    for bad in (extra, missing):
+        with pytest.raises(DegenerateTrajectoryError, match="the graph's vertices"):
+            formats.trajectory_from_dict(bad)
+    # keys in any order are put in the graph's order
+    shuffled = copy.deepcopy(data)
+    shuffled["samples"][1]["placement"] = dict(reversed(shuffled["samples"][1]["placement"].items()))
+    assert np.array_equal(
+        formats.trajectory_from_dict(shuffled).points, formats.trajectory_from_dict(data).points
+    )
+
+
+def test_make_trajectory_rejects_other_vertex_sets():
+    traj = EXAMPLES["dixon1"]
+    frames = [(s.parameter, s.realization) for s in traj.samples[:3]]
+    frames[1] = (frames[1][0], frames[1][1].restrict([1, 2, 3, 4, 5]))
+    with pytest.raises(DegenerateTrajectoryError, match="places vertices"):
+        make_trajectory(traj.graph, traj.lengths, frames, traj.kind)
+
+
+def test_stack_shape_is_checked():
+    traj = EXAMPLES["dixon1"]
+    with pytest.raises(DegenerateTrajectoryError, match="do not fit"):
+        MotionTrajectory(traj.graph, traj.lengths, traj.points[:, :5], traj.parameters, "x")
+    with pytest.raises(DegenerateTrajectoryError, match="do not fit"):
+        MotionTrajectory(traj.graph, traj.lengths, traj.points, traj.parameters[1:], "x")
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+
+def test_nan_point_is_off_the_sphere():
+    with pytest.raises(SphflexError, match="vertex 2 placed off the sphere by nan"):
+        SphericalRealization({1: [1.0, 0.0, 0.0], 2: [np.nan, 0.0, 0.0]})
+    with pytest.raises(SphflexError, match="off the sphere by inf"):
+        SphericalRealization({1: [np.inf, 0.0, 0.0]})
+    traj = EXAMPLES["cda"]
+    pts = traj.points.copy()
+    pts[5, 3, 1] = np.nan
+    with pytest.raises(SphflexError, match="vertex 4 placed off the sphere by nan"):
+        MotionTrajectory(traj.graph, traj.lengths, pts, traj.parameters, traj.kind)
+
+
+def test_nan_in_parsed_file_is_rejected():
+    data = k37_data()
+    data["samples"][1]["placement"]["4"][0] = float("nan")
+    with pytest.raises(SphflexError, match="vertex 4 placed off the sphere by nan"):
+        formats.trajectory_from_dict(data)
+    data = k37_data()
+    data["samples"][1]["parameter"] = float("nan")
+    with pytest.raises(DegenerateTrajectoryError, match="parameters must be finite"):
+        formats.trajectory_from_dict(data)
+
+
+def test_nan_residual_fails_the_residual_check():
+    traj = EXAMPLES["dixon1"]
+    lam = LengthAssignment({e: 0.25 for e in traj.graph.edges})
+    object.__setattr__(lam, "lengths", {**lam.lengths, (1, 2): float("nan")})
+    with pytest.raises(DegenerateTrajectoryError, match="has edge residual nan"):
+        MotionTrajectory(traj.graph, lam, traj.points, traj.parameters, traj.kind)
+
+
+def test_cli_rejects_nan_and_inf_input(tmp_path, capsys):
+    d1 = dixon1_motion(DIXON1, [1.0, 1.1])
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(formats.graph_to_dict(k33())))
+    lengths = tmp_path / "l.json"
+    lengths.write_text(json.dumps(formats.lengths_to_dict(d1.lengths)))
+    for bad in ("NaN", "Infinity"):
+        seed = formats.realization_to_dict(d1.samples[0].realization)
+        text = json.dumps(seed).replace(str(seed["placement"]["3"][0]), bad, 1)
+        seed_file = tmp_path / "s.json"
+        seed_file.write_text(text)
+        argv = ["trace", "--graph", str(graph), "--lengths", str(lengths),
+                "--seed-realization", str(seed_file)]
+        assert cli.run(argv) == 1
+        assert "error: vertex 3 placed off the sphere by" in capsys.readouterr().err
+    for flag in ("--s-min", "--s-max"):
+        rc, out, err = cli_output(["k33", "--kind", "dixon1", "--format", "structured", flag, "nan"])
+        assert rc == 1 and out == ""
+        assert "placed off the sphere by nan" in err
+
+
+# ---------------------------------------------------------------------------
+# generators against their scalar oracles
+# ---------------------------------------------------------------------------
+
+
+@PROPERTY
+@given(
+    st.lists(st.floats(0.05, 0.95), min_size=3, max_size=3),
+    st.lists(st.floats(0.05, 0.95), min_size=3, max_size=3),
+    st.lists(st.floats(0.3, 3.0), min_size=2, max_size=20),
+)
+def test_dixon1_rows_equal_per_s_loop(c, d, s_values):
+    params = Dixon1Params(dict(zip((1, 3, 5), c)), dict(zip((2, 4, 6), d)))
+    try:
+        traj = dixon1_motion(params, s_values)
+    except SphflexError:
+        return
+    for s, got in zip(s_values, traj.points):
+        assert np.array_equal(got, dixon1_rows(params, s))
+
+
+def test_dixon1_rows_equal_per_s_loop_on_dense_grid():
+    # sqrt(1 - x**2) through float64 squaring and through C pow differ in
+    # the last bit for a few in 10^4 arguments near 1, so a dense grid of
+    # latitudes up to 0.98 tells them apart
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        c, d = rng.uniform(0.3, 0.6, 3), rng.uniform(0.3, 0.6, 3)
+        params = Dixon1Params(dict(zip((1, 3, 5), c)), dict(zip((2, 4, 6), d)))
+        s_values = rng.uniform(0.6, 1.0 / 0.6, 1000).tolist()
+        traj = dixon1_motion(params, s_values)
+        want = np.array([dixon1_rows(params, s) for s in s_values])
+        assert np.array_equal(traj.points, want)
+
+
+def test_dixon1_names_first_domain_violation():
+    for s_values, message in (
+        ([1.0, 0.0, 2.0], "s = 0 is outside the parametrization"),
+        ([1.0, 1.2, 2.0, 0.0], "|c_5 * s| > 1 at s=2.0"),
+        ([1.0, 0.5, 0.6], "|d_6 / s| > 1 at s=0.5"),
+    ):
+        with pytest.raises(SphflexError) as err:
+            dixon1_motion(DIXON1, s_values)
+        assert str(err.value) == message
+
+
+@PROPERTY
+@given(
+    st.tuples(st.floats(0.02, 0.4), st.floats(0.02, 0.4), st.floats(0.02, 0.4)),
+    st.lists(st.sampled_from((1.0, -1.0)), min_size=3, max_size=3),
+    st.lists(st.floats(0.01, 0.99), min_size=1, max_size=30),
+    st.sampled_from(("low", "high")),
+)
+def test_dixon2_solver_equals_scalar_bisection(mags, signs, p1_values, branch):
+    params = Dixon2Params(*(m * s for m, s in zip(mags, signs)))
+    want, first_error = [], None
+    for p1 in p1_values:
+        try:
+            want.append(solve_dixon2_point(params, p1, branch))
+        except (NoRealSolutionError, DegenerateAxisError) as exc:
+            first_error = exc
+            break
+    if first_error is not None:
+        with pytest.raises(type(first_error)) as err:
+            _solve_dixon2_points(params, p1_values, branch)
+        assert str(err.value) == str(first_error)
+        return
+    p, q = _solve_dixon2_points(params, p1_values, branch)
+    assert np.array_equal(p, np.array([pq[0] for pq in want]))
+    assert np.array_equal(q, np.array([pq[1] for pq in want]))
+
+
+def test_dixon2_errors_name_first_failing_p1():
+    params = Dixon2Params(0.2, 0.15, 0.1)
+    with pytest.raises(NoRealSolutionError, match=r"^p1=1.5 outside \(0,1\)$"):
+        dixon2_motion(params, [0.5, 1.5, 0.0])
+    with pytest.raises(NoRealSolutionError, match=r"^p1=0.0 outside \(0,1\)$"):
+        dixon2_motion(params, [0.5, 0.0, 1.5])
+    with pytest.raises(NoRealSolutionError, match="no real companion point for p1=0.95 "):
+        dixon2_motion(Dixon2Params(0.9, 0.9, 0.9), [0.95, 0.2])
+    with pytest.raises(DegenerateTrajectoryError, match="no parameter values supplied"):
+        dixon2_motion(params, [])
+
+
+# ---------------------------------------------------------------------------
+# detector
+# ---------------------------------------------------------------------------
+
+
+def k33_examples():
+    rng = np.random.default_rng(12)
+    out = [EXAMPLES[k] for k in ("dixon1", "dixon2-k33", "cda", "traced")]
+    for n in (50, 275, 500):
+        c, d = np.sort(rng.uniform(0.15, 0.6, 3)), np.sort(rng.uniform(0.15, 0.6, 3))
+        params = Dixon1Params(dict(zip((1, 3, 5), c)), dict(zip((2, 4, 6), d)))
+        out.append(dixon1_motion(params, np.linspace(1.0, 1.25, n)))
+        out.append(dixon2_motion(Dixon2Params(0.2, 0.15, 0.1), np.linspace(0.45, 0.6, n)).restrict(range(1, 7)))
+        out.append(cda_motion(cda_params_from_e(0.75), np.linspace(7.2, 30.0, n)))
+    # a rotated Dixon 2 motion keeps its half-turn axes; a rotated
+    # Dixon 1 motion keeps its orthogonal circles
+    rot = random_rotation(rng)
+    for traj in out[:2]:
+        pts = traj.points @ rot.matrix.T
+        out.append(MotionTrajectory(traj.graph, traj.lengths, pts, traj.parameters, "rotated"))
+    return out
+
+
+@pytest.mark.parametrize("traj", k33_examples())
+def test_detector_equals_per_sample_oracle(traj):
+    rhos = traj.realizations()
+    for tol in (1e-8, 1e-4):
+        assert _dixon1_samples(traj.points, tol).tolist() == [is_dixon1_sample(r, tol) for r in rhos]
+        assert _dixon2_samples(traj.points, tol).tolist() == [is_dixon2_sample(r, tol) for r in rhos]
+        assert detect_k33_motion_kind(traj, tol) == detect_by_samples(traj, tol)
+
+
+def test_detector_per_sample_verdicts_differ_along_a_mixed_stack():
+    # samples of a Dixon 2 motion followed by samples of a CDA motion: the
+    # per-sample tests must keep their order and disagree where the
+    # motions do
+    d2 = dixon2_motion(Dixon2Params(0.2, 0.15, 0.1), np.linspace(0.45, 0.6, 9)).restrict(range(1, 7))
+    cda = cda_motion(cda_params_from_e(0.75), np.linspace(8.0, 20.0, 7))
+    pts = np.concatenate([d2.points, cda.points])
+    got = _dixon2_samples(pts, 1e-8)
+    want = [is_dixon2_sample(r, 1e-8) for r in d2.realizations() + cda.realizations()]
+    assert got.tolist() == want
+    assert got[:9].all() and not got[9:].any()
+
+
+def two_shapes() -> MotionTrajectory:
+    """Samples A, B and B turned by a rotation: every sample after the
+    first is distinct from A, but only two shapes occur."""
+    d1 = dixon1_motion(DIXON1, [1.0, 1.2])
+    rot = random_rotation(np.random.default_rng(6))
+    pts = np.stack([d1.points[0], d1.points[1], d1.points[1] @ rot.matrix.T])
+    return MotionTrajectory(d1.graph, d1.lengths, pts, [0.0, 1.0, 2.0], "x")
+
+
+def test_detector_errors_match_oracle():
+    g = k33()
+    polar = polar_nap_motion(g, next(iter(enumerate_nap(g))), np.linspace(0, 6, 12))
+    for traj, error in (
+        (polar, DegenerateRealizationError),
+        (dixon1_motion(DIXON1, [1.0, 1.001]), InsufficientSamplesError),
+        (two_shapes(), InsufficientSamplesError),
+    ):
+        with pytest.raises(error) as want:
+            detect_by_samples(traj)
+        with pytest.raises(error) as got:
+            detect_k33_motion_kind(traj)
+        assert str(got.value) == str(want.value)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1e-8, 0.05, 0.2, 0.4)))
+def test_detector_tests_equal_oracle_on_random_stacks(seed, tol):
+    # odd vertices at random, even vertices at their antipodes moved by
+    # noise near tol, so that shared axes, orthogonality and coplanarity
+    # each pass in some samples and fail in others
+    rng = np.random.default_rng(seed)
+    odd = rng.normal(size=(60, 3, 3))
+    odd[:20, :, 2] *= rng.uniform(0.0, 3 * tol, (20, 1))  # nearly coplanar
+    even = -odd + rng.normal(size=odd.shape) * rng.uniform(0.0, 3 * tol, (60, 1, 1))
+    pts = np.empty((60, 6, 3))
+    pts[:, 0::2], pts[:, 1::2] = odd, even
+    pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+    rhos = [SphericalRealization(dict(zip(range(1, 7), p))) for p in pts]
+    assert _dixon1_samples(pts, tol).tolist() == [is_dixon1_sample(r, tol) for r in rhos]
+    assert _dixon2_samples(pts, tol).tolist() == [is_dixon2_sample(r, tol) for r in rhos]
+
+
+def test_degenerate_pair_masks_at_the_exact_thresholds():
+    tol = 1e-9
+    pts = {1: np.array([1.0, 0.0, 0.0])}
+    for v, d in ((2, 1.0 - tol), (3, -1.0 + tol), (4, 0.3)):
+        pts[v] = np.array([d, np.sqrt(1.0 - d * d), 0.0])
+    rho = SphericalRealization(pts)
+    coincident, antipodal = degenerate_pair_masks(np.stack([pts[v] for v in range(1, 5)])[None], tol)
+    pairs = list(combinations(range(1, 5), 2))
+    got = ([pairs[k] for k in np.flatnonzero(coincident[0])], [pairs[k] for k in np.flatnonzero(antipodal[0])])
+    assert got == degenerate_pairs(rho, tol) == ([(1, 2)], [(1, 3)])
+
+
+def test_dixon2_detected_on_bench_sized_stack():
+    traj = dixon2_motion(Dixon2Params(0.2, 0.15, 0.1), np.linspace(0.45, 0.6, 275)).restrict(range(1, 7))
+    assert detect_k33_motion_kind(traj) == KIND_DIXON2
+
+
+# ---------------------------------------------------------------------------
+# essential distinctness
+# ---------------------------------------------------------------------------
+
+
+def nearly_planar_first_triple(tilt: float) -> dict[int, np.ndarray]:
+    """Vertices 1, 2, 3 in a plane through the origin up to ``tilt`` on
+    vertex 3, vertices 4, 5, 6 at heights about 0.02 off it."""
+    pts = {}
+    for v, angle in ((1, 0.0), (2, 1.1), (3, 2.3)):
+        pts[v] = np.array([np.cos(angle), np.sin(angle), 0.0])
+    pts[3] = pts[3] + np.array([0.0, 0.0, tilt])
+    for v, angle, z in ((4, 0.5, 0.02), (5, 1.9, -0.015), (6, 3.6, 0.018)):
+        pts[v] = np.array([np.cos(angle), np.sin(angle), z])
+    return {v: p / np.linalg.norm(p) for v, p in pts.items()}
+
+
+def test_orientation_read_on_best_conditioned_triple():
+    # the first triple's determinant is 2e-8 in r1 and -2e-8 in r2, a
+    # sign flip the 1e-9 Gram noise allows; the largest |det| triple keeps
+    # its sign, so r2 is r1 up to a rotation
+    r1 = SphericalRealization(nearly_planar_first_triple(2.2e-8))
+    rot = random_rotation(np.random.default_rng(3))
+    tilted = nearly_planar_first_triple(-2.2e-8)
+    r2 = SphericalRealization({v: rot.apply(p) for v, p in tilted.items()})
+    d_first = [np.linalg.det(np.stack([r.point(v) for v in (1, 2, 3)])) for r in (r1, r2)]
+    assert d_first[0] > ORIENT_DET_TOL and d_first[1] < -ORIENT_DET_TOL
+    verdict = essentially_distinct(r1, r2)
+    assert verdict.gram_dist <= 1e-9
+    assert not verdict and verdict.orientation_used
+
+
+def test_orientation_too_close_to_zero_raises():
+    # (1, 2, 4) is r1's largest-|det| triple (det 1); in r2 vertex 4 has
+    # dropped into the plane of 1 and 2 up to 1e-9, and a loose Gram
+    # tolerance lets the pair through to the orientation test
+    pts = {1: [1.0, 0.0, 0.0], 2: [0.0, 1.0, 0.0], 3: [-1.0, 0.0, 0.0]}
+    r1 = SphericalRealization({**pts, 4: [0.0, 0.0, 1.0]})
+    r2 = SphericalRealization({**pts, 4: [0.0, np.sqrt(1 - 1e-18), 1e-9]})
+    with pytest.raises(AmbiguousToleranceError):
+        essentially_distinct(r1, r2, tol=2.0)
+    assert not essentially_distinct(r1, r1, tol=2.0)
+
+
+@PROPERTY
+@given(st.integers(3, 9), st.integers(0, 2**32 - 1))
+def test_distinctness_under_rotation_and_mirror(n, seed):
+    rng = np.random.default_rng(seed)
+    rho = SphericalRealization({v: random_unit_point(rng) for v in range(n)})
+    rot = random_rotation(rng)
+    turned = SphericalRealization({v: rot.apply(p) for v, p in rho.placement.items()})
+    mirrored = SphericalRealization({v: rot.apply(p * [1, 1, -1]) for v, p in rho.placement.items()})
+    assert not essentially_distinct(rho, turned)
+    assert not essentially_distinct(turned, rho)
+    assert essentially_distinct(rho, mirrored)
+    assert essentially_distinct(mirrored, rho)

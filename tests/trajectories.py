@@ -1,0 +1,258 @@
+"""Per-sample trajectory code, kept as oracles for the stacked forms.
+
+``MotionTrajectory`` stores its samples as one (S, |V|, 3) array, and its
+producers, writers, parse-back and motion-kind detector work on that
+array.  The functions here are the one-realization-at-a-time versions they
+replaced: the tests require the stacked results to equal them exactly.
+"""
+
+import json
+import math
+from itertools import combinations
+from typing import Any, Optional, Sequence
+
+import numpy as np
+
+from sphflex import formats
+from sphflex.errors import (
+    DegenerateAxisError,
+    DegenerateRealizationError,
+    InsufficientSamplesError,
+    NoRealSolutionError,
+)
+from sphflex.motions import (
+    KIND_CDA,
+    KIND_DIXON1,
+    KIND_DIXON2,
+    KIND_UNCLASSIFIED,
+    Dixon1Params,
+    Dixon2Params,
+    MotionTrajectory,
+    _cda_pattern,
+    make_trajectory,
+)
+from sphflex.spherical import (
+    SphericalRealization,
+    Vec,
+    degenerate_pair_masks,
+    essentially_distinct,
+    max_edge_residual,
+)
+
+# ---------------------------------------------------------------------------
+# stacking
+# ---------------------------------------------------------------------------
+
+
+def stack_points(rhos: Sequence[SphericalRealization], order: Sequence[int]) -> Vec:
+    """Points of every realization in ``order``, shape (len(rhos), len(order), 3)."""
+    flat = np.concatenate([rho.placement[v] for rho in rhos for v in order])
+    return flat.reshape(len(rhos), len(order), 3)
+
+
+def realization_from_array(order: Sequence[int], coords: Vec) -> SphericalRealization:
+    pts = np.asarray(coords, dtype=float).reshape(len(order), 3)
+    return SphericalRealization({v: pts[i] for i, v in enumerate(order)})
+
+
+def degenerate_pairs_of_all(
+    rhos: Sequence[SphericalRealization], tol: float = 1e-9
+) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
+    """``degenerate_pairs`` of every realization, through
+    ``degenerate_pair_masks`` on the stack of each vertex set."""
+    out: list = [([], []) for _ in rhos]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, rho in enumerate(rhos):
+        groups.setdefault(rho.vertices, []).append(i)
+    for order, ids in groups.items():
+        pairs = list(combinations(order, 2))
+        masks = degenerate_pair_masks(stack_points([rhos[i] for i in ids], order), tol)
+        for side, mask in enumerate(masks):
+            for k, p in zip(*np.nonzero(mask)):
+                out[ids[k]][side].append(pairs[p])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# producers
+# ---------------------------------------------------------------------------
+
+
+def dixon1_rows(params: Dixon1Params, s: float) -> Vec:
+    """One Dixon 1 sample as the per-s loop built it, vertices 1..6."""
+    placement = {}
+    for i in (1, 3, 5):
+        sin_t = params.c[i] * s
+        placement[i] = np.array([math.sqrt(1.0 - sin_t**2), 0.0, sin_t])
+    for j in (2, 4, 6):
+        sin_p = params.d[j] / s
+        placement[j] = np.array([0.0, math.sqrt(1.0 - sin_p**2), sin_p])
+    return np.array([placement[v] for v in range(1, 7)])
+
+
+def solve_dixon2_point(params: Dixon2Params, p1: float, branch: str) -> tuple[Vec, Vec]:
+    """Find p = (p1, p2, p3) and q = (a/p1, b/p2, c/p3), both unit, one p1
+    at a time with scalar bisection."""
+    a2, b2, c2 = params.alpha**2, params.beta**2, params.gamma**2
+    if abs(p1) >= 1.0 or p1 == 0.0:
+        raise NoRealSolutionError(f"p1={p1} outside (0,1)")
+    r2 = 1.0 - p1 * p1
+    base = a2 / (p1 * p1) - 1.0
+
+    def residual(u: float) -> float:
+        return base + b2 / u + c2 / (r2 - u)
+
+    u_star = abs(params.beta) * r2 / (abs(params.beta) + abs(params.gamma))
+    if residual(u_star) > 0.0:
+        raise NoRealSolutionError(f"no real companion point for p1={p1} at these products")
+    lo, hi = (1e-300, u_star) if branch == "low" else (u_star, r2 * (1 - 1e-16))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (residual(mid) > 0.0) == (branch == "low"):
+            lo = mid
+        else:
+            hi = mid
+    u = 0.5 * (lo + hi)
+    p = np.array([p1, math.sqrt(u), math.sqrt(max(r2 - u, 0.0))])
+    if np.any(p == 0.0):
+        raise DegenerateAxisError("solution touches a coordinate plane")
+    q = np.array([params.alpha, params.beta, params.gamma]) / p
+    q /= np.linalg.norm(q)
+    return p, q
+
+
+# ---------------------------------------------------------------------------
+# detector
+# ---------------------------------------------------------------------------
+
+
+def _coplanar_normal(points: Sequence[Vec], tol: float) -> Optional[Vec]:
+    """Unit normal of a common plane through the origin, if one exists."""
+    _, svals, vt = np.linalg.svd(np.stack(points))
+    if svals[-1] > tol:
+        return None
+    return vt[-1]
+
+
+def is_dixon1_sample(rho: SphericalRealization, tol: float) -> bool:
+    n_odd = _coplanar_normal([rho.point(v) for v in (1, 3, 5)], tol)
+    n_even = _coplanar_normal([rho.point(v) for v in (2, 4, 6)], tol)
+    if n_odd is None or n_even is None:
+        return False
+    return abs(float(n_odd @ n_even)) <= tol
+
+
+def _axis_candidates(a: Vec, b: Vec, tol: float) -> list[Vec]:
+    out = []
+    for sign in (1.0, -1.0):
+        v = a + sign * b
+        n = np.linalg.norm(v)
+        if n > tol:
+            out.append(v / n)
+    return out
+
+
+def _product_axes(odd_pairs, even_pairs, even_perm, pair_axes, tol):
+    """Axis triples where the k-th odd pair shares an axis with the
+    permuted k-th even pair."""
+    per_slot = []
+    for k in range(3):
+        slot = []
+        for ax_o in pair_axes(*odd_pairs[k]):
+            for ax_e in pair_axes(*even_pairs[even_perm[k]]):
+                if min(np.abs(ax_o - ax_e).max(), np.abs(ax_o + ax_e).max()) <= tol:
+                    slot.append(ax_o)
+        if not slot:
+            return
+        per_slot.append(slot)
+    for a0 in per_slot[0]:
+        for a1 in per_slot[1]:
+            for a2 in per_slot[2]:
+                yield (a0, a1, a2)
+
+
+def is_dixon2_sample(rho: SphericalRealization, tol: float) -> bool:
+    """Look for three mutually orthogonal half-turn axes pairing the odd
+    and even vertices (allowing antipodal partners)."""
+    odd_pairs = list(combinations((1, 3, 5), 2))
+    even_pairs = list(combinations((2, 4, 6), 2))
+
+    def pair_axes(u: int, v: int) -> list[Vec]:
+        return _axis_candidates(rho.point(u), rho.point(v), 1e-7)
+
+    for even_perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+        for axes in _product_axes(odd_pairs, even_pairs, even_perm, pair_axes, tol):
+            if all(
+                abs(float(axes[i] @ axes[j])) <= tol for i in range(3) for j in range(i + 1, 3)
+            ):
+                return True
+    return False
+
+
+def detect_by_samples(traj: MotionTrajectory, tol: float = 1e-8) -> str:
+    """``detect_k33_motion_kind``, one realization at a time."""
+    rhos = traj.realizations()
+    distinct = [rhos[0]]
+    for rho in rhos[1:]:
+        if all(essentially_distinct(rho, d) for d in distinct):
+            distinct.append(rho)
+        if len(distinct) >= 3:
+            break
+    if len(distinct) < 3:
+        raise InsufficientSamplesError("need three essentially distinct samples")
+    for s in traj.samples:
+        if not s.proper:
+            raise DegenerateRealizationError(
+                f"sample at {s.parameter} has coincident or antipodal vertices"
+            )
+    if all(is_dixon1_sample(rho, tol) for rho in rhos):
+        return KIND_DIXON1
+    if all(is_dixon2_sample(rho, tol) for rho in rhos):
+        return KIND_DIXON2
+    if _cda_pattern(traj.lengths, tol):
+        return KIND_CDA
+    return KIND_UNCLASSIFIED
+
+
+# ---------------------------------------------------------------------------
+# writers and parse-back
+# ---------------------------------------------------------------------------
+
+
+def trajectory_to_csv_by_samples(traj: MotionTrajectory) -> str:
+    """The CSV export, one sample and one ``max_edge_residual`` at a time."""
+    order = traj.graph.vertices
+    header = ["parameter"]
+    for v in order:
+        header += [f"x{v}", f"y{v}", f"z{v}"]
+    header.append("residual")
+    rows = [",".join(header)]
+    for s in traj.samples:
+        cells = [repr(s.parameter)]
+        for v in order:
+            cells += [repr(float(c)) for c in s.realization.point(v)]
+        cells.append(repr(max_edge_residual(traj.graph, s.realization, traj.lengths)))
+        rows.append(",".join(cells))
+    return "\n".join(rows) + "\n"
+
+
+def trajectory_from_dict_by_samples(data: dict[str, Any]) -> MotionTrajectory:
+    """Parse-back through one ``realization_from_dict`` per sample."""
+    frames = [
+        (float(s["parameter"]), formats.realization_from_dict(s)) for s in data["samples"]
+    ]
+    return make_trajectory(
+        formats.graph_from_dict(data["graph"]),
+        formats.lengths_from_dict({"lengths": data["lengths"]}),
+        frames,
+        data["kind"],
+    )
+
+
+def encoded(traj: MotionTrajectory) -> str:
+    """The structured export through the JSON encoder."""
+    return formats.dumps(formats.trajectory_to_dict(traj))
+
+
+def parsed(text: str) -> MotionTrajectory:
+    return formats.trajectory_from_dict(json.loads(text))
