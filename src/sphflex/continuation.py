@@ -7,9 +7,8 @@ vertex to (1,0,0), one confining the meridian vertex to the plane z = 0),
 which kill the three rotational degrees of freedom.  On a flexible
 framework the Jacobian then has corank exactly 1 at a regular curve point,
 and the curve is followed with a tangent predictor and a Gauss-Newton
-corrector.  Every Newton solve here, tracing, seeding and the polishing of
-projection preimages, assembles its equations through one
-``ConstraintSystem``.
+corrector.  Every Newton solve here, tracing and seeding, assembles its
+equations through one gauged ``ConstraintSystem``.
 
 Along the curve the Jacobian is bordered by a pseudo-arclength row, which
 gives it full column rank at a regular point; those systems, the corrector
@@ -17,13 +16,17 @@ steps and the tangent of each accepted point, are solved through their
 normal equations.  Solves without that row are rank-deficient by
 construction and take ``lstsq``'s minimum-norm step.  Only the seed, which
 has no previous tangent, reads its tangent off a full SVD.
+
+Degrees of forgetful projections come from exact fibers: the forgotten
+vertices of every sample are placed by circle intersection from placed
+neighbors and checked against the remaining edges, with no Newton solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -46,10 +49,10 @@ from .motions import (
     cda_point,
 )
 from .spherical import (
+    ON_SPHERE_TOL,
     LengthAssignment,
     SphericalRealization,
     Vec,
-    essentially_distinct,
     row_dots,
 )
 
@@ -86,6 +89,13 @@ class TraceConfig:
             raise SphflexError("trace configuration values must be positive")
         if self.newton_tol < 1e-13:
             raise SphflexError("newton_tol below 1e-13 is not resolvable")
+        if self.newton_tol > ON_SPHERE_TOL:
+            # Newton stops once the sphere rows are within newton_tol, and
+            # trajectories hold every point to ON_SPHERE_TOL
+            raise SphflexError(
+                f"newton_tol above {ON_SPHERE_TOL:g} leaves traced points off the "
+                "unit sphere"
+            )
 
 
 def _rotation_taking(a: Vec, b: Vec) -> np.ndarray:
@@ -128,11 +138,9 @@ class ConstraintSystem:
     All rows but the gauge and arclength rows are pair rows
     ``s (o - p_a . p_b) - t``.  In order: one sphere row per vertex (the
     vertex paired with itself, s = -1, o = 0, t = 1, i.e. ``p . p - 1``);
-    one row per edge (s = 1/2, o = 1, t the edge length); one row per
-    matched pair (s = -1, o = 0, t the goal, i.e. ``p_a . p_b - t``); then
-    the three gauge rows when a gauge is given, and the pseudo-arclength row
-    ``(x - base) . tangent - h`` when a call passes
-    ``arc = (base, tangent, h)``.
+    one row per edge (s = 1/2, o = 1, t the edge length); then the three
+    gauge rows, and the pseudo-arclength row ``(x - base) . tangent - h``
+    when a call passes ``arc = (base, tangent, h)``.
 
     Index arrays and lengths are built once.  The residual and Jacobian
     buffers are preallocated, the constant gauge entries set once, and
@@ -140,19 +148,12 @@ class ConstraintSystem:
     overwrites.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        lam: LengthAssignment,
-        gauge: Optional[GaugeFix] = None,
-        matches: Sequence[tuple[int, int, float]] = (),
-    ):
+    def __init__(self, g: Graph, lam: LengthAssignment, gauge: GaugeFix):
         self.order = g.vertices
         n = len(self.order)
         idx = {v: i for i, v in enumerate(self.order)}
         rows = [(i, i, -1.0, 0.0, 1.0) for i in range(n)]
         rows += [(idx[a], idx[b], 0.5, 1.0, lam.length(a, b)) for a, b in g.edges]
-        rows += [(idx[a], idx[b], -1.0, 0.0, goal) for a, b, goal in matches]
         left, right, scale, offset, target = zip(*rows)
         self._left = np.array(left, dtype=np.intp)
         self._right = np.array(right, dtype=np.intp)
@@ -160,7 +161,7 @@ class ConstraintSystem:
         self._offset = np.array(offset)
         self._target = np.array(target)
         self._num_pair_rows = len(rows)
-        self.num_rows = len(rows) + (0 if gauge is None else 3)
+        self.num_rows = len(rows) + 3
 
         # Jacobian blocks: the sphere row of vertex i holds 2 p_i at i; a
         # pair row holds -s p_b at a and -s p_a at b
@@ -176,11 +177,9 @@ class ConstraintSystem:
         self._res = np.empty(self.num_rows + 1)
         self._jac = np.zeros((self.num_rows + 1, width))
         self._jac_flat = self._jac.reshape(-1)
-        self._gauge_cols = None
-        if gauge is not None:
-            ia, im = idx[gauge.anchor], idx[gauge.meridian]
-            self._gauge_cols = np.array([3 * ia + 1, 3 * ia + 2, 3 * im + 2])
-            self._jac[len(rows) + np.arange(3), self._gauge_cols] = 1.0
+        ia, im = idx[gauge.anchor], idx[gauge.meridian]
+        self._gauge_cols = np.array([3 * ia + 1, 3 * ia + 2, 3 * im + 2])
+        self._jac[len(rows) + np.arange(3), self._gauge_cols] = 1.0
 
     def residual(
         self, coords: Vec, arc: Optional[tuple[Vec, Vec, float]] = None
@@ -190,8 +189,7 @@ class ConstraintSystem:
         r = self._res
         dots = row_dots(pts[self._left], pts[self._right])
         r[: self._num_pair_rows] = self._scale * (self._offset - dots) - self._target
-        if self._gauge_cols is not None:
-            r[k - 3 : k] = coords[self._gauge_cols]
+        r[k - 3 : k] = coords[self._gauge_cols]
         if arc is None:
             return r[:k]
         base, tangent, h = arc
@@ -424,7 +422,7 @@ def trace(
         np.array(xs).reshape(len(xs), -1, 3),
         arclengths,
         KIND_TRACED,
-        tol=max(1e-9, cfg.newton_tol),
+        tol=1e-9,
     )
     return TraceResult(traj, closed, reason, steps_done)
 
@@ -471,6 +469,39 @@ def cda_seed_realization(
 # fibers of circle intersections
 # ---------------------------------------------------------------------------
 
+# a placement meets an edge when the inner product of its ends is within
+# this of the edge's delta; two circles touch when 1 - |x0|^2 is within it
+# of 0
+FIBER_TOL = 1e-7
+
+
+def _circle_intersections(
+    n1: Vec, n2: Vec, d1: float, d2: float, tol: float
+) -> tuple[Vec, Vec]:
+    """Unit vectors x with ``x . n1 = d1`` and ``x . n2 = d2``.
+
+    Batched over the leading axes of the centers (..., 3).  The
+    two linear equations hold on the line through ``x0 = a n1 + b n2`` along
+    ``c = n1 x n2``, which meets the sphere at ``x0 +- sqrt(1 - |x0|^2) c/|c|``.
+    Returns both candidates (..., 2, 3) and a mask (..., 2) of the real
+    ones: none when ``1 - |x0|^2 < -tol``, only the first (tangency) when it
+    is within ``tol`` of 0, both above.  Centers that span less than a plane
+    raise ``UnderConstrainedError``; NaN centers give candidates that are
+    not real.
+    """
+    c = np.cross(n1, n2)
+    det = row_dots(c, c)
+    if np.any(det <= 1e-20):
+        raise UnderConstrainedError("placed neighbors span less than a plane")
+    g11, g22, g12 = row_dots(n1, n1), row_dots(n2, n2), row_dots(n1, n2)
+    a = (g22 * d1 - g12 * d2) / det
+    b = (g11 * d2 - g12 * d1) / det
+    x0 = a[..., None] * n1 + b[..., None] * n2
+    t_sq = 1.0 - row_dots(x0, x0)
+    off = np.sqrt(np.maximum(t_sq, 0.0) / det)[..., None] * c
+    cands = np.stack([x0 + off, x0 - off], axis=-2)
+    return cands, np.stack([t_sq >= -tol, t_sq > tol], axis=-1)
+
 
 def fiber_count(
     g: Graph,
@@ -481,150 +512,99 @@ def fiber_count(
 ) -> int:
     """Number of placements of one vertex meeting all its placed neighbors.
 
-    Each placed neighbor confines the vertex to a circle on the sphere;
-    intersecting them is a linear solve plus one quadratic, giving 0, 1
-    (tangency) or 2 positions.
+    Each placed neighbor confines the vertex to a circle on the sphere.  The
+    two circles whose centers are furthest from parallel meet in 0, 1
+    (tangency) or 2 points, and the points that also meet every other
+    placed neighbor within ``tol`` are counted.
     """
     neighbors = [w for w in g.neighbors(free_vertex) if w in placed]
     if len(neighbors) < 2:
         raise UnderConstrainedError("free vertex needs at least two placed neighbors")
-    n_mat = np.stack([np.asarray(placed[w], dtype=float) for w in neighbors])
-    rhs = np.array([lam.delta_of(free_vertex, w) / 1.0 for w in neighbors])
-    # delta constraint: <x, n> = delta
-    u, svals, vt = np.linalg.svd(n_mat, full_matrices=True)
-    rank = int(np.sum(svals > 1e-10 * max(svals[0], 1.0)))
-    if rank < 2:
-        raise UnderConstrainedError("placed neighbors span less than a plane")
-    x0 = np.zeros(3)
-    for i in range(rank):
-        x0 += (u[:, i] @ rhs) / svals[i] * vt[i]
-    if np.abs(n_mat @ x0 - rhs).max() > tol:
-        return 0
-    if rank == 3:
-        return 1 if abs(x0 @ x0 - 1.0) <= 2 * tol else 0
-    t_sq = 1.0 - float(x0 @ x0)
-    if t_sq > tol:
-        return 2
-    if t_sq >= -tol:
-        return 1
-    return 0
+    centers = np.stack([np.asarray(placed[w], dtype=float) for w in neighbors])
+    deltas = np.array([lam.delta_of(free_vertex, w) for w in neighbors])
+    i, j = max(
+        combinations(range(len(neighbors)), 2),
+        key=lambda p: np.linalg.norm(np.cross(centers[p[0]], centers[p[1]])),
+    )
+    cands, real = _circle_intersections(centers[i], centers[j], deltas[i], deltas[j], tol)
+    real &= np.all(np.abs(cands @ centers.T - deltas) <= tol, axis=-1)
+    return int(real.sum())
 
 
 # ---------------------------------------------------------------------------
-# empirical degrees of forgetful projections
+# degrees of forgetful projections
 # ---------------------------------------------------------------------------
 
 
-def _realization(order: Sequence[int], coords: Vec) -> SphericalRealization:
-    return SphericalRealization(dict(zip(order, coords.reshape(-1, 3))))
+def _construction_order(g: Graph, forgotten: set[int]) -> list[tuple[int, int, int]]:
+    """Steps (v, a, b) placing each forgotten vertex v from two neighbors a,
+    b that are retained or placed before it.
 
-
-def _retained_gram(rho: SphericalRealization, retained: Sequence[int]) -> Vec:
-    pts = np.stack([rho.point(v) for v in retained])
-    return pts @ pts.T
-
-
-def _orientation_on(rho: SphericalRealization, triple: Sequence[int]) -> float:
-    return float(np.linalg.det(np.stack([rho.point(v) for v in triple])))
-
-
-def empirical_map_degree(
-    traj: MotionTrajectory,
-    forgotten: Iterable[int],
-    match_tol: float = 1e-8,
-    newton_tol: float = 1e-12,
-) -> int:
-    """Estimate the degree of the projection that forgets some vertices.
-
-    For a handful of target samples the trajectory is scanned for other
-    parameter windows whose retained sub-realization matches the target's
-    up to rotation; each candidate window is polished back onto the curve
-    with the matching enforced, and the polished preimages are counted up
-    to essential distinctness of the full realization.  The maximum count
-    over the targets is returned.
+    Placing a vertex only adds to the placed set, so taking the first
+    placeable vertex each time finds an order whenever one exists.
     """
-    samples = traj.realizations()
-    if len(samples) < 3:
-        raise InsufficientSamplesError("need a densely sampled trajectory")
-    forgotten = set(forgotten)
-    retained = [v for v in traj.graph.vertices if v not in forgotten]
-    if len(retained) < 3:
-        raise InsufficientSamplesError("need at least three retained vertices")
-    order = traj.graph.vertices
-
-    target_ids = sorted({0, len(samples) // 3, (2 * len(samples)) // 3})
-    best = 1
-    for tid in target_ids:
-        target = samples[tid]
-        g_target = _retained_gram(target, retained)
-        triple = None
-        for cand in combinations(retained, 3):
-            if abs(_orientation_on(target, cand)) > 1e-8:
-                triple = cand
+    placed = set(g.vertices) - forgotten
+    left = [v for v in g.vertices if v in forgotten]
+    steps = []
+    while left:
+        for v in left:
+            centers = [w for w in g.neighbors(v) if w in placed]
+            if len(centers) >= 2:
                 break
-        dists = np.array(
-            [np.abs(_retained_gram(s, retained) - g_target).max() for s in samples]
-        )
-        if triple is not None:
-            for i, s in enumerate(samples):
-                if _orientation_on(s, triple) * _orientation_on(target, triple) < 0:
-                    dists[i] = np.inf
-
-        hits = [
-            i
-            for i in range(len(samples))
-            if dists[i] <= 0.25
-            and dists[i] <= dists[max(i - 1, 0)]
-            and dists[i] <= dists[min(i + 1, len(samples) - 1)]
-        ]
-        polished: list[Vec] = []
-        for i in hits:
-            x = _polish_to_match(traj, samples[i], target, retained, newton_tol)
-            if x is None:
-                continue
-            rho = _realization(order, x)
-            if np.abs(_retained_gram(rho, retained) - g_target).max() > match_tol:
-                continue
-            if all(np.abs(x - y).max() > 1e-6 for y in polished):
-                polished.append(x)
-
-        classes: list[SphericalRealization] = []
-        for x in polished:
-            rho = _realization(order, x)
-            if all(essentially_distinct(rho, c) for c in classes):
-                classes.append(rho)
-        best = max(best, len(classes))
-    return best
+        else:
+            raise UnderConstrainedError(
+                f"no construction order: forgotten vertices {left} have "
+                "fewer than two placed neighbors each"
+            )
+        steps.append((v, centers[0], centers[1]))
+        placed.add(v)
+        left.remove(v)
+    return steps
 
 
-def _polish_to_match(
-    traj: MotionTrajectory,
-    start: SphericalRealization,
-    target: SphericalRealization,
-    retained: Sequence[int],
-    newton_tol: float,
-) -> Optional[Vec]:
-    """Newton-correct a sample onto the curve point whose retained Gram
-    matches the target's.
+def _fiber_sizes(traj: MotionTrajectory, forgotten: set[int]) -> Vec:
+    """Size of each sample's exact fiber under the projection that forgets
+    ``forgotten``.
 
-    One retained Gram entry (the one moving fastest along the curve near
-    the start) is appended to the sphere and edge equations; rotations stay
-    unconstrained, which is harmless since the match test is
-    rotation-invariant.
+    The retained vertices stay where the sample has them.  Each forgotten
+    vertex is placed by circle intersection from two placed neighbors,
+    branching on both intersection points, and a full placement is kept
+    when every edge at a forgotten vertex holds within ``FIBER_TOL``.  All
+    samples and branches are placed at once; a branch whose intersection is
+    not real holds NaN and fails every edge test.
     """
-    pairs = list(combinations(retained, 2))
-    # pick the retained pair whose delta differs most from the target but is
-    # still in the attraction basin; fall back to the largest gradient proxy
-    best_pair, best_gap = pairs[0], -1.0
-    for a, b in pairs:
-        gap = abs(
-            float(start.point(a) @ start.point(b))
-            - float(target.point(a) @ target.point(b))
+    g, lam = traj.graph, traj.lengths
+    col = {v: i for i, v in enumerate(g.vertices)}
+    branches = traj.points[:, None]
+    for v, a, b in _construction_order(g, forgotten):
+        cands, real = _circle_intersections(
+            branches[:, :, col[a]],
+            branches[:, :, col[b]],
+            lam.delta_of(v, a),
+            lam.delta_of(v, b),
+            FIBER_TOL,
         )
-        if gap > best_gap:
-            best_gap = gap
-            best_pair = (a, b)
-    a, b = best_pair
-    goal = float(target.point(a) @ target.point(b))
-    system = ConstraintSystem(traj.graph, traj.lengths, matches=[(a, b, goal)])
-    return newton_correct(system, start.as_array(system.order), newton_tol, 50)
+        branches = np.repeat(branches, 2, axis=1)
+        cands = np.where(real[..., None], cands, np.nan)
+        branches[:, :, col[v]] = cands.reshape(len(branches), -1, 3)
+    keep = np.ones(branches.shape[:2], dtype=bool)
+    for a, b in g.edges:
+        if a in forgotten or b in forgotten:
+            dots = row_dots(branches[:, :, col[a]], branches[:, :, col[b]])
+            keep &= np.abs(dots - lam.delta_of(a, b)) <= FIBER_TOL
+    return keep.sum(axis=1)
+
+
+def empirical_map_degree(traj: MotionTrajectory, forgotten: Iterable[int]) -> int:
+    """Degree of the projection that forgets some vertices, read off the
+    samples: the largest exact fiber over them.
+
+    A fiber is the set of placements of the forgotten vertices that meet
+    every edge with the retained vertices held fixed; it is computed by
+    circle intersection, with no Newton solve.  A forgotten set that cannot
+    be placed two neighbors at a time raises ``UnderConstrainedError``.
+    """
+    forgotten = set(forgotten) & set(traj.graph.vertices)
+    if traj.graph.num_vertices - len(forgotten) < 3:
+        raise InsufficientSamplesError("need at least three retained vertices")
+    return int(_fiber_sizes(traj, forgotten).max())

@@ -520,10 +520,6 @@ def orbit(grid: Grid) -> frozenset[Grid]:
     return frozenset(_act(grid, *g) for g in GROUP)
 
 
-def tables_equivalent(a: DegreeTable, b: DegreeTable) -> bool:
-    return b.grid in orbit(a.grid)
-
-
 _PARITY_SWAP = {"o": "e", "e": "o"}
 
 

@@ -182,16 +182,6 @@ def is_laman(g: Graph) -> bool:
     return _pebble_game_sparse(g)
 
 
-def forces_length_relation(g: Graph) -> bool:
-    """True iff |E| > 2|V| - 4.
-
-    With this many edges, any flexible spherical length assignment
-    satisfies a nontrivial algebraic relation among the edge lengths.
-    Minimally rigid graphs qualify, having 2|V| - 3 edges.
-    """
-    return g.num_edges > 2 * g.num_vertices - 4
-
-
 def is_laman_naive(g: Graph) -> bool:
     """Oracle variant of :func:`is_laman` by exhaustive subgraph counting.
 

@@ -3,9 +3,9 @@ oracles.
 
 ``residual_by_loop``/``jacobian_by_loop`` are the former
 ``continuation.residual_vector``/``jacobian`` (sphere, edge and gauge rows);
-``match_residual_by_loop``/``match_jacobian_by_loop`` are the former local
-assemblers of ``_polish_to_match`` (sphere and edge rows plus one Gram row
-``p_a . p_b - goal``, no gauge).  ``with_arc_row`` appends the
+``match_residual_by_loop``/``match_jacobian_by_loop`` (sphere and edge rows
+plus one Gram row ``p_a . p_b - goal``, no gauge) polish the preimages of
+the window-scan degree oracle in ``degrees.py``.  ``with_arc_row`` appends the
 pseudo-arclength row the way ``newton_correct`` used to, by concatenation.
 """
 

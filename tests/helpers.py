@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 
+from sphflex.cuts import DegreeTable, orbit
 from sphflex.formats import graph_to_dict
 from sphflex.graphs import Graph
 from sphflex.motions import HALF_TURN_X, HALF_TURN_Y, HALF_TURN_Z
@@ -24,6 +25,20 @@ def dump_graph(g: Graph) -> str:
 
 def dump_edge_list(g: Graph) -> str:
     return "\n".join(f"{a} {b}" for a, b in g.edges) + "\n"
+
+
+def forces_length_relation(g: Graph) -> bool:
+    """True iff |E| > 2|V| - 4.
+
+    With this many edges, any flexible spherical length assignment
+    satisfies a nontrivial algebraic relation among the edge lengths.
+    Minimally rigid graphs qualify, having 2|V| - 3 edges.
+    """
+    return g.num_edges > 2 * g.num_vertices - 4
+
+
+def tables_equivalent(a: DegreeTable, b: DegreeTable) -> bool:
+    return b.grid in orbit(a.grid)
 
 
 def dixon2_involutions() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,8 +1,8 @@
 """The array-op assembly and validation against the loops they replaced.
 
 ``ConstraintSystem`` must give exactly the rows and Jacobian of the per-edge
-loop assemblers in ``assembly.py``, with and without the arclength row and
-the Gram row of ``_polish_to_match``.  Batched trajectory validation must
+loop assemblers in ``assembly.py``, with and without the arclength row.
+Batched trajectory validation must
 give exactly the per-sample ``max_edge_residual`` and ``degenerate_pairs``.
 Exact equality is what keeps traced paths and exported residuals identical
 to the loop implementation.
@@ -37,13 +37,7 @@ from sphflex.spherical import (
     rotation_about_axis,
 )
 
-from assembly import (
-    jacobian_by_loop,
-    match_jacobian_by_loop,
-    match_residual_by_loop,
-    residual_by_loop,
-    with_arc_row,
-)
+from assembly import jacobian_by_loop, residual_by_loop, with_arc_row
 from trajectories import degenerate_pairs_of_all
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -69,23 +63,22 @@ def graphs(draw, min_vertices=2, max_vertices=9, max_edges=16):
 
 @st.composite
 def problems(draw):
-    """Graph, lengths, coordinates off the curve, two distinct vertices, a
-    goal inner product and an arclength row."""
+    """Graph, lengths, coordinates off the curve, two distinct vertices and
+    an arclength row."""
     g = draw(graphs())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lam = LengthAssignment({e: rng.uniform(0.05, 0.95) for e in g.edges})
     coords = rng.normal(size=3 * g.num_vertices)
     a, b = draw(st.lists(st.sampled_from(g.vertices), min_size=2, max_size=2, unique=True))
-    goal = rng.uniform(-1.0, 1.0)
     base, tangent = rng.normal(size=(2, coords.size))
     arc = (base, tangent, rng.uniform(0.0, 0.1))
-    return g, lam, coords, (a, b), goal, arc
+    return g, lam, coords, (a, b), arc
 
 
 @PROPERTY
 @given(problems(), st.booleans())
 def test_gauged_system_matches_loop_assembler(problem, use_arc):
-    g, lam, coords, (anchor, meridian), _, arc = problem
+    g, lam, coords, (anchor, meridian), arc = problem
     gauge = GaugeFix(anchor, meridian)
     want_r = residual_by_loop(g, lam, coords, gauge)
     want_j = jacobian_by_loop(g, lam, coords, gauge)
@@ -97,22 +90,6 @@ def test_gauged_system_matches_loop_assembler(problem, use_arc):
         got_r, got_j = system.residual(coords), system.jacobian(coords)
         assert np.array_equal(residual_vector(g, lam, coords, gauge), want_r)
         assert np.array_equal(jacobian(g, lam, coords, gauge), want_j)
-    assert np.array_equal(got_r, want_r)
-    assert np.array_equal(got_j, want_j)
-
-
-@PROPERTY
-@given(problems(), st.booleans())
-def test_system_with_gram_row_matches_polish_assembler(problem, use_arc):
-    g, lam, coords, (a, b), goal, arc = problem
-    want_r = match_residual_by_loop(g, lam, coords, a, b, goal)
-    want_j = match_jacobian_by_loop(g, lam, coords, a, b, goal)
-    system = ConstraintSystem(g, lam, matches=[(a, b, goal)])
-    if use_arc:
-        want_r, want_j = with_arc_row(want_r, want_j, coords, arc)
-        got_r, got_j = system.residual(coords, arc), system.jacobian(coords, arc)
-    else:
-        got_r, got_j = system.residual(coords), system.jacobian(coords)
     assert np.array_equal(got_r, want_r)
     assert np.array_equal(got_j, want_j)
 

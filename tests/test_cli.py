@@ -106,7 +106,7 @@ def test_cli_verify_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_cli_trace_subcommand(tmp_path, capsys):
+def trace_argv(tmp_path):
     traj = cda_motion(cda_params_from_e(0.75), [8.0, 8.2])
     graph_file = tmp_path / "g.json"
     graph_file.write_text(dump_graph(k33()))
@@ -116,21 +116,27 @@ def test_cli_trace_subcommand(tmp_path, capsys):
     seed_file.write_text(
         json.dumps(formats.realization_to_dict(traj.samples[0].realization))
     )
-    code = run(
-        [
-            "trace",
-            "--graph",
-            str(graph_file),
-            "--lengths",
-            str(lengths_file),
-            "--seed-realization",
-            str(seed_file),
-            "--max-steps",
-            "40",
-        ]
-    )
-    assert code == 0
+    return [
+        "trace",
+        "--graph",
+        str(graph_file),
+        "--lengths",
+        str(lengths_file),
+        "--seed-realization",
+        str(seed_file),
+        "--max-steps",
+        "40",
+    ]
+
+
+def test_cli_trace_subcommand(tmp_path, capsys):
+    assert run(trace_argv(tmp_path)) == 0
     assert "traced" in capsys.readouterr().out
+
+
+def test_cli_trace_rejects_tol_above_on_sphere_tol(tmp_path, capsys):
+    assert run(trace_argv(tmp_path) + ["--tol", "1e-11"]) == 1
+    assert "newton_tol above 1e-12" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_code():

@@ -25,6 +25,7 @@ from sphflex.continuation import (
 from sphflex.errors import (
     RankDeficientError,
     SeedNotOnCurveError,
+    SphflexError,
     UnderConstrainedError,
 )
 from sphflex.graphs import complete_bipartite, k22, k33, path_graph, triangle
@@ -38,6 +39,7 @@ from sphflex.motions import (
     dixon2_motion,
 )
 from sphflex.spherical import (
+    ON_SPHERE_TOL,
     LengthAssignment,
     SphericalRealization,
     apply_rotation,
@@ -287,6 +289,15 @@ def test_trace_config_validation():
         TraceConfig(newton_tol=1e-16)
 
 
+@pytest.mark.parametrize("tol", [1e-11, 1e-10, 1e-9])
+def test_trace_config_rejects_newton_tol_above_on_sphere_tol(tol):
+    # Newton stops at newton_tol, but every traced point must be on the
+    # sphere within ON_SPHERE_TOL
+    assert TraceConfig(newton_tol=ON_SPHERE_TOL).newton_tol == ON_SPHERE_TOL
+    with pytest.raises(SphflexError, match="newton_tol above 1e-12"):
+        TraceConfig(newton_tol=tol)
+
+
 def test_trace_samples_meet_newton_tol():
     g = k33()
     lam, seed = cda_seed()
@@ -386,11 +397,11 @@ def test_sphere_and_edge_rows_invariant_under_rotation(seed):
     rng, rho = random_k33_realization(seed)
     g = k33()
     lam = LengthAssignment({e: rng.uniform(0.05, 0.95) for e in g.edges})
-    system = ConstraintSystem(g, lam)
-    before = system.residual(rho.as_array(g.vertices)).copy()
+    system = ConstraintSystem(g, lam, GaugeFix(1, 2))
+    k = g.num_vertices + g.num_edges
+    before = system.residual(rho.as_array(g.vertices))[:k].copy()
     after = system.residual(apply_rotation(random_rotation(rng), rho).as_array(g.vertices))
-    assert len(before) == g.num_vertices + g.num_edges
-    assert np.abs(after - before).max() <= 1e-12
+    assert np.abs(after[:k] - before).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from sphflex.cuts import (
     nap_iff_separated_nonedge,
     normalize_cut,
     orbit,
-    tables_equivalent,
     theta,
     type_table,
 )
@@ -36,6 +35,7 @@ from sphflex.errors import InvalidCutError, UnknownRowError
 from sphflex.graphs import k22, k32, k33, triangle
 
 import tables
+from helpers import tables_equivalent
 
 T_OU = cut_for(k22(), {("P", 1), ("Q", 1), ("P", 2), ("P", 4)})
 T_EU = cut_for(k22(), {("P", 2), ("Q", 2), ("P", 1), ("P", 3)})

@@ -101,7 +101,7 @@ def test_serialize_round_trip():
 
 
 def test_forces_length_relation_predicate():
-    from sphflex.graphs import forces_length_relation
+    from helpers import forces_length_relation
 
     assert forces_length_relation(k33())  # 9 > 8
     assert not forces_length_relation(path_graph(4))  # 3 < 4
