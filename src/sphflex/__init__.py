@@ -61,7 +61,6 @@ from .graphs import (
     cycle_graph,
     induced_subgraph,
     is_laman,
-    is_laman_naive,
     k22,
     k32,
     k33,

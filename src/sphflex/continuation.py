@@ -15,7 +15,11 @@ gives it full column rank at a regular point; those systems, the corrector
 steps and the tangent of each accepted point, are solved through their
 normal equations.  Solves without that row are rank-deficient by
 construction and take ``lstsq``'s minimum-norm step.  Only the seed, which
-has no previous tangent, reads its tangent off a full SVD.
+has no previous tangent, reads its corank and tangent off a full SVD.  At
+every later point corank 1 is certified from the bordered normal matrix
+(a Cholesky factorization of it, shifted, and the residual of the
+tangent), and the singular values of the Jacobian are computed only when
+that check cannot decide; the corank is the SVD rule's either way.
 
 Degrees of forgetful projections come from exact fibers: the forgotten
 vertices of every sample are placed by circle intersection from placed
@@ -24,7 +28,8 @@ neighbors and checked against the remaining edges, with no Newton solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -85,8 +90,21 @@ class TraceConfig:
     min_step: float = 1e-7
 
     def __post_init__(self):
-        if min(self.step_size, self.max_steps, self.max_newton_iters) <= 0:
-            raise SphflexError("trace configuration values must be positive")
+        # a NaN passes every comparison below, and min_step <= 0 lets the
+        # step halving reach a zero-length step
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (math.isfinite(value) and value > 0):
+                raise SphflexError(
+                    f"trace configuration {field.name} must be finite and positive, "
+                    f"got {value}"
+                )
+        if self.min_step > self.step_size:
+            # the step halving would not try a single step
+            raise SphflexError(
+                f"trace configuration min_step {self.min_step} exceeds step_size "
+                f"{self.step_size}"
+            )
         if self.newton_tol < 1e-13:
             raise SphflexError("newton_tol below 1e-13 is not resolvable")
         if self.newton_tol > ON_SPHERE_TOL:
@@ -234,18 +252,18 @@ def corank_and_tangent(jac: Vec, rel_tol: float = CORANK_REL_TOL) -> tuple[int, 
     return _corank(svals, jac.shape[1], rel_tol), vt[-1]
 
 
-def _full_rank_lstsq(a: Vec, b: Vec) -> Vec:
-    """Least-squares solution of ``a s = b`` when ``a`` has full column rank.
+def _normal_solve(a: Vec, b: Vec, normal: Vec, rhs: Vec) -> Vec:
+    """Least-squares solution of ``a s = b`` from its normal equations
+    ``normal s = rhs``, where ``normal = a^T a`` and ``rhs = a^T b``.
 
-    Solves the normal equations ``a^T a s = a^T b``.  That squares the
-    condition number, which is harmless on the bordered systems of a trace
-    (about 41 at most, median 14, on the benchmark's loops) and costs a
-    fraction of an SVD.  When the normal matrix is singular or the solution
-    is not finite, ``a`` is not of full rank after all and ``lstsq`` answers
-    instead.
+    That squares the condition number, which is harmless on the bordered
+    systems of a trace (about 41 at most, median 14, on the benchmark's
+    loops) and costs a fraction of an SVD.  When the normal matrix is
+    singular or the solution is not finite, ``a`` is not of full column
+    rank after all and ``lstsq`` answers instead.
     """
     try:
-        s = np.linalg.solve(a.T @ a, a.T @ b)
+        s = np.linalg.solve(normal, rhs)
     except np.linalg.LinAlgError:
         s = None
     if s is not None and np.all(np.isfinite(s)):
@@ -253,22 +271,55 @@ def _full_rank_lstsq(a: Vec, b: Vec) -> Vec:
     return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
+def _full_rank_lstsq(a: Vec, b: Vec) -> Vec:
+    """Least-squares solution of ``a s = b`` when ``a`` has full column rank."""
+    return _normal_solve(a, b, a.T @ a, a.T @ b)
+
+
 def bordered_corank_and_tangent(bordered: Vec) -> tuple[int, Vec]:
     """Corank and unit tangent at a point reached from a known tangent.
 
-    ``bordered`` is the Jacobian with the previous unit tangent ``t_prev``
-    appended as its last row.  The corank is that of the Jacobian, by the
-    rule of ``corank_and_tangent`` but from singular values alone.  The
-    tangent solves ``[J; t_prev^T] t = e_last``: at a corank-1 point that
-    is the kernel direction scaled to ``t . t_prev = 1``, so once
-    normalized it points the way ``t_prev`` does.
+    ``bordered`` is the Jacobian ``J`` with the previous unit tangent
+    ``t_prev`` appended as its last row.  The tangent solves
+    ``[J; t_prev^T] t = e_last`` through the bordered normal matrix
+    ``N = J^T J + t_prev t_prev^T``: at a corank-1 point that is the kernel
+    direction scaled to ``t . t_prev = 1``, so once normalized it points
+    the way ``t_prev`` does.
+
+    The corank is that of ``J`` by the rule of ``corank_and_tangent``.
+    Corank 1 is certified from ``N`` and ``t`` without an SVD when both
+
+    - ``N - s I`` has a Cholesky factor, with
+      ``s = 100 (max(|J|_F, 1) CORANK_REL_TOL)^2``.  ``N`` is a rank-one
+      update of ``J^T J``, so by interlacing its smallest eigenvalue is at
+      most the second smallest squared singular value of ``J``; as
+      ``|J|_F >= s_max``, that singular value is then at least ten times
+      the rule's cutoff ``max(s_max, 1) CORANK_REL_TOL``;
+    - ``|J t| <= CORANK_REL_TOL / 2``, which puts the smallest singular
+      value under that cutoff, since the cutoff is never below
+      ``CORANK_REL_TOL``.
+
+    Otherwise the singular values of ``J`` decide, so the answer is the
+    rule's either way; the margins of ten and two absorb rounding in
+    ``N``, the factorization and the SVD.
     """
-    jac = bordered[:-1]
-    corank = _corank(np.linalg.svd(jac, compute_uv=False), jac.shape[1], CORANK_REL_TOL)
+    jac, t_prev = bordered[:-1], bordered[-1]
+    normal = bordered.T @ bordered
     e_last = np.zeros(len(bordered))
     e_last[-1] = 1.0
-    t = _full_rank_lstsq(bordered, e_last)
-    return corank, t / np.linalg.norm(t)
+    # bordered^T e_last is the last row, t_prev, to the bit
+    t = _normal_solve(bordered, e_last, normal, t_prev)
+    t = t / np.linalg.norm(t)
+    if float(np.linalg.norm(jac @ t)) <= 0.5 * CORANK_REL_TOL:
+        shift = 100.0 * (max(float(np.linalg.norm(jac)), 1.0) * CORANK_REL_TOL) ** 2
+        try:
+            np.linalg.cholesky(normal - shift * np.eye(len(normal)))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return 1, t
+    svals = np.linalg.svd(jac, compute_uv=False)
+    return _corank(svals, jac.shape[1], CORANK_REL_TOL), t
 
 
 def newton_correct(

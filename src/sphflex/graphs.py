@@ -182,23 +182,6 @@ def is_laman(g: Graph) -> bool:
     return _pebble_game_sparse(g)
 
 
-def is_laman_naive(g: Graph) -> bool:
-    """Oracle variant of :func:`is_laman` by exhaustive subgraph counting.
-
-    Exponential in |V|; intended for cross-checking on small graphs.
-    """
-    n = g.num_vertices
-    if g.num_edges != 2 * n - 3:
-        return False
-    for k in range(2, n + 1):
-        for subset in combinations(g.vertices, k):
-            sub = set(subset)
-            m = sum(1 for a, b in g.edges if a in sub and b in sub)
-            if m > 2 * k - 3:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # named graphs
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Small constructors and writers that only the tests use."""
 
 import json
+from itertools import combinations
 
 import numpy as np
 
@@ -17,6 +18,23 @@ def unit_point(x: float, y: float, z: float, tol: float = ON_SPHERE_TOL) -> Vec:
     if abs(p @ p - 1.0) > tol:
         raise SphflexError(f"point {p} is off the unit sphere by {abs(p @ p - 1.0):.3e}")
     return p
+
+
+def is_laman_naive(g: Graph) -> bool:
+    """Oracle variant of ``graphs.is_laman`` by exhaustive subgraph counting.
+
+    Exponential in |V|; intended for cross-checking on small graphs.
+    """
+    n = g.num_vertices
+    if g.num_edges != 2 * n - 3:
+        return False
+    for k in range(2, n + 1):
+        for subset in combinations(g.vertices, k):
+            sub = set(subset)
+            m = sum(1 for a, b in g.edges if a in sub and b in sub)
+            if m > 2 * k - 3:
+                return False
+    return True
 
 
 def dump_graph(g: Graph) -> str:

@@ -139,6 +139,13 @@ def test_cli_trace_rejects_tol_above_on_sphere_tol(tmp_path, capsys):
     assert "newton_tol above 1e-12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, field", [("--step", "step_size"), ("--tol", "newton_tol")])
+def test_cli_trace_rejects_nan_settings(tmp_path, capsys, flag, field):
+    assert run(trace_argv(tmp_path) + [flag, "nan"]) == 1
+    err = capsys.readouterr().err
+    assert f"trace configuration {field} must be finite and positive, got nan" in err
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["k33"])  # missing required --kind

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphflex.continuation import (
+    CORANK_REL_TOL,
     ConstraintSystem,
     GaugeFix,
     TraceConfig,
+    _corank,
     _full_rank_lstsq,
     bordered_corank_and_tangent,
     cda_seed_realization,
@@ -47,6 +49,7 @@ from sphflex.spherical import (
     max_edge_residual,
     random_rotation,
     random_unit_point,
+    rotation_about_axis,
 )
 
 RNG = np.random.default_rng(0)
@@ -626,3 +629,159 @@ def test_traced_loops_keep_their_step_counts(make, step, steps):
     res = trace(g, lam, rho, config=TraceConfig(step_size=step, max_steps=4000))
     assert (res.steps, res.stop_reason, res.closed) == (steps, "loop_closed", True)
     assert res.trajectory.max_residual() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# corank certified from the bordered normal matrix, against the SVD rule
+# ---------------------------------------------------------------------------
+
+
+def svd_rule_corank(jac):
+    return _corank(np.linalg.svd(jac, compute_uv=False), jac.shape[1], CORANK_REL_TOL)
+
+
+def counting_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def rhomboid_loop():
+    """Criterion 9's traced K(2,2) rhomboid."""
+    rng = np.random.default_rng(12)
+    half = rotation_about_axis([0.0, 0.0, 1.0], math.pi)
+    r1, r2 = random_unit_point(rng), random_unit_point(rng)
+    rho = SphericalRealization({1: r1, 2: r2, 3: half.apply(r1), 4: half.apply(r2)})
+    return k22(), LengthAssignment.induced(k22(), rho), rho
+
+
+def lozenge_loop():
+    """Criterion 9's traced K(2,2) lozenge."""
+    c1, c2 = 0.8, 0.5
+    s1, s2 = math.sqrt(1 - c1 * c1), math.sqrt(1 - c2 * c2)
+    rho = SphericalRealization(
+        {
+            1: np.array([s1, 0.0, c1]),
+            2: np.array([0.0, s2, c2]),
+            3: np.array([-s1, 0.0, c1]),
+            4: np.array([0.0, -s2, c2]),
+        }
+    )
+    return k22(), LengthAssignment.induced(k22(), rho), rho
+
+
+PINNED_TRACES = [
+    *[
+        pytest.param(lambda m=m, n=n: dixon1_seed(m, n), 0.05, 4000, id=f"dixon1-K({m},{n})")
+        for m, n in [(3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (6, 6)]
+    ],
+    pytest.param(cda_loop, 0.03, 4000, id="cda"),
+    pytest.param(dixon2_k44_loop, 0.05, 4000, id="dixon2-K(4,4)"),
+    pytest.param(rhomboid_loop, 0.04, 600, id="rhomboid-K(2,2)"),
+    pytest.param(lozenge_loop, 0.04, 600, id="lozenge-K(2,2)"),
+]
+
+
+@pytest.mark.parametrize("make, step, max_steps", PINNED_TRACES)
+def test_certified_corank_equals_svd_rule_along_pinned_traces(
+    monkeypatch, make, step, max_steps
+):
+    # every point the corrector reaches, accepted or not, is recorded with
+    # the corank the trace saw there
+    seen = []
+
+    def recording(bordered):
+        corank, t = bordered_corank_and_tangent(bordered)
+        seen.append((bordered.copy(), corank))
+        return corank, t
+
+    monkeypatch.setattr("sphflex.continuation.bordered_corank_and_tangent", recording)
+    calls = counting_svd(monkeypatch)
+    g, lam, rho = make()
+    res = trace(g, lam, rho, config=TraceConfig(step_size=step, max_steps=max_steps))
+    assert res.stop_reason == "loop_closed"
+    # only the seed took an SVD: every corank along the loop was certified
+    assert len(calls) == 1
+    assert len(seen) >= res.steps
+    monkeypatch.undo()
+    assert [corank for _, corank in seen] == [svd_rule_corank(b[:-1]) for b, _ in seen]
+
+
+@pytest.mark.parametrize("smallest", [0.3e-7, 1e-7, 3e-7])
+@pytest.mark.parametrize("second", [0.5, 2.0, 20.0])
+def test_certificate_near_the_cutoffs_gives_the_svd_rule(monkeypatch, second, smallest):
+    # the largest singular value is 1, so the rule's cutoff is CORANK_REL_TOL
+    # itself; |J|_F^2 = 1.36 puts the Cholesky test's bound on the second
+    # smallest singular value at 11.7 times the cutoff, between 2x and 20x
+    rng = np.random.default_rng(17)
+    rows, cols = 20, 12
+    svals = np.array([1.0] + [0.2] * (cols - 3) + [second * CORANK_REL_TOL, smallest])
+    u, _ = np.linalg.qr(rng.normal(size=(rows, cols)))
+    v, _ = np.linalg.qr(rng.normal(size=(cols, cols)))
+    jac = (u * svals) @ v.T
+    want = svd_rule_corank(jac)
+    t_prev = near(v[:, -1], rng, tilt=0.1)
+    calls = counting_svd(monkeypatch)
+    got, t = bordered_corank_and_tangent(np.vstack([jac, t_prev]))
+    assert got == want
+    assert float(t @ t_prev) > 0.0
+    # only a second singular value far above the cutoff and a smallest one
+    # below half of it are decided without the SVD
+    decided = second == 20.0 and smallest == 0.3e-7
+    assert len(calls) == (0 if decided else 1)
+    if decided:
+        assert want == 1
+
+
+def test_regular_trace_takes_an_svd_only_at_the_seed(monkeypatch):
+    g, lam, rho = dixon1_seed(3, 3)
+    calls = counting_svd(monkeypatch)
+    res = trace(g, lam, rho, config=TraceConfig(step_size=0.05, max_steps=4000))
+    assert (res.steps, res.stop_reason) == (154, "loop_closed")
+    assert calls == [(g.num_vertices + g.num_edges + 3, 3 * g.num_vertices)]
+
+
+@pytest.mark.parametrize(
+    "jac_rng, corank",
+    [
+        (constructed_jacobian(1, 18, 18, [1e-6]), 0),
+        (constructed_jacobian(6, 28, 24, [0.0, 0.0]), 2),
+    ],
+    ids=["corank 0", "corank 2"],
+)
+def test_corank_other_than_one_takes_one_svd(monkeypatch, jac_rng, corank):
+    jac, rng = jac_rng
+    _, kernel = corank_and_tangent(jac)
+    bordered = np.vstack([jac, near(kernel, rng)])
+    calls = counting_svd(monkeypatch)
+    assert bordered_corank_and_tangent(bordered)[0] == corank
+    assert calls == [jac.shape]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("min_step", 0.0),
+        ("min_step", -1.0),
+        ("min_step", math.nan),
+        ("step_size", math.nan),
+        ("step_size", math.inf),
+        ("newton_tol", math.nan),
+        ("max_newton_iters", 0),
+    ],
+)
+def test_trace_config_names_the_bad_field(field, value):
+    with pytest.raises(SphflexError, match=f"trace configuration {field} must be finite"):
+        TraceConfig(**{field: value})
+
+
+def test_trace_config_rejects_min_step_above_step_size():
+    assert TraceConfig(step_size=0.01, min_step=0.01).min_step == 0.01
+    with pytest.raises(SphflexError, match="min_step 0.1 exceeds step_size 0.01"):
+        TraceConfig(step_size=0.01, min_step=0.1)

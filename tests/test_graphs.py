@@ -12,7 +12,6 @@ from sphflex.graphs import (
     complete,
     induced_subgraph,
     is_laman,
-    is_laman_naive,
     k22,
     k32,
     k33,
@@ -23,7 +22,7 @@ from sphflex.graphs import (
 )
 
 from enumeration import connected_graphs
-from helpers import dump_edge_list, dump_graph
+from helpers import dump_edge_list, dump_graph, is_laman_naive
 
 
 def test_build_k33_from_odd_even_pairs():
