@@ -74,9 +74,6 @@ class EdgeColoring:
     def red_edges(self) -> tuple[Edge, ...]:
         return tuple(e for i, e in enumerate(self.graph.edges) if self.mask >> i & 1)
 
-    def blue_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for i, e in enumerate(self.graph.edges) if not self.mask >> i & 1)
-
     def swapped(self) -> "EdgeColoring":
         full = (1 << len(self.graph.edges)) - 1
         return EdgeColoring(self.graph, self.mask ^ full)

@@ -245,11 +245,11 @@ def _corank(svals: Vec, width: int, rel_tol: float) -> int:
     return int(np.sum(svals < cutoff))
 
 
-def corank_and_tangent(jac: Vec, rel_tol: float = CORANK_REL_TOL) -> tuple[int, Vec]:
+def corank_and_tangent(jac: Vec) -> tuple[int, Vec]:
     """Numeric corank and the unit kernel direction of smallest stretch."""
     # full V: with fewer rows than columns a thin SVD's last row is no kernel vector
     _, svals, vt = np.linalg.svd(jac)
-    return _corank(svals, jac.shape[1], rel_tol), vt[-1]
+    return _corank(svals, jac.shape[1], CORANK_REL_TOL), vt[-1]
 
 
 def _normal_solve(a: Vec, b: Vec, normal: Vec, rhs: Vec) -> Vec:
@@ -358,10 +358,48 @@ def newton_correct(
 
 @dataclass(frozen=True)
 class TraceResult:
+    """A traced curve and why ``trace`` stopped following it."""
+
     trajectory: MotionTrajectory
-    closed: bool
     stop_reason: str
-    steps: int
+
+    @property
+    def closed(self) -> bool:
+        return self.stop_reason == "loop_closed"
+
+    @property
+    def steps(self) -> int:
+        return len(self.trajectory.points) - 1
+
+
+def _advance(
+    system: ConstraintSystem, x: Vec, t_prev: Vec, h: float, cfg: TraceConfig
+) -> tuple[Vec, Vec, float] | str:
+    """One predictor-corrector step along ``t_prev``, halving ``h`` until the
+    tangent ``t`` at a corrected point keeps ``t . t_prev > 0.2``.
+
+    The pseudo-arclength row forces genuine progress, so folds cannot bounce
+    the path back.  Returns the accepted ``(point, tangent, h)``, or the stop
+    reason ``"singular_point"`` or ``"step_failure"``.
+    """
+    while h >= cfg.min_step:
+        cand = newton_correct(
+            system,
+            x + h * t_prev,
+            cfg.newton_tol,
+            cfg.max_newton_iters,
+            arc_constraint=(x, t_prev, h),
+        )
+        if cand is not None:
+            corank, t_new = bordered_corank_and_tangent(
+                system.jacobian(cand, (cand, t_prev, 0.0))
+            )
+            if corank >= 2:
+                return "singular_point"
+            if float(t_new @ t_prev) > 0.2:
+                return cand, t_new, h
+        h *= 0.5
+    return "step_failure"
 
 
 def trace(
@@ -373,83 +411,51 @@ def trace(
 ) -> TraceResult:
     """Follow the configuration curve through a seed realization.
 
-    The seed is re-gauged and Newton-polished; a Jacobian corank other
-    than 1 raises ``RankDeficientError`` (corank 0 means the gauged
-    framework is rigid).  Samples are spaced by arclength steps; the trace
-    stops on loop closure (return to the seed with aligned tangent), step
-    exhaustion, a singular point, or an unrecoverable corrector failure.
+    The seed is re-gauged and Newton-polished; a seed the corrector cannot
+    polish raises ``SeedNotOnCurveError``, and a Jacobian corank other than
+    1 raises ``RankDeficientError`` (corank 0 means the gauged framework is
+    rigid).  Samples are spaced by arclength steps.  The trace stops for one
+    of four reasons, its ``stop_reason``:
+
+    - ``"loop_closed"``: it returned to the seed with an aligned tangent;
+    - ``"max_steps"``: it took ``max_steps`` steps;
+    - ``"singular_point"``: a corrected point has corank 2 or more;
+    - ``"step_failure"``: no step of at least ``min_step`` was accepted.
+
+    Stopping before the first step raises ``StepFailureError``.
     """
     gauge = gauge or default_gauge(g)
     cfg = config or TraceConfig()
-    order = g.vertices
     system = ConstraintSystem(g, lam, gauge)
 
-    x0 = re_gauge(seed, gauge).as_array(order)
+    x0 = re_gauge(seed, gauge).as_array(g.vertices)
     x0 = newton_correct(system, x0, cfg.newton_tol, cfg.max_newton_iters)
     if x0 is None:
         raise SeedNotOnCurveError("seed does not satisfy the constraints")
     corank, tangent = corank_and_tangent(system.jacobian(x0))
-    if corank == 0:
-        raise RankDeficientError(0, "corank 0 at seed: framework is rigid")
     if corank != 1:
-        raise RankDeficientError(corank, f"corank {corank} at seed: not a curve point")
+        why = "framework is rigid" if corank == 0 else "not a curve point"
+        raise RankDeficientError(corank, f"corank {corank} at seed: {why}")
     if tangent[np.argmax(np.abs(tangent))] < 0:
         tangent = -tangent
 
     xs, arclengths = [x0], [0.0]
-    x, t_prev = x0, tangent
-    arclength = 0.0
+    x, t_prev, h = x0, tangent, cfg.step_size
     went_far = False
-    closed = False
-    reason = "max_steps"
-    h = cfg.step_size
-    steps_done = 0
-
-    while steps_done < cfg.max_steps:
-        # predictor-corrector with step halving; the pseudo-arclength row
-        # forces genuine progress so folds cannot bounce the path back
-        nxt = None
-        while h >= cfg.min_step:
-            cand = newton_correct(
-                system,
-                x + h * t_prev,
-                cfg.newton_tol,
-                cfg.max_newton_iters,
-                arc_constraint=(x, t_prev, h),
-            )
-            if cand is not None:
-                crk, t_new = bordered_corank_and_tangent(
-                    system.jacobian(cand, (cand, t_prev, 0.0))
-                )
-                if crk >= 2:
-                    reason = "singular_point"
-                    nxt = None
-                    break
-                if float(t_new @ t_prev) > 0.2:
-                    nxt = (cand, t_new)
-                    break
-            h *= 0.5
-        else:
-            reason = "step_failure"
-        if nxt is None:
-            if reason == "max_steps":
-                reason = "step_failure"
+    stop_reason = "max_steps"  # the reason when the loop runs out of steps
+    while len(xs) <= cfg.max_steps:
+        step = _advance(system, x, t_prev, h, cfg)
+        if isinstance(step, str):
+            stop_reason = step
             break
-        x, t_prev = nxt
-        arclength += h
-        steps_done += 1
+        x, t_prev, h = step
         xs.append(x)
-        arclengths.append(arclength)
+        arclengths.append(arclengths[-1] + h)
         h = min(h * 1.3, cfg.step_size)
 
         dist_to_seed = float(np.linalg.norm(x - x0))
-        if dist_to_seed > 3.0 * cfg.step_size:
-            went_far = True
-        if (
-            went_far
-            and dist_to_seed <= 1.5 * h
-            and float(t_prev @ tangent) > 0.5
-        ):
+        went_far = went_far or dist_to_seed > 3.0 * cfg.step_size
+        if went_far and dist_to_seed <= 1.5 * h and float(t_prev @ tangent) > 0.5:
             # candidate return: project onto the curve slice through the
             # seed orthogonal to the seed tangent; a genuine loop lands on
             # the seed itself, a near-miss pass does not
@@ -461,21 +467,14 @@ def trace(
                 arc_constraint=(x0, tangent, 0.0),
             )
             if back is not None and float(np.abs(back - x0).max()) <= 1e3 * cfg.newton_tol:
-                closed = True
-                reason = "loop_closed"
+                stop_reason = "loop_closed"
                 break
 
     if len(xs) < 2:
         raise StepFailureError("no step succeeded from the seed")
-    traj = MotionTrajectory(
-        g,
-        lam,
-        np.array(xs).reshape(len(xs), -1, 3),
-        arclengths,
-        KIND_TRACED,
-        tol=1e-9,
-    )
-    return TraceResult(traj, closed, reason, steps_done)
+    points = np.array(xs).reshape(len(xs), -1, 3)
+    traj = MotionTrajectory(g, lam, points, arclengths, KIND_TRACED)
+    return TraceResult(traj, stop_reason)
 
 
 def cda_seed_realization(

@@ -344,9 +344,13 @@ class MuRow(NamedTuple):
     eu: int
 
 
-# rows keyed by (quadrilateral type tag, subcase); deltoid subcases name the
-# degenerate companion component, rhomboid/lozenge subcases the motion
-# component (1..4)
+# Intersection multiplicities of a quadrilateral motion with the four
+# boundary cuts, by motion type.  Cuts: om / ou separate the odd vertices
+# (mixed / unmixed remaining labels), em / eu separate the even vertices.
+# Rows are keyed by (quadrilateral type tag, subcase); the general type
+# "g" has no subcase.  Deltoid subcases ("o", "e") are named by their degenerate companion component, the
+# equal-parity vertex pair coinciding or antipodal; rhomboid and lozenge
+# subcases ("r", "l") number the motion component 1..4.
 MU_TABLE: dict[tuple[str, object], MuRow] = {
     ("g", None): MuRow(1, 1, 1, 1),
     ("o", "coincide"): MuRow(1, 1, 1, 0),

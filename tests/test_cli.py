@@ -185,23 +185,6 @@ def test_verify_suite_all_pass():
     assert "three-rhomboids-type1-unique" in names
 
 
-def test_mu_table_data_file_matches_constant():
-    import importlib.resources as resources
-
-    from sphflex.cuts import MU_TABLE
-
-    text = (resources.files("sphflex") / "data" / "mu_table.txt").read_text()
-    parsed = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        case, sub, om, ou, em, eu = line.split()
-        key = (case, None if sub == "-" else ("coincide" if sub == "coincide" else ("antipodal" if sub == "antipodal" else int(sub))))
-        parsed[key] = (int(om), int(ou), int(em), int(eu))
-    assert parsed == {k: tuple(v) for k, v in MU_TABLE.items()}
-
-
 # ---------------------------------------------------------------------------
 # one parser per process
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from sphflex.errors import (
     RankDeficientError,
     SeedNotOnCurveError,
     SphflexError,
+    StepFailureError,
     UnderConstrainedError,
 )
 from sphflex.graphs import complete_bipartite, k22, k33, path_graph, triangle
@@ -785,3 +786,72 @@ def test_trace_config_rejects_min_step_above_step_size():
     assert TraceConfig(step_size=0.01, min_step=0.01).min_step == 0.01
     with pytest.raises(SphflexError, match="min_step 0.1 exceeds step_size 0.01"):
         TraceConfig(step_size=0.01, min_step=0.1)
+
+
+# ---------------------------------------------------------------------------
+# every stop reason of a trace, and the seeds it refuses
+# ---------------------------------------------------------------------------
+
+
+def test_trace_stops_at_max_steps():
+    g, lam, rho = dixon1_seed(3, 3)
+    res = trace(g, lam, rho, config=TraceConfig(step_size=0.05, max_steps=10))
+    assert (res.stop_reason, res.steps, res.closed) == ("max_steps", 10, False)
+    assert len(res.trajectory.points) == 11
+
+
+def test_trace_without_a_first_step_raises():
+    g, lam, rho = dixon1_seed(3, 3)
+    with pytest.raises(StepFailureError, match="^no step succeeded from the seed$"):
+        trace(g, lam, rho, config=TraceConfig(step_size=3.0, min_step=3.0))
+
+
+def test_trace_stops_at_a_singular_point(monkeypatch):
+    calls = []
+
+    def corank_two_on_sixth_call(bordered):
+        corank, t = bordered_corank_and_tangent(bordered)
+        calls.append(corank)
+        return (2 if len(calls) == 6 else corank), t
+
+    monkeypatch.setattr(
+        "sphflex.continuation.bordered_corank_and_tangent", corank_two_on_sixth_call
+    )
+    g, lam, rho = dixon1_seed(3, 3)
+    res = trace(g, lam, rho, config=TraceConfig(step_size=0.05))
+    assert (res.stop_reason, res.steps, res.closed) == ("singular_point", 5, False)
+    assert len(calls) == 6
+
+
+def test_trace_stops_when_no_step_size_succeeds(monkeypatch):
+    arc_steps = []
+
+    def failing_after_five_steps(system, coords, tol, max_iters, arc_constraint=None):
+        if arc_constraint is not None and arc_constraint[2] > 0.0:
+            arc_steps.append(arc_constraint[2])
+            if len(arc_steps) > 5:
+                return None
+        return newton_correct(system, coords, tol, max_iters, arc_constraint)
+
+    monkeypatch.setattr("sphflex.continuation.newton_correct", failing_after_five_steps)
+    g, lam, rho = dixon1_seed(3, 3)
+    config = TraceConfig(step_size=0.05)
+    res = trace(g, lam, rho, config=config)
+    assert (res.stop_reason, res.steps, res.closed) == ("step_failure", 5, False)
+    # the sixth step halved down past min_step before giving up
+    assert min(arc_steps[5:]) < 2 * config.min_step
+
+
+def test_trace_rejects_corank_two_seed():
+    rho = SphericalRealization(
+        {
+            1: np.array([1.0, 0.0, 0.0]),
+            2: np.array([0.0, 1.0, 0.0]),
+            3: np.array([-1.0, 0.0, 0.0]),
+            4: np.array([0.0, -1.0, 0.0]),
+        }
+    )
+    lam = LengthAssignment.induced(k22(), rho)
+    with pytest.raises(RankDeficientError, match="^corank 2 at seed: not a curve point$") as err:
+        trace(k22(), lam, rho)
+    assert err.value.corank == 2

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 
 from sphflex.errors import (
@@ -21,7 +22,6 @@ from sphflex.graphs import (
     triangle,
 )
 
-from enumeration import connected_graphs
 from helpers import dump_edge_list, dump_graph, is_laman_naive
 
 
@@ -111,10 +111,13 @@ def test_forces_length_relation_predicate():
 
 
 def test_pebble_game_matches_naive_on_small_graphs():
-    # exhaustive oracle agreement over every connected graph on <= 7 vertices
-    disagreements = [
-        g
-        for g in connected_graphs(max_edges=21, max_vertices=7)
-        if is_laman(g) != is_laman_naive(g)
+    # exhaustive oracle agreement over every connected graph on <= 7
+    # vertices, one per isomorphism class: the connected part of the
+    # networkx graph atlas
+    corpus = [
+        build_graph([v + 1 for v in a.nodes], [(u + 1, v + 1) for u, v in a.edges])
+        for a in nx.graph_atlas_g()
+        if a.number_of_nodes() > 0 and nx.is_connected(a)
     ]
-    assert disagreements == []
+    assert len(corpus) == 996
+    assert [g for g in corpus if is_laman(g) != is_laman_naive(g)] == []
