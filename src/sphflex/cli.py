@@ -126,8 +126,8 @@ def _admissible_cases_match() -> tuple[int, bool]:
     return len(cases), all(summary)
 
 
-def _three_rhomboids_type1_unique() -> bool:
-    sols = cuts.mu_solutions(_case3_systems()["type1"], max_solutions=2)
+def _three_rhomboids_type1_unique(system: list[cuts.Equation]) -> bool:
+    sols = cuts.mu_solutions(system, max_solutions=2)
     expected_nonzero = {
         cuts.NormalCut(1, "PQQ").canonical(): 1,
         cuts.NormalCut(3, "QPQ").canonical(): 1,
@@ -160,6 +160,7 @@ def verify_suite() -> list[FactCheck]:
     to a debug record (``fact``, ``elapsed_s``) on the ``sphflex`` logger.
     """
     facts: list[FactCheck] = []
+    case3 = _case3_systems()
 
     def check(name: str, compute: Callable[[], Any], expected: Any) -> None:
         start = time.perf_counter()
@@ -182,10 +183,14 @@ def verify_suite() -> list[FactCheck]:
         lambda: cuts.mu_system_feasible(_case1_system()) is None,
         True,
     )
-    check("three-rhomboids-type1-unique", _three_rhomboids_type1_unique, True)
+    check(
+        "three-rhomboids-type1-unique",
+        lambda: _three_rhomboids_type1_unique(case3["type1"]),
+        True,
+    )
     check(
         "three-rhomboids-type2-infeasible",
-        lambda: cuts.mu_system_feasible(_case3_systems()["type2"]) is None,
+        lambda: cuts.mu_system_feasible(case3["type2"]) is None,
         True,
     )
     check("diagonal-angle-relation-exact", _diagonal_angle_relation, Fraction(0))
@@ -406,6 +411,7 @@ def _cmd_k33(args) -> int:
 
 def _cmd_tables(args) -> int:
     cases = cuts.admissible_cases()
+    raw = sum(c.orbit_size for c in cases)
     systems = _case3_systems()
     verdicts = {
         "all-general (om pullbacks)": cuts.mu_system_feasible(_case1_system())
@@ -422,7 +428,7 @@ def _cmd_tables(args) -> int:
                 for (case, sub), row in cuts.MU_TABLE.items()
             },
             "degree_table_orbits": cuts.count_degree_table_orbits(),
-            "admissible_tables_before_symmetry": cuts.count_admissible_tables_raw(),
+            "admissible_tables_before_symmetry": raw,
             "admissible_cases": [
                 {
                     "degree_table": [list(r) for r in c.degree_table.grid],
@@ -440,8 +446,7 @@ def _cmd_tables(args) -> int:
         lines.append(f"  {case:>1} {str(sub):>9}: {row.om} {row.ou} {row.em} {row.eu}")
     lines.append(f"degree-table orbits: {cuts.count_degree_table_orbits()}")
     lines.append(
-        "admissible degree tables before quotienting by symmetry: "
-        f"{cuts.count_admissible_tables_raw()}"
+        f"admissible degree tables before quotienting by symmetry: {raw}"
     )
     lines.append("admissible cases (degree table -> type table):")
     for i, c in enumerate(cases):

@@ -31,6 +31,8 @@ moved cell weights gives every table's image code under every element.
 from __future__ import annotations
 
 import itertools
+import logging
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -45,6 +47,8 @@ from .errors import (
     UnknownRowError,
 )
 from .graphs import Graph, k33, nonedges
+
+_log = logging.getLogger(__name__)
 
 Label = tuple[str, int]  # ("P" | "Q", vertex)
 
@@ -486,23 +490,30 @@ ALLOWED_COLS = _permutation_closure(
 )
 
 
-def _resolutions(tt: TypeTable) -> list[TypeTable]:
-    cells = [(r, c) for r in range(3) for c in range(3) if tt.grid[r][c] == "r/l"]
-    out = []
-    for combo in itertools.product("rl", repeat=len(cells)):
-        grid = [list(row) for row in tt.grid]
-        for (r, c), ch in zip(cells, combo):
-            grid[r][c] = ch
-        out.append(TypeTable(tuple(tuple(row) for row in grid)))
-    return out
-
-
 def allowed_resolutions(tt: TypeTable) -> list[TypeTable]:
+    """Resolutions of the 'r/l' cells whose rows and columns are all allowed.
+
+    The cells are filled row by row: each row's fillings ('r' before 'l',
+    its first 'r/l' cell varying slowest) are kept only when the row is in
+    ``ALLOWED_ROWS``, and the columns are checked on each combination of
+    kept rows.  The list is in the order of ``itertools.product("rl", ...)``
+    over all 'r/l' cells in row-major order.
+    """
+    kept_rows = []
+    for row in tt.grid:
+        cells = [c for c, tag in enumerate(row) if tag == "r/l"]
+        kept = []
+        for combo in itertools.product("rl", repeat=len(cells)):
+            filled = list(row)
+            for c, letter in zip(cells, combo):
+                filled[c] = letter
+            if tuple(filled) in ALLOWED_ROWS:
+                kept.append(tuple(filled))
+        kept_rows.append(kept)
     return [
-        cand
-        for cand in _resolutions(tt)
-        if all(row in ALLOWED_ROWS for row in cand.rows())
-        and all(col in ALLOWED_COLS for col in cand.cols())
+        TypeTable(rows)
+        for rows in itertools.product(*kept_rows)
+        if all(col in ALLOWED_COLS for col in zip(*rows))
     ]
 
 
@@ -618,40 +629,32 @@ class AdmissibleCase:
     """One surviving degree-table orbit with its (partially resolved) types.
 
     ``type_table`` keeps 'r/l' wherever both letters occur among the fully
-    allowed resolutions; ``resolutions`` lists those resolutions.
+    allowed resolutions; ``resolutions`` lists those resolutions, and
+    ``orbit_size`` is the number of degree tables in the orbit.
     """
 
     degree_table: DegreeTable
     type_table: TypeTable
     resolutions: tuple[TypeTable, ...]
-
-
-def _admissible_orbits() -> list[tuple[DegreeTable, tuple[TypeTable, ...], int]]:
-    """Representative, allowed resolutions and size of each degree-table
-    orbit with some allowed resolution, in all_degree_tables() order.
-
-    The row/column filter is invariant under the group, so it is tested
-    once per orbit, on its representative.
-    """
-    canon = _orbit_minima()
-    sizes = np.bincount(canon, minlength=len(canon))
-    out = []
-    for rep in np.flatnonzero(canon == np.arange(len(canon))):
-        dt = DegreeTable(tuple(map(tuple, (TABLE_BITS[rep] + 1).reshape(3, 3).tolist())))
-        res = tuple(allowed_resolutions(type_table(dt)))
-        if res:
-            out.append((dt, res, int(sizes[rep])))
-    return out
+    orbit_size: int
 
 
 def admissible_cases() -> list[AdmissibleCase]:
     """Degree-table orbits whose type table passes the row/column filter.
 
-    Exactly four orbits survive.  Representatives are chosen to match the
+    Exactly four orbits survive.  The filter is invariant under the group,
+    so it is tested once per orbit, on its first table in
+    all_degree_tables() order.  Representatives are chosen to match the
     standard display: sorted by the number of degree-2 entries.
     """
+    canon = _orbit_minima()
+    sizes = np.bincount(canon, minlength=len(canon))
     cases = []
-    for dt, res, _ in _admissible_orbits():
+    for rep in np.flatnonzero(canon == np.arange(len(canon))):
+        dt = DegreeTable(tuple(map(tuple, (TABLE_BITS[rep] + 1).reshape(3, 3).tolist())))
+        res = tuple(allowed_resolutions(type_table(dt)))
+        if not res:
+            continue
         grid = []
         for r in range(3):
             row = []
@@ -659,7 +662,7 @@ def admissible_cases() -> list[AdmissibleCase]:
                 letters = {cand.grid[r][c] for cand in res}
                 row.append("r/l" if letters == {"r", "l"} else letters.pop())
             grid.append(tuple(row))
-        cases.append(AdmissibleCase(dt, TypeTable(tuple(grid)), res))
+        cases.append(AdmissibleCase(dt, TypeTable(tuple(grid)), res, int(sizes[rep])))
     cases.sort(key=lambda c: sum(d == 2 for row in c.degree_table.grid for d in row))
     return cases
 
@@ -667,7 +670,7 @@ def admissible_cases() -> list[AdmissibleCase]:
 def count_admissible_tables_raw() -> int:
     """Admissible degree tables before quotienting by the group action:
     the summed sizes of the admissible orbits."""
-    return sum(size for _, _, size in _admissible_orbits())
+    return sum(case.orbit_size for case in admissible_cases())
 
 
 # ---------------------------------------------------------------------------
@@ -723,44 +726,69 @@ def mu_solutions(
     """Nonnegative integer solutions, at most ``max_solutions`` of them.
 
     Each unknown is bounded by the smallest right-hand side it appears in,
-    so plain backtracking with sum pruning is exhaustive.
+    so a backtracking search over the unknowns in sorted order, values
+    ascending, is exhaustive and lists the solutions in lexicographic
+    order; each is a dict keyed in that order.  The unknowns are numbered
+    once.  Every equation keeps what its right-hand side still needs and
+    the summed bounds of its unset terms (a term repeated k times counts
+    k times); an unknown's feasible values are the interval those sums
+    allow in the equations that contain it.  Every equation is checked
+    before the search, so a term-less equation with a nonzero right-hand
+    side has no solution.  Each call logs one debug record on the
+    ``sphflex.cuts`` logger with the search nodes visited and the
+    solutions found (``extra`` fields ``nodes`` and ``solutions``).
     """
     unknowns = sorted({u for eq in equations for u in eq.terms})
-    bound = {
-        u: min(eq.rhs for eq in equations if u in eq.terms) for u in unknowns
-    }
-    eq_data = [(eq.terms, eq.rhs) for eq in equations]
+    index = {u: k for k, u in enumerate(unknowns)}
+    # occurs[k]: (equation, multiplicity) for each equation holding unknown k
+    occurs: list[list[tuple[int, int]]] = [[] for _ in unknowns]
+    for e, eq in enumerate(equations):
+        for u, mult in Counter(eq.terms).items():
+            occurs[index[u]].append((e, mult))
+    need = [eq.rhs for eq in equations]
+    bound = [min(need[e] for e, _ in occ) for occ in occurs]
+    rest = [0] * len(equations)
+    for k, occ in enumerate(occurs):
+        for e, mult in occ:
+            rest[e] += mult * bound[k]
+    values = [0] * len(unknowns)
     solutions: list[dict[NormalCut, int]] = []
+    nodes = 0
 
-    def feasible_partial(assign: dict[NormalCut, int]) -> bool:
-        for terms, rhs in eq_data:
-            lo = hi = 0
-            for t in terms:
-                if t in assign:
-                    lo += assign[t]
-                    hi += assign[t]
-                else:
-                    hi += bound[t]
-            if lo > rhs or hi < rhs:
-                return False
-        return True
-
-    def backtrack(idx: int, assign: dict[NormalCut, int]):
-        if len(solutions) >= max_solutions:
+    def search(k: int) -> None:
+        nonlocal nodes
+        if k == len(unknowns):
+            solutions.append(dict(zip(unknowns, values)))
             return
-        if idx == len(unknowns):
-            solutions.append(dict(assign))
-            return
-        u = unknowns[idx]
-        for val in range(bound[u] + 1):
-            assign[u] = val
-            if feasible_partial(assign):
-                backtrack(idx + 1, assign)
-            del assign[u]
+        b = bound[k]
+        lo, hi = 0, b
+        for e, mult in occurs[k]:
+            # after setting the unknown to v: 0 <= need - mult*v and
+            # need - mult*v <= rest - mult*b
+            hi = min(hi, need[e] // mult)
+            lo = max(lo, b - (rest[e] - need[e]) // mult)
+            rest[e] -= mult * b
+        for v in range(lo, hi + 1):
+            nodes += 1
+            values[k] = v
+            for e, mult in occurs[k]:
+                need[e] -= mult * v
+            search(k + 1)
+            for e, mult in occurs[k]:
+                need[e] += mult * v
             if len(solutions) >= max_solutions:
-                return
+                break
+        for e, mult in occurs[k]:
+            rest[e] += mult * b
 
-    backtrack(0, {})
+    if max_solutions > 0 and all(0 <= n <= r for n, r in zip(need, rest)):
+        search(0)
+    _log.debug(
+        "mu_solutions visited %d nodes and found %d solutions",
+        nodes,
+        len(solutions),
+        extra={"nodes": nodes, "solutions": len(solutions)},
+    )
     return solutions
 
 

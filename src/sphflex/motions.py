@@ -495,8 +495,7 @@ _CDA_E = 0.75
 def _require_reference_cda(params: CdaParams):
     if abs(params.a - _CDA_A) > 1e-12 or abs(params.e - _CDA_E) > 1e-12:
         raise OutOfRangeError(
-            "the radical parametrization is available at (a, e) = (3/5, 3/4) "
-            "only; reach other relation-curve points by numeric tracing"
+            "the radical parametrization is available at (a, e) = (3/5, 3/4) only"
         )
 
 

@@ -1,8 +1,12 @@
-"""Tuple-based degree-table loops kept as oracles for the array versions.
+"""Straightforward versions of the cut-table machinery, kept as oracles.
 
-Each walks the 512 degree tables of ``cuts.all_degree_tables()`` and moves
-grids cell by cell through ``cuts._act``; the library counts the same
-things from ``cuts.GROUP_INDEX`` and ``cuts.TABLE_BITS``.
+The degree-table loops walk the 512 tables of ``cuts.all_degree_tables()``
+and move grids cell by cell through ``cuts._act``; the library counts the
+same things from ``cuts.GROUP_INDEX`` and ``cuts.TABLE_BITS``.  The
+resolution filter builds every 'r/l' resolution before checking it, where
+the library prunes rows as it fills them, and the pullback solver keeps a
+dict assignment and rescans every equation at each node, where the library
+keeps per-equation running sums.
 """
 
 import itertools
@@ -13,11 +17,11 @@ from sphflex.cuts import (
     GROUP,
     AdmissibleCase,
     DegreeTable,
+    Equation,
+    NormalCut,
     TypeTable,
     _act,
-    _resolutions,
     all_degree_tables,
-    allowed_resolutions,
     orbit,
     type_table,
 )
@@ -55,10 +59,33 @@ def subgraph_classes_by_walk() -> int:
     return count
 
 
+def all_resolutions(tt: TypeTable) -> list[TypeTable]:
+    """Every way of setting the 'r/l' cells to 'r' or 'l', in the order of
+    ``itertools.product`` over those cells in row-major order."""
+    cells = [(r, c) for r in range(3) for c in range(3) if tt.grid[r][c] == "r/l"]
+    out = []
+    for combo in itertools.product("rl", repeat=len(cells)):
+        grid = [list(row) for row in tt.grid]
+        for (r, c), ch in zip(cells, combo):
+            grid[r][c] = ch
+        out.append(TypeTable(tuple(tuple(row) for row in grid)))
+    return out
+
+
+def allowed_resolutions_by_filter(tt: TypeTable) -> list[TypeTable]:
+    """The resolutions whose rows and columns are all on the allowed lists."""
+    return [
+        cand
+        for cand in all_resolutions(tt)
+        if all(row in ALLOWED_ROWS for row in cand.rows())
+        and all(col in ALLOWED_COLS for col in cand.cols())
+    ]
+
+
 def row_col_allowed(tt: TypeTable) -> bool:
     """True iff some resolution of 'r/l' entries has all rows and columns on
     the allowed lists (each checked up to permutation)."""
-    for cand in _resolutions(tt):
+    for cand in all_resolutions(tt):
         rows_ok = all(row in ALLOWED_ROWS for row in cand.rows())
         cols_ok = all(col in ALLOWED_COLS for col in cand.cols())
         if rows_ok and cols_ok:
@@ -84,7 +111,7 @@ def admissible_cases_by_walk() -> list[AdmissibleCase]:
             reps.append(dt)
     cases = []
     for dt in reps:
-        res = tuple(allowed_resolutions(type_table(dt)))
+        res = tuple(allowed_resolutions_by_filter(type_table(dt)))
         grid = []
         for r in range(3):
             row = []
@@ -92,6 +119,56 @@ def admissible_cases_by_walk() -> list[AdmissibleCase]:
                 letters = {cand.grid[r][c] for cand in res}
                 row.append("r/l" if letters == {"r", "l"} else letters.pop())
             grid.append(tuple(row))
-        cases.append(AdmissibleCase(dt, TypeTable(tuple(grid)), res))
+        cases.append(AdmissibleCase(dt, TypeTable(tuple(grid)), res, len(orbit(dt.grid))))
     cases.sort(key=lambda c: sum(d == 2 for row in c.degree_table.grid for d in row))
     return cases
+
+
+def mu_solutions_by_backtracking(
+    equations: list[Equation], max_solutions: int = 2
+) -> list[dict[NormalCut, int]]:
+    """Nonnegative integer solutions, at most ``max_solutions`` of them.
+
+    Backtracks over the sorted unknowns, values ascending up to the
+    smallest right-hand side each appears in, and checks every equation's
+    interval of reachable sums on each partial assignment, the empty one
+    included.
+    """
+    unknowns = sorted({u for eq in equations for u in eq.terms})
+    bound = {
+        u: min(eq.rhs for eq in equations if u in eq.terms) for u in unknowns
+    }
+    eq_data = [(eq.terms, eq.rhs) for eq in equations]
+    solutions: list[dict[NormalCut, int]] = []
+
+    def feasible_partial(assign: dict[NormalCut, int]) -> bool:
+        for terms, rhs in eq_data:
+            lo = hi = 0
+            for t in terms:
+                if t in assign:
+                    lo += assign[t]
+                    hi += assign[t]
+                else:
+                    hi += bound[t]
+            if lo > rhs or hi < rhs:
+                return False
+        return True
+
+    def backtrack(idx: int, assign: dict[NormalCut, int]):
+        if len(solutions) >= max_solutions:
+            return
+        if idx == len(unknowns):
+            solutions.append(dict(assign))
+            return
+        u = unknowns[idx]
+        for val in range(bound[u] + 1):
+            assign[u] = val
+            if feasible_partial(assign):
+                backtrack(idx + 1, assign)
+            del assign[u]
+            if len(solutions) >= max_solutions:
+                return
+
+    if feasible_partial({}):
+        backtrack(0, {})
+    return solutions

@@ -81,6 +81,13 @@ def test_cli_k33_kinds(capsys):
         assert "max edge residual" in out
 
 
+def test_cli_cda_off_the_reference_pair_names_the_supported_pair(capsys):
+    assert run(["k33", "--kind", "cda", "--e", "0.7"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the radical parametrization is available at (a, e) = (3/5, 3/4) only\n"
+    )
+
+
 def test_cli_classify_quad(capsys):
     assert run(["classify-quad", "--deltas", "0.3,0.3,0.7,0.7"]) == 0
     assert "odd_deltoid" in capsys.readouterr().out

@@ -1,10 +1,15 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphflex.coloring import BLUE, RED, is_nap
 from sphflex.cuts import (
     MU_TABLE,
     DegreeTable,
+    Equation,
     NormalCut,
     TypeTable,
     admissible_cases,
@@ -411,3 +416,82 @@ def test_normalize_cut_rejects_monochromatic_cut():
     assert cut_valid_for_bond(g, c)
     with pytest.raises(InvalidCutError):
         normalize_cut(g, c)
+
+
+def paper_systems():
+    case2 = case3_system(2)
+    return {
+        "case1": case1_system(),
+        "type1": case3_system(1),
+        "type2": case2,
+        "rhomboid-only": [e for e in case2 if e.label.split("-")[2] in ("12", "34", "56")],
+    }
+
+
+def keyed_items(solutions):
+    return [list(sol.items()) for sol in solutions]
+
+
+@pytest.mark.parametrize("max_solutions", [1, 2, 3])
+@pytest.mark.parametrize("name", ["case1", "type1", "type2", "rhomboid-only"])
+def test_mu_solutions_match_backtracking_on_paper_systems(name, max_solutions):
+    eqs = paper_systems()[name]
+    assert keyed_items(mu_solutions(eqs, max_solutions)) == keyed_items(
+        tables.mu_solutions_by_backtracking(eqs, max_solutions)
+    )
+
+
+MERGED_CUTS = sorted({nc.canonical() for nc in all_normal_cuts()})
+
+
+@st.composite
+def small_systems(draw):
+    """A few unknowns, right-hand sides -1..3 (so bounds up to 3), terms
+    that may repeat and equations that may have no terms at all."""
+    pool = draw(st.lists(st.sampled_from(MERGED_CUTS), min_size=1, max_size=5, unique=True))
+    rows = draw(
+        st.lists(
+            st.tuples(st.lists(st.sampled_from(pool), max_size=4), st.integers(-1, 3)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return [Equation(tuple(terms), rhs, f"eq{i}") for i, (terms, rhs) in enumerate(rows)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(small_systems(), st.integers(1, 3))
+def test_mu_solutions_match_backtracking_on_random_systems(eqs, max_solutions):
+    assert keyed_items(mu_solutions(eqs, max_solutions)) == keyed_items(
+        tables.mu_solutions_by_backtracking(eqs, max_solutions)
+    )
+
+
+def test_termless_equation_with_nonzero_rhs_is_infeasible():
+    assert mu_solutions([Equation((), 5, "x")]) == []
+    assert mu_system_feasible([Equation((), 5, "x")]) is None
+    assert mu_solutions(case3_system(1) + [Equation((), -1, "x")]) == []
+    assert mu_system_feasible([Equation((), 0, "x")]) == {}
+    assert mu_system_feasible([]) == {}
+
+
+def test_mu_solutions_logs_nodes_and_solutions(caplog, capsys):
+    with caplog.at_level(logging.DEBUG, logger="sphflex"):
+        found = mu_solutions(case3_system(1), max_solutions=3)
+        again = mu_solutions(case3_system(1), max_solutions=3)
+        none = mu_solutions([Equation((), 5, "x")])
+    records = [r for r in caplog.records if r.name.startswith("sphflex")]
+    assert [r.solutions for r in records] == [len(found), len(again), len(none)] == [1, 1, 0]
+    assert all(r.levelno == logging.DEBUG for r in records)
+    # reaching the solution sets each unknown once, one node each
+    assert records[0].nodes == records[1].nodes >= len(found[0])
+    assert records[2].nodes == 0
+    standard = set(logging.makeLogRecord({}).__dict__) | {"message", "asctime"}
+    assert all(set(r.__dict__) - standard == {"nodes", "solutions"} for r in records)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_allowed_resolutions_match_the_filter():
+    all_unresolved = TypeTable((("r/l",) * 3,) * 3)
+    for tt in [type_table(dt) for dt in all_degree_tables()] + [all_unresolved]:
+        assert allowed_resolutions(tt) == tables.allowed_resolutions_by_filter(tt)
