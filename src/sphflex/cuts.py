@@ -46,7 +46,7 @@ from .errors import (
     InvalidCutError,
     UnknownRowError,
 )
-from .graphs import Graph, k33, nonedges
+from .graphs import Graph, nonedges
 
 _log = logging.getLogger(__name__)
 
@@ -330,13 +330,11 @@ def cut_extensions(forgot_odd: int, forgot_even: int, kind: str) -> tuple[Normal
     """
     cycle = quad_cycle(forgot_odd, forgot_even)
     target = quad_cut_partition(cycle, kind)
-    quad_vertices = set(cycle)
-    g = k33()
-    hits = []
-    for nc in all_normal_cuts():
-        if nc.to_cut(g).restrict(quad_vertices) == target:
-            hits.append(nc)
-    return tuple(hits)
+    # restricted to the quadrilateral, a cut's J side is what its I side
+    # leaves of the quadrilateral's labels, so the restriction is the
+    # target exactly when the restricted I side is one of its two sides
+    quad_labels = frozenset((k, v) for v in cycle for k in ("P", "Q"))
+    return tuple(nc for nc in all_normal_cuts() if nc.i_side() & quad_labels in target)
 
 
 class MuRow(NamedTuple):

@@ -4,9 +4,10 @@ The degree-table loops walk the 512 tables of ``cuts.all_degree_tables()``
 and move grids cell by cell through ``cuts._act``; the library counts the
 same things from ``cuts.GROUP_INDEX`` and ``cuts.TABLE_BITS``.  The
 resolution filter builds every 'r/l' resolution before checking it, where
-the library prunes rows as it fills them, and the pullback solver keeps a
-dict assignment and rescans every equation at each node, where the library
-keeps per-equation running sums.
+the library prunes rows as it fills them; the pullback solver keeps a dict
+assignment and rescans every equation at each node, where the library
+keeps per-equation running sums; and the cut-extension scan restricts full
+K(3,3) cuts, where the library compares label sets on the quadrilateral.
 """
 
 import itertools
@@ -22,9 +23,13 @@ from sphflex.cuts import (
     TypeTable,
     _act,
     all_degree_tables,
+    all_normal_cuts,
     orbit,
+    quad_cut_partition,
+    quad_cycle,
     type_table,
 )
+from sphflex.graphs import k33
 
 
 def orbit_count_by_walk() -> int:
@@ -172,3 +177,11 @@ def mu_solutions_by_backtracking(
     if feasible_partial({}):
         backtrack(0, {})
     return solutions
+
+
+def cut_extensions_by_scan(forgot_odd: int, forgot_even: int, kind: str) -> tuple[NormalCut, ...]:
+    """Normal cuts whose full K(3,3) cut restricts to the quadrilateral cut."""
+    cycle = quad_cycle(forgot_odd, forgot_even)
+    target = quad_cut_partition(cycle, kind)
+    g = k33()
+    return tuple(nc for nc in all_normal_cuts() if nc.to_cut(g).restrict(cycle) == target)

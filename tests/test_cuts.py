@@ -312,6 +312,14 @@ def canon(apex, pattern):
     return NormalCut(apex, pattern).canonical()
 
 
+@pytest.mark.parametrize("kind", ["om", "ou", "em", "eu"])
+def test_cut_extensions_match_the_scan(kind):
+    for k in (1, 3, 5):
+        for l in (2, 4, 6):
+            assert cut_extensions(k, l, kind) == tables.cut_extensions_by_scan(k, l, kind)
+            assert len(cut_extensions(k, l, kind)) == 4
+
+
 def test_cut_extension_lists():
     assert set(cut_extensions(5, 6, "om")) == {
         NormalCut(1, "PQP"),
