@@ -724,17 +724,17 @@ def mu_solutions(
     """Nonnegative integer solutions, at most ``max_solutions`` of them.
 
     Each unknown is bounded by the smallest right-hand side it appears in,
-    so a backtracking search over the unknowns in sorted order, values
-    ascending, is exhaustive and lists the solutions in lexicographic
-    order; each is a dict keyed in that order.  The unknowns are numbered
-    once.  Every equation keeps what its right-hand side still needs and
-    the summed bounds of its unset terms (a term repeated k times counts
-    k times); an unknown's feasible values are the interval those sums
-    allow in the equations that contain it.  Every equation is checked
-    before the search, so a term-less equation with a nonzero right-hand
-    side has no solution.  Each call logs one debug record on the
-    ``sphflex.cuts`` logger with the search nodes visited and the
-    solutions found (``extra`` fields ``nodes`` and ``solutions``).
+    so backtracking over the sorted unknowns, values ascending, is
+    exhaustive; solutions come in lexicographic order, as dicts keyed in
+    the unknowns' order.  The unknowns are numbered once, and every
+    equation keeps what its right-hand side still needs and the summed
+    bounds of its unset terms (a term repeated k times counts k times).
+    Setting an unknown touches only the equations that contain it, and
+    its feasible values are the interval those equations allow.  Every
+    equation is checked before the search, so a term-less equation with a
+    nonzero right-hand side has no solution.  Each call logs one debug
+    record on the ``sphflex.cuts`` logger with the search nodes visited
+    and the solutions found (``extra`` fields ``nodes`` and ``solutions``).
     """
     unknowns = sorted({u for eq in equations for u in eq.terms})
     index = {u: k for k, u in enumerate(unknowns)}

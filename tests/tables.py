@@ -90,12 +90,7 @@ def allowed_resolutions_by_filter(tt: TypeTable) -> list[TypeTable]:
 def row_col_allowed(tt: TypeTable) -> bool:
     """True iff some resolution of 'r/l' entries has all rows and columns on
     the allowed lists (each checked up to permutation)."""
-    for cand in all_resolutions(tt):
-        rows_ok = all(row in ALLOWED_ROWS for row in cand.rows())
-        cols_ok = all(col in ALLOWED_COLS for col in cand.cols())
-        if rows_ok and cols_ok:
-            return True
-    return False
+    return bool(allowed_resolutions_by_filter(tt))
 
 
 def admissible_tables_by_scan() -> list[DegreeTable]:
