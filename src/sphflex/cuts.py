@@ -88,15 +88,6 @@ class Cut:
     def unordered(self) -> frozenset[frozenset[Label]]:
         return frozenset((self.I, self.J))
 
-    def restrict(self, vertices: Iterable[int]) -> frozenset[frozenset[Label]]:
-        keep = set(vertices)
-        return frozenset(
-            (
-                frozenset(l for l in self.I if l[1] in keep),
-                frozenset(l for l in self.J if l[1] in keep),
-            )
-        )
-
 
 def cut_for(g: Graph, i_side: Iterable[Label]) -> Cut:
     """Cut of g's marked labels with the given I side."""

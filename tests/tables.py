@@ -179,4 +179,8 @@ def cut_extensions_by_scan(forgot_odd: int, forgot_even: int, kind: str) -> tupl
     cycle = quad_cycle(forgot_odd, forgot_even)
     target = quad_cut_partition(cycle, kind)
     g = k33()
-    return tuple(nc for nc in all_normal_cuts() if nc.to_cut(g).restrict(cycle) == target)
+
+    def restricted(cut):
+        return frozenset(frozenset(l for l in side if l[1] in cycle) for side in (cut.I, cut.J))
+
+    return tuple(nc for nc in all_normal_cuts() if restricted(nc.to_cut(g)) == target)
