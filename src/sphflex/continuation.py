@@ -8,7 +8,11 @@ which kill the three rotational degrees of freedom.  On a flexible
 framework the Jacobian then has corank exactly 1 at a regular curve point,
 and the curve is followed with a tangent predictor and a Gauss-Newton
 corrector.  Every Newton solve here, tracing and seeding, assembles its
-equations through one gauged ``ConstraintSystem``.
+equations through one gauged ``ConstraintSystem``, which gathers point
+rows with ``take`` and scatters Jacobian blocks with ``put``.  The step is
+written for few numpy calls: the slow forms of the corrector and the
+certificate are kept as an oracle in ``tests/stepping.py``, and the tests
+require a trace through them to equal one through this module bit for bit.
 
 Along the curve the Jacobian is bordered by a pseudo-arclength row, which
 gives it full column rank at a regular point; those systems, the corrector
@@ -205,9 +209,9 @@ class ConstraintSystem:
         pts = coords.reshape(-1, 3)
         k = self.num_rows
         r = self._res
-        dots = row_dots(pts[self._left], pts[self._right])
+        dots = row_dots(pts.take(self._left, axis=0), pts.take(self._right, axis=0))
         r[: self._num_pair_rows] = self._scale * (self._offset - dots) - self._target
-        r[k - 3 : k] = coords[self._gauge_cols]
+        r[k - 3 : k] = coords.take(self._gauge_cols)
         if arc is None:
             return r[:k]
         base, tangent, h = arc
@@ -218,8 +222,8 @@ class ConstraintSystem:
         self, coords: Vec, arc: Optional[tuple[Vec, Vec, float]] = None
     ) -> Vec:
         pts = coords.reshape(-1, 3)
-        blocks = self._block_coef * pts[self._block_src]
-        self._jac_flat[self._block_flat] = blocks.ravel()
+        blocks = self._block_coef * pts.take(self._block_src, axis=0)
+        self._jac_flat.put(self._block_flat, blocks)
         if arc is None:
             return self._jac[: self.num_rows]
         self._jac[self.num_rows] = arc[1]
@@ -252,28 +256,33 @@ def corank_and_tangent(jac: Vec) -> tuple[int, Vec]:
     return _corank(svals, jac.shape[1], CORANK_REL_TOL), vt[-1]
 
 
-def _normal_solve(a: Vec, b: Vec, normal: Vec, rhs: Vec) -> Vec:
-    """Least-squares solution of ``a s = b`` from its normal equations
-    ``normal s = rhs``, where ``normal = a^T a`` and ``rhs = a^T b``.
+def _normal_solve(normal: Vec, rhs: Vec) -> Optional[Vec]:
+    """Solution of the normal equations ``normal s = rhs`` of a least-squares
+    problem ``a s = b``, where ``normal = a^T a`` and ``rhs = a^T b``.
 
     That squares the condition number, which is harmless on the bordered
     systems of a trace (about 41 at most, median 14, on the benchmark's
-    loops) and costs a fraction of an SVD.  When the normal matrix is
-    singular or the solution is not finite, ``a`` is not of full column
-    rank after all and ``lstsq`` answers instead.
+    loops) and costs a fraction of an SVD.  Returns None when the normal
+    matrix is singular or the solution is not finite: ``a`` is not of full
+    column rank after all, and the caller asks ``lstsq`` instead.
     """
     try:
         s = np.linalg.solve(normal, rhs)
     except np.linalg.LinAlgError:
-        s = None
-    if s is not None and np.all(np.isfinite(s)):
-        return s
-    return np.linalg.lstsq(a, b, rcond=None)[0]
+        return None
+    return s if np.isfinite(s).all() else None
 
 
 def _full_rank_lstsq(a: Vec, b: Vec) -> Vec:
     """Least-squares solution of ``a s = b`` when ``a`` has full column rank."""
-    return _normal_solve(a, b, a.T @ a, a.T @ b)
+    s = _normal_solve(a.T @ a, a.T @ b)
+    return np.linalg.lstsq(a, b, rcond=None)[0] if s is None else s
+
+
+def _norm(v: Vec) -> float:
+    """``np.linalg.norm`` of a contiguous vector, computed as it does (a dot
+    product, then a square root) without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def bordered_corank_and_tangent(bordered: Vec) -> tuple[int, Vec]:
@@ -305,15 +314,21 @@ def bordered_corank_and_tangent(bordered: Vec) -> tuple[int, Vec]:
     """
     jac, t_prev = bordered[:-1], bordered[-1]
     normal = bordered.T @ bordered
-    e_last = np.zeros(len(bordered))
-    e_last[-1] = 1.0
     # bordered^T e_last is the last row, t_prev, to the bit
-    t = _normal_solve(bordered, e_last, normal, t_prev)
-    t = t / np.linalg.norm(t)
-    if float(np.linalg.norm(jac @ t)) <= 0.5 * CORANK_REL_TOL:
-        shift = 100.0 * (max(float(np.linalg.norm(jac)), 1.0) * CORANK_REL_TOL) ** 2
+    t = _normal_solve(normal, t_prev)
+    if t is None:
+        e_last = np.zeros(len(bordered))
+        e_last[-1] = 1.0
+        t = np.linalg.lstsq(bordered, e_last, rcond=None)[0]
+    t = t / _norm(t)
+    if _norm(jac @ t) <= 0.5 * CORANK_REL_TOL:
+        shift = 100.0 * (max(_norm(jac.ravel("K")), 1.0) * CORANK_REL_TOL) ** 2
+        # normal - shift * I: off the diagonal, x - 0.0 is x
+        shifted = normal.copy()
+        diagonal = shifted.reshape(-1)[:: len(normal) + 1]
+        diagonal -= shift
         try:
-            np.linalg.cholesky(normal - shift * np.eye(len(normal)))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             pass
         else:
@@ -350,7 +365,7 @@ def newton_correct(
         else:
             step = _full_rank_lstsq(jac, -r)
         x = x + step
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             return None
     r = system.residual(x, arc_constraint)
     return x if np.abs(r).max() <= tol else None
@@ -453,7 +468,7 @@ def trace(
         arclengths.append(arclengths[-1] + h)
         h = min(h * 1.3, cfg.step_size)
 
-        dist_to_seed = float(np.linalg.norm(x - x0))
+        dist_to_seed = _norm(x - x0)
         went_far = went_far or dist_to_seed > 3.0 * cfg.step_size
         if went_far and dist_to_seed <= 1.5 * h and float(t_prev @ tangent) > 0.5:
             # candidate return: project onto the curve slice through the

@@ -376,7 +376,7 @@ def mu_lookup(case: str, subcase: object = None) -> MuRow:
 def theta(d1: int, d2: int, d3: int) -> int:
     """Combined degree of a triple of 1-or-2 projection degrees."""
     ds = (d1, d2, d3)
-    if any(d not in (1, 2) for d in ds):
+    if d1 not in (1, 2) or d2 not in (1, 2) or d3 not in (1, 2):
         raise UnknownRowError(f"degrees must be 1 or 2, got {ds}")
     if ds == (1, 1, 1):
         return 1

@@ -369,9 +369,12 @@ def _solve_dixon2_points(
     """For every p1 find p = (p1, p2, p3) and q = (a/p1, b/p2, c/p3), both
     unit, as two (S, 3) arrays.
 
-    The 200 bisection halvings run as array ops over all p1 at once;
-    elementwise float64 arithmetic rounds as the scalar code does, so each
-    row equals the one-p1-at-a-time solution bit for bit.
+    The bisection halvings, at most 200, run as array ops over all p1 at
+    once; elementwise float64 arithmetic rounds as the scalar code does, so
+    each row equals the one-p1-at-a-time solution bit for bit.  They stop
+    early once a halving leaves every bracket unchanged: the brackets are
+    then a fixed point that the remaining halvings would not move.  A NaN
+    bracket never compares equal, so rows without a root run all 200.
     """
     a2, b2, c2 = params.alpha**2, params.beta**2, params.gamma**2
     low = branch == "low"
@@ -394,7 +397,10 @@ def _solve_dixon2_points(
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             up = (residual(mid) > 0.0) == low
-            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+            new_lo, new_hi = np.where(up, mid, lo), np.where(up, hi, mid)
+            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                break
+            lo, hi = new_lo, new_hi
         u = 0.5 * (lo + hi)
         p = np.stack([p1, np.sqrt(u), np.sqrt(np.maximum(r2 - u, 0.0))], axis=1)
         q = np.array([params.alpha, params.beta, params.gamma]) / p

@@ -192,7 +192,8 @@ def test_criterion_6_dixon1():
         6,
         ok,
         f"detector: {kind}, cocircularity {copl:.1e}, orthogonality {orth:.1e}, "
-        f"loop closed {res.closed}, projection degree forgetting (5,6): {degree}",
+        f"loop closed {res.closed}, largest real fiber forgetting (5,6), "
+        f"over every component: {degree}",
     )
 
 

@@ -14,7 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphflex.coloring import enumerate_nap, nap_pole_partition
-from sphflex.continuation import ConstraintSystem, GaugeFix, jacobian, residual_vector
+from sphflex.continuation import (
+    ConstraintSystem,
+    GaugeFix,
+    TraceConfig,
+    default_gauge,
+    jacobian,
+    residual_vector,
+    trace,
+)
 from sphflex.errors import DegenerateTrajectoryError
 from sphflex.formats import trajectory_to_csv
 from sphflex.graphs import build_graph, k33
@@ -92,6 +100,28 @@ def test_gauged_system_matches_loop_assembler(problem, use_arc):
         assert np.array_equal(jacobian(g, lam, coords, gauge), want_j)
     assert np.array_equal(got_r, want_r)
     assert np.array_equal(got_j, want_j)
+
+
+def test_gauged_system_matches_loop_assembler_along_a_trace():
+    # the points a Newton solve meets: traced samples of a Dixon 1 K(3,3)
+    # loop, and the arclength row towards the next sample
+    gen = dixon1_motion(
+        Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7}), [1.0, 1.1]
+    )
+    g, lam = gen.graph, gen.lengths
+    res = trace(g, lam, gen.samples[0].realization, config=TraceConfig(step_size=0.05))
+    gauge = default_gauge(g)
+    system = ConstraintSystem(g, lam, gauge)
+    flat = res.trajectory.points.reshape(len(res.trajectory.points), -1)
+    for x, y in zip(flat[:-1], flat[1:]):
+        h = float(np.linalg.norm(y - x))
+        for coords, arc in ((x, None), (y, (x, (y - x) / h, h))):
+            want_r = residual_by_loop(g, lam, coords, gauge)
+            want_j = jacobian_by_loop(g, lam, coords, gauge)
+            if arc is not None:
+                want_r, want_j = with_arc_row(want_r, want_j, coords, arc)
+            assert np.array_equal(system.residual(coords, arc), want_r)
+            assert np.array_equal(system.jacobian(coords, arc), want_j)
 
 
 def test_system_buffers_switch_between_arc_and_plain_calls():

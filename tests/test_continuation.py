@@ -17,6 +17,7 @@ from sphflex.continuation import (
     corank_and_tangent,
     default_gauge,
     empirical_map_degree,
+    _norm,
     fiber_count,
     jacobian,
     newton_correct,
@@ -52,6 +53,8 @@ from sphflex.spherical import (
     random_unit_point,
     rotation_about_axis,
 )
+
+import stepping
 
 RNG = np.random.default_rng(0)
 
@@ -592,14 +595,17 @@ def test_solves_without_arc_row_use_minimum_norm_step(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def dixon1_seed(m, n):
-    """K(m,n) with the odd side on {y = 0} and the even side on {x = 0}."""
+def dixon1_seed(m, n, slopes_odd=None, slopes_even=None):
+    """K(m,n) with the odd side on {y = 0} and the even side on {x = 0};
+    the slopes default to evenly spaced ones."""
     odd, even = range(1, 2 * m, 2), range(2, 2 * n + 1, 2)
     g = complete_bipartite(odd, even)
+    if slopes_odd is None:
+        slopes_odd, slopes_even = np.linspace(0.2, 0.6, m), np.linspace(0.3, 0.7, n)
     pts = {}
-    for v, c in zip(odd, np.linspace(0.2, 0.6, m)):
+    for v, c in zip(odd, slopes_odd):
         pts[v] = np.array([math.sqrt(1.0 - c * c), 0.0, c])
-    for v, d in zip(even, np.linspace(0.3, 0.7, n)):
+    for v, d in zip(even, slopes_even):
         pts[v] = np.array([0.0, math.sqrt(1.0 - d * d), d])
     rho = SphericalRealization(pts)
     return g, LengthAssignment.induced(g, rho), rho
@@ -714,9 +720,13 @@ def test_certified_corank_equals_svd_rule_along_pinned_traces(
     assert [corank for _, corank in seen] == [svd_rule_corank(b[:-1]) for b, _ in seen]
 
 
-@pytest.mark.parametrize("smallest", [0.3e-7, 1e-7, 3e-7])
-@pytest.mark.parametrize("second", [0.5, 2.0, 20.0])
-def test_certificate_near_the_cutoffs_gives_the_svd_rule(monkeypatch, second, smallest):
+CUTOFF_SMALLEST = [0.3e-7, 1e-7, 3e-7]
+CUTOFF_SECOND = [0.5, 2.0, 20.0]
+
+
+def cutoff_case(second, smallest):
+    """A 20x12 J with its two smallest singular values at the given
+    multiples of the cutoff, and a previous tangent near its kernel."""
     # the largest singular value is 1, so the rule's cutoff is CORANK_REL_TOL
     # itself; |J|_F^2 = 1.36 puts the Cholesky test's bound on the second
     # smallest singular value at 11.7 times the cutoff, between 2x and 20x
@@ -726,8 +736,14 @@ def test_certificate_near_the_cutoffs_gives_the_svd_rule(monkeypatch, second, sm
     u, _ = np.linalg.qr(rng.normal(size=(rows, cols)))
     v, _ = np.linalg.qr(rng.normal(size=(cols, cols)))
     jac = (u * svals) @ v.T
+    return jac, near(v[:, -1], rng, tilt=0.1)
+
+
+@pytest.mark.parametrize("smallest", CUTOFF_SMALLEST)
+@pytest.mark.parametrize("second", CUTOFF_SECOND)
+def test_certificate_near_the_cutoffs_gives_the_svd_rule(monkeypatch, second, smallest):
+    jac, t_prev = cutoff_case(second, smallest)
     want = svd_rule_corank(jac)
-    t_prev = near(v[:, -1], rng, tilt=0.1)
     calls = counting_svd(monkeypatch)
     got, t = bordered_corank_and_tangent(np.vstack([jac, t_prev]))
     assert got == want
@@ -855,3 +871,178 @@ def test_trace_rejects_corank_two_seed():
     with pytest.raises(RankDeficientError, match="^corank 2 at seed: not a curve point$") as err:
         trace(k22(), lam, rho)
     assert err.value.corank == 2
+
+
+# ---------------------------------------------------------------------------
+# the corrector and certificate against their oracle in stepping.py, bit
+# for bit: the step was trimmed of numpy dispatches, not of arithmetic
+# ---------------------------------------------------------------------------
+
+STEP_PROPERTY = settings(derandomize=True, max_examples=12, deadline=None, database=None)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def traced_with(oracle, g, lam, rho, config):
+    """``trace`` through the library's step, or with ``oracle`` through the
+    one in stepping.py; returns the result, or the raised error's type and
+    message, and the (corank, tangent) of every certificate it took."""
+    certify = stepping.bordered_corank_and_tangent if oracle else bordered_corank_and_tangent
+    seen = []
+
+    def recording(bordered):
+        corank, t = certify(bordered)
+        seen.append((corank, t.copy()))
+        return corank, t
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sphflex.continuation.bordered_corank_and_tangent", recording)
+        if oracle:
+            mp.setattr("sphflex.continuation.newton_correct", stepping.newton_correct)
+            mp.setattr("sphflex.continuation._norm", stepping.closure_distance)
+        try:
+            res = trace(g, lam, rho, config=config)
+        except SphflexError as exc:
+            res = (type(exc), str(exc))
+    return res, seen
+
+
+def assert_trace_equals_oracle(g, lam, rho, config):
+    got, got_seen = traced_with(False, g, lam, rho, config)
+    want, want_seen = traced_with(True, g, lam, rho, config)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.stop_reason == want.stop_reason
+        assert same_bits(got.trajectory.points, want.trajectory.points)
+        assert same_bits(got.trajectory.parameters, want.trajectory.parameters)
+    assert len(got_seen) == len(want_seen)
+    for (got_corank, got_t), (want_corank, want_t) in zip(got_seen, want_seen):
+        assert got_corank == want_corank
+        assert same_bits(got_t, want_t)
+
+
+@pytest.mark.parametrize("make, step, max_steps", PINNED_TRACES)
+def test_pinned_traces_equal_the_oracle_step(make, step, max_steps):
+    g, lam, rho = make()
+    assert_trace_equals_oracle(g, lam, rho, TraceConfig(step_size=step, max_steps=max_steps))
+
+
+@STEP_PROPERTY
+@given(st.integers(3, 5), st.integers(3, 5), st.integers(0, 2**32 - 1))
+def test_random_dixon1_traces_equal_the_oracle_step(m, n, seed):
+    m, n = sorted((m, n))
+    rng = np.random.default_rng(seed)
+    slopes_odd, slopes_even = rng.uniform(0.15, 0.75, m), rng.uniform(0.15, 0.75, n)
+    g, lam, rho = dixon1_seed(m, n, slopes_odd, slopes_even)
+    rot = random_rotation(rng)
+    rho = SphericalRealization({v: rot.apply(p) for v, p in rho.placement.items()})
+    assert_trace_equals_oracle(g, lam, rho, TraceConfig(step_size=0.05, max_steps=400))
+
+
+def certificate_cases():
+    """The bordered matrices of the certificate tests above, rebuilt."""
+    cases = []
+    for seed, rows, cols, smallest in [
+        (1, 18, 18, [1e-6]),
+        (2, 18, 18, [0.0]),
+        (3, 52, 36, [0.0]),
+        (4, 11, 12, []),
+        (6, 28, 24, [0.0, 0.0]),
+    ]:
+        jac, rng = constructed_jacobian(seed, rows, cols, smallest)
+        cases.append(np.vstack([jac, near(corank_and_tangent(jac)[1], rng)]))
+    lozenge = lozenge_jacobian()
+    kernel = corank_and_tangent(lozenge)[1]
+    cases.append(np.vstack([lozenge, near(kernel, np.random.default_rng(5))]))
+    # t_prev orthogonal to the kernel
+    cases.append(np.vstack([lozenge, np.linalg.svd(lozenge)[2][0]]))
+    # a zero column: the normal matrix is singular and lstsq answers
+    jac, _ = constructed_jacobian(7, 18, 17, [])
+    cases.append(np.vstack([np.hstack([np.zeros((18, 1)), jac]), np.eye(18)[1]]))
+    for second in CUTOFF_SECOND:
+        for smallest in CUTOFF_SMALLEST:
+            cases.append(np.vstack(cutoff_case(second, smallest)))
+    return cases
+
+
+@pytest.mark.parametrize("bordered", certificate_cases())
+def test_certificate_equals_the_oracle(monkeypatch, bordered):
+    # the shifted matrix is factored, not returned: record what is factored
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def recording(a):
+        factored.append(a.copy())
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    got_corank, got = bordered_corank_and_tangent(bordered)
+    want_corank, want = stepping.bordered_corank_and_tangent(bordered)
+    assert got_corank == want_corank
+    assert same_bits(got, want)
+    assert len(factored) in (0, 2)
+    if factored:
+        assert same_bits(*factored)
+
+
+def test_certificate_cases_reach_every_branch(monkeypatch):
+    # corank 0, 1 and 2, and the lstsq and SVD fallbacks
+    lstsq_calls, svd_calls = counting_lstsq(monkeypatch), counting_svd(monkeypatch)
+    coranks = set()
+    for bordered in certificate_cases():
+        coranks.add(bordered_corank_and_tangent(bordered)[0])
+    assert coranks == {0, 1, 2}
+    assert len(lstsq_calls) == 1 and svd_calls
+
+
+@GAUGE_PROPERTY
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 36),
+    st.integers(0, 24),
+    st.floats(1.0, 40.0),
+)
+def test_full_rank_solve_equals_the_oracle(seed, n, extra_rows, spread):
+    bordered, rng = bordered_system(seed, n, extra_rows, np.geomspace(1.0, spread, n - 1))
+    rhs = rng.normal(size=len(bordered)) * 10.0 ** rng.uniform(-12, 0)
+    assert same_bits(_full_rank_lstsq(bordered, rhs), stepping.full_rank_lstsq(bordered, rhs))
+
+
+def test_non_finite_normal_solution_equals_the_oracle():
+    rng = np.random.default_rng(9)
+    a, b = 1e200 * rng.normal(size=(7, 5)), rng.normal(size=7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(_full_rank_lstsq(a, b), stepping.full_rank_lstsq(a, b))
+
+
+@GAUGE_PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(1, 40))
+def test_norm_equals_numpy_norm(seed, rows, cols):
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-150, 150)
+    assert same_bits(_norm(mat[0]), float(np.linalg.norm(mat[0])))
+    assert same_bits(_norm(mat.ravel("K")), float(np.linalg.norm(mat)))
+    assert same_bits(_norm(mat[1:].ravel("K")), float(np.linalg.norm(mat[1:])))
+
+
+@pytest.mark.parametrize("arc", [False, True])
+def test_newton_correct_equals_the_oracle(arc):
+    g = k33()
+    lam, seed = cda_seed()
+    gauge = default_gauge(g)
+    system = ConstraintSystem(g, lam, gauge)
+    x = re_gauge(seed, gauge).as_array(g.vertices)
+    _, t = corank_and_tangent(system.jacobian(x))
+    rng = np.random.default_rng(11)
+    for scale in (1e-8, 1e-4, 1e-2, 0.3):
+        start = x + scale * rng.normal(size=x.size)
+        args = (start, 1e-12, 30, (x, t, 0.01) if arc else None)
+        got = newton_correct(system, *args)
+        want = stepping.newton_correct(system, *args)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert same_bits(got, want)

@@ -158,6 +158,33 @@ def test_theta_rule():
     assert theta(2, 1, 1) == 2
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((0, 1, 2), "degrees must be 1 or 2, got (0, 1, 2)"),
+        ((1, 3, 1), "degrees must be 1 or 2, got (1, 3, 1)"),
+        ((2, 2, -1), "degrees must be 1 or 2, got (2, 2, -1)"),
+        ((1.5, 1, 1), "degrees must be 1 or 2, got (1.5, 1, 1)"),
+        ((None, 1, 1), "degrees must be 1 or 2, got (None, 1, 1)"),
+        (("1", 2, 2), "degrees must be 1 or 2, got ('1', 2, 2)"),
+        ((1, 2, float("nan")), "degrees must be 1 or 2, got (1, 2, nan)"),
+        ((False, 1, 1), "degrees must be 1 or 2, got (False, 1, 1)"),
+    ],
+)
+def test_theta_names_the_bad_triple(bad, message):
+    with pytest.raises(UnknownRowError) as err:
+        theta(*bad)
+    assert str(err.value) == message
+
+
+def test_theta_reads_bools_and_floats_by_value():
+    # True == 1 and 2.0 == 2, so they pass the check and the rule
+    assert theta(True, True, True) == 1
+    assert theta(True, 2, 2) == 2
+    assert theta(2.0, 2.0, 2.0) == 4
+    assert theta(np.int64(1), 1, 1) == 1
+
+
 ALL_TWO = DegreeTable(((2, 2, 2),) * 3)
 CASE2_DEGREE = DegreeTable(((1, 1, 1), (1, 1, 1), (1, 1, 2)))
 CASE3_DEGREE = DegreeTable(((2, 1, 1), (1, 2, 1), (1, 1, 2)))

@@ -67,6 +67,7 @@ from trajectories import (
     is_dixon2_sample,
     parsed,
     solve_dixon2_point,
+    solve_dixon2_points_by_halvings,
     trajectory_from_dict_by_samples,
     trajectory_to_csv_by_samples,
 )
@@ -500,6 +501,48 @@ def test_dixon2_solver_equals_scalar_bisection(mags, signs, p1_values, branch):
     p, q = _solve_dixon2_points(params, p1_values, branch)
     assert np.array_equal(p, np.array([pq[0] for pq in want]))
     assert np.array_equal(q, np.array([pq[1] for pq in want]))
+
+
+DIXON2_GRIDS = [
+    # the benchmark's and acceptance tests' grids
+    (Dixon2Params(0.2, 0.15, 0.1), np.linspace(0.45, 0.6, 500)),
+    (Dixon2Params(-0.2, 0.15, -0.1), np.linspace(0.3, 0.7, 41)),
+    # p1 near 0, where the brackets start far from the roots
+    (Dixon2Params(1e-6, 0.15, 0.1), np.geomspace(2e-6, 1e-2, 25)),
+    # p1 near 1, where the interval (0, 1 - p1^2) is tiny
+    (Dixon2Params(0.5, 1e-5, 2e-5), 1.0 - np.geomspace(1e-6, 1e-2, 25)),
+    # a NaN row never settles, so the halvings run to the bound
+    (Dixon2Params(0.2, 0.15, 0.1), [0.45, float("nan"), 0.5]),
+]
+
+
+@pytest.mark.parametrize("branch", ["low", "high"])
+@pytest.mark.parametrize("params, p1_values", DIXON2_GRIDS)
+def test_dixon2_solver_equals_all_halvings(params, p1_values, branch):
+    p1_list = [float(p1) for p1 in p1_values]
+    p, q = _solve_dixon2_points(params, p1_list, branch)
+    want_p, want_q = solve_dixon2_points_by_halvings(params, p1_list, branch)
+    assert p.tobytes() == want_p.tobytes()
+    assert q.tobytes() == want_q.tobytes()
+
+
+@pytest.mark.parametrize("branch", ["low", "high"])
+@pytest.mark.parametrize(
+    "params, p1_values",
+    [
+        (Dixon2Params(0.2, 0.15, 0.1), [0.5, 1.5, 0.0]),
+        (Dixon2Params(0.2, 0.15, 0.1), [0.5, 0.0, 1.5]),
+        (Dixon2Params(0.2, 0.15, 0.1), [0.5, -1.0]),
+        (Dixon2Params(0.9, 0.9, 0.9), [0.95, 0.2]),
+        (Dixon2Params(0.2, 0.15, 0.1), [0.45, 1e-3]),
+    ],
+)
+def test_dixon2_solver_errors_equal_all_halvings(params, p1_values, branch):
+    with pytest.raises((NoRealSolutionError, DegenerateAxisError)) as want:
+        solve_dixon2_points_by_halvings(params, p1_values, branch)
+    with pytest.raises(want.type) as got:
+        _solve_dixon2_points(params, p1_values, branch)
+    assert str(got.value) == str(want.value)
 
 
 def test_dixon2_errors_name_first_failing_p1():

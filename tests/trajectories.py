@@ -37,6 +37,7 @@ from sphflex.spherical import (
     degenerate_pair_masks,
     essentially_distinct,
     max_edge_residual,
+    row_dots,
 )
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,49 @@ def solve_dixon2_point(params: Dixon2Params, p1: float, branch: str) -> tuple[Ve
         raise DegenerateAxisError("solution touches a coordinate plane")
     q = np.array([params.alpha, params.beta, params.gamma]) / p
     q /= np.linalg.norm(q)
+    return p, q
+
+
+def solve_dixon2_points_by_halvings(
+    params: Dixon2Params, p1_list: Sequence[float], branch: str
+) -> tuple[Vec, Vec]:
+    """``_solve_dixon2_points`` with all 200 halvings and no early exit."""
+    a2, b2, c2 = params.alpha**2, params.beta**2, params.gamma**2
+    low = branch == "low"
+    p1 = np.array(p1_list)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r2 = 1.0 - p1 * p1
+        base = a2 / (p1 * p1) - 1.0
+
+        def residual(u: Vec) -> Vec:
+            return base + b2 / u + c2 / (r2 - u)
+
+        u_star = abs(params.beta) * r2 / (abs(params.beta) + abs(params.gamma))
+        no_root = residual(u_star) > 0.0
+        if low:
+            lo, hi = np.full_like(p1, 1e-300), u_star
+        else:
+            lo, hi = u_star, r2 * (1 - 1e-16)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            up = (residual(mid) > 0.0) == low
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        u = 0.5 * (lo + hi)
+        p = np.stack([p1, np.sqrt(u), np.sqrt(np.maximum(r2 - u, 0.0))], axis=1)
+        q = np.array([params.alpha, params.beta, params.gamma]) / p
+    outside = (np.abs(p1) >= 1.0) | (p1 == 0.0)
+    touches = (p == 0.0).any(axis=1)
+    bad = np.flatnonzero(outside | no_root | touches)
+    if bad.size:
+        k = bad[0]
+        if outside[k]:
+            raise NoRealSolutionError(f"p1={p1_list[k]} outside (0,1)")
+        if no_root[k]:
+            raise NoRealSolutionError(
+                f"no real companion point for p1={p1_list[k]} at these products"
+            )
+        raise DegenerateAxisError("solution touches a coordinate plane")
+    q /= np.sqrt(row_dots(q, q))[:, None]
     return p, q
 
 
