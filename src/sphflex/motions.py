@@ -374,7 +374,7 @@ def _solve_dixon2_points(
     each row equals the one-p1-at-a-time solution bit for bit.  They stop
     early once a halving leaves every bracket unchanged: the brackets are
     then a fixed point that the remaining halvings would not move.  A NaN
-    bracket never compares equal, so rows without a root run all 200.
+    bracket never compares equal, so a stack with a NaN row runs all 200.
     """
     a2, b2, c2 = params.alpha**2, params.beta**2, params.gamma**2
     low = branch == "low"
