@@ -9,13 +9,25 @@ color.  NAP-colorings certify flexibility on the sphere; the weaker
 Alternating walks are allowed to close up (first and last vertex equal):
 a triangle colored red-blue-red contains one.  This is what makes the walk
 formulation agree with the local mono-endpoint criterion.
+
+``enumerate_nap`` lists the NAP-colorings pole set by pole set, with work
+that follows its output rather than the number of independent sets.  The
+pole-set search carries the components of G - P down and re-splits only
+the new pole's component (the incremental split), and drops a pole set
+with everything grown from it once its newest pole can never touch two
+components, because its neighbours lie in one component of the vertices
+that can no longer become poles (the separation bound).  The colorings of
+each pole set come from an iterative backtrack over its components.  The
+tests keep two oracles for it: the plain search that splits every
+independent set afresh, and the scan of all 2^|E| colorings.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, NotNapError
 from .graphs import Edge, Graph, normalized_edge
@@ -24,6 +36,8 @@ RED = "red"
 BLUE = "blue"
 
 MAX_ENUM_EDGES = 25
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -181,16 +195,6 @@ def _check_edge_budget(g: Graph) -> None:
         )
 
 
-def _union(masks: list[int], members: int) -> int:
-    """OR of ``masks[i]`` over the set bits ``i`` of ``members``."""
-    out = 0
-    while members:
-        low = members & -members
-        members ^= low
-        out |= masks[low.bit_length() - 1]
-    return out
-
-
 def _adjacency(g: Graph) -> tuple[list[int], list[int]]:
     """Neighbour bitset and incident-edge mask of each vertex, by index in
     ``g.vertices``."""
@@ -207,79 +211,151 @@ def _adjacency(g: Graph) -> tuple[list[int], list[int]]:
     return nbrs, incident
 
 
-def _pole_sets(g: Graph) -> Iterator[tuple[list[int], list[int]]]:
-    """Candidate pole sets P with the components of G - P.
+def _pole_sets(g: Graph) -> tuple[list[tuple[list[int], list[list[int]]]], int]:
+    """Admissible pole sets P, each as the components of G - P, and the
+    number of pole sets split.
 
     P ranges over the non-empty independent sets of vertices of degree at
-    least two.  For each P this yields the edge masks of the components of
-    G - P, in descending order, and for each pole the bitset of the
-    (indices of the) components it touches.  Every edge has an endpoint
+    least two, grown depth first in vertex order.  A set is admissible
+    when every pole touches at least two components of G - P.  For each
+    such set this lists the edge masks of the components in descending
+    order and, for each component, the incident-edge masks of the poles
+    whose last touched component it is.  Every edge has an endpoint
     outside P, so the component masks are disjoint and cover all edges,
-    and the first component holds the last edge.  Sets where some pole
-    touches fewer than two components are skipped: that pole could not see
-    both colors.
+    and the first component holds the last edge.
+
+    Components only get finer as P grows, so the search passes the
+    components of G - P down: adding pole v re-splits only v's own
+    component, each of whose pieces holds a neighbour of v, and the other
+    components carry over.  A pole that touches two components keeps
+    doing so.  When v leaves its component in one piece, the separation
+    bound decides whether it ever can: every extension keeps the vertices
+    outside P that can no longer become poles (the non-candidates, the
+    candidates passed over and the neighbours of poles), and if v's
+    neighbours lie in one component of the graph these induce, v touches
+    one component of G - P' for every extension P', so the subtree is
+    dropped unvisited.  The count is of the pole sets whose components
+    were split, admissible or not.
     """
     nbrs, incident = _adjacency(g)
-    n = len(nbrs)
-    candidates = [i for i in range(n) if nbrs[i].bit_count() >= 2]
-    everyone = (1 << n) - 1
+    candidates = [i for i in range(len(nbrs)) if nbrs[i].bit_count() >= 2]
+    # later[j]: bitset of the candidates after the j-th
+    later = [0] * (len(candidates) + 1)
+    for j in range(len(candidates) - 1, -1, -1):
+        later[j] = later[j + 1] | 1 << candidates[j]
+    admissible: list[tuple[list[int], list[list[int]]]] = []
+    split = 0
 
-    def split(poles: int) -> Optional[tuple[list[int], list[int]]]:
-        rest = everyone & ~poles
-        comps = []  # (edge mask, vertex bitset)
-        while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                frontier = _union(nbrs, frontier) & rest & ~comp
-                comp |= frontier
-            rest &= ~comp
-            comps.append((_union(incident, comp), comp))
-        comps.sort(reverse=True)
-        touched = []
-        for p in range(n):
-            if poles >> p & 1:
-                t = sum(1 << k for k, (_, verts) in enumerate(comps) if nbrs[p] & verts)
-                if t.bit_count() < 2:
-                    return None
-                touched.append(t)
-        return [edges for edges, _ in comps], touched
+    def component(start: int, within: int) -> tuple[int, int, int]:
+        """Edge mask, vertex bitset and neighbourhood of the component of
+        G[within] holding the vertex bit ``start``."""
+        edges, verts, reach, frontier = 0, start, 0, start
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            u = low.bit_length() - 1
+            edges |= incident[u]
+            reach |= nbrs[u]
+            new = reach & within & ~verts
+            verts |= new
+            frontier |= new
+        return edges, verts, reach
 
-    def independent_sets(start: int, poles: int, blocked: int) -> Iterator[int]:
-        for k in range(start, len(candidates)):
-            v = candidates[k]
-            if not blocked >> v & 1:
-                grown = poles | 1 << v
-                yield grown
-                yield from independent_sets(k + 1, grown, blocked | nbrs[v])
+    def grow(start: int, poles: int, blocked: int, comps: list, pending: int) -> None:
+        # comps: (edge mask, vertex bitset, neighbourhood) of the components
+        # of G - poles, descending; pending: the poles touching only one
+        nonlocal split
+        for j in range(start, len(candidates)):
+            v = candidates[j]
+            bit = 1 << v
+            if blocked & bit:
+                continue
+            for i, (_, verts, _) in enumerate(comps):
+                if verts & bit:
+                    break
+            inside = verts ^ bit
+            near = nbrs[v]
+            pieces = []
+            left = near
+            while left:
+                piece = component(left & -left, inside)
+                pieces.append(piece)
+                left &= ~piece[1]
+            fenced = blocked | near
+            if len(pieces) == 1:
+                rest = inside & ~(later[j + 1] & ~fenced)
+                if not near & ~component(near & -near, rest)[1]:
+                    continue
+                still = pending | bit
+            else:
+                # a pole that touched only v's old component may touch
+                # two of its pieces now
+                still = pending
+                waiting = pending & comps[i][2]
+                while waiting:
+                    low = waiting & -waiting
+                    waiting ^= low
+                    if sum(1 for piece in pieces if piece[2] & low) >= 2:
+                        still ^= low
+            split += 1
+            parts = comps[:i] + comps[i + 1 :] + pieces
+            parts.sort(reverse=True)
+            grown = poles | bit
+            if not still:
+                # each pole closes at the last component it touches
+                closing = []
+                seen = 0
+                for _, _, reach in reversed(parts):
+                    last = reach & grown & ~seen
+                    seen |= last
+                    edges = []
+                    while last:
+                        low = last & -last
+                        last ^= low
+                        edges.append(incident[low.bit_length() - 1])
+                    closing.append(edges)
+                closing.reverse()
+                admissible.append(([edges for edges, _, _ in parts], closing))
+            grow(j + 1, grown, fenced, parts, still)
 
-    for poles in independent_sets(0, 0, 0):
-        parts = split(poles)
-        if parts is not None:
-            yield parts
+    # the graph is connected: one component, every edge, every vertex
+    everyone = (1 << len(nbrs)) - 1
+    grow(0, 0, 0, [((1 << len(g.edges)) - 1, everyone, everyone)], 0)
+    return admissible, split
 
 
-def _component_colorings(comp_masks: list[int], touched: list[int]) -> Iterator[int]:
-    """Red-edge masks of the component 2-colorings where every pole sees
-    both colors and component 0 is blue.
+def _component_colorings(comp_masks: list[int], closing: list[list[int]], out: list[int]) -> None:
+    """Append the red-edge masks of the component 2-colorings where every
+    pole sees both colors and component 0 is blue.
 
     The color swaps of these are the remaining such colorings.  Components
-    are colored one at a time, and a pole is checked as soon as its last
-    component is colored.
+    1, 2, ... are colored blue, then red, by an iterative backtrack, and a
+    pole is checked on its incident edges as soon as its last component
+    is colored.
     """
     k = len(comp_masks)
-    closing: list[list[int]] = [[] for _ in range(k)]
-    for t in touched:
-        closing[t.bit_length() - 1].append(t)
-
-    def search(i: int, red: int, mask: int) -> Iterator[int]:
-        if i == k:
-            yield mask
-            return
-        for grown, grown_mask in ((red, mask), (red | 1 << i, mask | comp_masks[i])):
-            if all(0 != t & grown != t for t in closing[i]):
-                yield from search(i + 1, grown, grown_mask)
-
-    return search(1, 0, 0)
+    # at depth i: the red edges of components 0..i-1, and the colors of
+    # component i tried so far
+    masks = [0] * k
+    tried = [0] * k
+    i = 1
+    while i:
+        color = tried[i]
+        if color == 2:
+            i -= 1
+            continue
+        tried[i] = color + 1
+        mask = masks[i] | comp_masks[i] if color else masks[i]
+        for edges in closing[i]:
+            seen = edges & mask
+            if seen == 0 or seen == edges:
+                break
+        else:
+            if i + 1 == k:
+                out.append(mask)
+            else:
+                i += 1
+                masks[i], tried[i] = mask, 0
 
 
 def enumerate_nap(g: Graph, modulo_swap: bool = True) -> ColoringSet:
@@ -293,18 +369,26 @@ def enumerate_nap(g: Graph, modulo_swap: bool = True) -> ColoringSet:
     ``modulo_swap`` the representative with the smaller bitmask of each
     swap pair is kept: the one with the last edge blue, so only those are
     searched for.  Graphs beyond ``MAX_ENUM_EDGES`` edges are still
-    rejected rather than sampled, as the output can be exponential.
+    rejected rather than sampled, as the output can be exponential.  Each
+    call logs one debug record on the ``sphflex.coloring`` logger with the
+    pole sets split and the colorings returned (``extra`` fields
+    ``pole_sets`` and ``colorings``).
     """
     _check_edge_budget(g)
     full = (1 << len(g.edges)) - 1
-    masks = [
-        mask
-        for comp_masks, touched in _pole_sets(g)
-        for mask in _component_colorings(comp_masks, touched)
-    ]
+    admissible, split = _pole_sets(g)
+    masks: list[int] = []
+    for comp_masks, closing in admissible:
+        _component_colorings(comp_masks, closing, masks)
     if not modulo_swap:
         masks += [mask ^ full for mask in masks]
     masks.sort()
+    _log.debug(
+        "enumerate_nap split %d pole sets and found %d colorings",
+        split,
+        len(masks),
+        extra={"pole_sets": split, "colorings": len(masks)},
+    )
     return ColoringSet(tuple(EdgeColoring(g, mask) for mask in masks), modulo_swap)
 
 

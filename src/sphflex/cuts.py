@@ -13,6 +13,14 @@ of the three opposite-parity vertices in increasing order.  Swapping all
 P's and Q's gives the conjugate cut; intersection multiplicities are equal
 on conjugate pairs, so the 48 normal cuts collapse to 24 unknowns.
 
+``enumerate_valid_cuts`` backtracks over how many of each vertex's two
+labels lie on the I side and reaches each class of equivalent cuts
+(complement, and with ``modulo_symmetry`` the P/Q conjugate) once, at the
+class's smallest label mask, from which it builds the cut directly.  The
+tests keep two oracles for it: the search that expands every count vector
+into every mask and keeps the smallest of each class, and the scan of all
+2^(2|V|) label bipartitions.
+
 The module also ships the intersection-multiplicity table for the five
 quadrilateral motion types, the degree-table and type-table machinery with
 its group action, and a bounded integer-feasibility solver for the linear
@@ -150,67 +158,115 @@ def enumerate_valid_cuts(g: Graph, modulo_symmetry: bool = True) -> list[Cut]:
     P/Q swap is also quotiented out.  Bond validity and the induced
     coloring depend only on how many of each vertex's two labels lie on
     the I side, so the search backtracks over these per-vertex counts in
-    {0, 1, 2}, rejecting an edge as soon as its counts sum to 2, and keeps
-    count vectors whose edge sums reach both >= 3 (red) and <= 1 (blue).
-    Each survivor expands into label bitmasks (bit 2k for P, 2k + 1 for Q
-    of the k-th vertex) by choosing P or Q wherever the count is 1.  A
-    class of equivalent cuts is represented by its smallest mask, and the
-    classes are listed by that mask in ascending order.  Graphs beyond 8
-    vertices are still rejected.
+    {0, 1, 2}, last vertex first, rejecting an edge as soon as its counts
+    sum to 2, and keeps count vectors whose edge sums reach both >= 3
+    (red) and <= 1 (blue).  Each survivor expands into label bitmasks (bit
+    2k for P, 2k + 1 for Q of the k-th vertex) by choosing P or Q wherever
+    the count is 1.  A class of equivalent cuts is represented by its
+    smallest mask, and the classes are listed by that mask in ascending
+    order.
+
+    The search reaches each class once, at that mask.  The last vertex
+    holds the top bits, and a mask and its complement have count vectors
+    c and 2 - c, so the smaller of the two has count 0 there, or count 1
+    with P: the last vertex never gets count 2, and a 1 there is P.
+    Modulo symmetry, the P/Q conjugate shares c but swaps the letter of
+    every count-1 vertex, and the conjugate of the complement has 2 - c
+    with the same letters; so the smallest of the four has P at its last
+    count-1 vertex and count 0 at its last vertex of count 0 or 2.  Each
+    cut is built from its mask and the one label tuple.  Each call
+    logs one debug record on the ``sphflex.cuts`` logger with the count
+    assignments visited and the cuts found (``extra`` fields ``nodes``
+    and ``cuts``).  Graphs beyond 8 vertices are still rejected.
     """
     if g.num_vertices > 8:
         raise BudgetExceededError("cut enumeration is exhaustive; at most 8 vertices")
     labels = marked_labels(g)
     n = g.num_vertices
-    full = (1 << 2 * n) - 1
-    p_bits = full // 3  # 0b0101...: the P label of every vertex
     index = {v: k for k, v in enumerate(g.vertices)}
-    earlier: list[list[int]] = [[] for _ in range(n)]
+    # above[k]: neighbours of the k-th vertex that come later in vertex
+    # order, whose counts are set first
+    above: list[list[int]] = [[] for _ in range(n)]
     for a, b in g.edges:
-        earlier[max(index[a], index[b])].append(min(index[a], index[b]))
-    keys: set[int] = set()
+        above[min(index[a], index[b])].append(max(index[a], index[b]))
+    counts = [0] * n
+    keys: list[int] = []
+    nodes = 0
 
-    def expand(counts: list[int]) -> None:
-        base = 0
-        singles = []
-        for k, c in enumerate(counts):
-            if c == 2:
-                base |= 0b11 << 2 * k
-            elif c == 1:
-                singles.append(k)
-        for choice in itertools.product((0, 1), repeat=len(singles)):
-            mask = base
-            for k, q in zip(singles, choice):
-                mask |= 1 << (2 * k + q)
-            key = min(mask, mask ^ full)
-            if modulo_symmetry:
-                conj = (mask & p_bits) << 1 | (mask >> 1) & p_bits
-                key = min(key, conj, conj ^ full)
-            keys.add(key)
+    def expand(base: int, singles: int) -> None:
+        # singles: the P bits of the count-1 vertices, each free to turn
+        # into Q except the last one, which the smallest mask of the class
+        # keeps at P (modulo symmetry always, else when it is the last
+        # vertex)
+        if modulo_symmetry or counts[n - 1] == 1:
+            fixed = 1 << singles.bit_length() - 1 if singles else 0
+        else:
+            fixed = 0
+        free = singles ^ fixed
+        base |= fixed
+        sub = free
+        while True:
+            keys.append(base | free ^ sub | sub << 1)
+            if not sub:
+                return
+            sub = (sub - 1) & free
 
-    def search(k: int, counts: list[int], total: int, red: bool, blue: bool) -> None:
-        if k == n:
+    def search(
+        k: int, total: int, red: bool, blue: bool, base: int, singles: int, open_: bool
+    ) -> None:
+        # base, singles: the bits of the count-2 vertices and the P bits of
+        # the count-1 vertices after the k-th.  open_: every vertex after
+        # the k-th has count 1 (modulo symmetry; else none is set yet), so
+        # count 2 here would leave the class's smallest mask to 2 - c
+        nonlocal nodes
+        if k < 0:
             if red and blue and 2 <= total <= 2 * n - 2:
-                expand(counts)
+                expand(base, singles)
             return
-        for c in (0, 1, 2):
-            sums = [c + counts[j] for j in earlier[k]]
-            if 2 not in sums:
-                counts.append(c)
+        for c in (0, 1) if open_ else (0, 1, 2):
+            r, b = red, blue
+            for j in above[k]:
+                s = c + counts[j]
+                if s == 2:
+                    break
+                if s > 2:
+                    r = True
+                else:
+                    b = True
+            else:
+                nodes += 1
+                counts[k] = c
                 search(
-                    k + 1,
-                    counts,
+                    k - 1,
                     total + c,
-                    red or any(x >= 3 for x in sums),
-                    blue or any(x <= 1 for x in sums),
+                    r,
+                    b,
+                    base | 3 << 2 * k if c == 2 else base,
+                    singles | 1 << 2 * k if c == 1 else singles,
+                    c == 1 and modulo_symmetry and open_,
                 )
-                counts.pop()
 
-    search(0, [], 0, False, False)
-    return [
-        cut_for(g, (labels[i] for i in range(2 * n) if key >> i & 1))
-        for key in sorted(keys)
-    ]
+    search(n - 1, 0, False, False, 0, 0, True)
+    keys.sort()
+    # binary digits to 0/1 bytes selecting the I side, or the J side
+    on_i = bytes.maketrans(b"01", b"\x00\x01")
+    on_j = bytes.maketrans(b"01", b"\x01\x00")
+    cuts = []
+    for key in keys:
+        bits = format(key, f"0{2 * n}b")[::-1].encode()  # byte i: bit i of key
+        cuts.append(
+            Cut(
+                frozenset(itertools.compress(labels, bits.translate(on_i))),
+                frozenset(itertools.compress(labels, bits.translate(on_j))),
+            )
+        )
+    _log.debug(
+        "enumerate_valid_cuts visited %d nodes and found %d cuts",
+        nodes,
+        len(cuts),
+        extra={"nodes": nodes, "cuts": len(cuts)},
+    )
+    return cuts
 
 
 # ---------------------------------------------------------------------------

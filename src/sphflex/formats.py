@@ -93,29 +93,58 @@ def _json_list(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
+_EDGE_BLOCK = 6
+_BLOCK_BITS = (1 << _EDGE_BLOCK) - 1
+
+
 def dump_coloring_set(cs: ColoringSet) -> str:
-    """``dumps(coloring_set_to_dict(cs))``, assembled from one text fragment
-    per edge and colour instead of through the JSON encoder."""
+    """``dumps(coloring_set_to_dict(cs))``, assembled from text fragments
+    instead of through the JSON encoder.
+
+    Each block of ``_EDGE_BLOCK`` consecutive edges has one text per
+    coloring of its edges, joined from the edges' triples the first time
+    a coloring uses it, so a coloring's item joins one text per block.
+    """
     items = []
     graph = None
     for c in cs:
         if c.graph is not graph:
             graph = c.graph
             # fragments[i][bit]: edge i's triple, blue for bit 0, red for 1
+            label = {v: json.dumps(v) for v in graph.vertices}
+            colors = (json.dumps(BLUE), json.dumps(RED))
             fragments = [
                 tuple(
-                    "      "
-                    + _json_list([f"        {json.dumps(x)}" for x in (a, b, col)], "      ")
-                    for col in (BLUE, RED)
+                    f"      [\n        {label[a]},\n        {label[b]},\n        {col}\n      ]"
+                    for col in colors
                 )
                 for a, b in graph.edges
             ]
-        triples = [pair[c.mask >> i & 1] for i, pair in enumerate(fragments)]
-        items.append("    " + _json_list(triples, "    "))
-    return (
-        f'{{\n  "colorings": {_json_list(items, "  ")},\n'
+            # (first edge, its fragments, texts by the block's bits)
+            blocks = [
+                (start, fragments[start : start + _EDGE_BLOCK], {})
+                for start in range(0, len(fragments), _EDGE_BLOCK)
+            ]
+        parts = []
+        for start, pairs, texts in blocks:
+            bits = c.mask >> start & _BLOCK_BITS
+            text = texts.get(bits)
+            if text is None:
+                text = texts[bits] = ",\n".join(
+                    [pair[bits >> i & 1] for i, pair in enumerate(pairs)]
+                )
+            parts.append(text)
+        items.append(",\n".join(parts))
+    tail = (
         f'  "count": {json.dumps(len(cs))},\n'
         f'  "modulo_swap": {json.dumps(cs.modulo_swap)}\n}}\n'
+    )
+    if not items:
+        return f'{{\n  "colorings": [],\n{tail}'
+    # the items joined once, straight into the result: each further copy
+    # of a long text costs a fresh allocation
+    return "".join(
+        ['{\n  "colorings": [\n    [\n', "\n    ],\n    [\n".join(items), f"\n    ]\n  ],\n{tail}"]
     )
 
 

@@ -374,7 +374,8 @@ def _solve_dixon2_points(
     each row equals the one-p1-at-a-time solution bit for bit.  They stop
     early once a halving leaves every bracket unchanged: the brackets are
     then a fixed point that the remaining halvings would not move.  A NaN
-    bracket never compares equal, so a stack with a NaN row runs all 200.
+    bracket never compares equal, so a stack with a NaN row runs all 200;
+    such a row is then rejected like any p1 outside (0, 1).
     """
     a2, b2, c2 = params.alpha**2, params.beta**2, params.gamma**2
     low = branch == "low"
@@ -404,7 +405,7 @@ def _solve_dixon2_points(
         u = 0.5 * (lo + hi)
         p = np.stack([p1, np.sqrt(u), np.sqrt(np.maximum(r2 - u, 0.0))], axis=1)
         q = np.array([params.alpha, params.beta, params.gamma]) / p
-    outside = (np.abs(p1) >= 1.0) | (p1 == 0.0)
+    outside = ~(np.abs(p1) < 1.0) | (p1 == 0.0)  # NaN is outside too
     touches = (p == 0.0).any(axis=1)
     bad = np.flatnonzero(outside | no_root | touches)
     if bad.size:

@@ -1,11 +1,17 @@
-"""The structural enumerators against the exhaustive scans they replaced.
+"""The structural enumerators against the exhaustive scans they replaced,
+and against the plain structural searches they grew from.
 
 ``enumerate_nap`` enumerates pole sets, ``flexibility_certificate`` runs a
 branch and bound over connected vertex sets and ``enumerate_valid_cuts``
 backtracks over per-vertex label counts; they must return exactly what the
 2^|E| and 2^(2|V|) scans in ``enumeration.py`` return, order included, and
-the smallest scanned mask as the certificate.
+the smallest scanned mask as the certificate.  The two enumerators must
+also return list for list what their slow paths in ``enumeration.py``
+return: every independent pole set split afresh, and every count vector
+expanded into every label mask.
 """
+
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +26,7 @@ from sphflex.coloring import (
 from sphflex.cuts import enumerate_valid_cuts
 from sphflex.errors import BudgetExceededError
 from sphflex.graphs import (
+    build_graph,
     complete,
     complete_bipartite,
     cycle_graph,
@@ -28,8 +35,10 @@ from sphflex.graphs import (
 
 from enumeration import (
     connected_graphs,
+    nap_masks_by_pole_sets,
     nap_masks_by_scan,
     relabeled_graphs,
+    valid_cuts_by_counts,
     valid_cuts_by_scan,
 )
 
@@ -88,10 +97,76 @@ def test_nap_and_cuts_match_scan_on_named_graphs(name):
 
 
 # ---------------------------------------------------------------------------
+# the output-sensitive enumerators against their slow paths
+# ---------------------------------------------------------------------------
+
+
+def path_graph(edges: int):
+    return build_graph(range(edges + 1), [(i, i + 1) for i in range(edges)])
+
+
+ORACLE_GRAPHS = {
+    **{f"corpus-{name}": builder for name, builder in CORPUS.items()},
+    **{
+        f"K(2,{n})": (lambda n=n: complete_bipartite(range(1, 3), range(3, n + 3)))
+        for n in range(1, 11)
+    },
+    **{f"C{n}": (lambda n=n: cycle_graph(n)) for n in range(3, 17)},
+    **{f"P{m}": (lambda m=m: path_graph(m)) for m in range(1, 17)},
+}
+
+
+def assert_enumerators_match_slow_paths(g):
+    for modulo_swap in (False, True):
+        fast = [c.mask for c in enumerate_nap(g, modulo_swap=modulo_swap)]
+        assert fast == nap_masks_by_pole_sets(g, modulo_swap=modulo_swap), (g, modulo_swap)
+    if g.num_vertices > MAX_CUT_VERTICES:
+        return
+    for modulo_symmetry in (False, True):
+        fast = enumerate_valid_cuts(g, modulo_symmetry=modulo_symmetry)
+        assert fast == valid_cuts_by_counts(g, modulo_symmetry), (g, modulo_symmetry)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_enumerators_match_slow_paths_on_named_graphs(name):
+    assert_enumerators_match_slow_paths(ORACLE_GRAPHS[name]())
+
+
+def test_enumerators_log_their_work_at_debug_only(caplog, capsys):
+    with caplog.at_level(logging.DEBUG, logger="sphflex"):
+        sizes = [len(enumerate_nap(complete_bipartite(range(1, 3), range(3, n + 3)), False))
+                 for n in range(1, 11)]
+        cut_counts = [len(enumerate_valid_cuts(g)) for g in (cycle_graph(8), three_prism())]
+    records = [r for r in caplog.records if r.name.startswith("sphflex")]
+    assert all(r.levelno == logging.DEBUG for r in records)
+    nap = [r for r in records if r.name == "sphflex.coloring"]
+    cut = [r for r in records if r.name == "sphflex.cuts"]
+    assert len(nap) + len(cut) == len(records)
+    assert [r.colorings for r in nap] == sizes == [2**n for n in range(1, 11)]
+    # the separation bound keeps K(2,n) to a handful of pole sets; without
+    # it all 2^n + 2 independent sets are split
+    for n, r in enumerate(nap, start=1):
+        assert 1 <= r.pole_sets <= n * n + 4, (n, r.pole_sets)
+    assert [r.cuts for r in cut] == cut_counts == [344, 0]
+    assert all(r.nodes > 0 for r in cut)
+    standard = set(logging.makeLogRecord({}).__dict__) | {"message", "asctime"}
+    assert all(set(r.__dict__) - standard == {"pole_sets", "colorings"} for r in nap)
+    assert all(set(r.__dict__) - standard == {"nodes", "cuts"} for r in cut)
+    assert capsys.readouterr() == ("", "")
+
+
+# ---------------------------------------------------------------------------
 # property tests on random connected graphs
 # ---------------------------------------------------------------------------
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+@PROPERTY
+@given(relabeled_graphs())
+def test_enumerators_match_slow_paths_on_random_graphs(pair):
+    for g in pair:
+        assert_enumerators_match_slow_paths(g)
 
 
 @PROPERTY

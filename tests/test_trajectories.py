@@ -511,8 +511,6 @@ DIXON2_GRIDS = [
     (Dixon2Params(1e-6, 0.15, 0.1), np.geomspace(2e-6, 1e-2, 25)),
     # p1 near 1, where the interval (0, 1 - p1^2) is tiny
     (Dixon2Params(0.5, 1e-5, 2e-5), 1.0 - np.geomspace(1e-6, 1e-2, 25)),
-    # a NaN row never settles, so the halvings run to the bound
-    (Dixon2Params(0.2, 0.15, 0.1), [0.45, float("nan"), 0.5]),
 ]
 
 
@@ -535,6 +533,8 @@ def test_dixon2_solver_equals_all_halvings(params, p1_values, branch):
         (Dixon2Params(0.2, 0.15, 0.1), [0.5, -1.0]),
         (Dixon2Params(0.9, 0.9, 0.9), [0.95, 0.2]),
         (Dixon2Params(0.2, 0.15, 0.1), [0.45, 1e-3]),
+        # a NaN row never settles, so the halvings run to the bound
+        (Dixon2Params(0.2, 0.15, 0.1), [0.45, float("nan"), 0.5]),
     ],
 )
 def test_dixon2_solver_errors_equal_all_halvings(params, p1_values, branch):
@@ -555,6 +555,25 @@ def test_dixon2_errors_name_first_failing_p1():
         dixon2_motion(Dixon2Params(0.9, 0.9, 0.9), [0.95, 0.2])
     with pytest.raises(DegenerateTrajectoryError, match="no parameter values supplied"):
         dixon2_motion(params, [])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_dixon2_rejects_non_finite_p1(bad):
+    params = Dixon2Params(0.2, 0.15, 0.1)
+    with pytest.raises(NoRealSolutionError, match=rf"^p1={bad} outside \(0,1\)$"):
+        dixon2_motion(params, [0.45, bad, 0.5])
+    for branch in ("low", "high"):
+        with pytest.raises(NoRealSolutionError, match=rf"^p1={bad} outside \(0,1\)$"):
+            _solve_dixon2_points(params, [bad], branch)
+
+
+def test_cli_dixon2_rejects_nan_p1():
+    for flag in ("--p1-min", "--p1-max"):
+        argv = ["k33", "--kind", "dixon2", "--format", "structured", flag, "nan"]
+        rc, out, err = cli_output(argv)
+        assert rc == 1 and out == ""
+        assert "error: p1=nan outside (0,1)" in err
+        assert "off the sphere" not in err
 
 
 # ---------------------------------------------------------------------------

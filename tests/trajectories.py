@@ -95,7 +95,7 @@ def solve_dixon2_point(params: Dixon2Params, p1: float, branch: str) -> tuple[Ve
     """Find p = (p1, p2, p3) and q = (a/p1, b/p2, c/p3), both unit, one p1
     at a time with scalar bisection."""
     a2, b2, c2 = params.alpha**2, params.beta**2, params.gamma**2
-    if abs(p1) >= 1.0 or p1 == 0.0:
+    if not abs(p1) < 1.0 or p1 == 0.0:
         raise NoRealSolutionError(f"p1={p1} outside (0,1)")
     r2 = 1.0 - p1 * p1
     base = a2 / (p1 * p1) - 1.0
@@ -149,7 +149,7 @@ def solve_dixon2_points_by_halvings(
         u = 0.5 * (lo + hi)
         p = np.stack([p1, np.sqrt(u), np.sqrt(np.maximum(r2 - u, 0.0))], axis=1)
         q = np.array([params.alpha, params.beta, params.gamma]) / p
-    outside = (np.abs(p1) >= 1.0) | (p1 == 0.0)
+    outside = ~(np.abs(p1) < 1.0) | (p1 == 0.0)
     touches = (p == 0.0).any(axis=1)
     bad = np.flatnonzero(outside | no_root | touches)
     if bad.size:
