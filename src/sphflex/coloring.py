@@ -27,7 +27,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import BudgetExceededError, NotNapError
 from .graphs import Edge, Graph, normalized_edge
@@ -211,18 +211,19 @@ def _adjacency(g: Graph) -> tuple[list[int], list[int]]:
     return nbrs, incident
 
 
-def _pole_sets(g: Graph) -> tuple[list[tuple[list[int], list[list[int]]]], int]:
-    """Admissible pole sets P, each as the components of G - P, and the
-    number of pole sets split.
+def _pole_sets(g: Graph, visit: Callable[[list[int], list[list[int]]], None]) -> int:
+    """Call ``visit`` on each admissible pole set P, as the components of
+    G - P, and return the number of pole sets split.
 
     P ranges over the non-empty independent sets of vertices of degree at
     least two, grown depth first in vertex order.  A set is admissible
     when every pole touches at least two components of G - P.  For each
-    such set this lists the edge masks of the components in descending
+    such set ``visit`` gets the edge masks of the components in descending
     order and, for each component, the incident-edge masks of the poles
-    whose last touched component it is.  Every edge has an endpoint
-    outside P, so the component masks are disjoint and cover all edges,
-    and the first component holds the last edge.
+    whose last touched component it is.  It gets them as soon as the set
+    is found, so only the sets on the search path are held.  Every edge
+    has an endpoint outside P, so the component masks are disjoint and
+    cover all edges, and the first component holds the last edge.
 
     Components only get finer as P grows, so the search passes the
     components of G - P down: adding pole v re-splits only v's own
@@ -243,7 +244,6 @@ def _pole_sets(g: Graph) -> tuple[list[tuple[list[int], list[list[int]]]], int]:
     later = [0] * (len(candidates) + 1)
     for j in range(len(candidates) - 1, -1, -1):
         later[j] = later[j + 1] | 1 << candidates[j]
-    admissible: list[tuple[list[int], list[list[int]]]] = []
     split = 0
 
     def component(start: int, within: int) -> tuple[int, int, int]:
@@ -315,13 +315,13 @@ def _pole_sets(g: Graph) -> tuple[list[tuple[list[int], list[list[int]]]], int]:
                         edges.append(incident[low.bit_length() - 1])
                     closing.append(edges)
                 closing.reverse()
-                admissible.append(([edges for edges, _, _ in parts], closing))
+                visit([edges for edges, _, _ in parts], closing)
             grow(j + 1, grown, fenced, parts, still)
 
     # the graph is connected: one component, every edge, every vertex
     everyone = (1 << len(nbrs)) - 1
     grow(0, 0, 0, [((1 << len(g.edges)) - 1, everyone, everyone)], 0)
-    return admissible, split
+    return split
 
 
 def _component_colorings(comp_masks: list[int], closing: list[list[int]], out: list[int]) -> None:
@@ -376,10 +376,8 @@ def enumerate_nap(g: Graph, modulo_swap: bool = True) -> ColoringSet:
     """
     _check_edge_budget(g)
     full = (1 << len(g.edges)) - 1
-    admissible, split = _pole_sets(g)
     masks: list[int] = []
-    for comp_masks, closing in admissible:
-        _component_colorings(comp_masks, closing, masks)
+    split = _pole_sets(g, lambda comps, closing: _component_colorings(comps, closing, masks))
     if not modulo_swap:
         masks += [mask ^ full for mask in masks]
     masks.sort()

@@ -160,11 +160,12 @@ def enumerate_valid_cuts(g: Graph, modulo_symmetry: bool = True) -> list[Cut]:
     the I side, so the search backtracks over these per-vertex counts in
     {0, 1, 2}, last vertex first, rejecting an edge as soon as its counts
     sum to 2, and keeps count vectors whose edge sums reach both >= 3
-    (red) and <= 1 (blue).  Each survivor expands into label bitmasks (bit
-    2k for P, 2k + 1 for Q of the k-th vertex) by choosing P or Q wherever
-    the count is 1.  A class of equivalent cuts is represented by its
-    smallest mask, and the classes are listed by that mask in ascending
-    order.
+    (red) and <= 1 (blue); such a vector puts at least three labels on
+    the I side and at most 2|V| - 3, so both sides hold two.  Each
+    survivor expands into label bitmasks (bit 2k for P, 2k + 1 for Q of
+    the k-th vertex) by choosing P or Q wherever the count is 1.  A class
+    of equivalent cuts is represented by its smallest mask, and the
+    classes are listed by that mask in ascending order.
 
     The search reaches each class once, at that mask.  The last vertex
     holds the top bits, and a mask and its complement have count vectors
@@ -212,7 +213,7 @@ def enumerate_valid_cuts(g: Graph, modulo_symmetry: bool = True) -> list[Cut]:
             sub = (sub - 1) & free
 
     def search(
-        k: int, total: int, red: bool, blue: bool, base: int, singles: int, open_: bool
+        k: int, red: bool, blue: bool, base: int, singles: int, open_: bool
     ) -> None:
         # base, singles: the bits of the count-2 vertices and the P bits of
         # the count-1 vertices after the k-th.  open_: every vertex after
@@ -220,7 +221,7 @@ def enumerate_valid_cuts(g: Graph, modulo_symmetry: bool = True) -> list[Cut]:
         # count 2 here would leave the class's smallest mask to 2 - c
         nonlocal nodes
         if k < 0:
-            if red and blue and 2 <= total <= 2 * n - 2:
+            if red and blue:
                 expand(base, singles)
             return
         for c in (0, 1) if open_ else (0, 1, 2):
@@ -238,7 +239,6 @@ def enumerate_valid_cuts(g: Graph, modulo_symmetry: bool = True) -> list[Cut]:
                 counts[k] = c
                 search(
                     k - 1,
-                    total + c,
                     r,
                     b,
                     base | 3 << 2 * k if c == 2 else base,
@@ -246,7 +246,7 @@ def enumerate_valid_cuts(g: Graph, modulo_symmetry: bool = True) -> list[Cut]:
                     c == 1 and modulo_symmetry and open_,
                 )
 
-    search(n - 1, 0, False, False, 0, 0, True)
+    search(n - 1, False, False, 0, 0, True)
     keys.sort()
     # binary digits to 0/1 bytes selecting the I side, or the J side
     on_i = bytes.maketrans(b"01", b"\x00\x01")

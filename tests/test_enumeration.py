@@ -147,6 +147,8 @@ def test_enumerators_log_their_work_at_debug_only(caplog, capsys):
     # it all 2^n + 2 independent sets are split
     for n, r in enumerate(nap, start=1):
         assert 1 <= r.pole_sets <= n * n + 4, (n, r.pole_sets)
+    # exactly: {a1}, {a1, a2} and the chain {b1}, {b1, b2}, ..., {b1..bn}
+    assert [r.pole_sets for r in nap[1:]] == [n + 2 for n in range(2, 11)]
     assert [r.cuts for r in cut] == cut_counts == [344, 0]
     assert all(r.nodes > 0 for r in cut)
     standard = set(logging.makeLogRecord({}).__dict__) | {"message", "asctime"}
