@@ -26,10 +26,10 @@ from sphflex.coloring import (
 from sphflex.cuts import enumerate_valid_cuts
 from sphflex.errors import BudgetExceededError
 from sphflex.graphs import (
-    build_graph,
     complete,
     complete_bipartite,
     cycle_graph,
+    path_graph,
     three_prism,
 )
 
@@ -101,10 +101,6 @@ def test_nap_and_cuts_match_scan_on_named_graphs(name):
 # ---------------------------------------------------------------------------
 
 
-def path_graph(edges: int):
-    return build_graph(range(edges + 1), [(i, i + 1) for i in range(edges)])
-
-
 ORACLE_GRAPHS = {
     **{f"corpus-{name}": builder for name, builder in CORPUS.items()},
     **{
@@ -112,7 +108,7 @@ ORACLE_GRAPHS = {
         for n in range(1, 11)
     },
     **{f"C{n}": (lambda n=n: cycle_graph(n)) for n in range(3, 17)},
-    **{f"P{m}": (lambda m=m: path_graph(m)) for m in range(1, 17)},
+    **{f"P{m}": (lambda m=m: path_graph(m + 1)) for m in range(1, 17)},  # m edges
 }
 
 
@@ -147,7 +143,8 @@ def test_enumerators_log_their_work_at_debug_only(caplog, capsys):
     # it all 2^n + 2 independent sets are split
     for n, r in enumerate(nap, start=1):
         assert 1 <= r.pole_sets <= n * n + 4, (n, r.pole_sets)
-    # exactly: {a1}, {a1, a2} and the chain {b1}, {b1, b2}, ..., {b1..bn}
+    # exactly {a1}, {a1, a2} and the chain {b1}, {b1, b2}, ..., {b1..bn}:
+    # the bound drops {a2}, and any other set of b's when it skips a b
     assert [r.pole_sets for r in nap[1:]] == [n + 2 for n in range(2, 11)]
     assert [r.cuts for r in cut] == cut_counts == [344, 0]
     assert all(r.nodes > 0 for r in cut)
