@@ -387,10 +387,11 @@ def _cmd_classify_quad(args) -> int:
 def _cmd_k33(args) -> int:
     n = args.samples
     if args.kind == "dixon1":
-        params = motions.Dixon1Params(
-            c=dict(zip((1, 3, 5), _floats(args.c))),
-            d=dict(zip((2, 4, 6), _floats(args.d))),
-        )
+        c, d = _floats(args.c), _floats(args.d)
+        for flag, vals in (("--c", c), ("--d", d)):
+            if len(vals) != 3:
+                raise SphflexError(f"{flag} needs three slopes, got {len(vals)}")
+        params = motions.Dixon1Params(c=dict(zip((1, 3, 5), c)), d=dict(zip((2, 4, 6), d)))
         s_vals = np.linspace(args.s_min, args.s_max, n)
         traj = motions.dixon1_motion(params, list(s_vals))
     elif args.kind == "dixon2":

@@ -439,6 +439,12 @@ def trace(
 
     Stopping before the first step raises ``StepFailureError``.
     """
+    for e in g.edges:
+        if e not in lam.lengths:
+            raise SphflexError(f"lengths give no length for edge {e}")
+    for v in g.vertices:
+        if v not in seed.placement:
+            raise SphflexError(f"seed realization does not place vertex {v}")
     gauge = gauge or default_gauge(g)
     cfg = config or TraceConfig()
     system = ConstraintSystem(g, lam, gauge)

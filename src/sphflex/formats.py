@@ -149,18 +149,17 @@ def dump_coloring_set(cs: ColoringSet) -> str:
 
 
 def trajectory_to_dict(traj: MotionTrajectory) -> dict[str, Any]:
+    keys = [str(v) for v in traj.graph.vertices]
+    injective, proper = traj.sample_flags()
     return {
         "kind": traj.kind,
         "graph": graph_to_dict(traj.graph),
         "lengths": lengths_to_dict(traj.lengths)["lengths"],
         "samples": [
-            {
-                "parameter": s.parameter,
-                "placement": realization_to_dict(s.realization)["placement"],
-                "injective": s.injective,
-                "proper": s.proper,
-            }
-            for s in traj.samples
+            {"parameter": t, "placement": dict(zip(keys, xyz)), "injective": inj, "proper": prop}
+            for t, xyz, inj, prop in zip(
+                traj.parameters.tolist(), traj.points.tolist(), injective.tolist(), proper.tolist()
+            )
         ],
     }
 

@@ -97,9 +97,10 @@ class MotionTrajectory:
     vertices in ``graph.vertices`` order, and ``parameters`` the S parameter
     values.  Construction validates the stack in one pass: every point lies
     on the unit sphere, every sample meets the length assignment within
-    ``tol`` and at least two samples are essentially distinct.  A point or
-    residual that is NaN fails these checks.  ``samples`` and
-    ``realizations()`` are views of the stack, built on first use.
+    ``tol`` and at least two samples are essentially distinct; a NaN point
+    or residual fails these checks.  ``samples`` and ``realizations()`` are
+    views of the stack, built on each access and not kept: iterate over
+    them once rather than index them in a loop.
     """
 
     graph: Graph
@@ -138,17 +139,12 @@ class MotionTrajectory:
             raise DegenerateTrajectoryError("no two samples are essentially distinct")
 
     @cached_property
-    def _realizations(self) -> tuple[SphericalRealization, ...]:
-        return tuple(realizations_of_stack(self.graph.vertices, self.points))
-
-    @cached_property
     def _degenerate_masks(self) -> tuple[Vec, Vec]:
         return degenerate_pair_masks(self.points)
 
-    @cached_property
+    @property
     def samples(self) -> tuple[TrajectorySample, ...]:
-        order = self.graph.vertices
-        pairs = list(combinations(order, 2))
+        pairs = list(combinations(self.graph.vertices, 2))
         coincident, antipodal = self._degenerate_masks
         return tuple(
             TrajectorySample(
@@ -158,12 +154,12 @@ class MotionTrajectory:
                 tuple(pairs[k] for k in np.flatnonzero(a)),
             )
             for t, rho, c, a in zip(
-                self.parameters.tolist(), self._realizations, coincident, antipodal
+                self.parameters.tolist(), self.realizations(), coincident, antipodal
             )
         )
 
     def realizations(self) -> list[SphericalRealization]:
-        return list(self._realizations)
+        return realizations_of_stack(self.graph.vertices, self.points)
 
     def sample_flags(self) -> tuple[Vec, Vec]:
         """``injective`` and ``proper`` of every sample, as two bool arrays."""
@@ -608,24 +604,16 @@ def cda_feasible_intervals(
     """
     params = CdaParams(_CDA_A, _CDA_E)
     grid = np.linspace(t_lo, t_hi, samples)
-    good = np.zeros(len(grid), dtype=bool)
+    good = np.zeros(len(grid) + 2, dtype=int)  # padded with a bad point at each end
     for i, t in enumerate(grid):
         try:
             cda_point(params, float(t), y2_sign, z5_sign)
-            good[i] = True
         except SphflexError:
-            good[i] = False
-    intervals = []
-    start = None
-    for i, ok in enumerate(good):
-        if ok and start is None:
-            start = grid[i]
-        elif not ok and start is not None:
-            intervals.append((float(start), float(grid[i - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(start), float(grid[-1])))
-    return intervals
+            continue
+        good[i + 1] = 1
+    # a run of good points starts at each step up and ends before each step down
+    bounds = np.flatnonzero(np.diff(good))
+    return [(float(grid[a]), float(grid[b - 1])) for a, b in zip(bounds[::2], bounds[1::2])]
 
 
 # ---------------------------------------------------------------------------

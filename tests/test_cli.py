@@ -153,6 +153,29 @@ def test_cli_trace_rejects_nan_settings(tmp_path, capsys, flag, field):
     assert f"trace configuration {field} must be finite and positive, got nan" in err
 
 
+def test_cli_trace_names_missing_edge_length_and_seed_vertex(tmp_path, capsys):
+    argv = trace_argv(tmp_path)
+    lengths = json.loads((tmp_path / "lengths.json").read_text())
+    lengths["lengths"] = [row for row in lengths["lengths"] if row[:2] != [5, 6]]
+    (tmp_path / "lengths.json").write_text(json.dumps(lengths))
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: lengths give no length for edge (5, 6)\n"
+    argv = trace_argv(tmp_path)
+    seed = json.loads((tmp_path / "seed.json").read_text())
+    del seed["placement"]["6"]
+    (tmp_path / "seed.json").write_text(json.dumps(seed))
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: seed realization does not place vertex 6\n"
+
+
+@pytest.mark.parametrize("flag", ["--c", "--d"])
+@pytest.mark.parametrize("values", ["0.2,0.4,0.6,0.8", "0.3,0.5"])
+def test_cli_dixon1_needs_three_slopes_per_flag(flag, values, capsys):
+    assert run(["k33", "--kind", "dixon1", "--samples", "5", flag, values]) == 1
+    count = len(values.split(","))
+    assert capsys.readouterr().err == f"error: {flag} needs three slopes, got {count}\n"
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["k33"])  # missing required --kind

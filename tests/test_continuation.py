@@ -134,6 +134,16 @@ def test_trace_rejects_bad_seed():
         trace(g, other, seed, config=TraceConfig(max_newton_iters=8))
 
 
+def test_trace_names_missing_edge_length_and_seed_vertex():
+    g = k33()
+    lam, seed = cda_seed()
+    short = LengthAssignment({e: v for e, v in lam.lengths.items() if e != (5, 6)})
+    with pytest.raises(SphflexError, match=r"no length for edge \(5, 6\)$"):
+        trace(g, short, seed)
+    with pytest.raises(SphflexError, match="does not place vertex 6$"):
+        trace(g, lam, seed.restrict(range(1, 6)))
+
+
 def test_trace_follows_cda_curve():
     g = k33()
     lam, seed = cda_seed()

@@ -9,9 +9,11 @@ same first offender; NaN never gets through.
 
 import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -70,6 +72,7 @@ from trajectories import (
     solve_dixon2_points_by_halvings,
     trajectory_from_dict_by_samples,
     trajectory_to_csv_by_samples,
+    trajectory_to_dict_by_samples,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -271,6 +274,42 @@ def test_polar_writers_equal_encoder_on_random_labels(g, samples, seed):
     assert text == encoded(traj)
     assert formats.trajectory_to_csv(traj) == trajectory_to_csv_by_samples(traj)
     assert encoded(parsed(text)) == text
+
+
+def assert_dict_equals_per_sample_oracle(traj):
+    data, oracle = formats.trajectory_to_dict(traj), trajectory_to_dict_by_samples(traj)
+    assert data == oracle
+    assert formats.dumps(data) == formats.dumps(oracle) == formats.dump_trajectory(traj)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_trajectory_dict_equals_per_sample_oracle(name):
+    assert_dict_equals_per_sample_oracle(EXAMPLES[name])
+
+
+@PROPERTY
+@given(labelled_graphs(), st.integers(2, 30), st.integers(0, 9))
+def test_trajectory_dict_equals_oracle_on_random_labels(g, samples, seed):
+    coloring = flexibility_certificate(g)
+    if coloring is None:
+        return
+    assert_dict_equals_per_sample_oracle(
+        polar_nap_motion(g, coloring, np.linspace(0.0, 6.0, samples), seed=seed)
+    )
+
+
+def test_walks_keep_no_per_sample_objects():
+    traj = dixon1_motion(DIXON1, np.linspace(0.95, 1.35, 8))
+    samples, rhos = list(traj.samples), traj.realizations()
+    sample, rho = weakref.ref(samples[3]), weakref.ref(rhos[5])
+    del samples, rhos
+    gc.collect()
+    assert sample() is None and rho() is None
+    # what a trajectory keeps: its fields and the two per-stack caches
+    assert set(vars(traj)) <= {
+        "graph", "lengths", "points", "parameters", "kind", "tol",
+        "_degenerate_masks", "_worst_edge_residuals",
+    }
 
 
 def test_samples_are_views_of_the_read_only_stack():

@@ -293,6 +293,27 @@ def trajectory_from_dict_by_samples(data: dict[str, Any]) -> MotionTrajectory:
     )
 
 
+def trajectory_to_dict_by_samples(traj: MotionTrajectory) -> dict[str, Any]:
+    """``trajectory_to_dict`` one sample, and one point, at a time."""
+    return {
+        "kind": traj.kind,
+        "graph": formats.graph_to_dict(traj.graph),
+        "lengths": formats.lengths_to_dict(traj.lengths)["lengths"],
+        "samples": [
+            {
+                "parameter": s.parameter,
+                "placement": {
+                    str(v): [float(c) for c in s.realization.point(v)]
+                    for v in s.realization.vertices
+                },
+                "injective": s.injective,
+                "proper": s.proper,
+            }
+            for s in traj.samples
+        ],
+    }
+
+
 def encoded(traj: MotionTrajectory) -> str:
     """The structured export through the JSON encoder."""
     return formats.dumps(formats.trajectory_to_dict(traj))
