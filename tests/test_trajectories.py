@@ -2,9 +2,10 @@
 
 Output of ``realize``, ``k33`` and ``trace`` must hash to the digests of the
 per-sample writers; the fragment writers must equal the JSON encoder and
-the per-sample CSV writer; the vectorized generators and the detector must
-equal their scalar oracles in ``trajectories.py``; error messages name the
-same first offender; NaN never gets through.
+the dict and CSV writers their per-sample versions; the vectorized
+generators and the detector must equal their scalar oracles in
+``trajectories.py``; error messages name the same first offender; NaN never
+gets through; a walk over the samples leaves nothing behind.
 """
 
 import contextlib
@@ -238,11 +239,18 @@ def example_trajectories():
 EXAMPLES = example_trajectories()
 
 
+def assert_dict_equals_per_sample_oracle(traj, text):
+    oracle = trajectory_to_dict_by_samples(traj)
+    assert formats.trajectory_to_dict(traj) == oracle
+    assert formats.dumps(oracle) == text
+
+
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_writers_equal_per_sample_writers(name):
     traj = EXAMPLES[name]
     text = formats.dump_trajectory(traj)
     assert text == encoded(traj)
+    assert_dict_equals_per_sample_oracle(traj, text)
     assert formats.trajectory_to_csv(traj) == trajectory_to_csv_by_samples(traj)
     again = parsed(text)
     oracle = trajectory_from_dict_by_samples(json.loads(text))
@@ -272,30 +280,9 @@ def test_polar_writers_equal_encoder_on_random_labels(g, samples, seed):
     traj = polar_nap_motion(g, coloring, np.linspace(0.0, 6.0, samples), seed=seed)
     text = formats.dump_trajectory(traj)
     assert text == encoded(traj)
+    assert_dict_equals_per_sample_oracle(traj, text)
     assert formats.trajectory_to_csv(traj) == trajectory_to_csv_by_samples(traj)
     assert encoded(parsed(text)) == text
-
-
-def assert_dict_equals_per_sample_oracle(traj):
-    data, oracle = formats.trajectory_to_dict(traj), trajectory_to_dict_by_samples(traj)
-    assert data == oracle
-    assert formats.dumps(data) == formats.dumps(oracle) == formats.dump_trajectory(traj)
-
-
-@pytest.mark.parametrize("name", sorted(EXAMPLES))
-def test_trajectory_dict_equals_per_sample_oracle(name):
-    assert_dict_equals_per_sample_oracle(EXAMPLES[name])
-
-
-@PROPERTY
-@given(labelled_graphs(), st.integers(2, 30), st.integers(0, 9))
-def test_trajectory_dict_equals_oracle_on_random_labels(g, samples, seed):
-    coloring = flexibility_certificate(g)
-    if coloring is None:
-        return
-    assert_dict_equals_per_sample_oracle(
-        polar_nap_motion(g, coloring, np.linspace(0.0, 6.0, samples), seed=seed)
-    )
 
 
 def test_walks_keep_no_per_sample_objects():
