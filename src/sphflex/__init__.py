@@ -24,7 +24,6 @@ from .continuation import (
     TraceConfig,
     TraceResult,
     empirical_map_degree,
-    fiber_count,
     re_gauge,
     residual_vector,
     trace,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -254,6 +255,17 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+def _sample_count(text: str) -> int:
+    """``--samples``: an integer of at least 2, the fewest a trajectory has."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"a trajectory needs at least 2 samples, got {n}")
+    return n
+
+
 def _add_graph_args(p: argparse.ArgumentParser):
     p.add_argument("--graph", help="graph file (JSON or edge list)")
     p.add_argument("--corpus", choices=sorted(CORPUS), help="embedded example graph")
@@ -384,6 +396,13 @@ def _cmd_classify_quad(args) -> int:
     return 0
 
 
+def _grid(lo: float, hi: float, n: int, flags: str) -> list[float]:
+    """``n`` evenly spaced values from ``lo`` to ``hi``, a finite range."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise SphflexError(f"{flags} must be finite, got {lo} and {hi}")
+    return list(np.linspace(lo, hi, n))
+
+
 def _cmd_k33(args) -> int:
     n = args.samples
     if args.kind == "dixon1":
@@ -392,20 +411,18 @@ def _cmd_k33(args) -> int:
             if len(vals) != 3:
                 raise SphflexError(f"{flag} needs three slopes, got {len(vals)}")
         params = motions.Dixon1Params(c=dict(zip((1, 3, 5), c)), d=dict(zip((2, 4, 6), d)))
-        s_vals = np.linspace(args.s_min, args.s_max, n)
-        traj = motions.dixon1_motion(params, list(s_vals))
+        s_vals = _grid(args.s_min, args.s_max, n, "--s-min/--s-max")
+        traj = motions.dixon1_motion(params, s_vals)
     elif args.kind == "dixon2":
         params = motions.Dixon2Params(args.alpha, args.beta, args.gamma)
-        p1_vals = np.linspace(args.p1_min, args.p1_max, n)
-        traj = motions.dixon2_motion(params, list(p1_vals))
+        p1_vals = _grid(args.p1_min, args.p1_max, n, "--p1-min/--p1-max")
+        traj = motions.dixon2_motion(params, p1_vals)
         if not args.full_k44:
             traj = traj.restrict(range(1, 7))
     else:
-        params = motions.cda_params_from_e(args.e)
-        t_vals = np.linspace(args.t_min, args.t_max, n)
-        traj = motions.cda_motion(
-            params, list(t_vals), y2_sign=args.y2_sign, z5_sign=args.z5_sign
-        )
+        params = motions.cda_params_from_e(0.75)
+        t_vals = _grid(args.t_min, args.t_max, n, "--t-min/--t-max")
+        traj = motions.cda_motion(params, t_vals, y2_sign=args.y2_sign, z5_sign=args.z5_sign)
     _emit(args, _trajectory_text(args, traj))
     return 0
 
@@ -508,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="sample the pole motion of a NAP-coloring")
     _add_graph_args(p)
     p.add_argument("--coloring", help="coloring file (JSON triples)")
-    p.add_argument("--samples", type=int, default=12)
+    p.add_argument("--samples", type=_sample_count, default=12)
     p.add_argument("--seed", type=int, help="motion seed (default: SPHFLEX_SEED or 0)")
     _add_io_args(p)
     p.set_defaults(func=_cmd_realize)
@@ -532,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("k33", help="generate a named K(3,3) motion")
     p.add_argument("--kind", choices=("dixon1", "dixon2", "cda"), required=True)
-    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--samples", type=_sample_count, default=25)
     p.add_argument("--c", default="0.2,0.4,0.6", help="dixon1 odd-vertex slopes")
     p.add_argument("--d", default="0.3,0.5,0.7", help="dixon1 even-vertex slopes")
     p.add_argument("--s-min", type=float, default=1.0)
@@ -543,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1-min", type=float, default=0.45)
     p.add_argument("--p1-max", type=float, default=0.6)
     p.add_argument("--full-k44", action="store_true", help="keep all 8 dixon2 vertices")
-    p.add_argument("--e", type=float, default=0.75)
     p.add_argument("--t-min", type=float, default=7.2)
     p.add_argument("--t-max", type=float, default=30.0)
     p.add_argument("--y2-sign", type=int, choices=(-1, 1), default=1)

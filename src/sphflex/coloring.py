@@ -73,11 +73,6 @@ class EdgeColoring:
         red = {normalized_edge(a, b) for a, b in red_edges}
         return cls.from_colors(graph, {e: (RED if e in red else BLUE) for e in graph.edges})
 
-    def color(self, a: int, b: int) -> str:
-        e = normalized_edge(a, b)
-        i = self.graph.edges.index(e)
-        return RED if self.mask >> i & 1 else BLUE
-
     @cached_property
     def colors(self) -> dict[Edge, str]:
         return {

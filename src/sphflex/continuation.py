@@ -7,8 +7,8 @@ vertex to (1,0,0), one confining the meridian vertex to the plane z = 0),
 which kill the three rotational degrees of freedom.  On a flexible
 framework the Jacobian then has corank exactly 1 at a regular curve point,
 and the curve is followed with a tangent predictor and a Gauss-Newton
-corrector.  Every Newton solve here, tracing and seeding, assembles its
-equations through one gauged ``ConstraintSystem``, which gathers point
+corrector.  Every Newton solve here, polishing the seed and tracing,
+assembles its equations through one gauged ``ConstraintSystem``, which gathers point
 rows with ``take`` and scatters Jacobian blocks with ``put``.  The step is
 written for few numpy calls: the slow forms of the corrector and the
 certificate are kept as an oracle in ``tests/stepping.py``, and the tests
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -47,16 +46,8 @@ from .errors import (
     StepFailureError,
     UnderConstrainedError,
 )
-from .graphs import Graph, k33
-from .motions import (
-    HALF_TURN_Z,
-    KIND_TRACED,
-    CdaParams,
-    MotionTrajectory,
-    cda_lengths,
-    cda_params_from_e,
-    cda_point,
-)
+from .graphs import Graph
+from .motions import HALF_TURN_Z, KIND_TRACED, MotionTrajectory
 from .spherical import (
     ON_SPHERE_TOL,
     LengthAssignment,
@@ -498,44 +489,6 @@ def trace(
     return TraceResult(traj, stop_reason)
 
 
-def cda_seed_realization(
-    params: CdaParams, steps: int = 60, newton_tol: float = 1e-12
-) -> SphericalRealization:
-    """A compatible realization for any point of the relation curve.
-
-    The closed-form parametrization exists only at (a, e) = (3/5, 3/4);
-    other pairs are reached by sliding |e| from 3/4 to the target while
-    Newton-correcting the realization onto the deformed length assignment
-    at every intermediate step.  Sign changes of a or e are applied at the
-    end by antipoding vertices (1 and 3 for a, 6 for e), which moves along
-    the relation curve's mirror branches without leaving it.
-    """
-    g = k33()
-    gauge = GaugeFix(1, 2)
-    order = g.vertices
-    reference = cda_params_from_e(0.75)
-    start = cda_point(reference, 8.0)
-    x = re_gauge(start, gauge).as_array(order)
-
-    for e_mid in np.linspace(0.75, abs(params.e), steps + 1)[1:]:
-        mid = cda_params_from_e(float(e_mid))
-        system = ConstraintSystem(g, cda_lengths(mid), gauge)
-        corrected = newton_correct(system, x, newton_tol, 40)
-        if corrected is None:
-            raise StepFailureError(
-                f"parameter homotopy stalled at e={e_mid:.4f}; use more steps"
-            )
-        x = corrected
-
-    pts = dict(zip(order, x.reshape(-1, 3)))
-    if params.e < 0:
-        pts[6] = -pts[6]
-    if params.a < 0:
-        pts[1] = -pts[1]
-        pts[3] = -pts[3]
-    return SphericalRealization(pts)
-
-
 # ---------------------------------------------------------------------------
 # fibers of circle intersections
 # ---------------------------------------------------------------------------
@@ -572,34 +525,6 @@ def _circle_intersections(
     off = np.sqrt(np.maximum(t_sq, 0.0) / det)[..., None] * c
     cands = np.stack([x0 + off, x0 - off], axis=-2)
     return cands, np.stack([t_sq >= -tol, t_sq > tol], axis=-1)
-
-
-def fiber_count(
-    g: Graph,
-    lam: LengthAssignment,
-    placed: dict[int, Vec],
-    free_vertex: int,
-    tol: float = 1e-9,
-) -> int:
-    """Number of placements of one vertex meeting all its placed neighbors.
-
-    Each placed neighbor confines the vertex to a circle on the sphere.  The
-    two circles whose centers are furthest from parallel meet in 0, 1
-    (tangency) or 2 points, and the points that also meet every other
-    placed neighbor within ``tol`` are counted.
-    """
-    neighbors = [w for w in g.neighbors(free_vertex) if w in placed]
-    if len(neighbors) < 2:
-        raise UnderConstrainedError("free vertex needs at least two placed neighbors")
-    centers = np.stack([np.asarray(placed[w], dtype=float) for w in neighbors])
-    deltas = np.array([lam.delta_of(free_vertex, w) for w in neighbors])
-    i, j = max(
-        combinations(range(len(neighbors)), 2),
-        key=lambda p: np.linalg.norm(np.cross(centers[p[0]], centers[p[1]])),
-    )
-    cands, real = _circle_intersections(centers[i], centers[j], deltas[i], deltas[j], tol)
-    real &= np.all(np.abs(cands @ centers.T - deltas) <= tol, axis=-1)
-    return int(real.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Iterable, Optional, Sequence
@@ -299,7 +298,7 @@ class Dixon1Params:
         if set(self.c) != {1, 3, 5} or set(self.d) != {2, 4, 6}:
             raise DomainViolationError("c maps odd vertices 1,3,5 and d even 2,4,6")
         prods = [ci * dj for ci in self.c.values() for dj in self.d.values()]
-        if any(abs(p) >= 1.0 or p == 0.0 for p in prods):
+        if not all(0.0 < abs(p) < 1.0 for p in prods):  # NaN fails too
             raise DomainViolationError("products c_i*d_j must lie in (-1,1) minus 0")
 
 
@@ -320,7 +319,7 @@ def dixon1_motion(params: Dixon1Params, s_values: Sequence[float]) -> MotionTraj
     with np.errstate(divide="ignore", invalid="ignore"):
         sin_t = np.array([params.c[i] for i in (1, 3, 5)]) * s
         sin_p = np.array([params.d[j] for j in (2, 4, 6)]) / s
-    bad_t, bad_p = np.abs(sin_t) > 1.0, np.abs(sin_p) > 1.0
+    bad_t, bad_p = ~(np.abs(sin_t) <= 1.0), ~(np.abs(sin_p) <= 1.0)  # NaN is bad too
     bad = np.flatnonzero((s[:, 0] == 0.0) | bad_t.any(axis=1) | bad_p.any(axis=1))
     if bad.size:
         k = bad[0]
@@ -355,8 +354,13 @@ class Dixon2Params:
     gamma: float
 
     def __post_init__(self):
-        if 0.0 in (self.alpha, self.beta, self.gamma):
-            raise DegenerateAxisError("zero product would park a vertex on an axis")
+        # each is a product of coordinates of two unit vectors; NaN fails too
+        for name in ("alpha", "beta", "gamma"):
+            x = getattr(self, name)
+            if x == 0.0:
+                raise DegenerateAxisError(f"{name} = 0 would park a vertex on an axis")
+            if not abs(x) < 1.0:
+                raise DomainViolationError(f"{name} = {x} must lie in (-1, 1) minus 0")
 
 
 def _solve_dixon2_points(
@@ -472,16 +476,6 @@ class CdaParams:
         if abs(abs(self.e) - abs(self.a)) <= 1e-12:
             raise OutOfRangeError("e = +-a is excluded")
 
-    def relation_residual_exact(self) -> Fraction:
-        """a^3 e^2 + a^3 - a e^2 in exact rational arithmetic.
-
-        The float fields are read as the small-denominator rationals they
-        round, so the reference pair (3/5, 3/4) evaluates to exactly zero.
-        """
-        a = Fraction(self.a).limit_denominator(10**9)
-        e = Fraction(self.e).limit_denominator(10**9)
-        return a**3 * e**2 + a**3 - a * e**2
-
 
 def cda_params_from_e(e: float) -> CdaParams:
     """Solve the relation curve for a given e (positive branch of a)."""
@@ -519,19 +513,26 @@ def cda_point(
 def _cda_rows(t: float, y2_sign: int, z5_sign: int) -> Vec:
     """Points of vertices 1..6 of ``cda_point`` at parameter t, as a (6, 3)
     array."""
+    if not math.isfinite(t):
+        raise OutOfRangeError(f"t={t} is not finite")
     if t in (-1.0, 0.0, 1.0):
         raise PoleError(f"t={t} is a pole of the parametrization")
     y2_rad = (t + 7.0) * (7.0 * t + 1.0)
     if y2_rad < 0.0:
         raise NegativeDiscriminantError(f"y2 radicand {y2_rad:.3e} < 0 at t={t}")
     y2 = y2_sign * math.sqrt(y2_rad) / (5.0 * t + 5.0)
-    z5_rad = (
-        25.0 * t**4 * y2**2
-        - 50.0 * t**2 * y2**2
-        + 25.0 * y2**2
-        - 72.0 * t**3
-        - 72.0 * t
-    )
+    try:
+        z5_rad = (
+            25.0 * t**4 * y2**2
+            - 50.0 * t**2 * y2**2
+            + 25.0 * y2**2
+            - 72.0 * t**3
+            - 72.0 * t
+        )
+    except OverflowError:  # float ** raises where * gives inf
+        z5_rad = math.inf
+    if not math.isfinite(z5_rad):  # also where y2_rad overflowed: y2 is then inf or NaN
+        raise OutOfRangeError(f"the radicands overflow at t={t}")
     if z5_rad < 0.0:
         raise NegativeDiscriminantError(f"z5 radicand {z5_rad:.3e} < 0 at t={t}")
     z5 = (-5.0 * y2 * t**2 + 5.0 * y2 + z5_sign * math.sqrt(z5_rad)) / (

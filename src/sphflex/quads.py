@@ -20,6 +20,7 @@ lozenge from the unclassified all-equal pattern.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
@@ -137,8 +138,12 @@ def classify(q: QuadLengths, tol: float = 1e-9) -> QuadType:
     input sits in a tolerance gray zone and the call raises
     ``AmbiguousToleranceError`` instead of guessing (exact double matches
     would force all magnitudes equal, which the lozenge branch or the
-    odd-parity fall-through to general already covers).
+    odd-parity fall-through to general already covers).  ``tol`` must be
+    finite and positive: a NaN or negative one matches nothing and would
+    skip that refusal.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise SphflexError(f"tol must be finite and positive, got {tol}")
     loz = _lozenge_profile(q, tol)
     if loz is not None:
         return QuadType(LOZENGE, loz)

@@ -68,10 +68,6 @@ class Rotation:
         check_rotations(m)
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def identity(cls) -> "Rotation":
-        return cls(np.eye(3))
-
     def apply(self, p: Vec) -> Vec:
         return self.matrix @ p
 

@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphflex import formats
 from sphflex.cli import CORPUS, run, verify_suite
 from sphflex.coloring import enumerate_nap
+from sphflex.errors import OutOfRangeError
 from sphflex.graphs import complete_bipartite, k33, three_prism
 from sphflex.motions import cda_motion, cda_params_from_e
 from sphflex.spherical import LengthAssignment, SphericalRealization
@@ -81,11 +86,13 @@ def test_cli_k33_kinds(capsys):
         assert "max edge residual" in out
 
 
-def test_cli_cda_off_the_reference_pair_names_the_supported_pair(capsys):
-    assert run(["k33", "--kind", "cda", "--e", "0.7"]) == 1
-    assert capsys.readouterr().err == (
-        "error: the radical parametrization is available at (a, e) = (3/5, 3/4) only\n"
-    )
+def test_cli_cda_off_the_reference_pair_names_the_supported_pair():
+    # the CLI builds the reference pair only; the library names it
+    with pytest.raises(SystemExit) as exit_:
+        run(["k33", "--kind", "cda", "--e", "0.7"])
+    assert exit_.value.code == 2
+    with pytest.raises(OutOfRangeError, match=r"available at \(a, e\) = \(3/5, 3/4\) only"):
+        cda_motion(cda_params_from_e(0.7), [8.0, 8.2])
 
 
 def test_cli_classify_quad(capsys):
@@ -180,6 +187,90 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["k33"])  # missing required --kind
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["k33", "--kind", "dixon1", "--s-min", "nan"], "--s-min/--s-max must be finite, got nan and 1.25"),
+        (["k33", "--kind", "dixon1", "--s-min", "inf"], "--s-min/--s-max must be finite, got inf and 1.25"),
+        (["k33", "--kind", "dixon1", "--c", "nan,0.4,0.6"], "products c_i*d_j must lie in (-1,1) minus 0"),
+        (["k33", "--kind", "dixon2", "--alpha", "1e308"], "alpha = 1e+308 must lie in (-1, 1) minus 0"),
+        (["k33", "--kind", "dixon2", "--beta", "nan"], "beta = nan must lie in (-1, 1) minus 0"),
+        (["k33", "--kind", "dixon2", "--gamma", "inf"], "gamma = inf must lie in (-1, 1) minus 0"),
+        (["k33", "--kind", "dixon2", "--gamma", "0"], "gamma = 0 would park a vertex on an axis"),
+        (["k33", "--kind", "cda", "--t-min", "1e308"], "the radicands overflow at t=1e+308"),
+        (["k33", "--kind", "cda", "--t-min", "nan"], "--t-min/--t-max must be finite, got nan and 30.0"),
+        (
+            ["classify-quad", "--deltas", "0.3,0.3,0.7,0.7", "--tol", "nan"],
+            "tol must be finite and positive, got nan",
+        ),
+        (
+            ["classify-quad", "--deltas", "0.3,0.3,0.7,0.7", "--tol=-1"],
+            "tol must be finite and positive, got -1.0",
+        ),
+    ],
+)
+def test_cli_names_the_bad_numeric_input(argv, message, capsys):
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["realize", "--corpus", "k33"], ["k33", "--kind", "cda"]])
+@pytest.mark.parametrize("count", ["-3", "0", "1", "x"])
+def test_cli_samples_below_two_is_a_usage_error(argv, count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, f"--samples={count}"])
+    assert exc.value.code == 2
+    assert "argument --samples:" in capsys.readouterr().err
+
+
+# every numeric flag of k33 and classify-quad with the arguments it joins;
+# a drawn value replaces the first entry of a list flag
+NUMERIC_FLAGS = (
+    *((["k33", "--kind", "dixon1"], flag, rest) for flag, rest in (("--c", ",0.4,0.6"), ("--d", ",0.5,0.7"))),
+    *((["k33", "--kind", "dixon1"], flag, "") for flag in ("--s-min", "--s-max")),
+    *(
+        (["k33", "--kind", "dixon2"], flag, "")
+        for flag in ("--alpha", "--beta", "--gamma", "--p1-min", "--p1-max")
+    ),
+    *((["k33", "--kind", "cda"], flag, "") for flag in ("--t-min", "--t-max", "--y2-sign", "--z5-sign")),
+    (["classify-quad"], "--deltas", ",0.3,0.7,0.7"),
+    (["classify-quad"], "--lambdas", ",0.35,0.15,0.15"),
+    (["classify-quad", "--deltas", "0.3,0.3,0.7,0.7"], "--tol", ""),
+)
+SAMPLED = (["realize", "--corpus", "k33"], *(["k33", "--kind", k] for k in ("dixon1", "dixon2", "cda")))
+# messages of a value that got past its check and failed downstream
+LEAKED = re.compile(r"placed off the sphere|length .* for edge|Number of samples")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.builds(
+            lambda case, value: [*case[0], f"{case[1]}={value}{case[2]}"],
+            st.sampled_from(NUMERIC_FLAGS),
+            st.sampled_from(("nan", "inf", "-inf", "0", "-1", "1e308", "-0.5", "2")),
+        ),
+        st.builds(
+            lambda argv, count: [*argv, f"--samples={count}"],
+            st.sampled_from(SAMPLED),
+            st.sampled_from(("-3", "0", "1")),
+        ),
+    )
+)
+def test_cli_numeric_flags_exit_cleanly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1), argv
+    if code == 1:
+        assert err.getvalue().startswith("error: "), argv
+        assert not LEAKED.search(err.getvalue()), (argv, err.getvalue())
 
 
 def test_cli_structured_output_reproducible(tmp_path):

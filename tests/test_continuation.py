@@ -13,12 +13,11 @@ from sphflex.continuation import (
     _corank,
     _full_rank_lstsq,
     bordered_corank_and_tangent,
-    cda_seed_realization,
     corank_and_tangent,
     default_gauge,
     empirical_map_degree,
     _norm,
-    fiber_count,
+    _circle_intersections,
     jacobian,
     newton_correct,
     re_gauge,
@@ -32,11 +31,10 @@ from sphflex.errors import (
     StepFailureError,
     UnderConstrainedError,
 )
-from sphflex.graphs import complete_bipartite, k22, k33, path_graph, triangle
+from sphflex.graphs import complete_bipartite, k22, k33, triangle
 from sphflex.motions import (
     Dixon1Params,
     Dixon2Params,
-    cda_lengths,
     cda_motion,
     cda_params_from_e,
     dixon1_motion,
@@ -48,7 +46,6 @@ from sphflex.spherical import (
     SphericalRealization,
     apply_rotation,
     gram_matrix,
-    max_edge_residual,
     random_rotation,
     random_unit_point,
     rotation_about_axis,
@@ -235,27 +232,28 @@ def test_empirical_degree_of_cda_fiber_pair():
 # ---------------------------------------------------------------------------
 
 
+def fiber_count(n1, n2, d1, d2, tol=1e-9):
+    """Number of unit vectors x with x . n1 = d1 and x . n2 = d2."""
+    return int(_circle_intersections(n1, n2, d1, d2, tol)[1].sum())
+
+
 def test_fiber_count_generic_tangent_empty():
-    g = path_graph(3)  # vertex 2 adjacent to 1 and 3
     n1 = np.array([1.0, 0.0, 0.0])
     n2 = np.array([0.0, 1.0, 0.0])
-    lam = LengthAssignment.from_deltas({(1, 2): 0.3, (2, 3): 0.4})
-    assert fiber_count(g, lam, {1: n1, 3: n2}, 2) == 2
+    assert fiber_count(n1, n2, 0.3, 0.4) == 2
     # tangency: the two circles touch when the second delta sits at the
     # extreme value reachable on the first circle
     d1 = 0.3
     reach = math.sqrt(1 - d1 * d1)
-    lam_t = LengthAssignment.from_deltas({(1, 2): d1, (2, 3): reach})
-    assert fiber_count(g, lam_t, {1: n1, 3: n2}, 2) == 1
-    lam_0 = LengthAssignment.from_deltas({(1, 2): d1, (2, 3): 0.99})
-    assert fiber_count(g, lam_0, {1: n1, 3: n2}, 2) == 0
+    assert fiber_count(n1, n2, d1, reach) == 1
+    assert fiber_count(n1, n2, d1, 0.99) == 0
 
 
 def test_fiber_count_underconstrained():
-    g = path_graph(3)
-    lam = LengthAssignment.from_deltas({(1, 2): 0.3, (2, 3): 0.4})
+    # parallel centers confine x to one circle, not to points
+    n1 = np.array([1.0, 0.0, 0.0])
     with pytest.raises(UnderConstrainedError):
-        fiber_count(g, lam, {1: np.array([1.0, 0.0, 0.0])}, 2)
+        fiber_count(n1, -n1, 0.3, -0.3)
 
 
 def dense_circle_count(n1, n2, d1, d2):
@@ -274,7 +272,6 @@ def dense_circle_count(n1, n2, d1, d2):
 
 
 def test_fiber_count_against_dense_scan():
-    g = path_graph(3)
     rng = np.random.default_rng(17)
     for _ in range(1000):
         n1, n2 = random_unit_point(rng), random_unit_point(rng)
@@ -282,10 +279,7 @@ def test_fiber_count_against_dense_scan():
             continue
         d1 = float(rng.uniform(-0.95, 0.95))
         d2 = float(rng.uniform(-0.95, 0.95))
-        lam = LengthAssignment.from_deltas({(1, 2): d1, (2, 3): d2})
-        assert fiber_count(g, lam, {1: n1, 3: n2}, 2) == dense_circle_count(
-            n1, n2, d1, d2
-        )
+        assert fiber_count(n1, n2, d1, d2) == dense_circle_count(n1, n2, d1, d2)
 
 
 def test_newton_correct_polishes_perturbed_point():
@@ -419,18 +413,6 @@ def test_sphere_and_edge_rows_invariant_under_rotation(seed):
     before = system.residual(rho.as_array(g.vertices))[:k].copy()
     after = system.residual(apply_rotation(random_rotation(rng), rho).as_array(g.vertices))
     assert np.abs(after[:k] - before).max() <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# constant-diagonal-angle seeds off the reference pair
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("e", [0.6, -0.6, 0.74])
-def test_cda_seed_realization_is_compatible(e):
-    params = cda_params_from_e(e)
-    rho = cda_seed_realization(params)
-    assert max_edge_residual(k33(), rho, cda_lengths(params)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import pytest
 
 from sphflex.coloring import EdgeColoring
 from sphflex.errors import (
+    DegenerateAxisError,
     DegenerateRealizationError,
     DegenerateTrajectoryError,
     DomainViolationError,
@@ -133,6 +135,18 @@ def test_dixon1_domain_violation():
         dixon1_motion(dixon1_params(), [0.5, 0.6])  # d6/s leaves [-1, 1]
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_dixon1_non_finite_s_names_s(s):
+    with pytest.raises(DomainViolationError, match=f"at s={s}$"):
+        dixon1_motion(dixon1_params(), [1.0, s])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, 2.0])
+def test_dixon1_products_outside_the_unit_interval(bad):
+    with pytest.raises(DomainViolationError, match=r"products c_i\*d_j"):
+        Dixon1Params(c={1: bad, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7})
+
+
 def test_dixon1_detected():
     traj = dixon1_motion(dixon1_params(), list(np.linspace(1.0, 1.3, 8)))
     assert detect_k33_motion_kind(traj) == KIND_DIXON1
@@ -209,6 +223,17 @@ def test_dixon2_no_real_solution():
         dixon2_motion(Dixon2Params(0.9, 0.9, 0.9), [0.95, 0.96])
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 1e308])
+def test_dixon2_products_name_the_parameter(name, bad):
+    values = {"alpha": 0.2, "beta": 0.15, "gamma": 0.1, name: bad}
+    with pytest.raises(DomainViolationError, match=re.escape(f"{name} = {bad} must lie in")):
+        Dixon2Params(**values)
+    values[name] = 0.0
+    with pytest.raises(DegenerateAxisError, match=f"^{name} = 0 "):
+        Dixon2Params(**values)
+
+
 # ---------------------------------------------------------------------------
 # constant diagonal angle
 # ---------------------------------------------------------------------------
@@ -217,7 +242,6 @@ def test_dixon2_no_real_solution():
 def test_cda_params_from_e_reference_values():
     params = cda_params_from_e(0.75)
     assert abs(params.a - 0.6) <= 1e-15
-    assert params.relation_residual_exact() == Fraction(0)
 
 
 def test_cda_relation_exact_rational():
@@ -240,6 +264,17 @@ def test_cda_pole_and_discriminant_errors():
         cda_point(params, 2.0)
     with pytest.raises(NegativeDiscriminantError):
         cda_point(params, -2.0)
+
+
+def test_cda_non_finite_and_overflowing_t_name_t():
+    params = cda_params_from_e(0.75)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(OutOfRangeError, match=f"^t={t} is not finite$"):
+            cda_motion(params, [8.0, t])
+    # 1e100**4 raises OverflowError; (7 t)(t) is inf at -1e200 and 1e308
+    for t in (1e100, -1e200, 1e308):
+        with pytest.raises(OutOfRangeError, match=re.escape(f"the radicands overflow at t={t}")):
+            cda_motion(params, [8.0, t])
 
 
 def test_cda_motion_samples_and_pattern():

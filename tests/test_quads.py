@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from sphflex.errors import AmbiguousToleranceError, NoSymmetryFoundError
+from sphflex.errors import AmbiguousToleranceError, NoSymmetryFoundError, SphflexError
 from sphflex.quads import (
     EVEN_DELTOID,
     GENERAL,
@@ -71,6 +71,13 @@ def test_ambiguous_at_tolerance():
     eps = 0.9 * tol
     with pytest.raises(AmbiguousToleranceError):
         classify(QuadLengths(0.3, 0.3 + eps, 0.3 + 2 * eps, 0.3 + eps), tol=tol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_tolerance_must_be_finite_and_positive(tol):
+    # a NaN or negative tolerance matches no pattern and would answer general
+    with pytest.raises(SphflexError, match="tol must be finite and positive"):
+        classify(QuadLengths(0.3, 0.3, 0.7, 0.7), tol=tol)
 
 
 def test_zero_edges_allowed():

@@ -454,7 +454,8 @@ def test_cli_rejects_nan_and_inf_input(tmp_path, capsys):
     for flag in ("--s-min", "--s-max"):
         rc, out, err = cli_output(["k33", "--kind", "dixon1", "--format", "structured", flag, "nan"])
         assert rc == 1 and out == ""
-        assert "placed off the sphere by nan" in err
+        assert "error: --s-min/--s-max must be finite" in err
+        assert "off the sphere" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +599,7 @@ def test_cli_dixon2_rejects_nan_p1():
         argv = ["k33", "--kind", "dixon2", "--format", "structured", flag, "nan"]
         rc, out, err = cli_output(argv)
         assert rc == 1 and out == ""
-        assert "error: p1=nan outside (0,1)" in err
+        assert "error: --p1-min/--p1-max must be finite" in err
         assert "off the sphere" not in err
 
 
