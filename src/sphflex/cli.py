@@ -372,7 +372,11 @@ def _cmd_classify_quad(args) -> int:
     if args.deltas is not None:
         vals = _floats(args.deltas)
     else:
-        vals = [1.0 - 2.0 * l for l in _floats(args.lambdas)]
+        vals = _floats(args.lambdas)
+        for l in vals:
+            if not 0.0 < l < 1.0:
+                raise SphflexError(f"--lambdas value {l} outside (0, 1)")
+        vals = [1.0 - 2.0 * l for l in vals]
     if len(vals) != 4:
         raise SphflexError("need four edge values (d12, d23, d34, d14)")
     q = quads.QuadLengths(*vals)
@@ -572,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("verify", help="recheck the embedded fact suite")
-    p.add_argument("--suite", choices=("paper",), default="paper")
     _add_io_args(p, ("text", "structured"))
     p.set_defaults(func=_cmd_verify)
 

@@ -71,7 +71,9 @@ class EdgeColoring:
     @classmethod
     def from_red_edges(cls, graph: Graph, red_edges: Iterable[tuple[int, int]]) -> "EdgeColoring":
         red = {normalized_edge(a, b) for a, b in red_edges}
-        return cls.from_colors(graph, {e: (RED if e in red else BLUE) for e in graph.edges})
+        if not red <= graph.edge_set:
+            raise KeyError(f"red edges given for non-edges {sorted(red - graph.edge_set)}")
+        return cls(graph, sum(1 << i for i, e in enumerate(graph.edges) if e in red))
 
     @cached_property
     def colors(self) -> dict[Edge, str]:
@@ -113,15 +115,22 @@ def is_surjective(c: EdgeColoring) -> bool:
 def is_nap(c: EdgeColoring) -> bool:
     """True iff surjective and free of alternating 3-edge walks.
 
-    Uses the local criterion: every edge must have an endpoint all of whose
-    incident edges share one color.
+    Uses the local criterion: no two poles, the vertices whose incident
+    edges are not all one color, are adjacent.
     """
-    if not is_surjective(c):
-        return False
-    g = c.graph
-    _, incident = _adjacency(g)
-    mono = {v: c.mask & inc in (0, inc) for v, inc in zip(g.vertices, incident)}
-    return all(mono[a] or mono[b] for a, b in g.edges)
+    return is_surjective(c) and _pole_sides(c) is not None
+
+
+def _pole_sides(c: EdgeColoring) -> Optional[tuple[int, int]]:
+    """Bitsets, by index in ``graph.vertices``, of the poles (the vertices
+    whose incident-edge mask ``c.mask`` splits) and of the vertices whose
+    incident edges are all red, or None when two poles are adjacent."""
+    nbrs, incident = _adjacency(c.graph)
+    poles = sum(1 << i for i, inc in enumerate(incident) if c.mask & inc not in (0, inc))
+    red = sum(1 << i for i, inc in enumerate(incident) if inc and c.mask & inc == inc)
+    if any(nbrs[i] & poles for i in range(len(nbrs)) if poles >> i & 1):
+        return None
+    return poles, red
 
 
 def find_alternating_path(c: EdgeColoring) -> Optional[tuple[int, int, int, int]]:
@@ -150,34 +159,22 @@ def is_nac(c: EdgeColoring) -> bool:
     """True iff surjective and no cycle has exactly one edge of a color.
 
     A cycle with exactly one blue edge exists iff some blue edge has its
-    endpoints joined by an all-red path, so two connectivity sweeps decide
-    the predicate.
+    endpoints joined by an all-red path, so the components of each color
+    mask decide the predicate.
     """
     if not is_surjective(c):
         return False
-    g = c.graph
-
-    def reachable(color: str) -> dict[int, int]:
-        parent = {v: v for v in g.vertices}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e, col in c.colors.items():
-            if col == color:
-                ra, rb = find(e[0]), find(e[1])
-                if ra != rb:
-                    parent[ra] = rb
-        return {v: find(v) for v in g.vertices}
-
-    comp = {RED: reachable(RED), BLUE: reachable(BLUE)}
-    other = {RED: BLUE, BLUE: RED}
-    for e, col in c.colors.items():
-        same = comp[other[col]]
-        if same[e[0]] == same[e[1]]:
+    index = {v: i for i, v in enumerate(c.graph.vertices)}
+    ends = [(index[a], index[b]) for a, b in c.graph.edges]
+    full = (1 << len(ends)) - 1
+    for color in (c.mask, full ^ c.mask):
+        # label[i]: the component of vertex i in the other color's edges
+        label = list(range(len(index)))
+        for k, (i, j) in enumerate(ends):
+            if not color >> k & 1 and label[i] != label[j]:
+                old = label[i]
+                label = [label[j] if x == old else x for x in label]
+        if any(color >> k & 1 and label[i] == label[j] for k, (i, j) in enumerate(ends)):
             return False
     return True
 
@@ -458,17 +455,14 @@ class PolePartition:
 
 
 def nap_pole_partition(c: EdgeColoring) -> PolePartition:
-    if not is_nap(c):
+    sides = _pole_sides(c) if is_surjective(c) else None
+    if sides is None:
         raise NotNapError("coloring is not a NAP-coloring")
-    g = c.graph
-    colors = c.colors
-    poles, red_side, blue_side = set(), set(), set()
-    for v in g.vertices:
-        incident = {colors[normalized_edge(v, w)] for w in g.neighbors(v)}
-        if incident == {RED, BLUE}:
-            poles.add(v)
-        elif incident == {RED}:
-            red_side.add(v)
-        else:
-            blue_side.add(v)
-    return PolePartition(frozenset(poles), frozenset(red_side), frozenset(blue_side))
+    poles, red = sides
+    vertices = c.graph.vertices
+    return PolePartition(
+        *(
+            frozenset(v for i, v in enumerate(vertices) if bits >> i & 1)
+            for bits in (poles, red, ~(poles | red))
+        )
+    )

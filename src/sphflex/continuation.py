@@ -463,10 +463,12 @@ def trace(
         x, t_prev, h = step
         xs.append(x)
         arclengths.append(arclengths[-1] + h)
+        dist_to_seed = _norm(x - x0)
+        # measured in accepted steps: a loop that never gets 3 * step_size
+        # from the seed must still be able to close
+        went_far = went_far or dist_to_seed > 3.0 * h
         h = min(h * 1.3, cfg.step_size)
 
-        dist_to_seed = _norm(x - x0)
-        went_far = went_far or dist_to_seed > 3.0 * cfg.step_size
         if went_far and dist_to_seed <= 1.5 * h and float(t_prev @ tangent) > 0.5:
             # candidate return: project onto the curve slice through the
             # seed orthogonal to the seed tangent; a genuine loop lands on

@@ -47,7 +47,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .coloring import BLUE, RED, EdgeColoring, is_nap
+from .coloring import EdgeColoring, is_nap
 from .errors import (
     BudgetExceededError,
     InconsistentTypesError,
@@ -104,16 +104,21 @@ def cut_for(g: Graph, i_side: Iterable[Label]) -> Cut:
     return Cut(I, J)
 
 
+def _label_counts(g: Graph, c: Cut) -> dict[int, int]:
+    """How many of each vertex's two labels lie on the I side.  Bond
+    validity and the induced coloring depend only on these counts."""
+    if c.I | c.J != set(marked_labels(g)):
+        raise InvalidCutError("cut does not partition this graph's marked labels")
+    counts = dict.fromkeys(g.vertices, 0)
+    for _, v in c.I:
+        counts[v] += 1
+    return counts
+
+
 def cut_valid_for_bond(g: Graph, c: Cut) -> bool:
     """No edge may meet a cut side in exactly two of its four labels."""
-    labels = set(marked_labels(g))
-    if c.I | c.J != labels:
-        raise InvalidCutError("cut does not partition this graph's marked labels")
-    for a, b in g.edges:
-        quad = {("P", a), ("Q", a), ("P", b), ("Q", b)}
-        if len(quad & c.I) == 2:
-            return False
-    return True
+    n = _label_counts(g, c)
+    return all(n[a] + n[b] != 2 for a, b in g.edges)
 
 
 def coloring_from_cut(g: Graph, c: Cut) -> EdgeColoring:
@@ -122,14 +127,11 @@ def coloring_from_cut(g: Graph, c: Cut) -> EdgeColoring:
     An edge is red when at least three of its four labels lie in I; bond
     validity guarantees every edge receives a color.
     """
-    if not cut_valid_for_bond(g, c):
+    n = _label_counts(g, c)
+    sums = [n[a] + n[b] for a, b in g.edges]
+    if 2 in sums:
         raise InvalidCutError("cut is not bond-valid for this graph")
-    colors = {}
-    for e in g.edges:
-        a, b = e
-        quad = {("P", a), ("Q", a), ("P", b), ("Q", b)}
-        colors[e] = RED if len(quad & c.I) >= 3 else BLUE
-    return EdgeColoring.from_colors(g, colors)
+    return EdgeColoring(g, sum(1 << i for i, s in enumerate(sums) if s >= 3))
 
 
 def nap_iff_separated_nonedge(g: Graph, c: Cut) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -139,15 +141,8 @@ def nap_iff_separated_nonedge(g: Graph, c: Cut) -> tuple[bool, Optional[tuple[in
     of c in I and both labels of d in J (or vice versa).
     """
     verdict = is_nap(coloring_from_cut(g, c))
-    witness = None
-    for a, b in sorted(nonedges(g)):
-        a_in_i = {("P", a), ("Q", a)} <= c.I
-        a_in_j = {("P", a), ("Q", a)} <= c.J
-        b_in_i = {("P", b), ("Q", b)} <= c.I
-        b_in_j = {("P", b), ("Q", b)} <= c.J
-        if (a_in_i and b_in_j) or (a_in_j and b_in_i):
-            witness = (a, b)
-            break
+    n = _label_counts(g, c)
+    witness = next((e for e in sorted(nonedges(g)) if {n[e[0]], n[e[1]]} == {0, 2}), None)
     return verdict, witness
 
 

@@ -68,7 +68,7 @@ def realization_from_dict(data: dict[str, Any]) -> SphericalRealization:
 
 
 def coloring_to_list(c: EdgeColoring) -> list[list[Any]]:
-    return [[a, b, c.colors[(a, b)]] for a, b in c.graph.edges]
+    return [[a, b, RED if c.mask >> i & 1 else BLUE] for i, (a, b) in enumerate(c.graph.edges)]
 
 
 def coloring_from_list(g: Graph, triples: list[list[Any]]) -> EdgeColoring:

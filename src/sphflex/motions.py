@@ -44,6 +44,7 @@ from .errors import (
 from .graphs import Graph, induced_subgraph, k33, k44
 from .spherical import (
     COMPAT_TOL,
+    ON_SPHERE_TOL,
     LengthAssignment,
     SphericalRealization,
     Vec,
@@ -96,10 +97,10 @@ class MotionTrajectory:
     vertices in ``graph.vertices`` order, and ``parameters`` the S parameter
     values.  Construction validates the stack in one pass: every point lies
     on the unit sphere, every sample meets the length assignment within
-    ``tol`` and at least two samples are essentially distinct; a NaN point
-    or residual fails these checks.  ``samples`` and ``realizations()`` are
-    views of the stack, built on each access and not kept: iterate over
-    them once rather than index them in a loop.
+    ``COMPAT_TOL`` and at least two samples are essentially distinct; a NaN
+    point or residual fails these checks.  ``samples`` and
+    ``realizations()`` are views of the stack, built on each access and not
+    kept: iterate over them once rather than index them in a loop.
     """
 
     graph: Graph
@@ -107,7 +108,6 @@ class MotionTrajectory:
     points: Vec
     parameters: Vec
     kind: str
-    tol: float = COMPAT_TOL
 
     def __post_init__(self):
         order = self.graph.vertices
@@ -128,7 +128,7 @@ class MotionTrajectory:
         if not np.isfinite(params).all():
             raise DegenerateTrajectoryError("sample parameters must be finite")
         worst = self.worst_edge_residuals()
-        bad = np.flatnonzero(~(worst <= self.tol))
+        bad = np.flatnonzero(~(worst <= COMPAT_TOL))
         if bad.size:
             k = bad[0]
             raise DegenerateTrajectoryError(
@@ -199,7 +199,6 @@ class MotionTrajectory:
             self.points[:, cols],
             self.parameters,
             kind or self.kind,
-            self.tol,
         )
 
 
@@ -208,7 +207,6 @@ def make_trajectory(
     lengths: LengthAssignment,
     realizations: Sequence[tuple[float, SphericalRealization]],
     kind: str,
-    tol: float = COMPAT_TOL,
 ) -> MotionTrajectory:
     """Trajectory from (parameter, realization) pairs, each realization
     placing exactly the graph's vertices."""
@@ -226,7 +224,6 @@ def make_trajectory(
         pts.reshape(len(realizations), len(order), 3),
         [t for t, _ in realizations],
         kind,
-        tol,
     )
 
 
@@ -512,7 +509,8 @@ def cda_point(
 
 def _cda_rows(t: float, y2_sign: int, z5_sign: int) -> Vec:
     """Points of vertices 1..6 of ``cda_point`` at parameter t, as a (6, 3)
-    array."""
+    array.  At large |t| the z5 radicand cancels catastrophically, and a t
+    whose points round off the sphere raises ``OutOfRangeError``."""
     if not math.isfinite(t):
         raise OutOfRangeError(f"t={t} is not finite")
     if t in (-1.0, 0.0, 1.0):
@@ -546,7 +544,7 @@ def _cda_rows(t: float, y2_sign: int, z5_sign: int) -> Vec:
     z4 = -0.6 * (t + 1.0) / (t - 1.0)
     x5 = t * (16.0 * z5**2 + 9.0) / (8.0 * z5 * (t**2 - 1.0))
     y4 = y2 + 8.0 * (t**2 + 1.0) * z5 / (5.0 * (t**2 - 1.0))
-    return np.array(
+    rows = np.array(
         [
             [1.0, 0.0, 0.0],
             [0.6, y2, z2],
@@ -556,6 +554,10 @@ def _cda_rows(t: float, y2_sign: int, z5_sign: int) -> Vec:
             [0.0, 1.0, 0.0],
         ]
     )
+    off = np.abs(row_dots(rows, rows) - 1.0).max()
+    if not off <= ON_SPHERE_TOL:
+        raise OutOfRangeError(f"the closed form leaves the sphere by {off:.3e} at t={t}")
+    return rows
 
 
 def cda_lengths(params: CdaParams) -> LengthAssignment:

@@ -118,6 +118,9 @@ def test_cli_verify_passes(capsys):
     assert run(["verify"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+    with pytest.raises(SystemExit) as exit_:
+        run(["verify", "--suite", "paper"])
+    assert exit_.value.code == 2
 
 
 def trace_argv(tmp_path):
@@ -271,6 +274,20 @@ def test_cli_numeric_flags_exit_cleanly(argv):
     if code == 1:
         assert err.getvalue().startswith("error: "), argv
         assert not LEAKED.search(err.getvalue()), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("value", ["inf", "0", "1", "-0.5", "nan"])
+def test_cli_classify_quad_names_bad_lambda(capsys, value):
+    assert run(["classify-quad", f"--lambdas={value},0.35,0.15,0.15"]) == 1
+    assert f"--lambdas value {float(value)} outside (0, 1)" in capsys.readouterr().err
+
+
+def test_cli_cda_names_t_where_the_closed_form_leaves_the_sphere(capsys):
+    argv = ["k33", "--kind", "cda", "--t-min", "1e6", "--t-max", "1e8", "--samples", "5"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "at t=1000000.0" in err
+    assert not LEAKED.search(err), err
 
 
 def test_cli_structured_output_reproducible(tmp_path):

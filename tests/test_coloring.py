@@ -52,6 +52,12 @@ def k32_figure_coloring():
     return EdgeColoring.from_red_edges(g, [(1, 2), (3, 2), (5, 2)])
 
 
+def test_from_red_edges_rejects_non_edges():
+    assert EdgeColoring.from_red_edges(k33(), [(2, 1), (1, 2)]).mask == 1
+    with pytest.raises(KeyError, match=r"non-edges \[\(1, 3\)\]"):
+        EdgeColoring.from_red_edges(k33(), [(1, 2), (1, 3)])
+
+
 def test_is_surjective_cases():
     assert not is_surjective(EdgeColoring(triangle(), 0b111))
     assert is_surjective(k32_figure_coloring())

@@ -206,6 +206,19 @@ def test_dixon1_trace_closes_loop_and_has_degree_four():
     assert empirical_map_degree(res.trajectory, set()) == 1
 
 
+def test_dixon1_trace_closes_loop_at_large_steps():
+    # the loop never gets 3 steps of 1.0 away from its seed
+    params = Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7})
+    gen = dixon1_motion(params, [1.0, 1.05])
+    res = trace(
+        k33(),
+        gen.lengths,
+        gen.samples[0].realization,
+        config=TraceConfig(step_size=1.0, max_steps=200),
+    )
+    assert res.stop_reason == "loop_closed"
+
+
 def test_empirical_degree_of_cda_fiber_pair():
     # antipoding the two diagonal poles together fixes the quadrilateral and
     # all nine lengths, giving the second point of each projection fiber

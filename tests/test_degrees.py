@@ -55,7 +55,7 @@ def test_fiber_sizes_invariant_under_rotation(loops, k, forgotten, seed):
     traj = loops[k][2].trajectory
     turn = random_rotation(np.random.default_rng(seed)).matrix
     turned = MotionTrajectory(
-        traj.graph, traj.lengths, traj.points @ turn.T, traj.parameters, traj.kind, traj.tol
+        traj.graph, traj.lengths, traj.points @ turn.T, traj.parameters, traj.kind
     )
     assert np.array_equal(_fiber_sizes(turned, forgotten), _fiber_sizes(traj, forgotten))
 
