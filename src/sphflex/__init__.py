@@ -9,7 +9,6 @@ constructs or numerically traces the motions themselves.
 from .coloring import (
     BLUE,
     RED,
-    ColoringSet,
     EdgeColoring,
     enumerate_nap,
     find_alternating_path,

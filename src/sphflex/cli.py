@@ -301,7 +301,7 @@ def _cmd_colorings(args) -> int:
     g = _load_graph(args)
     result = enumerate_nap(g, modulo_swap=args.modulo_swap)
     if args.format == "structured":
-        _emit(args, formats.dump_coloring_set(result))
+        _emit(args, formats.dump_coloring_set(result, args.modulo_swap))
     else:
         lines = [f"{len(result)} NAP-colorings"]
         for c in result:
@@ -332,7 +332,7 @@ def _cmd_realize(args) -> int:
     g = _load_graph(args)
     if args.coloring:
         with open(args.coloring) as fh:
-            coloring = formats.coloring_from_list(g, json.loads(fh.read())["coloring"])
+            coloring = formats.coloring_from_dict(g, json.loads(fh.read()))
     else:
         coloring = flexibility_certificate(g)
         if coloring is None:
@@ -528,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="sample the pole motion of a NAP-coloring")
     _add_graph_args(p)
-    p.add_argument("--coloring", help="coloring file (JSON triples)")
+    p.add_argument("--coloring", help=f"coloring file, {formats.COLORING_SHAPE}")
     p.add_argument("--samples", type=_sample_count, default=12)
     p.add_argument("--seed", type=int, help="motion seed (default: SPHFLEX_SEED or 0)")
     _add_io_args(p)

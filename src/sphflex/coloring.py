@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .errors import BudgetExceededError, NotNapError
@@ -42,31 +41,13 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Total two-coloring of a graph's edges.
-
-    Stored as a bitmask over ``graph.edges`` order (bit set = red), which
-    keeps enumeration over all colorings cheap.
+    """Total two-coloring of a graph's edges: a bitmask over
+    ``graph.edges`` order (bit set = red) and nothing else.  Color names
+    are text only in files, read and written by ``sphflex.formats``.
     """
 
     graph: Graph
     mask: int
-
-    @classmethod
-    def from_colors(cls, graph: Graph, colors: dict[Edge, str]) -> "EdgeColoring":
-        mask = 0
-        for i, e in enumerate(graph.edges):
-            try:
-                c = colors[e]
-            except KeyError:
-                raise KeyError(f"edge {e} has no color") from None
-            if c == RED:
-                mask |= 1 << i
-            elif c != BLUE:
-                raise ValueError(f"unknown color {c!r}")
-        if len(colors) != len(graph.edges):
-            extra = set(colors) - set(graph.edges)
-            raise KeyError(f"colors given for non-edges {sorted(extra)}")
-        return cls(graph, mask)
 
     @classmethod
     def from_red_edges(cls, graph: Graph, red_edges: Iterable[tuple[int, int]]) -> "EdgeColoring":
@@ -75,36 +56,13 @@ class EdgeColoring:
             raise KeyError(f"red edges given for non-edges {sorted(red - graph.edge_set)}")
         return cls(graph, sum(1 << i for i, e in enumerate(graph.edges) if e in red))
 
-    @cached_property
-    def colors(self) -> dict[Edge, str]:
-        return {
-            e: (RED if self.mask >> i & 1 else BLUE)
-            for i, e in enumerate(self.graph.edges)
-        }
-
     def red_edges(self) -> tuple[Edge, ...]:
         return tuple(e for i, e in enumerate(self.graph.edges) if self.mask >> i & 1)
-
-    def swapped(self) -> "EdgeColoring":
-        full = (1 << len(self.graph.edges)) - 1
-        return EdgeColoring(self.graph, self.mask ^ full)
 
     def canonical_mask(self) -> int:
         """Smaller of the coloring's mask and its color-swapped mask."""
         full = (1 << len(self.graph.edges)) - 1
         return min(self.mask, self.mask ^ full)
-
-
-@dataclass(frozen=True)
-class ColoringSet:
-    colorings: tuple[EdgeColoring, ...]
-    modulo_swap: bool
-
-    def __len__(self) -> int:
-        return len(self.colorings)
-
-    def __iter__(self):
-        return iter(self.colorings)
 
 
 def is_surjective(c: EdgeColoring) -> bool:
@@ -141,15 +99,15 @@ def find_alternating_path(c: EdgeColoring) -> Optional[tuple[int, int, int, int]
     :func:`is_nap`.
     """
     g = c.graph
-    colors = c.colors
+    red = set(c.red_edges())
     for w, z in g.edges:
-        mid = colors[(w, z)]
+        mid = (w, z) in red
         for a, b in ((w, z), (z, w)):
             for v in g.neighbors(a):
-                if v == b or colors[normalized_edge(v, a)] == mid:
+                if v == b or (normalized_edge(v, a) in red) == mid:
                     continue
                 for t in g.neighbors(b):
-                    if t == a or colors[normalized_edge(b, t)] == mid:
+                    if t == a or (normalized_edge(b, t) in red) == mid:
                         continue
                     return (v, a, b, t)
     return None
@@ -350,7 +308,7 @@ def _component_colorings(comp_masks: list[int], closing: list[list[int]], out: l
                 masks[i], tried[i] = mask, 0
 
 
-def enumerate_nap(g: Graph, modulo_swap: bool = True) -> ColoringSet:
+def enumerate_nap(g: Graph, modulo_swap: bool = True) -> tuple[EdgeColoring, ...]:
     """All NAP-colorings, in ascending mask order.
 
     In a NAP-coloring the bichromatic vertices (the poles) form an
@@ -379,7 +337,7 @@ def enumerate_nap(g: Graph, modulo_swap: bool = True) -> ColoringSet:
         len(masks),
         extra={"pole_sets": split, "colorings": len(masks)},
     )
-    return ColoringSet(tuple(EdgeColoring(g, mask) for mask in masks), modulo_swap)
+    return tuple(EdgeColoring(g, mask) for mask in masks)
 
 
 def flexibility_certificate(g: Graph) -> Optional[EdgeColoring]:

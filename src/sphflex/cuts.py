@@ -327,8 +327,6 @@ def normalize_cut(g: Graph, c: Cut) -> NormalCut:
 # quadrilateral cuts and the intersection-multiplicity table
 # ---------------------------------------------------------------------------
 
-QUAD_CUT_KINDS = ("om", "ou", "em", "eu")
-
 # I/J sides of the four named cuts for the standard quadrilateral with
 # cycle roles 1-2-3-4 (odd roles 1, 3; even roles 2, 4).  "o"/"e" says
 # which parity is separated, "m"/"u" whether the remaining labels mix.

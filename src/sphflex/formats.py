@@ -8,15 +8,26 @@ byte-identical files.  Graphs can also be read from a bare edge list
 from __future__ import annotations
 
 import json
+from numbers import Integral
 from typing import Any
 
 import numpy as np
 
-from .coloring import BLUE, RED, ColoringSet, EdgeColoring
-from .errors import DegenerateTrajectoryError
+from .coloring import BLUE, RED, EdgeColoring
+from .errors import DegenerateTrajectoryError, SphflexError
 from .graphs import Graph, build_graph
 from .motions import MotionTrajectory
 from .spherical import LengthAssignment, SphericalRealization, check_on_sphere
+
+
+COLORING_SHAPE = '{"coloring": [[a, b, "red"|"blue"], ...]}'
+
+
+def _field(data: Any, key: str, kind: type, shape: str) -> Any:
+    """``data[key]``, a ``kind``, of a file whose top level must be ``shape``."""
+    if not (isinstance(data, dict) and isinstance(data.get(key), kind)):
+        raise SphflexError(f'expected {shape}: no {kind.__name__} under "{key}"')
+    return data[key]
 
 
 def graph_to_dict(g: Graph) -> dict[str, Any]:
@@ -24,7 +35,9 @@ def graph_to_dict(g: Graph) -> dict[str, Any]:
 
 
 def graph_from_dict(data: dict[str, Any]) -> Graph:
-    return build_graph(data["vertices"], [tuple(e) for e in data["edges"]])
+    shape = '{"vertices": [...], "edges": [[a, b], ...]}'
+    vertices, edges = (_field(data, key, list, shape) for key in ("vertices", "edges"))
+    return build_graph(vertices, [tuple(e) for e in edges])
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -52,7 +65,8 @@ def lengths_to_dict(lam: LengthAssignment) -> dict[str, Any]:
 
 
 def lengths_from_dict(data: dict[str, Any]) -> LengthAssignment:
-    return LengthAssignment({(int(a), int(b)): float(v) for a, b, v in data["lengths"]})
+    triples = _field(data, "lengths", list, '{"lengths": [[a, b, length], ...]}')
+    return LengthAssignment({(int(a), int(b)): float(v) for a, b, v in triples})
 
 
 def realization_to_dict(rho: SphericalRealization) -> dict[str, Any]:
@@ -62,9 +76,8 @@ def realization_to_dict(rho: SphericalRealization) -> dict[str, Any]:
 
 
 def realization_from_dict(data: dict[str, Any]) -> SphericalRealization:
-    return SphericalRealization(
-        {int(v): [float(c) for c in p] for v, p in data["placement"].items()}
-    )
+    placement = _field(data, "placement", dict, '{"placement": {"v": [x, y, z], ...}}')
+    return SphericalRealization({int(v): [float(c) for c in p] for v, p in placement.items()})
 
 
 def coloring_to_list(c: EdgeColoring) -> list[list[Any]]:
@@ -72,16 +85,34 @@ def coloring_to_list(c: EdgeColoring) -> list[list[Any]]:
 
 
 def coloring_from_list(g: Graph, triples: list[list[Any]]) -> EdgeColoring:
-    return EdgeColoring.from_colors(
-        g, {(int(a), int(b)): str(col) for a, b, col in triples}
-    )
+    """Coloring from one ``[a, b, "red"|"blue"]`` triple per edge of ``g``,
+    either end first, in any order."""
+    colors = {}
+    for triple in triples:
+        match triple:
+            case [Integral() as a, Integral() as b, str() as color] if color in (RED, BLUE):
+                e = (int(min(a, b)), int(max(a, b)))
+            case _:
+                raise SphflexError(f'coloring triple {triple!r} is not [a, b, "red"|"blue"]')
+        if e not in g.edge_set:
+            raise SphflexError(f"coloring triple {triple!r} names the non-edge {e}")
+        if e in colors:
+            raise SphflexError(f"edge {e} is colored more than once")
+        colors[e] = color
+    if len(colors) < len(g.edges):
+        raise SphflexError(f"edges with no color: {[e for e in g.edges if e not in colors]}")
+    return EdgeColoring.from_red_edges(g, [e for e, color in colors.items() if color == RED])
 
 
-def coloring_set_to_dict(cs: ColoringSet) -> dict[str, Any]:
+def coloring_from_dict(g: Graph, data: Any) -> EdgeColoring:
+    return coloring_from_list(g, _field(data, "coloring", list, COLORING_SHAPE))
+
+
+def coloring_set_to_dict(colorings: tuple[EdgeColoring, ...], modulo_swap: bool) -> dict[str, Any]:
     return {
-        "modulo_swap": cs.modulo_swap,
-        "count": len(cs),
-        "colorings": [coloring_to_list(c) for c in cs],
+        "modulo_swap": modulo_swap,
+        "count": len(colorings),
+        "colorings": [coloring_to_list(c) for c in colorings],
     }
 
 
@@ -97,8 +128,8 @@ _EDGE_BLOCK = 6
 _BLOCK_BITS = (1 << _EDGE_BLOCK) - 1
 
 
-def dump_coloring_set(cs: ColoringSet) -> str:
-    """``dumps(coloring_set_to_dict(cs))``, assembled from text fragments
+def dump_coloring_set(colorings: tuple[EdgeColoring, ...], modulo_swap: bool) -> str:
+    """``dumps(coloring_set_to_dict(colorings, modulo_swap))``, assembled from text fragments
     instead of through the JSON encoder.
 
     Each block of ``_EDGE_BLOCK`` consecutive edges has one text per
@@ -107,7 +138,7 @@ def dump_coloring_set(cs: ColoringSet) -> str:
     """
     items = []
     graph = None
-    for c in cs:
+    for c in colorings:
         if c.graph is not graph:
             graph = c.graph
             # fragments[i][bit]: edge i's triple, blue for bit 0, red for 1
@@ -136,8 +167,8 @@ def dump_coloring_set(cs: ColoringSet) -> str:
             parts.append(text)
         items.append(",\n".join(parts))
     tail = (
-        f'  "count": {json.dumps(len(cs))},\n'
-        f'  "modulo_swap": {json.dumps(cs.modulo_swap)}\n}}\n'
+        f'  "count": {json.dumps(len(colorings))},\n'
+        f'  "modulo_swap": {json.dumps(modulo_swap)}\n}}\n'
     )
     if not items:
         return f'{{\n  "colorings": [],\n{tail}'

@@ -64,12 +64,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adjacency[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return a != b and normalized_edge(a, b) in self.edge_set
-
     def __contains__(self, v: int) -> bool:
         return v in self._adjacency
 

@@ -51,6 +51,7 @@ from .spherical import (
     check_on_sphere,
     degenerate_pair_masks,
     distinct_from,
+    random_unit_point,
     realizations_of_stack,
     rotations_about_axis,
     row_dots,
@@ -258,13 +259,11 @@ def polar_nap_motion(
         sign = 1 if pole_assignment is None else pole_assignment.get(v, 1)
         placement[v] = NORTH if sign >= 0 else SOUTH
     for v in sorted(part.red_side | part.blue_side):
-        vec = rng.normal(size=3)
-        vec /= np.linalg.norm(vec)
+        vec = random_unit_point(rng)
         # keep generic positions away from the poles so edge lengths stay
         # inside (0, 1)
         while abs(vec[0]) > 0.98:
-            vec = rng.normal(size=3)
-            vec /= np.linalg.norm(vec)
+            vec = random_unit_point(rng)
         placement[v] = vec
 
     lengths = LengthAssignment.induced(g, SphericalRealization(placement))

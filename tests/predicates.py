@@ -18,7 +18,8 @@ def nap_pole_partition_by_colors(c: EdgeColoring) -> PolePartition:
     if not is_nap(c):
         raise NotNapError("coloring is not a NAP-coloring")
     g = c.graph
-    colors = c.colors
+    red = set(c.red_edges())
+    colors = {e: RED if e in red else BLUE for e in g.edges}
     poles, red_side, blue_side = set(), set(), set()
     for v in g.vertices:
         incident = {colors[normalized_edge(v, w)] for w in g.neighbors(v)}
@@ -45,12 +46,12 @@ def cut_valid_for_bond_by_labels(g: Graph, c: Cut) -> bool:
 def coloring_from_cut_by_labels(g: Graph, c: Cut) -> EdgeColoring:
     if not cut_valid_for_bond_by_labels(g, c):
         raise InvalidCutError("cut is not bond-valid for this graph")
-    colors = {}
-    for e in g.edges:
-        a, b = e
+    red = []
+    for a, b in g.edges:
         quad = {("P", a), ("Q", a), ("P", b), ("Q", b)}
-        colors[e] = RED if len(quad & c.I) >= 3 else BLUE
-    return EdgeColoring.from_colors(g, colors)
+        if len(quad & c.I) >= 3:
+            red.append((a, b))
+    return EdgeColoring.from_red_edges(g, red)
 
 
 def nap_iff_separated_nonedge_by_labels(

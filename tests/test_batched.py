@@ -157,7 +157,7 @@ def assert_samples_match_loops(traj: MotionTrajectory):
 @PROPERTY
 @given(graphs(max_vertices=8, max_edges=10), st.data())
 def test_polar_samples_match_per_sample_validation(g, data):
-    colorings = enumerate_nap(g).colorings
+    colorings = enumerate_nap(g)
     if not colorings:
         return
     # the coloring with the most poles, split between north and south, so

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from sphflex import formats
 from sphflex.cli import CORPUS, run, verify_suite
-from sphflex.coloring import enumerate_nap
-from sphflex.errors import OutOfRangeError
+from sphflex.coloring import EdgeColoring, enumerate_nap
+from sphflex.errors import OutOfRangeError, SphflexError
 from sphflex.graphs import complete_bipartite, k33, three_prism
 from sphflex.motions import cda_motion, cda_params_from_e
 from sphflex.spherical import LengthAssignment, SphericalRealization
@@ -290,6 +290,75 @@ def test_cli_cda_names_t_where_the_closed_form_leaves_the_sphere(capsys):
     assert not LEAKED.search(err), err
 
 
+# ---------------------------------------------------------------------------
+# input files
+# ---------------------------------------------------------------------------
+
+# the K(3,3) coloring with the star at vertex 1 red, as certify writes it
+STAR = formats.coloring_to_list(EdgeColoring.from_red_edges(k33(), [(1, 2), (1, 4), (1, 6)]))
+
+
+def realize_coloring_argv(tmp_path, data):
+    path = tmp_path / "coloring.json"
+    path.write_text(json.dumps(data))
+    return ["realize", "--corpus", "k33", "--samples", "4", "--format", "structured", "--coloring", str(path)]
+
+
+def test_cli_realize_reads_coloring_pairs_either_end_first(tmp_path, capsys):
+    assert run(realize_coloring_argv(tmp_path, {"coloring": STAR})) == 0
+    expected = capsys.readouterr().out
+    flipped = [[b, a, color] for a, b, color in reversed(STAR)]
+    assert flipped[-1] == [2, 1, "red"]
+    assert run(realize_coloring_argv(tmp_path, {"coloring": flipped})) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_cli_realize_help_shows_the_coloring_file_shape(capsys):
+    with pytest.raises(SystemExit):
+        run(["realize", "--help"])
+    assert formats.COLORING_SHAPE in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize(
+    "flag, data, message",
+    [
+        ("--graph", {"vertices": 5, "edges": []}, 'no list under "vertices"'),
+        ("--graph", {"vertices": [1, 2]}, 'no list under "edges"'),
+        ("--lengths", [[1, 2, 0.3]], 'expected {"lengths": [[a, b, length], ...]}'),
+        ("--seed-realization", {"placement": [1, 2]}, 'no dict under "placement"'),
+        ("--coloring", STAR, formats.COLORING_SHAPE),
+        ("--coloring", {"coloring": {"1": "red"}}, formats.COLORING_SHAPE),
+    ],
+)
+def test_cli_input_file_of_the_wrong_shape_names_the_expected_key(tmp_path, capsys, flag, data, message):
+    # an exception escaping run, as a traceback would, fails the test
+    argv = realize_coloring_argv(tmp_path, {}) if flag == "--coloring" else trace_argv(tmp_path)
+    Path(argv[argv.index(flag) + 1]).write_text(json.dumps(data))
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: expected {") and message in err, err
+    assert not LEAKED.search(err), err
+
+
+@pytest.mark.parametrize(
+    "triples, message",
+    [
+        ([*STAR[:-1], [5, 6, "green"]], """coloring triple [5, 6, 'green'] is not [a, b, "red"|"blue"]"""),
+        ([*STAR[:-1], [5, 6]], "coloring triple [5, 6] is not"),
+        ([*STAR[:-1], [None, 6, "red"]], "coloring triple [None, 6, 'red'] is not"),
+        ([*STAR, [3, 1, "red"]], "coloring triple [3, 1, 'red'] names the non-edge (1, 3)"),
+        ([*STAR, [6, 5, "red"]], "edge (5, 6) is colored more than once"),
+        (STAR[1:-1], "edges with no color: [(1, 2), (5, 6)]"),
+    ],
+)
+def test_coloring_reader_names_the_bad_triple_or_edges(triples, message, tmp_path, capsys):
+    with pytest.raises(SphflexError, match=re.escape(message)):
+        formats.coloring_from_list(k33(), triples)
+    assert run(realize_coloring_argv(tmp_path, {"coloring": triples})) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
 def test_cli_structured_output_reproducible(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -403,9 +472,9 @@ def test_fact_commands_do_not_import_numpy_ma(tmp_path):
 
 def assert_writer_matches_encoder(g):
     for modulo_swap in (False, True):
-        cs = enumerate_nap(g, modulo_swap=modulo_swap)
-        expected = formats.dumps(formats.coloring_set_to_dict(cs))
-        assert formats.dump_coloring_set(cs) == expected
+        colorings = enumerate_nap(g, modulo_swap=modulo_swap)
+        expected = formats.dumps(formats.coloring_set_to_dict(colorings, modulo_swap))
+        assert formats.dump_coloring_set(colorings, modulo_swap) == expected
 
 
 WRITER_GRAPHS = {
@@ -426,9 +495,9 @@ def test_coloring_set_writer_matches_encoder(name):
 
 
 def test_coloring_set_writer_on_rigid_graph():
-    assert enumerate_nap(three_prism()).colorings == ()
+    assert enumerate_nap(three_prism()) == ()
     assert_writer_matches_encoder(three_prism())
-    empty = formats.dump_coloring_set(enumerate_nap(three_prism()))
+    empty = formats.dump_coloring_set(enumerate_nap(three_prism()), True)
     assert json.loads(empty)["colorings"] == []
 
 
@@ -442,8 +511,9 @@ def test_coloring_set_writer_on_random_graphs(pair):
 def test_cli_colorings_structured_uses_identical_text(capsys):
     for flag in ([], ["--modulo-swap"]):
         assert run(["colorings", "--corpus", "k33", "--format", "structured", *flag]) == 0
-        cs = enumerate_nap(k33(), modulo_swap=bool(flag))
-        assert capsys.readouterr().out == formats.dumps(formats.coloring_set_to_dict(cs))
+        colorings = enumerate_nap(k33(), modulo_swap=bool(flag))
+        expected = formats.dumps(formats.coloring_set_to_dict(colorings, bool(flag)))
+        assert capsys.readouterr().out == expected
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphflex.coloring import BLUE, RED, is_nap
+from sphflex.coloring import is_nap
 from sphflex.cuts import (
     MU_TABLE,
     DegreeTable,
@@ -60,13 +60,14 @@ def test_cut_validity_examples():
 
 def test_coloring_from_t_ou():
     col = coloring_from_cut(k22(), T_OU)
-    assert col.colors == {(1, 2): RED, (1, 4): RED, (2, 3): BLUE, (3, 4): BLUE}
+    assert col.graph.edges == ((1, 2), (1, 4), (2, 3), (3, 4))
+    assert col.red_edges() == ((1, 2), (1, 4))
 
 
 def test_swapping_sides_swaps_colors():
     col = coloring_from_cut(k22(), T_OU)
     swapped = coloring_from_cut(k22(), T_OU.swapped())
-    assert swapped.mask == col.swapped().mask
+    assert swapped.mask == col.mask ^ 0b1111
 
 
 def test_coloring_from_apex_cut_is_star():

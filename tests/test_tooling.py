@@ -1,16 +1,20 @@
-"""The benchmark's span recorder wraps package functions by name.
+"""The benchmark reaches into the package by name.
 
-``bench/tracer.py`` lists them in ``TARGETS`` as (module, attribute, span)
-triples.  A renamed or removed function would only show up as a failed
-traced benchmark run, so every pair is resolved here.  The file is read
-with ``ast``, not imported, so nothing of the recorder runs.
+``bench/tracer.py`` lists the functions its span recorder wraps in
+``TARGETS`` as (module, attribute, span) triples, and ``bench/workloads.py``
+calls package functions through the modules and names it imports from
+``sphflex``.  A renamed or removed name would only show up as a failed
+benchmark run, so every one is resolved here.  Both files are read with
+``ast``, not imported, so nothing of the benchmark runs.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
+WORKLOADS = BENCH / "workloads.py"
 
 
 def tracer_targets():
@@ -44,4 +48,38 @@ def test_every_tracer_target_resolves():
         for module, attr, _ in targets
         if not callable(getattr(resolve(module), attr, None))
     ]
+    assert missing == []
+
+
+def workload_names():
+    """Dotted paths of the ``sphflex`` names ``bench/workloads.py`` uses:
+    each imported module or name, and each attribute chain rooted at one
+    (``coloring.EdgeColoring.from_red_edges`` becomes
+    ``sphflex.coloring.EdgeColoring.from_red_edges``)."""
+    tree = ast.parse(WORKLOADS.read_text())
+    roots = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sphflex":
+            roots.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+    paths = set(roots.values())
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in roots:
+            paths.add(".".join([roots[node.id], *reversed(attrs)]))
+    return paths
+
+
+def test_every_name_the_workloads_use_resolves():
+    paths = workload_names()
+    assert "sphflex.formats.coloring_from_list" in paths
+    assert "sphflex.coloring.EdgeColoring.from_red_edges" in paths
+    missing = []
+    for path in sorted(paths):
+        try:
+            resolve(path)
+        except (AttributeError, ModuleNotFoundError):
+            missing.append(path)
     assert missing == []
