@@ -94,6 +94,11 @@ class TraceConfig:
                     f"trace configuration {field.name} must be finite and positive, "
                     f"got {value}"
                 )
+        if self.step_size > math.pi:
+            # half a great circle; a predictor step far beyond it overflows
+            raise SphflexError(
+                f"trace configuration step_size must be at most pi, got {self.step_size}"
+            )
         if self.min_step > self.step_size:
             # the step halving would not try a single step
             raise SphflexError(

@@ -17,7 +17,7 @@ from .coloring import BLUE, RED, EdgeColoring
 from .errors import DegenerateTrajectoryError, SphflexError
 from .graphs import Graph, build_graph
 from .motions import MotionTrajectory
-from .spherical import LengthAssignment, SphericalRealization, check_on_sphere
+from .spherical import LengthAssignment, SphericalRealization, Vec, check_on_sphere
 
 
 COLORING_SHAPE = '{"coloring": [[a, b, "red"|"blue"], ...]}'
@@ -35,9 +35,21 @@ def graph_to_dict(g: Graph) -> dict[str, Any]:
 
 
 def graph_from_dict(data: dict[str, Any]) -> Graph:
-    shape = '{"vertices": [...], "edges": [[a, b], ...]}'
+    shape = '{"vertices": [v, ...], "edges": [[a, b], ...]}'
     vertices, edges = (_field(data, key, list, shape) for key in ("vertices", "edges"))
-    return build_graph(vertices, [tuple(e) for e in edges])
+    # JSON numbers arrive as int and float; the numbers ABCs would cost
+    # microseconds per check
+    for v in vertices:
+        if not isinstance(v, int):
+            raise SphflexError(f"vertex {v!r} is not an integer label")
+    pairs = []
+    for edge in edges:
+        match edge:
+            case [int() as a, int() as b]:
+                pairs.append((a, b))
+            case _:
+                raise SphflexError(f"edge {edge!r} is not [a, b] with integer labels a, b")
+    return build_graph(vertices, pairs)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -66,7 +78,16 @@ def lengths_to_dict(lam: LengthAssignment) -> dict[str, Any]:
 
 def lengths_from_dict(data: dict[str, Any]) -> LengthAssignment:
     triples = _field(data, "lengths", list, '{"lengths": [[a, b, length], ...]}')
-    return LengthAssignment({(int(a), int(b)): float(v) for a, b, v in triples})
+    lengths = {}
+    for triple in triples:
+        match triple:
+            case [int() as a, int() as b, int() | float() as length]:
+                lengths[int(a), int(b)] = float(length)
+            case _:
+                raise SphflexError(
+                    f"length entry {triple!r} is not [a, b, length] with integer labels a, b"
+                )
+    return LengthAssignment(lengths)
 
 
 def realization_to_dict(rho: SphericalRealization) -> dict[str, Any]:
@@ -77,7 +98,19 @@ def realization_to_dict(rho: SphericalRealization) -> dict[str, Any]:
 
 def realization_from_dict(data: dict[str, Any]) -> SphericalRealization:
     placement = _field(data, "placement", dict, '{"placement": {"v": [x, y, z], ...}}')
-    return SphericalRealization({int(v): [float(c) for c in p] for v, p in placement.items()})
+    points = {}
+    for key, point in placement.items():
+        match point:
+            case [int() | float() as x, int() | float() as y, int() | float() as z] if (
+                key.removeprefix("-").isdecimal()
+            ):
+                points[int(key)] = [float(x), float(y), float(z)]
+            case _:
+                raise SphflexError(
+                    f'placement entry "{key}": {point!r} is not "v": [x, y, z] '
+                    "with an integer label v"
+                )
+    return SphericalRealization(points)
 
 
 def coloring_to_list(c: EdgeColoring) -> list[list[Any]]:
@@ -114,14 +147,6 @@ def coloring_set_to_dict(colorings: tuple[EdgeColoring, ...], modulo_swap: bool)
         "count": len(colorings),
         "colorings": [coloring_to_list(c) for c in colorings],
     }
-
-
-def _json_list(items: list[str], indent: str) -> str:
-    """A JSON list, as ``dumps`` writes it, of items already encoded at
-    the next indent level; ``indent`` is the list's own indent."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
 _EDGE_BLOCK = 6
@@ -195,13 +220,24 @@ def trajectory_to_dict(traj: MotionTrajectory) -> dict[str, Any]:
     }
 
 
+def _float_texts(table: Vec) -> tuple[str, ...]:
+    """``repr`` of every value of a float array in C order, as the JSON
+    encoder writes floats, with the repr of each distinct value taken
+    once.  Values are told apart by their bits, so -0.0 and 0.0 stay
+    apart."""
+    bits = np.ascontiguousarray(table, dtype=float).view(np.int64).ravel()
+    distinct, index = np.unique(bits, return_inverse=True)
+    texts = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+    return tuple(texts[index].tolist())
+
+
 _JSON_BOOL = {False: "false", True: "true"}
 
 
 def dump_trajectory(traj: MotionTrajectory) -> str:
-    """``dumps(trajectory_to_dict(traj))``, with each sample written from
-    one text template over its row of the stack instead of through the
-    JSON encoder.
+    """``dumps(trajectory_to_dict(traj))``, with the samples filled into
+    one text template from the texts of the stack's values instead of
+    written through the JSON encoder.
 
     Placement keys sort as strings, as ``dumps`` sorts them ("10" < "2").
     """
@@ -214,23 +250,27 @@ def dump_trajectory(traj: MotionTrajectory) -> str:
     )
     order = traj.graph.vertices
     cols = sorted(range(len(order)), key=lambda i: str(order[i]))
-    # "%r" of a float is its repr, as the JSON encoder writes it
     placement = ",\n".join(
-        f'        "{order[i]}": [\n          %r,\n          %r,\n          %r\n        ]'
+        f'        "{order[i]}": [\n          %s,\n          %s,\n          %s\n        ]'
         for i in cols
     )
-    coords = traj.points[:, cols].reshape(len(traj.points), -1).tolist()
-    injective, proper = traj.sample_flags()
-    items = [
-        f'    {{\n      "injective": {_JSON_BOOL[inj]},\n      "parameter": {t!r},\n'
-        f'      "placement": {{\n{placement % tuple(xyz)}\n      }},\n'
+    # a sample's template by its (injective, proper) flags; its slots take
+    # the parameter and then the coordinates
+    items = {
+        (inj, prop): f'    {{\n      "injective": {_JSON_BOOL[inj]},\n      "parameter": %s,\n'
+        f'      "placement": {{\n{placement}\n      }},\n'
         f'      "proper": {_JSON_BOOL[prop]}\n    }}'
-        for t, xyz, inj, prop in zip(
-            traj.parameters.tolist(), coords, injective.tolist(), proper.tolist()
-        )
-    ]
-    # the head ends in "\n}\n"; the samples go in as its last key
-    return f'{head[:-3]},\n  "samples": {_json_list(items, "  ")}\n}}\n'
+        for inj in (False, True)
+        for prop in (False, True)
+    }
+    injective, proper = traj.sample_flags()
+    template = ",\n".join([items[flags] for flags in zip(injective.tolist(), proper.tolist())])
+    count = len(traj.points)
+    table = np.concatenate([traj.parameters[:, None], traj.points[:, cols].reshape(count, -1)], axis=1)
+    # the head ends in "\n}\n"; the samples, never fewer than two, go in
+    # as its last key
+    samples = template % _float_texts(table)
+    return f'{head[:-3]},\n  "samples": [\n{samples}\n  ]\n}}\n'
 
 
 def trajectory_from_dict(data: dict[str, Any]) -> MotionTrajectory:
@@ -279,8 +319,8 @@ def trajectory_to_csv(traj: MotionTrajectory) -> str:
         ],
         axis=1,
     )
-    row = ",".join(["%r"] * table.shape[1])
-    return "\n".join([",".join(header), *(row % tuple(r) for r in table.tolist())]) + "\n"
+    row = ",".join(["%s"] * table.shape[1]) + "\n"
+    return ",".join(header) + "\n" + row * len(table) % _float_texts(table)
 
 
 def dumps(data: Any) -> str:

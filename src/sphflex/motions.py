@@ -503,60 +503,77 @@ def cda_point(
     consistent choices parametrize arcs of the same configuration curve.
     """
     _require_reference_cda(params)
-    return SphericalRealization(dict(zip(range(1, 7), _cda_rows(float(t), y2_sign, z5_sign))))
+    rows, _, error = _cda_rows([float(t)], y2_sign, z5_sign)
+    if error is not None:
+        raise error
+    return SphericalRealization(dict(zip(range(1, 7), rows[0])))
 
 
-def _cda_rows(t: float, y2_sign: int, z5_sign: int) -> Vec:
-    """Points of vertices 1..6 of ``cda_point`` at parameter t, as a (6, 3)
-    array.  At large |t| the z5 radicand cancels catastrophically, and a t
-    whose points round off the sphere raises ``OutOfRangeError``."""
-    if not math.isfinite(t):
-        raise OutOfRangeError(f"t={t} is not finite")
-    if t in (-1.0, 0.0, 1.0):
-        raise PoleError(f"t={t} is a pole of the parametrization")
-    y2_rad = (t + 7.0) * (7.0 * t + 1.0)
-    if y2_rad < 0.0:
-        raise NegativeDiscriminantError(f"y2 radicand {y2_rad:.3e} < 0 at t={t}")
-    y2 = y2_sign * math.sqrt(y2_rad) / (5.0 * t + 5.0)
-    try:
+def _cda_rows(
+    t_values: Sequence[float], y2_sign: int, z5_sign: int
+) -> tuple[Vec, Vec, Optional[SphflexError]]:
+    """Points of vertices 1..6 of ``cda_point`` at every t, as an (S, 6, 3)
+    array; which t give a realization; and the error of the first t that
+    does not, or None.
+
+    Every power is ``np.float_power``, C pow as Python's float ``**`` is,
+    so each row equals the closed form evaluated at one t bit for bit.  At
+    large |t| the z5 radicand cancels catastrophically, and a t whose
+    points round off the sphere is refused with ``OutOfRangeError``.
+    """
+    t = np.array(t_values, dtype=float)
+    with np.errstate(all="ignore"):
+        y2_rad = (t + 7.0) * (7.0 * t + 1.0)
+        y2 = y2_sign * np.sqrt(y2_rad) / (5.0 * t + 5.0)
+        t2, y2_2 = np.float_power(t, 2), np.float_power(y2, 2)
         z5_rad = (
-            25.0 * t**4 * y2**2
-            - 50.0 * t**2 * y2**2
-            + 25.0 * y2**2
-            - 72.0 * t**3
+            25.0 * np.float_power(t, 4) * y2_2
+            - 50.0 * t2 * y2_2
+            + 25.0 * y2_2
+            - 72.0 * np.float_power(t, 3)
             - 72.0 * t
         )
-    except OverflowError:  # float ** raises where * gives inf
-        z5_rad = math.inf
-    if not math.isfinite(z5_rad):  # also where y2_rad overflowed: y2 is then inf or NaN
-        raise OutOfRangeError(f"the radicands overflow at t={t}")
-    if z5_rad < 0.0:
-        raise NegativeDiscriminantError(f"z5 radicand {z5_rad:.3e} < 0 at t={t}")
-    z5 = (-5.0 * y2 * t**2 + 5.0 * y2 + z5_sign * math.sqrt(z5_rad)) / (
-        8.0 * (t**2 + 1.0)
-    )
-    if z5 == 0.0:
-        raise ZeroDivisorError(f"z5 vanishes at t={t}")
-    x3 = 2.0 * t / (t**2 + 1.0)
-    z3 = (t**2 - 1.0) / (t**2 + 1.0)
-    z2 = 0.6 * (t - 1.0) / (t + 1.0)
-    z4 = -0.6 * (t + 1.0) / (t - 1.0)
-    x5 = t * (16.0 * z5**2 + 9.0) / (8.0 * z5 * (t**2 - 1.0))
-    y4 = y2 + 8.0 * (t**2 + 1.0) * z5 / (5.0 * (t**2 - 1.0))
-    rows = np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [0.6, y2, z2],
-            [x3, 0.0, z3],
-            [0.6, y4, z4],
-            [x5, 0.75, z5],
-            [0.0, 1.0, 0.0],
-        ]
-    )
-    off = np.abs(row_dots(rows, rows) - 1.0).max()
-    if not off <= ON_SPHERE_TOL:
-        raise OutOfRangeError(f"the closed form leaves the sphere by {off:.3e} at t={t}")
-    return rows
+        z5 = (-5.0 * y2 * t2 + 5.0 * y2 + z5_sign * np.sqrt(z5_rad)) / (8.0 * (t2 + 1.0))
+        rows = np.zeros((len(t), 6, 3))
+        rows[:, 0, 0] = 1.0
+        rows[:, 1, 0] = 0.6
+        rows[:, 1, 1] = y2
+        rows[:, 1, 2] = 0.6 * (t - 1.0) / (t + 1.0)
+        rows[:, 2, 0] = 2.0 * t / (t2 + 1.0)
+        rows[:, 2, 2] = (t2 - 1.0) / (t2 + 1.0)
+        rows[:, 3, 0] = 0.6
+        rows[:, 3, 1] = y2 + 8.0 * (t2 + 1.0) * z5 / (5.0 * (t2 - 1.0))
+        rows[:, 3, 2] = -0.6 * (t + 1.0) / (t - 1.0)
+        rows[:, 4, 0] = t * (16.0 * np.float_power(z5, 2) + 9.0) / (8.0 * z5 * (t2 - 1.0))
+        rows[:, 4, 1] = 0.75
+        rows[:, 4, 2] = z5
+        rows[:, 5, 1] = 1.0
+        off = np.abs(row_dots(rows, rows) - 1.0).max(axis=1)
+    # a t fails the first of these that holds for it
+    fails = [
+        ~np.isfinite(t),
+        (t == -1.0) | (t == 0.0) | (t == 1.0),
+        y2_rad < 0.0,
+        ~np.isfinite(z5_rad),  # also where y2_rad overflowed: y2 is then inf or NaN
+        z5_rad < 0.0,
+        z5 == 0.0,
+        ~(off <= ON_SPHERE_TOL),
+    ]
+    valid = ~np.logical_or.reduce(fails)
+    if valid.all():
+        return rows, valid, None
+    k = int(np.argmin(valid))
+    tk = float(t[k])
+    error, message = (
+        (OutOfRangeError, f"t={tk} is not finite"),
+        (PoleError, f"t={tk} is a pole of the parametrization"),
+        (NegativeDiscriminantError, f"y2 radicand {y2_rad[k]:.3e} < 0 at t={tk}"),
+        (OutOfRangeError, f"the radicands overflow at t={tk}"),
+        (NegativeDiscriminantError, f"z5 radicand {z5_rad[k]:.3e} < 0 at t={tk}"),
+        (ZeroDivisorError, f"z5 vanishes at t={tk}"),
+        (OutOfRangeError, f"the closed form leaves the sphere by {off[k]:.3e} at t={tk}"),
+    )[next(i for i, fail in enumerate(fails) if fail[k])]
+    return rows, valid, error(message)
 
 
 def cda_lengths(params: CdaParams) -> LengthAssignment:
@@ -588,7 +605,9 @@ def cda_motion(
     _require_reference_cda(params)
     lengths = cda_lengths(params)
     ts = [float(t) for t in t_values]
-    pts = np.array([_cda_rows(t, y2_sign, z5_sign) for t in ts]).reshape(-1, 6, 3)
+    pts, _, error = _cda_rows(ts, y2_sign, z5_sign)
+    if error is not None:
+        raise error
     return MotionTrajectory(k33(), lengths, pts, ts, KIND_CDA)
 
 
@@ -604,15 +623,9 @@ def cda_feasible_intervals(
     Returns maximal subintervals (between scanned grid points) on which the
     parametrization produced a valid realization for the given branch.
     """
-    params = CdaParams(_CDA_A, _CDA_E)
     grid = np.linspace(t_lo, t_hi, samples)
     good = np.zeros(len(grid) + 2, dtype=int)  # padded with a bad point at each end
-    for i, t in enumerate(grid):
-        try:
-            cda_point(params, float(t), y2_sign, z5_sign)
-        except SphflexError:
-            continue
-        good[i + 1] = 1
+    good[1:-1] = _cda_rows(grid, y2_sign, z5_sign)[1]
     # a run of good points starts at each step up and ends before each step down
     bounds = np.flatnonzero(np.diff(good))
     return [(float(grid[a]), float(grid[b - 1])) for a, b in zip(bounds[::2], bounds[1::2])]
@@ -652,6 +665,18 @@ def _pair_axes(pts: Vec, pairs: Sequence[tuple[int, int]]) -> tuple[Vec, Vec]:
         return v / norm[..., None], norm > 1e-7
 
 
+# the 48 ways to match odd pairs 0, 1, 2 to distinct even pairs _MATCH[:, k]
+# and pick an axis sign _SIGN[:, k] for each: one row per way
+_MATCH = np.repeat(list(permutations(range(3))), 8, axis=0)
+_SIGN = np.tile(list(product((0, 1), repeat=3)), (6, 1))
+
+
+def _max3(v: Vec) -> Vec:
+    """``v.max(axis=-1)`` of a (..., 3) array, elementwise, which is exact
+    and propagates NaN as the reduction does."""
+    return np.maximum(np.maximum(v[..., 0], v[..., 1]), v[..., 2])
+
+
 def _dixon2_samples(pts: Vec, tol: float) -> Vec:
     """Per sample: three mutually orthogonal half-turn axes, each shared by
     an odd pair and an even pair (allowing antipodal partners)."""
@@ -659,22 +684,17 @@ def _dixon2_samples(pts: Vec, tol: float) -> Vec:
     even_axes, even_ok = _pair_axes(pts, _EVEN_PAIRS)
     o, e = odd_axes[:, :, :, None, None], even_axes[:, None, None]
     with np.errstate(invalid="ignore"):
-        close = np.minimum(np.abs(o - e).max(axis=-1), np.abs(o + e).max(axis=-1)) <= tol
+        close = np.minimum(_max3(np.abs(o - e)), _max3(np.abs(o + e))) <= tol
         orth = np.abs(row_dots(o, odd_axes[:, None, None])) <= tol
     # shares[:, k, so, m]: the sign-so axis of odd pair k is one of even pair m
     shares = odd_ok[..., None] & (close & even_ok[:, None, None]).any(axis=-1)
-    found = np.zeros(len(pts), dtype=bool)
-    for m0, m1, m2 in permutations(range(3)):
-        for s0, s1, s2 in product((0, 1), repeat=3):
-            found |= (
-                shares[:, 0, s0, m0]
-                & shares[:, 1, s1, m1]
-                & shares[:, 2, s2, m2]
-                & orth[:, 0, s0, 1, s1]
-                & orth[:, 0, s0, 2, s2]
-                & orth[:, 1, s1, 2, s2]
-            )
-    return found
+    s0, s1, s2 = _SIGN.T
+    return (
+        shares[:, range(3), _SIGN, _MATCH].all(axis=-1)
+        & orth[:, 0, s0, 1, s1]
+        & orth[:, 0, s0, 2, s2]
+        & orth[:, 1, s1, 2, s2]
+    ).any(axis=-1)
 
 
 def _cda_pattern(lengths: LengthAssignment, tol: float) -> bool:
@@ -726,8 +746,9 @@ def detect_k33_motion_kind(traj: MotionTrajectory, tol: float = 1e-8) -> str:
 
     Requires at least three pairwise essentially distinct samples and no
     coincident or antipodal vertices anywhere.  Returns ``unclassified``
-    when no signature matches; it never guesses.  Every test runs on the
-    whole stack of samples at once.
+    when no signature matches; it never guesses.  Each signature is tested
+    on the first sample, and only if that one has it on the whole stack of
+    samples at once.
     """
     if set(traj.graph.vertices) != {1, 2, 3, 4, 5, 6} or traj.graph.num_edges != 9:
         raise DegenerateRealizationError("detector expects the standard K(3,3)")
@@ -740,10 +761,9 @@ def detect_k33_motion_kind(traj: MotionTrajectory, tol: float = 1e-8) -> str:
             f"sample at {float(traj.parameters[improper[0]])} has coincident or antipodal vertices"
         )
 
-    if _dixon1_samples(pts, tol).all():
-        return KIND_DIXON1
-    if _dixon2_samples(pts, tol).all():
-        return KIND_DIXON2
+    for kind, has_signature in ((KIND_DIXON1, _dixon1_samples), (KIND_DIXON2, _dixon2_samples)):
+        if has_signature(pts[:1], tol)[0] and has_signature(pts, tol).all():
+            return kind
     if _cda_pattern(traj.lengths, tol):
         return KIND_CDA
     return KIND_UNCLASSIFIED

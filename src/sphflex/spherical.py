@@ -71,9 +71,6 @@ class Rotation:
     def apply(self, p: Vec) -> Vec:
         return self.matrix @ p
 
-    def compose(self, other: "Rotation") -> "Rotation":
-        return Rotation(self.matrix @ other.matrix)
-
 
 def check_rotations(m: Vec) -> None:
     """Raise unless every matrix of a (..., 3, 3) stack is orthogonal with

@@ -7,11 +7,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphflex import formats
@@ -19,7 +20,7 @@ from sphflex.cli import CORPUS, run, verify_suite
 from sphflex.coloring import EdgeColoring, enumerate_nap
 from sphflex.errors import OutOfRangeError, SphflexError
 from sphflex.graphs import complete_bipartite, k33, three_prism
-from sphflex.motions import cda_motion, cda_params_from_e
+from sphflex.motions import Dixon1Params, cda_motion, cda_params_from_e, dixon1_motion
 from sphflex.spherical import LengthAssignment, SphericalRealization
 
 from enumeration import relabeled_graphs
@@ -228,8 +229,11 @@ def test_cli_samples_below_two_is_a_usage_error(argv, count, capsys):
     assert "argument --samples:" in capsys.readouterr().err
 
 
-# every numeric flag of k33 and classify-quad with the arguments it joins;
-# a drawn value replaces the first entry of a list flag
+# trace from the Dixon 1 K(3,3) seed; the file names are filled in by the
+# dixon1_trace_files fixture
+TRACE = ["trace", "--corpus", "k33", "--lengths", "LENGTHS", "--seed-realization", "SEED"]
+# every numeric flag of k33, classify-quad and trace with the arguments it
+# joins; a drawn value replaces the first entry of a list flag
 NUMERIC_FLAGS = (
     *((["k33", "--kind", "dixon1"], flag, rest) for flag, rest in (("--c", ",0.4,0.6"), ("--d", ",0.5,0.7"))),
     *((["k33", "--kind", "dixon1"], flag, "") for flag in ("--s-min", "--s-max")),
@@ -241,10 +245,23 @@ NUMERIC_FLAGS = (
     (["classify-quad"], "--deltas", ",0.3,0.7,0.7"),
     (["classify-quad"], "--lambdas", ",0.35,0.15,0.15"),
     (["classify-quad", "--deltas", "0.3,0.3,0.7,0.7"], "--tol", ""),
+    *((TRACE, flag, "") for flag in ("--step", "--tol", "--max-steps")),
 )
 SAMPLED = (["realize", "--corpus", "k33"], *(["k33", "--kind", k] for k in ("dixon1", "dixon2", "cda")))
 # messages of a value that got past its check and failed downstream
 LEAKED = re.compile(r"placed off the sphere|length .* for edge|Number of samples")
+
+
+@pytest.fixture(scope="module")
+def dixon1_trace_files(tmp_path_factory):
+    """Lengths and seed files of the Dixon 1 K(3,3) motion at s = 1, by the
+    names ``TRACE`` gives them."""
+    traj = dixon1_motion(Dixon1Params({1: 0.2, 3: 0.4, 5: 0.6}, {2: 0.3, 4: 0.5, 6: 0.7}), [1.0, 1.1])
+    folder = tmp_path_factory.mktemp("dixon1")
+    files = {"LENGTHS": folder / "lengths.json", "SEED": folder / "seed.json"}
+    files["LENGTHS"].write_text(json.dumps(formats.lengths_to_dict(traj.lengths)))
+    files["SEED"].write_text(json.dumps(formats.realization_to_dict(traj.realizations()[0])))
+    return {name: str(path) for name, path in files.items()}
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -262,9 +279,17 @@ LEAKED = re.compile(r"placed off the sphere|length .* for edge|Number of samples
         ),
     )
 )
-def test_cli_numeric_flags_exit_cleanly(argv):
+# the step that overflowed the predictor before step_size had a bound
+@example([*TRACE, "--step=1e308"])
+def test_cli_numeric_flags_exit_cleanly(dixon1_trace_files, argv):
+    argv = [dixon1_trace_files.get(arg, arg) for arg in argv]
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with (
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(err),
+        warnings.catch_warnings(),
+    ):
+        warnings.simplefilter("error", RuntimeWarning)
         try:
             code = run(argv)
         except SystemExit as exc:
@@ -274,6 +299,14 @@ def test_cli_numeric_flags_exit_cleanly(argv):
     if code == 1:
         assert err.getvalue().startswith("error: "), argv
         assert not LEAKED.search(err.getvalue()), (argv, err.getvalue())
+
+
+def test_cli_trace_step_is_at_most_pi(dixon1_trace_files, capsys):
+    argv = [dixon1_trace_files.get(arg, arg) for arg in TRACE]
+    assert run([*argv, "--step=3.2"]) == 1
+    assert capsys.readouterr().err == "error: trace configuration step_size must be at most pi, got 3.2\n"
+    assert run([*argv, "--step=3.0"]) == 0
+    assert "stop: loop_closed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", ["inf", "0", "1", "-0.5", "nan"])
@@ -338,6 +371,32 @@ def test_cli_input_file_of_the_wrong_shape_names_the_expected_key(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: expected {") and message in err, err
     assert not LEAKED.search(err), err
+
+
+@pytest.mark.parametrize(
+    "flag, data, message",
+    [
+        ("--lengths", {"lengths": [[1, 2, None]]}, "length entry [1, 2, None] is not [a, b, length]"),
+        ("--lengths", {"lengths": [[1, 2]]}, "length entry [1, 2] is not [a, b, length]"),
+        ("--lengths", {"lengths": [[1.5, 2, 0.3]]}, "length entry [1.5, 2, 0.3] is not [a, b, length]"),
+        ("--seed-realization", {"placement": {"1": 5}}, 'placement entry "1": 5 is not "v": [x, y, z]'),
+        ("--seed-realization", {"placement": {"a": [1, 0, 0]}}, 'placement entry "a": [1, 0, 0] is not'),
+        ("--graph", {"vertices": [1, 2], "edges": [5]}, "edge 5 is not [a, b]"),
+        ("--graph", {"vertices": [1, 2], "edges": [[1, None]]}, "edge [1, None] is not [a, b]"),
+        ("--graph", {"vertices": [1, None], "edges": [[1, 2]]}, "vertex None is not an integer label"),
+    ],
+)
+def test_cli_malformed_file_entry_is_named(tmp_path, capsys, flag, data, message):
+    # an exception escaping run, as a traceback would, fails the test
+    if flag == "--graph":
+        argv = ["certify", "--graph", str(tmp_path / "g.json")]
+    else:
+        argv = trace_argv(tmp_path)
+    Path(argv[argv.index(flag) + 1]).write_text(json.dumps(data))
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert "Traceback" not in err and not LEAKED.search(err), err
 
 
 @pytest.mark.parametrize(

@@ -72,9 +72,9 @@ def test_rotation_about_axis_examples():
 def test_rotation_composition_adds_angles():
     axis = random_unit_point(RNG)
     a, b = 0.7, 1.1
-    composed = rotation_about_axis(axis, a).compose(rotation_about_axis(axis, b))
+    composed = rotation_about_axis(axis, a).matrix @ rotation_about_axis(axis, b).matrix
     direct = rotation_about_axis(axis, a + b)
-    assert np.abs(composed.matrix - direct.matrix).max() <= 1e-12
+    assert np.abs(composed - direct.matrix).max() <= 1e-12
 
 
 def test_rotation_validation():

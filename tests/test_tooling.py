@@ -3,14 +3,21 @@
 ``bench/tracer.py`` lists the functions its span recorder wraps in
 ``TARGETS`` as (module, attribute, span) triples, and ``bench/workloads.py``
 calls package functions through the modules and names it imports from
-``sphflex``.  A renamed or removed name would only show up as a failed
-benchmark run, so every one is resolved here.  Both files are read with
+``sphflex`` and methods on the objects they return.  A renamed or removed
+name would only show up as a failed benchmark run, so every one is
+resolved here.  Both files are read with
 ``ast``, not imported, so nothing of the benchmark runs.
 """
 
 import ast
+import dataclasses
+import hashlib
 import importlib
+import io
+import pkgutil
 from pathlib import Path
+
+import numpy as np
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
@@ -83,3 +90,67 @@ def test_every_name_the_workloads_use_resolves():
         except (AttributeError, ModuleNotFoundError):
             missing.append(path)
     assert missing == []
+
+
+def object_attributes():
+    """Attribute names ``bench/workloads.py`` reads on objects rather than
+    through an imported name: ``c.canonical_mask()`` on a returned
+    coloring, ``res.trajectory.samples`` on a trace result.  Reads on
+    ``self`` are left out."""
+    tree = ast.parse(WORKLOADS.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in imported | {"self"}):
+                names.add(node.attr)
+    return names
+
+
+def workload_class_attributes():
+    """Names defined by the classes of ``bench/workloads.py``: methods,
+    class-level and dataclass fields, and ``self.x`` assignments."""
+    names = set()
+    for cls in ast.walk(ast.parse(WORKLOADS.read_text())):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.FunctionDef):
+                names.add(node.name)
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.add(node.target.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+    return names
+
+
+def package_class_attributes():
+    """Attributes and dataclass fields of every class the package defines."""
+    import sphflex
+
+    names = set()
+    for info in pkgutil.iter_modules(sphflex.__path__, "sphflex."):
+        module = importlib.import_module(info.name)
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == info.name:
+                names.update(dir(cls))
+                if dataclasses.is_dataclass(cls):
+                    names.update(f.name for f in dataclasses.fields(cls))
+    return names
+
+
+def test_every_method_the_workloads_call_on_returned_objects_resolves():
+    # a name the package no longer defines is still found on these types
+    # only if the workloads' own objects have it
+    other_types = (str, list, dict, set, np.ndarray, np.random.Generator, io.StringIO, hashlib.sha256())
+    known = package_class_attributes() | workload_class_attributes()
+    known.update(name for kind in other_types for name in dir(kind))
+    names = object_attributes()
+    assert {"canonical_mask", "samples", "trajectory", "stop_reason"} <= names
+    assert sorted(names - known) == []

@@ -14,6 +14,8 @@ import gc
 import hashlib
 import io
 import json
+import math
+import re
 import weakref
 from itertools import combinations
 
@@ -31,18 +33,25 @@ from sphflex.errors import (
     DegenerateRealizationError,
     DegenerateTrajectoryError,
     InsufficientSamplesError,
+    NegativeDiscriminantError,
     NoRealSolutionError,
+    OutOfRangeError,
+    PoleError,
     SphflexError,
+    ZeroDivisorError,
 )
 from sphflex.graphs import apex_double_triangle, build_graph, complete_bipartite, cycle_graph, k33
 from sphflex.motions import (
     KIND_DIXON2,
+    KIND_UNCLASSIFIED,
     Dixon1Params,
     Dixon2Params,
     MotionTrajectory,
+    _cda_rows,
     _dixon1_samples,
     _dixon2_samples,
     _solve_dixon2_points,
+    cda_feasible_intervals,
     cda_motion,
     cda_params_from_e,
     detect_k33_motion_kind,
@@ -63,8 +72,12 @@ from sphflex.spherical import (
 )
 
 from trajectories import (
+    cda_feasible_intervals_by_points,
+    cda_rows_at,
     detect_by_samples,
     dixon1_rows,
+    dixon2_samples_by_loop,
+    dump_trajectory_by_samples,
     encoded,
     is_dixon1_sample,
     is_dixon2_sample,
@@ -249,7 +262,7 @@ def assert_dict_equals_per_sample_oracle(traj, text):
 def test_writers_equal_per_sample_writers(name):
     traj = EXAMPLES[name]
     text = formats.dump_trajectory(traj)
-    assert text == encoded(traj)
+    assert text == encoded(traj) == dump_trajectory_by_samples(traj)
     assert_dict_equals_per_sample_oracle(traj, text)
     assert formats.trajectory_to_csv(traj) == trajectory_to_csv_by_samples(traj)
     again = parsed(text)
@@ -258,6 +271,35 @@ def test_writers_equal_per_sample_writers(name):
     assert np.array_equal(again.points, oracle.points)
     assert again.parameters.tolist() == traj.parameters.tolist()
     assert formats.dump_trajectory(again) == text
+
+
+def signed_zeros_and_distinct():
+    """A Dixon 1 stack with every other sample turned half about z, so that
+    its zero coordinates are 0.0 in some samples and -0.0 in others, with
+    parameters 0.0, -0.0 and repeats; and the same stack with each sample
+    turned by its own random rotation, so that no coordinate repeats."""
+    d1 = EXAMPLES["dixon1"]
+    pts = d1.points.copy()
+    pts[::2] *= [-1.0, -1.0, 1.0]
+    params = d1.parameters.copy()
+    params[:6] = [0.0, -0.0, 0.0, -0.0, 1.0, 1.0]
+    signed = MotionTrajectory(d1.graph, d1.lengths, pts, params, "signed")
+    rng = np.random.default_rng(8)
+    turned = np.stack([p @ random_rotation(rng).matrix.T for p in d1.points])
+    distinct = MotionTrajectory(d1.graph, d1.lengths, turned, d1.parameters, "distinct")
+    return signed, distinct
+
+
+def test_writers_equal_per_sample_writers_on_signed_zeros_and_distinct_values():
+    signed, distinct = signed_zeros_and_distinct()
+    zeros = np.signbit(signed.points[signed.points == 0.0])
+    assert zeros.any() and not zeros.all()
+    assert np.unique(distinct.points).size == distinct.points.size
+    for traj in (signed, distinct):
+        text = formats.dump_trajectory(traj)
+        assert text == dump_trajectory_by_samples(traj) == encoded(traj)
+        csv = formats.trajectory_to_csv(traj)
+        assert csv == trajectory_to_csv_by_samples(traj)
 
 
 @st.composite
@@ -279,7 +321,7 @@ def test_polar_writers_equal_encoder_on_random_labels(g, samples, seed):
         return
     traj = polar_nap_motion(g, coloring, np.linspace(0.0, 6.0, samples), seed=seed)
     text = formats.dump_trajectory(traj)
-    assert text == encoded(traj)
+    assert text == encoded(traj) == dump_trajectory_by_samples(traj)
     assert_dict_equals_per_sample_oracle(traj, text)
     assert formats.trajectory_to_csv(traj) == trajectory_to_csv_by_samples(traj)
     assert encoded(parsed(text)) == text
@@ -603,6 +645,91 @@ def test_cli_dixon2_rejects_nan_p1():
         assert "off the sphere" not in err
 
 
+def cda_test_values() -> list[float]:
+    """t on both sides of every pole and radicand zero, at scales up to
+    where the radicands overflow, plus the named bad values."""
+    rng = np.random.default_rng(21)
+    near = [-7.0, -1.0, -1.0 / 7.0, 0.0, 1.0, 7.0]
+    values = [
+        *rng.uniform(-40.0, 40.0, 1000),
+        *(rng.choice(near, 300) + rng.normal(0.0, 1e-3, 300)),
+        *(rng.choice((-1.0, 1.0), 300) * 10.0 ** rng.uniform(-8.0, 80.0, 300)),
+        -1.0, 0.0, -0.0, 1.0, math.nan, math.inf, -math.inf,
+        1e100,  # t**4 overflows
+        -2.0,  # negative y2 radicand
+        2.0,  # negative z5 radicand
+        1e7,  # rounds off the sphere
+    ]
+    return [float(t) for t in values]
+
+
+def scalar_outcome(t, y2_sign, z5_sign):
+    try:
+        return cda_rows_at(t, y2_sign, z5_sign), None
+    except SphflexError as exc:
+        return None, exc
+
+
+@pytest.mark.parametrize("y2_sign, z5_sign", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_cda_kernel_equals_scalar_rows(y2_sign, z5_sign):
+    ts = cda_test_values()
+    rows, valid, error = _cda_rows(ts, y2_sign, z5_sign)
+    outcomes = [scalar_outcome(t, y2_sign, z5_sign) for t in ts]
+    assert valid.tolist() == [want is not None for want, _ in outcomes]
+    assert valid.sum() > 500
+    assert {type(exc) for _, exc in outcomes} == {
+        type(None), OutOfRangeError, PoleError, NegativeDiscriminantError, ZeroDivisorError
+    }
+    for t, got, (want, exc) in zip(ts, rows, outcomes):
+        one_rows, one_valid, one_error = _cda_rows([t], y2_sign, z5_sign)
+        if want is None:
+            assert not one_valid[0]
+            assert (type(one_error), str(one_error)) == (type(exc), str(exc))
+        else:
+            # bit for bit, so -0.0 and 0.0 count as different
+            assert got.tobytes() == want.tobytes() == one_rows[0].tobytes()
+            assert one_error is None
+    # the stack reports the first bad t as the scalar form raises it
+    first = next(exc for _, exc in outcomes if exc is not None)
+    assert (type(error), str(error)) == (type(first), str(first))
+
+
+def test_cda_kernel_equals_scalar_rows_on_dense_grid():
+    # C pow rounds t**2 apart from t * t for about 1 t in 1000, and most
+    # such differences round away further on, so only a dense grid tells
+    # the two apart in the rows
+    ts = np.random.default_rng(22).uniform(7.2, 30.0, 20000).tolist()
+    rows, valid, error = _cda_rows(ts, 1, 1)
+    assert valid.all() and error is None
+    assert rows.tobytes() == np.array([cda_rows_at(t, 1, 1) for t in ts]).tobytes()
+
+
+def test_cda_kernel_raises_at_the_first_bad_t():
+    params = cda_params_from_e(0.75)
+    for ts, message in (
+        ([8.0, 9.0, 2.0, math.nan], "z5 radicand -5.850e+02 < 0 at t=2.0"),
+        ([8.0, -2.0, 2.0], "y2 radicand -6.500e+01 < 0 at t=-2.0"),
+        ([8.0, math.nan, 2.0], "t=nan is not finite"),
+        ([8.0, 1e100, 1.0], "the radicands overflow at t=1e+100"),
+        ([8.0, -1.0, 1e7], "t=-1.0 is a pole of the parametrization"),
+    ):
+        with pytest.raises(SphflexError) as got:
+            cda_motion(params, ts)
+        assert str(got.value) == message
+        with pytest.raises(type(got.value), match=re.escape(message)):
+            for t in ts:
+                cda_rows_at(t, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "t_lo, t_hi, samples", [(0.01, 40.0, 801), (-40.0, 40.0, 1601), (-1e7, 1e7, 401), (7.5, 30.0, 50)]
+)
+@pytest.mark.parametrize("y2_sign, z5_sign", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_cda_feasible_intervals_equal_per_point_scan(t_lo, t_hi, samples, y2_sign, z5_sign):
+    got = cda_feasible_intervals(t_lo, t_hi, samples, y2_sign, z5_sign)
+    assert got == cda_feasible_intervals_by_points(t_lo, t_hi, samples, y2_sign, z5_sign)
+
+
 # ---------------------------------------------------------------------------
 # detector
 # ---------------------------------------------------------------------------
@@ -631,8 +758,32 @@ def test_detector_equals_per_sample_oracle(traj):
     rhos = traj.realizations()
     for tol in (1e-8, 1e-4):
         assert _dixon1_samples(traj.points, tol).tolist() == [is_dixon1_sample(r, tol) for r in rhos]
-        assert _dixon2_samples(traj.points, tol).tolist() == [is_dixon2_sample(r, tol) for r in rhos]
+        d2 = _dixon2_samples(traj.points, tol).tolist()
+        assert d2 == dixon2_samples_by_loop(traj.points, tol).tolist()
+        assert d2 == [is_dixon2_sample(r, tol) for r in rhos]
         assert detect_k33_motion_kind(traj, tol) == detect_by_samples(traj, tol)
+
+
+def nudged(traj: MotionTrajectory, k: int) -> MotionTrajectory:
+    """``traj`` with sample k moved by about 1e-10, which breaks a Dixon
+    signature at a detector tolerance of 1e-11 but keeps the lengths
+    within COMPAT_TOL."""
+    pts = traj.points.copy()
+    pts[k] += np.random.default_rng(3).normal(size=pts[k].shape) * 1e-10
+    pts[k] /= np.linalg.norm(pts[k], axis=-1, keepdims=True)
+    return MotionTrajectory(traj.graph, traj.lengths, pts, traj.parameters, "nudged")
+
+
+@pytest.mark.parametrize("name", ["dixon1", "dixon2-k33"])
+@pytest.mark.parametrize("k", [0, 1, -1])
+def test_detector_equals_oracles_where_a_signature_breaks(name, k):
+    # sample 0 broken: the first-sample test decides; a later sample
+    # broken: only the whole-stack test sees it
+    traj = nudged(EXAMPLES[name], k)
+    for tol, want in ((1e-11, KIND_UNCLASSIFIED), (1e-8, EXAMPLES[name].kind)):
+        assert detect_k33_motion_kind(traj, tol) == detect_by_samples(traj, tol) == want
+        found = _dixon2_samples(traj.points, tol)
+        assert found.tolist() == dixon2_samples_by_loop(traj.points, tol).tolist()
 
 
 def test_detector_per_sample_verdicts_differ_along_a_mixed_stack():
@@ -687,7 +838,9 @@ def test_detector_tests_equal_oracle_on_random_stacks(seed, tol):
     pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
     rhos = [SphericalRealization(dict(zip(range(1, 7), p))) for p in pts]
     assert _dixon1_samples(pts, tol).tolist() == [is_dixon1_sample(r, tol) for r in rhos]
-    assert _dixon2_samples(pts, tol).tolist() == [is_dixon2_sample(r, tol) for r in rhos]
+    d2 = _dixon2_samples(pts, tol).tolist()
+    assert d2 == dixon2_samples_by_loop(pts, tol).tolist()
+    assert d2 == [is_dixon2_sample(r, tol) for r in rhos]
 
 
 def test_degenerate_pair_masks_at_the_exact_thresholds():

@@ -2,13 +2,15 @@
 
 ``MotionTrajectory`` stores its samples as one (S, |V|, 3) array, and its
 producers, writers, parse-back and motion-kind detector work on that
-array.  The functions here are the one-realization-at-a-time versions they
-replaced: the tests require the stacked results to equal them exactly.
+array.  The functions here are the one-realization-at-a-time and loop
+versions they replaced: the CDA closed form in scalar arithmetic, the
+per-sample ``%r`` writers, the Dixon 2 test as a loop over its 48 axis
+matchings.  The tests require the stacked results to equal them exactly.
 """
 
 import json
 import math
-from itertools import combinations
+from itertools import combinations, permutations, product
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -18,7 +20,12 @@ from sphflex.errors import (
     DegenerateAxisError,
     DegenerateRealizationError,
     InsufficientSamplesError,
+    NegativeDiscriminantError,
     NoRealSolutionError,
+    OutOfRangeError,
+    PoleError,
+    SphflexError,
+    ZeroDivisorError,
 )
 from sphflex.motions import (
     KIND_CDA,
@@ -27,11 +34,15 @@ from sphflex.motions import (
     KIND_UNCLASSIFIED,
     Dixon1Params,
     Dixon2Params,
+    _EVEN_PAIRS,
+    _ODD_PAIRS,
     MotionTrajectory,
     _cda_pattern,
+    _pair_axes,
     make_trajectory,
 )
 from sphflex.spherical import (
+    ON_SPHERE_TOL,
     SphericalRealization,
     Vec,
     degenerate_pair_masks,
@@ -165,6 +176,74 @@ def solve_dixon2_points_by_halvings(
     return p, q
 
 
+def cda_rows_at(t: float, y2_sign: int, z5_sign: int) -> Vec:
+    """Points of vertices 1..6 of ``cda_point`` at one t, as a (6, 3)
+    array, in scalar float arithmetic."""
+    if not math.isfinite(t):
+        raise OutOfRangeError(f"t={t} is not finite")
+    if t in (-1.0, 0.0, 1.0):
+        raise PoleError(f"t={t} is a pole of the parametrization")
+    y2_rad = (t + 7.0) * (7.0 * t + 1.0)
+    if y2_rad < 0.0:
+        raise NegativeDiscriminantError(f"y2 radicand {y2_rad:.3e} < 0 at t={t}")
+    y2 = y2_sign * math.sqrt(y2_rad) / (5.0 * t + 5.0)
+    try:
+        z5_rad = (
+            25.0 * t**4 * y2**2
+            - 50.0 * t**2 * y2**2
+            + 25.0 * y2**2
+            - 72.0 * t**3
+            - 72.0 * t
+        )
+    except OverflowError:  # float ** raises where * gives inf
+        z5_rad = math.inf
+    if not math.isfinite(z5_rad):  # also where y2_rad overflowed: y2 is then inf or NaN
+        raise OutOfRangeError(f"the radicands overflow at t={t}")
+    if z5_rad < 0.0:
+        raise NegativeDiscriminantError(f"z5 radicand {z5_rad:.3e} < 0 at t={t}")
+    z5 = (-5.0 * y2 * t**2 + 5.0 * y2 + z5_sign * math.sqrt(z5_rad)) / (
+        8.0 * (t**2 + 1.0)
+    )
+    if z5 == 0.0:
+        raise ZeroDivisorError(f"z5 vanishes at t={t}")
+    x3 = 2.0 * t / (t**2 + 1.0)
+    z3 = (t**2 - 1.0) / (t**2 + 1.0)
+    z2 = 0.6 * (t - 1.0) / (t + 1.0)
+    z4 = -0.6 * (t + 1.0) / (t - 1.0)
+    x5 = t * (16.0 * z5**2 + 9.0) / (8.0 * z5 * (t**2 - 1.0))
+    y4 = y2 + 8.0 * (t**2 + 1.0) * z5 / (5.0 * (t**2 - 1.0))
+    rows = np.array(
+        [
+            [1.0, 0.0, 0.0],
+            [0.6, y2, z2],
+            [x3, 0.0, z3],
+            [0.6, y4, z4],
+            [x5, 0.75, z5],
+            [0.0, 1.0, 0.0],
+        ]
+    )
+    off = np.abs(row_dots(rows, rows) - 1.0).max()
+    if not off <= ON_SPHERE_TOL:
+        raise OutOfRangeError(f"the closed form leaves the sphere by {off:.3e} at t={t}")
+    return rows
+
+
+def cda_feasible_intervals_by_points(
+    t_lo: float, t_hi: float, samples: int, y2_sign: int, z5_sign: int
+) -> list[tuple[float, float]]:
+    """``cda_feasible_intervals`` with one ``cda_rows_at`` per grid point."""
+    grid = np.linspace(t_lo, t_hi, samples)
+    good = np.zeros(len(grid) + 2, dtype=int)
+    for i, t in enumerate(grid):
+        try:
+            cda_rows_at(float(t), y2_sign, z5_sign)
+        except SphflexError:
+            continue
+        good[i + 1] = 1
+    bounds = np.flatnonzero(np.diff(good))
+    return [(float(grid[a]), float(grid[b - 1])) for a, b in zip(bounds[::2], bounds[1::2])]
+
+
 # ---------------------------------------------------------------------------
 # detector
 # ---------------------------------------------------------------------------
@@ -233,6 +312,30 @@ def is_dixon2_sample(rho: SphericalRealization, tol: float) -> bool:
     return False
 
 
+def dixon2_samples_by_loop(pts: Vec, tol: float) -> Vec:
+    """``_dixon2_samples`` with a loop over the 48 pair matchings and axis
+    signs and with reductions over the coordinates."""
+    odd_axes, odd_ok = _pair_axes(pts, _ODD_PAIRS)
+    even_axes, even_ok = _pair_axes(pts, _EVEN_PAIRS)
+    o, e = odd_axes[:, :, :, None, None], even_axes[:, None, None]
+    with np.errstate(invalid="ignore"):
+        close = np.minimum(np.abs(o - e).max(axis=-1), np.abs(o + e).max(axis=-1)) <= tol
+        orth = np.abs(row_dots(o, odd_axes[:, None, None])) <= tol
+    shares = odd_ok[..., None] & (close & even_ok[:, None, None]).any(axis=-1)
+    found = np.zeros(len(pts), dtype=bool)
+    for m0, m1, m2 in permutations(range(3)):
+        for s0, s1, s2 in product((0, 1), repeat=3):
+            found |= (
+                shares[:, 0, s0, m0]
+                & shares[:, 1, s1, m1]
+                & shares[:, 2, s2, m2]
+                & orth[:, 0, s0, 1, s1]
+                & orth[:, 0, s0, 2, s2]
+                & orth[:, 1, s1, 2, s2]
+            )
+    return found
+
+
 def detect_by_samples(traj: MotionTrajectory, tol: float = 1e-8) -> str:
     """``detect_k33_motion_kind``, one realization at a time."""
     rhos = traj.realizations()
@@ -278,6 +381,37 @@ def trajectory_to_csv_by_samples(traj: MotionTrajectory) -> str:
         cells.append(repr(max_edge_residual(traj.graph, s.realization, traj.lengths)))
         rows.append(",".join(cells))
     return "\n".join(rows) + "\n"
+
+
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+def dump_trajectory_by_samples(traj: MotionTrajectory) -> str:
+    """The structured export with one ``%r`` text template per sample."""
+    head = formats.dumps(
+        {
+            "graph": formats.graph_to_dict(traj.graph),
+            "kind": traj.kind,
+            "lengths": formats.lengths_to_dict(traj.lengths)["lengths"],
+        }
+    )
+    order = traj.graph.vertices
+    cols = sorted(range(len(order)), key=lambda i: str(order[i]))
+    placement = ",\n".join(
+        f'        "{order[i]}": [\n          %r,\n          %r,\n          %r\n        ]'
+        for i in cols
+    )
+    coords = traj.points[:, cols].reshape(len(traj.points), -1).tolist()
+    injective, proper = traj.sample_flags()
+    items = [
+        f'    {{\n      "injective": {_JSON_BOOL[inj]},\n      "parameter": {t!r},\n'
+        f'      "placement": {{\n{placement % tuple(xyz)}\n      }},\n'
+        f'      "proper": {_JSON_BOOL[prop]}\n    }}'
+        for t, xyz, inj, prop in zip(
+            traj.parameters.tolist(), coords, injective.tolist(), proper.tolist()
+        )
+    ]
+    return f'{head[:-3]},\n  "samples": [\n' + ",\n".join(items) + "\n  ]\n}\n"
 
 
 def trajectory_from_dict_by_samples(data: dict[str, Any]) -> MotionTrajectory:
