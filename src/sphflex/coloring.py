@@ -10,6 +10,9 @@ Alternating walks are allowed to close up (first and last vertex equal):
 a triangle colored red-blue-red contains one.  This is what makes the walk
 formulation agree with the local mono-endpoint criterion.
 
+A coloring is its red-edge mask; the predicates and searches read the
+graph's cached neighbour bitsets, incident-edge masks and edge ends.
+
 ``enumerate_nap`` lists the NAP-colorings pole set by pole set, with work
 that follows its output rather than the number of independent sets.  The
 pole-set search carries the components of G - P down and re-splits only
@@ -80,10 +83,10 @@ def is_nap(c: EdgeColoring) -> bool:
 
 
 def _pole_sides(c: EdgeColoring) -> Optional[tuple[int, int]]:
-    """Bitsets, by index in ``graph.vertices``, of the poles (the vertices
+    """Bitsets, by vertex position, of the poles (the vertices
     whose incident-edge mask ``c.mask`` splits) and of the vertices whose
     incident edges are all red, or None when two poles are adjacent."""
-    nbrs, incident = _adjacency(c.graph)
+    nbrs, incident = c.graph.bits
     poles = sum(1 << i for i, inc in enumerate(incident) if c.mask & inc not in (0, inc))
     red = sum(1 << i for i, inc in enumerate(incident) if inc and c.mask & inc == inc)
     if any(nbrs[i] & poles for i in range(len(nbrs)) if poles >> i & 1):
@@ -122,12 +125,11 @@ def is_nac(c: EdgeColoring) -> bool:
     """
     if not is_surjective(c):
         return False
-    index = {v: i for i, v in enumerate(c.graph.vertices)}
-    ends = [(index[a], index[b]) for a, b in c.graph.edges]
+    ends = c.graph.ends
     full = (1 << len(ends)) - 1
     for color in (c.mask, full ^ c.mask):
         # label[i]: the component of vertex i in the other color's edges
-        label = list(range(len(index)))
+        label = list(range(len(c.graph.vertices)))
         for k, (i, j) in enumerate(ends):
             if not color >> k & 1 and label[i] != label[j]:
                 old = label[i]
@@ -143,22 +145,6 @@ def _check_edge_budget(g: Graph) -> None:
         raise BudgetExceededError(
             f"{m} edges exceeds the exhaustive enumeration budget of {MAX_ENUM_EDGES}"
         )
-
-
-def _adjacency(g: Graph) -> tuple[list[int], list[int]]:
-    """Neighbour bitset and incident-edge mask of each vertex, by index in
-    ``g.vertices``."""
-    n = len(g.vertices)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    nbrs = [0] * n
-    incident = [0] * n
-    for e, (a, b) in enumerate(g.edges):
-        i, j = index[a], index[b]
-        nbrs[i] |= 1 << j
-        nbrs[j] |= 1 << i
-        incident[i] |= 1 << e
-        incident[j] |= 1 << e
-    return nbrs, incident
 
 
 def _pole_sets(g: Graph, visit: Callable[[list[int], list[list[int]]], None]) -> int:
@@ -188,7 +174,7 @@ def _pole_sets(g: Graph, visit: Callable[[list[int], list[list[int]]], None]) ->
     dropped unvisited.  The count is of the pole sets whose components
     were split, admissible or not.
     """
-    nbrs, incident = _adjacency(g)
+    nbrs, incident = g.bits
     candidates = [i for i in range(len(nbrs)) if nbrs[i].bit_count() >= 2]
     # later[j]: bitset of the candidates after the j-th
     later = [0] * (len(candidates) + 1)
@@ -357,7 +343,7 @@ def flexibility_certificate(g: Graph) -> Optional[EdgeColoring]:
     applies.
     """
     _check_edge_budget(g)
-    nbrs, incident = _adjacency(g)
+    nbrs, incident = g.bits
     everyone = (1 << len(nbrs)) - 1
     best = 1 << len(g.edges)  # above every mask
 

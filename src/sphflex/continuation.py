@@ -169,9 +169,8 @@ class ConstraintSystem:
     def __init__(self, g: Graph, lam: LengthAssignment, gauge: GaugeFix):
         self.order = g.vertices
         n = len(self.order)
-        idx = {v: i for i, v in enumerate(self.order)}
         rows = [(i, i, -1.0, 0.0, 1.0) for i in range(n)]
-        rows += [(idx[a], idx[b], 0.5, 1.0, lam.length(a, b)) for a, b in g.edges]
+        rows += [(i, j, 0.5, 1.0, lam.length(*e)) for (i, j), e in zip(g.ends, g.edges)]
         left, right, scale, offset, target = zip(*rows)
         self._left = np.array(left, dtype=np.intp)
         self._right = np.array(right, dtype=np.intp)
@@ -195,7 +194,7 @@ class ConstraintSystem:
         self._res = np.empty(self.num_rows + 1)
         self._jac = np.zeros((self.num_rows + 1, width))
         self._jac_flat = self._jac.reshape(-1)
-        ia, im = idx[gauge.anchor], idx[gauge.meridian]
+        ia, im = g.position[gauge.anchor], g.position[gauge.meridian]
         self._gauge_cols = np.array([3 * ia + 1, 3 * ia + 2, 3 * im + 2])
         self._jac[len(rows) + np.arange(3), self._gauge_cols] = 1.0
 
@@ -438,6 +437,9 @@ def trace(
     for e in g.edges:
         if e not in lam.lengths:
             raise SphflexError(f"lengths give no length for edge {e}")
+    for e in lam.lengths:
+        if e not in g.edge_set:
+            raise SphflexError(f"lengths name the non-edge {e}")
     for v in g.vertices:
         if v not in seed.placement:
             raise SphflexError(f"seed realization does not place vertex {v}")
@@ -577,7 +579,7 @@ def _fiber_sizes(traj: MotionTrajectory, forgotten: set[int]) -> Vec:
     not real holds NaN and fails every edge test.
     """
     g, lam = traj.graph, traj.lengths
-    col = {v: i for i, v in enumerate(g.vertices)}
+    col = g.position
     branches = traj.points[:, None]
     for v, a, b in _construction_order(g, forgotten):
         cands, real = _circle_intersections(

@@ -179,12 +179,11 @@ def enumerate_valid_cuts(g: Graph, modulo_symmetry: bool = True) -> list[Cut]:
         raise BudgetExceededError("cut enumeration is exhaustive; at most 8 vertices")
     labels = marked_labels(g)
     n = g.num_vertices
-    index = {v: k for k, v in enumerate(g.vertices)}
     # above[k]: neighbours of the k-th vertex that come later in vertex
     # order, whose counts are set first
     above: list[list[int]] = [[] for _ in range(n)]
-    for a, b in g.edges:
-        above[min(index[a], index[b])].append(max(index[a], index[b]))
+    for i, j in g.ends:
+        above[i].append(j)
     counts = [0] * n
     keys: list[int] = []
     nodes = 0

@@ -39,9 +39,13 @@ def graph_from_dict(data: dict[str, Any]) -> Graph:
     vertices, edges = (_field(data, key, list, shape) for key in ("vertices", "edges"))
     # JSON numbers arrive as int and float; the numbers ABCs would cost
     # microseconds per check
+    seen = set()
     for v in vertices:
         if not isinstance(v, int):
             raise SphflexError(f"vertex {v!r} is not an integer label")
+        if v in seen:
+            raise SphflexError(f"vertex {v} is listed more than once")
+        seen.add(v)
     pairs = []
     for edge in edges:
         match edge:
@@ -55,12 +59,17 @@ def graph_from_dict(data: dict[str, Any]) -> Graph:
 def parse_edge_list(text: str) -> Graph:
     """Graph from "a b" lines; the vertex set is the union of endpoints."""
     edges = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        a, b = line.split()
-        edges.append((int(a), int(b)))
+        try:
+            a, b = (int(x) for x in line.split())
+        except ValueError:
+            raise SphflexError(
+                f"line {number} {line!r} is not 'a b' with integer labels a, b"
+            ) from None
+        edges.append((a, b))
     vertices = sorted({v for e in edges for v in e})
     return build_graph(vertices, edges)
 
@@ -82,11 +91,14 @@ def lengths_from_dict(data: dict[str, Any]) -> LengthAssignment:
     for triple in triples:
         match triple:
             case [int() as a, int() as b, int() | float() as length]:
-                lengths[int(a), int(b)] = float(length)
+                e = (int(min(a, b)), int(max(a, b)))
             case _:
                 raise SphflexError(
                     f"length entry {triple!r} is not [a, b, length] with integer labels a, b"
                 )
+        if e in lengths:
+            raise SphflexError(f"length entry {triple!r} gives edge {e} a length more than once")
+        lengths[e] = float(length)
     return LengthAssignment(lengths)
 
 
@@ -104,12 +116,15 @@ def realization_from_dict(data: dict[str, Any]) -> SphericalRealization:
             case [int() | float() as x, int() | float() as y, int() | float() as z] if (
                 key.removeprefix("-").isdecimal()
             ):
-                points[int(key)] = [float(x), float(y), float(z)]
+                v = int(key)
             case _:
                 raise SphflexError(
                     f'placement entry "{key}": {point!r} is not "v": [x, y, z] '
                     "with an integer label v"
                 )
+        if v in points:
+            raise SphflexError(f'placement entry "{key}" places vertex {v} more than once')
+        points[v] = [float(x), float(y), float(z)]
     return SphericalRealization(points)
 
 

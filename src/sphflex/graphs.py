@@ -5,6 +5,10 @@ normalized to ``(min, max)`` tuples.  Connectedness, absence of self-loops
 and absence of multiedges are construction-time invariants: everything in
 this package assumes them.
 
+A graph caches ``position`` (vertex to index in ``vertices``), ``ends``
+(each edge as two positions) and ``bits`` (neighbour bitsets and
+incident-edge masks, edge k being bit k); every module reads these.
+
 The complete bipartite graph on 3+3 vertices follows the convention that
 odd labels ``{1, 3, 5}`` form one side and even labels ``{2, 4, 6}`` the
 other.
@@ -15,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import (
     DisconnectedError,
@@ -42,12 +47,27 @@ class Graph:
     edges: tuple[Edge, ...]
 
     @cached_property
-    def _adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+    def position(self) -> Mapping[int, int]:
+        """Index of each vertex in ``vertices``."""
+        return MappingProxyType({v: i for i, v in enumerate(self.vertices)})
+
+    @cached_property
+    def ends(self) -> tuple[tuple[int, int], ...]:
+        """Positions of each edge's ends, the smaller first, in ``edges`` order."""
+        pos = self.position
+        return tuple((pos[a], pos[b]) for a, b in self.edges)
+
+    @cached_property
+    def bits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Neighbour bitset and incident-edge mask of each vertex, by position."""
+        nbrs = [0] * len(self.vertices)
+        incident = [0] * len(self.vertices)
+        for k, (i, j) in enumerate(self.ends):
+            nbrs[i] |= 1 << j
+            nbrs[j] |= 1 << i
+            incident[i] |= 1 << k
+            incident[j] |= 1 << k
+        return tuple(nbrs), tuple(incident)
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -62,28 +82,24 @@ class Graph:
         return len(self.edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adjacency[v]
+        near = self.bits[0][self.position[v]]
+        return tuple(u for i, u in enumerate(self.vertices) if near >> i & 1)
 
-    def __contains__(self, v: int) -> bool:
-        return v in self._adjacency
+    def __reduce__(self):
+        # pickle and copy the fields only; ``position`` cannot be pickled
+        return Graph, (self.vertices, self.edges)
 
 
-def _is_connected(vertices: Iterable[int], edges: Iterable[Edge]) -> bool:
-    verts = list(vertices)
-    if len(verts) <= 1:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(verts)
+def _is_connected(g: Graph) -> bool:
+    nbrs, _ = g.bits
+    seen = frontier = 1 if nbrs else 0
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = nbrs[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier |= new
+    return seen == (1 << len(nbrs)) - 1
 
 
 def build_graph(vertex_labels: Iterable[int], edge_pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -104,9 +120,10 @@ def build_graph(vertex_labels: Iterable[int], edge_pairs: Iterable[tuple[int, in
             raise DuplicateEdgeError(f"edge {e} appears more than once")
         seen.add(e)
         edges.append(e)
-    if not _is_connected(vertices, edges):
+    g = Graph(vertices, tuple(sorted(edges)))
+    if not _is_connected(g):
         raise DisconnectedError("graph is not connected")
-    return Graph(vertices, tuple(sorted(edges)))
+    return g
 
 
 def nonedges(g: Graph) -> set[Edge]:
@@ -117,13 +134,13 @@ def nonedges(g: Graph) -> set[Edge]:
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     """Subgraph induced on ``keep``; raises if the result is disconnected."""
     kept = set(keep)
-    unknown = kept - set(g.vertices)
+    unknown = kept.difference(g.position)
     if unknown:
         raise UnknownVertexError(f"vertices {sorted(unknown)} not in graph")
-    edges = [e for e in g.edges if e[0] in kept and e[1] in kept]
-    if not _is_connected(kept, edges):
+    sub = Graph(tuple(sorted(kept)), tuple(e for e in g.edges if e[0] in kept and e[1] in kept))
+    if not _is_connected(sub):
         raise DisconnectedError("induced subgraph is not connected")
-    return Graph(tuple(sorted(kept)), tuple(edges))
+    return sub
 
 
 # ---------------------------------------------------------------------------

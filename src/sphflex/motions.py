@@ -74,7 +74,7 @@ HALF_TURN_Y = np.diag([-1.0, 1.0, -1.0])
 HALF_TURN_Z = np.diag([-1.0, -1.0, 1.0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectorySample:
     parameter: float
     realization: SphericalRealization
@@ -180,9 +180,7 @@ class MotionTrajectory:
         edges = self.graph.edges
         if not edges:
             return np.zeros(len(self.points))
-        idx = {v: i for i, v in enumerate(self.graph.vertices)}
-        a = [idx[u] for u, _ in edges]
-        b = [idx[w] for _, w in edges]
+        a, b = zip(*self.graph.ends)
         lam = np.array([self.lengths.length(*e) for e in edges])
         res = 0.5 * (1.0 - row_dots(self.points[:, a], self.points[:, b])) - lam
         worst = np.abs(res).max(axis=1)
@@ -192,8 +190,7 @@ class MotionTrajectory:
     def restrict(self, keep: Iterable[int], kind: Optional[str] = None) -> "MotionTrajectory":
         """Trajectory of the induced subgraph on ``keep``."""
         sub = induced_subgraph(self.graph, keep)
-        kept = set(sub.vertices)
-        cols = [i for i, v in enumerate(self.graph.vertices) if v in kept]
+        cols = [self.graph.position[v] for v in sub.vertices]
         return MotionTrajectory(
             sub,
             self.lengths.restrict(sub.edges),
@@ -269,7 +266,7 @@ def polar_nap_motion(
     lengths = LengthAssignment.induced(g, SphericalRealization(placement))
     thetas = [float(theta) for theta in angles]
     base = np.array([placement[v] for v in g.vertices])
-    blue = [i for i, v in enumerate(g.vertices) if v in part.blue_side]
+    blue = [g.position[v] for v in sorted(part.blue_side)]
     rots = rotations_about_axis(NORTH, thetas)
     pts = np.repeat(base[None], len(thetas), axis=0)
     # a stack of (3x3)(3x1) products rounds like each ``rot.apply(p)``

@@ -111,9 +111,14 @@ def random_rotation(rng: np.random.Generator) -> Rotation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphericalRealization:
-    """Map vertex -> point on the unit sphere."""
+    """Map vertex -> point on the unit sphere.
+
+    The points are the rows of one read-only array copied from the
+    caller's, so changing the caller's arrays later leaves the realization
+    as it was checked.  Realizations compare by identity.
+    """
 
     placement: dict[int, Vec] = field(repr=False)
 
@@ -124,7 +129,8 @@ class SphericalRealization:
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise SphflexError("every point needs three coordinates")
         check_on_sphere(pts, labels)
-        object.__setattr__(self, "placement", dict(zip(labels, rows)))
+        pts.flags.writeable = False
+        object.__setattr__(self, "placement", dict(zip(labels, pts)))
 
     @property
     def vertices(self) -> tuple[int, ...]:

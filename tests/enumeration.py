@@ -18,7 +18,6 @@ import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
-from sphflex.coloring import _adjacency
 from sphflex.cuts import Cut, cut_for, marked_labels
 from sphflex.graphs import Graph, build_graph
 
@@ -179,7 +178,7 @@ def _pole_sets(g: Graph) -> Iterator[tuple[list[int], list[int]]]:
     the) components it touches.  Sets where some pole touches fewer than
     two components are skipped: that pole could not see both colors.
     """
-    nbrs, incident = _adjacency(g)
+    nbrs, incident = g.bits
     n = len(nbrs)
     candidates = [i for i in range(n) if nbrs[i].bit_count() >= 2]
     everyone = (1 << n) - 1

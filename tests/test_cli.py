@@ -327,6 +327,11 @@ def test_cli_cda_names_t_where_the_closed_form_leaves_the_sphere(capsys):
 # input files
 # ---------------------------------------------------------------------------
 
+# the lengths file of trace_argv, the CDA K(3,3) motion at e = 3/4
+CDA_LENGTHS = formats.lengths_to_dict(
+    cda_motion(cda_params_from_e(0.75), [8.0, 8.2]).lengths
+)["lengths"]
+
 # the K(3,3) coloring with the star at vertex 1 red, as certify writes it
 STAR = formats.coloring_to_list(EdgeColoring.from_red_edges(k33(), [(1, 2), (1, 4), (1, 6)]))
 
@@ -384,6 +389,18 @@ def test_cli_input_file_of_the_wrong_shape_names_the_expected_key(tmp_path, caps
         ("--graph", {"vertices": [1, 2], "edges": [5]}, "edge 5 is not [a, b]"),
         ("--graph", {"vertices": [1, 2], "edges": [[1, None]]}, "edge [1, None] is not [a, b]"),
         ("--graph", {"vertices": [1, None], "edges": [[1, 2]]}, "vertex None is not an integer label"),
+        (
+            "--lengths",
+            {"lengths": [[1, 2, 0.3], [2, 1, 0.4]]},
+            "length entry [2, 1, 0.4] gives edge (1, 2) a length more than once",
+        ),
+        ("--graph", {"vertices": [1, 2, 2, 3], "edges": [[1, 2], [2, 3]]}, "vertex 2 is listed more than once"),
+        (
+            "--seed-realization",
+            {"placement": {"1": [1, 0, 0], "01": [1, 0, 0]}},
+            'placement entry "01" places vertex 1 more than once',
+        ),
+        ("--lengths", {"lengths": [*CDA_LENGTHS, [1, 3, 0.3]]}, "lengths name the non-edge (1, 3)"),
     ],
 )
 def test_cli_malformed_file_entry_is_named(tmp_path, capsys, flag, data, message):
@@ -397,6 +414,21 @@ def test_cli_malformed_file_entry_is_named(tmp_path, capsys, flag, data, message
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
     assert "Traceback" not in err and not LEAKED.search(err), err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 2\n2 3 4\n", "line 2 '2 3 4' is not 'a b' with integer labels a, b"),
+        ("1 2\n2 x\n", "line 2 '2 x' is not 'a b' with integer labels a, b"),
+    ],
+)
+def test_cli_edge_list_names_the_bad_line(tmp_path, capsys, text, message):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert run(["certify", "--graph", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n", err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import networkx as nx
 import pytest
 
@@ -22,6 +25,7 @@ from sphflex.graphs import (
     triangle,
 )
 
+from enumeration import connected_graphs
 from helpers import dump_edge_list, dump_graph, is_laman_naive
 
 
@@ -121,3 +125,32 @@ def test_pebble_game_matches_naive_on_small_graphs():
     ]
     assert len(corpus) == 996
     assert [g for g in corpus if is_laman(g) != is_laman_naive(g)] == []
+
+
+def test_cached_maps_match_the_edges_on_small_connected_graphs():
+    # each graph as generated (labels 1..n) and relabeled v -> 100 - 3v,
+    # which reverses the vertex order and leaves gaps between labels
+    for base in connected_graphs(max_edges=8, max_vertices=9):
+        relabeled = build_graph(
+            [100 - 3 * v for v in base.vertices],
+            [(100 - 3 * a, 100 - 3 * b) for a, b in base.edges],
+        )
+        for g in (base, relabeled):
+            order = sorted(g.vertices)
+            assert list(g.vertices) == order
+            assert dict(g.position) == {v: order.index(v) for v in order}
+            assert g.ends == tuple((order.index(a), order.index(b)) for a, b in g.edges)
+            assert all(i < j for i, j in g.ends)
+            nbrs, incident = g.bits
+            for i, v in enumerate(order):
+                near = sorted({b for a, b in g.edges if a == v} | {a for a, b in g.edges if b == v})
+                assert g.neighbors(v) == tuple(near)
+                assert nbrs[i] == sum(1 << order.index(w) for w in near)
+                assert incident[i] == sum(1 << k for k, e in enumerate(g.edges) if v in e)
+
+
+def test_graph_pickles_and_copies_with_its_cached_maps():
+    g = three_prism()
+    assert g.position[6] == 5
+    for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+        assert twin == g and twin.bits == g.bits and dict(twin.position) == dict(g.position)

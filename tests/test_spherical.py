@@ -5,6 +5,7 @@ import pytest
 
 from sphflex.errors import SphflexError
 from sphflex.graphs import k22, k33, triangle
+from sphflex.motions import Dixon1Params, dixon1_motion
 from sphflex.spherical import (
     LengthAssignment,
     Rotation,
@@ -187,3 +188,23 @@ def test_essentially_distinct_different_shapes():
     r1 = random_realization(g, RNG)
     r2 = random_realization(g, RNG)
     assert essentially_distinct(r1, r2)
+
+
+def test_realization_keeps_its_own_read_only_points():
+    p = np.array([1.0, 0, 0])
+    rho = SphericalRealization({1: p, 2: [0, 1.0, 0]})
+    p[:] = 5
+    assert rho.point(1).tolist() == [1.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        rho.point(2)[0] = 5.0
+
+
+def test_realizations_and_samples_compare_by_identity():
+    rho = SphericalRealization({1: [1.0, 0, 0], 2: [0, 1.0, 0]})
+    twin = SphericalRealization({1: [1.0, 0, 0], 2: [0, 1.0, 0]})
+    assert rho == rho and rho != twin
+    assert len({rho, twin, rho}) == 2
+    params = Dixon1Params({1: 0.2, 3: 0.4, 5: 0.6}, {2: 0.3, 4: 0.5, 6: 0.7})
+    first, second = dixon1_motion(params, [1.0, 1.1]).samples
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
