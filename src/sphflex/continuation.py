@@ -8,11 +8,17 @@ which kill the three rotational degrees of freedom.  On a flexible
 framework the Jacobian then has corank exactly 1 at a regular curve point,
 and the curve is followed with a tangent predictor and a Gauss-Newton
 corrector.  Every Newton solve here, polishing the seed and tracing,
-assembles its equations through one gauged ``ConstraintSystem``, which gathers point
-rows with ``take`` and scatters Jacobian blocks with ``put``.  The step is
-written for few numpy calls: the slow forms of the corrector and the
-certificate are kept as an oracle in ``tests/stepping.py``, and the tests
-require a trace through them to equal one through this module bit for bit.
+assembles its equations through one gauged ``ConstraintSystem``.  Each
+Newton iterate gathers the point rows it needs with a single ``take``, which
+feeds both the residual and the Jacobian (``put`` scatters its blocks), and
+the Jacobian bordered at an accepted point reuses the gather of the
+corrector's last residual.  The arithmetic goes into preallocated buffers,
+and solves and Cholesky factorizations call LAPACK through the gufuncs
+behind ``np.linalg.solve`` and ``np.linalg.cholesky``.  The step is written
+for few numpy calls, not fewer floating-point operations: the slow forms of
+the corrector and the certificate are kept as an oracle in
+``tests/stepping.py``, and the tests require a trace through them to equal
+one through this module bit for bit.
 
 Along the curve the Jacobian is bordered by a pseudo-arclength row, which
 gives it full column rank at a regular point; those systems, the corrector
@@ -37,6 +43,12 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
 import numpy as np
+
+# np.linalg.solve and np.linalg.cholesky check and convert their arguments
+# and set an error state around these gufuncs, which at the sizes a trace
+# solves costs as much again as the LAPACK work; _solve and _cholesky call
+# them directly
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     InsufficientSamplesError,
@@ -160,10 +172,12 @@ class ConstraintSystem:
     gauge rows, and the pseudo-arclength row ``(x - base) . tangent - h``
     when a call passes ``arc = (base, tangent, h)``.
 
-    Index arrays and lengths are built once.  The residual and Jacobian
-    buffers are preallocated, the constant gauge entries set once, and
-    ``residual``/``jacobian`` return views of them that the next call
-    overwrites.
+    Index arrays and lengths are built once.  ``residual`` and ``jacobian``
+    gather the point rows of their ``coords`` with one ``take``, and
+    ``_gathered_jacobian`` assembles the Jacobian from the last gather, so
+    a Newton iterate gathers once.  The buffers are preallocated, the
+    constant gauge entries set once, and every call returns views of them
+    that the next call overwrites.
     """
 
     def __init__(self, g: Graph, lam: LengthAssignment, gauge: GaugeFix):
@@ -172,56 +186,85 @@ class ConstraintSystem:
         rows = [(i, i, -1.0, 0.0, 1.0) for i in range(n)]
         rows += [(i, j, 0.5, 1.0, lam.length(*e)) for (i, j), e in zip(g.ends, g.edges)]
         left, right, scale, offset, target = zip(*rows)
-        self._left = np.array(left, dtype=np.intp)
-        self._right = np.array(right, dtype=np.intp)
         self._scale = np.array(scale)
         self._offset = np.array(offset)
         self._target = np.array(target)
-        self._num_pair_rows = len(rows)
-        self.num_rows = len(rows) + 3
+        pairs = len(rows)
+        self.num_rows = pairs + 3
 
-        # Jacobian blocks: the sphere row of vertex i holds 2 p_i at i; a
-        # pair row holds -s p_b at a and -s p_a at b
-        verts, pair = np.arange(n), np.arange(n, len(rows))
-        a, b, coef = self._left[n:], self._right[n:], -self._scale[n:]
-        block_row = np.concatenate([verts, pair, pair])
-        block_col = np.concatenate([verts, a, b])
-        self._block_src = np.concatenate([verts, b, a])
-        self._block_coef = np.concatenate([np.full(n, 2.0), coef, coef])[:, None]
+        # the gather holds the left ends of the pair rows, then their right
+        # ends: vertices, edge starts a, vertices, edge ends b
+        self._gather_index = np.array(left + right, dtype=np.intp)
+        self._gathered = np.empty((2 * pairs, 3))
+        self._left_rows = self._gathered[:pairs, None, :]
+        self._right_rows = self._gathered[pairs:, :, None]
+        self._dots = np.empty((pairs, 1, 1))
+
+        # Jacobian blocks, read from the gather past its first n rows, which
+        # are a, vertices, b: the sphere row of vertex i holds 2 p_i at i;
+        # an edge row holds -s p_b at a and -s p_a at b
+        verts, pair = np.arange(n), np.arange(n, pairs)
+        a, b, coef = self._gather_index[n:pairs], self._gather_index[pairs + n :], -self._scale[n:]
+        block_row = np.concatenate([pair, verts, pair])
+        block_col = np.concatenate([b, verts, a])
+        self._block_src = self._gathered[n:]
+        self._block_coef = np.concatenate([coef, np.full(n, 2.0), coef])[:, None]
+        self._blocks = np.empty_like(self._block_src)
         width = 3 * n
         starts = block_row * width + 3 * block_col
         self._block_flat = (starts[:, None] + np.arange(3)).ravel()
+
         self._res = np.empty(self.num_rows + 1)
+        self._pair_res = self._res[:pairs]
+        self._gauge_res = self._res[pairs : self.num_rows]
         self._jac = np.zeros((self.num_rows + 1, width))
         self._jac_flat = self._jac.reshape(-1)
         ia, im = g.position[gauge.anchor], g.position[gauge.meridian]
         self._gauge_cols = np.array([3 * ia + 1, 3 * ia + 2, 3 * im + 2])
-        self._jac[len(rows) + np.arange(3), self._gauge_cols] = 1.0
+        self._jac[pairs + np.arange(3), self._gauge_cols] = 1.0
+        # the normal equations of a corrector step
+        self._normal = np.empty((width, width))
+        self._rhs = np.empty(width)
+
+    def _gather(self, coords: Vec) -> None:
+        # the reshape refuses coords of another size, so every index is in
+        # range, and "clip" lets take write into out where "raise" would
+        # go through a buffer
+        pts = coords.reshape(len(self.order), 3)
+        pts.take(self._gather_index, axis=0, out=self._gathered, mode="clip")
 
     def residual(
         self, coords: Vec, arc: Optional[tuple[Vec, Vec, float]] = None
     ) -> Vec:
-        pts = coords.reshape(-1, 3)
+        self._gather(coords)
+        # the stacked (1x3)(3x1) products of row_dots, into a buffer
+        dots = np.matmul(self._left_rows, self._right_rows, out=self._dots)[:, 0, 0]
+        pair = self._pair_res
+        np.subtract(self._offset, dots, out=pair)
+        np.multiply(self._scale, pair, out=pair)
+        np.subtract(pair, self._target, out=pair)
+        coords.take(self._gauge_cols, out=self._gauge_res, mode="clip")
         k = self.num_rows
-        r = self._res
-        dots = row_dots(pts.take(self._left, axis=0), pts.take(self._right, axis=0))
-        r[: self._num_pair_rows] = self._scale * (self._offset - dots) - self._target
-        r[k - 3 : k] = coords.take(self._gauge_cols)
         if arc is None:
-            return r[:k]
+            return self._res[:k]
         base, tangent, h = arc
-        r[k] = float((coords - base) @ tangent) - h
-        return r
+        self._res[k] = float((coords - base).dot(tangent)) - h
+        return self._res
 
     def jacobian(
         self, coords: Vec, arc: Optional[tuple[Vec, Vec, float]] = None
     ) -> Vec:
-        pts = coords.reshape(-1, 3)
-        blocks = self._block_coef * pts.take(self._block_src, axis=0)
-        self._jac_flat.put(self._block_flat, blocks)
-        if arc is None:
+        self._gather(coords)
+        return self._gathered_jacobian(None if arc is None else arc[1])
+
+    def _gathered_jacobian(self, tangent: Optional[Vec] = None) -> Vec:
+        """The Jacobian at the point of the last ``residual`` or ``jacobian``
+        call, bordered by the arclength row ``tangent`` when one is given."""
+        np.multiply(self._block_coef, self._block_src, out=self._blocks)
+        self._jac_flat.put(self._block_flat, self._blocks)
+        if tangent is None:
             return self._jac[: self.num_rows]
-        self._jac[self.num_rows] = arc[1]
+        self._jac[self.num_rows] = tangent
         return self._jac
 
 
@@ -251,27 +294,46 @@ def corank_and_tangent(jac: Vec) -> tuple[int, Vec]:
     return _corank(svals, jac.shape[1], CORANK_REL_TOL), vt[-1]
 
 
-def _normal_solve(normal: Vec, rhs: Vec) -> Optional[Vec]:
-    """Solution of the normal equations ``normal s = rhs`` of a least-squares
-    problem ``a s = b``, where ``normal = a^T a`` and ``rhs = a^T b``.
+def _solve(a: Vec, b: Vec) -> Vec:
+    """``np.linalg.solve(a, b)`` for a vector ``b``, to the bit, but NaN
+    where that raises ``LinAlgError`` (``a`` singular)."""
+    with np.errstate(all="ignore"):
+        return _umath_linalg.solve1(a, b, signature="dd->d")
 
-    That squares the condition number, which is harmless on the bordered
-    systems of a trace (about 41 at most, median 14, on the benchmark's
-    loops) and costs a fraction of an SVD.  Returns None when the normal
-    matrix is singular or the solution is not finite: ``a`` is not of full
-    column rank after all, and the caller asks ``lstsq`` instead.
+
+def _cholesky(a: Vec) -> Vec:
+    """``np.linalg.cholesky(a)``, to the bit, but all NaN where that raises
+    ``LinAlgError`` (``a`` not positive definite).  A factor has its upper
+    triangle zeroed, so its top right entry tells the two apart even where
+    a NaN in ``a`` passes into the factor."""
+    with np.errstate(all="ignore"):
+        return _umath_linalg.cholesky_lo(a, signature="d->d")
+
+
+def _full_rank_step(x: Vec, a: Vec, r: Vec, normal: Vec, rhs: Vec) -> Optional[Vec]:
+    """``x - s`` for the least-squares solution ``s`` of ``a s = r`` when
+    ``a`` has full column rank, or None when that point is not finite.
+
+    ``s`` solves the normal equations ``a^T a s = a^T r``, assembled in the
+    buffers ``normal`` and ``rhs``.  That squares the condition number,
+    which is harmless on the bordered systems of a trace (about 41 at most,
+    median 14, on the benchmark's loops) and costs a fraction of an SVD.
+    ``x - s`` equals ``x`` plus the solution for ``-r`` to the bit, as
+    negation is exact and LU substitution is symmetric in sign.  A singular
+    normal matrix, or an ``s`` that is not finite, means ``a`` is not of
+    full column rank after all, and ``lstsq`` gives the step instead.
     """
-    try:
-        s = np.linalg.solve(normal, rhs)
-    except np.linalg.LinAlgError:
+    at = a.T
+    s = _solve(np.matmul(at, a, out=normal), np.matmul(at, r, out=rhs))
+    stepped = x - s
+    # a finite x . x needs every entry finite, so only a point whose square
+    # is not finite takes the elementwise test (a finite one can overflow)
+    if math.isfinite(stepped.dot(stepped)) or np.isfinite(stepped).all():
+        return stepped
+    if np.isfinite(s).all():
         return None
-    return s if np.isfinite(s).all() else None
-
-
-def _full_rank_lstsq(a: Vec, b: Vec) -> Vec:
-    """Least-squares solution of ``a s = b`` when ``a`` has full column rank."""
-    s = _normal_solve(a.T @ a, a.T @ b)
-    return np.linalg.lstsq(a, b, rcond=None)[0] if s is None else s
+    stepped = x + np.linalg.lstsq(a, -r, rcond=None)[0]
+    return stepped if np.isfinite(stepped).all() else None
 
 
 def _norm(v: Vec) -> float:
@@ -310,23 +372,22 @@ def bordered_corank_and_tangent(bordered: Vec) -> tuple[int, Vec]:
     jac, t_prev = bordered[:-1], bordered[-1]
     normal = bordered.T @ bordered
     # bordered^T e_last is the last row, t_prev, to the bit
-    t = _normal_solve(normal, t_prev)
-    if t is None:
+    t = _solve(normal, t_prev)
+    size = _norm(t)
+    # a finite norm needs every entry finite, so only a norm that is not
+    # finite asks whether t is (a finite t can overflow its norm)
+    if not math.isfinite(size) and not np.isfinite(t).all():
         e_last = np.zeros(len(bordered))
         e_last[-1] = 1.0
         t = np.linalg.lstsq(bordered, e_last, rcond=None)[0]
-    t = t / _norm(t)
-    if _norm(jac @ t) <= 0.5 * CORANK_REL_TOL:
+        size = _norm(t)
+    t = t / size
+    if _norm(jac.dot(t)) <= 0.5 * CORANK_REL_TOL:
         shift = 100.0 * (max(_norm(jac.ravel("K")), 1.0) * CORANK_REL_TOL) ** 2
-        # normal - shift * I: off the diagonal, x - 0.0 is x
-        shifted = normal.copy()
-        diagonal = shifted.reshape(-1)[:: len(normal) + 1]
-        diagonal -= shift
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            pass
-        else:
+        # normal - shift * I, in place as normal is not read again: off the
+        # diagonal, x - 0.0 is x
+        normal.reshape(-1)[:: len(normal) + 1] -= shift
+        if not math.isnan(_cholesky(normal)[0, -1]):
             return 1, t
     svals = np.linalg.svd(jac, compute_uv=False)
     return _corank(svals, jac.shape[1], CORANK_REL_TOL), t
@@ -348,20 +409,25 @@ def newton_correct(
     regular curve point, so the step solves the normal equations; without
     it the Jacobian is rank-deficient by construction and the step is
     ``lstsq``'s minimum-norm one.
+
+    The system's last residual is taken at the point returned, so its
+    gather gives the Jacobian there.
     """
     x = coords.copy()
+    tangent = None if arc_constraint is None else arc_constraint[1]
     for _ in range(max_iters):
         r = system.residual(x, arc_constraint)
         if np.abs(r).max() <= tol:
             return x
-        jac = system.jacobian(x, arc_constraint)
-        if arc_constraint is None:
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        jac = system._gathered_jacobian(tangent)
+        if tangent is None:
+            x = x + np.linalg.lstsq(jac, -r, rcond=None)[0]
+            if not np.isfinite(x).all():
+                return None
         else:
-            step = _full_rank_lstsq(jac, -r)
-        x = x + step
-        if not np.isfinite(x).all():
-            return None
+            x = _full_rank_step(x, jac, r, system._normal, system._rhs)
+            if x is None:
+                return None
     r = system.residual(x, arc_constraint)
     return x if np.abs(r).max() <= tol else None
 
@@ -401,12 +467,11 @@ def _advance(
             arc_constraint=(x, t_prev, h),
         )
         if cand is not None:
-            corank, t_new = bordered_corank_and_tangent(
-                system.jacobian(cand, (cand, t_prev, 0.0))
-            )
+            # the Jacobian at cand from the gather of its last residual
+            corank, t_new = bordered_corank_and_tangent(system._gathered_jacobian(t_prev))
             if corank >= 2:
                 return "singular_point"
-            if float(t_new @ t_prev) > 0.2:
+            if float(t_new.dot(t_prev)) > 0.2:
                 return cand, t_new, h
         h *= 0.5
     return "step_failure"
@@ -443,6 +508,9 @@ def trace(
     for v in g.vertices:
         if v not in seed.placement:
             raise SphflexError(f"seed realization does not place vertex {v}")
+    for v in seed.placement:
+        if v not in g.position:
+            raise SphflexError(f"seed realization places vertex {v}, which the graph lacks")
     gauge = gauge or default_gauge(g)
     cfg = config or TraceConfig()
     system = ConstraintSystem(g, lam, gauge)

@@ -39,13 +39,11 @@ def graph_from_dict(data: dict[str, Any]) -> Graph:
     vertices, edges = (_field(data, key, list, shape) for key in ("vertices", "edges"))
     # JSON numbers arrive as int and float; the numbers ABCs would cost
     # microseconds per check
-    seen = set()
     for v in vertices:
         if not isinstance(v, int):
             raise SphflexError(f"vertex {v!r} is not an integer label")
-        if v in seen:
-            raise SphflexError(f"vertex {v} is listed more than once")
-        seen.add(v)
+    if not edges:
+        raise SphflexError('graph has no edges: "edges" is empty')
     pairs = []
     for edge in edges:
         match edge:
@@ -70,6 +68,8 @@ def parse_edge_list(text: str) -> Graph:
                 f"line {number} {line!r} is not 'a b' with integer labels a, b"
             ) from None
         edges.append((a, b))
+    if not edges:
+        raise SphflexError("graph has no edges: no 'a b' line")
     vertices = sorted({v for e in edges for v in e})
     return build_graph(vertices, edges)
 
@@ -235,15 +235,25 @@ def trajectory_to_dict(traj: MotionTrajectory) -> dict[str, Any]:
     }
 
 
+# every bit of a float64 but its sign
+_MAGNITUDE_BITS = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+
+
 def _float_texts(table: Vec) -> tuple[str, ...]:
     """``repr`` of every value of a float array in C order, as the JSON
-    encoder writes floats, with the repr of each distinct value taken
-    once.  Values are told apart by their bits, so -0.0 and 0.0 stay
-    apart."""
+    encoder writes floats, with the repr of each distinct magnitude taken
+    once.
+
+    ``repr(-x)`` is ``"-" + repr(x)`` for every float but NaN, whose repr
+    drops the sign, so a value with its sign bit set (-0.0 among them)
+    takes its magnitude's text with a "-" in front.
+    """
     bits = np.ascontiguousarray(table, dtype=float).view(np.int64).ravel()
-    distinct, index = np.unique(bits, return_inverse=True)
-    texts = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
-    return tuple(texts[index].tolist())
+    distinct, index = np.unique(bits & _MAGNITUDE_BITS, return_inverse=True)
+    texts = [repr(x) for x in distinct.view(np.float64).tolist()]
+    texts += ["-" + t if t != "nan" else t for t in texts]
+    index += len(distinct) * (bits < 0)
+    return tuple(np.array(texts, dtype=object)[index].tolist())
 
 
 _JSON_BOOL = {False: "false", True: "true"}

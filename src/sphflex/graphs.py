@@ -25,6 +25,7 @@ from typing import Iterable, Mapping
 from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
+    GraphError,
     SelfLoopError,
     UnknownVertexError,
 )
@@ -105,11 +106,16 @@ def _is_connected(g: Graph) -> bool:
 def build_graph(vertex_labels: Iterable[int], edge_pairs: Iterable[tuple[int, int]]) -> Graph:
     """Validate and build a graph.
 
-    Raises ``SelfLoopError``, ``DuplicateEdgeError``, ``UnknownVertexError``
-    or ``DisconnectedError`` on bad input.
+    Raises ``GraphError`` on a repeated vertex label, and
+    ``SelfLoopError``, ``DuplicateEdgeError``, ``UnknownVertexError`` or
+    ``DisconnectedError`` on bad edges.
     """
-    vertices = tuple(sorted(set(vertex_labels)))
-    vset = set(vertices)
+    labels = tuple(vertex_labels)
+    vset = set(labels)
+    if len(vset) != len(labels):
+        repeated = next(v for i, v in enumerate(labels) if v in labels[:i])
+        raise GraphError(f"vertex {repeated} is listed more than once")
+    vertices = tuple(sorted(vset))
     edges: list[Edge] = []
     seen: set[Edge] = set()
     for a, b in edge_pairs:

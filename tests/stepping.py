@@ -1,12 +1,17 @@
 """The Newton corrector and corank certificate as they were before the step
 was trimmed of numpy dispatches, kept as oracles.
 
-``continuation`` now gathers with ``take``/``put``, tests finiteness with
-``isfinite(...).all()``, takes norms as a dot product and a square root,
-solves the certificate's normal equations for ``t_prev`` directly and
-shifts the normal matrix's diagonal in a copy.  Each of those performs the
-same floating-point operations in the same order as the code below, so a
-trace must equal one run through these functions bit for bit.
+``continuation`` now gathers each iterate's point rows once for the
+residual and the Jacobian, reuses the corrector's last gather for the
+Jacobian at an accepted point, tests finiteness with
+``isfinite(...).all()`` once per iterate, takes norms as a dot product and
+a square root, solves the corrector's normal equations for ``r`` and steps
+``x - s`` where these solve for ``-r`` and step ``x + s``, solves the
+certificate's normal equations for ``t_prev`` directly, shifts the normal
+matrix's diagonal in place, and calls the LAPACK gufuncs behind
+``np.linalg.solve`` and ``np.linalg.cholesky`` directly.  Each of those
+performs the same floating-point operations in the same order as the code
+below, so a trace must equal one run through these functions bit for bit.
 
 ``closure_distance`` is the loop-closure distance as ``trace`` took it.
 """

@@ -139,6 +139,17 @@ def test_system_buffers_switch_between_arc_and_plain_calls():
     assert system.residual(y).shape == (6 + 9 + 3,)
 
 
+@pytest.mark.parametrize("size", [15, 21])
+def test_system_refuses_coords_of_another_size(size):
+    g = k33()
+    lam = LengthAssignment({e: 0.3 for e in g.edges})
+    system = ConstraintSystem(g, lam, GaugeFix(1, 2))
+    coords = np.linspace(-1.0, 1.0, size)
+    for assemble in (system.residual, system.jacobian):
+        with pytest.raises(ValueError, match="cannot reshape"):
+            assemble(coords)
+
+
 # ---------------------------------------------------------------------------
 # batched trajectory validation
 # ---------------------------------------------------------------------------

@@ -331,6 +331,9 @@ def test_cli_cda_names_t_where_the_closed_form_leaves_the_sphere(capsys):
 CDA_LENGTHS = formats.lengths_to_dict(
     cda_motion(cda_params_from_e(0.75), [8.0, 8.2]).lengths
 )["lengths"]
+CDA_SEED = formats.realization_to_dict(
+    cda_motion(cda_params_from_e(0.75), [8.0, 8.2]).samples[0].realization
+)
 
 # the K(3,3) coloring with the star at vertex 1 red, as certify writes it
 STAR = formats.coloring_to_list(EdgeColoring.from_red_edges(k33(), [(1, 2), (1, 4), (1, 6)]))
@@ -401,6 +404,11 @@ def test_cli_input_file_of_the_wrong_shape_names_the_expected_key(tmp_path, caps
             'placement entry "01" places vertex 1 more than once',
         ),
         ("--lengths", {"lengths": [*CDA_LENGTHS, [1, 3, 0.3]]}, "lengths name the non-edge (1, 3)"),
+        (
+            "--seed-realization",
+            {"placement": {**CDA_SEED["placement"], "9": [0, 0, 1]}},
+            "seed realization places vertex 9, which the graph lacks",
+        ),
     ],
 )
 def test_cli_malformed_file_entry_is_named(tmp_path, capsys, flag, data, message):
@@ -429,6 +437,22 @@ def test_cli_edge_list_names_the_bad_line(tmp_path, capsys, text, message):
     assert run(["certify", "--graph", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n", err
+
+
+@pytest.mark.parametrize("command", ["certify", "colorings"])
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("g.txt", "# nothing\n", "graph has no edges: no 'a b' line"),
+        ("g.json", '{"vertices": [7], "edges": []}', 'graph has no edges: "edges" is empty'),
+    ],
+)
+def test_cli_graph_file_without_edges_is_refused(tmp_path, capsys, command, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run([command, "--graph", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 @pytest.mark.parametrize(

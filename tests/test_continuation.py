@@ -10,8 +10,10 @@ from sphflex.continuation import (
     ConstraintSystem,
     GaugeFix,
     TraceConfig,
+    _cholesky,
     _corank,
-    _full_rank_lstsq,
+    _full_rank_step,
+    _solve,
     bordered_corank_and_tangent,
     corank_and_tangent,
     default_gauge,
@@ -433,6 +435,13 @@ def test_sphere_and_edge_rows_invariant_under_rotation(seed):
 # ---------------------------------------------------------------------------
 
 
+def full_rank_step_from_zero(a, r):
+    """``_full_rank_step`` from x = 0 with its own buffers: minus the
+    least-squares solution of ``a s = r``."""
+    cols = a.shape[1]
+    return _full_rank_step(np.zeros(cols), a, r, np.empty((cols, cols)), np.empty(cols))
+
+
 def bordered_system(seed, n, extra_rows, singular_values):
     """[J; t^T] with J of corank 1 (kernel v) and unit t with t . v >= 0.89,
     as at an accepted trace point."""
@@ -463,7 +472,7 @@ def test_normal_equation_solve_matches_lstsq(seed, n, extra_rows, spread):
     residual = rng.normal(size=len(bordered)) * 10.0 ** rng.uniform(-12, 0)
     for rhs in (residual, e_last):
         want = np.linalg.lstsq(bordered, rhs, rcond=None)[0]
-        got = _full_rank_lstsq(bordered, rhs)
+        got = -full_rank_step_from_zero(bordered, rhs)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -564,7 +573,7 @@ def test_non_finite_normal_solution_falls_back_to_lstsq(monkeypatch):
     a, b = 1e200 * rng.normal(size=(7, 5)), rng.normal(size=7)
     calls = counting_lstsq(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _full_rank_lstsq(a, b)
+        got = full_rank_step_from_zero(a, -b)
     assert len(calls) == 1
     assert np.array_equal(got, np.linalg.lstsq(a, b, rcond=None)[0])
 
@@ -891,33 +900,47 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def recording(factored, factor):
+    """``factor``, appending a copy of each matrix it is given to ``factored``."""
+
+    def record(a, *rest):
+        factored.append(a.copy())
+        return factor(a, *rest)
+
+    return record
+
+
 def traced_with(oracle, g, lam, rho, config):
     """``trace`` through the library's step, or with ``oracle`` through the
     one in stepping.py; returns the result, or the raised error's type and
-    message, and the (corank, tangent) of every certificate it took."""
+    message, the (corank, tangent) of every certificate it took and every
+    matrix the certificates gave a Cholesky factorization."""
     certify = stepping.bordered_corank_and_tangent if oracle else bordered_corank_and_tangent
-    seen = []
+    seen, factored = [], []
 
-    def recording(bordered):
+    def recording_certificate(bordered):
         corank, t = certify(bordered)
         seen.append((corank, t.copy()))
         return corank, t
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("sphflex.continuation.bordered_corank_and_tangent", recording)
+        mp.setattr("sphflex.continuation.bordered_corank_and_tangent", recording_certificate)
         if oracle:
+            mp.setattr(np.linalg, "cholesky", recording(factored, np.linalg.cholesky))
             mp.setattr("sphflex.continuation.newton_correct", stepping.newton_correct)
             mp.setattr("sphflex.continuation._norm", stepping.closure_distance)
+        else:
+            mp.setattr("sphflex.continuation._cholesky", recording(factored, _cholesky))
         try:
             res = trace(g, lam, rho, config=config)
         except SphflexError as exc:
             res = (type(exc), str(exc))
-    return res, seen
+    return res, seen, factored
 
 
 def assert_trace_equals_oracle(g, lam, rho, config):
-    got, got_seen = traced_with(False, g, lam, rho, config)
-    want, want_seen = traced_with(True, g, lam, rho, config)
+    got, got_seen, got_factored = traced_with(False, g, lam, rho, config)
+    want, want_seen, want_factored = traced_with(True, g, lam, rho, config)
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -928,6 +951,8 @@ def assert_trace_equals_oracle(g, lam, rho, config):
     for (got_corank, got_t), (want_corank, want_t) in zip(got_seen, want_seen):
         assert got_corank == want_corank
         assert same_bits(got_t, want_t)
+    assert len(got_factored) == len(want_factored)
+    assert all(map(same_bits, got_factored, want_factored))
 
 
 @pytest.mark.parametrize("make, step, max_steps", PINNED_TRACES)
@@ -974,21 +999,75 @@ def certificate_cases():
     return cases
 
 
+def kernel_matrices():
+    """Normal matrices: positive definite, indefinite, singular and not
+    finite ones, and the normal matrix of every certificate case with and
+    without the certificate's shift."""
+    rng = np.random.default_rng(21)
+    a = rng.normal(size=(30, 12))
+    spd = a.T @ a
+    thin = rng.normal(size=(3, 6))
+    cases = {
+        "positive definite": spd,
+        "indefinite": spd - 2.0 * np.diag(np.diag(spd)),
+        "zero": np.zeros((4, 4)),
+        "rank 3": thin.T @ thin,
+        "zero column": a[:, 1:].T @ np.hstack([np.zeros((30, 1)), a[:, 2:]]),
+    }
+    with np.errstate(over="ignore"):
+        cases["overflowed"] = (1e200 * a).T @ (1e200 * a)
+    for name, (i, j, value) in {
+        "NaN entry": (3, 5, math.nan),
+        "NaN diagonal": (0, 0, math.nan),
+        "infinite diagonal": (0, 0, math.inf),
+        "infinite last diagonal": (11, 11, math.inf),
+        "infinite off the diagonal": (2, 7, math.inf),
+    }.items():
+        cases[name] = spd.copy()
+        cases[name][i, j] = cases[name][j, i] = value
+    for k, bordered in enumerate(certificate_cases()):
+        normal = bordered.T @ bordered
+        shift = 100.0 * (max(np.linalg.norm(bordered[:-1]), 1.0) * CORANK_REL_TOL) ** 2
+        cases[f"certificate {k}"] = normal
+        cases[f"certificate {k}, shifted"] = normal - shift * np.eye(len(normal))
+    return [pytest.param(m, id=name) for name, m in cases.items()]
+
+
+def linalg_or_none(f, *args):
+    try:
+        return f(*args)
+    except np.linalg.LinAlgError:
+        return None
+
+
+@pytest.mark.parametrize("normal", kernel_matrices())
+def test_lapack_kernels_equal_numpy_linalg(normal):
+    # the gufuncs return numpy.linalg's bits, and NaN where it raises
+    rhs = np.linspace(-1.0, 2.0, len(normal))
+    want = linalg_or_none(np.linalg.solve, normal, rhs)
+    got = _solve(normal, rhs)
+    assert np.isnan(got).all() if want is None else same_bits(got, want)
+    want = linalg_or_none(np.linalg.cholesky, normal)
+    got = _cholesky(normal)
+    # a failed factorization is all NaN, a factor is zero above the diagonal
+    assert math.isnan(got[0, -1]) == (want is None)
+    assert np.isnan(got).all() if want is None else same_bits(got, want)
+
+
 @pytest.mark.parametrize("bordered", certificate_cases())
 def test_certificate_equals_the_oracle(monkeypatch, bordered):
-    # the shifted matrix is factored, not returned: record what is factored
-    factored = []
-    cholesky = np.linalg.cholesky
-
-    def recording(a):
-        factored.append(a.copy())
-        return cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    # the normal and shifted matrices are factored, not returned: record
+    # what each side solves with and factors
+    solved, factored = [], []
+    monkeypatch.setattr("sphflex.continuation._solve", recording(solved, _solve))
+    monkeypatch.setattr("sphflex.continuation._cholesky", recording(factored, _cholesky))
     got_corank, got = bordered_corank_and_tangent(bordered)
+    monkeypatch.setattr(np.linalg, "solve", recording(solved, np.linalg.solve))
+    monkeypatch.setattr(np.linalg, "cholesky", recording(factored, np.linalg.cholesky))
     want_corank, want = stepping.bordered_corank_and_tangent(bordered)
     assert got_corank == want_corank
     assert same_bits(got, want)
+    assert len(solved) == 2 and same_bits(*solved)
     assert len(factored) in (0, 2)
     if factored:
         assert same_bits(*factored)
@@ -1012,9 +1091,12 @@ def test_certificate_cases_reach_every_branch(monkeypatch):
     st.floats(1.0, 40.0),
 )
 def test_full_rank_solve_equals_the_oracle(seed, n, extra_rows, spread):
+    # x - s with a s = r against the oracle's x + s' with a s' = -r
     bordered, rng = bordered_system(seed, n, extra_rows, np.geomspace(1.0, spread, n - 1))
-    rhs = rng.normal(size=len(bordered)) * 10.0 ** rng.uniform(-12, 0)
-    assert same_bits(_full_rank_lstsq(bordered, rhs), stepping.full_rank_lstsq(bordered, rhs))
+    r = rng.normal(size=len(bordered)) * 10.0 ** rng.uniform(-12, 0)
+    x = rng.normal(size=n)
+    got = _full_rank_step(x, bordered, r, np.empty((n, n)), np.empty(n))
+    assert same_bits(got, x + stepping.full_rank_lstsq(bordered, -r))
 
 
 @GAUGE_PROPERTY

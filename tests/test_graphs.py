@@ -7,6 +7,7 @@ import pytest
 from sphflex.errors import (
     DisconnectedError,
     DuplicateEdgeError,
+    GraphError,
     SelfLoopError,
     UnknownVertexError,
 )
@@ -48,6 +49,11 @@ def test_build_rejects_disconnected():
 def test_build_rejects_self_loop():
     with pytest.raises(SelfLoopError):
         build_graph([1, 2], [(1, 1), (1, 2)])
+
+
+def test_build_rejects_repeated_vertex_label():
+    with pytest.raises(GraphError, match="^vertex 2 is listed more than once$"):
+        build_graph([1, 2, 2, 3], [(1, 2), (2, 3)])
 
 
 def test_build_rejects_unknown_vertex():

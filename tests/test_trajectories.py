@@ -302,6 +302,34 @@ def test_writers_equal_per_sample_writers_on_signed_zeros_and_distinct_values():
         assert csv == trajectory_to_csv_by_samples(traj)
 
 
+def test_float_texts_take_one_repr_per_magnitude(monkeypatch):
+    # the Dixon 1 stack followed by its half-turn about z, with parameters
+    # -t, holds x/-x pairs and 0.0/-0.0; a Dixon 2 motion's half-turns flip
+    # the signs of its coordinates
+    d1 = EXAMPLES["dixon1"]
+    mirrored = MotionTrajectory(
+        d1.graph,
+        d1.lengths,
+        np.concatenate([d1.points, d1.points * [-1.0, -1.0, 1.0]]),
+        np.concatenate([d1.parameters, -d1.parameters]),
+        "mirrored",
+    )
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(formats, "repr", counted, raising=False)
+    for traj in (mirrored, EXAMPLES["dixon2-k33"]):
+        calls.clear()
+        text = formats.dump_trajectory(traj)
+        values = np.concatenate([traj.parameters, traj.points.ravel()])
+        by_bits = np.unique(values.view(np.int64)).size
+        assert len(calls) == np.unique(np.abs(values)).size < 0.8 * by_bits
+        assert text == dump_trajectory_by_samples(traj)
+
+
 @st.composite
 def labelled_graphs(draw):
     """A random connected graph on up to 12 labels drawn from 0..40."""
