@@ -10,15 +10,13 @@ and the curve is followed with a tangent predictor and a Gauss-Newton
 corrector.  Every Newton solve here, polishing the seed and tracing,
 assembles its equations through one gauged ``ConstraintSystem``.  Each
 Newton iterate gathers the point rows it needs with a single ``take``, which
-feeds both the residual and the Jacobian (``put`` scatters its blocks), and
-the Jacobian bordered at an accepted point reuses the gather of the
-corrector's last residual.  The arithmetic goes into preallocated buffers,
-and solves and Cholesky factorizations call LAPACK through the gufuncs
-behind ``np.linalg.solve`` and ``np.linalg.cholesky``.  The step is written
-for few numpy calls, not fewer floating-point operations: the slow forms of
-the corrector and the certificate are kept as an oracle in
-``tests/stepping.py``, and the tests require a trace through them to equal
-one through this module bit for bit.
+feeds both the residual and the Jacobian (``put`` scatters its blocks).  The
+arithmetic goes into preallocated buffers, and solves and Cholesky
+factorizations call LAPACK through the gufuncs behind ``np.linalg.solve``
+and ``np.linalg.cholesky``.  The step is written for few numpy calls, not
+fewer floating-point operations: the slow forms of the corrector and the
+certificate are kept as an oracle in ``tests/stepping.py``, and the tests
+require a trace through them to equal one through this module bit for bit.
 
 Along the curve the Jacobian is bordered by a pseudo-arclength row, which
 gives it full column rank at a regular point; those systems, the corrector
@@ -47,7 +45,9 @@ import numpy as np
 # np.linalg.solve and np.linalg.cholesky check and convert their arguments
 # and set an error state around these gufuncs, which at the sizes a trace
 # solves costs as much again as the LAPACK work; _solve and _cholesky call
-# them directly
+# them directly.  The module is private to numpy: its name and the NaN its
+# gufuncs return on failure were checked on numpy 2.4, and
+# test_lapack_kernels_equal_numpy_linalg holds them to np.linalg's results
 from numpy.linalg import _umath_linalg
 
 from .errors import (
@@ -173,11 +173,11 @@ class ConstraintSystem:
     when a call passes ``arc = (base, tangent, h)``.
 
     Index arrays and lengths are built once.  ``residual`` and ``jacobian``
-    gather the point rows of their ``coords`` with one ``take``, and
-    ``_gathered_jacobian`` assembles the Jacobian from the last gather, so
-    a Newton iterate gathers once.  The buffers are preallocated, the
-    constant gauge entries set once, and every call returns views of them
-    that the next call overwrites.
+    gather the point rows of their ``coords`` with one ``take``, and each
+    iterate of ``correct`` assembles its Jacobian from its residual's
+    gather.  The buffers are preallocated, the constant gauge entries set
+    once, and every call returns views of them that the next call
+    overwrites.
     """
 
     def __init__(self, g: Graph, lam: LengthAssignment, gauge: GaugeFix):
@@ -248,7 +248,7 @@ class ConstraintSystem:
         if arc is None:
             return self._res[:k]
         base, tangent, h = arc
-        self._res[k] = float((coords - base).dot(tangent)) - h
+        self._res[k] = float((coords - base) @ tangent) - h
         return self._res
 
     def jacobian(
@@ -258,14 +258,41 @@ class ConstraintSystem:
         return self._gathered_jacobian(None if arc is None else arc[1])
 
     def _gathered_jacobian(self, tangent: Optional[Vec] = None) -> Vec:
-        """The Jacobian at the point of the last ``residual`` or ``jacobian``
-        call, bordered by the arclength row ``tangent`` when one is given."""
+        """The Jacobian at the point of the last gather, bordered by the
+        arclength row ``tangent`` when one is given."""
         np.multiply(self._block_coef, self._block_src, out=self._blocks)
         self._jac_flat.put(self._block_flat, self._blocks)
         if tangent is None:
             return self._jac[: self.num_rows]
         self._jac[self.num_rows] = tangent
         return self._jac
+
+    def correct(
+        self,
+        coords: Vec,
+        tol: float,
+        max_iters: int,
+        arc: Optional[tuple[Vec, Vec, float]] = None,
+    ) -> Optional[Vec]:
+        """``newton_correct`` on this system."""
+        x = coords.copy()
+        tangent = None if arc is None else arc[1]
+        for _ in range(max_iters):
+            r = self.residual(x, arc)
+            if np.abs(r).max() <= tol:
+                return x
+            # the Jacobian at x, from the gather of its residual
+            jac = self._gathered_jacobian(tangent)
+            if tangent is None:
+                x = x + np.linalg.lstsq(jac, -r, rcond=None)[0]
+                if not np.isfinite(x).all():
+                    return None
+            else:
+                x = _full_rank_step(x, jac, r, self._normal, self._rhs)
+                if x is None:
+                    return None
+        r = self.residual(x, arc)
+        return x if np.abs(r).max() <= tol else None
 
 
 def residual_vector(
@@ -310,6 +337,14 @@ def _cholesky(a: Vec) -> Vec:
         return _umath_linalg.cholesky_lo(a, signature="d->d")
 
 
+def _all_finite(v: Vec) -> bool:
+    """``np.isfinite(v).all()`` for a vector.  A finite ``v . v`` needs every
+    entry finite, and the dot product costs a fraction of the elementwise
+    test, which is left to the rare ``v`` whose square is not finite (a
+    finite ``v`` can overflow it)."""
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
+
+
 def _full_rank_step(x: Vec, a: Vec, r: Vec, normal: Vec, rhs: Vec) -> Optional[Vec]:
     """``x - s`` for the least-squares solution ``s`` of ``a s = r`` when
     ``a`` has full column rank, or None when that point is not finite.
@@ -326,11 +361,9 @@ def _full_rank_step(x: Vec, a: Vec, r: Vec, normal: Vec, rhs: Vec) -> Optional[V
     at = a.T
     s = _solve(np.matmul(at, a, out=normal), np.matmul(at, r, out=rhs))
     stepped = x - s
-    # a finite x . x needs every entry finite, so only a point whose square
-    # is not finite takes the elementwise test (a finite one can overflow)
-    if math.isfinite(stepped.dot(stepped)) or np.isfinite(stepped).all():
+    if _all_finite(stepped):
         return stepped
-    if np.isfinite(s).all():
+    if _all_finite(s):
         return None
     stepped = x + np.linalg.lstsq(a, -r, rcond=None)[0]
     return stepped if np.isfinite(stepped).all() else None
@@ -373,16 +406,12 @@ def bordered_corank_and_tangent(bordered: Vec) -> tuple[int, Vec]:
     normal = bordered.T @ bordered
     # bordered^T e_last is the last row, t_prev, to the bit
     t = _solve(normal, t_prev)
-    size = _norm(t)
-    # a finite norm needs every entry finite, so only a norm that is not
-    # finite asks whether t is (a finite t can overflow its norm)
-    if not math.isfinite(size) and not np.isfinite(t).all():
+    if not _all_finite(t):
         e_last = np.zeros(len(bordered))
         e_last[-1] = 1.0
         t = np.linalg.lstsq(bordered, e_last, rcond=None)[0]
-        size = _norm(t)
-    t = t / size
-    if _norm(jac.dot(t)) <= 0.5 * CORANK_REL_TOL:
+    t = t / _norm(t)
+    if _norm(jac @ t) <= 0.5 * CORANK_REL_TOL:
         shift = 100.0 * (max(_norm(jac.ravel("K")), 1.0) * CORANK_REL_TOL) ** 2
         # normal - shift * I, in place as normal is not read again: off the
         # diagonal, x - 0.0 is x
@@ -408,28 +437,9 @@ def newton_correct(
     of sliding back.  That row gives the Jacobian full column rank at a
     regular curve point, so the step solves the normal equations; without
     it the Jacobian is rank-deficient by construction and the step is
-    ``lstsq``'s minimum-norm one.
-
-    The system's last residual is taken at the point returned, so its
-    gather gives the Jacobian there.
+    ``lstsq``'s minimum-norm one.  ``system.correct`` takes the steps.
     """
-    x = coords.copy()
-    tangent = None if arc_constraint is None else arc_constraint[1]
-    for _ in range(max_iters):
-        r = system.residual(x, arc_constraint)
-        if np.abs(r).max() <= tol:
-            return x
-        jac = system._gathered_jacobian(tangent)
-        if tangent is None:
-            x = x + np.linalg.lstsq(jac, -r, rcond=None)[0]
-            if not np.isfinite(x).all():
-                return None
-        else:
-            x = _full_rank_step(x, jac, r, system._normal, system._rhs)
-            if x is None:
-                return None
-    r = system.residual(x, arc_constraint)
-    return x if np.abs(r).max() <= tol else None
+    return system.correct(coords, tol, max_iters, arc_constraint)
 
 
 @dataclass(frozen=True)
@@ -467,11 +477,12 @@ def _advance(
             arc_constraint=(x, t_prev, h),
         )
         if cand is not None:
-            # the Jacobian at cand from the gather of its last residual
-            corank, t_new = bordered_corank_and_tangent(system._gathered_jacobian(t_prev))
+            corank, t_new = bordered_corank_and_tangent(
+                system.jacobian(cand, (cand, t_prev, 0.0))
+            )
             if corank >= 2:
                 return "singular_point"
-            if float(t_new.dot(t_prev)) > 0.2:
+            if float(t_new @ t_prev) > 0.2:
                 return cand, t_new, h
         h *= 0.5
     return "step_failure"

@@ -2,14 +2,13 @@
 was trimmed of numpy dispatches, kept as oracles.
 
 ``continuation`` now gathers each iterate's point rows once for the
-residual and the Jacobian, reuses the corrector's last gather for the
-Jacobian at an accepted point, tests finiteness with
-``isfinite(...).all()`` once per iterate, takes norms as a dot product and
-a square root, solves the corrector's normal equations for ``r`` and steps
-``x - s`` where these solve for ``-r`` and step ``x + s``, solves the
-certificate's normal equations for ``t_prev`` directly, shifts the normal
-matrix's diagonal in place, and calls the LAPACK gufuncs behind
-``np.linalg.solve`` and ``np.linalg.cholesky`` directly.  Each of those
+residual and the Jacobian, tests finiteness once per iterate, takes norms
+as a dot product and a square root, solves the corrector's normal
+equations for ``r`` and steps ``x - s`` where these solve for ``-r`` and
+step ``x + s``, solves the certificate's normal equations for ``t_prev``
+directly, shifts the normal matrix's diagonal in place, and calls the
+LAPACK gufuncs behind ``np.linalg.solve`` and ``np.linalg.cholesky``
+directly.  Each of those
 performs the same floating-point operations in the same order as the code
 below, so a trace must equal one run through these functions bit for bit.
 

@@ -10,6 +10,7 @@ from sphflex.continuation import (
     ConstraintSystem,
     GaugeFix,
     TraceConfig,
+    _all_finite,
     _cholesky,
     _corank,
     _full_rank_step,
@@ -1091,12 +1092,29 @@ def test_certificate_cases_reach_every_branch(monkeypatch):
     st.floats(1.0, 40.0),
 )
 def test_full_rank_solve_equals_the_oracle(seed, n, extra_rows, spread):
-    # x - s with a s = r against the oracle's x + s' with a s' = -r
+    # x - s with a s = r against the oracle's x + s' with a s' = -r; from
+    # x = 0 that compares every bit of s, from a random x the step itself
     bordered, rng = bordered_system(seed, n, extra_rows, np.geomspace(1.0, spread, n - 1))
     r = rng.normal(size=len(bordered)) * 10.0 ** rng.uniform(-12, 0)
-    x = rng.normal(size=n)
-    got = _full_rank_step(x, bordered, r, np.empty((n, n)), np.empty(n))
-    assert same_bits(got, x + stepping.full_rank_lstsq(bordered, -r))
+    for x in (np.zeros(n), rng.normal(size=n)):
+        got = _full_rank_step(x, bordered, r, np.empty((n, n)), np.empty(n))
+        assert same_bits(got, x + stepping.full_rank_lstsq(bordered, -r))
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        np.array([0.5, -2.0, 3.0]),
+        np.array([1e200, -1e200, 1.0]),  # finite, but v . v overflows
+        np.array([1.0, np.nan, 2.0]),
+        np.array([np.inf, 0.0]),
+        np.array([-np.inf]),
+        np.zeros(4),
+    ],
+)
+def test_all_finite_equals_isfinite_all(v):
+    with np.errstate(over="ignore"):
+        assert _all_finite(v) is bool(np.isfinite(v).all())
 
 
 @GAUGE_PROPERTY
