@@ -45,7 +45,6 @@ from .cuts import (
     mu_solutions,
     mu_system_feasible,
     nap_iff_separated_nonedge,
-    normalize_cut,
     theta,
     type_table,
 )
@@ -64,8 +63,6 @@ from .graphs import (
     k33,
     k44,
     nonedges,
-    path_graph,
-    star,
     three_prism,
     triangle,
 )
@@ -94,11 +91,8 @@ from .spherical import (
     LengthAssignment,
     Rotation,
     SphericalRealization,
-    apply_rotation,
     delta,
     essentially_distinct,
-    gram_matrix,
-    is_compatible,
     rotation_about_axis,
     sph_dist,
 )

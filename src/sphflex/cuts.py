@@ -30,10 +30,11 @@ The 72-element row/column/transpose group acts on 3x3 grids by moving
 cells.  With a grid flattened row by row to 9 cells, ``GROUP_INDEX`` is the
 (72, 9) index array with ``flat(_act(grid, *GROUP[k])) ==
 flat(grid)[GROUP_INDEX[k]]``.  ``TABLE_BITS`` holds the 512 degree tables
-as one (512, 9) 0/1 array in ``all_degree_tables()`` order, so a table's
-row number is its binary code.  The orbit counts and the admissibility
-filter work on these arrays: one product of the tables with the group's
-moved cell weights gives every table's image code under every element.
+as one (512, 9) 0/1 array, 1 where an entry is 2 and cell 0 the most
+significant bit, so a table's row number is its binary code.  The orbit
+counts and the admissibility filter work on these arrays: one product of
+the tables with the group's moved cell weights gives every table's image
+code under every element.
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ def marked_labels(g: Graph) -> tuple[Label, ...]:
     return tuple((kind, v) for v in g.vertices for kind in ("P", "Q"))
 
 
-def conjugate_side(side: frozenset[Label]) -> frozenset[Label]:
-    return frozenset((_SWAP[k], v) for k, v in side)
-
-
 @dataclass(frozen=True)
 class Cut:
     """Bipartition (I, J) of the marked labels; sides at least two labels."""
@@ -86,15 +83,6 @@ class Cut:
             raise InvalidCutError("cut sides overlap")
         if len(self.I) < 2 or len(self.J) < 2:
             raise InvalidCutError("each cut side needs at least two labels")
-
-    def swapped(self) -> "Cut":
-        return Cut(self.J, self.I)
-
-    def conjugate(self) -> "Cut":
-        return Cut(conjugate_side(self.I), conjugate_side(self.J))
-
-    def unordered(self) -> frozenset[frozenset[Label]]:
-        return frozenset((self.I, self.J))
 
 
 def cut_for(g: Graph, i_side: Iterable[Label]) -> Cut:
@@ -314,14 +302,6 @@ def all_normal_cuts() -> tuple[NormalCut, ...]:
     )
 
 
-def normalize_cut(g: Graph, c: Cut) -> NormalCut:
-    """Normal form of a surjective-coloring valid cut of K(3,3)."""
-    for nc in all_normal_cuts():
-        if nc.to_cut(g).unordered() == c.unordered():
-            return nc
-    raise InvalidCutError("cut has no normal form; is its coloring surjective?")
-
-
 # ---------------------------------------------------------------------------
 # quadrilateral cuts and the intersection-multiplicity table
 # ---------------------------------------------------------------------------
@@ -473,12 +453,6 @@ class TypeTable:
     def entry(self, odd: int, even: int) -> str:
         return self.grid[ODD_VERTICES.index(odd)][EVEN_VERTICES.index(even)]
 
-    def rows(self) -> tuple[tuple[str, str, str], ...]:
-        return self.grid
-
-    def cols(self) -> tuple[tuple[str, str, str], ...]:
-        return tuple(tuple(self.grid[r][c] for r in range(3)) for c in range(3))
-
 
 _TYPE_RULES = {
     (2, 4, 4): "g",
@@ -568,10 +542,6 @@ _PERMS = tuple(itertools.permutations(range(3)))
 GROUP = tuple((rp, cp, f) for rp in _PERMS for cp in _PERMS for f in (False, True))
 
 
-def orbit(grid: Grid) -> frozenset[Grid]:
-    return frozenset(_act(grid, *g) for g in GROUP)
-
-
 _PARITY_SWAP = {"o": "e", "e": "o"}
 
 
@@ -593,11 +563,6 @@ def align_type_table(
     return None
 
 
-def all_degree_tables() -> Iterable[DegreeTable]:
-    for bits in itertools.product((1, 2), repeat=9):
-        yield DegreeTable(tuple(tuple(bits[3 * r + c] for c in range(3)) for r in range(3)))
-
-
 # GROUP_INDEX[k, i] is the cell of a flattened grid that GROUP[k] moves to
 # cell i: flat(_act(grid, *GROUP[k])) == flat(grid)[GROUP_INDEX[k]]
 GROUP_INDEX = np.array(
@@ -605,8 +570,8 @@ GROUP_INDEX = np.array(
 ).reshape(len(GROUP), 9)
 GROUP_INDEX.flags.writeable = False
 
-# the 512 degree tables in all_degree_tables() order, 1 where the entry is 2;
-# cell 0 is the most significant bit, so a table's row is its binary code
+# the 512 degree tables, 1 where the entry is 2; cell 0 is the most
+# significant bit, so a table's row is its binary code
 TABLE_BITS = (np.arange(512)[:, None] >> np.arange(8, -1, -1)) & 1
 TABLE_BITS.flags.writeable = False
 
@@ -628,7 +593,7 @@ def _orbit_codes() -> np.ndarray:
 
 def _orbit_minima() -> np.ndarray:
     """Each table's orbit representative: the smallest code in its orbit,
-    which is also the orbit's first table in all_degree_tables() order."""
+    which is also the orbit's first row of TABLE_BITS."""
     return _orbit_codes().min(axis=1)
 
 
@@ -680,9 +645,9 @@ def admissible_cases() -> list[AdmissibleCase]:
     """Degree-table orbits whose type table passes the row/column filter.
 
     Exactly four orbits survive.  The filter is invariant under the group,
-    so it is tested once per orbit, on its first table in
-    all_degree_tables() order.  Representatives are chosen to match the
-    standard display: sorted by the number of degree-2 entries.
+    so it is tested once per orbit, on its first row of ``TABLE_BITS``.
+    Representatives are chosen to match the standard display: sorted by
+    the number of degree-2 entries.
     """
     canon = _orbit_minima()
     sizes = np.bincount(canon, minlength=len(canon))

@@ -8,8 +8,8 @@ byte-identical files.  Graphs can also be read from a bare edge list
 from __future__ import annotations
 
 import json
-from numbers import Integral
-from typing import Any
+import re
+from typing import Any, Optional
 
 import numpy as np
 
@@ -21,6 +21,25 @@ from .spherical import LengthAssignment, SphericalRealization, Vec, check_on_sph
 
 
 COLORING_SHAPE = '{"coloring": [[a, b, "red"|"blue"], ...]}'
+
+# int() alone would also read "+1", "1_0", " 1" and other scripts' digits
+_LABEL_TEXT = re.compile(r"-?[0-9]+")
+
+
+def _label(entry: Any, text: bool = False) -> Optional[int]:
+    """The vertex label a file entry holds, or None if it holds none.
+
+    A JSON label is an integer, and ``true`` and ``false`` are not labels
+    though bool is an int.  With ``text``, the entry is a string (a
+    placement key, an edge-list word) and its label is ASCII digits after
+    an optional minus sign.  Every reader of labels decides through here.
+    """
+    if text:
+        try:
+            return int(entry) if _LABEL_TEXT.fullmatch(entry) else None
+        except ValueError:  # more digits than int() converts
+            return None
+    return entry if type(entry) is int else None
 
 
 def _field(data: Any, key: str, kind: type, shape: str) -> Any:
@@ -37,17 +56,15 @@ def graph_to_dict(g: Graph) -> dict[str, Any]:
 def graph_from_dict(data: dict[str, Any]) -> Graph:
     shape = '{"vertices": [v, ...], "edges": [[a, b], ...]}'
     vertices, edges = (_field(data, key, list, shape) for key in ("vertices", "edges"))
-    # JSON numbers arrive as int and float; the numbers ABCs would cost
-    # microseconds per check
     for v in vertices:
-        if not isinstance(v, int):
+        if _label(v) is None:
             raise SphflexError(f"vertex {v!r} is not an integer label")
     if not edges:
         raise SphflexError('graph has no edges: "edges" is empty')
     pairs = []
     for edge in edges:
         match edge:
-            case [int() as a, int() as b]:
+            case [a, b] if _label(a) is not None and _label(b) is not None:
                 pairs.append((a, b))
             case _:
                 raise SphflexError(f"edge {edge!r} is not [a, b] with integer labels a, b")
@@ -61,13 +78,10 @@ def parse_edge_list(text: str) -> Graph:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            a, b = (int(x) for x in line.split())
-        except ValueError:
-            raise SphflexError(
-                f"line {number} {line!r} is not 'a b' with integer labels a, b"
-            ) from None
-        edges.append((a, b))
+        labels = [_label(word, text=True) for word in line.split()]
+        if len(labels) != 2 or None in labels:
+            raise SphflexError(f"line {number} {line!r} is not 'a b' with integer labels a, b")
+        edges.append(tuple(labels))
     if not edges:
         raise SphflexError("graph has no edges: no 'a b' line")
     vertices = sorted({v for e in edges for v in e})
@@ -90,8 +104,10 @@ def lengths_from_dict(data: dict[str, Any]) -> LengthAssignment:
     lengths = {}
     for triple in triples:
         match triple:
-            case [int() as a, int() as b, int() | float() as length]:
-                e = (int(min(a, b)), int(max(a, b)))
+            case [a, b, int() | float() as length] if (
+                _label(a) is not None and _label(b) is not None
+            ):
+                e = (min(a, b), max(a, b))
             case _:
                 raise SphflexError(
                     f"length entry {triple!r} is not [a, b, length] with integer labels a, b"
@@ -102,21 +118,14 @@ def lengths_from_dict(data: dict[str, Any]) -> LengthAssignment:
     return LengthAssignment(lengths)
 
 
-def realization_to_dict(rho: SphericalRealization) -> dict[str, Any]:
-    return {
-        "placement": {str(v): [float(c) for c in rho.point(v)] for v in rho.vertices}
-    }
-
-
 def realization_from_dict(data: dict[str, Any]) -> SphericalRealization:
     placement = _field(data, "placement", dict, '{"placement": {"v": [x, y, z], ...}}')
     points = {}
     for key, point in placement.items():
+        v = _label(key, text=True)
         match point:
-            case [int() | float() as x, int() | float() as y, int() | float() as z] if (
-                key.removeprefix("-").isdecimal()
-            ):
-                v = int(key)
+            case [int() | float() as x, int() | float() as y, int() | float() as z] if v is not None:
+                xyz = [float(x), float(y), float(z)]
             case _:
                 raise SphflexError(
                     f'placement entry "{key}": {point!r} is not "v": [x, y, z] '
@@ -124,7 +133,7 @@ def realization_from_dict(data: dict[str, Any]) -> SphericalRealization:
                 )
         if v in points:
             raise SphflexError(f'placement entry "{key}" places vertex {v} more than once')
-        points[v] = [float(x), float(y), float(z)]
+        points[v] = xyz
     return SphericalRealization(points)
 
 
@@ -138,8 +147,10 @@ def coloring_from_list(g: Graph, triples: list[list[Any]]) -> EdgeColoring:
     colors = {}
     for triple in triples:
         match triple:
-            case [Integral() as a, Integral() as b, str() as color] if color in (RED, BLUE):
-                e = (int(min(a, b)), int(max(a, b)))
+            case [a, b, str() as color] if (
+                _label(a) is not None and _label(b) is not None and color in (RED, BLUE)
+            ):
+                e = (min(a, b), max(a, b))
             case _:
                 raise SphflexError(f'coloring triple {triple!r} is not [a, b, "red"|"blue"]')
         if e not in g.edge_set:
@@ -156,21 +167,15 @@ def coloring_from_dict(g: Graph, data: Any) -> EdgeColoring:
     return coloring_from_list(g, _field(data, "coloring", list, COLORING_SHAPE))
 
 
-def coloring_set_to_dict(colorings: tuple[EdgeColoring, ...], modulo_swap: bool) -> dict[str, Any]:
-    return {
-        "modulo_swap": modulo_swap,
-        "count": len(colorings),
-        "colorings": [coloring_to_list(c) for c in colorings],
-    }
-
-
 _EDGE_BLOCK = 6
 _BLOCK_BITS = (1 << _EDGE_BLOCK) - 1
 
 
 def dump_coloring_set(colorings: tuple[EdgeColoring, ...], modulo_swap: bool) -> str:
-    """``dumps(coloring_set_to_dict(colorings, modulo_swap))``, assembled from text fragments
-    instead of through the JSON encoder.
+    """The colorings as ``dumps`` writes ``{"colorings": [coloring_to_list(c)
+    for c in colorings], "count": len(colorings), "modulo_swap":
+    modulo_swap}``, assembled from text fragments instead of through the
+    JSON encoder.
 
     Each block of ``_EDGE_BLOCK`` consecutive edges has one text per
     coloring of its edges, joined from the edges' triples the first time

@@ -1,6 +1,6 @@
 """Connected simple graphs with integer vertex labels.
 
-Vertices are arbitrary non-negative integers.  Edges are unordered pairs,
+Vertices are arbitrary integers.  Edges are unordered pairs,
 normalized to ``(min, max)`` tuples.  Connectedness, absence of self-loops
 and absence of multiedges are construction-time invariants: everything in
 this package assumes them.
@@ -237,18 +237,9 @@ def triangle() -> Graph:
     return complete(3)
 
 
-def path_graph(n: int) -> Graph:
-    verts = range(1, n + 1)
-    return build_graph(verts, [(i, i + 1) for i in range(1, n)])
-
-
 def cycle_graph(n: int) -> Graph:
     verts = range(1, n + 1)
     return build_graph(verts, [(i, i % n + 1) for i in range(1, n + 1)])
-
-
-def star(leaves: int) -> Graph:
-    return build_graph(range(leaves + 1), [(0, i) for i in range(1, leaves + 1)])
 
 
 def apex_double_triangle() -> Graph:

@@ -187,7 +187,7 @@ class MotionTrajectory:
         worst.flags.writeable = False
         return worst
 
-    def restrict(self, keep: Iterable[int], kind: Optional[str] = None) -> "MotionTrajectory":
+    def restrict(self, keep: Iterable[int]) -> "MotionTrajectory":
         """Trajectory of the induced subgraph on ``keep``."""
         sub = induced_subgraph(self.graph, keep)
         cols = [self.graph.position[v] for v in sub.vertices]
@@ -196,7 +196,7 @@ class MotionTrajectory:
             self.lengths.restrict(sub.edges),
             self.points[:, cols],
             self.parameters,
-            kind or self.kind,
+            self.kind,
         )
 
 
@@ -489,29 +489,17 @@ def _require_reference_cda(params: CdaParams):
         )
 
 
-def cda_point(
-    params: CdaParams, t: float, y2_sign: int = 1, z5_sign: int = 1
-) -> SphericalRealization:
-    """One realization of the constant-diagonal-angle motion at parameter t.
-
-    Vertex 1 is pinned at (1,0,0) and vertex 6 at (0,1,0); vertices 5 and 6
-    are the poles of the diagonals of the quadrilateral 1-2-3-4.  The two
-    sign arguments select the branches of the nested radicals; all four
-    consistent choices parametrize arcs of the same configuration curve.
-    """
-    _require_reference_cda(params)
-    rows, _, error = _cda_rows([float(t)], y2_sign, z5_sign)
-    if error is not None:
-        raise error
-    return SphericalRealization(dict(zip(range(1, 7), rows[0])))
-
-
 def _cda_rows(
     t_values: Sequence[float], y2_sign: int, z5_sign: int
 ) -> tuple[Vec, Vec, Optional[SphflexError]]:
-    """Points of vertices 1..6 of ``cda_point`` at every t, as an (S, 6, 3)
-    array; which t give a realization; and the error of the first t that
-    does not, or None.
+    """Points of vertices 1..6 of the constant-diagonal-angle motion at
+    every t, as an (S, 6, 3) array; which t give a realization; and the
+    error of the first t that does not, or None.
+
+    Vertex 1 is pinned at (1,0,0) and vertex 6 at (0,1,0); vertices 5 and
+    6 are the poles of the diagonals of the quadrilateral 1-2-3-4.  The two
+    signs select the branches of the nested radicals; all four consistent
+    choices parametrize arcs of the same configuration curve.
 
     Every power is ``np.float_power``, C pow as Python's float ``**`` is,
     so each row equals the closed form evaluated at one t bit for bit.  At

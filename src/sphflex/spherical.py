@@ -139,10 +139,6 @@ class SphericalRealization:
     def point(self, v: int) -> Vec:
         return self.placement[v]
 
-    def restrict(self, keep: Iterable[int]) -> "SphericalRealization":
-        kept = set(keep)
-        return SphericalRealization({v: p for v, p in self.placement.items() if v in kept})
-
     def as_array(self, order: Optional[Sequence[int]] = None) -> Vec:
         order = self.vertices if order is None else order
         return np.concatenate([self.placement[v] for v in order])
@@ -187,37 +183,17 @@ class LengthAssignment:
         return LengthAssignment({e: l for e, l in self.lengths.items() if e in wanted})
 
 
-def apply_rotation(r: Rotation, rho: SphericalRealization) -> SphericalRealization:
-    return SphericalRealization({v: r.apply(p) for v, p in rho.placement.items()})
-
-
-def edge_residuals(g: Graph, rho: SphericalRealization, lam: LengthAssignment) -> dict[Edge, float]:
-    return {
-        e: sph_dist(rho.point(e[0]), rho.point(e[1])) - lam.length(*e) for e in g.edges
-    }
-
-
 def max_edge_residual(g: Graph, rho: SphericalRealization, lam: LengthAssignment) -> float:
-    res = edge_residuals(g, rho, lam)
-    return max(abs(r) for r in res.values()) if res else 0.0
-
-
-def is_compatible(
-    g: Graph, rho: SphericalRealization, lam: LengthAssignment, tol: float = COMPAT_TOL
-) -> bool:
-    """True iff every edge length is met within ``tol``."""
-    return max_edge_residual(g, rho, lam) <= tol
+    """Largest |sph_dist - length| over the edges of g, 0 without edges."""
+    return max(
+        (abs(sph_dist(rho.point(a), rho.point(b)) - lam.length(a, b)) for a, b in g.edges),
+        default=0.0,
+    )
 
 
 # ---------------------------------------------------------------------------
 # essential distinctness
 # ---------------------------------------------------------------------------
-
-
-def gram_matrix(rho: SphericalRealization, order: Optional[Sequence[int]] = None) -> Vec:
-    order = rho.vertices if order is None else order
-    pts = np.stack([rho.point(v) for v in order])
-    return pts @ pts.T
 
 
 @dataclass(frozen=True)

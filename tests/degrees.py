@@ -22,12 +22,12 @@ from sphflex.motions import MotionTrajectory
 from sphflex.spherical import (
     LengthAssignment,
     SphericalRealization,
-    apply_rotation,
     essentially_distinct,
     random_rotation,
 )
 
 from assembly import match_jacobian_by_loop, match_residual_by_loop
+from helpers import apply_rotation
 
 MATCH_TOL = 1e-8
 NEWTON_TOL = 1e-12

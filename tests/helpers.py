@@ -2,15 +2,19 @@
 
 import json
 from itertools import combinations
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from sphflex.cuts import DegreeTable, orbit
-from sphflex.formats import graph_to_dict
-from sphflex.graphs import Graph
+from sphflex.coloring import EdgeColoring
+from sphflex.cuts import _SWAP, Cut, DegreeTable, Label, NormalCut, all_normal_cuts
+from sphflex.formats import coloring_to_list, graph_to_dict
+from sphflex.graphs import Graph, build_graph
 from sphflex.motions import HALF_TURN_X, HALF_TURN_Y, HALF_TURN_Z
-from sphflex.spherical import ON_SPHERE_TOL, Vec
-from sphflex.errors import SphflexError
+from sphflex.spherical import ON_SPHERE_TOL, Rotation, SphericalRealization, Vec
+from sphflex.errors import InvalidCutError, SphflexError
+
+from tables import orbit
 
 
 def unit_point(x: float, y: float, z: float, tol: float = ON_SPHERE_TOL) -> Vec:
@@ -62,3 +66,66 @@ def tables_equivalent(a: DegreeTable, b: DegreeTable) -> bool:
 def dixon2_involutions() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three half-turns (tau, sigma, rho) with tau o sigma o rho = id."""
     return HALF_TURN_X, HALF_TURN_Z, HALF_TURN_Y
+
+
+def path_graph(n: int) -> Graph:
+    verts = range(1, n + 1)
+    return build_graph(verts, [(i, i + 1) for i in range(1, n)])
+
+
+def star(leaves: int) -> Graph:
+    return build_graph(range(leaves + 1), [(0, i) for i in range(1, leaves + 1)])
+
+
+def apply_rotation(r: Rotation, rho: SphericalRealization) -> SphericalRealization:
+    return SphericalRealization({v: r.apply(p) for v, p in rho.placement.items()})
+
+
+def restrict_realization(rho: SphericalRealization, keep: Iterable[int]) -> SphericalRealization:
+    kept = set(keep)
+    return SphericalRealization({v: p for v, p in rho.placement.items() if v in kept})
+
+
+def gram_matrix(rho: SphericalRealization, order: Optional[Sequence[int]] = None) -> Vec:
+    order = rho.vertices if order is None else order
+    pts = np.stack([rho.point(v) for v in order])
+    return pts @ pts.T
+
+
+def conjugate_side(side: frozenset[Label]) -> frozenset[Label]:
+    return frozenset((_SWAP[k], v) for k, v in side)
+
+
+def swapped_cut(c: Cut) -> Cut:
+    return Cut(c.J, c.I)
+
+
+def conjugate_cut(c: Cut) -> Cut:
+    return Cut(conjugate_side(c.I), conjugate_side(c.J))
+
+
+def unordered_cut(c: Cut) -> frozenset[frozenset[Label]]:
+    return frozenset((c.I, c.J))
+
+
+def normalize_cut(g: Graph, c: Cut) -> NormalCut:
+    """Normal form of a surjective-coloring valid cut of K(3,3)."""
+    for nc in all_normal_cuts():
+        if unordered_cut(nc.to_cut(g)) == unordered_cut(c):
+            return nc
+    raise InvalidCutError("cut has no normal form; is its coloring surjective?")
+
+
+def realization_to_dict(rho: SphericalRealization) -> dict[str, Any]:
+    return {
+        "placement": {str(v): [float(c) for c in rho.point(v)] for v in rho.vertices}
+    }
+
+
+def coloring_set_to_dict(colorings: tuple[EdgeColoring, ...], modulo_swap: bool) -> dict[str, Any]:
+    """The data ``formats.dump_coloring_set`` writes, for the JSON encoder."""
+    return {
+        "modulo_swap": modulo_swap,
+        "count": len(colorings),
+        "colorings": [coloring_to_list(c) for c in colorings],
+    }

@@ -1,6 +1,6 @@
 """Straightforward versions of the cut-table machinery, kept as oracles.
 
-The degree-table loops walk the 512 tables of ``cuts.all_degree_tables()``
+The degree-table loops walk the 512 tables of ``all_degree_tables()``
 and move grids cell by cell through ``cuts._act``; the library counts the
 same things from ``cuts.GROUP_INDEX`` and ``cuts.TABLE_BITS``.  The
 resolution filter builds every 'r/l' resolution before checking it, where
@@ -11,6 +11,7 @@ K(3,3) cuts, where the library compares label sets on the quadrilateral.
 """
 
 import itertools
+from typing import Iterable
 
 from sphflex.cuts import (
     ALLOWED_COLS,
@@ -19,17 +20,25 @@ from sphflex.cuts import (
     AdmissibleCase,
     DegreeTable,
     Equation,
+    Grid,
     NormalCut,
     TypeTable,
     _act,
-    all_degree_tables,
     all_normal_cuts,
-    orbit,
     quad_cut_partition,
     quad_cycle,
     type_table,
 )
 from sphflex.graphs import k33
+
+
+def all_degree_tables() -> Iterable[DegreeTable]:
+    for bits in itertools.product((1, 2), repeat=9):
+        yield DegreeTable(tuple(tuple(bits[3 * r + c] for c in range(3)) for r in range(3)))
+
+
+def orbit(grid: Grid) -> frozenset[Grid]:
+    return frozenset(_act(grid, *g) for g in GROUP)
 
 
 def orbit_count_by_walk() -> int:
@@ -82,8 +91,8 @@ def allowed_resolutions_by_filter(tt: TypeTable) -> list[TypeTable]:
     return [
         cand
         for cand in all_resolutions(tt)
-        if all(row in ALLOWED_ROWS for row in cand.rows())
-        and all(col in ALLOWED_COLS for col in cand.cols())
+        if all(row in ALLOWED_ROWS for row in cand.grid)
+        and all(col in ALLOWED_COLS for col in zip(*cand.grid))
     ]
 
 

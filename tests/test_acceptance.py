@@ -21,6 +21,7 @@ from sphflex.coloring import (
     is_nac,
     is_surjective,
 )
+from sphflex.errors import SphflexError
 from sphflex.graphs import apex_double_triangle, k22, k33, triangle
 from sphflex.motions import (
     Dixon1Params,
@@ -34,13 +35,13 @@ from sphflex.motions import (
 from sphflex.spherical import (
     LengthAssignment,
     SphericalRealization,
-    gram_matrix,
     random_unit_point,
     rotation_about_axis,
 )
 
 from enumeration import connected_graphs
-from helpers import dixon2_involutions
+from helpers import dixon2_involutions, gram_matrix
+from trajectories import cda_rows_at
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -365,7 +366,7 @@ def test_criterion_9_quad_classifier():
     )
 
 
-def _cda_reference_grams(params):
+def _cda_reference_grams():
     pieces = [
         np.linspace(7.0001, 120.0, 1200),
         -np.linspace(7.0001, 120.0, 1200),
@@ -375,23 +376,19 @@ def _cda_reference_grams(params):
     refs = []
     for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         for grid in pieces:
-            for t in grid:
-                try:
-                    rho = motions.cda_point(params, float(t), *signs)
-                except Exception:
-                    continue
-                refs.append(((float(t), signs), gram_matrix(rho)))
+            rows, valid, _ = motions._cda_rows(grid, *signs)
+            for t, pts in zip(grid[valid].tolist(), rows[valid]):
+                refs.append(((t, signs), pts @ pts.T))
     return refs
 
 
-def _refine_alignment(params, target, t0, signs, span):
+def _refine_alignment(target, t0, signs, span):
     def f(t):
         try:
-            return float(
-                np.abs(gram_matrix(motions.cda_point(params, t, *signs)) - target).max()
-            )
-        except Exception:
+            pts = cda_rows_at(t, *signs)
+        except SphflexError:
             return math.inf
+        return float(np.abs(pts @ pts.T - target).max())
 
     lo, hi = t0 - span, t0 + span
     for _ in range(80):
@@ -413,16 +410,17 @@ def test_criterion_10_continuation():
         gen.samples[0].realization,
         config=cont.TraceConfig(step_size=0.03, max_steps=100),
     )
-    refs = _cda_reference_grams(params)
+    refs = _cda_reference_grams()
     ref_arr = np.stack([g for _, g in refs]).reshape(len(refs), -1)
+    gaps = np.empty_like(ref_arr)
     worst = 0.0
     for s in res.trajectory.samples:
         target = gram_matrix(s.realization)
-        dists = np.abs(ref_arr - target.reshape(-1)).max(axis=1)
-        idx = int(dists.argmin())
+        np.abs(np.subtract(ref_arr, target.reshape(-1), out=gaps), out=gaps)
+        idx = int(gaps.max(axis=1).argmin())
         (t0, signs) = refs[idx][0]
         span = abs(t0) * 0.05 + 0.01
-        worst = max(worst, _refine_alignment(params, target, t0, signs, span))
+        worst = max(worst, _refine_alignment(target, t0, signs, span))
     d56 = max(
         abs(float(s.realization.point(5) @ s.realization.point(6)) - 0.75)
         for s in res.trajectory.samples
@@ -435,7 +433,7 @@ def test_criterion_10_continuation():
     rigid = False
     try:
         cont.trace(g3, lam3, rho3)
-    except __import__("sphflex").SphflexError as exc:
+    except SphflexError as exc:
         rigid = getattr(exc, "corank", None) == 0
     ok = worst <= 1e-6 and d56 <= 1e-8 and rigid
     report(

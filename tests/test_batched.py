@@ -46,6 +46,7 @@ from sphflex.spherical import (
 )
 
 from assembly import jacobian_by_loop, residual_by_loop, with_arc_row
+from helpers import restrict_realization
 from trajectories import degenerate_pairs_of_all
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -243,12 +244,12 @@ def test_batched_pairs_use_each_realization_vertex_set():
     base[4] = -base[1]
     base[6] = base[2].copy()
     full = SphericalRealization(base)
-    rhos = [full, full.restrict([1, 2, 3]), full.restrict([1, 4, 6]), full]
-    rhos.append(full.restrict([2, 6]))
+    rhos = [full, restrict_realization(full, [1, 2, 3]), restrict_realization(full, [1, 4, 6]), full]
+    rhos.append(restrict_realization(full, [2, 6]))
     got = degenerate_pairs_of_all(rhos)
     assert got == [degenerate_pairs(rho) for rho in rhos]
     assert got[0] == ([(2, 6)], [(1, 4)])
-    assert degenerate_pairs_of_all([full.restrict([5])]) == [([], [])]
+    assert degenerate_pairs_of_all([restrict_realization(full, [5])]) == [([], [])]
 
 
 def test_validation_raises_on_first_offending_sample():

@@ -24,7 +24,7 @@ from sphflex.motions import Dixon1Params, cda_motion, cda_params_from_e, dixon1_
 from sphflex.spherical import LengthAssignment, SphericalRealization
 
 from enumeration import relabeled_graphs
-from helpers import dump_edge_list, dump_graph
+from helpers import coloring_set_to_dict, dump_edge_list, dump_graph, realization_to_dict
 
 
 def test_graph_round_trips():
@@ -41,7 +41,7 @@ def test_lengths_round_trip():
 
 def test_realization_round_trip():
     rho = SphericalRealization({1: [1.0, 0.0, 0.0], 2: [0.0, 1.0, 0.0]})
-    again = formats.realization_from_dict(formats.realization_to_dict(rho))
+    again = formats.realization_from_dict(realization_to_dict(rho))
     for v in (1, 2):
         assert np.array_equal(again.point(v), rho.point(v))
 
@@ -132,7 +132,7 @@ def trace_argv(tmp_path):
     lengths_file.write_text(json.dumps(formats.lengths_to_dict(traj.lengths)))
     seed_file = tmp_path / "seed.json"
     seed_file.write_text(
-        json.dumps(formats.realization_to_dict(traj.samples[0].realization))
+        json.dumps(realization_to_dict(traj.samples[0].realization))
     )
     return [
         "trace",
@@ -260,7 +260,7 @@ def dixon1_trace_files(tmp_path_factory):
     folder = tmp_path_factory.mktemp("dixon1")
     files = {"LENGTHS": folder / "lengths.json", "SEED": folder / "seed.json"}
     files["LENGTHS"].write_text(json.dumps(formats.lengths_to_dict(traj.lengths)))
-    files["SEED"].write_text(json.dumps(formats.realization_to_dict(traj.realizations()[0])))
+    files["SEED"].write_text(json.dumps(realization_to_dict(traj.realizations()[0])))
     return {name: str(path) for name, path in files.items()}
 
 
@@ -331,7 +331,7 @@ def test_cli_cda_names_t_where_the_closed_form_leaves_the_sphere(capsys):
 CDA_LENGTHS = formats.lengths_to_dict(
     cda_motion(cda_params_from_e(0.75), [8.0, 8.2]).lengths
 )["lengths"]
-CDA_SEED = formats.realization_to_dict(
+CDA_SEED = realization_to_dict(
     cda_motion(cda_params_from_e(0.75), [8.0, 8.2]).samples[0].realization
 )
 
@@ -409,6 +409,19 @@ def test_cli_input_file_of_the_wrong_shape_names_the_expected_key(tmp_path, caps
             {"placement": {**CDA_SEED["placement"], "9": [0, 0, 1]}},
             "seed realization places vertex 9, which the graph lacks",
         ),
+        # a JSON true is no label, though bool is an int
+        (
+            "--graph",
+            {"vertices": [True, 2, 3], "edges": [[True, 2], [2, 3], [3, True]]},
+            "vertex True is not an integer label",
+        ),
+        ("--lengths", {"lengths": [[True, *CDA_LENGTHS[0][1:]], *CDA_LENGTHS[1:]]}, "length entry [True, 2, "),
+        # an Arabic-Indic one is a decimal digit, but no ASCII one
+        (
+            "--seed-realization",
+            {"placement": {("١" if v == "1" else v): p for v, p in CDA_SEED["placement"].items()}},
+            'placement entry "١": ',
+        ),
     ],
 )
 def test_cli_malformed_file_entry_is_named(tmp_path, capsys, flag, data, message):
@@ -429,6 +442,13 @@ def test_cli_malformed_file_entry_is_named(tmp_path, capsys, flag, data, message
     [
         ("1 2\n2 3 4\n", "line 2 '2 3 4' is not 'a b' with integer labels a, b"),
         ("1 2\n2 x\n", "line 2 '2 x' is not 'a b' with integer labels a, b"),
+        ("1 2\n2 3\n3 +1\n", "line 3 '3 +1' is not 'a b' with integer labels a, b"),
+        # more digits than int() converts
+        pytest.param(
+            f"1 2\n2 {'1' * 5000}\n",
+            f"line 2 '2 {'1' * 5000}' is not 'a b' with integer labels a, b",
+            id="5000-digit-label",
+        ),
     ],
 )
 def test_cli_edge_list_names_the_bad_line(tmp_path, capsys, text, message):
@@ -464,6 +484,7 @@ def test_cli_graph_file_without_edges_is_refused(tmp_path, capsys, command, name
         ([*STAR, [3, 1, "red"]], "coloring triple [3, 1, 'red'] names the non-edge (1, 3)"),
         ([*STAR, [6, 5, "red"]], "edge (5, 6) is colored more than once"),
         (STAR[1:-1], "edges with no color: [(1, 2), (5, 6)]"),
+        ([[True, 2, "red"], *STAR[1:]], "coloring triple [True, 2, 'red'] is not"),
     ],
 )
 def test_coloring_reader_names_the_bad_triple_or_edges(triples, message, tmp_path, capsys):
@@ -588,7 +609,7 @@ def test_fact_commands_do_not_import_numpy_ma(tmp_path):
 def assert_writer_matches_encoder(g):
     for modulo_swap in (False, True):
         colorings = enumerate_nap(g, modulo_swap=modulo_swap)
-        expected = formats.dumps(formats.coloring_set_to_dict(colorings, modulo_swap))
+        expected = formats.dumps(coloring_set_to_dict(colorings, modulo_swap))
         assert formats.dump_coloring_set(colorings, modulo_swap) == expected
 
 
@@ -627,7 +648,7 @@ def test_cli_colorings_structured_uses_identical_text(capsys):
     for flag in ([], ["--modulo-swap"]):
         assert run(["colorings", "--corpus", "k33", "--format", "structured", *flag]) == 0
         colorings = enumerate_nap(k33(), modulo_swap=bool(flag))
-        expected = formats.dumps(formats.coloring_set_to_dict(colorings, bool(flag)))
+        expected = formats.dumps(coloring_set_to_dict(colorings, bool(flag)))
         assert capsys.readouterr().out == expected
 
 

@@ -22,11 +22,11 @@ from sphflex.graphs import (
     k22,
     k32,
     k33,
-    path_graph,
-    star,
     three_prism,
     triangle,
 )
+
+from helpers import path_graph, star
 
 SMALL_GRAPHS = [
     path_graph(4),

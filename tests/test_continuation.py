@@ -47,14 +47,13 @@ from sphflex.spherical import (
     ON_SPHERE_TOL,
     LengthAssignment,
     SphericalRealization,
-    apply_rotation,
-    gram_matrix,
     random_rotation,
     random_unit_point,
     rotation_about_axis,
 )
 
 import stepping
+from helpers import apply_rotation, gram_matrix, restrict_realization
 
 RNG = np.random.default_rng(0)
 
@@ -141,7 +140,7 @@ def test_trace_names_missing_edge_length_and_seed_vertex():
     with pytest.raises(SphflexError, match=r"no length for edge \(5, 6\)$"):
         trace(g, short, seed)
     with pytest.raises(SphflexError, match="does not place vertex 6$"):
-        trace(g, lam, seed.restrict(range(1, 6)))
+        trace(g, lam, restrict_realization(seed, range(1, 6)))
 
 
 def test_trace_follows_cda_curve():

@@ -18,7 +18,6 @@ from sphflex.cuts import (
     allowed_resolutions,
     build_pullback_system,
     coloring_from_cut,
-    all_degree_tables,
     count_admissible_tables_raw,
     count_degree_table_orbits,
     count_degree_table_orbits_burnside,
@@ -31,16 +30,15 @@ from sphflex.cuts import (
     mu_solutions,
     mu_system_feasible,
     nap_iff_separated_nonedge,
-    normalize_cut,
-    orbit,
     theta,
     type_table,
 )
-from sphflex.errors import InvalidCutError, UnknownRowError
+from sphflex.errors import InconsistentTypesError, InvalidCutError, UnknownRowError
 from sphflex.graphs import k22, k32, k33, triangle
 
 import tables
-from helpers import tables_equivalent
+from helpers import conjugate_cut, normalize_cut, swapped_cut, tables_equivalent, unordered_cut
+from tables import all_degree_tables, orbit
 
 T_OU = cut_for(k22(), {("P", 1), ("Q", 1), ("P", 2), ("P", 4)})
 T_EU = cut_for(k22(), {("P", 2), ("Q", 2), ("P", 1), ("P", 3)})
@@ -66,7 +64,7 @@ def test_coloring_from_t_ou():
 
 def test_swapping_sides_swaps_colors():
     col = coloring_from_cut(k22(), T_OU)
-    swapped = coloring_from_cut(k22(), T_OU.swapped())
+    swapped = coloring_from_cut(k22(), swapped_cut(T_OU))
     assert swapped.mask == col.mask ^ 0b1111
 
 
@@ -104,11 +102,11 @@ def test_enumerate_valid_cuts_k22():
     assert len(enumerate_valid_cuts(k22(), modulo_symmetry=True)) == 4
     raw = enumerate_valid_cuts(k22(), modulo_symmetry=False)
     assert len(raw) == 8
-    named = {c.unordered() for c in (T_OU, T_EU, T_OM, T_EM)}
-    found = {c.unordered() for c in enumerate_valid_cuts(k22())}
+    named = {unordered_cut(c) for c in (T_OU, T_EU, T_OM, T_EM)}
+    found = {unordered_cut(c) for c in enumerate_valid_cuts(k22())}
     # the four named cuts appear, up to conjugation
     for cut in (T_OU, T_EU, T_OM, T_EM):
-        assert cut.unordered() in found or cut.conjugate().unordered() in found
+        assert unordered_cut(cut) in found or unordered_cut(conjugate_cut(cut)) in found
     assert len(named) == 4
 
 
@@ -419,6 +417,19 @@ def test_case3_type1_unique_solution():
         canon(3, "QPQ"): 1,
         canon(5, "QQP"): 1,
     }
+
+
+def test_pullback_system_refuses_an_unresolved_type():
+    # the three-rhomboid table with its 3-4 rhomboid left as 'r/l'
+    grid = tuple(
+        tuple(("r/l" if r == 1 else "r") if r == c else "g" for c in range(3)) for r in range(3)
+    )
+    assert TypeTable(grid).entry(3, 4) == "r/l" and TypeTable(grid).entry(1, 2) == "r"
+    subs = {(1, 2): 1, (3, 4): 1, (5, 6): 1}
+    with pytest.raises(
+        InconsistentTypesError, match=r"^type of quadrilateral without \{3,4\} is unresolved$"
+    ):
+        build_pullback_system(CASE3_DEGREE, TypeTable(grid), subs)
 
 
 def test_case3_type2_infeasible_with_general_quads():

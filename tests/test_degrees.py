@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from sphflex.coloring import flexibility_certificate
 from sphflex.continuation import TraceConfig, _fiber_sizes, empirical_map_degree, trace
 from sphflex.errors import UnderConstrainedError
-from sphflex.graphs import k33, path_graph
+from sphflex.graphs import k33
 from sphflex.motions import Dixon1Params, MotionTrajectory, dixon1_motion, polar_nap_motion
 from sphflex.spherical import random_rotation
 
 from degrees import random_dixon1_loops, window_scan_degree
+from helpers import path_graph
 
 
 @pytest.fixture(scope="module")

@@ -29,7 +29,6 @@ from sphflex.graphs import (
     complete,
     complete_bipartite,
     cycle_graph,
-    path_graph,
     three_prism,
 )
 
@@ -41,6 +40,7 @@ from enumeration import (
     valid_cuts_by_counts,
     valid_cuts_by_scan,
 )
+from helpers import path_graph
 
 MAX_CUT_VERTICES = 8
 

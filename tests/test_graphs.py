@@ -21,13 +21,12 @@ from sphflex.graphs import (
     k32,
     k33,
     nonedges,
-    path_graph,
     three_prism,
     triangle,
 )
 
 from enumeration import connected_graphs
-from helpers import dump_edge_list, dump_graph, is_laman_naive
+from helpers import dump_edge_list, dump_graph, is_laman_naive, path_graph
 
 
 def test_build_k33_from_odd_even_pairs():

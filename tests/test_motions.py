@@ -31,16 +31,15 @@ from sphflex.motions import (
     cda_lengths,
     cda_motion,
     cda_params_from_e,
-    cda_point,
     detect_k33_motion_kind,
     dixon1_motion,
     dixon2_motion,
     polar_nap_motion,
 )
 from sphflex.quads import EVEN_DELTOID, GENERAL, QuadLengths, classify
-from sphflex.spherical import essentially_distinct, gram_matrix
+from sphflex.spherical import essentially_distinct
 
-from helpers import dixon2_involutions
+from helpers import dixon2_involutions, gram_matrix
 
 ANGLES = list(np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False))
 
@@ -259,11 +258,11 @@ def test_cda_params_validation():
 def test_cda_pole_and_discriminant_errors():
     params = cda_params_from_e(0.75)
     with pytest.raises(PoleError):
-        cda_point(params, 1.0)
+        cda_motion(params, [1.0])
     with pytest.raises(NegativeDiscriminantError):
-        cda_point(params, 2.0)
+        cda_motion(params, [2.0])
     with pytest.raises(NegativeDiscriminantError):
-        cda_point(params, -2.0)
+        cda_motion(params, [-2.0])
 
 
 def test_cda_non_finite_and_overflowing_t_name_t():

@@ -1,4 +1,5 @@
-"""The benchmark reaches into the package by name.
+"""The benchmark reaches into the package by name, and every public name
+of the package has a caller.
 
 ``bench/tracer.py`` lists the functions its span recorder wraps in
 ``TARGETS`` as (module, attribute, span) triples, and ``bench/workloads.py``
@@ -7,6 +8,10 @@ calls package functions through the modules and names it imports from
 name would only show up as a failed benchmark run, so every one is
 resolved here.  Both files are read with
 ``ast``, not imported, so nothing of the benchmark runs.
+
+The package's own modules are read the same way: a public module-level
+function or class that no package code and no benchmark file refers to
+is a dead helper unless the README keeps it as public API.
 """
 
 import ast
@@ -15,13 +20,18 @@ import hashlib
 import importlib
 import io
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 TRACER = BENCH / "tracer.py"
 WORKLOADS = BENCH / "workloads.py"
+PACKAGE = ROOT / "src" / "sphflex"
+README = ROOT / "README.md"
+KEPT_HEADING = "## Public API without an internal caller"
 
 
 def tracer_targets():
@@ -154,3 +164,65 @@ def test_every_method_the_workloads_call_on_returned_objects_resolves():
     names = object_attributes()
     assert {"canonical_mask", "samples", "trajectory", "stop_reason"} <= names
     assert sorted(names - known) == []
+
+
+def referenced_names(nodes):
+    """Names the code under ``nodes`` refers to: names, attributes,
+    imported names, and strings that are one identifier (``TARGETS``
+    names its functions that way)."""
+    names = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    names.add(node.value)
+    return names
+
+
+def kept_api():
+    """The dotted names (``module.name``) the README lists under
+    ``KEPT_HEADING``."""
+    section = README.read_text().split(KEPT_HEADING, 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"`(\w+\.\w+)`", section))
+
+
+def test_every_kept_api_name_resolves():
+    kept = kept_api()
+    assert {"cuts.cut_valid_for_bond", "graphs.is_laman", "continuation.residual_vector"} <= kept
+    missing = []
+    for name in sorted(kept):
+        module, attr = name.split(".")
+        if not hasattr(importlib.import_module(f"sphflex.{module}"), attr):
+            missing.append(name)
+    assert missing == []
+
+
+def test_every_public_function_and_class_has_a_caller():
+    # a name counts as called when code outside its own definition refers
+    # to it: elsewhere in its module, in another module, or in bench/;
+    # the exports of __init__ do not count
+    bodies = {
+        path.stem: [(node, referenced_names([node])) for node in ast.parse(path.read_text()).body]
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    others = [(node, names) for body in bodies.values() for node, names in body]
+    bench = referenced_names(ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py")))
+    kept = kept_api()
+    dead = []
+    for stem, body in bodies.items():
+        for node, _ in body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name in bench or f"{stem}.{node.name}" in kept:
+                continue
+            if not any(node.name in names for other, names in others if other is not node):
+                dead.append(f"{stem}.{node.name}")
+    assert len(bodies) >= 9
+    assert dead == []

@@ -88,6 +88,7 @@ from trajectories import (
     trajectory_to_csv_by_samples,
     trajectory_to_dict_by_samples,
 )
+from helpers import realization_to_dict, restrict_realization
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 DIXON1 = Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7})
@@ -188,7 +189,7 @@ def cli_cases(tmp):
             "trace",
             "--graph", write(f"{name}-g.json", formats.graph_to_dict(g)),
             "--lengths", write(f"{name}-l.json", formats.lengths_to_dict(lam)),
-            "--seed-realization", write(f"{name}-s.json", formats.realization_to_dict(seed)),
+            "--seed-realization", write(f"{name}-s.json", realization_to_dict(seed)),
             "--step", "0.05",
         ]
     return cases
@@ -457,7 +458,7 @@ def test_parse_rejects_samples_placing_other_vertices():
 def test_make_trajectory_rejects_other_vertex_sets():
     traj = EXAMPLES["dixon1"]
     frames = [(s.parameter, s.realization) for s in traj.samples[:3]]
-    frames[1] = (frames[1][0], frames[1][1].restrict([1, 2, 3, 4, 5]))
+    frames[1] = (frames[1][0], restrict_realization(frames[1][1], [1, 2, 3, 4, 5]))
     with pytest.raises(DegenerateTrajectoryError, match="places vertices"):
         make_trajectory(traj.graph, traj.lengths, frames, traj.kind)
 
@@ -513,7 +514,7 @@ def test_cli_rejects_nan_and_inf_input(tmp_path, capsys):
     lengths = tmp_path / "l.json"
     lengths.write_text(json.dumps(formats.lengths_to_dict(d1.lengths)))
     for bad in ("NaN", "Infinity"):
-        seed = formats.realization_to_dict(d1.samples[0].realization)
+        seed = realization_to_dict(d1.samples[0].realization)
         text = json.dumps(seed).replace(str(seed["placement"]["3"][0]), bad, 1)
         seed_file = tmp_path / "s.json"
         seed_file.write_text(text)

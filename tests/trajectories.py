@@ -177,7 +177,7 @@ def solve_dixon2_points_by_halvings(
 
 
 def cda_rows_at(t: float, y2_sign: int, z5_sign: int) -> Vec:
-    """Points of vertices 1..6 of ``cda_point`` at one t, as a (6, 3)
+    """Points of vertices 1..6 of ``motions._cda_rows`` at one t, as a (6, 3)
     array, in scalar float arithmetic."""
     if not math.isfinite(t):
         raise OutOfRangeError(f"t={t} is not finite")
