@@ -85,13 +85,6 @@ class Cut:
             raise InvalidCutError("each cut side needs at least two labels")
 
 
-def cut_for(g: Graph, i_side: Iterable[Label]) -> Cut:
-    """Cut of g's marked labels with the given I side."""
-    I = frozenset(i_side)
-    J = frozenset(marked_labels(g)) - I
-    return Cut(I, J)
-
-
 def _label_counts(g: Graph, c: Cut) -> dict[int, int]:
     """How many of each vertex's two labels lie on the I side.  Bond
     validity and the induced coloring depend only on these counts."""
@@ -282,9 +275,6 @@ class NormalCut:
         for letter, v in zip(self.pattern, _opposite_parity(self.apex)):
             side.add((letter, v))
         return frozenset(side)
-
-    def to_cut(self, g: Graph) -> Cut:
-        return cut_for(g, self.i_side())
 
     def conjugate(self) -> "NormalCut":
         return NormalCut(self.apex, "".join(_SWAP[c] for c in self.pattern))

@@ -42,6 +42,12 @@ def _label(entry: Any, text: bool = False) -> Optional[int]:
     return entry if type(entry) is int else None
 
 
+def _is_number(entry: Any) -> bool:
+    """Whether a file entry is a number: ``true`` and ``false`` are not,
+    though bool is an int."""
+    return isinstance(entry, (int, float)) and not isinstance(entry, bool)
+
+
 def _field(data: Any, key: str, kind: type, shape: str) -> Any:
     """``data[key]``, a ``kind``, of a file whose top level must be ``shape``."""
     if not (isinstance(data, dict) and isinstance(data.get(key), kind)):
@@ -104,8 +110,8 @@ def lengths_from_dict(data: dict[str, Any]) -> LengthAssignment:
     lengths = {}
     for triple in triples:
         match triple:
-            case [a, b, int() | float() as length] if (
-                _label(a) is not None and _label(b) is not None
+            case [a, b, length] if (
+                _label(a) is not None and _label(b) is not None and _is_number(length)
             ):
                 e = (min(a, b), max(a, b))
             case _:
@@ -124,7 +130,7 @@ def realization_from_dict(data: dict[str, Any]) -> SphericalRealization:
     for key, point in placement.items():
         v = _label(key, text=True)
         match point:
-            case [int() | float() as x, int() | float() as y, int() | float() as z] if v is not None:
+            case [x, y, z] if v is not None and all(map(_is_number, point)):
                 xyz = [float(x), float(y), float(z)]
             case _:
                 raise SphflexError(
@@ -314,7 +320,13 @@ def trajectory_from_dict(data: dict[str, Any]) -> MotionTrajectory:
     lam = lengths_from_dict({"lengths": data["lengths"]})
     samples = data["samples"]
     placements = [s["placement"] for s in samples]
-    labels = [int(v) for p in placements for v in p]
+    keys = [key for p in placements for key in p]
+    # each distinct key is decided once, in the order of the file
+    label = {key: _label(key, text=True) for key in dict.fromkeys(keys)}
+    for key, v in label.items():
+        if v is None:
+            raise SphflexError(f'placement key "{key}" is not an integer label')
+    labels = list(map(label.__getitem__, keys))
     pts = np.empty((len(labels), 3))
     pts[:] = [c for p in placements for c in p.values()]
     check_on_sphere(pts, labels)

@@ -18,8 +18,10 @@ import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
-from sphflex.cuts import Cut, cut_for, marked_labels
+from sphflex.cuts import Cut, marked_labels
 from sphflex.graphs import Graph, build_graph
+
+from helpers import cut_for
 
 
 def _invariant(g: nx.Graph):

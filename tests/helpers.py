@@ -7,7 +7,15 @@ from typing import Any, Iterable, Optional, Sequence
 import numpy as np
 
 from sphflex.coloring import EdgeColoring
-from sphflex.cuts import _SWAP, Cut, DegreeTable, Label, NormalCut, all_normal_cuts
+from sphflex.cuts import (
+    _SWAP,
+    Cut,
+    DegreeTable,
+    Label,
+    NormalCut,
+    all_normal_cuts,
+    marked_labels,
+)
 from sphflex.formats import coloring_to_list, graph_to_dict
 from sphflex.graphs import Graph, build_graph
 from sphflex.motions import HALF_TURN_X, HALF_TURN_Y, HALF_TURN_Z
@@ -104,6 +112,13 @@ def conjugate_cut(c: Cut) -> Cut:
     return Cut(conjugate_side(c.I), conjugate_side(c.J))
 
 
+def cut_for(g: Graph, i_side: Iterable[Label]) -> Cut:
+    """Cut of g's marked labels with the given I side."""
+    I = frozenset(i_side)
+    J = frozenset(marked_labels(g)) - I
+    return Cut(I, J)
+
+
 def unordered_cut(c: Cut) -> frozenset[frozenset[Label]]:
     return frozenset((c.I, c.J))
 
@@ -111,7 +126,7 @@ def unordered_cut(c: Cut) -> frozenset[frozenset[Label]]:
 def normalize_cut(g: Graph, c: Cut) -> NormalCut:
     """Normal form of a surjective-coloring valid cut of K(3,3)."""
     for nc in all_normal_cuts():
-        if unordered_cut(nc.to_cut(g)) == unordered_cut(c):
+        if unordered_cut(cut_for(g, nc.i_side())) == unordered_cut(c):
             return nc
     raise InvalidCutError("cut has no normal form; is its coloring surjective?")
 

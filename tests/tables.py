@@ -25,6 +25,7 @@ from sphflex.cuts import (
     TypeTable,
     _act,
     all_normal_cuts,
+    marked_labels,
     quad_cut_partition,
     quad_cycle,
     type_table,
@@ -187,9 +188,11 @@ def cut_extensions_by_scan(forgot_odd: int, forgot_even: int, kind: str) -> tupl
     """Normal cuts whose full K(3,3) cut restricts to the quadrilateral cut."""
     cycle = quad_cycle(forgot_odd, forgot_even)
     target = quad_cut_partition(cycle, kind)
-    g = k33()
+    labels = frozenset(marked_labels(k33()))
 
-    def restricted(cut):
-        return frozenset(frozenset(l for l in side if l[1] in cycle) for side in (cut.I, cut.J))
+    def restricted(i_side):
+        return frozenset(
+            frozenset(l for l in side if l[1] in cycle) for side in (i_side, labels - i_side)
+        )
 
-    return tuple(nc for nc in all_normal_cuts() if restricted(nc.to_cut(g)) == target)
+    return tuple(nc for nc in all_normal_cuts() if restricted(nc.i_side()) == target)

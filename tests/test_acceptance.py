@@ -35,6 +35,7 @@ from sphflex.motions import (
 from sphflex.spherical import (
     LengthAssignment,
     SphericalRealization,
+    essentially_distinct,
     random_unit_point,
     rotation_about_axis,
 )
@@ -133,9 +134,7 @@ def test_criterion_5_constant_diagonal_angle_motion():
         for s in traj.samples
     )
     consecutive = all(
-        bool(
-            __import__("sphflex").essentially_distinct(a.realization, b.realization)
-        )
+        bool(essentially_distinct(a.realization, b.realization))
         for a, b in zip(traj.samples, traj.samples[1:])
     )
     a, e = Fraction(3, 5), Fraction(3, 4)

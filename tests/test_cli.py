@@ -422,6 +422,17 @@ def test_cli_input_file_of_the_wrong_shape_names_the_expected_key(tmp_path, caps
             {"placement": {("١" if v == "1" else v): p for v, p in CDA_SEED["placement"].items()}},
             'placement entry "١": ',
         ),
+        # nor is a JSON true a number
+        (
+            "--lengths",
+            {"lengths": [[*CDA_LENGTHS[0][:2], True], *CDA_LENGTHS[1:]]},
+            "length entry [1, 2, True] is not [a, b, length]",
+        ),
+        (
+            "--seed-realization",
+            {"placement": {**CDA_SEED["placement"], "1": [True, 0, 0]}},
+            'placement entry "1": [True, 0, 0] is not "v": [x, y, z]',
+        ),
     ],
 )
 def test_cli_malformed_file_entry_is_named(tmp_path, capsys, flag, data, message):
@@ -604,6 +615,53 @@ def test_fact_commands_do_not_import_numpy_ma(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == "False"
+
+
+def run_in_fresh_process(code):
+    """stderr of ``code`` run by a fresh interpreter on the package source."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.strip()
+
+
+def test_graphs_and_coloring_load_without_numpy():
+    # the package itself imports nothing, so a module loads only its imports
+    code = (
+        "import sys\n"
+        "import sphflex.graphs, sphflex.coloring\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('sphflex')), "
+        "file=sys.stderr)\n"
+    )
+    assert run_in_fresh_process(code) == str(
+        ["sphflex", "sphflex.coloring", "sphflex.errors", "sphflex.graphs"]
+    )
+
+
+def test_only_trace_loads_continuation(tmp_path):
+    # continuation is the one module on numpy's private _umath_linalg
+    commands = [
+        ["certify", "--corpus", "k33"],
+        ["colorings", "--corpus", "k33"],
+        ["realize", "--corpus", "k33", "--samples", "3"],
+        ["k33", "--kind", "dixon1", "--samples", "3"],
+        ["classify-quad", "--deltas", "0.3,0.3,0.7,0.7"],
+        ["tables"],
+        ["verify"],
+    ]
+    code = (
+        "import sys\n"
+        "from sphflex.cli import run\n"
+        f"for argv in {commands!r}:\n"
+        "    assert run(argv) == 0, argv\n"
+        "print('sphflex.continuation' in sys.modules, file=sys.stderr)\n"
+        f"assert run({trace_argv(tmp_path)!r}) == 0\n"
+        "print('sphflex.continuation' in sys.modules, file=sys.stderr)\n"
+    )
+    assert run_in_fresh_process(code).split() == ["False", "True"]
 
 
 def assert_writer_matches_encoder(g):

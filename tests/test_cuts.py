@@ -23,7 +23,6 @@ from sphflex.cuts import (
     count_degree_table_orbits_burnside,
     count_k33_subgraph_classes,
     cut_extensions,
-    cut_for,
     cut_valid_for_bond,
     enumerate_valid_cuts,
     mu_lookup,
@@ -37,7 +36,7 @@ from sphflex.errors import InconsistentTypesError, InvalidCutError, UnknownRowEr
 from sphflex.graphs import k22, k32, k33, triangle
 
 import tables
-from helpers import conjugate_cut, normalize_cut, swapped_cut, tables_equivalent, unordered_cut
+from helpers import conjugate_cut, cut_for, normalize_cut, swapped_cut, tables_equivalent, unordered_cut
 from tables import all_degree_tables, orbit
 
 T_OU = cut_for(k22(), {("P", 1), ("Q", 1), ("P", 2), ("P", 4)})
@@ -70,7 +69,7 @@ def test_swapping_sides_swaps_colors():
 
 def test_coloring_from_apex_cut_is_star():
     g = k33()
-    c = NormalCut(1, "PPP").to_cut(g)
+    c = cut_for(g, NormalCut(1, "PPP").i_side())
     col = coloring_from_cut(g, c)
     reds = set(col.red_edges())
     assert reds == {(1, 2), (1, 4), (1, 6)}
@@ -86,7 +85,7 @@ def test_nap_iff_separated_nonedge_examples():
     verdict, witness = nap_iff_separated_nonedge(k22(), T_OU)
     assert verdict and witness == (1, 3)
     g = k33()
-    verdict, witness = nap_iff_separated_nonedge(g, NormalCut(1, "PPP").to_cut(g))
+    verdict, witness = nap_iff_separated_nonedge(g, cut_for(g, NormalCut(1, "PPP").i_side()))
     assert verdict and witness in {(1, 3), (1, 5)}
 
 
@@ -138,7 +137,7 @@ def test_normal_cut_sides_match_notation():
     assert c.i_side() == {("P", 3), ("Q", 3), ("P", 2), ("Q", 4), ("P", 6)}
     c2 = NormalCut(2, "PPQ")
     assert c2.i_side() == {("P", 2), ("Q", 2), ("P", 1), ("P", 3), ("Q", 5)}
-    assert normalize_cut(g, c.to_cut(g)) == c
+    assert normalize_cut(g, cut_for(g, c.i_side())) == c
 
 
 def test_mu_lookup_rows():

@@ -8,7 +8,6 @@ from sphflex.coloring import enumerate_nap, nap_pole_partition
 from sphflex.cuts import (
     Cut,
     coloring_from_cut,
-    cut_for,
     cut_valid_for_bond,
     marked_labels,
     nap_iff_separated_nonedge,
@@ -17,6 +16,7 @@ from sphflex.errors import InvalidCutError
 from sphflex.graphs import k22, k32, k33, triangle
 
 from enumeration import connected_graphs
+from helpers import cut_for
 from predicates import (
     coloring_from_cut_by_labels,
     cut_valid_for_bond_by_labels,

@@ -10,8 +10,10 @@ resolved here.  Both files are read with
 ``ast``, not imported, so nothing of the benchmark runs.
 
 The package's own modules are read the same way: a public module-level
-function or class that no package code and no benchmark file refers to
-is a dead helper unless the README keeps it as public API.
+function or class, or a public method of a public class, that no package
+code and no benchmark file refers to is a dead helper unless the README
+keeps it (or its class) as public API.  The package's ``__init__`` binds
+no name, so each public name has one import path: its module.
 """
 
 import ast
@@ -205,24 +207,42 @@ def test_every_kept_api_name_resolves():
 
 def test_every_public_function_and_class_has_a_caller():
     # a name counts as called when code outside its own definition refers
-    # to it: elsewhere in its module, in another module, or in bench/;
-    # the exports of __init__ do not count
+    # to it: elsewhere in its module, in another module, or in bench/; a
+    # method counts as kept when its class is kept
     bodies = {
         path.stem: [(node, referenced_names([node])) for node in ast.parse(path.read_text()).body]
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.stem != "__init__"
     }
     others = [(node, names) for body in bodies.values() for node, names in body]
     bench = referenced_names(ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py")))
     kept = kept_api()
+
+    def called(name, outside):
+        return any(name in names for other, names in others if other is not outside)
+
     dead = []
     for stem, body in bodies.items():
         for node, _ in body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            if node.name in bench or f"{stem}.{node.name}" in kept:
+            if node.name not in bench and f"{stem}.{node.name}" not in kept:
+                if not called(node.name, node):
+                    dead.append(f"{stem}.{node.name}")
+            if not isinstance(node, ast.ClassDef) or f"{stem}.{node.name}" in kept:
                 continue
-            if not any(node.name in names for other, names in others if other is not node):
-                dead.append(f"{stem}.{node.name}")
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                rest = referenced_names(other for other in node.body if other is not method)
+                if method.name not in bench | rest and not called(method.name, node):
+                    dead.append(f"{stem}.{node.name}.{method.name}")
     assert len(bodies) >= 9
     assert dead == []
+
+
+def test_package_init_binds_no_name():
+    # each public name is imported from its module, and importing one
+    # module loads only what that module imports
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    assert [type(node) for node in body] == [ast.Expr]
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)

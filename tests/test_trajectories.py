@@ -455,6 +455,17 @@ def test_parse_rejects_samples_placing_other_vertices():
     )
 
 
+
+@pytest.mark.parametrize("key", ["١", "+1", " 1", "1.0"])
+def test_parse_names_a_placement_key_that_is_no_label(key):
+    # int() reads each of these keys as vertex 1
+    data = k37_data()
+    for sample in data["samples"]:
+        sample["placement"] = {(key if v == "1" else v): p for v, p in sample["placement"].items()}
+    with pytest.raises(SphflexError, match=f'^placement key "{re.escape(key)}" is not an integer label$'):
+        formats.trajectory_from_dict(data)
+
+
 def test_make_trajectory_rejects_other_vertex_sets():
     traj = EXAMPLES["dixon1"]
     frames = [(s.parameter, s.realization) for s in traj.samples[:3]]
