@@ -4,7 +4,8 @@ A realization of a graph with |V| vertices is flattened to 3|V|
 coordinates.  The residual stacks one unit-sphere equation per vertex, one
 length equation per edge and three gauge equations (two pinning the anchor
 vertex to (1,0,0), one confining the meridian vertex to the plane z = 0),
-which kill the three rotational degrees of freedom.  On a flexible
+which kill the three rotational degrees of freedom.  The anchor is the
+graph's first vertex and the meridian its first neighbour.  On a flexible
 framework the Jacobian then has corank exactly 1 at a regular curve point,
 and the curve is followed with a tangent predictor and a Gauss-Newton
 corrector.  Every Newton solve here, polishing the seed and tracing,
@@ -46,8 +47,9 @@ import numpy as np
 # and set an error state around these gufuncs, which at the sizes a trace
 # solves costs as much again as the LAPACK work; _solve and _cholesky call
 # them directly.  The module is private to numpy: its name and the NaN its
-# gufuncs return on failure were checked on numpy 2.4, and
-# test_lapack_kernels_equal_numpy_linalg holds them to np.linalg's results
+# gufuncs return on failure were checked on numpy 2.4, the oldest version
+# the package allows, and test_lapack_kernels_equal_numpy_linalg holds them
+# to np.linalg's results
 from numpy.linalg import _umath_linalg
 
 from .errors import (
@@ -69,23 +71,19 @@ from .spherical import (
 )
 
 CORANK_REL_TOL = 1e-7
+# Gauss-Newton iterations of one corrector solve
+MAX_NEWTON_ITERS = 30
+# the shortest step a trace tries before it stops halving
+MIN_STEP = 1e-7
 
 
-@dataclass(frozen=True)
-class GaugeFix:
-    """Anchor vertex pinned to (1,0,0); meridian vertex held in {z = 0}."""
-
-    anchor: int
-    meridian: int
-
-    def __post_init__(self):
-        if self.anchor == self.meridian:
-            raise SphflexError("anchor and meridian must differ")
-
-
-def default_gauge(g: Graph) -> GaugeFix:
+def _gauge(g: Graph) -> tuple[int, int]:
+    """The anchor and meridian vertices: the first vertex and its first
+    neighbour."""
+    if not g.edges:
+        raise SphflexError("the gauge needs an edge, and the graph has none")
     anchor = g.vertices[0]
-    return GaugeFix(anchor, g.neighbors(anchor)[0])
+    return anchor, g.neighbors(anchor)[0]
 
 
 @dataclass(frozen=True)
@@ -93,12 +91,9 @@ class TraceConfig:
     step_size: float = 0.02
     max_steps: int = 5000
     newton_tol: float = 1e-12
-    max_newton_iters: int = 30
-    min_step: float = 1e-7
 
     def __post_init__(self):
-        # a NaN passes every comparison below, and min_step <= 0 lets the
-        # step halving reach a zero-length step
+        # a NaN passes every comparison below
         for field in fields(self):
             value = getattr(self, field.name)
             if not (math.isfinite(value) and value > 0):
@@ -111,11 +106,11 @@ class TraceConfig:
             raise SphflexError(
                 f"trace configuration step_size must be at most pi, got {self.step_size}"
             )
-        if self.min_step > self.step_size:
+        if self.step_size < MIN_STEP:
             # the step halving would not try a single step
             raise SphflexError(
-                f"trace configuration min_step {self.min_step} exceeds step_size "
-                f"{self.step_size}"
+                f"trace configuration step_size must be at least {MIN_STEP:g}, "
+                f"got {self.step_size}"
             )
         if self.newton_tol < 1e-13:
             raise SphflexError("newton_tol below 1e-13 is not resolvable")
@@ -140,13 +135,14 @@ def _rotation_taking(a: Vec, b: Vec) -> np.ndarray:
     return np.eye(3) + k + k @ k / (1.0 + c)
 
 
-def re_gauge(rho: SphericalRealization, gauge: GaugeFix) -> SphericalRealization:
-    """Rotate a realization into the gauge slice.
+def re_gauge(rho: SphericalRealization, g: Graph) -> SphericalRealization:
+    """Rotate a realization of ``g`` into the gauge slice.
 
     The anchor goes to (1,0,0); the meridian vertex is spun about the x
     axis onto {z = 0, y > 0}.
     """
-    anchor = rho.point(gauge.anchor)
+    anchor_vertex, meridian_vertex = _gauge(g)
+    anchor = rho.point(anchor_vertex)
     x_axis = np.array([1.0, 0.0, 0.0])
     if anchor[0] < -0.99:
         # near (-1,0,0) a direct rotation is off orthogonal by 1e-12 at
@@ -155,7 +151,7 @@ def re_gauge(rho: SphericalRealization, gauge: GaugeFix) -> SphericalRealization
     else:
         r1 = _rotation_taking(anchor, x_axis)
     pts = {v: r1 @ p for v, p in rho.placement.items()}
-    m = pts[gauge.meridian]
+    m = pts[meridian_vertex]
     phi = np.arctan2(m[2], m[1])
     c, s = np.cos(phi), np.sin(phi)
     r2 = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
@@ -180,7 +176,8 @@ class ConstraintSystem:
     overwrites.
     """
 
-    def __init__(self, g: Graph, lam: LengthAssignment, gauge: GaugeFix):
+    def __init__(self, g: Graph, lam: LengthAssignment):
+        anchor, meridian = _gauge(g)
         self.order = g.vertices
         n = len(self.order)
         rows = [(i, i, -1.0, 0.0, 1.0) for i in range(n)]
@@ -219,7 +216,7 @@ class ConstraintSystem:
         self._gauge_res = self._res[pairs : self.num_rows]
         self._jac = np.zeros((self.num_rows + 1, width))
         self._jac_flat = self._jac.reshape(-1)
-        ia, im = g.position[gauge.anchor], g.position[gauge.meridian]
+        ia, im = g.position[anchor], g.position[meridian]
         self._gauge_cols = np.array([3 * ia + 1, 3 * ia + 2, 3 * im + 2])
         self._jac[pairs + np.arange(3), self._gauge_cols] = 1.0
         # the normal equations of a corrector step
@@ -295,15 +292,13 @@ class ConstraintSystem:
         return x if np.abs(r).max() <= tol else None
 
 
-def residual_vector(
-    g: Graph, lam: LengthAssignment, coords: Vec, gauge: GaugeFix
-) -> Vec:
+def residual_vector(g: Graph, lam: LengthAssignment, coords: Vec) -> Vec:
     """Sphere, edge and gauge residuals, in that order."""
-    return ConstraintSystem(g, lam, gauge).residual(coords)
+    return ConstraintSystem(g, lam).residual(coords)
 
 
-def jacobian(g: Graph, lam: LengthAssignment, coords: Vec, gauge: GaugeFix) -> Vec:
-    return ConstraintSystem(g, lam, gauge).jacobian(coords)
+def jacobian(g: Graph, lam: LengthAssignment, coords: Vec) -> Vec:
+    return ConstraintSystem(g, lam).jacobian(coords)
 
 
 def _corank(svals: Vec, width: int, rel_tol: float) -> int:
@@ -468,12 +463,12 @@ def _advance(
     the path back.  Returns the accepted ``(point, tangent, h)``, or the stop
     reason ``"singular_point"`` or ``"step_failure"``.
     """
-    while h >= cfg.min_step:
+    while h >= MIN_STEP:
         cand = newton_correct(
             system,
             x + h * t_prev,
             cfg.newton_tol,
-            cfg.max_newton_iters,
+            MAX_NEWTON_ITERS,
             arc_constraint=(x, t_prev, h),
         )
         if cand is not None:
@@ -492,7 +487,6 @@ def trace(
     g: Graph,
     lam: LengthAssignment,
     seed: SphericalRealization,
-    gauge: Optional[GaugeFix] = None,
     config: Optional[TraceConfig] = None,
 ) -> TraceResult:
     """Follow the configuration curve through a seed realization.
@@ -506,9 +500,11 @@ def trace(
     - ``"loop_closed"``: it returned to the seed with an aligned tangent;
     - ``"max_steps"``: it took ``max_steps`` steps;
     - ``"singular_point"``: a corrected point has corank 2 or more;
-    - ``"step_failure"``: no step of at least ``min_step`` was accepted.
+    - ``"step_failure"``: no step of at least ``MIN_STEP`` was accepted.
 
-    Stopping before the first step raises ``StepFailureError``.
+    Stopping before the first step raises ``StepFailureError``, and a
+    graph without edges, which leaves the gauge no meridian,
+    ``SphflexError``.
     """
     for e in g.edges:
         if e not in lam.lengths:
@@ -522,12 +518,11 @@ def trace(
     for v in seed.placement:
         if v not in g.position:
             raise SphflexError(f"seed realization places vertex {v}, which the graph lacks")
-    gauge = gauge or default_gauge(g)
     cfg = config or TraceConfig()
-    system = ConstraintSystem(g, lam, gauge)
+    system = ConstraintSystem(g, lam)
 
-    x0 = re_gauge(seed, gauge).as_array(g.vertices)
-    x0 = newton_correct(system, x0, cfg.newton_tol, cfg.max_newton_iters)
+    x0 = re_gauge(seed, g).as_array(g.vertices)
+    x0 = newton_correct(system, x0, cfg.newton_tol, MAX_NEWTON_ITERS)
     if x0 is None:
         raise SeedNotOnCurveError("seed does not satisfy the constraints")
     corank, tangent = corank_and_tangent(system.jacobian(x0))
@@ -563,7 +558,7 @@ def trace(
                 system,
                 x,
                 cfg.newton_tol,
-                cfg.max_newton_iters,
+                MAX_NEWTON_ITERS,
                 arc_constraint=(x0, tangent, 0.0),
             )
             if back is not None and float(np.abs(back - x0).max()) <= 1e3 * cfg.newton_tol:

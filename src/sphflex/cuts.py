@@ -15,11 +15,10 @@ on conjugate pairs, so the 48 normal cuts collapse to 24 unknowns.
 
 ``enumerate_valid_cuts`` backtracks over how many of each vertex's two
 labels lie on the I side and reaches each class of equivalent cuts
-(complement, and with ``modulo_symmetry`` the P/Q conjugate) once, at the
-class's smallest label mask, from which it builds the cut directly.  The
-tests keep two oracles for it: the search that expands every count vector
-into every mask and keeps the smallest of each class, and the scan of all
-2^(2|V|) label bipartitions.
+(complement and P/Q conjugate) once, at the class's smallest label mask,
+from which it builds the cut directly.  The tests keep two oracles for it:
+the search that expands every count vector into every mask and keeps the
+smallest of each class, and the scan of all 2^(2|V|) label bipartitions.
 
 The module also ships the intersection-multiplicity table for the five
 quadrilateral motion types, the degree-table and type-table machinery with
@@ -127,34 +126,34 @@ def nap_iff_separated_nonedge(g: Graph, c: Cut) -> tuple[bool, Optional[tuple[in
     return verdict, witness
 
 
-def enumerate_valid_cuts(g: Graph, modulo_symmetry: bool = True) -> list[Cut]:
+def enumerate_valid_cuts(g: Graph) -> list[Cut]:
     """All bond-valid cuts inducing surjective colorings.
 
-    Cuts are unordered partitions; with ``modulo_symmetry`` the global
-    P/Q swap is also quotiented out.  Bond validity and the induced
-    coloring depend only on how many of each vertex's two labels lie on
-    the I side, so the search backtracks over these per-vertex counts in
-    {0, 1, 2}, last vertex first, rejecting an edge as soon as its counts
-    sum to 2, and keeps count vectors whose edge sums reach both >= 3
-    (red) and <= 1 (blue); such a vector puts at least three labels on
-    the I side and at most 2|V| - 3, so both sides hold two.  Each
-    survivor expands into label bitmasks (bit 2k for P, 2k + 1 for Q of
-    the k-th vertex) by choosing P or Q wherever the count is 1.  A class
-    of equivalent cuts is represented by its smallest mask, and the
-    classes are listed by that mask in ascending order.
+    Cuts are unordered partitions, and the global P/Q swap is quotiented
+    out too.  Bond validity and the induced coloring depend only on how
+    many of each vertex's two labels lie on the I side, so the search
+    backtracks over these per-vertex counts in {0, 1, 2}, last vertex
+    first, rejecting an edge as soon as its counts sum to 2, and keeps
+    count vectors whose edge sums reach both >= 3 (red) and <= 1 (blue);
+    such a vector puts at least three labels on the I side and at most
+    2|V| - 3, so both sides hold two.  Each survivor expands into label
+    bitmasks (bit 2k for P, 2k + 1 for Q of the k-th vertex) by choosing P
+    or Q wherever the count is 1.  A class of equivalent cuts is
+    represented by its smallest mask, and the classes are listed by that
+    mask in ascending order.
 
     The search reaches each class once, at that mask.  The last vertex
-    holds the top bits, and a mask and its complement have count vectors
-    c and 2 - c, so the smaller of the two has count 0 there, or count 1
-    with P: the last vertex never gets count 2, and a 1 there is P.
-    Modulo symmetry, the P/Q conjugate shares c but swaps the letter of
-    every count-1 vertex, and the conjugate of the complement has 2 - c
-    with the same letters; so the smallest of the four has P at its last
-    count-1 vertex and count 0 at its last vertex of count 0 or 2.  Each
-    cut is built from its mask and the one label tuple.  Each call
-    logs one debug record on the ``sphflex.cuts`` logger with the count
-    assignments visited and the cuts found (``extra`` fields ``nodes``
-    and ``cuts``).  Graphs beyond 8 vertices are still rejected.
+    holds the top bits, and a mask and its complement have count vectors c
+    and 2 - c, so the smaller of the two has count 0 there, or count 1 with
+    P: the last vertex never gets count 2, and a 1 there is P.  The P/Q
+    conjugate shares c but swaps the letter of every count-1 vertex, and
+    the conjugate of the complement has 2 - c with the same letters; so the
+    smallest of the four has P at its last count-1 vertex and count 0 at
+    its last vertex of count 0 or 2.  Each cut is built from its mask and
+    the one label tuple.  Each call logs one debug record on the
+    ``sphflex.cuts`` logger with the count assignments visited and the cuts
+    found (``extra`` fields ``nodes`` and ``cuts``).  Graphs beyond 8
+    vertices are still rejected.
     """
     if g.num_vertices > 8:
         raise BudgetExceededError("cut enumeration is exhaustive; at most 8 vertices")
@@ -172,12 +171,8 @@ def enumerate_valid_cuts(g: Graph, modulo_symmetry: bool = True) -> list[Cut]:
     def expand(base: int, singles: int) -> None:
         # singles: the P bits of the count-1 vertices, each free to turn
         # into Q except the last one, which the smallest mask of the class
-        # keeps at P (modulo symmetry always, else when it is the last
-        # vertex)
-        if modulo_symmetry or counts[n - 1] == 1:
-            fixed = 1 << singles.bit_length() - 1 if singles else 0
-        else:
-            fixed = 0
+        # keeps at P
+        fixed = 1 << singles.bit_length() - 1 if singles else 0
         free = singles ^ fixed
         base |= fixed
         sub = free
@@ -192,8 +187,8 @@ def enumerate_valid_cuts(g: Graph, modulo_symmetry: bool = True) -> list[Cut]:
     ) -> None:
         # base, singles: the bits of the count-2 vertices and the P bits of
         # the count-1 vertices after the k-th.  open_: every vertex after
-        # the k-th has count 1 (modulo symmetry; else none is set yet), so
-        # count 2 here would leave the class's smallest mask to 2 - c
+        # the k-th has count 1, so count 2 here would leave the class's
+        # smallest mask to 2 - c
         nonlocal nodes
         if k < 0:
             if red and blue:
@@ -218,7 +213,7 @@ def enumerate_valid_cuts(g: Graph, modulo_symmetry: bool = True) -> list[Cut]:
                     b,
                     base | 3 << 2 * k if c == 2 else base,
                     singles | 1 << 2 * k if c == 1 else singles,
-                    c == 1 and modulo_symmetry and open_,
+                    c == 1 and open_,
                 )
 
     search(n - 1, False, False, 0, 0, True)

@@ -64,6 +64,10 @@ KIND_CDA = "const_diag_angle"
 KIND_TRACED = "traced"
 KIND_UNCLASSIFIED = "unclassified"
 
+# how far a sample may miss a Dixon signature or the constant-diagonal-angle
+# length pattern and still have it
+DETECT_TOL = 1e-8
+
 NORTH = np.array([1.0, 0.0, 0.0])
 SOUTH = np.array([-1.0, 0.0, 0.0])
 
@@ -356,11 +360,9 @@ class Dixon2Params:
                 raise DomainViolationError(f"{name} = {x} must lie in (-1, 1) minus 0")
 
 
-def _solve_dixon2_points(
-    params: Dixon2Params, p1_list: Sequence[float], branch: str
-) -> tuple[Vec, Vec]:
+def _solve_dixon2_points(params: Dixon2Params, p1_list: Sequence[float]) -> tuple[Vec, Vec]:
     """For every p1 find p = (p1, p2, p3) and q = (a/p1, b/p2, c/p3), both
-    unit, as two (S, 3) arrays.
+    unit, as two (S, 3) arrays, with p2^2 the smaller of the two roots.
 
     The bisection halvings, at most 200, run as array ops over all p1 at
     once; elementwise float64 arithmetic rounds as the scalar code does, so
@@ -371,7 +373,6 @@ def _solve_dixon2_points(
     such a row is then rejected like any p1 outside (0, 1).
     """
     a2, b2, c2 = params.alpha**2, params.beta**2, params.gamma**2
-    low = branch == "low"
     p1 = np.array(p1_list)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r2 = 1.0 - p1 * p1
@@ -384,13 +385,11 @@ def _solve_dixon2_points(
         # minimum locates the two roots when a real solution exists
         u_star = abs(params.beta) * r2 / (abs(params.beta) + abs(params.gamma))
         no_root = residual(u_star) > 0.0
-        if low:
-            lo, hi = np.full_like(p1, 1e-300), u_star
-        else:
-            lo, hi = u_star, r2 * (1 - 1e-16)
+        # the smaller root: the residual falls from +inf at 0 to u_star
+        lo, hi = np.full_like(p1, 1e-300), u_star
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            up = (residual(mid) > 0.0) == low
+            up = residual(mid) > 0.0
             new_lo, new_hi = np.where(up, mid, lo), np.where(up, hi, mid)
             if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
                 break
@@ -419,9 +418,7 @@ def _solve_dixon2_points(
 _DIXON2_SIGNS = np.array([np.diag(m) for m in (np.eye(3), HALF_TURN_X, HALF_TURN_Y, HALF_TURN_Z)])
 
 
-def dixon2_motion(
-    params: Dixon2Params, p1_values: Sequence[float], branch: str = "low"
-) -> MotionTrajectory:
+def dixon2_motion(params: Dixon2Params, p1_values: Sequence[float]) -> MotionTrajectory:
     """K(4,4) trajectory symmetric under the three coordinate half-turns.
 
     Odd vertices 1,3,5,7 are the orbit of p under the half-turn group,
@@ -434,7 +431,7 @@ def dixon2_motion(
     p1_list = [float(p1) for p1 in p1_values]
     if not p1_list:
         raise DegenerateTrajectoryError("no parameter values supplied")
-    p, q = _solve_dixon2_points(params, p1_list, branch)
+    p, q = _solve_dixon2_points(params, p1_list)
     pts = np.empty((len(p1_list), 8, 3))
     pts[:, 0::2] = p[:, None] * _DIXON2_SIGNS
     pts[:, 1::2] = q[:, None] * _DIXON2_SIGNS
@@ -726,14 +723,14 @@ def _three_distinct(pts: Vec) -> bool:
     return bool((from_first[j + 1 :] & distinct_from(pts[j], pts[j + 1 :])[0]).any())
 
 
-def detect_k33_motion_kind(traj: MotionTrajectory, tol: float = 1e-8) -> str:
+def detect_k33_motion_kind(traj: MotionTrajectory) -> str:
     """Classify a K(3,3) trajectory as dixon1, dixon2 or const_diag_angle.
 
     Requires at least three pairwise essentially distinct samples and no
     coincident or antipodal vertices anywhere.  Returns ``unclassified``
     when no signature matches; it never guesses.  Each signature is tested
     on the first sample, and only if that one has it on the whole stack of
-    samples at once.
+    samples at once, each within ``DETECT_TOL``.
     """
     if set(traj.graph.vertices) != {1, 2, 3, 4, 5, 6} or traj.graph.num_edges != 9:
         raise DegenerateRealizationError("detector expects the standard K(3,3)")
@@ -747,8 +744,8 @@ def detect_k33_motion_kind(traj: MotionTrajectory, tol: float = 1e-8) -> str:
         )
 
     for kind, has_signature in ((KIND_DIXON1, _dixon1_samples), (KIND_DIXON2, _dixon2_samples)):
-        if has_signature(pts[:1], tol)[0] and has_signature(pts, tol).all():
+        if has_signature(pts[:1], DETECT_TOL)[0] and has_signature(pts, DETECT_TOL).all():
             return kind
-    if _cda_pattern(traj.lengths, tol):
+    if _cda_pattern(traj.lengths, DETECT_TOL):
         return KIND_CDA
     return KIND_UNCLASSIFIED

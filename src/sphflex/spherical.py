@@ -23,6 +23,9 @@ ON_SPHERE_TOL = 1e-12
 ALGEBRA_TOL = 1e-12
 COMPAT_TOL = 1e-9
 ORIENT_DET_TOL = 1e-8
+# vertex pairs with inner products within this of 1 coincide, within it of
+# -1 are antipodal
+DEGENERATE_TOL = 1e-9
 
 Vec = np.ndarray
 
@@ -216,9 +219,7 @@ class Distinctness:
         return self.distinct
 
 
-def essentially_distinct(
-    r1: SphericalRealization, r2: SphericalRealization, tol: float = COMPAT_TOL
-) -> Distinctness:
+def essentially_distinct(r1: SphericalRealization, r2: SphericalRealization) -> Distinctness:
     """Decide whether two realizations differ by more than a rotation.
 
     Equal Gram matrices mean the realizations are related by an orthogonal
@@ -231,8 +232,8 @@ def essentially_distinct(
         raise SphflexError("realizations have different vertex sets")
     p1 = np.array([r1.point(v) for v in order])
     p2 = np.array([r2.point(v) for v in order])
-    distinct, gram_dist, spans = distinct_from(p1, p2[None], tol)
-    compared = not gram_dist[0] > tol
+    distinct, gram_dist, spans = distinct_from(p1, p2[None])
+    compared = not gram_dist[0] > COMPAT_TOL
     return Distinctness(
         bool(distinct[0]), float(gram_dist[0]), compared and spans, compared and not spans
     )
@@ -244,21 +245,21 @@ def _triples(n: int) -> Vec:
     return np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
 
 
-def distinct_from(ref: Vec, pts: Vec, tol: float = COMPAT_TOL) -> tuple[Vec, Vec, bool]:
+def distinct_from(ref: Vec, pts: Vec) -> tuple[Vec, Vec, bool]:
     """Essential distinctness of one realization from each of a stack.
 
     ``ref`` has shape (|V|, 3) and ``pts`` (S, |V|, 3), rows in one vertex
     order.  A sample is distinct when its Gram matrix differs from the
-    reference's by more than ``tol``; a Gram-equal sample is distinct when
-    its orientation is flipped.  Orientation is read on the triple of
-    vertices with the largest |det| in the reference, and a Gram-equal
+    reference's by more than ``COMPAT_TOL``; a Gram-equal sample is
+    distinct when its orientation is flipped.  Orientation is read on the
+    triple of vertices with the largest |det| in the reference, and a Gram-equal
     sample whose determinant on that triple lies within ``ORIENT_DET_TOL``
     of 0 raises ``AmbiguousToleranceError`` rather than guess a sign.
     Returns the verdicts, the Gram distances and whether the reference
     spans space (if not, Gram equality alone means not distinct).
     """
     gram_dist = np.abs(pts @ np.swapaxes(pts, 1, 2) - ref @ ref.T).max(axis=(1, 2))
-    distinct = gram_dist > tol
+    distinct = gram_dist > COMPAT_TOL
     triples = _triples(len(ref))
     dets = np.linalg.det(ref[triples])
     if not dets.size or np.abs(dets).max() <= ORIENT_DET_TOL:
@@ -279,7 +280,7 @@ def distinct_from(ref: Vec, pts: Vec, tol: float = COMPAT_TOL) -> tuple[Vec, Vec
 
 
 def degenerate_pairs(
-    rho: SphericalRealization, tol: float = 1e-9
+    rho: SphericalRealization, tol: float = DEGENERATE_TOL
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Pairs of vertices that coincide respectively are antipodal."""
     coincident, antipodal = [], []
@@ -308,18 +309,18 @@ def row_dots(a: Vec, b: Vec) -> Vec:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def degenerate_pair_masks(pts: Vec, tol: float = 1e-9) -> tuple[Vec, Vec]:
+def degenerate_pair_masks(pts: Vec) -> tuple[Vec, Vec]:
     """Coincident and antipodal vertex pairs of every realization of a stack.
 
     ``pts`` has shape (S, |V|, 3).  Both masks have shape (S, P), one
     column per vertex pair in the order of ``combinations(range(|V|), 2)``;
     the inner products equal those of ``degenerate_pairs`` exactly and are
-    compared with the same thresholds.
+    compared with its default thresholds, ``DEGENERATE_TOL``.
     """
     iu, ju = np.triu_indices(pts.shape[1], 1)
     d = row_dots(pts[:, iu], pts[:, ju])
-    coincident = d >= 1.0 - tol
-    return coincident, ~coincident & (d <= -1.0 + tol)
+    coincident = d >= 1.0 - DEGENERATE_TOL
+    return coincident, ~coincident & (d <= -1.0 + DEGENERATE_TOL)
 
 
 def check_on_sphere(pts: Vec, labels: Sequence[int]) -> None:
@@ -329,7 +330,10 @@ def check_on_sphere(pts: Vec, labels: Sequence[int]) -> None:
     ``pts`` is any (..., 3) stack, read in row-major order, and
     ``labels[k % len(labels)]`` names its k-th point.
     """
-    err = np.abs(row_dots(pts, pts) - 1.0).ravel()
+    # a coordinate beyond about 1e154 overflows its square to inf, which
+    # is off the sphere; the check reports it rather than warn
+    with np.errstate(over="ignore"):
+        err = np.abs(row_dots(pts, pts) - 1.0).ravel()
     bad = np.flatnonzero(~(err <= ON_SPHERE_TOL))
     if bad.size:
         k = bad[0]

@@ -2,7 +2,9 @@
 oracles.
 
 ``residual_by_loop``/``jacobian_by_loop`` are the former
-``continuation.residual_vector``/``jacobian`` (sphere, edge and gauge rows);
+``continuation.residual_vector``/``jacobian`` (sphere, edge and gauge rows,
+the gauge anchored at the first vertex with its first neighbour as the
+meridian);
 ``match_residual_by_loop``/``match_jacobian_by_loop`` (sphere and edge rows
 plus one Gram row ``p_a . p_b - goal``, no gauge) polish the preimages of
 the window-scan degree oracle in ``degrees.py``.  ``with_arc_row`` appends the
@@ -12,19 +14,25 @@ pseudo-arclength row the way ``newton_correct`` used to, by concatenation.
 import numpy as np
 
 
-def residual_by_loop(g, lam, coords, gauge):
+def gauge_of(g):
+    anchor = g.vertices[0]
+    return anchor, g.neighbors(anchor)[0]
+
+
+def residual_by_loop(g, lam, coords):
     order = g.vertices
     idx = {v: i for i, v in enumerate(order)}
     pts = coords.reshape(len(order), 3)
     rows = [pts[i] @ pts[i] - 1.0 for i in range(len(order))]
     for a, b in g.edges:
         rows.append(0.5 * (1.0 - pts[idx[a]] @ pts[idx[b]]) - lam.length(a, b))
-    pa = pts[idx[gauge.anchor]]
-    rows.extend([pa[1], pa[2], pts[idx[gauge.meridian]][2]])
+    anchor, meridian = gauge_of(g)
+    pa = pts[idx[anchor]]
+    rows.extend([pa[1], pa[2], pts[idx[meridian]][2]])
     return np.array(rows)
 
 
-def jacobian_by_loop(g, lam, coords, gauge):
+def jacobian_by_loop(g, lam, coords):
     order = g.vertices
     idx = {v: i for i, v in enumerate(order)}
     n = len(order)
@@ -37,9 +45,10 @@ def jacobian_by_loop(g, lam, coords, gauge):
         jac[r, 3 * ia : 3 * ia + 3] = -0.5 * pts[ib]
         jac[r, 3 * ib : 3 * ib + 3] = -0.5 * pts[ia]
     base = n + g.num_edges
-    jac[base, 3 * idx[gauge.anchor] + 1] = 1.0
-    jac[base + 1, 3 * idx[gauge.anchor] + 2] = 1.0
-    jac[base + 2, 3 * idx[gauge.meridian] + 2] = 1.0
+    anchor, meridian = gauge_of(g)
+    jac[base, 3 * idx[anchor] + 1] = 1.0
+    jac[base + 1, 3 * idx[anchor] + 2] = 1.0
+    jac[base + 2, 3 * idx[meridian] + 2] = 1.0
     return jac
 
 

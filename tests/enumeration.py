@@ -253,8 +253,9 @@ def nap_masks_by_pole_sets(g: Graph, modulo_swap: bool = False) -> list[int]:
     return sorted(masks)
 
 
-def valid_cuts_by_counts(g: Graph, modulo_symmetry: bool) -> list[Cut]:
-    """Bond-valid surjective cuts from every per-vertex count vector.
+def valid_cuts_by_counts(g: Graph) -> list[Cut]:
+    """Bond-valid surjective cuts from every per-vertex count vector, one
+    per class of a mask, its complement and their P/Q conjugates.
 
     Backtracks over the counts in {0, 1, 2} in vertex order, expands every
     surviving vector into all its label masks and keys each class by the
@@ -284,11 +285,8 @@ def valid_cuts_by_counts(g: Graph, modulo_symmetry: bool) -> list[Cut]:
             mask = base
             for k, q in zip(singles, choice):
                 mask |= 1 << (2 * k + q)
-            key = min(mask, mask ^ full)
-            if modulo_symmetry:
-                conj = (mask & p_bits) << 1 | (mask >> 1) & p_bits
-                key = min(key, conj, conj ^ full)
-            keys.add(key)
+            conj = (mask & p_bits) << 1 | (mask >> 1) & p_bits
+            keys.add(min(mask, mask ^ full, conj, conj ^ full))
 
     def search(k: int, counts: list[int], total: int, red: bool, blue: bool) -> None:
         if k == n:

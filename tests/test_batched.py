@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 from sphflex.coloring import enumerate_nap, nap_pole_partition
 from sphflex.continuation import (
     ConstraintSystem,
-    GaugeFix,
     TraceConfig,
-    default_gauge,
     jacobian,
     residual_vector,
     trace,
@@ -72,33 +70,32 @@ def graphs(draw, min_vertices=2, max_vertices=9, max_edges=16):
 
 @st.composite
 def problems(draw):
-    """Graph, lengths, coordinates off the curve, two distinct vertices and
-    an arclength row."""
+    """Graph, lengths, coordinates off the curve and an arclength row.  The
+    graph's labels are drawn at random, so the gauge's meridian, the
+    smallest label's first neighbour, lands on varied positions."""
     g = draw(graphs())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lam = LengthAssignment({e: rng.uniform(0.05, 0.95) for e in g.edges})
     coords = rng.normal(size=3 * g.num_vertices)
-    a, b = draw(st.lists(st.sampled_from(g.vertices), min_size=2, max_size=2, unique=True))
     base, tangent = rng.normal(size=(2, coords.size))
     arc = (base, tangent, rng.uniform(0.0, 0.1))
-    return g, lam, coords, (a, b), arc
+    return g, lam, coords, arc
 
 
 @PROPERTY
 @given(problems(), st.booleans())
 def test_gauged_system_matches_loop_assembler(problem, use_arc):
-    g, lam, coords, (anchor, meridian), arc = problem
-    gauge = GaugeFix(anchor, meridian)
-    want_r = residual_by_loop(g, lam, coords, gauge)
-    want_j = jacobian_by_loop(g, lam, coords, gauge)
-    system = ConstraintSystem(g, lam, gauge)
+    g, lam, coords, arc = problem
+    want_r = residual_by_loop(g, lam, coords)
+    want_j = jacobian_by_loop(g, lam, coords)
+    system = ConstraintSystem(g, lam)
     if use_arc:
         want_r, want_j = with_arc_row(want_r, want_j, coords, arc)
         got_r, got_j = system.residual(coords, arc), system.jacobian(coords, arc)
     else:
         got_r, got_j = system.residual(coords), system.jacobian(coords)
-        assert np.array_equal(residual_vector(g, lam, coords, gauge), want_r)
-        assert np.array_equal(jacobian(g, lam, coords, gauge), want_j)
+        assert np.array_equal(residual_vector(g, lam, coords), want_r)
+        assert np.array_equal(jacobian(g, lam, coords), want_j)
     assert np.array_equal(got_r, want_r)
     assert np.array_equal(got_j, want_j)
 
@@ -111,14 +108,13 @@ def test_gauged_system_matches_loop_assembler_along_a_trace():
     )
     g, lam = gen.graph, gen.lengths
     res = trace(g, lam, gen.samples[0].realization, config=TraceConfig(step_size=0.05))
-    gauge = default_gauge(g)
-    system = ConstraintSystem(g, lam, gauge)
+    system = ConstraintSystem(g, lam)
     flat = res.trajectory.points.reshape(len(res.trajectory.points), -1)
     for x, y in zip(flat[:-1], flat[1:]):
         h = float(np.linalg.norm(y - x))
         for coords, arc in ((x, None), (y, (x, (y - x) / h, h))):
-            want_r = residual_by_loop(g, lam, coords, gauge)
-            want_j = jacobian_by_loop(g, lam, coords, gauge)
+            want_r = residual_by_loop(g, lam, coords)
+            want_j = jacobian_by_loop(g, lam, coords)
             if arc is not None:
                 want_r, want_j = with_arc_row(want_r, want_j, coords, arc)
             assert np.array_equal(system.residual(coords, arc), want_r)
@@ -129,14 +125,13 @@ def test_system_buffers_switch_between_arc_and_plain_calls():
     g = k33()
     rng = np.random.default_rng(4)
     lam = LengthAssignment({e: rng.uniform(0.1, 0.9) for e in g.edges})
-    gauge = GaugeFix(1, 2)
-    system = ConstraintSystem(g, lam, gauge)
+    system = ConstraintSystem(g, lam)
     x, y = rng.normal(size=18), rng.normal(size=18)
     arc = (rng.normal(size=18), rng.normal(size=18), 0.05)
     system.jacobian(x, arc)
     system.residual(x, arc)
-    assert np.array_equal(system.jacobian(y), jacobian_by_loop(g, lam, y, gauge))
-    assert np.array_equal(system.residual(y), residual_by_loop(g, lam, y, gauge))
+    assert np.array_equal(system.jacobian(y), jacobian_by_loop(g, lam, y))
+    assert np.array_equal(system.residual(y), residual_by_loop(g, lam, y))
     assert system.residual(y).shape == (6 + 9 + 3,)
 
 
@@ -144,7 +139,7 @@ def test_system_buffers_switch_between_arc_and_plain_calls():
 def test_system_refuses_coords_of_another_size(size):
     g = k33()
     lam = LengthAssignment({e: 0.3 for e in g.edges})
-    system = ConstraintSystem(g, lam, GaugeFix(1, 2))
+    system = ConstraintSystem(g, lam)
     coords = np.linspace(-1.0, 1.0, size)
     for assemble in (system.residual, system.jacobian):
         with pytest.raises(ValueError, match="cannot reshape"):

@@ -309,6 +309,21 @@ def test_cli_trace_step_is_at_most_pi(dixon1_trace_files, capsys):
     assert "stop: loop_closed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("coordinate", [1e155, 1e200, 1e308])
+def test_cli_trace_refuses_a_huge_seed_coordinate_without_a_warning(tmp_path, capsys, coordinate):
+    # the coordinate's square overflows to inf, which is off the sphere;
+    # the overflow must not surface as a numpy warning
+    argv = trace_argv(tmp_path)
+    seed_file = Path(argv[argv.index("--seed-realization") + 1])
+    seed = json.loads(seed_file.read_text())
+    seed["placement"]["1"][0] = coordinate
+    seed_file.write_text(json.dumps(seed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv) == 1
+    assert capsys.readouterr().err == "error: vertex 1 placed off the sphere by inf\n"
+
+
 @pytest.mark.parametrize("value", ["inf", "0", "1", "-0.5", "nan"])
 def test_cli_classify_quad_names_bad_lambda(capsys, value):
     assert run(["classify-quad", f"--lambdas={value},0.35,0.15,0.15"]) == 1

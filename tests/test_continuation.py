@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sphflex.continuation import (
     CORANK_REL_TOL,
+    MIN_STEP,
     ConstraintSystem,
-    GaugeFix,
     TraceConfig,
     _all_finite,
     _cholesky,
@@ -17,7 +17,6 @@ from sphflex.continuation import (
     _solve,
     bordered_corank_and_tangent,
     corank_and_tangent,
-    default_gauge,
     empirical_map_degree,
     _norm,
     _circle_intersections,
@@ -34,7 +33,7 @@ from sphflex.errors import (
     StepFailureError,
     UnderConstrainedError,
 )
-from sphflex.graphs import complete_bipartite, k22, k33, triangle
+from sphflex.graphs import build_graph, complete_bipartite, k22, k33, triangle
 from sphflex.motions import (
     Dixon1Params,
     Dixon2Params,
@@ -67,9 +66,8 @@ def cda_seed():
 def test_residual_layout_and_zero_on_curve():
     g = k33()
     lam, seed = cda_seed()
-    gauge = GaugeFix(1, 2)
-    x = re_gauge(seed, gauge).as_array(g.vertices)
-    r = residual_vector(g, lam, x, gauge)
+    x = re_gauge(seed, g).as_array(g.vertices)
+    r = residual_vector(g, lam, x)
     assert r.shape == (6 + 9 + 3,)
     assert np.abs(r).max() <= 1e-12
 
@@ -77,11 +75,10 @@ def test_residual_layout_and_zero_on_curve():
 def test_residual_perturbation_is_local():
     g = k33()
     lam, seed = cda_seed()
-    gauge = GaugeFix(1, 2)
-    x = re_gauge(seed, gauge).as_array(g.vertices)
+    x = re_gauge(seed, g).as_array(g.vertices)
     x2 = x.copy()
     x2[3 * 5] += 1e-3  # vertex 6's x coordinate
-    r = residual_vector(g, lam, x2, gauge)
+    r = residual_vector(g, lam, x2)
     touched = np.nonzero(np.abs(r) > 1e-9)[0]
     # sphere equation of vertex 6 plus its three edges, gauge untouched
     assert 5 in touched
@@ -93,23 +90,21 @@ def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(9)
     rho = SphericalRealization({v: random_unit_point(rng) for v in g.vertices})
     lam = LengthAssignment.induced(g, rho)
-    gauge = GaugeFix(1, 2)
-    x = re_gauge(rho, gauge).as_array(g.vertices)
-    jac = jacobian(g, lam, x, gauge)
+    x = re_gauge(rho, g).as_array(g.vertices)
+    jac = jacobian(g, lam, x)
     eps = 1e-7
     for col in range(len(x)):
         bumped = x.copy()
         bumped[col] += eps
-        fd = (residual_vector(g, lam, bumped, gauge) - residual_vector(g, lam, x, gauge)) / eps
+        fd = (residual_vector(g, lam, bumped) - residual_vector(g, lam, x)) / eps
         assert np.abs(fd - jac[:, col]).max() <= 1e-5
 
 
 def test_corank_one_at_flexible_point():
     g = k33()
     lam, seed = cda_seed()
-    gauge = GaugeFix(1, 2)
-    x = re_gauge(seed, gauge).as_array(g.vertices)
-    corank, _ = corank_and_tangent(jacobian(g, lam, x, gauge))
+    x = re_gauge(seed, g).as_array(g.vertices)
+    corank, _ = corank_and_tangent(jacobian(g, lam, x))
     assert corank == 1
 
 
@@ -130,7 +125,16 @@ def test_trace_rejects_bad_seed():
         {e: min(0.9, v + 0.2) for e, v in lam.lengths.items()}
     )
     with pytest.raises(SeedNotOnCurveError):
-        trace(g, other, seed, config=TraceConfig(max_newton_iters=8))
+        trace(g, other, seed)
+
+
+@pytest.mark.parametrize("vertices", [[1], []], ids=["one vertex", "empty"])
+def test_trace_refuses_a_graph_without_edges(vertices):
+    # the gauge's meridian is a neighbour of the anchor
+    g = build_graph(vertices, [])
+    seed = SphericalRealization({v: [1.0, 0.0, 0.0] for v in vertices})
+    with pytest.raises(SphflexError, match="^the gauge needs an edge, and the graph has none$"):
+        trace(g, LengthAssignment({}), seed)
 
 
 def test_trace_names_missing_edge_length_and_seed_vertex():
@@ -172,8 +176,7 @@ def test_trace_gauge_invariance():
 def test_trace_tangent_continuity():
     g = k33()
     lam, seed = cda_seed()
-    gauge = GaugeFix(1, 2)
-    res = trace(g, lam, seed, gauge=gauge, config=TraceConfig(step_size=0.03, max_steps=120))
+    res = trace(g, lam, seed, config=TraceConfig(step_size=0.03, max_steps=120))
     xs = [s.realization.as_array(g.vertices) for s in res.trajectory.samples]
     steps = [b - a for a, b in zip(xs, xs[1:])]
     for u, v in zip(steps, steps[1:]):
@@ -300,12 +303,11 @@ def test_fiber_count_against_dense_scan():
 def test_newton_correct_polishes_perturbed_point():
     g = k33()
     lam, seed = cda_seed()
-    gauge = GaugeFix(1, 2)
-    x = re_gauge(seed, gauge).as_array(g.vertices)
+    x = re_gauge(seed, g).as_array(g.vertices)
     noisy = x + 1e-4 * np.random.default_rng(3).normal(size=x.shape)
-    fixed = newton_correct(ConstraintSystem(g, lam, gauge), noisy, 1e-12, 30)
+    fixed = newton_correct(ConstraintSystem(g, lam), noisy, 1e-12, 30)
     assert fixed is not None
-    assert np.abs(residual_vector(g, lam, fixed, gauge)).max() <= 1e-12
+    assert np.abs(residual_vector(g, lam, fixed)).max() <= 1e-12
 
 
 def test_trace_config_validation():
@@ -327,12 +329,11 @@ def test_trace_config_rejects_newton_tol_above_on_sphere_tol(tol):
 def test_trace_samples_meet_newton_tol():
     g = k33()
     lam, seed = cda_seed()
-    gauge = GaugeFix(1, 2)
     cfg = TraceConfig(step_size=0.03, max_steps=40, newton_tol=1e-12)
-    res = trace(g, lam, seed, gauge=gauge, config=cfg)
+    res = trace(g, lam, seed, config=cfg)
     for s in res.trajectory.samples:
         x = s.realization.as_array(g.vertices)
-        assert np.abs(residual_vector(g, lam, x, gauge)).max() <= cfg.newton_tol
+        assert np.abs(residual_vector(g, lam, x)).max() <= cfg.newton_tol
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +355,8 @@ def test_corank_tangent_is_kernel_vector_on_wide_jacobian():
         }
     )
     g = k22()
-    gauge = default_gauge(g)
     lam = LengthAssignment.induced(g, rho)
-    jac = jacobian(g, lam, re_gauge(rho, gauge).as_array(g.vertices), gauge)
+    jac = jacobian(g, lam, re_gauge(rho, g).as_array(g.vertices))
     assert jac.shape == (11, 12)
     corank, t = corank_and_tangent(jac)
     assert corank == 1
@@ -383,20 +383,20 @@ def max_point_distance(r1, r2):
 @given(st.integers(0, 2**32 - 1))
 def test_re_gauge_is_idempotent(seed):
     _, rho = random_k33_realization(seed)
-    gauge = GaugeFix(1, 2)
-    once = re_gauge(rho, gauge)
+    g = k33()
+    once = re_gauge(rho, g)
     assert np.abs(once.point(1) - [1.0, 0.0, 0.0]).max() <= 1e-12
     assert abs(once.point(2)[2]) <= 1e-12 and once.point(2)[1] > 0
-    assert max_point_distance(re_gauge(once, gauge), once) <= 1e-12
+    assert max_point_distance(re_gauge(once, g), once) <= 1e-12
 
 
 @GAUGE_PROPERTY
 @given(st.integers(0, 2**32 - 1))
 def test_re_gauge_is_invariant_under_rotation(seed):
     rng, rho = random_k33_realization(seed)
-    gauge = GaugeFix(1, 2)
+    g = k33()
     turned = apply_rotation(random_rotation(rng), rho)
-    assert max_point_distance(re_gauge(turned, gauge), re_gauge(rho, gauge)) <= 1e-12
+    assert max_point_distance(re_gauge(turned, g), re_gauge(rho, g)) <= 1e-12
 
 
 @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-8, 1e-11, 1e-14, 0.0])
@@ -409,12 +409,12 @@ def test_re_gauge_accurate_with_anchor_near_minus_x(gap):
     pts = dict(rho.placement)
     pts[1] = anchor
     rho = SphericalRealization(pts)
-    gauge = GaugeFix(1, 2)
-    fixed = re_gauge(rho, gauge)
+    g = k33()
+    fixed = re_gauge(rho, g)
     assert np.abs(fixed.point(1) - [1.0, 0.0, 0.0]).max() <= 1e-12
     assert np.abs(gram_matrix(fixed) - gram_matrix(rho)).max() <= 1e-12
     turned = apply_rotation(random_rotation(rng), rho)
-    assert max_point_distance(re_gauge(turned, gauge), fixed) <= 1e-12
+    assert max_point_distance(re_gauge(turned, g), fixed) <= 1e-12
 
 
 @GAUGE_PROPERTY
@@ -423,7 +423,7 @@ def test_sphere_and_edge_rows_invariant_under_rotation(seed):
     rng, rho = random_k33_realization(seed)
     g = k33()
     lam = LengthAssignment({e: rng.uniform(0.05, 0.95) for e in g.edges})
-    system = ConstraintSystem(g, lam, GaugeFix(1, 2))
+    system = ConstraintSystem(g, lam)
     k = g.num_vertices + g.num_edges
     before = system.residual(rho.as_array(g.vertices))[:k].copy()
     after = system.residual(apply_rotation(random_rotation(rng), rho).as_array(g.vertices))
@@ -500,9 +500,8 @@ def lozenge_jacobian():
         }
     )
     g = k22()
-    gauge = default_gauge(g)
     lam = LengthAssignment.induced(g, rho)
-    return jacobian(g, lam, re_gauge(rho, gauge).as_array(g.vertices), gauge)
+    return jacobian(g, lam, re_gauge(rho, g).as_array(g.vertices))
 
 
 def near(t, rng, tilt=0.3):
@@ -591,9 +590,8 @@ def test_bordered_tangent_orthogonal_to_kernel_does_not_raise():
 def test_solves_without_arc_row_use_minimum_norm_step(monkeypatch):
     g = k33()
     lam, seed = cda_seed()
-    gauge = default_gauge(g)
-    system = ConstraintSystem(g, lam, gauge)
-    x = re_gauge(seed, gauge).as_array(g.vertices) + 1e-6
+    system = ConstraintSystem(g, lam)
+    x = re_gauge(seed, g).as_array(g.vertices) + 1e-6
     calls = counting_lstsq(monkeypatch)
     plain = newton_correct(system, x, 1e-12, 30)
     assert plain is not None and calls
@@ -798,13 +796,12 @@ def test_corank_other_than_one_takes_one_svd(monkeypatch, jac_rng, corank):
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("min_step", 0.0),
-        ("min_step", -1.0),
-        ("min_step", math.nan),
+        ("step_size", 0.0),
+        ("step_size", -1.0),
         ("step_size", math.nan),
         ("step_size", math.inf),
         ("newton_tol", math.nan),
-        ("max_newton_iters", 0),
+        ("max_steps", 0),
     ],
 )
 def test_trace_config_names_the_bad_field(field, value):
@@ -813,9 +810,9 @@ def test_trace_config_names_the_bad_field(field, value):
 
 
 def test_trace_config_rejects_min_step_above_step_size():
-    assert TraceConfig(step_size=0.01, min_step=0.01).min_step == 0.01
-    with pytest.raises(SphflexError, match="min_step 0.1 exceeds step_size 0.01"):
-        TraceConfig(step_size=0.01, min_step=0.1)
+    assert TraceConfig(step_size=MIN_STEP).step_size == MIN_STEP
+    with pytest.raises(SphflexError, match="step_size must be at least 1e-07, got 5e-08"):
+        TraceConfig(step_size=0.5 * MIN_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -830,10 +827,12 @@ def test_trace_stops_at_max_steps():
     assert len(res.trajectory.points) == 11
 
 
-def test_trace_without_a_first_step_raises():
+def test_trace_without_a_first_step_raises(monkeypatch):
+    # a step too long to converge, and no shorter one tried
+    monkeypatch.setattr("sphflex.continuation.MIN_STEP", 3.0)
     g, lam, rho = dixon1_seed(3, 3)
     with pytest.raises(StepFailureError, match="^no step succeeded from the seed$"):
-        trace(g, lam, rho, config=TraceConfig(step_size=3.0, min_step=3.0))
+        trace(g, lam, rho, config=TraceConfig(step_size=3.0))
 
 
 def test_trace_stops_at_a_singular_point(monkeypatch):
@@ -868,8 +867,8 @@ def test_trace_stops_when_no_step_size_succeeds(monkeypatch):
     config = TraceConfig(step_size=0.05)
     res = trace(g, lam, rho, config=config)
     assert (res.stop_reason, res.steps, res.closed) == ("step_failure", 5, False)
-    # the sixth step halved down past min_step before giving up
-    assert min(arc_steps[5:]) < 2 * config.min_step
+    # the sixth step halved down past MIN_STEP before giving up
+    assert min(arc_steps[5:]) < 2 * MIN_STEP
 
 
 def test_trace_rejects_corank_two_seed():
@@ -1130,9 +1129,8 @@ def test_norm_equals_numpy_norm(seed, rows, cols):
 def test_newton_correct_equals_the_oracle(arc):
     g = k33()
     lam, seed = cda_seed()
-    gauge = default_gauge(g)
-    system = ConstraintSystem(g, lam, gauge)
-    x = re_gauge(seed, gauge).as_array(g.vertices)
+    system = ConstraintSystem(g, lam)
+    x = re_gauge(seed, g).as_array(g.vertices)
     _, t = corank_and_tangent(system.jacobian(x))
     rng = np.random.default_rng(11)
     for scale in (1e-8, 1e-4, 1e-2, 0.3):

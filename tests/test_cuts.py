@@ -36,6 +36,7 @@ from sphflex.errors import InconsistentTypesError, InvalidCutError, UnknownRowEr
 from sphflex.graphs import k22, k32, k33, triangle
 
 import tables
+from enumeration import valid_cuts_by_scan
 from helpers import conjugate_cut, cut_for, normalize_cut, swapped_cut, tables_equivalent, unordered_cut
 from tables import all_degree_tables, orbit
 
@@ -90,16 +91,17 @@ def test_nap_iff_separated_nonedge_examples():
 
 
 def test_nap_verdict_matches_coloring_exhaustively():
+    # on every raw cut: P/Q conjugates are kept apart
     for g in (k22(), k32(), k33()):
-        for cut in enumerate_valid_cuts(g, modulo_symmetry=False):
+        for cut in valid_cuts_by_scan(g, False):
             verdict, witness = nap_iff_separated_nonedge(g, cut)
             assert verdict == is_nap(coloring_from_cut(g, cut))
             assert (witness is not None) == verdict
 
 
 def test_enumerate_valid_cuts_k22():
-    assert len(enumerate_valid_cuts(k22(), modulo_symmetry=True)) == 4
-    raw = enumerate_valid_cuts(k22(), modulo_symmetry=False)
+    assert len(enumerate_valid_cuts(k22())) == 4
+    raw = valid_cuts_by_scan(k22(), False)
     assert len(raw) == 8
     named = {unordered_cut(c) for c in (T_OU, T_EU, T_OM, T_EM)}
     found = {unordered_cut(c) for c in enumerate_valid_cuts(k22())}
@@ -110,9 +112,9 @@ def test_enumerate_valid_cuts_k22():
 
 
 def test_enumerate_valid_cuts_k33_normal_forms():
-    cuts_mod = enumerate_valid_cuts(k33(), modulo_symmetry=True)
+    cuts_mod = enumerate_valid_cuts(k33())
     assert len(cuts_mod) == 24
-    raw = enumerate_valid_cuts(k33(), modulo_symmetry=False)
+    raw = valid_cuts_by_scan(k33(), False)
     assert len(raw) == 48
     forms = {normalize_cut(k33(), c) for c in raw}
     assert len(forms) == 48

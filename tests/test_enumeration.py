@@ -74,9 +74,7 @@ def assert_cuts_match_scan(g):
         with pytest.raises(BudgetExceededError):
             enumerate_valid_cuts(g)
         return
-    for modulo_symmetry in (False, True):
-        fast = enumerate_valid_cuts(g, modulo_symmetry=modulo_symmetry)
-        assert fast == valid_cuts_by_scan(g, modulo_symmetry), (g, modulo_symmetry)
+    assert enumerate_valid_cuts(g) == valid_cuts_by_scan(g, True), g
 
 
 def test_nap_matches_scan_on_small_connected_graphs():
@@ -118,9 +116,7 @@ def assert_enumerators_match_slow_paths(g):
         assert fast == nap_masks_by_pole_sets(g, modulo_swap=modulo_swap), (g, modulo_swap)
     if g.num_vertices > MAX_CUT_VERTICES:
         return
-    for modulo_symmetry in (False, True):
-        fast = enumerate_valid_cuts(g, modulo_symmetry=modulo_symmetry)
-        assert fast == valid_cuts_by_counts(g, modulo_symmetry), (g, modulo_symmetry)
+    assert enumerate_valid_cuts(g) == valid_cuts_by_counts(g), g
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
@@ -205,6 +201,4 @@ def test_nap_colorings_round_trip_through_pole_partition(pair):
 @given(relabeled_graphs())
 def test_valid_cut_count_invariant_under_relabelling(pair):
     g, h = pair
-    for modulo_symmetry in (False, True):
-        expected = len(valid_cuts_by_scan(g, modulo_symmetry))
-        assert len(enumerate_valid_cuts(h, modulo_symmetry=modulo_symmetry)) == expected
+    assert len(enumerate_valid_cuts(h)) == len(valid_cuts_by_scan(g, True))

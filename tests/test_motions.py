@@ -339,7 +339,7 @@ def test_cda_detected():
 def test_detector_requires_three_distinct_samples():
     traj = dixon1_motion(dixon1_params(), [1.0, 1.001])
     with pytest.raises(InsufficientSamplesError):
-        detect_k33_motion_kind(traj, tol=1e-8)
+        detect_k33_motion_kind(traj)
 
 
 def test_detector_rejects_degenerate_samples():
@@ -348,22 +348,6 @@ def test_detector_rejects_degenerate_samples():
     traj = polar_nap_motion(g, c, ANGLES)
     with pytest.raises(DegenerateRealizationError):
         detect_k33_motion_kind(traj)
-
-
-def test_dixon2_high_branch_also_valid():
-    from sphflex.motions import dixon2_motion
-
-    traj = dixon2_motion(dixon2_params(), [0.5, 0.55, 0.6], branch="high")
-    assert traj.max_residual() <= 1e-9
-    low = dixon2_motion(dixon2_params(), [0.5, 0.55, 0.6], branch="low")
-    # the two branches give genuinely different companion points
-    assert (
-        abs(
-            low.samples[0].realization.point(2)[1]
-            - traj.samples[0].realization.point(2)[1]
-        )
-        > 1e-6
-    )
 
 
 def test_cda_motion_refuses_branch_crossing():

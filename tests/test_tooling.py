@@ -12,17 +12,24 @@ resolved here.  Both files are read with
 The package's own modules are read the same way: a public module-level
 function or class, or a public method of a public class, that no package
 code and no benchmark file refers to is a dead helper unless the README
-keeps it (or its class) as public API.  The package's ``__init__`` binds
-no name, so each public name has one import path: its module.
+keeps it (or its class) as public API.  Likewise a defaulted parameter of
+a public function or method, or a defaulted field of a public dataclass,
+that no call in the package or the benchmark sets is a dead knob unless
+the README keeps its function, its class or the parameter itself.  The
+package's ``__init__`` binds no name, so each public name has one import
+path: its module.
 """
 
 import ast
 import dataclasses
 import hashlib
 import importlib
+import inspect
 import io
+import math
 import pkgutil
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -187,11 +194,20 @@ def referenced_names(nodes):
     return names
 
 
+def kept_section():
+    return README.read_text().split(KEPT_HEADING, 1)[1].split("\n## ", 1)[0]
+
+
 def kept_api():
     """The dotted names (``module.name``) the README lists under
     ``KEPT_HEADING``."""
-    section = README.read_text().split(KEPT_HEADING, 1)[1].split("\n## ", 1)[0]
-    return set(re.findall(r"`(\w+\.\w+)`", section))
+    return set(re.findall(r"`(\w+\.\w+)`", kept_section()))
+
+
+def kept_parameters():
+    """The parameters the README's ``KEPT_HEADING`` table keeps, from the
+    rows whose name is written ``module.function(parameter)``."""
+    return set(re.findall(r"^\| `(\w+(?:\.\w+)+\(\w+\))` \|", kept_section(), re.M))
 
 
 def test_every_kept_api_name_resolves():
@@ -202,6 +218,18 @@ def test_every_kept_api_name_resolves():
         module, attr = name.split(".")
         if not hasattr(importlib.import_module(f"sphflex.{module}"), attr):
             missing.append(name)
+    # a kept parameter row names a parameter of the signature it names
+    params = kept_parameters()
+    assert "motions.polar_nap_motion(pole_assignment)" in params
+    for row in sorted(params):
+        owner, param = row[:-1].split("(")
+        try:
+            signature = inspect.signature(resolve(f"sphflex.{owner}"))
+        except (AttributeError, ModuleNotFoundError):
+            missing.append(row)
+            continue
+        if param not in signature.parameters:
+            missing.append(row)
     assert missing == []
 
 
@@ -246,3 +274,105 @@ def test_package_init_binds_no_name():
     body = ast.parse((PACKAGE / "__init__.py").read_text()).body
     assert [type(node) for node in body] == [ast.Expr]
     assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+
+
+def call_arguments(trees):
+    """For every called name or attribute, the arguments of each call to
+    it: how many positions it fills and which keywords it names.  A
+    ``*args`` fills every position and a ``**kwargs`` names every keyword
+    (None)."""
+    calls = defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            calls[name].append(
+                (math.inf if starred else len(node.args), None if None in keywords else keywords)
+            )
+    return calls
+
+
+def decorators(node):
+    """Names of a definition's decorators, called or not."""
+    return {
+        getattr(dec.func if isinstance(dec, ast.Call) else dec, "id", None)
+        for dec in node.decorator_list
+    }
+
+
+def defaulted_parameters(stem, tree):
+    """``(row, owner, callee, position, parameter)`` for every defaulted
+    parameter of a public function or method, and every defaulted field of
+    a public dataclass, in one module.  ``row`` names it as
+    ``module.function(parameter)``, ``owner`` is the function or class the
+    README may keep, ``callee`` the name a call uses, and ``position`` where
+    a positional argument sets it (inf for a keyword-only one)."""
+
+    def of_function(node, skip):
+        args = node.args.posonlyargs + node.args.args
+        first = len(args) - len(node.args.defaults)
+        for i, arg in enumerate(args[first:], start=first):
+            yield i - skip, arg.arg
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield math.inf, arg.arg
+
+    def has_default(value):
+        # ``field(repr=False)`` declares a field without a default
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            return any(kw.arg in ("default", "default_factory") for kw in value.keywords)
+        return value is not None
+
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        name = f"{stem}.{node.name}"
+        if isinstance(node, ast.FunctionDef):
+            for position, param in of_function(node, 0):
+                yield f"{name}({param})", node.name, node.name, position, param
+            continue
+        if "dataclass" in decorators(node):
+            fields = [
+                item
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+            for position, item in enumerate(fields):
+                if has_default(item.value):
+                    field = item.target.id
+                    yield f"{name}({field})", node.name, node.name, position, field
+        for method in node.body:
+            if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                skip = 0 if "staticmethod" in decorators(method) else 1
+                for position, param in of_function(method, skip):
+                    yield f"{name}.{method.name}({param})", node.name, method.name, position, param
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # a parameter counts as set when some call of its function's name in
+    # the package or in bench/ passes it, by position or by keyword; one
+    # whose function, class or own row the README keeps is exempt
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py"))]
+    calls = call_arguments([*trees.values(), *bench])
+    kept, kept_params = kept_api(), kept_parameters()
+
+    def sets(callee, position, param):
+        return any(
+            count > position or keywords is None or param in keywords
+            for count, keywords in calls[callee]
+        )
+
+    unset = []
+    for stem, tree in trees.items():
+        for row, owner, callee, position, param in defaulted_parameters(stem, tree):
+            if f"{stem}.{owner}" in kept or row in kept_params:
+                continue
+            if not sets(callee, position, param):
+                unset.append(row)
+    assert len(trees) >= 9
+    assert unset == []

@@ -61,6 +61,7 @@ from sphflex.motions import (
     polar_nap_motion,
 )
 from sphflex.spherical import (
+    DEGENERATE_TOL,
     ORIENT_DET_TOL,
     LengthAssignment,
     SphericalRealization,
@@ -499,6 +500,23 @@ def test_nan_point_is_off_the_sphere():
         MotionTrajectory(traj.graph, traj.lengths, pts, traj.parameters, traj.kind)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_coordinate_is_off_the_sphere_without_a_warning():
+    # 1e200 squared overflows to inf in a realization, a trajectory and a
+    # parsed file alike
+    with pytest.raises(SphflexError, match="^vertex 1 placed off the sphere by inf$"):
+        SphericalRealization({1: [1e200, 0.0, 0.0]})
+    traj = EXAMPLES["cda"]
+    pts = traj.points.copy()
+    pts[5, 3, 1] = 1e200
+    with pytest.raises(SphflexError, match="^vertex 4 placed off the sphere by inf$"):
+        MotionTrajectory(traj.graph, traj.lengths, pts, traj.parameters, traj.kind)
+    data = k37_data()
+    data["samples"][1]["placement"]["4"][0] = 1e200
+    with pytest.raises(SphflexError, match="^vertex 4 placed off the sphere by inf$"):
+        formats.trajectory_from_dict(data)
+
+
 def test_nan_in_parsed_file_is_rejected():
     data = k37_data()
     data["samples"][1]["placement"]["4"][0] = float("nan")
@@ -591,23 +609,22 @@ def test_dixon1_names_first_domain_violation():
     st.tuples(st.floats(0.02, 0.4), st.floats(0.02, 0.4), st.floats(0.02, 0.4)),
     st.lists(st.sampled_from((1.0, -1.0)), min_size=3, max_size=3),
     st.lists(st.floats(0.01, 0.99), min_size=1, max_size=30),
-    st.sampled_from(("low", "high")),
 )
-def test_dixon2_solver_equals_scalar_bisection(mags, signs, p1_values, branch):
+def test_dixon2_solver_equals_scalar_bisection(mags, signs, p1_values):
     params = Dixon2Params(*(m * s for m, s in zip(mags, signs)))
     want, first_error = [], None
     for p1 in p1_values:
         try:
-            want.append(solve_dixon2_point(params, p1, branch))
+            want.append(solve_dixon2_point(params, p1))
         except (NoRealSolutionError, DegenerateAxisError) as exc:
             first_error = exc
             break
     if first_error is not None:
         with pytest.raises(type(first_error)) as err:
-            _solve_dixon2_points(params, p1_values, branch)
+            _solve_dixon2_points(params, p1_values)
         assert str(err.value) == str(first_error)
         return
-    p, q = _solve_dixon2_points(params, p1_values, branch)
+    p, q = _solve_dixon2_points(params, p1_values)
     assert np.array_equal(p, np.array([pq[0] for pq in want]))
     assert np.array_equal(q, np.array([pq[1] for pq in want]))
 
@@ -623,17 +640,15 @@ DIXON2_GRIDS = [
 ]
 
 
-@pytest.mark.parametrize("branch", ["low", "high"])
 @pytest.mark.parametrize("params, p1_values", DIXON2_GRIDS)
-def test_dixon2_solver_equals_all_halvings(params, p1_values, branch):
+def test_dixon2_solver_equals_all_halvings(params, p1_values):
     p1_list = [float(p1) for p1 in p1_values]
-    p, q = _solve_dixon2_points(params, p1_list, branch)
-    want_p, want_q = solve_dixon2_points_by_halvings(params, p1_list, branch)
+    p, q = _solve_dixon2_points(params, p1_list)
+    want_p, want_q = solve_dixon2_points_by_halvings(params, p1_list)
     assert p.tobytes() == want_p.tobytes()
     assert q.tobytes() == want_q.tobytes()
 
 
-@pytest.mark.parametrize("branch", ["low", "high"])
 @pytest.mark.parametrize(
     "params, p1_values",
     [
@@ -646,11 +661,11 @@ def test_dixon2_solver_equals_all_halvings(params, p1_values, branch):
         (Dixon2Params(0.2, 0.15, 0.1), [0.45, float("nan"), 0.5]),
     ],
 )
-def test_dixon2_solver_errors_equal_all_halvings(params, p1_values, branch):
+def test_dixon2_solver_errors_equal_all_halvings(params, p1_values):
     with pytest.raises((NoRealSolutionError, DegenerateAxisError)) as want:
-        solve_dixon2_points_by_halvings(params, p1_values, branch)
+        solve_dixon2_points_by_halvings(params, p1_values)
     with pytest.raises(want.type) as got:
-        _solve_dixon2_points(params, p1_values, branch)
+        _solve_dixon2_points(params, p1_values)
     assert str(got.value) == str(want.value)
 
 
@@ -671,9 +686,8 @@ def test_dixon2_rejects_non_finite_p1(bad):
     params = Dixon2Params(0.2, 0.15, 0.1)
     with pytest.raises(NoRealSolutionError, match=rf"^p1={bad} outside \(0,1\)$"):
         dixon2_motion(params, [0.45, bad, 0.5])
-    for branch in ("low", "high"):
-        with pytest.raises(NoRealSolutionError, match=rf"^p1={bad} outside \(0,1\)$"):
-            _solve_dixon2_points(params, [bad], branch)
+    with pytest.raises(NoRealSolutionError, match=rf"^p1={bad} outside \(0,1\)$"):
+        _solve_dixon2_points(params, [bad])
 
 
 def test_cli_dixon2_rejects_nan_p1():
@@ -794,14 +808,15 @@ def k33_examples():
 
 
 @pytest.mark.parametrize("traj", k33_examples())
-def test_detector_equals_per_sample_oracle(traj):
+def test_detector_equals_per_sample_oracle(monkeypatch, traj):
     rhos = traj.realizations()
     for tol in (1e-8, 1e-4):
+        monkeypatch.setattr("sphflex.motions.DETECT_TOL", tol)
         assert _dixon1_samples(traj.points, tol).tolist() == [is_dixon1_sample(r, tol) for r in rhos]
         d2 = _dixon2_samples(traj.points, tol).tolist()
         assert d2 == dixon2_samples_by_loop(traj.points, tol).tolist()
         assert d2 == [is_dixon2_sample(r, tol) for r in rhos]
-        assert detect_k33_motion_kind(traj, tol) == detect_by_samples(traj, tol)
+        assert detect_k33_motion_kind(traj) == detect_by_samples(traj, tol)
 
 
 def nudged(traj: MotionTrajectory, k: int) -> MotionTrajectory:
@@ -816,12 +831,13 @@ def nudged(traj: MotionTrajectory, k: int) -> MotionTrajectory:
 
 @pytest.mark.parametrize("name", ["dixon1", "dixon2-k33"])
 @pytest.mark.parametrize("k", [0, 1, -1])
-def test_detector_equals_oracles_where_a_signature_breaks(name, k):
+def test_detector_equals_oracles_where_a_signature_breaks(monkeypatch, name, k):
     # sample 0 broken: the first-sample test decides; a later sample
     # broken: only the whole-stack test sees it
     traj = nudged(EXAMPLES[name], k)
     for tol, want in ((1e-11, KIND_UNCLASSIFIED), (1e-8, EXAMPLES[name].kind)):
-        assert detect_k33_motion_kind(traj, tol) == detect_by_samples(traj, tol) == want
+        monkeypatch.setattr("sphflex.motions.DETECT_TOL", tol)
+        assert detect_k33_motion_kind(traj) == detect_by_samples(traj, tol) == want
         found = _dixon2_samples(traj.points, tol)
         assert found.tolist() == dixon2_samples_by_loop(traj.points, tol).tolist()
 
@@ -884,15 +900,15 @@ def test_detector_tests_equal_oracle_on_random_stacks(seed, tol):
 
 
 def test_degenerate_pair_masks_at_the_exact_thresholds():
-    tol = 1e-9
+    tol = DEGENERATE_TOL
     pts = {1: np.array([1.0, 0.0, 0.0])}
     for v, d in ((2, 1.0 - tol), (3, -1.0 + tol), (4, 0.3)):
         pts[v] = np.array([d, np.sqrt(1.0 - d * d), 0.0])
     rho = SphericalRealization(pts)
-    coincident, antipodal = degenerate_pair_masks(np.stack([pts[v] for v in range(1, 5)])[None], tol)
+    coincident, antipodal = degenerate_pair_masks(np.stack([pts[v] for v in range(1, 5)])[None])
     pairs = list(combinations(range(1, 5), 2))
     got = ([pairs[k] for k in np.flatnonzero(coincident[0])], [pairs[k] for k in np.flatnonzero(antipodal[0])])
-    assert got == degenerate_pairs(rho, tol) == ([(1, 2)], [(1, 3)])
+    assert got == degenerate_pairs(rho) == ([(1, 2)], [(1, 3)])
 
 
 def test_dixon2_detected_on_bench_sized_stack():
@@ -932,16 +948,17 @@ def test_orientation_read_on_best_conditioned_triple():
     assert not verdict and verdict.orientation_used
 
 
-def test_orientation_too_close_to_zero_raises():
+def test_orientation_too_close_to_zero_raises(monkeypatch):
     # (1, 2, 4) is r1's largest-|det| triple (det 1); in r2 vertex 4 has
     # dropped into the plane of 1 and 2 up to 1e-9, and a loose Gram
     # tolerance lets the pair through to the orientation test
+    monkeypatch.setattr("sphflex.spherical.COMPAT_TOL", 2.0)
     pts = {1: [1.0, 0.0, 0.0], 2: [0.0, 1.0, 0.0], 3: [-1.0, 0.0, 0.0]}
     r1 = SphericalRealization({**pts, 4: [0.0, 0.0, 1.0]})
     r2 = SphericalRealization({**pts, 4: [0.0, np.sqrt(1 - 1e-18), 1e-9]})
     with pytest.raises(AmbiguousToleranceError):
-        essentially_distinct(r1, r2, tol=2.0)
-    assert not essentially_distinct(r1, r1, tol=2.0)
+        essentially_distinct(r1, r2)
+    assert not essentially_distinct(r1, r1)
 
 
 @PROPERTY

@@ -68,7 +68,7 @@ def realization_from_array(order: Sequence[int], coords: Vec) -> SphericalRealiz
 
 
 def degenerate_pairs_of_all(
-    rhos: Sequence[SphericalRealization], tol: float = 1e-9
+    rhos: Sequence[SphericalRealization],
 ) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
     """``degenerate_pairs`` of every realization, through
     ``degenerate_pair_masks`` on the stack of each vertex set."""
@@ -78,7 +78,7 @@ def degenerate_pairs_of_all(
         groups.setdefault(rho.vertices, []).append(i)
     for order, ids in groups.items():
         pairs = list(combinations(order, 2))
-        masks = degenerate_pair_masks(stack_points([rhos[i] for i in ids], order), tol)
+        masks = degenerate_pair_masks(stack_points([rhos[i] for i in ids], order))
         for side, mask in enumerate(masks):
             for k, p in zip(*np.nonzero(mask)):
                 out[ids[k]][side].append(pairs[p])
@@ -102,9 +102,9 @@ def dixon1_rows(params: Dixon1Params, s: float) -> Vec:
     return np.array([placement[v] for v in range(1, 7)])
 
 
-def solve_dixon2_point(params: Dixon2Params, p1: float, branch: str) -> tuple[Vec, Vec]:
-    """Find p = (p1, p2, p3) and q = (a/p1, b/p2, c/p3), both unit, one p1
-    at a time with scalar bisection."""
+def solve_dixon2_point(params: Dixon2Params, p1: float) -> tuple[Vec, Vec]:
+    """Find p = (p1, p2, p3) and q = (a/p1, b/p2, c/p3), both unit, with
+    p2^2 the smaller root, one p1 at a time with scalar bisection."""
     a2, b2, c2 = params.alpha**2, params.beta**2, params.gamma**2
     if not abs(p1) < 1.0 or p1 == 0.0:
         raise NoRealSolutionError(f"p1={p1} outside (0,1)")
@@ -117,10 +117,10 @@ def solve_dixon2_point(params: Dixon2Params, p1: float, branch: str) -> tuple[Ve
     u_star = abs(params.beta) * r2 / (abs(params.beta) + abs(params.gamma))
     if residual(u_star) > 0.0:
         raise NoRealSolutionError(f"no real companion point for p1={p1} at these products")
-    lo, hi = (1e-300, u_star) if branch == "low" else (u_star, r2 * (1 - 1e-16))
+    lo, hi = 1e-300, u_star
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if (residual(mid) > 0.0) == (branch == "low"):
+        if residual(mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -134,11 +134,10 @@ def solve_dixon2_point(params: Dixon2Params, p1: float, branch: str) -> tuple[Ve
 
 
 def solve_dixon2_points_by_halvings(
-    params: Dixon2Params, p1_list: Sequence[float], branch: str
+    params: Dixon2Params, p1_list: Sequence[float]
 ) -> tuple[Vec, Vec]:
     """``_solve_dixon2_points`` with all 200 halvings and no early exit."""
     a2, b2, c2 = params.alpha**2, params.beta**2, params.gamma**2
-    low = branch == "low"
     p1 = np.array(p1_list)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r2 = 1.0 - p1 * p1
@@ -149,13 +148,10 @@ def solve_dixon2_points_by_halvings(
 
         u_star = abs(params.beta) * r2 / (abs(params.beta) + abs(params.gamma))
         no_root = residual(u_star) > 0.0
-        if low:
-            lo, hi = np.full_like(p1, 1e-300), u_star
-        else:
-            lo, hi = u_star, r2 * (1 - 1e-16)
+        lo, hi = np.full_like(p1, 1e-300), u_star
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            up = (residual(mid) > 0.0) == low
+            up = residual(mid) > 0.0
             lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
         u = 0.5 * (lo + hi)
         p = np.stack([p1, np.sqrt(u), np.sqrt(np.maximum(r2 - u, 0.0))], axis=1)
