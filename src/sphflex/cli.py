@@ -593,7 +593,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SphflexError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (SphflexError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -95,12 +95,6 @@ def _label_counts(g: Graph, c: Cut) -> dict[int, int]:
     return counts
 
 
-def cut_valid_for_bond(g: Graph, c: Cut) -> bool:
-    """No edge may meet a cut side in exactly two of its four labels."""
-    n = _label_counts(g, c)
-    return all(n[a] + n[b] != 2 for a, b in g.edges)
-
-
 def coloring_from_cut(g: Graph, c: Cut) -> EdgeColoring:
     """Edge coloring induced by a bond-valid cut.
 

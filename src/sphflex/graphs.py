@@ -150,56 +150,6 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# minimal rigidity (Laman counts)
-# ---------------------------------------------------------------------------
-
-
-def _pebble_game_sparse(g: Graph) -> bool:
-    """(2,3)-pebble game: True iff every subgraph on k vertices has <= 2k-3 edges."""
-    pebbles = {v: 2 for v in g.vertices}
-    out: dict[int, set[int]] = {v: set() for v in g.vertices}
-
-    def pull_pebble(root: int, keep: set[int]) -> bool:
-        # DFS along directed edges for a free pebble outside `keep`,
-        # reversing the path so the pebble ends up on `root`.
-        parent: dict[int, int | None] = {root: None}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in list(out[x]):
-                if y in parent:
-                    continue
-                parent[y] = x
-                if pebbles[y] > 0 and y not in keep:
-                    pebbles[y] -= 1
-                    cur = y
-                    while parent[cur] is not None:
-                        p = parent[cur]
-                        out[p].remove(cur)
-                        out[cur].add(p)
-                        cur = p
-                    pebbles[root] += 1
-                    return True
-                stack.append(y)
-        return False
-
-    for a, b in g.edges:
-        while pebbles[a] + pebbles[b] < 4:
-            if not (pull_pebble(a, {a, b}) or pull_pebble(b, {a, b})):
-                return False
-        pebbles[a] -= 1
-        out[a].add(b)
-    return True
-
-
-def is_laman(g: Graph) -> bool:
-    """Minimal generic rigidity count: |E| = 2|V|-3 plus (2,3)-sparsity."""
-    if g.num_edges != 2 * g.num_vertices - 3:
-        return False
-    return _pebble_game_sparse(g)
-
-
-# ---------------------------------------------------------------------------
 # named graphs
 # ---------------------------------------------------------------------------
 

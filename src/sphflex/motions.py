@@ -593,26 +593,6 @@ def cda_motion(
     return MotionTrajectory(k33(), lengths, pts, ts, KIND_CDA)
 
 
-def cda_feasible_intervals(
-    t_lo: float,
-    t_hi: float,
-    samples: int = 4001,
-    y2_sign: int = 1,
-    z5_sign: int = 1,
-) -> list[tuple[float, float]]:
-    """Numerically scan [t_lo, t_hi] for real-branch feasibility.
-
-    Returns maximal subintervals (between scanned grid points) on which the
-    parametrization produced a valid realization for the given branch.
-    """
-    grid = np.linspace(t_lo, t_hi, samples)
-    good = np.zeros(len(grid) + 2, dtype=int)  # padded with a bad point at each end
-    good[1:-1] = _cda_rows(grid, y2_sign, z5_sign)[1]
-    # a run of good points starts at each step up and ends before each step down
-    bounds = np.flatnonzero(np.diff(good))
-    return [(float(grid[a]), float(grid[b - 1])) for a, b in zip(bounds[::2], bounds[1::2])]
-
-
 # ---------------------------------------------------------------------------
 # motion-kind detection
 # ---------------------------------------------------------------------------

@@ -37,6 +37,10 @@ EVEN_DELTOID = "even_deltoid"
 RHOMBOID = "rhomboid"
 LOZENGE = "lozenge"
 
+# the slack of the two rhomboid lemmas, which no command sets
+RHOMBOID_TOL = 1e-9
+DIAGONAL_TOL = 1e-8
+
 _TAG_LETTER = {
     GENERAL: "g",
     ODD_DELTOID: "o",
@@ -226,7 +230,7 @@ _ODD_FLIP = {1: 3, 3: 1, 2: 4, 4: 2}
 _EVEN_FLIP = {1: 2, 2: 1, 3: 4, 4: 3}
 
 
-def rhomboid_component(points: Sequence[Vec], tol: float = 1e-9) -> int:
+def rhomboid_component(points: Sequence[Vec]) -> int:
     """Which of the four rhomboid table rows a realization sits on.
 
     The quadrilateral is first flip-normalized so opposite edges agree with
@@ -234,9 +238,10 @@ def rhomboid_component(points: Sequence[Vec], tol: float = 1e-9) -> int:
     (1 <-> 3, 2 <-> 4) is either a half-turn (component 1) or a reflection
     (component 4), and the recorded flips map the component index back.
     """
+    tol = RHOMBOID_TOL
     pts = [np.asarray(p, dtype=float) for p in points]
     q = QuadLengths.from_points(pts)
-    qt = classify(q, tol=max(tol, 1e-12))
+    qt = classify(q, tol)
     if qt.tag != RHOMBOID:
         raise NoSymmetryFoundError(f"realization classifies as {qt.tag}, not rhomboid")
 
@@ -274,7 +279,7 @@ def diagonal_axis(a: Vec, b: Vec) -> Vec:
     return normalize(cr)
 
 
-def diagonals_not_orthogonal_check(points: Sequence[Vec], tol: float = 1e-8) -> bool:
+def diagonals_not_orthogonal_check(points: Sequence[Vec]) -> bool:
     """True iff the two diagonals' great circles are NOT orthogonal.
 
     Rhomboid motions keep this invariant at every sample; lozenge motions
@@ -283,4 +288,4 @@ def diagonals_not_orthogonal_check(points: Sequence[Vec], tol: float = 1e-8) -> 
     r1, r2, r3, r4 = (np.asarray(p, dtype=float) for p in points)
     n13 = diagonal_axis(r1, r3)
     n24 = diagonal_axis(r2, r4)
-    return abs(float(n13 @ n24)) > tol
+    return abs(float(n13 @ n24)) > DIAGONAL_TOL

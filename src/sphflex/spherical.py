@@ -280,16 +280,16 @@ def distinct_from(ref: Vec, pts: Vec) -> tuple[Vec, Vec, bool]:
 
 
 def degenerate_pairs(
-    rho: SphericalRealization, tol: float = DEGENERATE_TOL
+    rho: SphericalRealization,
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Pairs of vertices that coincide respectively are antipodal."""
+    """Pairs of vertices that coincide respectively are antipodal, within ``DEGENERATE_TOL``."""
     coincident, antipodal = [], []
     order = rho.vertices
     for a, b in combinations(order, 2):
         d = delta(rho.point(a), rho.point(b))
-        if d >= 1.0 - tol:
+        if d >= 1.0 - DEGENERATE_TOL:
             coincident.append((a, b))
-        elif d <= -1.0 + tol:
+        elif d <= -1.0 + DEGENERATE_TOL:
             antipodal.append((a, b))
     return coincident, antipodal
 
@@ -315,7 +315,7 @@ def degenerate_pair_masks(pts: Vec) -> tuple[Vec, Vec]:
     ``pts`` has shape (S, |V|, 3).  Both masks have shape (S, P), one
     column per vertex pair in the order of ``combinations(range(|V|), 2)``;
     the inner products equal those of ``degenerate_pairs`` exactly and are
-    compared with its default thresholds, ``DEGENERATE_TOL``.
+    compared with the same thresholds, ``DEGENERATE_TOL``.
     """
     iu, ju = np.triu_indices(pts.shape[1], 1)
     d = row_dots(pts[:, iu], pts[:, ju])

@@ -33,9 +33,10 @@ def unit_point(x: float, y: float, z: float, tol: float = ON_SPHERE_TOL) -> Vec:
 
 
 def is_laman_naive(g: Graph) -> bool:
-    """Oracle variant of ``graphs.is_laman`` by exhaustive subgraph counting.
+    """Laman count by exhaustive subgraph counting: |E| = 2|V| - 3 and no
+    k vertices span more than 2k - 3 edges.
 
-    Exponential in |V|; intended for cross-checking on small graphs.
+    Exponential in |V|; meant for the small graphs of the tests.
     """
     n = g.num_vertices
     if g.num_edges != 2 * n - 3:

@@ -23,7 +23,6 @@ from sphflex.cuts import (
     count_degree_table_orbits_burnside,
     count_k33_subgraph_classes,
     cut_extensions,
-    cut_valid_for_bond,
     enumerate_valid_cuts,
     mu_lookup,
     mu_solutions,
@@ -38,6 +37,7 @@ from sphflex.graphs import k22, k32, k33, triangle
 import tables
 from enumeration import valid_cuts_by_scan
 from helpers import conjugate_cut, cut_for, normalize_cut, swapped_cut, tables_equivalent, unordered_cut
+from predicates import cut_valid_for_bond_by_labels
 from tables import all_degree_tables, orbit
 
 T_OU = cut_for(k22(), {("P", 1), ("Q", 1), ("P", 2), ("P", 4)})
@@ -48,12 +48,12 @@ T_EM = cut_for(k22(), {("P", 2), ("Q", 2), ("P", 1), ("Q", 3)})
 
 def test_cut_validity_examples():
     g = k22()
-    assert cut_valid_for_bond(g, T_OU)
+    assert cut_valid_for_bond_by_labels(g, T_OU)
     bad = cut_for(g, {("P", 1), ("P", 2)})
-    assert not cut_valid_for_bond(g, bad)
+    assert not cut_valid_for_bond_by_labels(g, bad)
     g3 = triangle()
     all_p = cut_for(g3, {("P", 1), ("P", 2), ("P", 3)})
-    assert not cut_valid_for_bond(g3, all_p)
+    assert not cut_valid_for_bond_by_labels(g3, all_p)
 
 
 def test_coloring_from_t_ou():
@@ -461,7 +461,7 @@ def test_normalize_cut_rejects_monochromatic_cut():
     all_labels = {(k, v) for v in range(1, 7) for k in "PQ"}
     i_side = all_labels - {("P", 1), ("P", 3)}
     c = cut_for(g, i_side)
-    assert cut_valid_for_bond(g, c)
+    assert cut_valid_for_bond_by_labels(g, c)
     with pytest.raises(InvalidCutError):
         normalize_cut(g, c)
 

@@ -27,7 +27,6 @@ from sphflex.motions import (
     CdaParams,
     Dixon1Params,
     Dixon2Params,
-    cda_feasible_intervals,
     cda_lengths,
     cda_motion,
     cda_params_from_e,
@@ -40,6 +39,7 @@ from sphflex.quads import EVEN_DELTOID, GENERAL, QuadLengths, classify
 from sphflex.spherical import essentially_distinct
 
 from helpers import dixon2_involutions, gram_matrix
+from trajectories import cda_feasible_intervals_by_points
 
 ANGLES = list(np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False))
 
@@ -319,7 +319,7 @@ def test_cda_quadrilateral_types():
 
 
 def test_cda_feasible_intervals_report():
-    intervals = cda_feasible_intervals(0.01, 40.0, samples=801)
+    intervals = cda_feasible_intervals_by_points(0.01, 40.0, 801, 1, 1)
     assert len(intervals) == 2
     (lo1, hi1), (lo2, hi2) = intervals
     assert hi1 < 0.2 and abs(lo2 - 7.0) < 0.1

@@ -8,7 +8,6 @@ from sphflex.coloring import enumerate_nap, nap_pole_partition
 from sphflex.cuts import (
     Cut,
     coloring_from_cut,
-    cut_valid_for_bond,
     marked_labels,
     nap_iff_separated_nonedge,
 )
@@ -19,13 +18,11 @@ from enumeration import connected_graphs
 from helpers import cut_for
 from predicates import (
     coloring_from_cut_by_labels,
-    cut_valid_for_bond_by_labels,
     nap_iff_separated_nonedge_by_labels,
     nap_pole_partition_by_colors,
 )
 
 CUT_FUNCTIONS = (
-    (cut_valid_for_bond, cut_valid_for_bond_by_labels),
     (coloring_from_cut, coloring_from_cut_by_labels),
     (nap_iff_separated_nonedge, nap_iff_separated_nonedge_by_labels),
 )

@@ -15,9 +15,10 @@ code and no benchmark file refers to is a dead helper unless the README
 keeps it (or its class) as public API.  Likewise a defaulted parameter of
 a public function or method, or a defaulted field of a public dataclass,
 that no call in the package or the benchmark sets is a dead knob unless
-the README keeps its function, its class or the parameter itself.  The
-package's ``__init__`` binds no name, so each public name has one import
-path: its module.
+the README keeps that parameter in a row of its own.  Every row of the
+README's table must be one of these: a row that the guards pass without
+shields nothing and goes.  The package's ``__init__`` binds no name, so
+each public name has one import path: its module.
 """
 
 import ast
@@ -199,9 +200,9 @@ def kept_section():
 
 
 def kept_api():
-    """The dotted names (``module.name``) the README lists under
-    ``KEPT_HEADING``."""
-    return set(re.findall(r"`(\w+\.\w+)`", kept_section()))
+    """The dotted names (``module.name``) the README's ``KEPT_HEADING``
+    table keeps, from the rows whose name is written that way."""
+    return set(re.findall(r"^\| `(\w+\.\w+)` \|", kept_section(), re.M))
 
 
 def kept_parameters():
@@ -212,7 +213,7 @@ def kept_parameters():
 
 def test_every_kept_api_name_resolves():
     kept = kept_api()
-    assert {"cuts.cut_valid_for_bond", "graphs.is_laman", "continuation.residual_vector"} <= kept
+    assert {"quads.rhomboid_component", "quads.diagonals_not_orthogonal_check"} <= kept
     missing = []
     for name in sorted(kept):
         module, attr = name.split(".")
@@ -233,17 +234,17 @@ def test_every_kept_api_name_resolves():
     assert missing == []
 
 
-def test_every_public_function_and_class_has_a_caller():
-    # a name counts as called when code outside its own definition refers
-    # to it: elsewhere in its module, in another module, or in bench/; a
-    # method counts as kept when its class is kept
+def dead_names(kept):
+    """Public functions, classes and methods of the package that no code
+    outside their own definition refers to (elsewhere in their module, in
+    another module, or in bench/), leaving out the ``kept`` names and the
+    methods of a kept class."""
     bodies = {
         path.stem: [(node, referenced_names([node])) for node in ast.parse(path.read_text()).body]
         for path in sorted(PACKAGE.glob("*.py"))
     }
     others = [(node, names) for body in bodies.values() for node, names in body]
     bench = referenced_names(ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py")))
-    kept = kept_api()
 
     def called(name, outside):
         return any(name in names for other, names in others if other is not outside)
@@ -265,7 +266,11 @@ def test_every_public_function_and_class_has_a_caller():
                 if method.name not in bench | rest and not called(method.name, node):
                     dead.append(f"{stem}.{node.name}.{method.name}")
     assert len(bodies) >= 9
-    assert dead == []
+    return dead
+
+
+def test_every_public_function_and_class_has_a_caller():
+    assert dead_names(kept_api()) == []
 
 
 def test_package_init_binds_no_name():
@@ -305,12 +310,12 @@ def decorators(node):
 
 
 def defaulted_parameters(stem, tree):
-    """``(row, owner, callee, position, parameter)`` for every defaulted
-    parameter of a public function or method, and every defaulted field of
-    a public dataclass, in one module.  ``row`` names it as
-    ``module.function(parameter)``, ``owner`` is the function or class the
-    README may keep, ``callee`` the name a call uses, and ``position`` where
-    a positional argument sets it (inf for a keyword-only one)."""
+    """``(row, callee, position, parameter)`` for every defaulted parameter
+    of a public function or method, and every defaulted field of a public
+    dataclass, in one module.  ``row`` names it as
+    ``module.function(parameter)``, ``callee`` is the name a call uses, and
+    ``position`` where a positional argument sets it (inf for a
+    keyword-only one)."""
 
     def of_function(node, skip):
         args = node.args.posonlyargs + node.args.args
@@ -333,7 +338,7 @@ def defaulted_parameters(stem, tree):
         name = f"{stem}.{node.name}"
         if isinstance(node, ast.FunctionDef):
             for position, param in of_function(node, 0):
-                yield f"{name}({param})", node.name, node.name, position, param
+                yield f"{name}({param})", node.name, position, param
             continue
         if "dataclass" in decorators(node):
             fields = [
@@ -344,22 +349,21 @@ def defaulted_parameters(stem, tree):
             for position, item in enumerate(fields):
                 if has_default(item.value):
                     field = item.target.id
-                    yield f"{name}({field})", node.name, node.name, position, field
+                    yield f"{name}({field})", node.name, position, field
         for method in node.body:
             if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
                 skip = 0 if "staticmethod" in decorators(method) else 1
                 for position, param in of_function(method, skip):
-                    yield f"{name}.{method.name}({param})", node.name, method.name, position, param
+                    yield f"{name}.{method.name}({param})", method.name, position, param
 
 
-def test_every_defaulted_parameter_is_set_by_a_caller():
-    # a parameter counts as set when some call of its function's name in
-    # the package or in bench/ passes it, by position or by keyword; one
-    # whose function, class or own row the README keeps is exempt
+def unset_parameters(kept):
+    """Rows of the defaulted parameters and fields of the package that no
+    call of their function's name in the package or in bench/ sets, by
+    position or by keyword, leaving out the ``kept`` rows."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     bench = [ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py"))]
     calls = call_arguments([*trees.values(), *bench])
-    kept, kept_params = kept_api(), kept_parameters()
 
     def sets(callee, position, param):
         return any(
@@ -369,10 +373,25 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
 
     unset = []
     for stem, tree in trees.items():
-        for row, owner, callee, position, param in defaulted_parameters(stem, tree):
-            if f"{stem}.{owner}" in kept or row in kept_params:
-                continue
-            if not sets(callee, position, param):
+        for row, callee, position, param in defaulted_parameters(stem, tree):
+            if row not in kept and not sets(callee, position, param):
                 unset.append(row)
     assert len(trees) >= 9
-    assert unset == []
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # a kept function or class does not shield its parameters; only a
+    # parameter's own row does
+    assert unset_parameters(kept_parameters()) == []
+
+
+def test_every_kept_row_is_needed():
+    # each row of the table must be one that a guard flags once the row is
+    # gone; a row for a name that has a caller, or a parameter that a call
+    # sets, keeps nothing
+    kept, params = kept_api(), kept_parameters()
+    stale = [name for name in sorted(kept) if name not in dead_names(kept - {name})]
+    stale += [row for row in sorted(params) if row not in unset_parameters(params - {row})]
+    assert kept and params
+    assert stale == []

@@ -51,7 +51,6 @@ from sphflex.motions import (
     _dixon1_samples,
     _dixon2_samples,
     _solve_dixon2_points,
-    cda_feasible_intervals,
     cda_motion,
     cda_params_from_e,
     detect_k33_motion_kind,
@@ -73,7 +72,6 @@ from sphflex.spherical import (
 )
 
 from trajectories import (
-    cda_feasible_intervals_by_points,
     cda_rows_at,
     detect_by_samples,
     dixon1_rows,
@@ -773,15 +771,6 @@ def test_cda_kernel_raises_at_the_first_bad_t():
         with pytest.raises(type(got.value), match=re.escape(message)):
             for t in ts:
                 cda_rows_at(t, 1, 1)
-
-
-@pytest.mark.parametrize(
-    "t_lo, t_hi, samples", [(0.01, 40.0, 801), (-40.0, 40.0, 1601), (-1e7, 1e7, 401), (7.5, 30.0, 50)]
-)
-@pytest.mark.parametrize("y2_sign, z5_sign", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
-def test_cda_feasible_intervals_equal_per_point_scan(t_lo, t_hi, samples, y2_sign, z5_sign):
-    got = cda_feasible_intervals(t_lo, t_hi, samples, y2_sign, z5_sign)
-    assert got == cda_feasible_intervals_by_points(t_lo, t_hi, samples, y2_sign, z5_sign)
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,9 @@ def cda_rows_at(t: float, y2_sign: int, z5_sign: int) -> Vec:
 def cda_feasible_intervals_by_points(
     t_lo: float, t_hi: float, samples: int, y2_sign: int, z5_sign: int
 ) -> list[tuple[float, float]]:
-    """``cda_feasible_intervals`` with one ``cda_rows_at`` per grid point."""
+    """The maximal runs of ``samples`` evenly spaced t in [t_lo, t_hi] at
+    which ``cda_rows_at`` gives a realization on the chosen branch, as
+    (first t, last t) pairs; one ``cda_rows_at`` per grid point."""
     grid = np.linspace(t_lo, t_hi, samples)
     good = np.zeros(len(grid) + 2, dtype=int)
     for i, t in enumerate(grid):
