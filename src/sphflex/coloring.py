@@ -31,7 +31,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .errors import BudgetExceededError, NotNapError
+from .errors import SphflexError
 from .graphs import Edge, Graph, normalized_edge
 
 RED = "red"
@@ -56,7 +56,7 @@ class EdgeColoring:
     def from_red_edges(cls, graph: Graph, red_edges: Iterable[tuple[int, int]]) -> "EdgeColoring":
         red = {normalized_edge(a, b) for a, b in red_edges}
         if not red <= graph.edge_set:
-            raise KeyError(f"red edges given for non-edges {sorted(red - graph.edge_set)}")
+            raise SphflexError(f"red edges given for non-edges {sorted(red - graph.edge_set)}")
         return cls(graph, sum(1 << i for i, e in enumerate(graph.edges) if e in red))
 
     def red_edges(self) -> tuple[Edge, ...]:
@@ -140,9 +140,17 @@ def is_nac(c: EdgeColoring) -> bool:
 
 
 def _check_edge_budget(g: Graph) -> None:
+    """Refuse a graph with more than ``MAX_ENUM_EDGES`` edges.
+
+    NAP-colorings are enumerated pole set by pole set (and valid cuts, in
+    ``sphflex.cuts``, by per-vertex label counts, up to 8 vertices), but
+    the number of results can still grow exponentially, so larger graphs
+    are refused rather than sampled.  The colorings and the flexibility
+    certificate both check this budget.
+    """
     m = len(g.edges)
     if m > MAX_ENUM_EDGES:
-        raise BudgetExceededError(
+        raise SphflexError(
             f"{m} edges exceeds the exhaustive enumeration budget of {MAX_ENUM_EDGES}"
         )
 
@@ -401,7 +409,7 @@ class PolePartition:
 def nap_pole_partition(c: EdgeColoring) -> PolePartition:
     sides = _pole_sides(c) if is_surjective(c) else None
     if sides is None:
-        raise NotNapError("coloring is not a NAP-coloring")
+        raise SphflexError("coloring is not a NAP-coloring")
     poles, red = sides
     vertices = c.graph.vertices
     return PolePartition(

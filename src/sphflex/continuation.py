@@ -52,14 +52,7 @@ import numpy as np
 # to np.linalg's results
 from numpy.linalg import _umath_linalg
 
-from .errors import (
-    InsufficientSamplesError,
-    RankDeficientError,
-    SeedNotOnCurveError,
-    SphflexError,
-    StepFailureError,
-    UnderConstrainedError,
-)
+from .errors import RankDeficientError, SphflexError
 from .graphs import Graph
 from .motions import HALF_TURN_Z, KIND_TRACED, MotionTrajectory
 from .spherical import (
@@ -492,8 +485,8 @@ def trace(
     """Follow the configuration curve through a seed realization.
 
     The seed is re-gauged and Newton-polished; a seed the corrector cannot
-    polish raises ``SeedNotOnCurveError``, and a Jacobian corank other than
-    1 raises ``RankDeficientError`` (corank 0 means the gauged framework is
+    polish raises ``SphflexError``, and a Jacobian corank other than 1
+    raises ``RankDeficientError`` (corank 0 means the gauged framework is
     rigid).  Samples are spaced by arclength steps.  The trace stops for one
     of four reasons, its ``stop_reason``:
 
@@ -502,9 +495,8 @@ def trace(
     - ``"singular_point"``: a corrected point has corank 2 or more;
     - ``"step_failure"``: no step of at least ``MIN_STEP`` was accepted.
 
-    Stopping before the first step raises ``StepFailureError``, and a
-    graph without edges, which leaves the gauge no meridian,
-    ``SphflexError``.
+    Stopping before the first step raises ``SphflexError``, as does a
+    graph without edges, which leaves the gauge no meridian.
     """
     for e in g.edges:
         if e not in lam.lengths:
@@ -524,7 +516,7 @@ def trace(
     x0 = re_gauge(seed, g).as_array(g.vertices)
     x0 = newton_correct(system, x0, cfg.newton_tol, MAX_NEWTON_ITERS)
     if x0 is None:
-        raise SeedNotOnCurveError("seed does not satisfy the constraints")
+        raise SphflexError("seed does not satisfy the constraints")
     corank, tangent = corank_and_tangent(system.jacobian(x0))
     if corank != 1:
         why = "framework is rigid" if corank == 0 else "not a curve point"
@@ -566,7 +558,7 @@ def trace(
                 break
 
     if len(xs) < 2:
-        raise StepFailureError("no step succeeded from the seed")
+        raise SphflexError("no step succeeded from the seed")
     points = np.array(xs).reshape(len(xs), -1, 3)
     traj = MotionTrajectory(g, lam, points, arclengths, KIND_TRACED)
     return TraceResult(traj, stop_reason)
@@ -593,13 +585,13 @@ def _circle_intersections(
     Returns both candidates (..., 2, 3) and a mask (..., 2) of the real
     ones: none when ``1 - |x0|^2 < -tol``, only the first (tangency) when it
     is within ``tol`` of 0, both above.  Centers that span less than a plane
-    raise ``UnderConstrainedError``; NaN centers give candidates that are
+    raise ``SphflexError``; NaN centers give candidates that are
     not real.
     """
     c = np.cross(n1, n2)
     det = row_dots(c, c)
     if np.any(det <= 1e-20):
-        raise UnderConstrainedError("placed neighbors span less than a plane")
+        raise SphflexError("placed neighbors span less than a plane")
     g11, g22, g12 = row_dots(n1, n1), row_dots(n2, n2), row_dots(n1, n2)
     a = (g22 * d1 - g12 * d2) / det
     b = (g11 * d2 - g12 * d1) / det
@@ -631,7 +623,7 @@ def _construction_order(g: Graph, forgotten: set[int]) -> list[tuple[int, int, i
             if len(centers) >= 2:
                 break
         else:
-            raise UnderConstrainedError(
+            raise SphflexError(
                 f"no construction order: forgotten vertices {left} have "
                 "fewer than two placed neighbors each"
             )
@@ -681,9 +673,9 @@ def empirical_map_degree(traj: MotionTrajectory, forgotten: Iterable[int]) -> in
     A fiber is the set of placements of the forgotten vertices that meet
     every edge with the retained vertices held fixed; it is computed by
     circle intersection, with no Newton solve.  A forgotten set that cannot
-    be placed two neighbors at a time raises ``UnderConstrainedError``.
+    be placed two neighbors at a time raises ``SphflexError``.
     """
     forgotten = set(forgotten) & set(traj.graph.vertices)
     if traj.graph.num_vertices - len(forgotten) < 3:
-        raise InsufficientSamplesError("need at least three retained vertices")
+        raise SphflexError("need at least three retained vertices")
     return int(_fiber_sizes(traj, forgotten).max())

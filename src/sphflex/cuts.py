@@ -48,12 +48,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .coloring import EdgeColoring, is_nap
-from .errors import (
-    BudgetExceededError,
-    InconsistentTypesError,
-    InvalidCutError,
-    UnknownRowError,
-)
+from .errors import SphflexError
 from .graphs import Graph, nonedges
 
 _log = logging.getLogger(__name__)
@@ -79,16 +74,16 @@ class Cut:
 
     def __post_init__(self):
         if self.I & self.J:
-            raise InvalidCutError("cut sides overlap")
+            raise SphflexError("cut sides overlap")
         if len(self.I) < 2 or len(self.J) < 2:
-            raise InvalidCutError("each cut side needs at least two labels")
+            raise SphflexError("each cut side needs at least two labels")
 
 
 def _label_counts(g: Graph, c: Cut) -> dict[int, int]:
     """How many of each vertex's two labels lie on the I side.  Bond
     validity and the induced coloring depend only on these counts."""
     if c.I | c.J != set(marked_labels(g)):
-        raise InvalidCutError("cut does not partition this graph's marked labels")
+        raise SphflexError("cut does not partition this graph's marked labels")
     counts = dict.fromkeys(g.vertices, 0)
     for _, v in c.I:
         counts[v] += 1
@@ -104,7 +99,7 @@ def coloring_from_cut(g: Graph, c: Cut) -> EdgeColoring:
     n = _label_counts(g, c)
     sums = [n[a] + n[b] for a, b in g.edges]
     if 2 in sums:
-        raise InvalidCutError("cut is not bond-valid for this graph")
+        raise SphflexError("cut is not bond-valid for this graph")
     return EdgeColoring(g, sum(1 << i for i, s in enumerate(sums) if s >= 3))
 
 
@@ -150,7 +145,7 @@ def enumerate_valid_cuts(g: Graph) -> list[Cut]:
     vertices are still rejected.
     """
     if g.num_vertices > 8:
-        raise BudgetExceededError("cut enumeration is exhaustive; at most 8 vertices")
+        raise SphflexError("cut enumeration is exhaustive; at most 8 vertices")
     labels = marked_labels(g)
     n = g.num_vertices
     # above[k]: neighbours of the k-th vertex that come later in vertex
@@ -255,9 +250,9 @@ class NormalCut:
 
     def __post_init__(self):
         if self.apex not in range(1, 7):
-            raise InvalidCutError(f"apex {self.apex} outside 1..6")
+            raise SphflexError(f"apex {self.apex} outside 1..6")
         if len(self.pattern) != 3 or set(self.pattern) - {"P", "Q"}:
-            raise InvalidCutError(f"bad pattern {self.pattern!r}")
+            raise SphflexError(f"bad pattern {self.pattern!r}")
 
     def i_side(self) -> frozenset[Label]:
         side = {("P", self.apex), ("Q", self.apex)}
@@ -307,7 +302,7 @@ def quad_cycle(forgot_odd: int, forgot_even: int) -> tuple[int, int, int, int]:
 def quad_cut_partition(cycle: Sequence[int], kind: str) -> frozenset[frozenset[Label]]:
     """The named cut of a quadrilateral, with roles mapped onto ``cycle``."""
     if kind not in _QUAD_CUTS:
-        raise UnknownRowError(f"unknown quadrilateral cut {kind!r}")
+        raise SphflexError(f"unknown quadrilateral cut {kind!r}")
     role = {1: cycle[0], 2: cycle[1], 3: cycle[2], 4: cycle[3]}
     I, J = _QUAD_CUTS[kind]
     return frozenset(
@@ -372,7 +367,7 @@ def mu_lookup(case: str, subcase: object = None) -> MuRow:
     try:
         return MU_TABLE[(case, subcase)]
     except KeyError:
-        raise UnknownRowError(f"no multiplicity row for {(case, subcase)!r}") from None
+        raise SphflexError(f"no multiplicity row for {(case, subcase)!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +379,7 @@ def theta(d1: int, d2: int, d3: int) -> int:
     """Combined degree of a triple of 1-or-2 projection degrees."""
     ds = (d1, d2, d3)
     if d1 not in (1, 2) or d2 not in (1, 2) or d3 not in (1, 2):
-        raise UnknownRowError(f"degrees must be 1 or 2, got {ds}")
+        raise SphflexError(f"degrees must be 1 or 2, got {ds}")
     if ds == (1, 1, 1):
         return 1
     if ds == (2, 2, 2):
@@ -403,9 +398,9 @@ class DegreeTable:
 
     def __post_init__(self):
         if len(self.grid) != 3 or any(len(r) != 3 for r in self.grid):
-            raise UnknownRowError("degree table must be 3x3")
+            raise SphflexError("degree table must be 3x3")
         if any(d not in (1, 2) for r in self.grid for d in r):
-            raise UnknownRowError("degree table entries must be 1 or 2")
+            raise SphflexError("degree table entries must be 1 or 2")
 
     def entry(self, odd: int, even: int) -> int:
         return self.grid[ODD_VERTICES.index(odd)][EVEN_VERTICES.index(even)]
@@ -459,7 +454,7 @@ def type_table(dt: DegreeTable) -> TypeTable:
             try:
                 row.append(_TYPE_RULES[key])
             except KeyError:
-                raise UnknownRowError(f"no type rule for {key}") from None
+                raise SphflexError(f"no type rule for {key}") from None
         grid.append(tuple(row))
     return TypeTable(tuple(grid))
 
@@ -687,9 +682,7 @@ def build_pullback_system(
         for l in EVEN_VERTICES:
             tag = tt.entry(k, l)
             if tag == "r/l":
-                raise InconsistentTypesError(
-                    f"type of quadrilateral without {{{k},{l}}} is unresolved"
-                )
+                raise SphflexError(f"type of quadrilateral without {{{k},{l}}} is unresolved")
             row = mu_lookup(tag, subcases.get((k, l)))
             deg = dt.entry(k, l)
             for kind in divisors:

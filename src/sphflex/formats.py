@@ -14,7 +14,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .coloring import BLUE, RED, EdgeColoring
-from .errors import DegenerateTrajectoryError, SphflexError
+from .errors import SphflexError
 from .graphs import Graph, build_graph
 from .motions import MotionTrajectory
 from .spherical import LengthAssignment, SphericalRealization, Vec, check_on_sphere
@@ -332,11 +332,11 @@ def trajectory_from_dict(data: dict[str, Any]) -> MotionTrajectory:
     check_on_sphere(pts, labels)
     n = g.num_vertices
     if len(labels) != n * len(placements):
-        raise DegenerateTrajectoryError("every sample must place the graph's vertices")
+        raise SphflexError("every sample must place the graph's vertices")
     by_sample = np.array(labels, dtype=np.int64).reshape(-1, n)
     perm = np.argsort(by_sample, axis=1)
     if not (np.take_along_axis(by_sample, perm, axis=1) == g.vertices).all():
-        raise DegenerateTrajectoryError("every sample must place the graph's vertices")
+        raise SphflexError("every sample must place the graph's vertices")
     return MotionTrajectory(
         g,
         lam,

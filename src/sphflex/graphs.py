@@ -22,13 +22,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import (
-    DisconnectedError,
-    DuplicateEdgeError,
-    GraphError,
-    SelfLoopError,
-    UnknownVertexError,
-)
+from .errors import SphflexError
 
 Edge = tuple[int, int]
 
@@ -36,7 +30,7 @@ Edge = tuple[int, int]
 def normalized_edge(a: int, b: int) -> Edge:
     """Unordered vertex pair as a sorted tuple.  Rejects loops."""
     if a == b:
-        raise SelfLoopError(f"self-loop at vertex {a}")
+        raise SphflexError(f"self-loop at vertex {a}")
     return (a, b) if a < b else (b, a)
 
 
@@ -106,29 +100,29 @@ def _is_connected(g: Graph) -> bool:
 def build_graph(vertex_labels: Iterable[int], edge_pairs: Iterable[tuple[int, int]]) -> Graph:
     """Validate and build a graph.
 
-    Raises ``GraphError`` on a repeated vertex label, and
-    ``SelfLoopError``, ``DuplicateEdgeError``, ``UnknownVertexError`` or
-    ``DisconnectedError`` on bad edges.
+    Raises ``SphflexError`` on a repeated vertex label, a self-loop, a
+    repeated edge, an edge to an undeclared vertex, or a disconnected
+    graph.
     """
     labels = tuple(vertex_labels)
     vset = set(labels)
     if len(vset) != len(labels):
         repeated = next(v for i, v in enumerate(labels) if v in labels[:i])
-        raise GraphError(f"vertex {repeated} is listed more than once")
+        raise SphflexError(f"vertex {repeated} is listed more than once")
     vertices = tuple(sorted(vset))
     edges: list[Edge] = []
     seen: set[Edge] = set()
     for a, b in edge_pairs:
         e = normalized_edge(a, b)
         if e[0] not in vset or e[1] not in vset:
-            raise UnknownVertexError(f"edge {e} references an undeclared vertex")
+            raise SphflexError(f"edge {e} references an undeclared vertex")
         if e in seen:
-            raise DuplicateEdgeError(f"edge {e} appears more than once")
+            raise SphflexError(f"edge {e} appears more than once")
         seen.add(e)
         edges.append(e)
     g = Graph(vertices, tuple(sorted(edges)))
     if not _is_connected(g):
-        raise DisconnectedError("graph is not connected")
+        raise SphflexError("graph is not connected")
     return g
 
 
@@ -142,10 +136,10 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     kept = set(keep)
     unknown = kept.difference(g.position)
     if unknown:
-        raise UnknownVertexError(f"vertices {sorted(unknown)} not in graph")
+        raise SphflexError(f"vertices {sorted(unknown)} not in graph")
     sub = Graph(tuple(sorted(kept)), tuple(e for e in g.edges if e[0] in kept and e[1] in kept))
     if not _is_connected(sub):
-        raise DisconnectedError("induced subgraph is not connected")
+        raise SphflexError("induced subgraph is not connected")
     return sub
 
 

@@ -27,20 +27,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .coloring import EdgeColoring, is_nap, nap_pole_partition
-from .errors import (
-    DegenerateAxisError,
-    DegenerateRealizationError,
-    DegenerateTrajectoryError,
-    DomainViolationError,
-    InsufficientSamplesError,
-    NegativeDiscriminantError,
-    NoRealSolutionError,
-    NotNapError,
-    OutOfRangeError,
-    PoleError,
-    SphflexError,
-    ZeroDivisorError,
-)
+from .errors import SphflexError
 from .graphs import Graph, induced_subgraph, k33, k44
 from .spherical import (
     COMPAT_TOL,
@@ -85,14 +72,6 @@ class TrajectorySample:
     coincident_pairs: tuple[tuple[int, int], ...]
     antipodal_pairs: tuple[tuple[int, int], ...]
 
-    @property
-    def injective(self) -> bool:
-        return not self.coincident_pairs
-
-    @property
-    def proper(self) -> bool:
-        return not self.coincident_pairs and not self.antipodal_pairs
-
 
 @dataclass(frozen=True, eq=False)
 class MotionTrajectory:
@@ -119,7 +98,7 @@ class MotionTrajectory:
         pts = np.array(self.points, dtype=float)
         params = np.array(self.parameters, dtype=float)
         if pts.shape[1:] != (len(order), 3) or params.shape != pts.shape[:1]:
-            raise DegenerateTrajectoryError(
+            raise SphflexError(
                 f"{params.shape} parameters and points of shape {pts.shape} "
                 f"do not fit a stack of samples of {len(order)} vertices"
             )
@@ -129,18 +108,18 @@ class MotionTrajectory:
         object.__setattr__(self, "parameters", params)
         check_on_sphere(pts, order)
         if len(pts) < 2:
-            raise DegenerateTrajectoryError("need at least two samples")
+            raise SphflexError("need at least two samples")
         if not np.isfinite(params).all():
-            raise DegenerateTrajectoryError("sample parameters must be finite")
+            raise SphflexError("sample parameters must be finite")
         worst = self.worst_edge_residuals()
         bad = np.flatnonzero(~(worst <= COMPAT_TOL))
         if bad.size:
             k = bad[0]
-            raise DegenerateTrajectoryError(
+            raise SphflexError(
                 f"sample at parameter {float(params[k])} has edge residual {worst[k]:.3e}"
             )
         if not distinct_from(pts[0], pts[1:])[0].any():
-            raise DegenerateTrajectoryError("no two samples are essentially distinct")
+            raise SphflexError("no two samples are essentially distinct")
 
     @cached_property
     def _degenerate_masks(self) -> tuple[Vec, Vec]:
@@ -166,7 +145,8 @@ class MotionTrajectory:
         return realizations_of_stack(self.graph.vertices, self.points)
 
     def sample_flags(self) -> tuple[Vec, Vec]:
-        """``injective`` and ``proper`` of every sample, as two bool arrays."""
+        """Whether each sample is injective (no coincident pair) and proper
+        (injective with no antipodal pair), as two bool arrays."""
         coincident, antipodal = self._degenerate_masks
         injective = ~coincident.any(axis=1)
         return injective, injective & ~antipodal.any(axis=1)
@@ -215,7 +195,7 @@ def make_trajectory(
     order = graph.vertices
     for t, rho in realizations:
         if rho.vertices != order:
-            raise DegenerateTrajectoryError(
+            raise SphflexError(
                 f"sample at parameter {t} places vertices {list(rho.vertices)}, "
                 f"not the graph's {list(order)}"
             )
@@ -250,9 +230,9 @@ def polar_nap_motion(
     collide; per-sample injectivity flags record when they do.
     """
     if not is_nap(coloring):
-        raise NotNapError("pole motion needs a NAP-coloring")
+        raise SphflexError("pole motion needs a NAP-coloring")
     if len(angles) == 0:
-        raise DegenerateTrajectoryError("need at least one angle")
+        raise SphflexError("need at least one angle")
     part = nap_pole_partition(coloring)
     rng = np.random.default_rng(seed)
     placement: dict[int, Vec] = {}
@@ -293,10 +273,10 @@ class Dixon1Params:
 
     def __post_init__(self):
         if set(self.c) != {1, 3, 5} or set(self.d) != {2, 4, 6}:
-            raise DomainViolationError("c maps odd vertices 1,3,5 and d even 2,4,6")
+            raise SphflexError("c maps odd vertices 1,3,5 and d even 2,4,6")
         prods = [ci * dj for ci in self.c.values() for dj in self.d.values()]
         if not all(0.0 < abs(p) < 1.0 for p in prods):  # NaN fails too
-            raise DomainViolationError("products c_i*d_j must lie in (-1,1) minus 0")
+            raise SphflexError("products c_i*d_j must lie in (-1,1) minus 0")
 
 
 def dixon1_motion(params: Dixon1Params, s_values: Sequence[float]) -> MotionTrajectory:
@@ -321,12 +301,12 @@ def dixon1_motion(params: Dixon1Params, s_values: Sequence[float]) -> MotionTraj
     if bad.size:
         k = bad[0]
         if s_list[k] == 0.0:
-            raise DomainViolationError("s = 0 is outside the parametrization")
+            raise SphflexError("s = 0 is outside the parametrization")
         for i, off in zip((1, 3, 5), bad_t[k]):
             if off:
-                raise DomainViolationError(f"|c_{i} * s| > 1 at s={s_list[k]}")
+                raise SphflexError(f"|c_{i} * s| > 1 at s={s_list[k]}")
         j = (2, 4, 6)[int(np.argmax(bad_p[k]))]
-        raise DomainViolationError(f"|d_{j} / s| > 1 at s={s_list[k]}")
+        raise SphflexError(f"|d_{j} / s| > 1 at s={s_list[k]}")
     pts = np.zeros((len(s_list), 6, 3))
     # float_power is C pow, which rounds x**2 as Python floats do
     pts[:, 0::2, 0] = np.sqrt(1.0 - np.float_power(sin_t, 2))
@@ -355,9 +335,9 @@ class Dixon2Params:
         for name in ("alpha", "beta", "gamma"):
             x = getattr(self, name)
             if x == 0.0:
-                raise DegenerateAxisError(f"{name} = 0 would park a vertex on an axis")
+                raise SphflexError(f"{name} = 0 would park a vertex on an axis")
             if not abs(x) < 1.0:
-                raise DomainViolationError(f"{name} = {x} must lie in (-1, 1) minus 0")
+                raise SphflexError(f"{name} = {x} must lie in (-1, 1) minus 0")
 
 
 def _solve_dixon2_points(params: Dixon2Params, p1_list: Sequence[float]) -> tuple[Vec, Vec]:
@@ -403,12 +383,10 @@ def _solve_dixon2_points(params: Dixon2Params, p1_list: Sequence[float]) -> tupl
     if bad.size:
         k = bad[0]
         if outside[k]:
-            raise NoRealSolutionError(f"p1={p1_list[k]} outside (0,1)")
+            raise SphflexError(f"p1={p1_list[k]} outside (0,1)")
         if no_root[k]:
-            raise NoRealSolutionError(
-                f"no real companion point for p1={p1_list[k]} at these products"
-            )
-        raise DegenerateAxisError("solution touches a coordinate plane")
+            raise SphflexError(f"no real companion point for p1={p1_list[k]} at these products")
+        raise SphflexError("solution touches a coordinate plane")
     q /= np.sqrt(row_dots(q, q))[:, None]  # absorb roundoff; residual check follows
     return p, q
 
@@ -430,7 +408,7 @@ def dixon2_motion(params: Dixon2Params, p1_values: Sequence[float]) -> MotionTra
     g = k44()
     p1_list = [float(p1) for p1 in p1_values]
     if not p1_list:
-        raise DegenerateTrajectoryError("no parameter values supplied")
+        raise SphflexError("no parameter values supplied")
     p, q = _solve_dixon2_points(params, p1_list)
     pts = np.empty((len(p1_list), 8, 3))
     pts[:, 0::2] = p[:, None] * _DIXON2_SIGNS
@@ -457,20 +435,20 @@ class CdaParams:
 
     def __post_init__(self):
         if self.a == 0.0:
-            raise OutOfRangeError("a must be nonzero")
+            raise SphflexError("a must be nonzero")
         if abs(self.e) >= 1.0 or abs(self.a) >= 1.0:
-            raise OutOfRangeError("a and e must lie in (-1, 1)")
+            raise SphflexError("a and e must lie in (-1, 1)")
         res = self.a**3 * self.e**2 + self.a**3 - self.a * self.e**2
         if abs(res) > 1e-12:
-            raise OutOfRangeError(f"relation residual {res:.3e} exceeds 1e-12")
+            raise SphflexError(f"relation residual {res:.3e} exceeds 1e-12")
         if abs(abs(self.e) - abs(self.a)) <= 1e-12:
-            raise OutOfRangeError("e = +-a is excluded")
+            raise SphflexError("e = +-a is excluded")
 
 
 def cda_params_from_e(e: float) -> CdaParams:
     """Solve the relation curve for a given e (positive branch of a)."""
     if not -1.0 < e < 1.0 or e == 0.0:
-        raise OutOfRangeError("e must lie in (-1, 1) and be nonzero")
+        raise SphflexError("e must lie in (-1, 1) and be nonzero")
     a = e / math.sqrt(e * e + 1.0)
     return CdaParams(a, e)
 
@@ -481,9 +459,7 @@ _CDA_E = 0.75
 
 def _require_reference_cda(params: CdaParams):
     if abs(params.a - _CDA_A) > 1e-12 or abs(params.e - _CDA_E) > 1e-12:
-        raise OutOfRangeError(
-            "the radical parametrization is available at (a, e) = (3/5, 3/4) only"
-        )
+        raise SphflexError("the radical parametrization is available at (a, e) = (3/5, 3/4) only")
 
 
 def _cda_rows(
@@ -501,7 +477,7 @@ def _cda_rows(
     Every power is ``np.float_power``, C pow as Python's float ``**`` is,
     so each row equals the closed form evaluated at one t bit for bit.  At
     large |t| the z5 radicand cancels catastrophically, and a t whose
-    points round off the sphere is refused with ``OutOfRangeError``.
+    points round off the sphere is refused with a message that says so.
     """
     t = np.array(t_values, dtype=float)
     with np.errstate(all="ignore"):
@@ -546,16 +522,16 @@ def _cda_rows(
         return rows, valid, None
     k = int(np.argmin(valid))
     tk = float(t[k])
-    error, message = (
-        (OutOfRangeError, f"t={tk} is not finite"),
-        (PoleError, f"t={tk} is a pole of the parametrization"),
-        (NegativeDiscriminantError, f"y2 radicand {y2_rad[k]:.3e} < 0 at t={tk}"),
-        (OutOfRangeError, f"the radicands overflow at t={tk}"),
-        (NegativeDiscriminantError, f"z5 radicand {z5_rad[k]:.3e} < 0 at t={tk}"),
-        (ZeroDivisorError, f"z5 vanishes at t={tk}"),
-        (OutOfRangeError, f"the closed form leaves the sphere by {off[k]:.3e} at t={tk}"),
+    message = (
+        f"t={tk} is not finite",
+        f"t={tk} is a pole of the parametrization",
+        f"y2 radicand {y2_rad[k]:.3e} < 0 at t={tk}",
+        f"the radicands overflow at t={tk}",
+        f"z5 radicand {z5_rad[k]:.3e} < 0 at t={tk}",
+        f"z5 vanishes at t={tk}",
+        f"the closed form leaves the sphere by {off[k]:.3e} at t={tk}",
     )[next(i for i, fail in enumerate(fails) if fail[k])]
-    return rows, valid, error(message)
+    return rows, valid, SphflexError(message)
 
 
 def cda_lengths(params: CdaParams) -> LengthAssignment:
@@ -713,13 +689,13 @@ def detect_k33_motion_kind(traj: MotionTrajectory) -> str:
     samples at once, each within ``DETECT_TOL``.
     """
     if set(traj.graph.vertices) != {1, 2, 3, 4, 5, 6} or traj.graph.num_edges != 9:
-        raise DegenerateRealizationError("detector expects the standard K(3,3)")
+        raise SphflexError("detector expects the standard K(3,3)")
     pts = traj.points
     if not _three_distinct(pts):
-        raise InsufficientSamplesError("need three essentially distinct samples")
+        raise SphflexError("need three essentially distinct samples")
     improper = np.flatnonzero(~traj.sample_flags()[1])
     if improper.size:
-        raise DegenerateRealizationError(
+        raise SphflexError(
             f"sample at {float(traj.parameters[improper[0]])} has coincident or antipodal vertices"
         )
 

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cuts import MU_TABLE, MuRow
-from .errors import AmbiguousToleranceError, NoSymmetryFoundError, SphflexError
+from .errors import SphflexError
 from .spherical import Vec, normalize
 
 GENERAL = "general"
@@ -140,7 +140,7 @@ def classify(q: QuadLengths, tol: float = 1e-9) -> QuadType:
     The lozenge pattern wins over the other relations.  If two of the
     mutually exclusive deltoid/rhomboid patterns match within ``tol``, the
     input sits in a tolerance gray zone and the call raises
-    ``AmbiguousToleranceError`` instead of guessing (exact double matches
+    ``SphflexError`` instead of guessing (exact double matches
     would force all magnitudes equal, which the lozenge branch or the
     odd-parity fall-through to general already covers).  ``tol`` must be
     finite and positive: a NaN or negative one matches nothing and would
@@ -167,7 +167,7 @@ def classify(q: QuadLengths, tol: float = 1e-9) -> QuadType:
     if not matches:
         return QuadType(GENERAL, ())
     if len(matches) > 1:
-        raise AmbiguousToleranceError(
+        raise SphflexError(
             "patterns "
             + ", ".join(m.tag for m in matches)
             + f" all match within tol={tol}; refusing to guess"
@@ -243,14 +243,14 @@ def rhomboid_component(points: Sequence[Vec]) -> int:
     q = QuadLengths.from_points(pts)
     qt = classify(q, tol)
     if qt.tag != RHOMBOID:
-        raise NoSymmetryFoundError(f"realization classifies as {qt.tag}, not rhomboid")
+        raise SphflexError(f"realization classifies as {qt.tag}, not rhomboid")
 
     _, flips = antipodal_normalize(q)
     for v in flips:
         pts[v - 1] = -pts[v - 1]
     norm_q = QuadLengths.from_points(pts)
     if abs(norm_q.d12 - norm_q.d34) > tol or abs(norm_q.d14 - norm_q.d23) > tol:
-        raise NoSymmetryFoundError("flip normalization failed to align opposite edges")
+        raise SphflexError("flip normalization failed to align opposite edges")
 
     r1, r2, r3, r4 = pts
     component = None
@@ -266,7 +266,7 @@ def rhomboid_component(points: Sequence[Vec]) -> int:
         ):
             component = 4
     if component is None:
-        raise NoSymmetryFoundError("no pair-swapping involution found within tolerance")
+        raise SphflexError("no pair-swapping involution found within tolerance")
 
     for v in flips:
         component = (_ODD_FLIP if v in (1, 3) else _EVEN_FLIP)[component]

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import AmbiguousToleranceError, SphflexError
+from .errors import SphflexError
 from .graphs import Edge, Graph, normalized_edge
 
 ON_SPHERE_TOL = 1e-12
@@ -254,7 +254,7 @@ def distinct_from(ref: Vec, pts: Vec) -> tuple[Vec, Vec, bool]:
     distinct when its orientation is flipped.  Orientation is read on the
     triple of vertices with the largest |det| in the reference, and a Gram-equal
     sample whose determinant on that triple lies within ``ORIENT_DET_TOL``
-    of 0 raises ``AmbiguousToleranceError`` rather than guess a sign.
+    of 0 raises ``SphflexError`` rather than guess a sign.
     Returns the verdicts, the Gram distances and whether the reference
     spans space (if not, Gram equality alone means not distinct).
     """
@@ -271,7 +271,7 @@ def distinct_from(ref: Vec, pts: Vec) -> tuple[Vec, Vec, bool]:
     if close.size:
         other = np.linalg.det(pts[close][:, triples[best]])
         if np.any(np.abs(other) <= ORIENT_DET_TOL):
-            raise AmbiguousToleranceError(
+            raise SphflexError(
                 "Gram-equal realizations with an orientation within "
                 f"{ORIENT_DET_TOL:g} of zero on the best-conditioned triple"
             )

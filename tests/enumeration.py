@@ -93,13 +93,6 @@ def _connected_graphs(max_edges: int, max_vertices: int) -> tuple[Graph, ...]:
     return tuple(out)
 
 
-def edge_count_histogram(graphs: list[Graph]) -> dict[int, int]:
-    hist: dict[int, int] = defaultdict(int)
-    for g in graphs:
-        hist[g.num_edges] += 1
-    return dict(hist)
-
-
 def nap_masks_by_scan(g: Graph, modulo_swap: bool = False) -> list[int]:
     """NAP-coloring masks in ascending order, by testing all 2^|E| colorings.
 

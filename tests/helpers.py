@@ -20,7 +20,7 @@ from sphflex.formats import coloring_to_list, graph_to_dict
 from sphflex.graphs import Graph, build_graph
 from sphflex.motions import HALF_TURN_X, HALF_TURN_Y, HALF_TURN_Z
 from sphflex.spherical import ON_SPHERE_TOL, Rotation, SphericalRealization, Vec
-from sphflex.errors import InvalidCutError, SphflexError
+from sphflex.errors import SphflexError
 
 from tables import orbit
 
@@ -129,7 +129,7 @@ def normalize_cut(g: Graph, c: Cut) -> NormalCut:
     for nc in all_normal_cuts():
         if unordered_cut(cut_for(g, nc.i_side())) == unordered_cut(c):
             return nc
-    raise InvalidCutError("cut has no normal form; is its coloring surjective?")
+    raise SphflexError("cut has no normal form; is its coloring surjective?")
 
 
 def realization_to_dict(rho: SphericalRealization) -> dict[str, Any]:

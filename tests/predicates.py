@@ -10,13 +10,13 @@ from typing import Optional
 
 from sphflex.coloring import BLUE, RED, EdgeColoring, PolePartition, is_nap
 from sphflex.cuts import Cut, marked_labels
-from sphflex.errors import InvalidCutError, NotNapError
+from sphflex.errors import SphflexError
 from sphflex.graphs import Graph, nonedges, normalized_edge
 
 
 def nap_pole_partition_by_colors(c: EdgeColoring) -> PolePartition:
     if not is_nap(c):
-        raise NotNapError("coloring is not a NAP-coloring")
+        raise SphflexError("coloring is not a NAP-coloring")
     g = c.graph
     red = set(c.red_edges())
     colors = {e: RED if e in red else BLUE for e in g.edges}
@@ -35,7 +35,7 @@ def nap_pole_partition_by_colors(c: EdgeColoring) -> PolePartition:
 def cut_valid_for_bond_by_labels(g: Graph, c: Cut) -> bool:
     labels = set(marked_labels(g))
     if c.I | c.J != labels:
-        raise InvalidCutError("cut does not partition this graph's marked labels")
+        raise SphflexError("cut does not partition this graph's marked labels")
     for a, b in g.edges:
         quad = {("P", a), ("Q", a), ("P", b), ("Q", b)}
         if len(quad & c.I) == 2:
@@ -45,7 +45,7 @@ def cut_valid_for_bond_by_labels(g: Graph, c: Cut) -> bool:
 
 def coloring_from_cut_by_labels(g: Graph, c: Cut) -> EdgeColoring:
     if not cut_valid_for_bond_by_labels(g, c):
-        raise InvalidCutError("cut is not bond-valid for this graph")
+        raise SphflexError("cut is not bond-valid for this graph")
     red = []
     for a, b in g.edges:
         quad = {("P", a), ("Q", a), ("P", b), ("Q", b)}

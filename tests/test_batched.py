@@ -21,7 +21,7 @@ from sphflex.continuation import (
     residual_vector,
     trace,
 )
-from sphflex.errors import DegenerateTrajectoryError
+from sphflex.errors import SphflexError
 from sphflex.formats import trajectory_to_csv
 from sphflex.graphs import build_graph, k33
 from sphflex.motions import (
@@ -258,7 +258,7 @@ def test_validation_raises_on_first_offending_sample():
         pts[3] = rotation_about_axis([0.0, 0.0, 1.0], angle).apply(pts[3])
         frames[k] = (frames[k][0], SphericalRealization(pts))
     r = max_edge_residual(gen.graph, frames[2][1], gen.lengths)
-    with pytest.raises(DegenerateTrajectoryError) as err:
+    with pytest.raises(SphflexError) as err:
         make_trajectory(gen.graph, gen.lengths, frames, gen.kind)
     assert str(err.value) == f"sample at parameter {frames[2][0]} has edge residual {r:.3e}"
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from sphflex import formats
 from sphflex.cli import CORPUS, run, verify_suite
 from sphflex.coloring import EdgeColoring, enumerate_nap
-from sphflex.errors import OutOfRangeError, SphflexError
+from sphflex.errors import SphflexError
 from sphflex.graphs import complete_bipartite, k33, three_prism
 from sphflex.motions import Dixon1Params, cda_motion, cda_params_from_e, dixon1_motion
 from sphflex.spherical import LengthAssignment, SphericalRealization
@@ -92,7 +92,7 @@ def test_cli_cda_off_the_reference_pair_names_the_supported_pair():
     with pytest.raises(SystemExit) as exit_:
         run(["k33", "--kind", "cda", "--e", "0.7"])
     assert exit_.value.code == 2
-    with pytest.raises(OutOfRangeError, match=r"available at \(a, e\) = \(3/5, 3/4\) only"):
+    with pytest.raises(SphflexError, match=r"available at \(a, e\) = \(3/5, 3/4\) only"):
         cda_motion(cda_params_from_e(0.7), [8.0, 8.2])
 
 

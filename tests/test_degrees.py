@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sphflex.coloring import flexibility_certificate
 from sphflex.continuation import TraceConfig, _fiber_sizes, empirical_map_degree, trace
-from sphflex.errors import UnderConstrainedError
+from sphflex.errors import SphflexError
 from sphflex.graphs import k33
 from sphflex.motions import Dixon1Params, MotionTrajectory, dixon1_motion, polar_nap_motion
 from sphflex.spherical import random_rotation
@@ -65,5 +65,5 @@ def test_forgotten_set_without_construction_order_raises():
     g = path_graph(4)
     traj = polar_nap_motion(g, flexibility_certificate(g), list(np.linspace(0.0, 1.0, 5)), seed=1)
     assert empirical_map_degree(traj, {2}) == 2  # mirror image across the (1, 3) plane
-    with pytest.raises(UnderConstrainedError):
+    with pytest.raises(SphflexError, match=r"^no construction order: forgotten vertices \[1\]"):
         empirical_map_degree(traj, {1})

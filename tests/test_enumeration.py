@@ -24,7 +24,7 @@ from sphflex.coloring import (
     nap_pole_partition,
 )
 from sphflex.cuts import enumerate_valid_cuts
-from sphflex.errors import BudgetExceededError
+from sphflex.errors import SphflexError
 from sphflex.graphs import (
     complete,
     complete_bipartite,
@@ -71,7 +71,7 @@ def assert_nap_matches_scan(g):
 
 def assert_cuts_match_scan(g):
     if g.num_vertices > MAX_CUT_VERTICES:
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(SphflexError, match="exhaustive; at most 8 vertices$"):
             enumerate_valid_cuts(g)
         return
     assert enumerate_valid_cuts(g) == valid_cuts_by_scan(g, True), g

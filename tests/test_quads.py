@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from sphflex.errors import AmbiguousToleranceError, NoSymmetryFoundError, SphflexError
+from sphflex.errors import SphflexError
 from sphflex.quads import (
     EVEN_DELTOID,
     GENERAL,
@@ -69,7 +69,7 @@ def test_all_equal_never_rhomboid():
 def test_ambiguous_at_tolerance():
     tol = 1e-6
     eps = 0.9 * tol
-    with pytest.raises(AmbiguousToleranceError):
+    with pytest.raises(SphflexError, match="all match within tol=1e-06; refusing to guess$"):
         classify(QuadLengths(0.3, 0.3 + eps, 0.3 + 2 * eps, 0.3 + eps), tol=tol)
 
 
@@ -118,7 +118,8 @@ def test_classify_invariant_under_normalization():
         q = QuadLengths(*vals)
         try:
             base = classify(q)
-        except AmbiguousToleranceError:
+        except SphflexError as exc:
+            assert "refusing to guess" in str(exc)
             continue
         normalized, _ = antipodal_normalize(q)
         assert classify(normalized).tag == base.tag
@@ -133,7 +134,8 @@ def test_classify_invariant_under_parity_preserving_relabeling():
         d12, d23, d34, d14 = vals
         try:
             base = classify(QuadLengths(d12, d23, d34, d14)).tag
-        except AmbiguousToleranceError:
+        except SphflexError as exc:
+            assert "refusing to guess" in str(exc)
             continue
         swapped_odd = classify(QuadLengths(d23, d12, d14, d34)).tag
         swapped_even = classify(QuadLengths(d14, d34, d23, d12)).tag
@@ -181,7 +183,7 @@ def test_rhomboid_component_antipode_toggles():
 def test_rhomboid_component_rejects_other_types():
     rng = np.random.default_rng(6)
     pts = [random_unit_point(rng) for _ in range(4)]
-    with pytest.raises(NoSymmetryFoundError):
+    with pytest.raises(SphflexError, match="^realization classifies as general, not rhomboid$"):
         rhomboid_component(pts)
 
 

@@ -15,10 +15,17 @@ code and no benchmark file refers to is a dead helper unless the README
 keeps it (or its class) as public API.  Likewise a defaulted parameter of
 a public function or method, or a defaulted field of a public dataclass,
 that no call in the package or the benchmark sets is a dead knob unless
-the README keeps that parameter in a row of its own.  Every row of the
-README's table must be one of these: a row that the guards pass without
-shields nothing and goes.  The package's ``__init__`` binds no name, so
-each public name has one import path: its module.
+the README keeps that parameter in a row of its own.  An exception class
+that no ``except`` clause there names, and that has no ``__init__`` field
+read there as an attribute, is a name on a message unless the README
+keeps it.  Every row of the README's table must be one of these: a row
+that the guards pass without shields nothing and goes.  The package's
+``__init__`` binds no name, so each public name has one import path: its
+module.
+
+The helper modules of ``tests/`` (those not named ``test_*``) are held to
+the same rule within the tests: each public function and class needs a
+reference somewhere in ``tests/`` outside its own definition.
 """
 
 import ast
@@ -40,6 +47,7 @@ BENCH = ROOT / "bench"
 TRACER = BENCH / "tracer.py"
 WORKLOADS = BENCH / "workloads.py"
 PACKAGE = ROOT / "src" / "sphflex"
+TESTS = ROOT / "tests"
 README = ROOT / "README.md"
 KEPT_HEADING = "## Public API without an internal caller"
 
@@ -273,6 +281,81 @@ def test_every_public_function_and_class_has_a_caller():
     assert dead_names(kept_api()) == []
 
 
+def uncaught_errors(kept):
+    """Exception classes of ``errors.py`` that no ``except`` clause in the
+    package or in bench/ names, and none of whose ``__init__`` fields is
+    read as an attribute (``exc.corank``) outside ``errors.py`` there,
+    leaving out the ``kept`` names.  Only attribute reads count, so a local
+    variable that shares a field's name is no reader."""
+    trees = [
+        ast.parse(path.read_text())
+        for path in [*sorted(PACKAGE.glob("*.py")), *sorted(BENCH.glob("*.py"))]
+        if path.name != "errors.py"
+    ]
+    caught, read = set(), set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught.update(getattr(t, "id", getattr(t, "attr", None)) for t in types)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+
+    def fields(cls):
+        return {
+            node.attr
+            for init in cls.body
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+            for node in ast.walk(init)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "id", None) == "self"
+        }
+
+    classes = [
+        node
+        for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    ]
+    assert classes
+    return [
+        f"errors.{cls.name}"
+        for cls in classes
+        if cls.name not in caught and not fields(cls) & read and f"errors.{cls.name}" not in kept
+    ]
+
+
+def test_every_exception_class_is_caught_or_read():
+    # a class a caller can neither catch by name nor read a field off is
+    # one message with a name; raise the base class with that message
+    assert uncaught_errors(kept_api()) == []
+
+
+def unused_test_helpers():
+    """Public functions and classes of the helper modules of tests/ (the
+    modules not named ``test_*``) that no code in tests/ outside their own
+    definition refers to."""
+    bodies = {
+        path.stem: [(node, referenced_names([node])) for node in ast.parse(path.read_text()).body]
+        for path in sorted(TESTS.glob("*.py"))
+    }
+    others = [(node, names) for body in bodies.values() for node, names in body]
+    unused = []
+    for stem, body in bodies.items():
+        if stem.startswith("test_"):
+            continue
+        for node, _ in body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if not any(node.name in names for other, names in others if other is not node):
+                unused.append(f"{stem}.{node.name}")
+    assert len(bodies) - sum(stem.startswith("test_") for stem in bodies) >= 8
+    return unused
+
+
+def test_every_test_helper_has_a_caller():
+    assert unused_test_helpers() == []
+
+
 def test_package_init_binds_no_name():
     # each public name is imported from its module, and importing one
     # module loads only what that module imports
@@ -391,7 +474,11 @@ def test_every_kept_row_is_needed():
     # gone; a row for a name that has a caller, or a parameter that a call
     # sets, keeps nothing
     kept, params = kept_api(), kept_parameters()
-    stale = [name for name in sorted(kept) if name not in dead_names(kept - {name})]
+    stale = [
+        name
+        for name in sorted(kept)
+        if name not in dead_names(kept - {name}) + uncaught_errors(kept - {name})
+    ]
     stale += [row for row in sorted(params) if row not in unset_parameters(params - {row})]
     assert kept and params
     assert stale == []

@@ -16,17 +16,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from sphflex import formats
-from sphflex.errors import (
-    DegenerateAxisError,
-    DegenerateRealizationError,
-    InsufficientSamplesError,
-    NegativeDiscriminantError,
-    NoRealSolutionError,
-    OutOfRangeError,
-    PoleError,
-    SphflexError,
-    ZeroDivisorError,
-)
+from sphflex.errors import SphflexError
 from sphflex.motions import (
     KIND_CDA,
     KIND_DIXON1,
@@ -60,11 +50,6 @@ def stack_points(rhos: Sequence[SphericalRealization], order: Sequence[int]) -> 
     """Points of every realization in ``order``, shape (len(rhos), len(order), 3)."""
     flat = np.concatenate([rho.placement[v] for rho in rhos for v in order])
     return flat.reshape(len(rhos), len(order), 3)
-
-
-def realization_from_array(order: Sequence[int], coords: Vec) -> SphericalRealization:
-    pts = np.asarray(coords, dtype=float).reshape(len(order), 3)
-    return SphericalRealization({v: pts[i] for i, v in enumerate(order)})
 
 
 def degenerate_pairs_of_all(
@@ -107,7 +92,7 @@ def solve_dixon2_point(params: Dixon2Params, p1: float) -> tuple[Vec, Vec]:
     p2^2 the smaller root, one p1 at a time with scalar bisection."""
     a2, b2, c2 = params.alpha**2, params.beta**2, params.gamma**2
     if not abs(p1) < 1.0 or p1 == 0.0:
-        raise NoRealSolutionError(f"p1={p1} outside (0,1)")
+        raise SphflexError(f"p1={p1} outside (0,1)")
     r2 = 1.0 - p1 * p1
     base = a2 / (p1 * p1) - 1.0
 
@@ -116,7 +101,7 @@ def solve_dixon2_point(params: Dixon2Params, p1: float) -> tuple[Vec, Vec]:
 
     u_star = abs(params.beta) * r2 / (abs(params.beta) + abs(params.gamma))
     if residual(u_star) > 0.0:
-        raise NoRealSolutionError(f"no real companion point for p1={p1} at these products")
+        raise SphflexError(f"no real companion point for p1={p1} at these products")
     lo, hi = 1e-300, u_star
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -127,7 +112,7 @@ def solve_dixon2_point(params: Dixon2Params, p1: float) -> tuple[Vec, Vec]:
     u = 0.5 * (lo + hi)
     p = np.array([p1, math.sqrt(u), math.sqrt(max(r2 - u, 0.0))])
     if np.any(p == 0.0):
-        raise DegenerateAxisError("solution touches a coordinate plane")
+        raise SphflexError("solution touches a coordinate plane")
     q = np.array([params.alpha, params.beta, params.gamma]) / p
     q /= np.linalg.norm(q)
     return p, q
@@ -162,12 +147,12 @@ def solve_dixon2_points_by_halvings(
     if bad.size:
         k = bad[0]
         if outside[k]:
-            raise NoRealSolutionError(f"p1={p1_list[k]} outside (0,1)")
+            raise SphflexError(f"p1={p1_list[k]} outside (0,1)")
         if no_root[k]:
-            raise NoRealSolutionError(
+            raise SphflexError(
                 f"no real companion point for p1={p1_list[k]} at these products"
             )
-        raise DegenerateAxisError("solution touches a coordinate plane")
+        raise SphflexError("solution touches a coordinate plane")
     q /= np.sqrt(row_dots(q, q))[:, None]
     return p, q
 
@@ -176,12 +161,12 @@ def cda_rows_at(t: float, y2_sign: int, z5_sign: int) -> Vec:
     """Points of vertices 1..6 of ``motions._cda_rows`` at one t, as a (6, 3)
     array, in scalar float arithmetic."""
     if not math.isfinite(t):
-        raise OutOfRangeError(f"t={t} is not finite")
+        raise SphflexError(f"t={t} is not finite")
     if t in (-1.0, 0.0, 1.0):
-        raise PoleError(f"t={t} is a pole of the parametrization")
+        raise SphflexError(f"t={t} is a pole of the parametrization")
     y2_rad = (t + 7.0) * (7.0 * t + 1.0)
     if y2_rad < 0.0:
-        raise NegativeDiscriminantError(f"y2 radicand {y2_rad:.3e} < 0 at t={t}")
+        raise SphflexError(f"y2 radicand {y2_rad:.3e} < 0 at t={t}")
     y2 = y2_sign * math.sqrt(y2_rad) / (5.0 * t + 5.0)
     try:
         z5_rad = (
@@ -194,14 +179,14 @@ def cda_rows_at(t: float, y2_sign: int, z5_sign: int) -> Vec:
     except OverflowError:  # float ** raises where * gives inf
         z5_rad = math.inf
     if not math.isfinite(z5_rad):  # also where y2_rad overflowed: y2 is then inf or NaN
-        raise OutOfRangeError(f"the radicands overflow at t={t}")
+        raise SphflexError(f"the radicands overflow at t={t}")
     if z5_rad < 0.0:
-        raise NegativeDiscriminantError(f"z5 radicand {z5_rad:.3e} < 0 at t={t}")
+        raise SphflexError(f"z5 radicand {z5_rad:.3e} < 0 at t={t}")
     z5 = (-5.0 * y2 * t**2 + 5.0 * y2 + z5_sign * math.sqrt(z5_rad)) / (
         8.0 * (t**2 + 1.0)
     )
     if z5 == 0.0:
-        raise ZeroDivisorError(f"z5 vanishes at t={t}")
+        raise SphflexError(f"z5 vanishes at t={t}")
     x3 = 2.0 * t / (t**2 + 1.0)
     z3 = (t**2 - 1.0) / (t**2 + 1.0)
     z2 = 0.6 * (t - 1.0) / (t + 1.0)
@@ -220,7 +205,7 @@ def cda_rows_at(t: float, y2_sign: int, z5_sign: int) -> Vec:
     )
     off = np.abs(row_dots(rows, rows) - 1.0).max()
     if not off <= ON_SPHERE_TOL:
-        raise OutOfRangeError(f"the closed form leaves the sphere by {off:.3e} at t={t}")
+        raise SphflexError(f"the closed form leaves the sphere by {off:.3e} at t={t}")
     return rows
 
 
@@ -344,10 +329,10 @@ def detect_by_samples(traj: MotionTrajectory, tol: float = 1e-8) -> str:
         if len(distinct) >= 3:
             break
     if len(distinct) < 3:
-        raise InsufficientSamplesError("need three essentially distinct samples")
+        raise SphflexError("need three essentially distinct samples")
     for s in traj.samples:
-        if not s.proper:
-            raise DegenerateRealizationError(
+        if s.coincident_pairs or s.antipodal_pairs:
+            raise SphflexError(
                 f"sample at {s.parameter} has coincident or antipodal vertices"
             )
     if all(is_dixon1_sample(rho, tol) for rho in rhos):
@@ -438,8 +423,8 @@ def trajectory_to_dict_by_samples(traj: MotionTrajectory) -> dict[str, Any]:
                     str(v): [float(c) for c in s.realization.point(v)]
                     for v in s.realization.vertices
                 },
-                "injective": s.injective,
-                "proper": s.proper,
+                "injective": not s.coincident_pairs,
+                "proper": not (s.coincident_pairs or s.antipodal_pairs),
             }
             for s in traj.samples
         ],
