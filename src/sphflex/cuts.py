@@ -604,14 +604,13 @@ def count_k33_subgraph_classes() -> int:
 class AdmissibleCase:
     """One surviving degree-table orbit with its (partially resolved) types.
 
-    ``type_table`` keeps 'r/l' wherever both letters occur among the fully
-    allowed resolutions; ``resolutions`` lists those resolutions, and
+    ``type_table`` keeps 'r/l' wherever both letters occur among the
+    ``allowed_resolutions`` of the degree table's type table, and
     ``orbit_size`` is the number of degree tables in the orbit.
     """
 
     degree_table: DegreeTable
     type_table: TypeTable
-    resolutions: tuple[TypeTable, ...]
     orbit_size: int
 
 
@@ -628,17 +627,15 @@ def admissible_cases() -> list[AdmissibleCase]:
     cases = []
     for rep in np.flatnonzero(canon == np.arange(len(canon))):
         dt = DegreeTable(tuple(map(tuple, (TABLE_BITS[rep] + 1).reshape(3, 3).tolist())))
-        res = tuple(allowed_resolutions(type_table(dt)))
+        res = allowed_resolutions(type_table(dt))
         if not res:
             continue
-        grid = []
-        for r in range(3):
-            row = []
-            for c in range(3):
-                letters = {cand.grid[r][c] for cand in res}
-                row.append("r/l" if letters == {"r", "l"} else letters.pop())
-            grid.append(tuple(row))
-        cases.append(AdmissibleCase(dt, TypeTable(tuple(grid)), res, int(sizes[rep])))
+        # each cell's letters over the resolutions, row by row
+        grid = tuple(
+            tuple("r/l" if set(cells) == {"r", "l"} else cells[0] for cells in zip(*rows))
+            for rows in zip(*(cand.grid for cand in res))
+        )
+        cases.append(AdmissibleCase(dt, TypeTable(grid), int(sizes[rep])))
     cases.sort(key=lambda c: sum(d == 2 for row in c.degree_table.grid for d in row))
     return cases
 
@@ -656,11 +653,11 @@ def count_admissible_tables_raw() -> int:
 
 @dataclass(frozen=True)
 class Equation:
-    """Sum of conjugation-merged unknowns equals a fixed right-hand side."""
+    """Sum of conjugation-merged unknowns equals a fixed right-hand side; its
+    place in ``build_pullback_system``'s list names its quadrilateral."""
 
     terms: tuple[NormalCut, ...]
     rhs: int
-    label: str
 
 
 def build_pullback_system(
@@ -673,9 +670,10 @@ def build_pullback_system(
 
     For each quadrilateral (indexed by the forgotten odd/even pair) and each
     requested divisor kind, the four extension cuts sum to the divisor's
-    multiplicity row value times the projection degree.  ``subcases`` must
-    name the table row for every quadrilateral whose type has several rows
-    (deltoids and rhomboids/lozenges); quadrilaterals typed 'g' need none.
+    multiplicity row value times the projection degree, in the order odd
+    vertex, even vertex, divisor.  ``subcases`` must name the table row
+    for every quadrilateral whose type has several rows (deltoids and
+    rhomboids/lozenges); quadrilaterals typed 'g' need none.
     """
     eqs = []
     for k in ODD_VERTICES:
@@ -690,7 +688,7 @@ def build_pullback_system(
                 terms = tuple(
                     sorted(nc.canonical() for nc in cut_extensions(k, l, kind))
                 )
-                eqs.append(Equation(terms, rhs, f"quad-without-{k}{l}-{kind}"))
+                eqs.append(Equation(terms, rhs))
     return eqs
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import re
+import sys
+from itertools import chain
 from typing import Any, Optional
 
 import numpy as np
@@ -43,9 +45,9 @@ def _label(entry: Any, text: bool = False) -> Optional[int]:
 
 
 def _is_number(entry: Any) -> bool:
-    """Whether a file entry is a number: ``true`` and ``false`` are not,
-    though bool is an int."""
-    return isinstance(entry, (int, float)) and not isinstance(entry, bool)
+    """Whether a file entry is a number that a float holds: not ``true`` or
+    ``false``, though bool is an int, nor an integer beyond the largest float."""
+    return isinstance(entry, float) or type(entry) is int and abs(entry) <= sys.float_info.max
 
 
 def _field(data: Any, key: str, kind: type, shape: str) -> Any:
@@ -309,17 +311,38 @@ def dump_trajectory(traj: MotionTrajectory) -> str:
     return f'{head[:-3]},\n  "samples": [\n{samples}\n  ]\n}}\n'
 
 
-def trajectory_from_dict(data: dict[str, Any]) -> MotionTrajectory:
+def trajectory_from_dict(data: Any) -> MotionTrajectory:
     """Trajectory from ``trajectory_to_dict`` data.
 
+    Every parameter and coordinate must be a number as the other readers
+    take one, and the first sample that breaks this is named with its key.
     All placements are parsed into one array and checked on the sphere in
     the order of the file, samples first and then keys, before they are
     put in the graph's vertex order.
     """
-    g = graph_from_dict(data["graph"])
-    lam = lengths_from_dict({"lengths": data["lengths"]})
-    samples = data["samples"]
-    placements = [s["placement"] for s in samples]
+    shape = '{"graph": {...}, "lengths": [...], "samples": [...], "kind": "..."}'
+    g = graph_from_dict(_field(data, "graph", dict, shape))
+    lam = lengths_from_dict(data)
+    samples, kind = _field(data, "samples", list, shape), _field(data, "kind", str, shape)
+    try:
+        params = [s["parameter"] for s in samples]
+        placements = [s["placement"] for s in samples]
+        points = [xyz for p in placements for xyz in p.values()]
+        # a file of floats passes on the types alone, at C speed; any other,
+        # or one these reads fail on, is walked for the first bad entry
+        plain = set(map(len, points)) <= {3} and set(map(type, chain(params, *points))) <= {float}
+    except (TypeError, KeyError, AttributeError):
+        plain = False
+    if not plain:
+        for k, s in enumerate(samples):
+            s = s if isinstance(s, dict) else {}
+            if not _is_number(s.get("parameter")):
+                raise SphflexError(f'sample {k}: no number under "parameter"')
+            if not isinstance(s.get("placement"), dict):
+                raise SphflexError(f'sample {k}: no dict under "placement"')
+            for key, xyz in s["placement"].items():
+                if not (isinstance(xyz, list) and len(xyz) == 3 and all(map(_is_number, xyz))):
+                    raise SphflexError(f'sample {k}: placement entry "{key}": {xyz!r} is not [x, y, z]')
     keys = [key for p in placements for key in p]
     # each distinct key is decided once, in the order of the file
     label = {key: _label(key, text=True) for key in dict.fromkeys(keys)}
@@ -327,8 +350,7 @@ def trajectory_from_dict(data: dict[str, Any]) -> MotionTrajectory:
         if v is None:
             raise SphflexError(f'placement key "{key}" is not an integer label')
     labels = list(map(label.__getitem__, keys))
-    pts = np.empty((len(labels), 3))
-    pts[:] = [c for p in placements for c in p.values()]
+    pts = np.fromiter(chain.from_iterable(points), float, 3 * len(points)).reshape(-1, 3)
     check_on_sphere(pts, labels)
     n = g.num_vertices
     if len(labels) != n * len(placements):
@@ -337,13 +359,8 @@ def trajectory_from_dict(data: dict[str, Any]) -> MotionTrajectory:
     perm = np.argsort(by_sample, axis=1)
     if not (np.take_along_axis(by_sample, perm, axis=1) == g.vertices).all():
         raise SphflexError("every sample must place the graph's vertices")
-    return MotionTrajectory(
-        g,
-        lam,
-        np.take_along_axis(pts.reshape(-1, n, 3), perm[..., None], axis=1),
-        [float(s["parameter"]) for s in samples],
-        data["kind"],
-    )
+    pts = np.take_along_axis(pts.reshape(-1, n, 3), perm[..., None], axis=1)
+    return MotionTrajectory(g, lam, pts, params, kind)
 
 
 def trajectory_to_csv(traj: MotionTrajectory) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -67,10 +67,7 @@ HALF_TURN_Z = np.diag([-1.0, -1.0, 1.0])
 
 @dataclass(frozen=True, eq=False)
 class TrajectorySample:
-    parameter: float
     realization: SphericalRealization
-    coincident_pairs: tuple[tuple[int, int], ...]
-    antipodal_pairs: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,9 +79,10 @@ class MotionTrajectory:
     values.  Construction validates the stack in one pass: every point lies
     on the unit sphere, every sample meets the length assignment within
     ``COMPAT_TOL`` and at least two samples are essentially distinct; a NaN
-    point or residual fails these checks.  ``samples`` and
-    ``realizations()`` are views of the stack, built on each access and not
-    kept: iterate over them once rather than index them in a loop.
+    point or residual fails these checks.  ``samples`` (each holds its
+    realization only) and ``realizations()`` are views of the stack, built
+    on each access and not kept: iterate over them once rather than index
+    them in a loop.  ``sample_flags()`` marks the injective and proper ones.
     """
 
     graph: Graph
@@ -127,19 +125,7 @@ class MotionTrajectory:
 
     @property
     def samples(self) -> tuple[TrajectorySample, ...]:
-        pairs = list(combinations(self.graph.vertices, 2))
-        coincident, antipodal = self._degenerate_masks
-        return tuple(
-            TrajectorySample(
-                t,
-                rho,
-                tuple(pairs[k] for k in np.flatnonzero(c)),
-                tuple(pairs[k] for k in np.flatnonzero(a)),
-            )
-            for t, rho, c, a in zip(
-                self.parameters.tolist(), self.realizations(), coincident, antipodal
-            )
-        )
+        return tuple(map(TrajectorySample, self.realizations()))
 
     def realizations(self) -> list[SphericalRealization]:
         return realizations_of_stack(self.graph.vertices, self.points)

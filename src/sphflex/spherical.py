@@ -199,44 +199,19 @@ def max_edge_residual(g: Graph, rho: SphericalRealization, lam: LengthAssignment
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Distinctness:
-    """Verdict of an essential-distinctness comparison.
-
-    Truthy iff the two realizations are NOT related by a rotation.  The
-    Gram distance is reported so near-threshold verdicts can be audited;
-    ``degenerate`` flags configurations that span at most a plane, where
-    the Gram comparison alone is exact (any orthogonal match can be
-    upgraded to a rotation).
-    """
-
-    distinct: bool
-    gram_dist: float
-    orientation_used: bool
-    degenerate: bool
-
-    def __bool__(self) -> bool:
-        return self.distinct
-
-
-def essentially_distinct(r1: SphericalRealization, r2: SphericalRealization) -> Distinctness:
-    """Decide whether two realizations differ by more than a rotation.
+def essentially_distinct(r1: SphericalRealization, r2: SphericalRealization) -> bool:
+    """Whether two realizations differ by more than a rotation.
 
     Equal Gram matrices mean the realizations are related by an orthogonal
     map; equal orientation upgrades it to a rotation.  Gram-equal but
     orientation-flipped pairs (mirror images) count as distinct.  The rule
-    is that of ``distinct_from``, applied to a stack of one.
+    is that of ``distinct_from``, applied to a stack of one, so different
+    vertex sets and an ambiguous orientation raise ``SphflexError``.
     """
-    order = r1.vertices
-    if order != r2.vertices:
+    if r1.vertices != r2.vertices:
         raise SphflexError("realizations have different vertex sets")
-    p1 = np.array([r1.point(v) for v in order])
-    p2 = np.array([r2.point(v) for v in order])
-    distinct, gram_dist, spans = distinct_from(p1, p2[None])
-    compared = not gram_dist[0] > COMPAT_TOL
-    return Distinctness(
-        bool(distinct[0]), float(gram_dist[0]), compared and spans, compared and not spans
-    )
+    p1, p2 = (r.as_array().reshape(-1, 3) for r in (r1, r2))
+    return bool(distinct_from(p1, p2[None])[0][0])
 
 
 @lru_cache(maxsize=None)
@@ -254,9 +229,10 @@ def distinct_from(ref: Vec, pts: Vec) -> tuple[Vec, Vec, bool]:
     distinct when its orientation is flipped.  Orientation is read on the
     triple of vertices with the largest |det| in the reference, and a Gram-equal
     sample whose determinant on that triple lies within ``ORIENT_DET_TOL``
-    of 0 raises ``SphflexError`` rather than guess a sign.
+    of 0 (bound included) raises ``SphflexError`` rather than guess a sign.
     Returns the verdicts, the Gram distances and whether the reference
-    spans space (if not, Gram equality alone means not distinct).
+    spans space, which it does unless no triple's |det| exceeds
+    ``ORIENT_DET_TOL`` (then Gram equality alone means not distinct).
     """
     gram_dist = np.abs(pts @ np.swapaxes(pts, 1, 2) - ref @ ref.T).max(axis=(1, 2))
     distinct = gram_dist > COMPAT_TOL

@@ -19,7 +19,7 @@ from sphflex.cuts import (
 from sphflex.formats import coloring_to_list, graph_to_dict
 from sphflex.graphs import Graph, build_graph
 from sphflex.motions import HALF_TURN_X, HALF_TURN_Y, HALF_TURN_Z
-from sphflex.spherical import ON_SPHERE_TOL, Rotation, SphericalRealization, Vec
+from sphflex.spherical import ON_SPHERE_TOL, Rotation, SphericalRealization, Vec, distinct_from
 from sphflex.errors import SphflexError
 
 from tables import orbit
@@ -93,6 +93,16 @@ def apply_rotation(r: Rotation, rho: SphericalRealization) -> SphericalRealizati
 def restrict_realization(rho: SphericalRealization, keep: Iterable[int]) -> SphericalRealization:
     kept = set(keep)
     return SphericalRealization({v: p for v, p in rho.placement.items() if v in kept})
+
+
+def distinctness(r1: SphericalRealization, r2: SphericalRealization) -> tuple[bool, float, bool]:
+    """``distinct_from`` of ``r2`` against ``r1``, both on one vertex set:
+    the verdict, the Gram distance and whether ``r1`` spans space."""
+    order = r1.vertices
+    distinct, gram_dist, spans = distinct_from(
+        np.stack([r1.point(v) for v in order]), np.stack([r2.point(v) for v in order])[None]
+    )
+    return bool(distinct[0]), float(gram_dist[0]), spans
 
 
 def gram_matrix(rho: SphericalRealization, order: Optional[Sequence[int]] = None) -> Vec:

@@ -109,8 +109,9 @@ def admissible_tables_by_scan() -> list[DegreeTable]:
 
 
 def admissible_cases_by_walk() -> list[AdmissibleCase]:
-    """The first table of each admissible orbit, with its resolutions, in
-    the standard display order."""
+    """The first table of each admissible orbit, with its type table
+    resolved where its allowed resolutions agree, in the standard display
+    order."""
     reps = []
     seen = set()
     for dt in all_degree_tables():
@@ -129,7 +130,7 @@ def admissible_cases_by_walk() -> list[AdmissibleCase]:
                 letters = {cand.grid[r][c] for cand in res}
                 row.append("r/l" if letters == {"r", "l"} else letters.pop())
             grid.append(tuple(row))
-        cases.append(AdmissibleCase(dt, TypeTable(tuple(grid)), res, len(orbit(dt.grid))))
+        cases.append(AdmissibleCase(dt, TypeTable(tuple(grid)), len(orbit(dt.grid))))
     cases.sort(key=lambda c: sum(d == 2 for row in c.degree_table.grid for d in row))
     return cases
 

@@ -152,10 +152,11 @@ def test_system_refuses_coords_of_another_size(size):
 
 
 def assert_samples_match_loops(traj: MotionTrajectory):
-    for s in traj.samples:
-        coincident, antipodal = degenerate_pairs(s.realization)
-        assert s.coincident_pairs == tuple(coincident)
-        assert s.antipodal_pairs == tuple(antipodal)
+    loops = [degenerate_pairs(s.realization) for s in traj.samples]
+    assert degenerate_pairs_of_all(traj.realizations()) == loops
+    injective, proper = traj.sample_flags()
+    assert injective.tolist() == [not coincident for coincident, _ in loops]
+    assert proper.tolist() == [not (coincident or antipodal) for coincident, antipodal in loops]
     assert traj.max_residual() == max(
         max_edge_residual(traj.graph, s.realization, traj.lengths) for s in traj.samples
     )
@@ -185,7 +186,7 @@ def test_polar_samples_match_per_sample_validation(g, data):
     north = [p for p, s in zip(poles, signs) if s > 0]
     south = [p for p, s in zip(poles, signs) if s < 0]
     if north and south:
-        assert all(s.antipodal_pairs for s in traj.samples)
+        assert all(degenerate_pairs(s.realization)[1] for s in traj.samples)
 
 
 def test_antipodal_poles_found_in_every_sample():
@@ -196,7 +197,7 @@ def test_antipodal_poles_found_in_every_sample():
     traj = polar_nap_motion(g, coloring, angles, pole_assignment={poles[0]: -1})
     assert_samples_match_loops(traj)
     for s in traj.samples:
-        assert {(poles[0], q) for q in poles[1:]} <= set(s.antipodal_pairs)
+        assert {(poles[0], q) for q in poles[1:]} <= set(degenerate_pairs(s.realization)[1])
 
 
 def test_polar_motion_matches_per_angle_rotations():
@@ -252,7 +253,7 @@ def test_validation_raises_on_first_offending_sample():
         Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7}),
         np.linspace(1.0, 1.2, 6),
     )
-    frames = [(s.parameter, s.realization) for s in gen.samples]
+    frames = list(zip(gen.parameters.tolist(), gen.realizations()))
     for k, angle in ((4, 1e-3), (2, 1e-4)):
         pts = dict(frames[k][1].placement)
         pts[3] = rotation_about_axis([0.0, 0.0, 1.0], angle).apply(pts[3])

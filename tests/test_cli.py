@@ -349,6 +349,8 @@ CDA_LENGTHS = formats.lengths_to_dict(
 CDA_SEED = realization_to_dict(
     cda_motion(cda_params_from_e(0.75), [8.0, 8.2]).samples[0].realization
 )
+# one more than the largest float, as a JSON integer
+BEYOND_FLOAT = int(sys.float_info.max) + 1
 
 # the K(3,3) coloring with the star at vertex 1 red, as certify writes it
 STAR = formats.coloring_to_list(EdgeColoring.from_red_edges(k33(), [(1, 2), (1, 4), (1, 6)]))
@@ -448,6 +450,25 @@ def test_cli_input_file_of_the_wrong_shape_names_the_expected_key(tmp_path, caps
             {"placement": {**CDA_SEED["placement"], "1": [True, 0, 0]}},
             'placement entry "1": [True, 0, 0] is not "v": [x, y, z]',
         ),
+        # nor is an integer beyond the largest float, which float() refuses
+        pytest.param(
+            "--lengths",
+            {"lengths": [[*CDA_LENGTHS[0][:2], 10**400], *CDA_LENGTHS[1:]]},
+            f"length entry [1, 2, {10**400}] is not [a, b, length]",
+            id="400-digit-length",
+        ),
+        pytest.param(
+            "--seed-realization",
+            {"placement": {**CDA_SEED["placement"], "1": [0, -(10**400), 0]}},
+            f'placement entry "1": [0, {-(10**400)}, 0] is not "v": [x, y, z]',
+            id="400-digit-coordinate",
+        ),
+        pytest.param(
+            "--seed-realization",
+            {"placement": {**CDA_SEED["placement"], "1": [BEYOND_FLOAT, 0, 0]}},
+            f'placement entry "1": [{BEYOND_FLOAT}, 0, 0] is not "v": [x, y, z]',
+            id="largest-float-plus-one",
+        ),
     ],
 )
 def test_cli_malformed_file_entry_is_named(tmp_path, capsys, flag, data, message):
@@ -461,6 +482,15 @@ def test_cli_malformed_file_entry_is_named(tmp_path, capsys, flag, data, message
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
     assert "Traceback" not in err and not LEAKED.search(err), err
+
+
+def test_largest_float_written_as_an_integer_is_a_number():
+    # it reads as the largest float, whose square is off the sphere; one
+    # more is no number at all
+    with pytest.raises(SphflexError, match="^vertex 1 placed off the sphere by inf$"):
+        formats.realization_from_dict({"placement": {"1": [BEYOND_FLOAT - 1, 0, 0]}})
+    with pytest.raises(SphflexError, match='^placement entry "1": '):
+        formats.realization_from_dict({"placement": {"1": [BEYOND_FLOAT, 0, 0]}})
 
 
 @pytest.mark.parametrize(

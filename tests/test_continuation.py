@@ -225,16 +225,16 @@ def test_empirical_degree_of_cda_fiber_pair():
     t_vals = list(np.linspace(7.5, 12.0, 60))
     traj = cda_motion(params, t_vals)
     mirrored = []
-    for s in traj.samples:
-        pts = {v: s.realization.point(v).copy() for v in range(1, 7)}
+    for t, rho in zip(traj.parameters.tolist(), traj.realizations()):
+        pts = {v: rho.point(v).copy() for v in range(1, 7)}
         pts[5] = -pts[5]
         pts[6] = -pts[6]
         mirrored.append(
-            (s.parameter + 100.0, SphericalRealization(pts))
+            (t + 100.0, SphericalRealization(pts))
         )
     from sphflex.motions import make_trajectory
 
-    frames = [(s.parameter, s.realization) for s in traj.samples] + mirrored
+    frames = list(zip(traj.parameters.tolist(), traj.realizations())) + mirrored
     combined = make_trajectory(traj.graph, traj.lengths, frames, "const_diag_angle")
     assert empirical_map_degree(combined, {5, 6}) == 2
 

@@ -361,6 +361,17 @@ def test_cut_extension_lists():
     }
 
 
+def by_quad(eqs, divisors=("om", "ou")):
+    """The equations of ``build_pullback_system`` keyed (odd vertex, even
+    vertex, divisor) in the order it documents, each checked to sum the
+    extensions of its quadrilateral's cut."""
+    keys = [(k, l, kind) for k in (1, 3, 5) for l in (2, 4, 6) for kind in divisors]
+    assert len(eqs) == len(keys)
+    for (k, l, kind), eq in zip(keys, eqs):
+        assert set(eq.terms) == {nc.canonical() for nc in cut_extensions(k, l, kind)}
+    return dict(zip(keys, eqs))
+
+
 def case1_system():
     return build_pullback_system(
         ALL_TWO, type_table(ALL_TWO), {}, divisors=("om",)
@@ -368,8 +379,7 @@ def case1_system():
 
 
 def test_case1_equation_for_standard_quad():
-    eqs = {e.label: e for e in case1_system()}
-    eq = eqs["quad-without-56-om"]
+    eq = by_quad(case1_system(), ("om",))[5, 6, "om"]
     assert eq.rhs == 2
     assert set(eq.terms) == {
         canon(1, "PQP"),
@@ -402,10 +412,10 @@ def case3_system(component):
 
 
 def test_case3_type1_rhs_values():
-    eqs = {e.label: e for e in case3_system(1)}
-    assert eqs["quad-without-56-ou"].rhs == 0
-    assert eqs["quad-without-56-om"].rhs == 2
-    assert eqs["quad-without-54-om"].rhs == 1  # general quadrilateral 1236
+    eqs = by_quad(case3_system(1))
+    assert eqs[5, 6, "ou"].rhs == 0
+    assert eqs[5, 6, "om"].rhs == 2
+    assert eqs[5, 4, "om"].rhs == 1  # general quadrilateral 1236
 
 
 def test_case3_type1_unique_solution():
@@ -438,9 +448,7 @@ def test_case3_type2_infeasible_with_general_quads():
     # all-apex-pattern solution, so the general quadrilaterals are what
     # refute it
     rhomboid_only = [
-        e
-        for e in case3_system(2)
-        if e.label.split("-")[2] in ("12", "34", "56")
+        e for (k, l, _), e in by_quad(case3_system(2)).items() if l == k + 1
     ]
     sols = mu_solutions(rhomboid_only, max_solutions=2)
     assert len(sols) >= 1
@@ -471,7 +479,7 @@ def paper_systems():
         "case1": case1_system(),
         "type1": case3_system(1),
         "type2": case2,
-        "rhomboid-only": [e for e in case2 if e.label.split("-")[2] in ("12", "34", "56")],
+        "rhomboid-only": [e for (k, l, _), e in by_quad(case2).items() if l == k + 1],
     }
 
 
@@ -503,7 +511,7 @@ def small_systems(draw):
             max_size=5,
         )
     )
-    return [Equation(tuple(terms), rhs, f"eq{i}") for i, (terms, rhs) in enumerate(rows)]
+    return [Equation(tuple(terms), rhs) for terms, rhs in rows]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -515,10 +523,10 @@ def test_mu_solutions_match_backtracking_on_random_systems(eqs, max_solutions):
 
 
 def test_termless_equation_with_nonzero_rhs_is_infeasible():
-    assert mu_solutions([Equation((), 5, "x")]) == []
-    assert mu_system_feasible([Equation((), 5, "x")]) is None
-    assert mu_solutions(case3_system(1) + [Equation((), -1, "x")]) == []
-    assert mu_system_feasible([Equation((), 0, "x")]) == {}
+    assert mu_solutions([Equation((), 5)]) == []
+    assert mu_system_feasible([Equation((), 5)]) is None
+    assert mu_solutions(case3_system(1) + [Equation((), -1)]) == []
+    assert mu_system_feasible([Equation((), 0)]) == {}
     assert mu_system_feasible([]) == {}
 
 
@@ -526,7 +534,7 @@ def test_mu_solutions_logs_nodes_and_solutions(caplog, capsys):
     with caplog.at_level(logging.DEBUG, logger="sphflex"):
         found = mu_solutions(case3_system(1), max_solutions=3)
         again = mu_solutions(case3_system(1), max_solutions=3)
-        none = mu_solutions([Equation((), 5, "x")])
+        none = mu_solutions([Equation((), 5)])
     records = [r for r in caplog.records if r.name.startswith("sphflex")]
     assert [r.solutions for r in records] == [len(found), len(again), len(none)] == [1, 1, 0]
     assert all(r.levelno == logging.DEBUG for r in records)

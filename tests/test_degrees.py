@@ -10,7 +10,14 @@ from sphflex.coloring import flexibility_certificate
 from sphflex.continuation import TraceConfig, _fiber_sizes, empirical_map_degree, trace
 from sphflex.errors import SphflexError
 from sphflex.graphs import k33
-from sphflex.motions import Dixon1Params, MotionTrajectory, dixon1_motion, polar_nap_motion
+from sphflex.motions import (
+    Dixon1Params,
+    MotionTrajectory,
+    cda_motion,
+    cda_params_from_e,
+    dixon1_motion,
+    polar_nap_motion,
+)
 from sphflex.spherical import random_rotation
 
 from degrees import random_dixon1_loops, window_scan_degree
@@ -59,6 +66,16 @@ def test_fiber_sizes_invariant_under_rotation(loops, k, forgotten, seed):
         traj.graph, traj.lengths, traj.points @ turn.T, traj.parameters, traj.kind
     )
     assert np.array_equal(_fiber_sizes(turned, forgotten), _fiber_sizes(traj, forgotten))
+
+
+def test_edge_to_a_kept_vertex_of_higher_label_picks_the_branch():
+    # neighbours 2 and 4 place vertex 1 at two points, and only the edge
+    # (1, 6), whose forgotten end is its smaller label, keeps one of them;
+    # Dixon 1 would not do here: its even vertices share a great circle,
+    # so both points meet vertex 6 and the fiber is 2 either way
+    traj = cda_motion(cda_params_from_e(0.75), np.linspace(7.5, 12.0, 60))
+    assert np.all(_fiber_sizes(traj, {1}) == 1)
+    assert empirical_map_degree(traj, {1}) == 1
 
 
 def test_forgotten_set_without_construction_order_raises():

@@ -25,7 +25,7 @@ from sphflex.motions import (
     polar_nap_motion,
 )
 from sphflex.quads import EVEN_DELTOID, GENERAL, QuadLengths, classify
-from sphflex.spherical import essentially_distinct
+from sphflex.spherical import degenerate_pairs, essentially_distinct
 
 from helpers import dixon2_involutions, gram_matrix
 from trajectories import cda_feasible_intervals_by_points
@@ -57,10 +57,10 @@ def test_polar_motion_flags_collisions():
     c = EdgeColoring.from_red_edges(g, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
     traj = polar_nap_motion(g, c, ANGLES)
     # both pole vertices default to the north pole and are non-adjacent
-    assert all((1, 4) in s.coincident_pairs for s in traj.samples)
-    assert not any(not s.coincident_pairs for s in traj.samples)
+    assert all((1, 4) in degenerate_pairs(s.realization)[0] for s in traj.samples)
+    assert not traj.sample_flags()[0].any()
     south = polar_nap_motion(g, c, ANGLES, pole_assignment={1: 1, 4: -1})
-    assert all((1, 4) in s.antipodal_pairs for s in south.samples)
+    assert all((1, 4) in degenerate_pairs(s.realization)[1] for s in south.samples)
 
 
 def test_polar_motion_rejects_non_nap():

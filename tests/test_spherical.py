@@ -7,13 +7,16 @@ from sphflex.errors import SphflexError
 from sphflex.graphs import k22, k33, triangle
 from sphflex.motions import Dixon1Params, dixon1_motion
 from sphflex.spherical import (
+    COMPAT_TOL,
     LengthAssignment,
     Rotation,
     SphericalRealization,
     check_rotations,
     delta,
     essentially_distinct,
+    _triples,
     max_edge_residual,
+    normalize,
     random_rotation,
     random_unit_point,
     rotation_about_axis,
@@ -21,7 +24,7 @@ from sphflex.spherical import (
     sph_dist,
 )
 
-from helpers import apply_rotation, gram_matrix, unit_point
+from helpers import apply_rotation, distinctness, gram_matrix, unit_point
 
 RNG = np.random.default_rng(42)
 
@@ -148,9 +151,9 @@ def test_essentially_distinct_rotation_false():
     rho = random_realization(g, RNG)
     for _ in range(10):
         rot = random_rotation(RNG)
-        verdict = essentially_distinct(rho, apply_rotation(rot, rho))
-        assert not verdict
-        assert verdict.gram_dist <= 1e-12
+        turned = apply_rotation(rot, rho)
+        assert not essentially_distinct(rho, turned)
+        assert distinctness(rho, turned)[1] <= 1e-12
 
 
 def test_essentially_distinct_mirror_true():
@@ -159,13 +162,16 @@ def test_essentially_distinct_mirror_true():
     mirrored = SphericalRealization(
         {v: np.array([p[0], p[1], -p[2]]) for v, p in rho.placement.items()}
     )
-    verdict = essentially_distinct(rho, mirrored)
-    assert verdict and verdict.orientation_used
+    assert essentially_distinct(rho, mirrored)
+    # Gram-equal, so the orientation of a spanning reference decided it
+    _, gram_dist, spans = distinctness(rho, mirrored)
+    assert gram_dist <= COMPAT_TOL and spans
 
 
 def test_essentially_distinct_degenerate_great_circle():
     # three points on a great circle: a reflected copy is still reachable by
-    # a rotation, so the verdict must be "not distinct" with the flag set
+    # a rotation, so the verdict must be "not distinct", from a Gram-equal
+    # pair whose reference spans only a plane
     g = triangle()
     angles = (0.3, 1.2, 2.5)
     rho = SphericalRealization(
@@ -174,9 +180,9 @@ def test_essentially_distinct_degenerate_great_circle():
     mirrored = SphericalRealization(
         {v: np.array([p[0], p[1], -p[2]]) for v, p in rho.placement.items()}
     )
-    verdict = essentially_distinct(rho, mirrored)
-    assert not verdict
-    assert verdict.degenerate
+    assert not essentially_distinct(rho, mirrored)
+    _, gram_dist, spans = distinctness(rho, mirrored)
+    assert gram_dist <= COMPAT_TOL and not spans
 
 
 def test_essentially_distinct_different_shapes():
@@ -184,6 +190,61 @@ def test_essentially_distinct_different_shapes():
     r1 = random_realization(g, RNG)
     r2 = random_realization(g, RNG)
     assert essentially_distinct(r1, r2)
+
+
+# each threshold of ``distinct_from`` set to the very value it is compared
+# with, so the documented side of each comparison is the one that holds
+
+
+def five_points(seed):
+    return SphericalRealization({v: random_unit_point(np.random.default_rng(seed + v)) for v in range(5)})
+
+
+def test_gram_distance_equal_to_the_tolerance_is_gram_equal(monkeypatch):
+    ref = five_points(0)
+    moved = dict(ref.placement)
+    moved[0] = normalize(moved[0] + [1e-3, 0.0, 0.0])
+    near = SphericalRealization(moved)
+    gram_dist = distinctness(ref, near)[1]
+    assert gram_dist > 0.0
+    # distinct is gram_dist > COMPAT_TOL; at equality the orientation
+    # test decides, and a small move keeps it
+    monkeypatch.setattr("sphflex.spherical.COMPAT_TOL", gram_dist)
+    assert not essentially_distinct(ref, near)
+    monkeypatch.setattr("sphflex.spherical.COMPAT_TOL", np.nextafter(gram_dist, 0.0))
+    assert essentially_distinct(ref, near)
+
+
+def test_largest_det_equal_to_the_tolerance_spans_no_space(monkeypatch):
+    ref = five_points(10)
+    pts = np.stack([ref.point(v) for v in ref.vertices])
+    largest = np.abs(np.linalg.det(pts[_triples(len(pts))])).max()
+    mirrored = SphericalRealization({v: p * [1.0, 1.0, -1.0] for v, p in ref.placement.items()})
+    # the reference spans space unless max |det| <= ORIENT_DET_TOL; if it
+    # does not, a mirror image is Gram-equal and so not distinct
+    monkeypatch.setattr("sphflex.spherical.ORIENT_DET_TOL", largest)
+    distinct, _, spans = distinctness(ref, mirrored)
+    assert not distinct and not spans
+    monkeypatch.setattr("sphflex.spherical.ORIENT_DET_TOL", np.nextafter(largest, 0.0))
+    distinct, _, spans = distinctness(ref, mirrored)
+    assert distinct and spans
+
+
+def test_orientation_equal_to_the_tolerance_is_refused(monkeypatch):
+    # a tolerance of 2 makes any pair Gram-equal, so the orientation decides
+    monkeypatch.setattr("sphflex.spherical.COMPAT_TOL", 2.0)
+    ref, other = five_points(20), five_points(30)
+    p1, p2 = (np.stack([r.point(v) for v in r.vertices]) for r in (ref, other))
+    dets = np.linalg.det(p1[_triples(len(p1))])
+    best = np.argmax(np.abs(dets))
+    det = np.linalg.det(p2[None][:, _triples(len(p1))[best]])[0]
+    assert abs(det) < abs(dets[best])
+    # refused at |det| <= ORIENT_DET_TOL, decided by the sign above it
+    monkeypatch.setattr("sphflex.spherical.ORIENT_DET_TOL", abs(det))
+    with pytest.raises(SphflexError, match="^Gram-equal realizations with an orientation within"):
+        essentially_distinct(ref, other)
+    monkeypatch.setattr("sphflex.spherical.ORIENT_DET_TOL", np.nextafter(abs(det), 0.0))
+    assert essentially_distinct(ref, other) == ((det > 0) != (dets[best] > 0))
 
 
 def test_realization_keeps_its_own_read_only_points():

@@ -19,7 +19,9 @@ the README keeps that parameter in a row of its own.  An exception class
 that no ``except`` clause there names, and that has no ``__init__`` field
 read there as an attribute, is a name on a message unless the README
 keeps it.  Every row of the README's table must be one of these: a row
-that the guards pass without shields nothing and goes.  The package's
+that the guards pass without shields nothing and goes.  A field of a
+public dataclass or ``NamedTuple`` that no code there reads is computed
+for no caller, and no row keeps it.  The package's
 ``__init__`` binds no name, so each public name has one import path: its
 module.
 
@@ -354,6 +356,53 @@ def unused_test_helpers():
 
 def test_every_test_helper_has_a_caller():
     assert unused_test_helpers() == []
+
+
+def unread_fields():
+    """Fields of the public dataclasses and ``NamedTuple`` classes of the
+    package that no code in the package or in bench/ reads: as an
+    attribute (``x.field`` in a load) or through ``getattr`` with the
+    field's name written as a string.  Names are matched, not owners, so
+    a read of another class's field of the same name counts."""
+    import sphflex
+
+    trees = [
+        ast.parse(path.read_text())
+        for path in [*sorted(PACKAGE.glob("*.py")), *sorted(BENCH.glob("*.py"))]
+    ]
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
+            name = node.args[1] if len(node.args) > 1 else None
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                read.add(name.value)
+    classes = {}
+    for info in pkgutil.iter_modules(sphflex.__path__, "sphflex."):
+        stem = info.name.split(".")[1]
+        for name, cls in vars(importlib.import_module(info.name)).items():
+            if not isinstance(cls, type) or cls.__module__ != info.name or name.startswith("_"):
+                continue
+            if dataclasses.is_dataclass(cls):
+                classes[f"{stem}.{name}"] = [f.name for f in dataclasses.fields(cls)]
+            elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
+                classes[f"{stem}.{name}"] = list(cls._fields)
+    # the classes are found at run time, so no decorator form escapes; a
+    # scan that saw none of these would pass on nothing
+    assert {"cuts.MuRow", "cuts.Equation", "motions.MotionTrajectory", "cli.FactCheck"} <= set(classes)
+    return [
+        f"{cls}.{field}"
+        for cls, fields in sorted(classes.items())
+        for field in fields
+        if field not in read
+    ]
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing but the tests reads is computed for no caller;
+    # the tests can reach the same value through the code that fills it
+    assert unread_fields() == []
 
 
 def test_package_init_binds_no_name():

@@ -75,7 +75,7 @@ from trajectories import (
     trajectory_to_csv_by_samples,
     trajectory_to_dict_by_samples,
 )
-from helpers import realization_to_dict, restrict_realization
+from helpers import distinctness, realization_to_dict, restrict_realization
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 DIXON1 = Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7})
@@ -364,15 +364,18 @@ def test_samples_are_views_of_the_read_only_stack():
     assert not traj.points.flags.writeable
     with pytest.raises(ValueError):
         traj.points[0, 0, 0] = 2.0
+    pairs = list(combinations(order, 2))
+    masks = degenerate_pair_masks(traj.points)
+    loops = []
     for k, s in enumerate(traj.samples):
-        assert s.parameter == traj.parameters[k]
         for i, v in enumerate(order):
             assert np.array_equal(s.realization.point(v), traj.points[k, i])
-        coincident, antipodal = degenerate_pairs(s.realization)
-        assert (s.coincident_pairs, s.antipodal_pairs) == (tuple(coincident), tuple(antipodal))
+        loops.append(degenerate_pairs(s.realization))
+        assert loops[-1] == tuple([pairs[p] for p in np.flatnonzero(mask[k])] for mask in masks)
+    assert len(loops) == len(traj.parameters)
     injective, proper = traj.sample_flags()
-    assert injective.tolist() == [not s.coincident_pairs for s in traj.samples]
-    assert proper.tolist() == [not (s.coincident_pairs or s.antipodal_pairs) for s in traj.samples]
+    assert injective.tolist() == [not coincident for coincident, _ in loops]
+    assert proper.tolist() == [not (coincident or antipodal) for coincident, antipodal in loops]
     assert not proper.any()
     injective, proper = EXAMPLES["polar-antipodal"].sample_flags()
     assert injective.all() and not proper.any()
@@ -453,9 +456,86 @@ def test_parse_names_a_placement_key_that_is_no_label(key):
         formats.trajectory_from_dict(data)
 
 
+def cda_data():
+    """The structured export of the constant-diagonal-angle example, parsed;
+    vertex 1 sits at [1.0, 0.0, 0.0] in every sample."""
+    return json.loads(formats.dump_trajectory(EXAMPLES["cda"]))
+
+
+DELETE = object()
+POINT = 'sample 2: placement entry "1": {} is not [x, y, z]'
+PARAMETER = 'sample 2: no number under "parameter"'
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        pytest.param(("placement", "1"), [True, 0, 0], POINT, id="true-coordinate"),
+        pytest.param(("placement", "1"), ["1", 0, 0], POINT, id="string-coordinate"),
+        pytest.param(("placement", "1"), [10**400, 0, 0], POINT, id="400-digit-coordinate"),
+        pytest.param(("placement", "1"), [1, 0], POINT, id="two-coordinates"),
+        pytest.param(("placement", "1"), {"x": 1}, POINT, id="dict-point"),
+        pytest.param(("placement",), [[1, 0, 0]], 'sample 2: no dict under "placement"', id="list-placement"),
+        pytest.param(("placement",), DELETE, 'sample 2: no dict under "placement"', id="no-placement"),
+        pytest.param(("parameter",), True, PARAMETER, id="true-parameter"),
+        pytest.param(("parameter",), "1.05", PARAMETER, id="string-parameter"),
+        pytest.param(("parameter",), None, PARAMETER, id="null-parameter"),
+        pytest.param(("parameter",), [1], PARAMETER, id="list-parameter"),
+        pytest.param(("parameter",), 10**400, PARAMETER, id="400-digit-parameter"),
+        pytest.param(("parameter",), DELETE, PARAMETER, id="no-parameter"),
+        pytest.param((), [8.0], PARAMETER, id="list-sample"),
+    ],
+)
+def test_parse_names_the_first_sample_entry_that_is_no_number(path, value, message):
+    # sample 6 breaks the same way, and sample 2 is named as the first
+    data = cda_data()
+    for k in (2, 6):
+        *where, last = ("samples", k, *path)
+        entry = data
+        for key in where:
+            entry = entry[key]
+        if value is DELETE:
+            del entry[last]
+        else:
+            entry[last] = copy.deepcopy(value)
+    with pytest.raises(SphflexError) as err:
+        formats.trajectory_from_dict(data)
+    assert str(err.value) == message.replace("{}", repr(value))
+
+
+TOP = 'expected {"graph": {...}, "lengths": [...], "samples": [...], "kind": "..."}: '
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("graph", TOP + 'no dict under "graph"'),
+        ("samples", TOP + 'no list under "samples"'),
+        ("kind", TOP + 'no str under "kind"'),
+        ("lengths", 'expected {"lengths": [[a, b, length], ...]}: no list under "lengths"'),
+    ],
+    ids=["graph", "samples", "kind", "lengths"],
+)
+def test_parse_names_a_missing_top_level_key(key, message):
+    data = cda_data()
+    del data[key]
+    with pytest.raises(SphflexError) as err:
+        formats.trajectory_from_dict(data)
+    assert str(err.value) == message
+
+
+def test_parse_reads_integer_entries_as_floats():
+    data = cda_data()
+    data["samples"][2]["placement"]["1"] = [1, 0, 0]
+    data["samples"][0]["parameter"] = 7
+    traj = formats.trajectory_from_dict(data)
+    assert np.array_equal(traj.points, EXAMPLES["cda"].points)
+    assert traj.parameters.tolist() == [7.0, *EXAMPLES["cda"].parameters.tolist()[1:]]
+
+
 def test_make_trajectory_rejects_other_vertex_sets():
     traj = EXAMPLES["dixon1"]
-    frames = [(s.parameter, s.realization) for s in traj.samples[:3]]
+    frames = list(zip(traj.parameters.tolist(), traj.realizations()))[:3]
     frames[1] = (frames[1][0], restrict_realization(frames[1][1], [1, 2, 3, 4, 5]))
     with pytest.raises(SphflexError, match="places vertices"):
         make_trajectory(traj.graph, traj.lengths, frames, traj.kind)
@@ -946,9 +1026,9 @@ def test_orientation_read_on_best_conditioned_triple():
     r2 = SphericalRealization({v: rot.apply(p) for v, p in tilted.items()})
     d_first = [np.linalg.det(np.stack([r.point(v) for v in (1, 2, 3)])) for r in (r1, r2)]
     assert d_first[0] > ORIENT_DET_TOL and d_first[1] < -ORIENT_DET_TOL
-    verdict = essentially_distinct(r1, r2)
-    assert verdict.gram_dist <= 1e-9
-    assert not verdict and verdict.orientation_used
+    assert not essentially_distinct(r1, r2)
+    _, gram_dist, spans = distinctness(r1, r2)
+    assert gram_dist <= 1e-9 and spans
 
 
 def test_orientation_too_close_to_zero_raises(monkeypatch):

@@ -36,6 +36,7 @@ from sphflex.spherical import (
     SphericalRealization,
     Vec,
     degenerate_pair_masks,
+    degenerate_pairs,
     essentially_distinct,
     max_edge_residual,
     row_dots,
@@ -330,11 +331,9 @@ def detect_by_samples(traj: MotionTrajectory, tol: float = 1e-8) -> str:
             break
     if len(distinct) < 3:
         raise SphflexError("need three essentially distinct samples")
-    for s in traj.samples:
-        if s.coincident_pairs or s.antipodal_pairs:
-            raise SphflexError(
-                f"sample at {s.parameter} has coincident or antipodal vertices"
-            )
+    for t, rho in zip(traj.parameters.tolist(), rhos):
+        if any(degenerate_pairs(rho)):
+            raise SphflexError(f"sample at {t} has coincident or antipodal vertices")
     if all(is_dixon1_sample(rho, tol) for rho in rhos):
         return KIND_DIXON1
     if all(is_dixon2_sample(rho, tol) for rho in rhos):
@@ -357,8 +356,8 @@ def trajectory_to_csv_by_samples(traj: MotionTrajectory) -> str:
         header += [f"x{v}", f"y{v}", f"z{v}"]
     header.append("residual")
     rows = [",".join(header)]
-    for s in traj.samples:
-        cells = [repr(s.parameter)]
+    for t, s in zip(traj.parameters.tolist(), traj.samples):
+        cells = [repr(t)]
         for v in order:
             cells += [repr(float(c)) for c in s.realization.point(v)]
         cells.append(repr(max_edge_residual(traj.graph, s.realization, traj.lengths)))
@@ -412,22 +411,22 @@ def trajectory_from_dict_by_samples(data: dict[str, Any]) -> MotionTrajectory:
 
 def trajectory_to_dict_by_samples(traj: MotionTrajectory) -> dict[str, Any]:
     """``trajectory_to_dict`` one sample, and one point, at a time."""
+    samples = []
+    for t, rho in zip(traj.parameters.tolist(), traj.realizations()):
+        coincident, antipodal = degenerate_pairs(rho)
+        samples.append(
+            {
+                "parameter": t,
+                "placement": {str(v): [float(c) for c in rho.point(v)] for v in rho.vertices},
+                "injective": not coincident,
+                "proper": not (coincident or antipodal),
+            }
+        )
     return {
         "kind": traj.kind,
         "graph": formats.graph_to_dict(traj.graph),
         "lengths": formats.lengths_to_dict(traj.lengths)["lengths"],
-        "samples": [
-            {
-                "parameter": s.parameter,
-                "placement": {
-                    str(v): [float(c) for c in s.realization.point(v)]
-                    for v in s.realization.vertices
-                },
-                "injective": not s.coincident_pairs,
-                "proper": not (s.coincident_pairs or s.antipodal_pairs),
-            }
-            for s in traj.samples
-        ],
+        "samples": samples,
     }
 
 
