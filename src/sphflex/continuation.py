@@ -14,10 +14,12 @@ Newton iterate gathers the point rows it needs with a single ``take``, which
 feeds both the residual and the Jacobian (``put`` scatters its blocks).  The
 arithmetic goes into preallocated buffers, and solves and Cholesky
 factorizations call LAPACK through the gufuncs behind ``np.linalg.solve``
-and ``np.linalg.cholesky``.  The step is written for few numpy calls, not
-fewer floating-point operations: the slow forms of the corrector and the
-certificate are kept as an oracle in ``tests/stepping.py``, and the tests
-require a trace through them to equal one through this module bit for bit.
+and ``np.linalg.cholesky``, inside the one ``np.errstate`` that ``trace``
+enters around all its Newton work.  The step is written for few numpy
+calls, not fewer floating-point operations: the slow forms of the
+corrector and the certificate are kept as an oracle in
+``tests/stepping.py``, and the tests require a trace through them to equal
+one through this module bit for bit.
 
 Along the curve the Jacobian is bordered by a pseudo-arclength row, which
 gives it full column rank at a regular point; those systems, the corrector
@@ -44,12 +46,12 @@ from typing import Iterable, Optional
 import numpy as np
 
 # np.linalg.solve and np.linalg.cholesky check and convert their arguments
-# and set an error state around these gufuncs, which at the sizes a trace
+# and enter an error state around these gufuncs, which at the sizes a trace
 # solves costs as much again as the LAPACK work; _solve and _cholesky call
-# them directly.  The module is private to numpy: its name and the NaN its
-# gufuncs return on failure were checked on numpy 2.4, the oldest version
-# the package allows, and test_lapack_kernels_equal_numpy_linalg holds them
-# to np.linalg's results
+# them bare, inside the error state of trace.  The module is private to
+# numpy: its name and the NaN its gufuncs return on failure were checked
+# on numpy 2.4, the oldest version the package allows, and
+# test_lapack_kernels_equal_numpy_linalg holds them to np.linalg's results
 from numpy.linalg import _umath_linalg
 
 from .errors import RankDeficientError, SphflexError
@@ -159,7 +161,8 @@ class ConstraintSystem:
     vertex paired with itself, s = -1, o = 0, t = 1, i.e. ``p . p - 1``);
     one row per edge (s = 1/2, o = 1, t the edge length); then the three
     gauge rows, and the pseudo-arclength row ``(x - base) . tangent - h``
-    when a call passes ``arc = (base, tangent, h)``.
+    when ``residual`` is passed ``arc = (base, tangent, h)`` (its Jacobian
+    row, ``tangent``, when ``jacobian`` is passed ``tangent``).
 
     Index arrays and lengths are built once.  ``residual`` and ``jacobian``
     gather the point rows of their ``coords`` with one ``take``, and each
@@ -241,11 +244,9 @@ class ConstraintSystem:
         self._res[k] = float((coords - base) @ tangent) - h
         return self._res
 
-    def jacobian(
-        self, coords: Vec, arc: Optional[tuple[Vec, Vec, float]] = None
-    ) -> Vec:
+    def jacobian(self, coords: Vec, tangent: Optional[Vec] = None) -> Vec:
         self._gather(coords)
-        return self._gathered_jacobian(None if arc is None else arc[1])
+        return self._gathered_jacobian(tangent)
 
     def _gathered_jacobian(self, tangent: Optional[Vec] = None) -> Vec:
         """The Jacobian at the point of the last gather, bordered by the
@@ -258,16 +259,12 @@ class ConstraintSystem:
         return self._jac
 
     def correct(
-        self,
-        coords: Vec,
-        tol: float,
-        max_iters: int,
-        arc: Optional[tuple[Vec, Vec, float]] = None,
+        self, coords: Vec, tol: float, arc: Optional[tuple[Vec, Vec, float]] = None
     ) -> Optional[Vec]:
         """``newton_correct`` on this system."""
         x = coords.copy()
         tangent = None if arc is None else arc[1]
-        for _ in range(max_iters):
+        for _ in range(MAX_NEWTON_ITERS):
             r = self.residual(x, arc)
             if np.abs(r).max() <= tol:
                 return x
@@ -294,11 +291,11 @@ def jacobian(g: Graph, lam: LengthAssignment, coords: Vec) -> Vec:
     return ConstraintSystem(g, lam).jacobian(coords)
 
 
-def _corank(svals: Vec, width: int, rel_tol: float) -> int:
-    """Singular values below ``max(s_max, 1) * rel_tol``, counting the ones a
-    matrix with fewer rows than ``width`` columns lacks as zero."""
+def _corank(svals: Vec, width: int) -> int:
+    """Singular values below ``max(s_max, 1) * CORANK_REL_TOL``, counting the
+    ones a matrix with fewer rows than ``width`` columns lacks as zero."""
     svals = np.concatenate([svals, np.zeros(width - len(svals))])
-    cutoff = max(svals[0], 1.0) * rel_tol
+    cutoff = max(svals[0], 1.0) * CORANK_REL_TOL
     return int(np.sum(svals < cutoff))
 
 
@@ -306,23 +303,23 @@ def corank_and_tangent(jac: Vec) -> tuple[int, Vec]:
     """Numeric corank and the unit kernel direction of smallest stretch."""
     # full V: with fewer rows than columns a thin SVD's last row is no kernel vector
     _, svals, vt = np.linalg.svd(jac)
-    return _corank(svals, jac.shape[1], CORANK_REL_TOL), vt[-1]
+    return _corank(svals, jac.shape[1]), vt[-1]
 
 
 def _solve(a: Vec, b: Vec) -> Vec:
     """``np.linalg.solve(a, b)`` for a vector ``b``, to the bit, but NaN
-    where that raises ``LinAlgError`` (``a`` singular)."""
-    with np.errstate(all="ignore"):
-        return _umath_linalg.solve1(a, b, signature="dd->d")
+    where that raises ``LinAlgError`` (``a`` singular), with a warning
+    outside ``np.errstate``."""
+    return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
 def _cholesky(a: Vec) -> Vec:
     """``np.linalg.cholesky(a)``, to the bit, but all NaN where that raises
     ``LinAlgError`` (``a`` not positive definite).  A factor has its upper
     triangle zeroed, so its top right entry tells the two apart even where
-    a NaN in ``a`` passes into the factor."""
-    with np.errstate(all="ignore"):
-        return _umath_linalg.cholesky_lo(a, signature="d->d")
+    a NaN in ``a`` passes into the factor.  A failure warns outside
+    ``np.errstate``."""
+    return _umath_linalg.cholesky_lo(a, signature="d->d")
 
 
 def _all_finite(v: Vec) -> bool:
@@ -388,7 +385,8 @@ def bordered_corank_and_tangent(bordered: Vec) -> tuple[int, Vec]:
 
     Otherwise the singular values of ``J`` decide, so the answer is the
     rule's either way; the margins of ten and two absorb rounding in
-    ``N``, the factorization and the SVD.
+    ``N``, the factorization and the SVD.  A singular ``N`` may warn
+    unless the caller enters ``np.errstate``, as ``trace`` does.
     """
     jac, t_prev = bordered[:-1], bordered[-1]
     normal = bordered.T @ bordered
@@ -407,14 +405,13 @@ def bordered_corank_and_tangent(bordered: Vec) -> tuple[int, Vec]:
         if not math.isnan(_cholesky(normal)[0, -1]):
             return 1, t
     svals = np.linalg.svd(jac, compute_uv=False)
-    return _corank(svals, jac.shape[1], CORANK_REL_TOL), t
+    return _corank(svals, jac.shape[1]), t
 
 
 def newton_correct(
     system: ConstraintSystem,
     coords: Vec,
     tol: float,
-    max_iters: int,
     arc_constraint: Optional[tuple[Vec, Vec, float]] = None,
 ) -> Optional[Vec]:
     """Gauss-Newton projection onto the constraint set.
@@ -425,9 +422,11 @@ def newton_correct(
     of sliding back.  That row gives the Jacobian full column rank at a
     regular curve point, so the step solves the normal equations; without
     it the Jacobian is rank-deficient by construction and the step is
-    ``lstsq``'s minimum-norm one.  ``system.correct`` takes the steps.
+    ``lstsq``'s minimum-norm one.  ``system.correct`` takes at most
+    ``MAX_NEWTON_ITERS`` steps.  A singular input may warn unless the
+    caller enters ``np.errstate``, as ``trace`` does.
     """
-    return system.correct(coords, tol, max_iters, arc_constraint)
+    return system.correct(coords, tol, arc_constraint)
 
 
 @dataclass(frozen=True)
@@ -457,17 +456,9 @@ def _advance(
     reason ``"singular_point"`` or ``"step_failure"``.
     """
     while h >= MIN_STEP:
-        cand = newton_correct(
-            system,
-            x + h * t_prev,
-            cfg.newton_tol,
-            MAX_NEWTON_ITERS,
-            arc_constraint=(x, t_prev, h),
-        )
+        cand = newton_correct(system, x + h * t_prev, cfg.newton_tol, (x, t_prev, h))
         if cand is not None:
-            corank, t_new = bordered_corank_and_tangent(
-                system.jacobian(cand, (cand, t_prev, 0.0))
-            )
+            corank, t_new = bordered_corank_and_tangent(system.jacobian(cand, t_prev))
             if corank >= 2:
                 return "singular_point"
             if float(t_new @ t_prev) > 0.2:
@@ -514,48 +505,44 @@ def trace(
     system = ConstraintSystem(g, lam)
 
     x0 = re_gauge(seed, g).as_array(g.vertices)
-    x0 = newton_correct(system, x0, cfg.newton_tol, MAX_NEWTON_ITERS)
-    if x0 is None:
-        raise SphflexError("seed does not satisfy the constraints")
-    corank, tangent = corank_and_tangent(system.jacobian(x0))
-    if corank != 1:
-        why = "framework is rigid" if corank == 0 else "not a curve point"
-        raise RankDeficientError(corank, f"corank {corank} at seed: {why}")
-    if tangent[np.argmax(np.abs(tangent))] < 0:
-        tangent = -tangent
+    # the step tests every value it uses, so a warning would tell nothing
+    with np.errstate(all="ignore"):
+        x0 = newton_correct(system, x0, cfg.newton_tol)
+        if x0 is None:
+            raise SphflexError("seed does not satisfy the constraints")
+        corank, tangent = corank_and_tangent(system.jacobian(x0))
+        if corank != 1:
+            why = "framework is rigid" if corank == 0 else "not a curve point"
+            raise RankDeficientError(corank, f"corank {corank} at seed: {why}")
+        if tangent[np.argmax(np.abs(tangent))] < 0:
+            tangent = -tangent
 
-    xs, arclengths = [x0], [0.0]
-    x, t_prev, h = x0, tangent, cfg.step_size
-    went_far = False
-    stop_reason = "max_steps"  # the reason when the loop runs out of steps
-    while len(xs) <= cfg.max_steps:
-        step = _advance(system, x, t_prev, h, cfg)
-        if isinstance(step, str):
-            stop_reason = step
-            break
-        x, t_prev, h = step
-        xs.append(x)
-        arclengths.append(arclengths[-1] + h)
-        dist_to_seed = _norm(x - x0)
-        # measured in accepted steps: a loop that never gets 3 * step_size
-        # from the seed must still be able to close
-        went_far = went_far or dist_to_seed > 3.0 * h
-        h = min(h * 1.3, cfg.step_size)
-
-        if went_far and dist_to_seed <= 1.5 * h and float(t_prev @ tangent) > 0.5:
-            # candidate return: project onto the curve slice through the
-            # seed orthogonal to the seed tangent; a genuine loop lands on
-            # the seed itself, a near-miss pass does not
-            back = newton_correct(
-                system,
-                x,
-                cfg.newton_tol,
-                MAX_NEWTON_ITERS,
-                arc_constraint=(x0, tangent, 0.0),
-            )
-            if back is not None and float(np.abs(back - x0).max()) <= 1e3 * cfg.newton_tol:
-                stop_reason = "loop_closed"
+        xs, arclengths = [x0], [0.0]
+        x, t_prev, h = x0, tangent, cfg.step_size
+        went_far = False
+        stop_reason = "max_steps"  # the reason when the loop runs out of steps
+        while len(xs) <= cfg.max_steps:
+            step = _advance(system, x, t_prev, h, cfg)
+            if isinstance(step, str):
+                stop_reason = step
                 break
+            x, t_prev, h = step
+            xs.append(x)
+            arclengths.append(arclengths[-1] + h)
+            dist_to_seed = _norm(x - x0)
+            # measured in accepted steps: a loop that never gets 3 * step_size
+            # from the seed must still be able to close
+            went_far = went_far or dist_to_seed > 3.0 * h
+            h = min(h * 1.3, cfg.step_size)
+
+            if went_far and dist_to_seed <= 1.5 * h and float(t_prev @ tangent) > 0.5:
+                # candidate return: project onto the curve slice through the
+                # seed orthogonal to the seed tangent; a genuine loop lands on
+                # the seed itself, a near-miss pass does not
+                back = newton_correct(system, x, cfg.newton_tol, (x0, tangent, 0.0))
+                if back is not None and float(np.abs(back - x0).max()) <= 1e3 * cfg.newton_tol:
+                    stop_reason = "loop_closed"
+                    break
 
     if len(xs) < 2:
         raise SphflexError("no step succeeded from the seed")

@@ -116,7 +116,7 @@ class MotionTrajectory:
             raise SphflexError(
                 f"sample at parameter {float(params[k])} has edge residual {worst[k]:.3e}"
             )
-        if not distinct_from(pts[0], pts[1:])[0].any():
+        if not distinct_from(pts[0], pts[1:]).any():
             raise SphflexError("no two samples are essentially distinct")
 
     @cached_property
@@ -657,12 +657,12 @@ def _cda_pattern(lengths: LengthAssignment, tol: float) -> bool:
 def _three_distinct(pts: Vec) -> bool:
     """Whether a greedy scan in sample order picks three pairwise
     essentially distinct samples."""
-    from_first = distinct_from(pts[0], pts)[0]
+    from_first = distinct_from(pts[0], pts)
     later = np.flatnonzero(from_first)
     if not later.size:
         return False
     j = later[0]
-    return bool((from_first[j + 1 :] & distinct_from(pts[j], pts[j + 1 :])[0]).any())
+    return bool((from_first[j + 1 :] & distinct_from(pts[j], pts[j + 1 :])).any())
 
 
 def detect_k33_motion_kind(traj: MotionTrajectory) -> str:

@@ -40,6 +40,7 @@ LOZENGE = "lozenge"
 # the slack of the two rhomboid lemmas, which no command sets
 RHOMBOID_TOL = 1e-9
 DIAGONAL_TOL = 1e-8
+PARALLEL_TOL = 1e-7
 
 _TAG_LETTER = {
     GENERAL: "g",
@@ -213,12 +214,12 @@ def _reflection_swaps(n: Vec, a: Vec, b: Vec, tol: float) -> bool:
     return bool(np.abs(image - b).max() <= tol)
 
 
-def _parallel_unit(a: Vec, b: Vec, tol: float) -> Optional[Vec]:
+def _parallel_unit(a: Vec, b: Vec) -> Optional[Vec]:
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < tol or nb < tol:
+    if na < PARALLEL_TOL or nb < PARALLEL_TOL:
         return None
     ua, ub = a / na, b / nb
-    if np.abs(np.cross(ua, ub)).max() <= tol:
+    if np.abs(np.cross(ua, ub)).max() <= PARALLEL_TOL:
         return ua
     return None
 
@@ -254,13 +255,13 @@ def rhomboid_component(points: Sequence[Vec]) -> int:
 
     r1, r2, r3, r4 = pts
     component = None
-    axis = _parallel_unit(r1 + r3, r2 + r4, 1e-7)
+    axis = _parallel_unit(r1 + r3, r2 + r4)
     if axis is not None and _pi_rotation_swaps(axis, r1, r3, tol) and _pi_rotation_swaps(
         axis, r2, r4, tol
     ):
         component = 1
     if component is None:
-        normal = _parallel_unit(r1 - r3, r2 - r4, 1e-7)
+        normal = _parallel_unit(r1 - r3, r2 - r4)
         if normal is not None and _reflection_swaps(normal, r1, r3, tol) and _reflection_swaps(
             normal, r2, r4, tol
         ):

@@ -211,7 +211,7 @@ def essentially_distinct(r1: SphericalRealization, r2: SphericalRealization) -> 
     if r1.vertices != r2.vertices:
         raise SphflexError("realizations have different vertex sets")
     p1, p2 = (r.as_array().reshape(-1, 3) for r in (r1, r2))
-    return bool(distinct_from(p1, p2[None])[0][0])
+    return bool(distinct_from(p1, p2[None])[0])
 
 
 @lru_cache(maxsize=None)
@@ -220,7 +220,7 @@ def _triples(n: int) -> Vec:
     return np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
 
 
-def distinct_from(ref: Vec, pts: Vec) -> tuple[Vec, Vec, bool]:
+def distinct_from(ref: Vec, pts: Vec) -> Vec:
     """Essential distinctness of one realization from each of a stack.
 
     ``ref`` has shape (|V|, 3) and ``pts`` (S, |V|, 3), rows in one vertex
@@ -230,9 +230,9 @@ def distinct_from(ref: Vec, pts: Vec) -> tuple[Vec, Vec, bool]:
     triple of vertices with the largest |det| in the reference, and a Gram-equal
     sample whose determinant on that triple lies within ``ORIENT_DET_TOL``
     of 0 (bound included) raises ``SphflexError`` rather than guess a sign.
-    Returns the verdicts, the Gram distances and whether the reference
-    spans space, which it does unless no triple's |det| exceeds
-    ``ORIENT_DET_TOL`` (then Gram equality alone means not distinct).
+    A reference on which no triple's |det| exceeds ``ORIENT_DET_TOL`` does
+    not span space, and then Gram equality alone means not distinct.
+    Returns the verdicts.
     """
     gram_dist = np.abs(pts @ np.swapaxes(pts, 1, 2) - ref @ ref.T).max(axis=(1, 2))
     distinct = gram_dist > COMPAT_TOL
@@ -241,7 +241,7 @@ def distinct_from(ref: Vec, pts: Vec) -> tuple[Vec, Vec, bool]:
     if not dets.size or np.abs(dets).max() <= ORIENT_DET_TOL:
         # rank <= 2: a reflection fixing the common plane turns any
         # orthogonal match into a rotation
-        return distinct, gram_dist, False
+        return distinct
     best = int(np.argmax(np.abs(dets)))
     close = np.flatnonzero(~distinct)
     if close.size:
@@ -252,7 +252,7 @@ def distinct_from(ref: Vec, pts: Vec) -> tuple[Vec, Vec, bool]:
                 f"{ORIENT_DET_TOL:g} of zero on the best-conditioned triple"
             )
         distinct[close] = (other > 0) != (dets[best] > 0)
-    return distinct, gram_dist, True
+    return distinct
 
 
 def degenerate_pairs(

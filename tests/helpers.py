@@ -19,7 +19,15 @@ from sphflex.cuts import (
 from sphflex.formats import coloring_to_list, graph_to_dict
 from sphflex.graphs import Graph, build_graph
 from sphflex.motions import HALF_TURN_X, HALF_TURN_Y, HALF_TURN_Z
-from sphflex.spherical import ON_SPHERE_TOL, Rotation, SphericalRealization, Vec, distinct_from
+from sphflex import spherical
+from sphflex.spherical import (
+    ON_SPHERE_TOL,
+    Rotation,
+    SphericalRealization,
+    Vec,
+    _triples,
+    distinct_from,
+)
 from sphflex.errors import SphflexError
 
 from tables import orbit
@@ -97,12 +105,17 @@ def restrict_realization(rho: SphericalRealization, keep: Iterable[int]) -> Sphe
 
 def distinctness(r1: SphericalRealization, r2: SphericalRealization) -> tuple[bool, float, bool]:
     """``distinct_from`` of ``r2`` against ``r1``, both on one vertex set:
-    the verdict, the Gram distance and whether ``r1`` spans space."""
+    the verdict, and the two quantities it compares with its thresholds,
+    computed as it computes them: the Gram distance, and whether ``r1``
+    spans space (some triple's |det| above ``ORIENT_DET_TOL``, read at the
+    call so a patched value counts)."""
     order = r1.vertices
-    distinct, gram_dist, spans = distinct_from(
-        np.stack([r1.point(v) for v in order]), np.stack([r2.point(v) for v in order])[None]
-    )
-    return bool(distinct[0]), float(gram_dist[0]), spans
+    ref = np.stack([r1.point(v) for v in order])
+    pts = np.stack([r2.point(v) for v in order])[None]
+    gram_dist = np.abs(pts @ np.swapaxes(pts, 1, 2) - ref @ ref.T).max(axis=(1, 2))
+    dets = np.linalg.det(ref[_triples(len(ref))])
+    spans = bool(dets.size) and bool(np.abs(dets).max() > spherical.ORIENT_DET_TOL)
+    return bool(distinct_from(ref, pts)[0]), float(gram_dist[0]), spans
 
 
 def gram_matrix(rho: SphericalRealization, order: Optional[Sequence[int]] = None) -> Vec:

@@ -19,7 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from sphflex.continuation import CORANK_REL_TOL, ConstraintSystem, Vec, _corank
+from sphflex.continuation import (
+    CORANK_REL_TOL,
+    MAX_NEWTON_ITERS,
+    ConstraintSystem,
+    Vec,
+    _corank,
+)
 
 
 def _normal_solve(a: Vec, b: Vec, normal: Vec, rhs: Vec) -> Vec:
@@ -53,22 +59,22 @@ def bordered_corank_and_tangent(bordered: Vec) -> tuple[int, Vec]:
         else:
             return 1, t
     svals = np.linalg.svd(jac, compute_uv=False)
-    return _corank(svals, jac.shape[1], CORANK_REL_TOL), t
+    return _corank(svals, jac.shape[1]), t
 
 
 def newton_correct(
     system: ConstraintSystem,
     coords: Vec,
     tol: float,
-    max_iters: int,
     arc_constraint: Optional[tuple[Vec, Vec, float]] = None,
 ) -> Optional[Vec]:
     x = coords.copy()
-    for _ in range(max_iters):
+    tangent = None if arc_constraint is None else arc_constraint[1]
+    for _ in range(MAX_NEWTON_ITERS):
         r = system.residual(x, arc_constraint)
         if np.abs(r).max() <= tol:
             return x
-        jac = system.jacobian(x, arc_constraint)
+        jac = system.jacobian(x, tangent)
         if arc_constraint is None:
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         else:

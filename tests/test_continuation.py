@@ -261,6 +261,22 @@ def test_fiber_count_generic_tangent_empty():
     assert fiber_count(n1, n2, d1, 0.99) == 0
 
 
+@pytest.mark.parametrize(
+    "d1, d2, tol",
+    [
+        # 1 - |x0|^2 = 0.5 = +tol: a tangency, not two points
+        (0.5, 0.5, 0.5),
+        # 1 - |x0|^2 = -0.25 = -tol: still a tangency, not none
+        (1.0, 0.5, 0.25),
+    ],
+    ids=["at +tol", "at -tol"],
+)
+def test_fiber_count_at_the_tolerance_is_a_tangency(d1, d2, tol):
+    # every value here is exact in binary, so 1 - |x0|^2 lands on the bound
+    e_x, e_y = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    assert fiber_count(e_x, e_y, d1, d2, tol) == 1
+
+
 def test_fiber_count_underconstrained():
     # parallel centers confine x to one circle, not to points
     n1 = np.array([1.0, 0.0, 0.0])
@@ -299,7 +315,7 @@ def test_newton_correct_polishes_perturbed_point():
     lam, seed = cda_seed()
     x = re_gauge(seed, g).as_array(g.vertices)
     noisy = x + 1e-4 * np.random.default_rng(3).normal(size=x.shape)
-    fixed = newton_correct(ConstraintSystem(g, lam), noisy, 1e-12, 30)
+    fixed = newton_correct(ConstraintSystem(g, lam), noisy, 1e-12)
     assert fixed is not None
     assert np.abs(residual_vector(g, lam, fixed)).max() <= 1e-12
 
@@ -521,7 +537,9 @@ def test_bordered_corank_and_tangent_match_full_svd(name, jac_rng, corank):
     want_corank, want = corank_and_tangent(jac)
     assert want_corank == corank
     t_prev = near(want, rng)
-    got_corank, got = bordered_corank_and_tangent(np.vstack([jac, t_prev]))
+    # outside trace, a failed factorization warns
+    with np.errstate(all="ignore"):
+        got_corank, got = bordered_corank_and_tangent(np.vstack([jac, t_prev]))
     assert got_corank == want_corank
     assert abs(np.linalg.norm(got) - 1.0) <= 1e-14
     assert float(got @ t_prev) > 0.0
@@ -554,7 +572,8 @@ def test_singular_bordered_matrix_falls_back_to_lstsq(monkeypatch):
     e_last = np.eye(19)[-1]
     want = np.linalg.lstsq(bordered, e_last, rcond=None)[0]
     calls = counting_lstsq(monkeypatch)
-    corank, t = bordered_corank_and_tangent(bordered)
+    with np.errstate(all="ignore"):
+        corank, t = bordered_corank_and_tangent(bordered)
     assert len(calls) == 1
     assert corank == 1
     assert np.array_equal(t, want / np.linalg.norm(want))
@@ -587,11 +606,11 @@ def test_solves_without_arc_row_use_minimum_norm_step(monkeypatch):
     system = ConstraintSystem(g, lam)
     x = re_gauge(seed, g).as_array(g.vertices) + 1e-6
     calls = counting_lstsq(monkeypatch)
-    plain = newton_correct(system, x, 1e-12, 30)
+    plain = newton_correct(system, x, 1e-12)
     assert plain is not None and calls
     calls.clear()
     _, t = corank_and_tangent(system.jacobian(plain))
-    arc = newton_correct(system, plain + 0.01 * t, 1e-12, 30, arc_constraint=(plain, t, 0.01))
+    arc = newton_correct(system, plain + 0.01 * t, 1e-12, arc_constraint=(plain, t, 0.01))
     assert arc is not None and not calls
     assert abs(float((arc - plain) @ t) - 0.01) <= 1e-12
 
@@ -650,7 +669,13 @@ def test_traced_loops_keep_their_step_counts(make, step, steps):
 
 
 def svd_rule_corank(jac):
-    return _corank(np.linalg.svd(jac, compute_uv=False), jac.shape[1], CORANK_REL_TOL)
+    return _corank(np.linalg.svd(jac, compute_uv=False), jac.shape[1])
+
+
+def test_singular_value_at_the_cutoff_is_not_counted():
+    # the cutoff is max(s_max, 1) * CORANK_REL_TOL, and only values below it count
+    assert _corank(np.array([1.0, CORANK_REL_TOL]), 2) == 0
+    assert _corank(np.array([1.0, np.nextafter(CORANK_REL_TOL, 0.0)]), 2) == 1
 
 
 def counting_svd(monkeypatch):
@@ -701,6 +726,8 @@ PINNED_TRACES = [
 ]
 
 
+# no RuntimeWarning escapes a trace either
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("make, step, max_steps", PINNED_TRACES)
 def test_certified_corank_equals_svd_rule_along_pinned_traces(
     monkeypatch, make, step, max_steps
@@ -751,7 +778,8 @@ def test_certificate_near_the_cutoffs_gives_the_svd_rule(monkeypatch, second, sm
     jac, t_prev = cutoff_case(second, smallest)
     want = svd_rule_corank(jac)
     calls = counting_svd(monkeypatch)
-    got, t = bordered_corank_and_tangent(np.vstack([jac, t_prev]))
+    with np.errstate(all="ignore"):
+        got, t = bordered_corank_and_tangent(np.vstack([jac, t_prev]))
     assert got == want
     assert float(t @ t_prev) > 0.0
     # only a second singular value far above the cutoff and a smallest one
@@ -783,7 +811,8 @@ def test_corank_other_than_one_takes_one_svd(monkeypatch, jac_rng, corank):
     _, kernel = corank_and_tangent(jac)
     bordered = np.vstack([jac, near(kernel, rng)])
     calls = counting_svd(monkeypatch)
-    assert bordered_corank_and_tangent(bordered)[0] == corank
+    with np.errstate(all="ignore"):
+        assert bordered_corank_and_tangent(bordered)[0] == corank
     assert calls == [jac.shape]
 
 
@@ -821,6 +850,14 @@ def test_trace_stops_at_max_steps():
     assert len(res.trajectory.points) == 11
 
 
+def test_trace_takes_a_step_of_exactly_min_step():
+    # the step halving tries every h >= MIN_STEP, the bound included
+    g, lam, rho = dixon1_seed(3, 3)
+    res = trace(g, lam, rho, config=TraceConfig(step_size=MIN_STEP, max_steps=1))
+    assert (res.stop_reason, res.steps) == ("max_steps", 1)
+    assert res.trajectory.parameters.tolist() == [0.0, MIN_STEP]
+
+
 def test_trace_without_a_first_step_raises(monkeypatch):
     # a step too long to converge, and no shorter one tried
     monkeypatch.setattr("sphflex.continuation.MIN_STEP", 3.0)
@@ -849,12 +886,12 @@ def test_trace_stops_at_a_singular_point(monkeypatch):
 def test_trace_stops_when_no_step_size_succeeds(monkeypatch):
     arc_steps = []
 
-    def failing_after_five_steps(system, coords, tol, max_iters, arc_constraint=None):
+    def failing_after_five_steps(system, coords, tol, arc_constraint=None):
         if arc_constraint is not None and arc_constraint[2] > 0.0:
             arc_steps.append(arc_constraint[2])
             if len(arc_steps) > 5:
                 return None
-        return newton_correct(system, coords, tol, max_iters, arc_constraint)
+        return newton_correct(system, coords, tol, arc_constraint)
 
     monkeypatch.setattr("sphflex.continuation.newton_correct", failing_after_five_steps)
     g, lam, rho = dixon1_seed(3, 3)
@@ -863,6 +900,24 @@ def test_trace_stops_when_no_step_size_succeeds(monkeypatch):
     assert (res.stop_reason, res.steps, res.closed) == ("step_failure", 5, False)
     # the sixth step halved down past MIN_STEP before giving up
     assert min(arc_steps[5:]) < 2 * MIN_STEP
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_trace_lets_no_warning_of_an_overflowing_step_escape(monkeypatch):
+    # one solve returns a step whose square overflows: the corrector rejects
+    # the point it leads to, the step is halved and the loop still closes,
+    # without a RuntimeWarning from the arithmetic on the way
+    calls = []
+
+    def overflowing_on_the_40th_call(a, b):
+        calls.append(None)
+        return np.full_like(b, -1e200) if len(calls) == 40 else _solve(a, b)
+
+    monkeypatch.setattr("sphflex.continuation._solve", overflowing_on_the_40th_call)
+    g, lam, rho = dixon1_seed(3, 3)
+    res = trace(g, lam, rho, config=TraceConfig(step_size=0.05, max_steps=4000))
+    assert len(calls) > 40
+    assert (res.stop_reason, res.steps) == ("loop_closed", 155)
 
 
 def test_trace_rejects_corank_two_seed():
@@ -1035,13 +1090,16 @@ def linalg_or_none(f, *args):
 
 @pytest.mark.parametrize("normal", kernel_matrices())
 def test_lapack_kernels_equal_numpy_linalg(normal):
-    # the gufuncs return numpy.linalg's bits, and NaN where it raises
+    # the gufuncs return numpy.linalg's bits, and NaN where it raises (with
+    # a warning, silenced here as trace silences it)
     rhs = np.linspace(-1.0, 2.0, len(normal))
     want = linalg_or_none(np.linalg.solve, normal, rhs)
-    got = _solve(normal, rhs)
+    with np.errstate(all="ignore"):
+        got = _solve(normal, rhs)
     assert np.isnan(got).all() if want is None else same_bits(got, want)
     want = linalg_or_none(np.linalg.cholesky, normal)
-    got = _cholesky(normal)
+    with np.errstate(all="ignore"):
+        got = _cholesky(normal)
     # a failed factorization is all NaN, a factor is zero above the diagonal
     assert math.isnan(got[0, -1]) == (want is None)
     assert np.isnan(got).all() if want is None else same_bits(got, want)
@@ -1054,7 +1112,8 @@ def test_certificate_equals_the_oracle(monkeypatch, bordered):
     solved, factored = [], []
     monkeypatch.setattr("sphflex.continuation._solve", recording(solved, _solve))
     monkeypatch.setattr("sphflex.continuation._cholesky", recording(factored, _cholesky))
-    got_corank, got = bordered_corank_and_tangent(bordered)
+    with np.errstate(all="ignore"):
+        got_corank, got = bordered_corank_and_tangent(bordered)
     monkeypatch.setattr(np.linalg, "solve", recording(solved, np.linalg.solve))
     monkeypatch.setattr(np.linalg, "cholesky", recording(factored, np.linalg.cholesky))
     want_corank, want = stepping.bordered_corank_and_tangent(bordered)
@@ -1070,8 +1129,9 @@ def test_certificate_cases_reach_every_branch(monkeypatch):
     # corank 0, 1 and 2, and the lstsq and SVD fallbacks
     lstsq_calls, svd_calls = counting_lstsq(monkeypatch), counting_svd(monkeypatch)
     coranks = set()
-    for bordered in certificate_cases():
-        coranks.add(bordered_corank_and_tangent(bordered)[0])
+    with np.errstate(all="ignore"):
+        for bordered in certificate_cases():
+            coranks.add(bordered_corank_and_tangent(bordered)[0])
     assert coranks == {0, 1, 2}
     assert len(lstsq_calls) == 1 and svd_calls
 
@@ -1129,7 +1189,7 @@ def test_newton_correct_equals_the_oracle(arc):
     rng = np.random.default_rng(11)
     for scale in (1e-8, 1e-4, 1e-2, 0.3):
         start = x + scale * rng.normal(size=x.size)
-        args = (start, 1e-12, 30, (x, t, 0.01) if arc else None)
+        args = (start, 1e-12, (x, t, 0.01) if arc else None)
         got = newton_correct(system, *args)
         want = stepping.newton_correct(system, *args)
         assert (got is None) == (want is None)

@@ -15,7 +15,10 @@ code and no benchmark file refers to is a dead helper unless the README
 keeps it (or its class) as public API.  Likewise a defaulted parameter of
 a public function or method, or a defaulted field of a public dataclass,
 that no call in the package or the benchmark sets is a dead knob unless
-the README keeps that parameter in a row of its own.  An exception class
+the README keeps that parameter in a row of its own.  So is a parameter of
+any function or method, private ones too, to which every call of its
+name there, and at least two, passes one literal or UPPER_CASE constant:
+it is that constant.  An exception class
 that no ``except`` clause there names, and that has no ``__init__`` field
 read there as an attribute, is a name on a message unless the README
 keeps it.  Every row of the README's table must be one of these: a row
@@ -518,16 +521,86 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     assert unset_parameters(kept_parameters()) == []
 
 
+def is_constant(node):
+    """Whether an argument is a literal (a signed number included) or an
+    UPPER_CASE name, bare or as an attribute."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    name = getattr(node, "id", getattr(node, "attr", None))
+    return isinstance(node, ast.Constant) or bool(name and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name))
+
+
+def constant_arguments(kept):
+    """Rows ``module.function(parameter)`` of the parameters of the
+    package's functions and methods, private ones too, to which every call
+    of the function's name in the package or in bench/, and at least two,
+    passes the same constant (``is_constant``), leaving out the ``kept``
+    rows.  A call that leaves the parameter to its default, or passes
+    ``*args`` or ``**kwargs``, passes no constant."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py"))]
+    calls = defaultdict(list)
+    for node in (node for tree in [*trees.values(), *bench] for node in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            calls[getattr(func, "attr", getattr(func, "id", None))].append(node)
+
+    def argument(call, position, param):
+        if any(isinstance(arg, ast.Starred) for arg in call.args):
+            return None
+        if position < len(call.args):
+            return call.args[position]
+        keywords = {kw.arg: kw.value for kw in call.keywords}
+        return None if None in keywords else keywords.get(param)
+
+    def definitions():
+        for stem, tree in trees.items():
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield f"{stem}.{node.name}", node, 0
+                elif isinstance(node, ast.ClassDef):
+                    for method in node.body:
+                        if isinstance(method, ast.FunctionDef):
+                            skip = 0 if "staticmethod" in decorators(method) else 1
+                            yield f"{stem}.{node.name}.{method.name}", method, skip
+
+    flagged = []
+    for name, node, skip in definitions():
+        found = calls[node.name]
+        params = node.args.posonlyargs + node.args.args
+        named = [(i - skip, arg.arg) for i, arg in enumerate(params) if i >= skip]
+        named += [(math.inf, arg.arg) for arg in node.args.kwonlyargs]
+        for position, param in named:
+            passed = [argument(call, position, param) for call in found]
+            if len(passed) < 2 or not all(arg is not None and is_constant(arg) for arg in passed):
+                continue
+            row = f"{name}({param})"
+            if len({ast.dump(arg) for arg in passed}) == 1 and row not in kept:
+                flagged.append(row)
+    assert len(trees) >= 9
+    return flagged
+
+
+def test_no_parameter_takes_one_constant_from_every_call():
+    # a parameter that every call gives one constant is that constant
+    assert constant_arguments(kept_parameters()) == []
+
+
 def test_every_kept_row_is_needed():
     # each row of the table must be one that a guard flags once the row is
-    # gone; a row for a name that has a caller, or a parameter that a call
-    # sets, keeps nothing
+    # gone; a row for a name that has a caller, a defaulted parameter that a
+    # call sets, or a parameter that calls give more than one value keeps
+    # nothing
     kept, params = kept_api(), kept_parameters()
     stale = [
         name
         for name in sorted(kept)
         if name not in dead_names(kept - {name}) + uncaught_errors(kept - {name})
     ]
-    stale += [row for row in sorted(params) if row not in unset_parameters(params - {row})]
+    stale += [
+        row
+        for row in sorted(params)
+        if row not in unset_parameters(params - {row}) + constant_arguments(params - {row})
+    ]
     assert kept and params
     assert stale == []
