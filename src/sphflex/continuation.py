@@ -8,18 +8,18 @@ which kill the three rotational degrees of freedom.  The anchor is the
 graph's first vertex and the meridian its first neighbour.  On a flexible
 framework the Jacobian then has corank exactly 1 at a regular curve point,
 and the curve is followed with a tangent predictor and a Gauss-Newton
-corrector.  Every Newton solve here, polishing the seed and tracing,
-assembles its equations through one gauged ``ConstraintSystem``.  Each
-Newton iterate gathers the point rows it needs with a single ``take``, which
-feeds both the residual and the Jacobian (``put`` scatters its blocks).  The
-arithmetic goes into preallocated buffers, and solves and Cholesky
-factorizations call LAPACK through the gufuncs behind ``np.linalg.solve``
-and ``np.linalg.cholesky``, inside the one ``np.errstate`` that ``trace``
-enters around all its Newton work.  The step is written for few numpy
-calls, not fewer floating-point operations: the slow forms of the
-corrector and the certificate are kept as an oracle in
-``tests/stepping.py``, and the tests require a trace through them to equal
-one through this module bit for bit.
+corrector, ``newton_correct``.  Every Newton solve here, polishing the seed
+and tracing, assembles its equations through one gauged
+``ConstraintSystem``.  Each Newton iterate gathers the point rows it needs
+with a single ``take``, which feeds both the residual and the Jacobian
+(``put`` scatters its blocks).  The arithmetic goes into preallocated
+buffers, and solves and Cholesky factorizations call LAPACK through the
+gufuncs behind ``np.linalg.solve`` and ``np.linalg.cholesky``, inside the
+one ``np.errstate`` that ``trace`` enters around all its Newton work.  The
+step is written for few numpy calls, not fewer floating-point operations:
+the slow forms of the corrector and the certificate are kept as an oracle
+in ``tests/stepping.py``, and the tests require a trace through them to
+equal one through this module bit for bit.
 
 Along the curve the Jacobian is bordered by a pseudo-arclength row, which
 gives it full column rank at a regular point; those systems, the corrector
@@ -166,10 +166,10 @@ class ConstraintSystem:
 
     Index arrays and lengths are built once.  ``residual`` and ``jacobian``
     gather the point rows of their ``coords`` with one ``take``, and each
-    iterate of ``correct`` assembles its Jacobian from its residual's
-    gather.  The buffers are preallocated, the constant gauge entries set
-    once, and every call returns views of them that the next call
-    overwrites.
+    iterate of ``newton_correct`` assembles its Jacobian from its
+    residual's gather.  The buffers are preallocated, the constant gauge
+    entries set once, and every call returns views of them that the next
+    call overwrites.
     """
 
     def __init__(self, g: Graph, lam: LengthAssignment):
@@ -257,29 +257,6 @@ class ConstraintSystem:
             return self._jac[: self.num_rows]
         self._jac[self.num_rows] = tangent
         return self._jac
-
-    def correct(
-        self, coords: Vec, tol: float, arc: Optional[tuple[Vec, Vec, float]] = None
-    ) -> Optional[Vec]:
-        """``newton_correct`` on this system."""
-        x = coords.copy()
-        tangent = None if arc is None else arc[1]
-        for _ in range(MAX_NEWTON_ITERS):
-            r = self.residual(x, arc)
-            if np.abs(r).max() <= tol:
-                return x
-            # the Jacobian at x, from the gather of its residual
-            jac = self._gathered_jacobian(tangent)
-            if tangent is None:
-                x = x + np.linalg.lstsq(jac, -r, rcond=None)[0]
-                if not np.isfinite(x).all():
-                    return None
-            else:
-                x = _full_rank_step(x, jac, r, self._normal, self._rhs)
-                if x is None:
-                    return None
-        r = self.residual(x, arc)
-        return x if np.abs(r).max() <= tol else None
 
 
 def residual_vector(g: Graph, lam: LengthAssignment, coords: Vec) -> Vec:
@@ -422,11 +399,28 @@ def newton_correct(
     of sliding back.  That row gives the Jacobian full column rank at a
     regular curve point, so the step solves the normal equations; without
     it the Jacobian is rank-deficient by construction and the step is
-    ``lstsq``'s minimum-norm one.  ``system.correct`` takes at most
-    ``MAX_NEWTON_ITERS`` steps.  A singular input may warn unless the
-    caller enters ``np.errstate``, as ``trace`` does.
+    ``lstsq``'s minimum-norm one.  It takes at most ``MAX_NEWTON_ITERS``
+    steps.  A singular input may warn unless the caller enters
+    ``np.errstate``, as ``trace`` does.
     """
-    return system.correct(coords, tol, arc_constraint)
+    x = coords.copy()
+    tangent = None if arc_constraint is None else arc_constraint[1]
+    for _ in range(MAX_NEWTON_ITERS):
+        r = system.residual(x, arc_constraint)
+        if np.abs(r).max() <= tol:
+            return x
+        # the Jacobian at x, from the gather of its residual
+        jac = system._gathered_jacobian(tangent)
+        if tangent is None:
+            x = x + np.linalg.lstsq(jac, -r, rcond=None)[0]
+            if not np.isfinite(x).all():
+                return None
+        else:
+            x = _full_rank_step(x, jac, r, system._normal, system._rhs)
+            if x is None:
+                return None
+    r = system.residual(x, arc_constraint)
+    return x if np.abs(r).max() <= tol else None
 
 
 @dataclass(frozen=True)

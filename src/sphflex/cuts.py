@@ -405,16 +405,10 @@ class DegreeTable:
     def entry(self, odd: int, even: int) -> int:
         return self.grid[ODD_VERTICES.index(odd)][EVEN_VERTICES.index(even)]
 
-    def row_margin(self, r: int) -> int:
-        return theta(*self.grid[r])
-
-    def col_margin(self, c: int) -> int:
-        return theta(*(self.grid[r][c] for r in range(3)))
-
     def margins(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
         return (
-            tuple(self.row_margin(r) for r in range(3)),
-            tuple(self.col_margin(c) for c in range(3)),
+            tuple(theta(*row) for row in self.grid),
+            tuple(theta(*col) for col in zip(*self.grid)),
         )
 
 

@@ -101,13 +101,15 @@ def window_scan_degree(traj: MotionTrajectory, forgotten) -> int:
     return best
 
 
-def dixon1_placement(c, d) -> SphericalRealization:
-    """K(3,3) with the odd side at heights ``c`` on the great circle
-    {y = 0} and the even side at heights ``d`` on {x = 0}."""
+def dixon1_placement(g, c, d) -> SphericalRealization:
+    """The odd vertices of ``g`` at heights ``c`` on the great circle
+    {y = 0} and the even ones at heights ``d`` on {x = 0}."""
+    odd = [v for v in g.vertices if v % 2]
+    even = [v for v in g.vertices if not v % 2]
     pts = {}
-    for v, ci in zip((1, 3, 5), c):
+    for v, ci in zip(odd, c):
         pts[v] = np.array([math.sqrt(1.0 - ci * ci), 0.0, ci])
-    for v, di in zip((2, 4, 6), d):
+    for v, di in zip(even, d):
         pts[v] = np.array([0.0, math.sqrt(1.0 - di * di), di])
     return SphericalRealization(pts)
 
@@ -124,7 +126,7 @@ def random_dixon1_loops(count: int = 16):
         if k % 2 == 0:
             c.sort()
             d.sort()
-        rho = dixon1_placement(c, d)
+        rho = dixon1_placement(k33(), c, d)
         lam = LengthAssignment.induced(k33(), rho)
         seed = apply_rotation(random_rotation(rng), rho)
         res = trace(k33(), lam, seed, config=TraceConfig(step_size=0.05, max_steps=4000))

@@ -43,6 +43,7 @@ from sphflex.spherical import (
 
 from enumeration import connected_graphs
 from helpers import dixon2_involutions, gram_matrix
+from rhomboids import diagonals_not_orthogonal_check
 from trajectories import cda_rows_at
 
 
@@ -328,7 +329,7 @@ def test_criterion_9_quad_classifier():
         k22(), lam, rho, config=cont.TraceConfig(step_size=0.04, max_steps=600)
     )
     rhomboid_ok = all(
-        quads.diagonals_not_orthogonal_check([s.realization.point(v) for v in (1, 2, 3, 4)])
+        diagonals_not_orthogonal_check([s.realization.point(v) for v in (1, 2, 3, 4)])
         for s in rhomboid_trace.trajectory.samples
     )
 
@@ -347,7 +348,7 @@ def test_criterion_9_quad_classifier():
         k22(), lozenge_lam, lozenge_rho, config=cont.TraceConfig(step_size=0.04, max_steps=600)
     )
     lozenge_ok = all(
-        not quads.diagonals_not_orthogonal_check([s.realization.point(v) for v in (1, 2, 3, 4)])
+        not diagonals_not_orthogonal_check([s.realization.point(v) for v in (1, 2, 3, 4)])
         for s in lozenge_trace.trajectory.samples
     )
     ok = wrong == 0 and precedence and rhomboid_ok and lozenge_ok

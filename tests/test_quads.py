@@ -12,12 +12,11 @@ from sphflex.quads import (
     ODD_DELTOID,
     RHOMBOID,
     QuadLengths,
-    antipodal_normalize,
     classify,
-    diagonals_not_orthogonal_check,
-    rhomboid_component,
 )
 from sphflex.spherical import random_unit_point, rotation_about_axis
+
+from rhomboids import antipodal_normalize, diagonals_not_orthogonal_check, rhomboid_component
 
 
 def test_classify_odd_deltoid():
@@ -100,7 +99,7 @@ def test_flip_twice_is_identity():
     q = QuadLengths(0.3, -0.2, 0.6, 0.1)
 
     def flip(vals, v):
-        from sphflex.quads import _FLIP_EDGES
+        from rhomboids import _FLIP_EDGES
 
         out = list(vals)
         for idx in _FLIP_EDGES[v]:

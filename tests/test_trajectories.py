@@ -75,6 +75,7 @@ from trajectories import (
     trajectory_to_csv_by_samples,
     trajectory_to_dict_by_samples,
 )
+from degrees import dixon1_placement
 from helpers import distinctness, realization_to_dict, restrict_realization
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -127,15 +128,6 @@ DIGESTS = {
     "trace-k55/structured": "4c250dea0af9c702bc6d836fb9ca951351bc734ea2e3d84ae36e065f148c6187",
     "trace-k55/tabular": "33155eff95d34faa4203a98abbb8adfc064df0fdc16d38553c37e0b0c2830c71",
 }
-
-
-def dixon1_placement(g, c, d):
-    """Odd vertices on {y = 0} at heights c, even ones on {x = 0} at d."""
-    odd = [v for v in g.vertices if v % 2]
-    even = [v for v in g.vertices if not v % 2]
-    pts = {v: [float(np.sqrt(1 - ci * ci)), 0.0, float(ci)] for v, ci in zip(odd, c)}
-    pts.update({v: [0.0, float(np.sqrt(1 - dj * dj)), float(dj)] for v, dj in zip(even, d)})
-    return SphericalRealization(pts)
 
 
 def cli_cases(tmp):
