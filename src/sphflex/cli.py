@@ -251,8 +251,12 @@ def _seed(args) -> int:
         raise SphflexError(f"SPHFLEX_SEED must be an integer, got {text!r}") from None
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _floats(flag: str, text: str) -> list[float]:
+    """A list flag's numbers, split at commas or spaces; no field is empty."""
+    fields = [field.split() for field in text.split(",")]
+    if len(fields) > 1 and [] in fields:
+        raise SphflexError(f"{flag} field {fields.index([]) + 1} of {text!r} is empty")
+    return [float(tok) for field in fields for tok in field]
 
 
 def _sample_count(text: str) -> int:
@@ -370,9 +374,9 @@ def _cmd_classify_quad(args) -> int:
     if (args.deltas is None) == (args.lambdas is None):
         raise SphflexError("give exactly one of --deltas or --lambdas")
     if args.deltas is not None:
-        vals = _floats(args.deltas)
+        vals = _floats("--deltas", args.deltas)
     else:
-        vals = _floats(args.lambdas)
+        vals = _floats("--lambdas", args.lambdas)
         for l in vals:
             if not 0.0 < l < 1.0:
                 raise SphflexError(f"--lambdas value {l} outside (0, 1)")
@@ -410,7 +414,7 @@ def _grid(lo: float, hi: float, n: int, flags: str) -> list[float]:
 def _cmd_k33(args) -> int:
     n = args.samples
     if args.kind == "dixon1":
-        c, d = _floats(args.c), _floats(args.d)
+        c, d = _floats("--c", args.c), _floats("--d", args.d)
         for flag, vals in (("--c", c), ("--d", d)):
             if len(vals) != 3:
                 raise SphflexError(f"{flag} needs three slopes, got {len(vals)}")
@@ -508,7 +512,10 @@ def _cmd_verify(args) -> int:
     return 0 if all(f.passed for f in facts) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``run`` call in this process shares; parsing
+    leaves it unchanged, and nothing in it depends on the environment."""
     parser = argparse.ArgumentParser(
         prog="sphflex",
         description="spherical flexibility of graphs: colorings, cuts, motions",
@@ -580,13 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     return parser
-
-
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser every ``run`` call in this process shares; parsing
-    leaves it unchanged, and nothing in it depends on the environment."""
-    return build_parser()
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:

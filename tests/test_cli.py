@@ -1,6 +1,4 @@
-import contextlib
 import hashlib
-import io
 import json
 import logging
 import os
@@ -17,14 +15,32 @@ from hypothesis import strategies as st
 
 from sphflex import formats
 from sphflex.cli import CORPUS, run, verify_suite
-from sphflex.coloring import EdgeColoring, enumerate_nap
+from sphflex.coloring import enumerate_nap
 from sphflex.errors import SphflexError
 from sphflex.graphs import complete_bipartite, k33, three_prism
-from sphflex.motions import Dixon1Params, cda_motion, cda_params_from_e, dixon1_motion
+from sphflex.motions import cda_motion, cda_params_from_e
 from sphflex.spherical import LengthAssignment, SphericalRealization
 
+from commands import CDA_TRACE, COMMANDS, FILES, REALIZE_STAR, STAR, TRACE
+from commands import filled, outcome, run_corpus, write_files
 from enumeration import relabeled_graphs
 from helpers import coloring_set_to_dict, dump_edge_list, dump_graph, realization_to_dict
+
+
+@pytest.fixture(scope="session")
+def inputs(tmp_path_factory):
+    """``{key: path}`` of the input files ``commands.FILES`` names."""
+    return write_files(tmp_path_factory.mktemp("inputs"))
+
+
+LENGTHS, PLACEMENT = FILES["CDA_LENGTHS"]["lengths"], FILES["CDA_SEED"]["placement"]
+
+
+def own_copy(argv, inputs, tmp_path, flag, data):
+    """``argv`` filled from ``inputs``, but with its own JSON file of ``data`` after ``flag``."""
+    path = tmp_path / argv[argv.index(flag) + 1]
+    path.write_text(json.dumps(data))
+    return filled(argv, {**inputs, path.name: str(path)})
 
 
 def test_graph_round_trips():
@@ -124,58 +140,29 @@ def test_cli_verify_passes(capsys):
     assert exit_.value.code == 2
 
 
-def trace_argv(tmp_path):
-    traj = cda_motion(cda_params_from_e(0.75), [8.0, 8.2])
-    graph_file = tmp_path / "g.json"
-    graph_file.write_text(dump_graph(k33()))
-    lengths_file = tmp_path / "lengths.json"
-    lengths_file.write_text(json.dumps(formats.lengths_to_dict(traj.lengths)))
-    seed_file = tmp_path / "seed.json"
-    seed_file.write_text(
-        json.dumps(realization_to_dict(traj.samples[0].realization))
-    )
-    return [
-        "trace",
-        "--graph",
-        str(graph_file),
-        "--lengths",
-        str(lengths_file),
-        "--seed-realization",
-        str(seed_file),
-        "--max-steps",
-        "40",
-    ]
-
-
-def test_cli_trace_subcommand(tmp_path, capsys):
-    assert run(trace_argv(tmp_path)) == 0
+def test_cli_trace_subcommand(inputs, capsys):
+    assert run(filled(CDA_TRACE, inputs)) == 0
     assert "traced" in capsys.readouterr().out
 
 
-def test_cli_trace_rejects_tol_above_on_sphere_tol(tmp_path, capsys):
-    assert run(trace_argv(tmp_path) + ["--tol", "1e-11"]) == 1
+def test_cli_trace_rejects_tol_above_on_sphere_tol(inputs, capsys):
+    assert run(filled(CDA_TRACE, inputs) + ["--tol", "1e-11"]) == 1
     assert "newton_tol above 1e-12" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, field", [("--step", "step_size"), ("--tol", "newton_tol")])
-def test_cli_trace_rejects_nan_settings(tmp_path, capsys, flag, field):
-    assert run(trace_argv(tmp_path) + [flag, "nan"]) == 1
+def test_cli_trace_rejects_nan_settings(inputs, capsys, flag, field):
+    assert run(filled(CDA_TRACE, inputs) + [flag, "nan"]) == 1
     err = capsys.readouterr().err
     assert f"trace configuration {field} must be finite and positive, got nan" in err
 
 
-def test_cli_trace_names_missing_edge_length_and_seed_vertex(tmp_path, capsys):
-    argv = trace_argv(tmp_path)
-    lengths = json.loads((tmp_path / "lengths.json").read_text())
-    lengths["lengths"] = [row for row in lengths["lengths"] if row[:2] != [5, 6]]
-    (tmp_path / "lengths.json").write_text(json.dumps(lengths))
-    assert run(argv) == 1
+def test_cli_trace_names_missing_edge_length_and_seed_vertex(inputs, tmp_path, capsys):
+    lengths = [row for row in LENGTHS if row[:2] != [5, 6]]
+    assert run(own_copy(CDA_TRACE, inputs, tmp_path, "--lengths", {"lengths": lengths})) == 1
     assert capsys.readouterr().err == "error: lengths give no length for edge (5, 6)\n"
-    argv = trace_argv(tmp_path)
-    seed = json.loads((tmp_path / "seed.json").read_text())
-    del seed["placement"]["6"]
-    (tmp_path / "seed.json").write_text(json.dumps(seed))
-    assert run(argv) == 1
+    placement = {v: p for v, p in PLACEMENT.items() if v != "6"}
+    assert run(own_copy(CDA_TRACE, inputs, tmp_path, "--seed-realization", {"placement": placement})) == 1
     assert capsys.readouterr().err == "error: seed realization does not place vertex 6\n"
 
 
@@ -220,7 +207,7 @@ def test_cli_names_the_bad_numeric_input(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("argv", [["realize", "--corpus", "k33"], ["k33", "--kind", "cda"]])
+@pytest.mark.parametrize("argv", [c.argv for c in COMMANDS if "--samples={}" in c.numbers])
 @pytest.mark.parametrize("count", ["-3", "0", "1", "x"])
 def test_cli_samples_below_two_is_a_usage_error(argv, count, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -229,80 +216,31 @@ def test_cli_samples_below_two_is_a_usage_error(argv, count, capsys):
     assert "argument --samples:" in capsys.readouterr().err
 
 
-# trace from the Dixon 1 K(3,3) seed; the file names are filled in by the
-# dixon1_trace_files fixture
-TRACE = ["trace", "--corpus", "k33", "--lengths", "LENGTHS", "--seed-realization", "SEED"]
-# every numeric flag of k33, classify-quad and trace with the arguments it
-# joins; a drawn value replaces the first entry of a list flag
-NUMERIC_FLAGS = (
-    *((["k33", "--kind", "dixon1"], flag, rest) for flag, rest in (("--c", ",0.4,0.6"), ("--d", ",0.5,0.7"))),
-    *((["k33", "--kind", "dixon1"], flag, "") for flag in ("--s-min", "--s-max")),
-    *(
-        (["k33", "--kind", "dixon2"], flag, "")
-        for flag in ("--alpha", "--beta", "--gamma", "--p1-min", "--p1-max")
-    ),
-    *((["k33", "--kind", "cda"], flag, "") for flag in ("--t-min", "--t-max", "--y2-sign", "--z5-sign")),
-    (["classify-quad"], "--deltas", ",0.3,0.7,0.7"),
-    (["classify-quad"], "--lambdas", ",0.35,0.15,0.15"),
-    (["classify-quad", "--deltas", "0.3,0.3,0.7,0.7"], "--tol", ""),
-    *((TRACE, flag, "") for flag in ("--step", "--tol", "--max-steps")),
-)
-SAMPLED = (["realize", "--corpus", "k33"], *(["k33", "--kind", k] for k in ("dixon1", "dixon2", "cda")))
 # messages of a value that got past its check and failed downstream
 LEAKED = re.compile(r"placed off the sphere|length .* for edge|Number of samples")
 
 
-@pytest.fixture(scope="module")
-def dixon1_trace_files(tmp_path_factory):
-    """Lengths and seed files of the Dixon 1 K(3,3) motion at s = 1, by the
-    names ``TRACE`` gives them."""
-    traj = dixon1_motion(Dixon1Params({1: 0.2, 3: 0.4, 5: 0.6}, {2: 0.3, 4: 0.5, 6: 0.7}), [1.0, 1.1])
-    folder = tmp_path_factory.mktemp("dixon1")
-    files = {"LENGTHS": folder / "lengths.json", "SEED": folder / "seed.json"}
-    files["LENGTHS"].write_text(json.dumps(formats.lengths_to_dict(traj.lengths)))
-    files["SEED"].write_text(json.dumps(realization_to_dict(traj.realizations()[0])))
-    return {name: str(path) for name, path in files.items()}
-
-
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(
-    st.one_of(
-        st.builds(
-            lambda case, value: [*case[0], f"{case[1]}={value}{case[2]}"],
-            st.sampled_from(NUMERIC_FLAGS),
-            st.sampled_from(("nan", "inf", "-inf", "0", "-1", "1e308", "-0.5", "2")),
-        ),
-        st.builds(
-            lambda argv, count: [*argv, f"--samples={count}"],
-            st.sampled_from(SAMPLED),
-            st.sampled_from(("-3", "0", "1")),
-        ),
+    st.builds(
+        lambda case, value: [*case[0], case[1].format(value)],
+        st.sampled_from([(command.argv, number) for command in COMMANDS for number in command.numbers]),
+        st.sampled_from(("nan", "inf", "-inf", "0", "-1", "1e308", "-0.5", "2")),
     )
 )
 # the step that overflowed the predictor before step_size had a bound
 @example([*TRACE, "--step=1e308"])
-def test_cli_numeric_flags_exit_cleanly(dixon1_trace_files, argv):
-    argv = [dixon1_trace_files.get(arg, arg) for arg in argv]
-    err = io.StringIO()
-    with (
-        contextlib.redirect_stdout(io.StringIO()),
-        contextlib.redirect_stderr(err),
-        warnings.catch_warnings(),
-    ):
+def test_cli_numeric_flags_exit_cleanly(inputs, argv):
+    with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        try:
-            code = run(argv)
-        except SystemExit as exc:
-            assert exc.code == 2, argv
-            return
-    assert code in (0, 1), argv
+        code, _, err = outcome(filled(argv, inputs))
+    assert code in (0, 1, 2), argv
     if code == 1:
-        assert err.getvalue().startswith("error: "), argv
-        assert not LEAKED.search(err.getvalue()), (argv, err.getvalue())
+        assert err.startswith("error: ") and not LEAKED.search(err), (argv, err)
 
 
-def test_cli_trace_step_is_at_most_pi(dixon1_trace_files, capsys):
-    argv = [dixon1_trace_files.get(arg, arg) for arg in TRACE]
+def test_cli_trace_step_is_at_most_pi(inputs, capsys):
+    argv = filled(TRACE, inputs)
     assert run([*argv, "--step=3.2"]) == 1
     assert capsys.readouterr().err == "error: trace configuration step_size must be at most pi, got 3.2\n"
     assert run([*argv, "--step=3.0"]) == 0
@@ -310,18 +248,23 @@ def test_cli_trace_step_is_at_most_pi(dixon1_trace_files, capsys):
 
 
 @pytest.mark.parametrize("coordinate", [1e155, 1e200, 1e308])
-def test_cli_trace_refuses_a_huge_seed_coordinate_without_a_warning(tmp_path, capsys, coordinate):
+def test_cli_trace_refuses_a_huge_seed_coordinate_without_a_warning(inputs, tmp_path, capsys, coordinate):
     # the coordinate's square overflows to inf, which is off the sphere;
     # the overflow must not surface as a numpy warning
-    argv = trace_argv(tmp_path)
-    seed_file = Path(argv[argv.index("--seed-realization") + 1])
-    seed = json.loads(seed_file.read_text())
-    seed["placement"]["1"][0] = coordinate
-    seed_file.write_text(json.dumps(seed))
+    seed = {"placement": {**PLACEMENT, "1": [coordinate, *PLACEMENT["1"][1:]]}}
+    argv = own_copy(CDA_TRACE, inputs, tmp_path, "--seed-realization", seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert run(argv) == 1
     assert capsys.readouterr().err == "error: vertex 1 placed off the sphere by inf\n"
+
+
+def test_cli_list_flag_refuses_an_empty_field(capsys):
+    assert run(["classify-quad", "--deltas", "0.3, ,0.7,0.7"]) == 1
+    assert capsys.readouterr().err == "error: --deltas field 2 of '0.3, ,0.7,0.7' is empty\n"
+    for deltas in ("0.3 0.3 0.7 0.7", "0.3, 0.3, 0.7, 0.7"):
+        assert run(["classify-quad", "--deltas", deltas]) == 0
+        assert "odd_deltoid" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", ["inf", "0", "1", "-0.5", "nan"])
@@ -342,32 +285,15 @@ def test_cli_cda_names_t_where_the_closed_form_leaves_the_sphere(capsys):
 # input files
 # ---------------------------------------------------------------------------
 
-# the lengths file of trace_argv, the CDA K(3,3) motion at e = 3/4
-CDA_LENGTHS = formats.lengths_to_dict(
-    cda_motion(cda_params_from_e(0.75), [8.0, 8.2]).lengths
-)["lengths"]
-CDA_SEED = realization_to_dict(
-    cda_motion(cda_params_from_e(0.75), [8.0, 8.2]).samples[0].realization
-)
 # one more than the largest float, as a JSON integer
 BEYOND_FLOAT = int(sys.float_info.max) + 1
 
-# the K(3,3) coloring with the star at vertex 1 red, as certify writes it
-STAR = formats.coloring_to_list(EdgeColoring.from_red_edges(k33(), [(1, 2), (1, 4), (1, 6)]))
-
-
-def realize_coloring_argv(tmp_path, data):
-    path = tmp_path / "coloring.json"
-    path.write_text(json.dumps(data))
-    return ["realize", "--corpus", "k33", "--samples", "4", "--format", "structured", "--coloring", str(path)]
-
-
-def test_cli_realize_reads_coloring_pairs_either_end_first(tmp_path, capsys):
-    assert run(realize_coloring_argv(tmp_path, {"coloring": STAR})) == 0
+def test_cli_realize_reads_coloring_pairs_either_end_first(inputs, tmp_path, capsys):
+    assert run(filled(REALIZE_STAR, inputs)) == 0
     expected = capsys.readouterr().out
     flipped = [[b, a, color] for a, b, color in reversed(STAR)]
     assert flipped[-1] == [2, 1, "red"]
-    assert run(realize_coloring_argv(tmp_path, {"coloring": flipped})) == 0
+    assert run(own_copy(REALIZE_STAR, inputs, tmp_path, "--coloring", {"coloring": flipped})) == 0
     assert capsys.readouterr().out == expected
 
 
@@ -388,11 +314,10 @@ def test_cli_realize_help_shows_the_coloring_file_shape(capsys):
         ("--coloring", {"coloring": {"1": "red"}}, formats.COLORING_SHAPE),
     ],
 )
-def test_cli_input_file_of_the_wrong_shape_names_the_expected_key(tmp_path, capsys, flag, data, message):
+def test_cli_input_file_of_the_wrong_shape_names_the_expected_key(inputs, tmp_path, capsys, flag, data, message):
     # an exception escaping run, as a traceback would, fails the test
-    argv = realize_coloring_argv(tmp_path, {}) if flag == "--coloring" else trace_argv(tmp_path)
-    Path(argv[argv.index(flag) + 1]).write_text(json.dumps(data))
-    assert run(argv) == 1
+    argv = REALIZE_STAR if flag == "--coloring" else CDA_TRACE
+    assert run(own_copy(argv, inputs, tmp_path, flag, data)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: expected {") and message in err, err
     assert not LEAKED.search(err), err
@@ -420,10 +345,10 @@ def test_cli_input_file_of_the_wrong_shape_names_the_expected_key(tmp_path, caps
             {"placement": {"1": [1, 0, 0], "01": [1, 0, 0]}},
             'placement entry "01" places vertex 1 more than once',
         ),
-        ("--lengths", {"lengths": [*CDA_LENGTHS, [1, 3, 0.3]]}, "lengths name the non-edge (1, 3)"),
+        ("--lengths", {"lengths": [*LENGTHS, [1, 3, 0.3]]}, "lengths name the non-edge (1, 3)"),
         (
             "--seed-realization",
-            {"placement": {**CDA_SEED["placement"], "9": [0, 0, 1]}},
+            {"placement": {**PLACEMENT, "9": [0, 0, 1]}},
             "seed realization places vertex 9, which the graph lacks",
         ),
         # a JSON true is no label, though bool is an int
@@ -432,53 +357,49 @@ def test_cli_input_file_of_the_wrong_shape_names_the_expected_key(tmp_path, caps
             {"vertices": [True, 2, 3], "edges": [[True, 2], [2, 3], [3, True]]},
             "vertex True is not an integer label",
         ),
-        ("--lengths", {"lengths": [[True, *CDA_LENGTHS[0][1:]], *CDA_LENGTHS[1:]]}, "length entry [True, 2, "),
+        ("--lengths", {"lengths": [[True, *LENGTHS[0][1:]], *LENGTHS[1:]]}, "length entry [True, 2, "),
         # an Arabic-Indic one is a decimal digit, but no ASCII one
         (
             "--seed-realization",
-            {"placement": {("١" if v == "1" else v): p for v, p in CDA_SEED["placement"].items()}},
+            {"placement": {("١" if v == "1" else v): p for v, p in PLACEMENT.items()}},
             'placement entry "١": ',
         ),
         # nor is a JSON true a number
         (
             "--lengths",
-            {"lengths": [[*CDA_LENGTHS[0][:2], True], *CDA_LENGTHS[1:]]},
+            {"lengths": [[*LENGTHS[0][:2], True], *LENGTHS[1:]]},
             "length entry [1, 2, True] is not [a, b, length]",
         ),
         (
             "--seed-realization",
-            {"placement": {**CDA_SEED["placement"], "1": [True, 0, 0]}},
+            {"placement": {**PLACEMENT, "1": [True, 0, 0]}},
             'placement entry "1": [True, 0, 0] is not "v": [x, y, z]',
         ),
         # nor is an integer beyond the largest float, which float() refuses
         pytest.param(
             "--lengths",
-            {"lengths": [[*CDA_LENGTHS[0][:2], 10**400], *CDA_LENGTHS[1:]]},
+            {"lengths": [[*LENGTHS[0][:2], 10**400], *LENGTHS[1:]]},
             f"length entry [1, 2, {10**400}] is not [a, b, length]",
             id="400-digit-length",
         ),
         pytest.param(
             "--seed-realization",
-            {"placement": {**CDA_SEED["placement"], "1": [0, -(10**400), 0]}},
+            {"placement": {**PLACEMENT, "1": [0, -(10**400), 0]}},
             f'placement entry "1": [0, {-(10**400)}, 0] is not "v": [x, y, z]',
             id="400-digit-coordinate",
         ),
         pytest.param(
             "--seed-realization",
-            {"placement": {**CDA_SEED["placement"], "1": [BEYOND_FLOAT, 0, 0]}},
+            {"placement": {**PLACEMENT, "1": [BEYOND_FLOAT, 0, 0]}},
             f'placement entry "1": [{BEYOND_FLOAT}, 0, 0] is not "v": [x, y, z]',
             id="largest-float-plus-one",
         ),
     ],
 )
-def test_cli_malformed_file_entry_is_named(tmp_path, capsys, flag, data, message):
+def test_cli_malformed_file_entry_is_named(inputs, tmp_path, capsys, flag, data, message):
     # an exception escaping run, as a traceback would, fails the test
-    if flag == "--graph":
-        argv = ["certify", "--graph", str(tmp_path / "g.json")]
-    else:
-        argv = trace_argv(tmp_path)
-    Path(argv[argv.index(flag) + 1]).write_text(json.dumps(data))
-    assert run(argv) == 1
+    argv = ("certify", "--graph", "K33") if flag == "--graph" else CDA_TRACE
+    assert run(own_copy(argv, inputs, tmp_path, flag, data)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
     assert "Traceback" not in err and not LEAKED.search(err), err
@@ -543,37 +464,19 @@ def test_cli_graph_file_without_edges_is_refused(tmp_path, capsys, command, name
         ([[True, 2, "red"], *STAR[1:]], "coloring triple [True, 2, 'red'] is not"),
     ],
 )
-def test_coloring_reader_names_the_bad_triple_or_edges(triples, message, tmp_path, capsys):
+def test_coloring_reader_names_the_bad_triple_or_edges(triples, message, inputs, tmp_path, capsys):
     with pytest.raises(SphflexError, match=re.escape(message)):
         formats.coloring_from_list(k33(), triples)
-    assert run(realize_coloring_argv(tmp_path, {"coloring": triples})) == 1
+    assert run(own_copy(REALIZE_STAR, inputs, tmp_path, "--coloring", {"coloring": triples})) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
 
 
-def test_cli_structured_output_reproducible(tmp_path):
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    for out in (out1, out2):
-        assert (
-            run(
-                [
-                    "realize",
-                    "--corpus",
-                    "k33",
-                    "--samples",
-                    "5",
-                    "--seed",
-                    "3",
-                    "--format",
-                    "structured",
-                    "--out",
-                    str(out),
-                ]
-            )
-            == 0
-        )
-    assert out1.read_bytes() == out2.read_bytes()
+def test_cli_structured_output_reproducible(inputs, tmp_path):
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert run([*filled(REALIZE_STAR, inputs), "--seed", "3", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_verify_suite_all_pass():
@@ -644,69 +547,32 @@ def test_structured_fact_output_matches_pinned_digest(command, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EXPECTED["digests"][command]
 
 
-def test_fact_commands_do_not_import_numpy_ma(tmp_path):
-    # numpy.ma loads lazily (np.unique pulls it in) and adds to peak memory
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "import sys\n"
-        "from sphflex.cli import run\n"
-        "for command in ('verify', 'tables', 'colorings'):\n"
-        "    run([command, '--corpus', 'k33'] if command == 'colorings' else [command])\n"
-        "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+# a fresh interpreter imports graphs and coloring, lists the modules loaded,
+# then runs the corpus in process
+FRESH = f"""
+import json, sys
+import sphflex.graphs, sphflex.coloring
+imported = sorted(m for m in sys.modules if m == "numpy" or m.startswith("sphflex"))
+import commands
+print(json.dumps([imported, commands.{run_corpus.__name__}(json.loads(sys.argv[1]))]))
+"""
+
+
+def test_corpus_in_one_fresh_interpreter(inputs):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    argv = [sys.executable, "-c", FRESH, json.dumps(inputs)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == "False"
-
-
-def run_in_fresh_process(code):
-    """stderr of ``code`` run by a fresh interpreter on the package source."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stderr.strip()
-
-
-def test_graphs_and_coloring_load_without_numpy():
+    imported, runs = json.loads(proc.stdout)
     # the package itself imports nothing, so a module loads only its imports
-    code = (
-        "import sys\n"
-        "import sphflex.graphs, sphflex.coloring\n"
-        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('sphflex')), "
-        "file=sys.stderr)\n"
-    )
-    assert run_in_fresh_process(code) == str(
-        ["sphflex", "sphflex.coloring", "sphflex.errors", "sphflex.graphs"]
-    )
-
-
-def test_only_trace_loads_continuation(tmp_path):
-    # continuation is the one module on numpy's private _umath_linalg
-    commands = [
-        ["certify", "--corpus", "k33"],
-        ["colorings", "--corpus", "k33"],
-        ["realize", "--corpus", "k33", "--samples", "3"],
-        ["k33", "--kind", "dixon1", "--samples", "3"],
-        ["classify-quad", "--deltas", "0.3,0.3,0.7,0.7"],
-        ["tables"],
-        ["verify"],
-    ]
-    code = (
-        "import sys\n"
-        "from sphflex.cli import run\n"
-        f"for argv in {commands!r}:\n"
-        "    assert run(argv) == 0, argv\n"
-        "print('sphflex.continuation' in sys.modules, file=sys.stderr)\n"
-        f"assert run({trace_argv(tmp_path)!r}) == 0\n"
-        "print('sphflex.continuation' in sys.modules, file=sys.stderr)\n"
-    )
-    assert run_in_fresh_process(code).split() == ["False", "True"]
+    assert imported == ["sphflex", "sphflex.coloring", "sphflex.errors", "sphflex.graphs"]
+    # each tracked module loads with the first command that loads it
+    expected = set()
+    for command, (code, err, loaded) in zip(COMMANDS, runs, strict=True):
+        expected |= set(command.loads)
+        assert (code, err) == ((1, f"error: {command.error}\n") if command.error else (0, "")), command.argv
+        assert set(loaded) == expected, command.argv
 
 
 def assert_writer_matches_encoder(g):

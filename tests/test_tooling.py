@@ -31,9 +31,13 @@ written out (``unread_fields``).  Names are matched, not owners.  The
 package's ``__init__`` binds no name, so each public name has one import
 path: its module.  In ``tests/``, each public function and class of a
 helper module (one not named ``test_*``) needs a reference there outside
-its own definition (``unused_test_helpers``).
+its own definition that comes through its module: from the module
+itself, ``from module import name`` or ``module.name`` after ``import
+module`` (``unused_test_helpers``).  Each subcommand of the CLI, with
+each of its ``--format`` choices, has a command in ``tests/commands.py``.
 """
 
+import argparse
 import ast
 import dataclasses
 import functools
@@ -47,6 +51,10 @@ from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
+
+from sphflex import cli
+
+from commands import COMMANDS
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -242,12 +250,14 @@ def public(nodes, kinds):
     return [node for node in nodes if isinstance(node, kinds) and not node.name.startswith("_")]
 
 
-def unreferenced(trees, index, kept=frozenset()):
+def unreferenced(trees, index, kept=frozenset(), qualified=False):
     """``module.name`` of the public functions and classes at the top of
     ``trees``, and ``module.Class.method`` of their public methods, that
     no ``(statement, referenced_names)`` of ``index`` outside their own
-    definition refers to, nor another statement of a method's class.  The
-    ``kept`` names and the methods of a kept class are left out."""
+    definition refers to, nor another statement of a method's class.  A
+    function or class is looked up as ``module.name`` if ``qualified``,
+    else by its name.  The ``kept`` names and the methods of a kept class
+    are left out."""
 
     def used(name, statements, definition):
         return any(name in names for node, names in statements if node is not definition)
@@ -258,7 +268,7 @@ def unreferenced(trees, index, kept=frozenset()):
             name = f"{stem}.{node.name}"
             if name in kept:
                 continue
-            if not used(node.name, index, node):
+            if not used(name if qualified else node.name, index, node):
                 found.append(name)
             if isinstance(node, ast.ClassDef):
                 members = [(item, referenced_names([item])) for item in node.body]
@@ -346,14 +356,46 @@ def test_every_exception_class_is_caught_or_read():
     assert uncaught_errors(kept_api()) == []
 
 
-def unused_test_helpers():
-    """The dead helpers of the helper modules of tests/."""
+@functools.cache
+def helper_references():
+    """``(module, statement, names)`` of each top-level statement of tests/:
+    the names it refers to, and ``module.name`` for each it reaches through
+    a module: a name of its own module, ``from module import name``, or
+    ``module.name`` after ``import module``."""
+    index = []
+    for stem, tree in modules(TESTS).items():
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)]
+        imported = {a.asname or a.name: a.name for node in imports for a in node.names}
+        for top in tree.body:
+            names = referenced_names([top])
+            names |= {f"{stem}.{name}" for name in names}
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    names |= {f"{node.module}.{a.name}" for a in node.names}
+                elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in imported:
+                    names.add(f"{imported[node.value.id]}.{node.attr}")
+            index.append((stem, top, names))
+    return index
+
+
+def unused_test_helpers(left_out=()):
+    """The dead helpers of the helper modules of tests/, with the statements
+    of the ``left_out`` modules out of the index."""
     helpers = {stem: tree for stem, tree in modules(TESTS).items() if not stem.startswith("test_")}
-    return unreferenced(helpers, top_level_references(TESTS))
+    index = [(top, names) for stem, top, names in helper_references() if stem not in left_out]
+    return unreferenced(helpers, index, qualified=True)
 
 
 def test_every_test_helper_has_a_caller():
     assert unused_test_helpers() == []
+
+
+def test_a_helper_is_used_only_through_its_module():
+    # test_tooling defines and calls a parsed of its own, which is no use
+    # of trajectories.parsed
+    flagged = unused_test_helpers(left_out={"test_trajectories"})
+    expected = {"parsed", "dixon1_rows", "encoded", "detect_by_samples"}
+    assert {f"trajectories.{name}" for name in expected} <= set(flagged)
 
 
 def unread_fields():
@@ -524,3 +566,17 @@ def test_every_kept_row_is_needed():
     ]
     assert kept and params
     assert stale == []
+
+
+def test_every_subcommand_and_format_has_a_corpus_command():
+    # a command outside the corpus escapes its import rules and exit codes
+    parser = cli._parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    needed = {
+        (name, choice)
+        for name, sub in subparsers.choices.items()
+        for choice in next((a.choices for a in sub._actions if a.dest == "format"), [None])
+    }
+    parsed_argv = [parser.parse_args(command.argv) for command in COMMANDS]
+    covered = {(args.command, getattr(args, "format", None)) for args in parsed_argv}
+    assert ("trace", "tabular") in needed and sorted(needed - covered) == []

@@ -8,11 +8,9 @@ generators and the detector must equal their scalar oracles in
 gets through; a walk over the samples leaves nothing behind.
 """
 
-import contextlib
 import copy
 import gc
 import hashlib
-import io
 import json
 import math
 import re
@@ -75,6 +73,7 @@ from trajectories import (
     trajectory_to_csv_by_samples,
     trajectory_to_dict_by_samples,
 )
+from commands import outcome
 from degrees import dixon1_placement
 from helpers import distinctness, realization_to_dict, restrict_realization
 
@@ -174,18 +173,11 @@ def cli_cases(tmp):
     return cases
 
 
-def cli_output(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.run(argv)
-    return rc, out.getvalue(), err.getvalue()
-
-
 def test_cli_output_hashes_to_per_sample_digests(tmp_path):
     got = {}
     for name, argv in cli_cases(tmp_path).items():
         for fmt in ("text", "structured", "tabular"):
-            rc, text, _ = cli_output([*argv, "--format", fmt])
+            rc, text, _ = outcome([*argv, "--format", fmt])
             assert rc == 0, name
             got[f"{name}/{fmt}"] = hashlib.sha256(text.encode()).hexdigest()
             if fmt == "structured":
@@ -610,7 +602,7 @@ def test_cli_rejects_nan_and_inf_input(tmp_path, capsys):
         assert cli.run(argv) == 1
         assert "error: vertex 3 placed off the sphere by" in capsys.readouterr().err
     for flag in ("--s-min", "--s-max"):
-        rc, out, err = cli_output(["k33", "--kind", "dixon1", "--format", "structured", flag, "nan"])
+        rc, out, err = outcome(["k33", "--kind", "dixon1", "--format", "structured", flag, "nan"])
         assert rc == 1 and out == ""
         assert "error: --s-min/--s-max must be finite" in err
         assert "off the sphere" not in err
@@ -760,7 +752,7 @@ def test_dixon2_rejects_non_finite_p1(bad):
 def test_cli_dixon2_rejects_nan_p1():
     for flag in ("--p1-min", "--p1-max"):
         argv = ["k33", "--kind", "dixon2", "--format", "structured", flag, "nan"]
-        rc, out, err = cli_output(argv)
+        rc, out, err = outcome(argv)
         assert rc == 1 and out == ""
         assert "error: --p1-min/--p1-max must be finite" in err
         assert "off the sphere" not in err
