@@ -558,21 +558,46 @@ print(json.dumps([imported, commands.{run_corpus.__name__}(json.loads(sys.argv[1
 """
 
 
-def test_corpus_in_one_fresh_interpreter(inputs):
+@pytest.fixture(scope="module")
+def fresh(inputs):
+    """``(imported, runs)`` of ``FRESH``: the one subprocess of the tests."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
     argv = [sys.executable, "-c", FRESH, json.dumps(inputs)]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    imported, runs = json.loads(proc.stdout)
-    # the package itself imports nothing, so a module loads only its imports
-    assert imported == ["sphflex", "sphflex.coloring", "sphflex.errors", "sphflex.graphs"]
-    # each tracked module loads with the first command that loads it
-    expected = set()
-    for command, (code, err, loaded) in zip(COMMANDS, runs, strict=True):
-        expected |= set(command.loads)
+    return json.loads(proc.stdout)
+
+
+def test_corpus_in_one_fresh_interpreter(fresh):
+    _, runs = fresh
+    for command, (code, err, _) in zip(COMMANDS, runs, strict=True):
         assert (code, err) == ((1, f"error: {command.error}\n") if command.error else (0, "")), command.argv
-        assert set(loaded) == expected, command.argv
+
+
+def test_graphs_and_coloring_load_without_numpy(fresh):
+    # the package itself imports nothing, so a module loads only its imports
+    imported, _ = fresh
+    assert imported == ["sphflex", "sphflex.coloring", "sphflex.errors", "sphflex.graphs"]
+
+
+def assert_loads_with_first_command_that_may(module, runs):
+    loaded = False
+    for command, (_, _, modules) in zip(COMMANDS, runs, strict=True):
+        loaded = loaded or module in command.loads
+        assert (module in modules) == loaded, command.argv
+
+
+def test_fact_commands_do_not_import_numpy_ma(fresh):
+    # verify, tables and colorings among them; no corpus command may load it
+    assert not any("numpy.ma" in command.loads for command in COMMANDS)
+    assert_loads_with_first_command_that_may("numpy.ma", fresh[1])
+
+
+def test_only_trace_loads_continuation(fresh):
+    for command in COMMANDS:
+        assert ("sphflex.continuation" in command.loads) == (command.argv[0] == "trace"), command.argv
+    assert_loads_with_first_command_that_may("sphflex.continuation", fresh[1])
 
 
 def assert_writer_matches_encoder(g):
