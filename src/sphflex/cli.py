@@ -254,7 +254,7 @@ def _seed(args) -> int:
 def _floats(flag: str, text: str) -> list[float]:
     """A list flag's numbers, split at commas or spaces; no field is empty."""
     fields = [field.split() for field in text.split(",")]
-    if len(fields) > 1 and [] in fields:
+    if [] in fields:
         raise SphflexError(f"{flag} field {fields.index([]) + 1} of {text!r} is empty")
     return [float(tok) for field in fields for tok in field]
 

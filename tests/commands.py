@@ -1,8 +1,7 @@
 """Every CLI invocation the tests drive, and the input files they read.
 
 A ``Command`` is an argv, the error it exits 1 with (None: it exits 0),
-the ``TRACKED`` modules it loads unless an earlier command has, and the
-arguments a drawn number can take, ``{}`` marking where it goes.
+and the arguments a drawn number can take, ``{}`` marking where it goes.
 An argv names an input file by its key in ``FILES``, which
 ``write_files`` writes and ``filled`` swaps for a path.
 """
@@ -31,7 +30,6 @@ TRACKED = ("numpy.ma", "sphflex.continuation")
 class Command:
     argv: tuple[str, ...]
     error: str | None = None
-    loads: tuple[str, ...] = ()
     numbers: tuple[str, ...] = ()
 
 
@@ -60,10 +58,7 @@ CDA_TRACE = (
 )
 RIGID_TRACE = ("trace", "--corpus", "k3", "--lengths", "RIGID_LENGTHS", "--seed-realization", "RIGID_SEED")
 REALIZE_STAR = ("realize", "--corpus", "k33", "--samples", "4", "--format", "structured", "--coloring", "STAR")
-DIXON2 = ("k33", "--kind", "dixon2", "--samples", "3", "--format", "structured")
-CDA = ("k33", "--kind", "cda", "--samples", "3", "--format", "tabular")
 LAMBDAS = ("classify-quad", "--lambdas", "0.35,0.35,0.15,0.15", "--format", "structured")
-TRACING = ("sphflex.continuation",)
 DIXON1_NUMBERS = ("--samples={}", "--c={},0.4,0.6", "--d={},0.5,0.7", "--s-min={}", "--s-max={}")
 DIXON2_NUMBERS = ("--samples={}", "--alpha={}", "--beta={}", "--gamma={}", "--p1-min={}", "--p1-max={}")
 CDA_NUMBERS = ("--samples={}", "--t-min={}", "--t-max={}", "--y2-sign={}", "--z5-sign={}")
@@ -83,22 +78,20 @@ COMMANDS = (
     Command(("realize", "--corpus", "k33", "--samples", "3", "--format", "tabular")),
     Command(("k33", "--kind", "dixon1", "--samples", "3"), numbers=DIXON1_NUMBERS),
     Command(("k33", "--kind", "dixon1", "--c", "0.2,,0.4,0.6"), "--c field 2 of '0.2,,0.4,0.6' is empty"),
-    Command(DIXON2, numbers=DIXON2_NUMBERS),
-    Command(CDA, numbers=CDA_NUMBERS),
+    Command(("k33", "--kind", "dixon2", "--samples", "3", "--format", "structured"), numbers=DIXON2_NUMBERS),
+    Command(("k33", "--kind", "cda", "--samples", "3", "--format", "tabular"), numbers=CDA_NUMBERS),
     Command(("classify-quad", "--deltas", "0.3,0.3,0.7,0.7"), numbers=("--deltas={},0.3,0.7,0.7", "--tol={}")),
     Command(LAMBDAS, numbers=("--lambdas={},0.35,0.15,0.15",)),
     Command(("classify-quad", "--deltas", "0.3,0.3,0.7,0.7,"), "--deltas field 5 of '0.3,0.3,0.7,0.7,' is empty"),
-    Command(CDA_TRACE, loads=TRACING),
-    Command(TRACE, loads=TRACING, numbers=("--step={}", "--tol={}", "--max-steps={}")),
-    Command((*TRACE, "--max-steps", "3", "--format", "structured"), loads=TRACING),
-    Command((*CDA_TRACE, "--format", "tabular"), loads=TRACING),
-    Command(RIGID_TRACE, "corank 0 at seed: framework is rigid", TRACING),
+    Command(CDA_TRACE),
+    Command(TRACE, numbers=("--step={}", "--tol={}", "--max-steps={}")),
+    Command((*TRACE, "--max-steps", "3", "--format", "structured")),
+    Command((*CDA_TRACE, "--format", "tabular")),
+    Command(RIGID_TRACE, "corank 0 at seed: framework is rigid"),
 )
-# a module stays loaded, so a command that does not load it must run before
-# every command that does, or its check would pass on nothing
-for module in TRACKED:
-    loads = [module in command.loads for command in COMMANDS]
-    assert loads == sorted(loads), f"a command that does not load {module} runs after one that does"
+# continuation stays loaded once a trace has run, so every trace command
+# runs after every other one, or their checks would pass on nothing
+assert list(COMMANDS) == sorted(COMMANDS, key=lambda command: command.argv[0] == "trace"), "a trace runs early"
 
 
 def write_files(folder):
@@ -112,14 +105,19 @@ def filled(argv, paths):
     return [paths.get(arg, arg) for arg in argv]
 
 
+def own_copy(argv, paths, folder, flag, data):
+    """``argv`` filled from ``paths``, but with its own JSON file of ``data`` after ``flag``."""
+    path = folder / argv[argv.index(flag) + 1]
+    path.write_text(json.dumps(data))
+    return filled(argv, {**paths, path.name: str(path)})
+
+
 def outcome(argv):
-    """``(exit code, stdout, stderr)`` of ``argv`` run in this process."""
+    """``(exit code, stdout, stderr)`` of ``argv`` run in this process; a
+    usage error raises ``SystemExit``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = run(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = run(argv)
     return code, out.getvalue(), err.getvalue()
 
 

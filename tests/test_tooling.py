@@ -32,8 +32,9 @@ package's ``__init__`` binds no name, so each public name has one import
 path: its module.  In ``tests/``, each public function and class of a
 helper module (one not named ``test_*``) needs a reference there outside
 its own definition that comes through its module: from the module
-itself, ``from module import name`` or ``module.name`` after ``import
-module`` (``unused_test_helpers``).  Each subcommand of the CLI, with
+itself, ``from module import name``, ``module.name`` after ``import
+module``, or for a fixture of ``conftest.py`` a parameter of its name
+(``unused_test_helpers``).  Each subcommand of the CLI, with
 each of its ``--format`` choices, has a command in ``tests/commands.py``.
 """
 
@@ -360,8 +361,9 @@ def test_every_exception_class_is_caught_or_read():
 def helper_references():
     """``(module, statement, names)`` of each top-level statement of tests/:
     the names it refers to, and ``module.name`` for each it reaches through
-    a module: a name of its own module, ``from module import name``, or
-    ``module.name`` after ``import module``."""
+    a module: a name of its own module, ``from module import name``,
+    ``module.name`` after ``import module``, or a parameter of the name of a
+    ``conftest`` fixture."""
     index = []
     for stem, tree in modules(TESTS).items():
         imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)]
@@ -369,6 +371,8 @@ def helper_references():
         for top in tree.body:
             names = referenced_names([top])
             names |= {f"{stem}.{name}" for name in names}
+            # pytest hands a conftest fixture to each test naming it as a parameter
+            names |= {f"conftest.{node.arg}" for node in ast.walk(top) if isinstance(node, ast.arg)}
             for node in ast.walk(top):
                 if isinstance(node, ast.ImportFrom):
                     names |= {f"{node.module}.{a.name}" for a in node.names}

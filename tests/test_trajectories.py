@@ -73,7 +73,7 @@ from trajectories import (
     trajectory_to_csv_by_samples,
     trajectory_to_dict_by_samples,
 )
-from commands import outcome
+from commands import FILES, outcome, own_copy
 from degrees import dixon1_placement
 from helpers import distinctness, realization_to_dict, restrict_realization
 
@@ -129,7 +129,7 @@ DIGESTS = {
 }
 
 
-def cli_cases(tmp):
+def cli_cases(tmp, inputs):
     def write(name, payload):
         path = tmp / name
         path.write_text(json.dumps(payload))
@@ -155,27 +155,28 @@ def cli_cases(tmp):
         "k33-cda-signs": ["k33", "--kind", "cda", "--samples", "30", "--y2-sign", "-1",
                           "--z5-sign", "-1", "--t-min", "8", "--t-max", "20"],
     }
-    d1 = dixon1_motion(DIXON1, [1.0, 1.1])
     k55 = complete_bipartite((1, 3, 5, 7, 9), (2, 4, 6, 8, 10))
     rho = dixon1_placement(k55, np.linspace(0.2, 0.6, 5), np.linspace(0.3, 0.7, 5))
-    traces = {
-        "trace-k33": (k33(), d1.lengths, d1.samples[0].realization),
-        "trace-k55": (k55, LengthAssignment.induced(k55, rho), rho),
-    }
-    for name, (g, lam, seed) in traces.items():
-        cases[name] = [
-            "trace",
-            "--graph", write(f"{name}-g.json", formats.graph_to_dict(g)),
-            "--lengths", write(f"{name}-l.json", formats.lengths_to_dict(lam)),
-            "--seed-realization", write(f"{name}-s.json", realization_to_dict(seed)),
-            "--step", "0.05",
-        ]
+    cases["trace-k33"] = [
+        "trace",
+        "--graph", inputs["K33"],
+        "--lengths", inputs["DIXON1_LENGTHS"],
+        "--seed-realization", inputs["DIXON1_SEED"],
+        "--step", "0.05",
+    ]
+    cases["trace-k55"] = [
+        "trace",
+        "--graph", write("k55-g.json", formats.graph_to_dict(k55)),
+        "--lengths", write("k55-l.json", formats.lengths_to_dict(LengthAssignment.induced(k55, rho))),
+        "--seed-realization", write("k55-s.json", realization_to_dict(rho)),
+        "--step", "0.05",
+    ]
     return cases
 
 
-def test_cli_output_hashes_to_per_sample_digests(tmp_path):
+def test_cli_output_hashes_to_per_sample_digests(tmp_path, inputs):
     got = {}
-    for name, argv in cli_cases(tmp_path).items():
+    for name, argv in cli_cases(tmp_path, inputs).items():
         for fmt in ("text", "structured", "tabular"):
             rc, text, _ = outcome([*argv, "--format", fmt])
             assert rc == 0, name
@@ -586,20 +587,13 @@ def test_nan_residual_fails_the_residual_check():
         MotionTrajectory(traj.graph, lam, traj.points, traj.parameters, traj.kind)
 
 
-def test_cli_rejects_nan_and_inf_input(tmp_path, capsys):
-    d1 = dixon1_motion(DIXON1, [1.0, 1.1])
-    graph = tmp_path / "g.json"
-    graph.write_text(json.dumps(formats.graph_to_dict(k33())))
-    lengths = tmp_path / "l.json"
-    lengths.write_text(json.dumps(formats.lengths_to_dict(d1.lengths)))
-    for bad in ("NaN", "Infinity"):
-        seed = realization_to_dict(d1.samples[0].realization)
-        text = json.dumps(seed).replace(str(seed["placement"]["3"][0]), bad, 1)
-        seed_file = tmp_path / "s.json"
-        seed_file.write_text(text)
-        argv = ["trace", "--graph", str(graph), "--lengths", str(lengths),
-                "--seed-realization", str(seed_file)]
-        assert cli.run(argv) == 1
+def test_cli_rejects_nan_and_inf_input(inputs, tmp_path, capsys):
+    argv = ("trace", "--graph", "K33", "--lengths", "DIXON1_LENGTHS", "--seed-realization", "DIXON1_SEED")
+    placement = FILES["DIXON1_SEED"]["placement"]
+    for bad in (math.nan, math.inf):
+        # json.dumps writes them as NaN and Infinity
+        seed = {"placement": {**placement, "3": [bad, *placement["3"][1:]]}}
+        assert cli.run(own_copy(argv, inputs, tmp_path, "--seed-realization", seed)) == 1
         assert "error: vertex 3 placed off the sphere by" in capsys.readouterr().err
     for flag in ("--s-min", "--s-max"):
         rc, out, err = outcome(["k33", "--kind", "dixon1", "--format", "structured", flag, "nan"])
