@@ -243,12 +243,17 @@ def _seed(args) -> int:
     """``--seed``, else the SPHFLEX_SEED environment variable, else 0; the
     variable is read per call, so one process can run with several."""
     if args.seed is not None:
+        if args.seed < 0:
+            raise SphflexError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.seed
     text = os.environ.get("SPHFLEX_SEED", "0")
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
         raise SphflexError(f"SPHFLEX_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise SphflexError(f"SPHFLEX_SEED must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _floats(flag: str, text: str) -> list[float]:

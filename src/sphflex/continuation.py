@@ -58,6 +58,7 @@ from .errors import RankDeficientError, SphflexError
 from .graphs import Graph
 from .motions import HALF_TURN_Z, KIND_TRACED, MotionTrajectory
 from .spherical import (
+    DEGENERATE_TOL,
     ON_SPHERE_TOL,
     LengthAssignment,
     SphericalRealization,
@@ -624,9 +625,16 @@ def _fiber_sizes(traj: MotionTrajectory, forgotten: set[int]) -> Vec:
     when every edge at a forgotten vertex holds within ``FIBER_TOL``.  All
     samples and branches are placed at once; a branch whose intersection is
     not real holds NaN and fails every edge test.
+
+    The paper's realizations put no two vertices on one point or on
+    antipodal points, so an intersection point that coincides with or is
+    antipodal to a vertex its branch has placed, within ``DEGENERATE_TOL``,
+    is no point of the fiber and holds NaN too.  Retained vertices that
+    span less than a plane still raise ``SphflexError``.
     """
     g, lam = traj.graph, traj.lengths
     col = g.position
+    placed = [col[v] for v in g.vertices if v not in forgotten]
     branches = traj.points[:, None]
     for v, a, b in _construction_order(g, forgotten):
         cands, real = _circle_intersections(
@@ -636,9 +644,12 @@ def _fiber_sizes(traj: MotionTrajectory, forgotten: set[int]) -> Vec:
             lam.delta_of(v, b),
             FIBER_TOL,
         )
+        dots = cands @ branches[:, :, placed].swapaxes(-1, -2)
+        real &= ~np.any(np.abs(dots) >= 1.0 - DEGENERATE_TOL, axis=-1)
         branches = np.repeat(branches, 2, axis=1)
         cands = np.where(real[..., None], cands, np.nan)
         branches[:, :, col[v]] = cands.reshape(len(branches), -1, 3)
+        placed.append(col[v])
     keep = np.ones(branches.shape[:2], dtype=bool)
     for a, b in g.edges:
         if a in forgotten or b in forgotten:

@@ -16,10 +16,10 @@ from sphflex.cli import run
 from sphflex.coloring import EdgeColoring
 from sphflex.formats import coloring_to_list, graph_to_dict, lengths_to_dict
 from sphflex.graphs import complete, k33, triangle
-from sphflex.motions import Dixon1Params, cda_motion, cda_params_from_e, dixon1_motion
 from sphflex.spherical import LengthAssignment, SphericalRealization
 
 from helpers import dump_edge_list, realization_to_dict
+from reference import cda_seed, dixon1_seed
 
 # numpy.ma loads lazily (np.unique pulls it in) and adds to peak memory;
 # continuation is the one module on numpy's private _umath_linalg
@@ -34,8 +34,8 @@ class Command:
 
 
 STAR = coloring_to_list(EdgeColoring.from_red_edges(k33(), [(1, 2), (1, 4), (1, 6)]))
-CDA_MOTION = cda_motion(cda_params_from_e(0.75), [8.0, 8.2])
-DIXON1_MOTION = dixon1_motion(Dixon1Params({1: 0.2, 3: 0.4, 5: 0.6}, {2: 0.3, 4: 0.5, 6: 0.7}), [1.0, 1.1])
+_, CDA_LENGTHS, CDA_SEED = cda_seed()
+_, DIXON1_LENGTHS, DIXON1_SEED = dixon1_seed(3, 3)
 RIGID = SphericalRealization({1: [1.0, 0.0, 0.0], 2: [0.0, 1.0, 0.0], 3: [0.0, 0.0, 1.0]})
 # JSON files as their data, edge lists as their text
 FILES = {
@@ -43,10 +43,10 @@ FILES = {
     "K33_EDGES": dump_edge_list(k33()),
     "K8": dump_edge_list(complete(8)),
     "STAR": {"coloring": STAR},
-    "CDA_LENGTHS": lengths_to_dict(CDA_MOTION.lengths),
-    "CDA_SEED": realization_to_dict(CDA_MOTION.realizations()[0]),
-    "DIXON1_LENGTHS": lengths_to_dict(DIXON1_MOTION.lengths),
-    "DIXON1_SEED": realization_to_dict(DIXON1_MOTION.realizations()[0]),
+    "CDA_LENGTHS": lengths_to_dict(CDA_LENGTHS),
+    "CDA_SEED": realization_to_dict(CDA_SEED),
+    "DIXON1_LENGTHS": lengths_to_dict(DIXON1_LENGTHS),
+    "DIXON1_SEED": realization_to_dict(DIXON1_SEED),
     "RIGID_LENGTHS": lengths_to_dict(LengthAssignment.induced(triangle(), RIGID)),
     "RIGID_SEED": realization_to_dict(RIGID),
 }
@@ -76,6 +76,7 @@ COMMANDS = (
     Command(("realize", "--corpus", "k33", "--samples", "3"), numbers=("--samples={}", "--seed={}")),
     Command(REALIZE_STAR),
     Command(("realize", "--corpus", "k33", "--samples", "3", "--format", "tabular")),
+    Command(("realize", "--corpus", "k33", "--seed=-1"), "--seed must be a non-negative integer, got -1"),
     Command(("k33", "--kind", "dixon1", "--samples", "3"), numbers=DIXON1_NUMBERS),
     Command(("k33", "--kind", "dixon1", "--c", "0.2,,0.4,0.6"), "--c field 2 of '0.2,,0.4,0.6' is empty"),
     Command(("k33", "--kind", "dixon2", "--samples", "3", "--format", "structured"), numbers=DIXON2_NUMBERS),

@@ -11,23 +11,17 @@ acceptance-test loop and on the loops with increasing slopes, not on the
 unsorted ones.
 """
 
-import math
 from itertools import combinations
 
 import numpy as np
 
 from sphflex.continuation import TraceConfig, trace
-from sphflex.graphs import k33
 from sphflex.motions import MotionTrajectory
-from sphflex.spherical import (
-    LengthAssignment,
-    SphericalRealization,
-    essentially_distinct,
-    random_rotation,
-)
+from sphflex.spherical import SphericalRealization, essentially_distinct, random_rotation
 
 from assembly import match_jacobian_by_loop, match_residual_by_loop
 from helpers import apply_rotation
+from reference import dixon1_seed
 
 MATCH_TOL = 1e-8
 NEWTON_TOL = 1e-12
@@ -101,19 +95,6 @@ def window_scan_degree(traj: MotionTrajectory, forgotten) -> int:
     return best
 
 
-def dixon1_placement(g, c, d) -> SphericalRealization:
-    """The odd vertices of ``g`` at heights ``c`` on the great circle
-    {y = 0} and the even ones at heights ``d`` on {x = 0}."""
-    odd = [v for v in g.vertices if v % 2]
-    even = [v for v in g.vertices if not v % 2]
-    pts = {}
-    for v, ci in zip(odd, c):
-        pts[v] = np.array([math.sqrt(1.0 - ci * ci), 0.0, ci])
-    for v, di in zip(even, d):
-        pts[v] = np.array([0.0, math.sqrt(1.0 - di * di), di])
-    return SphericalRealization(pts)
-
-
 def random_dixon1_loops(count: int = 16):
     """(c, d, trace result) of Dixon 1 K(3,3) loops with slopes drawn from
     ``default_rng(11)``, each seed turned by a random rotation and traced to
@@ -126,9 +107,8 @@ def random_dixon1_loops(count: int = 16):
         if k % 2 == 0:
             c.sort()
             d.sort()
-        rho = dixon1_placement(k33(), c, d)
-        lam = LengthAssignment.induced(k33(), rho)
+        g, lam, rho = dixon1_seed(3, 3, c, d)
         seed = apply_rotation(random_rotation(rng), rho)
-        res = trace(k33(), lam, seed, config=TraceConfig(step_size=0.05, max_steps=4000))
+        res = trace(g, lam, seed, config=TraceConfig(step_size=0.05, max_steps=4000))
         loops.append((c, d, res))
     return loops

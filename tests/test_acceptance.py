@@ -22,27 +22,19 @@ from sphflex.coloring import (
     is_surjective,
 )
 from sphflex.errors import SphflexError
-from sphflex.graphs import apex_double_triangle, k22, k33, triangle
-from sphflex.motions import (
-    Dixon1Params,
-    Dixon2Params,
-    cda_motion,
-    cda_params_from_e,
-    dixon1_motion,
-    dixon2_motion,
-    polar_nap_motion,
-)
+from sphflex.graphs import apex_double_triangle, k33, triangle
+from sphflex.motions import cda_motion, dixon1_motion, dixon2_motion, polar_nap_motion
 from sphflex.spherical import (
     LengthAssignment,
     SphericalRealization,
     degenerate_pairs,
     essentially_distinct,
     random_unit_point,
-    rotation_about_axis,
 )
 
 from enumeration import connected_graphs
 from helpers import dixon2_involutions, gram_matrix
+from reference import CDA, DIXON1, DIXON2, pinned, prefix
 from rhomboids import diagonals_not_orthogonal_check
 from trajectories import cda_rows_at
 
@@ -123,8 +115,7 @@ def test_criterion_4_polar_motions():
 
 
 def test_criterion_5_constant_diagonal_angle_motion():
-    params = cda_params_from_e(0.75)
-    traj = cda_motion(params, list(np.linspace(7.2, 30.0, 50)))
+    traj = cda_motion(CDA, list(np.linspace(7.2, 30.0, 50)))
     sphere_worst = max(
         abs(float(s.realization.point(v) @ s.realization.point(v)) - 1.0)
         for s in traj.samples
@@ -172,8 +163,7 @@ def _dixon1_residuals(traj):
 
 
 def test_criterion_6_dixon1():
-    params = Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7})
-    gen = dixon1_motion(params, list(np.linspace(0.95, 1.35, 25)))
+    gen = dixon1_motion(DIXON1, list(np.linspace(0.95, 1.35, 25)))
     kind = motions.detect_k33_motion_kind(gen)
     copl, orth = _dixon1_residuals(gen)
     res = cont.trace(
@@ -200,8 +190,7 @@ def test_criterion_6_dixon1():
 
 
 def test_criterion_7_dixon2():
-    params = Dixon2Params(0.2, 0.15, 0.1)
-    traj = dixon2_motion(params, list(np.linspace(0.45, 0.62, 20)))
+    traj = dixon2_motion(DIXON2, list(np.linspace(0.45, 0.62, 20)))
     first = traj.samples[0].realization
     drift = max(
         abs(
@@ -320,33 +309,13 @@ def test_criterion_9_quad_classifier():
         for signs in ((1, 1, 1, 1), (1, -1, -1, 1), (1, -1, 1, -1), (1, 1, -1, -1))
     )
 
-    rng = np.random.default_rng(12)
-    half = rotation_about_axis([0.0, 0.0, 1.0], math.pi)
-    r1, r2 = random_unit_point(rng), random_unit_point(rng)
-    rho = SphericalRealization({1: r1, 2: r2, 3: half.apply(r1), 4: half.apply(r2)})
-    lam = LengthAssignment.induced(k22(), rho)
-    rhomboid_trace = cont.trace(
-        k22(), lam, rho, config=cont.TraceConfig(step_size=0.04, max_steps=600)
-    )
+    rhomboid_trace = pinned("rhomboid-K(2,2)").result
     rhomboid_ok = all(
         diagonals_not_orthogonal_check([s.realization.point(v) for v in (1, 2, 3, 4)])
         for s in rhomboid_trace.trajectory.samples
     )
 
-    c1, c2 = 0.8, 0.5
-    s1, s2 = math.sqrt(1 - c1 * c1), math.sqrt(1 - c2 * c2)
-    lozenge_rho = SphericalRealization(
-        {
-            1: np.array([s1, 0.0, c1]),
-            2: np.array([0.0, s2, c2]),
-            3: np.array([-s1, 0.0, c1]),
-            4: np.array([0.0, -s2, c2]),
-        }
-    )
-    lozenge_lam = LengthAssignment.induced(k22(), lozenge_rho)
-    lozenge_trace = cont.trace(
-        k22(), lozenge_lam, lozenge_rho, config=cont.TraceConfig(step_size=0.04, max_steps=600)
-    )
+    lozenge_trace = pinned("lozenge-K(2,2)").result
     lozenge_ok = all(
         not diagonals_not_orthogonal_check([s.realization.point(v) for v in (1, 2, 3, 4)])
         for s in lozenge_trace.trajectory.samples
@@ -399,19 +368,13 @@ def _refine_alignment(target, t0, signs, span):
 
 
 def test_criterion_10_continuation():
-    params = cda_params_from_e(0.75)
-    gen = cda_motion(params, [8.0, 8.2])
-    res = cont.trace(
-        k33(),
-        gen.lengths,
-        gen.samples[0].realization,
-        config=cont.TraceConfig(step_size=0.03, max_steps=100),
-    )
+    # the first 100 steps of the CDA loop at step 0.03
+    traj = prefix("cda", 100)
     refs = _cda_reference_grams()
     ref_arr = np.stack([g for _, g in refs]).reshape(len(refs), -1)
     gaps = np.empty_like(ref_arr)
     worst = 0.0
-    for s in res.trajectory.samples:
+    for s in traj.samples:
         target = gram_matrix(s.realization)
         np.abs(np.subtract(ref_arr, target.reshape(-1), out=gaps), out=gaps)
         idx = int(gaps.max(axis=1).argmin())
@@ -420,7 +383,7 @@ def test_criterion_10_continuation():
         worst = max(worst, _refine_alignment(target, t0, signs, span))
     d56 = max(
         abs(float(s.realization.point(5) @ s.realization.point(6)) - 0.75)
-        for s in res.trajectory.samples
+        for s in traj.samples
     )
 
     g3 = triangle()

@@ -14,22 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphflex.coloring import enumerate_nap, nap_pole_partition
-from sphflex.continuation import (
-    ConstraintSystem,
-    TraceConfig,
-    jacobian,
-    residual_vector,
-    trace,
-)
+from sphflex.continuation import ConstraintSystem, jacobian, residual_vector
 from sphflex.errors import SphflexError
 from sphflex.formats import trajectory_to_csv
 from sphflex.graphs import build_graph, k33
 from sphflex.motions import (
     NORTH,
-    Dixon1Params,
     MotionTrajectory,
     cda_motion,
-    cda_params_from_e,
     dixon1_motion,
     make_trajectory,
     polar_nap_motion,
@@ -45,6 +37,7 @@ from sphflex.spherical import (
 
 from assembly import jacobian_by_loop, residual_by_loop, with_arc_row
 from helpers import restrict_realization
+from reference import CDA, DIXON1, pinned
 from trajectories import degenerate_pairs_of_all
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -103,13 +96,10 @@ def test_gauged_system_matches_loop_assembler(problem, use_arc):
 def test_gauged_system_matches_loop_assembler_along_a_trace():
     # the points a Newton solve meets: traced samples of a Dixon 1 K(3,3)
     # loop, and the arclength row towards the next sample
-    gen = dixon1_motion(
-        Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7}), [1.0, 1.1]
-    )
-    g, lam = gen.graph, gen.lengths
-    res = trace(g, lam, gen.samples[0].realization, config=TraceConfig(step_size=0.05))
+    traj = pinned("dixon1-K(3,3)").result.trajectory
+    g, lam = traj.graph, traj.lengths
     system = ConstraintSystem(g, lam)
-    flat = res.trajectory.points.reshape(len(res.trajectory.points), -1)
+    flat = traj.points.reshape(len(traj.points), -1)
     for x, y in zip(flat[:-1], flat[1:]):
         h = float(np.linalg.norm(y - x))
         for coords, arc in ((x, None), (y, (x, (y - x) / h, h))):
@@ -218,11 +208,10 @@ def test_polar_motion_matches_per_angle_rotations():
 
 def k33_trajectories():
     g = k33()
-    dixon1 = Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7})
     return [
         polar_nap_motion(g, next(iter(enumerate_nap(g))), np.linspace(0.0, 6.0, 600)),
-        dixon1_motion(dixon1, np.linspace(0.95, 1.35, 300)),
-        cda_motion(cda_params_from_e(0.75), np.linspace(7.2, 30.0, 300)),
+        dixon1_motion(DIXON1, np.linspace(0.95, 1.35, 300)),
+        cda_motion(CDA, np.linspace(7.2, 30.0, 300)),
     ]
 
 
@@ -249,10 +238,7 @@ def test_batched_pairs_use_each_realization_vertex_set():
 
 
 def test_validation_raises_on_first_offending_sample():
-    gen = dixon1_motion(
-        Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7}),
-        np.linspace(1.0, 1.2, 6),
-    )
+    gen = dixon1_motion(DIXON1, np.linspace(1.0, 1.2, 6))
     frames = list(zip(gen.parameters.tolist(), gen.realizations()))
     for k, angle in ((4, 1e-3), (2, 1e-4)):
         pts = dict(frames[k][1].placement)

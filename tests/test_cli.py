@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -218,13 +217,11 @@ LEAKED = re.compile(r"placed off the sphere|length .* for edge|Number of samples
 # the step that overflowed the predictor before step_size had a bound
 @example([*TRACE, "--step=1e308"])
 def test_cli_numeric_flags_exit_cleanly(inputs, argv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        try:
-            code, _, err = outcome(filled(argv, inputs))
-        except SystemExit as exc:
-            assert exc.code == 2, argv
-            return
+    try:
+        code, _, err = outcome(filled(argv, inputs))
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        return
     assert code in (0, 1), argv
     if code == 1:
         assert err.startswith("error: ") and not LEAKED.search(err), (argv, err)
@@ -241,12 +238,10 @@ def test_cli_trace_step_is_at_most_pi(inputs, capsys):
 @pytest.mark.parametrize("coordinate", [1e155, 1e200, 1e308])
 def test_cli_trace_refuses_a_huge_seed_coordinate_without_a_warning(inputs, tmp_path, capsys, coordinate):
     # the coordinate's square overflows to inf, which is off the sphere;
-    # the overflow must not surface as a numpy warning
+    # the overflow must not surface as a numpy warning (an error in the tests)
     seed = {"placement": {**PLACEMENT, "1": [coordinate, *PLACEMENT["1"][1:]]}}
     argv = own_copy(CDA_TRACE, inputs, tmp_path, "--seed-realization", seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert run(argv) == 1
+    assert run(argv) == 1
     assert capsys.readouterr().err == "error: vertex 1 placed off the sphere by inf\n"
 
 
@@ -512,6 +507,9 @@ def test_bad_seed_variable_is_an_error(monkeypatch, capsys):
     monkeypatch.setenv("SPHFLEX_SEED", "soon")
     assert run(["realize", "--corpus", "k33"]) == 1
     assert "SPHFLEX_SEED" in capsys.readouterr().err
+    monkeypatch.setenv("SPHFLEX_SEED", "-5")
+    assert run(["realize", "--corpus", "k33"]) == 1
+    assert capsys.readouterr().err == "error: SPHFLEX_SEED must be a non-negative integer, got '-5'\n"
 
 
 def test_usage_errors_repeat(capsys):

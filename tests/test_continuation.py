@@ -27,39 +27,36 @@ from sphflex.continuation import (
     trace,
 )
 from sphflex.errors import RankDeficientError, SphflexError
-from sphflex.graphs import build_graph, complete_bipartite, k22, k33, triangle
-from sphflex.motions import (
-    Dixon1Params,
-    Dixon2Params,
-    cda_motion,
-    cda_params_from_e,
-    dixon1_motion,
-    dixon2_motion,
-)
+from sphflex.graphs import build_graph, k22, k33, triangle
+from sphflex.motions import cda_motion, make_trajectory
 from sphflex.spherical import (
     ON_SPHERE_TOL,
     LengthAssignment,
     SphericalRealization,
     random_rotation,
     random_unit_point,
-    rotation_about_axis,
 )
 
 import stepping
 from helpers import apply_rotation, gram_matrix, restrict_realization
+from reference import (
+    CDA,
+    PINNED,
+    cda_seed,
+    dixon1_seed,
+    induced,
+    lozenge,
+    pinned,
+    prefix,
+    recording,
+    traced,
+)
 
 RNG = np.random.default_rng(0)
 
 
-def cda_seed():
-    params = cda_params_from_e(0.75)
-    traj = cda_motion(params, [8.0, 8.2])
-    return traj.lengths, traj.samples[0].realization
-
-
 def test_residual_layout_and_zero_on_curve():
-    g = k33()
-    lam, seed = cda_seed()
+    g, lam, seed = cda_seed()
     x = re_gauge(seed, g).as_array(g.vertices)
     r = residual_vector(g, lam, x)
     assert r.shape == (6 + 9 + 3,)
@@ -67,8 +64,7 @@ def test_residual_layout_and_zero_on_curve():
 
 
 def test_residual_perturbation_is_local():
-    g = k33()
-    lam, seed = cda_seed()
+    g, lam, seed = cda_seed()
     x = re_gauge(seed, g).as_array(g.vertices)
     x2 = x.copy()
     x2[3 * 5] += 1e-3  # vertex 6's x coordinate
@@ -95,8 +91,7 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_corank_one_at_flexible_point():
-    g = k33()
-    lam, seed = cda_seed()
+    g, lam, seed = cda_seed()
     x = re_gauge(seed, g).as_array(g.vertices)
     corank, _ = corank_and_tangent(jacobian(g, lam, x))
     assert corank == 1
@@ -113,8 +108,7 @@ def test_trace_reports_rigid_triangle():
 
 
 def test_trace_rejects_bad_seed():
-    g = k33()
-    lam, seed = cda_seed()
+    g, lam, seed = cda_seed()
     other = LengthAssignment(
         {e: min(0.9, v + 0.2) for e, v in lam.lengths.items()}
     )
@@ -132,8 +126,7 @@ def test_trace_refuses_a_graph_without_edges(vertices):
 
 
 def test_trace_names_missing_edge_length_and_seed_vertex():
-    g = k33()
-    lam, seed = cda_seed()
+    g, lam, seed = cda_seed()
     short = LengthAssignment({e: v for e, v in lam.lengths.items() if e != (5, 6)})
     with pytest.raises(SphflexError, match=r"no length for edge \(5, 6\)$"):
         trace(g, short, seed)
@@ -142,23 +135,19 @@ def test_trace_names_missing_edge_length_and_seed_vertex():
 
 
 def test_trace_follows_cda_curve():
-    g = k33()
-    lam, seed = cda_seed()
-    res = trace(g, lam, seed, config=TraceConfig(step_size=0.03, max_steps=300))
-    assert res.trajectory.max_residual() <= 1e-9
-    for s in res.trajectory.samples:
+    traj = prefix("cda", 300)
+    assert traj.max_residual() <= 1e-9
+    for s in traj.samples:
         assert abs(s.realization.point(5) @ s.realization.point(6) - 0.75) <= 1e-8
 
 
 def test_trace_gauge_invariance():
-    g = k33()
-    lam, seed = cda_seed()
+    g, lam, seed = cda_seed()
     rot = random_rotation(RNG)
-    cfg = TraceConfig(step_size=0.03, max_steps=50)
-    res1 = trace(g, lam, seed, config=cfg)
-    res2 = trace(g, lam, apply_rotation(rot, seed), config=cfg)
-    assert len(res1.trajectory.samples) == len(res2.trajectory.samples)
-    for s1, s2 in zip(res1.trajectory.samples, res2.trajectory.samples):
+    traj1 = prefix("cda", 50)
+    res2 = trace(g, lam, apply_rotation(rot, seed), config=TraceConfig(step_size=0.03, max_steps=50))
+    assert len(traj1.samples) == len(res2.trajectory.samples)
+    for s1, s2 in zip(traj1.samples, res2.trajectory.samples):
         assert (
             np.abs(
                 gram_matrix(s1.realization) - gram_matrix(s2.realization)
@@ -168,38 +157,21 @@ def test_trace_gauge_invariance():
 
 
 def test_trace_tangent_continuity():
-    g = k33()
-    lam, seed = cda_seed()
-    res = trace(g, lam, seed, config=TraceConfig(step_size=0.03, max_steps=120))
-    xs = [s.realization.as_array(g.vertices) for s in res.trajectory.samples]
+    traj = prefix("cda", 120)
+    xs = [s.realization.as_array(traj.graph.vertices) for s in traj.samples]
     steps = [b - a for a, b in zip(xs, xs[1:])]
     for u, v in zip(steps, steps[1:]):
         assert float(u @ v) > 0.0
 
 
 def test_dixon1_trace_keeps_odd_vertices_coplanar():
-    params = Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7})
-    gen = dixon1_motion(params, [1.0, 1.05])
-    res = trace(
-        k33(),
-        gen.lengths,
-        gen.samples[0].realization,
-        config=TraceConfig(step_size=0.05, max_steps=500),
-    )
-    for s in res.trajectory.samples:
+    for s in pinned("dixon1-K(3,3)").result.trajectory.samples:
         pts = np.stack([s.realization.point(v) for v in (1, 3, 5)])
         assert np.linalg.svd(pts)[1][-1] <= 1e-8
 
 
 def test_dixon1_trace_closes_loop_and_has_degree_four():
-    params = Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7})
-    gen = dixon1_motion(params, [1.0, 1.05])
-    res = trace(
-        k33(),
-        gen.lengths,
-        gen.samples[0].realization,
-        config=TraceConfig(step_size=0.05, max_steps=4000),
-    )
+    res = pinned("dixon1-K(3,3)").result
     assert res.closed
     assert empirical_map_degree(res.trajectory, {5, 6}) == 4
     assert empirical_map_degree(res.trajectory, set()) == 1
@@ -207,23 +179,15 @@ def test_dixon1_trace_closes_loop_and_has_degree_four():
 
 def test_dixon1_trace_closes_loop_at_large_steps():
     # the loop never gets 3 steps of 1.0 away from its seed
-    params = Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7})
-    gen = dixon1_motion(params, [1.0, 1.05])
-    res = trace(
-        k33(),
-        gen.lengths,
-        gen.samples[0].realization,
-        config=TraceConfig(step_size=1.0, max_steps=200),
-    )
+    res = trace(*dixon1_seed(3, 3), config=TraceConfig(step_size=1.0, max_steps=200))
     assert res.stop_reason == "loop_closed"
 
 
 def test_empirical_degree_of_cda_fiber_pair():
     # antipoding the two diagonal poles together fixes the quadrilateral and
     # all nine lengths, giving the second point of each projection fiber
-    params = cda_params_from_e(0.75)
     t_vals = list(np.linspace(7.5, 12.0, 60))
-    traj = cda_motion(params, t_vals)
+    traj = cda_motion(CDA, t_vals)
     mirrored = []
     for t, rho in zip(traj.parameters.tolist(), traj.realizations()):
         pts = {v: rho.point(v).copy() for v in range(1, 7)}
@@ -232,8 +196,6 @@ def test_empirical_degree_of_cda_fiber_pair():
         mirrored.append(
             (t + 100.0, SphericalRealization(pts))
         )
-    from sphflex.motions import make_trajectory
-
     frames = list(zip(traj.parameters.tolist(), traj.realizations())) + mirrored
     combined = make_trajectory(traj.graph, traj.lengths, frames, "const_diag_angle")
     assert empirical_map_degree(combined, {5, 6}) == 2
@@ -311,8 +273,7 @@ def test_fiber_count_against_dense_scan():
 
 
 def test_newton_correct_polishes_perturbed_point():
-    g = k33()
-    lam, seed = cda_seed()
+    g, lam, seed = cda_seed()
     x = re_gauge(seed, g).as_array(g.vertices)
     noisy = x + 1e-4 * np.random.default_rng(3).normal(size=x.shape)
     fixed = newton_correct(ConstraintSystem(g, lam), noisy, 1e-12)
@@ -321,9 +282,10 @@ def test_newton_correct_polishes_perturbed_point():
 
 
 def test_trace_config_validation():
-    with pytest.raises(Exception):
+    positive = "^trace configuration step_size must be finite and positive, got -1.0$"
+    with pytest.raises(SphflexError, match=positive):
         TraceConfig(step_size=-1.0)
-    with pytest.raises(Exception):
+    with pytest.raises(SphflexError, match="^newton_tol below 1e-13 is not resolvable$"):
         TraceConfig(newton_tol=1e-16)
 
 
@@ -337,13 +299,12 @@ def test_trace_config_rejects_newton_tol_above_on_sphere_tol(tol):
 
 
 def test_trace_samples_meet_newton_tol():
-    g = k33()
-    lam, seed = cda_seed()
-    cfg = TraceConfig(step_size=0.03, max_steps=40, newton_tol=1e-12)
-    res = trace(g, lam, seed, config=cfg)
-    for s in res.trajectory.samples:
+    # the pinned loops are traced at the default newton_tol
+    traj = prefix("cda", 40)
+    g, lam = traj.graph, traj.lengths
+    for s in traj.samples:
         x = s.realization.as_array(g.vertices)
-        assert np.abs(residual_vector(g, lam, x)).max() <= cfg.newton_tol
+        assert np.abs(residual_vector(g, lam, x)).max() <= TraceConfig().newton_tol
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +315,7 @@ def test_trace_samples_meet_newton_tol():
 def test_corank_tangent_is_kernel_vector_on_wide_jacobian():
     # K(2,2) has 4 + 4 + 3 = 11 rows and 12 columns: a thin SVD would
     # return only 11 right singular vectors, none of them the kernel
-    c1, c2 = 0.8, 0.5
-    s1, s2 = math.sqrt(1 - c1 * c1), math.sqrt(1 - c2 * c2)
-    rho = SphericalRealization(
-        {
-            1: np.array([s1, 0.0, c1]),
-            2: np.array([0.0, s2, c2]),
-            3: np.array([-s1, 0.0, c1]),
-            4: np.array([0.0, -s2, c2]),
-        }
-    )
-    g = k22()
-    lam = LengthAssignment.induced(g, rho)
-    jac = jacobian(g, lam, re_gauge(rho, g).as_array(g.vertices))
+    jac = lozenge_jacobian()
     assert jac.shape == (11, 12)
     corank, t = corank_and_tangent(jac)
     assert corank == 1
@@ -499,18 +448,7 @@ def constructed_jacobian(seed, rows, cols, smallest):
 
 
 def lozenge_jacobian():
-    c1, c2 = 0.8, 0.5
-    s1, s2 = math.sqrt(1 - c1 * c1), math.sqrt(1 - c2 * c2)
-    rho = SphericalRealization(
-        {
-            1: np.array([s1, 0.0, c1]),
-            2: np.array([0.0, s2, c2]),
-            3: np.array([-s1, 0.0, c1]),
-            4: np.array([0.0, -s2, c2]),
-        }
-    )
-    g = k22()
-    lam = LengthAssignment.induced(g, rho)
+    g, lam, rho = induced(k22(), lozenge())
     return jacobian(g, lam, re_gauge(rho, g).as_array(g.vertices))
 
 
@@ -550,15 +488,10 @@ def test_bordered_corank_and_tangent_match_full_svd(name, jac_rng, corank):
         assert np.linalg.norm(jac @ got) <= 1e-10
 
 
-def counting_lstsq(monkeypatch):
+def counted(monkeypatch, name):
+    """The matrices that ``np.linalg.<name>`` is given from here on."""
     calls = []
-    lstsq = np.linalg.lstsq
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    monkeypatch.setattr(np.linalg, name, recording(calls, getattr(np.linalg, name)))
     return calls
 
 
@@ -571,7 +504,7 @@ def test_singular_bordered_matrix_falls_back_to_lstsq(monkeypatch):
     bordered = np.vstack([jac, t_prev])
     e_last = np.eye(19)[-1]
     want = np.linalg.lstsq(bordered, e_last, rcond=None)[0]
-    calls = counting_lstsq(monkeypatch)
+    calls = counted(monkeypatch, "lstsq")
     with np.errstate(all="ignore"):
         corank, t = bordered_corank_and_tangent(bordered)
     assert len(calls) == 1
@@ -583,7 +516,7 @@ def test_non_finite_normal_solution_falls_back_to_lstsq(monkeypatch):
     # a^T a overflows, so the normal equations give NaN
     rng = np.random.default_rng(9)
     a, b = 1e200 * rng.normal(size=(7, 5)), rng.normal(size=7)
-    calls = counting_lstsq(monkeypatch)
+    calls = counted(monkeypatch, "lstsq")
     with np.errstate(over="ignore", invalid="ignore"):
         got = full_rank_step_from_zero(a, -b)
     assert len(calls) == 1
@@ -601,11 +534,10 @@ def test_bordered_tangent_orthogonal_to_kernel_does_not_raise():
 
 
 def test_solves_without_arc_row_use_minimum_norm_step(monkeypatch):
-    g = k33()
-    lam, seed = cda_seed()
+    g, lam, seed = cda_seed()
     system = ConstraintSystem(g, lam)
     x = re_gauge(seed, g).as_array(g.vertices) + 1e-6
-    calls = counting_lstsq(monkeypatch)
+    calls = counted(monkeypatch, "lstsq")
     plain = newton_correct(system, x, 1e-12)
     assert plain is not None and calls
     calls.clear()
@@ -620,46 +552,10 @@ def test_solves_without_arc_row_use_minimum_norm_step(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def dixon1_seed(m, n, slopes_odd=None, slopes_even=None):
-    """K(m,n) with the odd side on {y = 0} and the even side on {x = 0};
-    the slopes default to evenly spaced ones."""
-    odd, even = range(1, 2 * m, 2), range(2, 2 * n + 1, 2)
-    g = complete_bipartite(odd, even)
-    if slopes_odd is None:
-        slopes_odd, slopes_even = np.linspace(0.2, 0.6, m), np.linspace(0.3, 0.7, n)
-    pts = {}
-    for v, c in zip(odd, slopes_odd):
-        pts[v] = np.array([math.sqrt(1.0 - c * c), 0.0, c])
-    for v, d in zip(even, slopes_even):
-        pts[v] = np.array([0.0, math.sqrt(1.0 - d * d), d])
-    rho = SphericalRealization(pts)
-    return g, LengthAssignment.induced(g, rho), rho
-
-
-def cda_loop():
-    gen = cda_motion(cda_params_from_e(0.75), [8.0, 8.2])
-    return gen.graph, gen.lengths, gen.samples[0].realization
-
-
-def dixon2_k44_loop():
-    gen = dixon2_motion(Dixon2Params(0.2, 0.15, 0.1), [0.45, 0.5])
-    return gen.graph, gen.lengths, gen.samples[0].realization
-
-
-@pytest.mark.parametrize(
-    "make, step, steps",
-    [
-        (lambda: dixon1_seed(3, 3), 0.05, 154),
-        (lambda: dixon1_seed(6, 6), 0.05, 169),
-        (cda_loop, 0.03, 305),
-        (dixon2_k44_loop, 0.05, 351),
-    ],
-    ids=["dixon1-K(3,3)", "dixon1-K(6,6)", "cda", "dixon2-K(4,4)"],
-)
-def test_traced_loops_keep_their_step_counts(make, step, steps):
-    g, lam, rho = make()
-    res = trace(g, lam, rho, config=TraceConfig(step_size=step, max_steps=4000))
-    assert (res.steps, res.stop_reason, res.closed) == (steps, "loop_closed", True)
+@pytest.mark.parametrize("name", PINNED)
+def test_traced_loops_keep_their_step_counts(name):
+    res = pinned(name).result
+    assert (res.steps, res.stop_reason, res.closed) == (PINNED[name].steps, "loop_closed", True)
     assert res.trajectory.max_residual() <= 1e-12
 
 
@@ -678,79 +574,18 @@ def test_singular_value_at_the_cutoff_is_not_counted():
     assert _corank(np.array([1.0, np.nextafter(CORANK_REL_TOL, 0.0)]), 2) == 1
 
 
-def counting_svd(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    return calls
-
-
-def rhomboid_loop():
-    """Criterion 9's traced K(2,2) rhomboid."""
-    rng = np.random.default_rng(12)
-    half = rotation_about_axis([0.0, 0.0, 1.0], math.pi)
-    r1, r2 = random_unit_point(rng), random_unit_point(rng)
-    rho = SphericalRealization({1: r1, 2: r2, 3: half.apply(r1), 4: half.apply(r2)})
-    return k22(), LengthAssignment.induced(k22(), rho), rho
-
-
-def lozenge_loop():
-    """Criterion 9's traced K(2,2) lozenge."""
-    c1, c2 = 0.8, 0.5
-    s1, s2 = math.sqrt(1 - c1 * c1), math.sqrt(1 - c2 * c2)
-    rho = SphericalRealization(
-        {
-            1: np.array([s1, 0.0, c1]),
-            2: np.array([0.0, s2, c2]),
-            3: np.array([-s1, 0.0, c1]),
-            4: np.array([0.0, -s2, c2]),
-        }
-    )
-    return k22(), LengthAssignment.induced(k22(), rho), rho
-
-
-PINNED_TRACES = [
-    *[
-        pytest.param(lambda m=m, n=n: dixon1_seed(m, n), 0.05, 4000, id=f"dixon1-K({m},{n})")
-        for m, n in [(3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (6, 6)]
-    ],
-    pytest.param(cda_loop, 0.03, 4000, id="cda"),
-    pytest.param(dixon2_k44_loop, 0.05, 4000, id="dixon2-K(4,4)"),
-    pytest.param(rhomboid_loop, 0.04, 600, id="rhomboid-K(2,2)"),
-    pytest.param(lozenge_loop, 0.04, 600, id="lozenge-K(2,2)"),
-]
-
-
-# no RuntimeWarning escapes a trace either
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("make, step, max_steps", PINNED_TRACES)
-def test_certified_corank_equals_svd_rule_along_pinned_traces(
-    monkeypatch, make, step, max_steps
-):
+@pytest.mark.parametrize("name", PINNED)
+def test_certified_corank_equals_svd_rule_along_pinned_traces(name):
     # every point the corrector reaches, accepted or not, is recorded with
     # the corank the trace saw there
-    seen = []
-
-    def recording(bordered):
-        corank, t = bordered_corank_and_tangent(bordered)
-        seen.append((bordered.copy(), corank))
-        return corank, t
-
-    monkeypatch.setattr("sphflex.continuation.bordered_corank_and_tangent", recording)
-    calls = counting_svd(monkeypatch)
-    g, lam, rho = make()
-    res = trace(g, lam, rho, config=TraceConfig(step_size=step, max_steps=max_steps))
-    assert res.stop_reason == "loop_closed"
+    record = pinned(name)
+    assert record.result.stop_reason == "loop_closed"
     # only the seed took an SVD: every corank along the loop was certified
-    assert len(calls) == 1
-    assert len(seen) >= res.steps
-    monkeypatch.undo()
-    assert [corank for _, corank in seen] == [svd_rule_corank(b[:-1]) for b, _ in seen]
+    assert len(record.svds) == 1
+    assert len(record.certificates) >= record.result.steps
+    assert [corank for _, corank, _ in record.certificates] == [
+        svd_rule_corank(b[:-1]) for b, _, _ in record.certificates
+    ]
 
 
 CUTOFF_SMALLEST = [0.3e-7, 1e-7, 3e-7]
@@ -777,7 +612,7 @@ def cutoff_case(second, smallest):
 def test_certificate_near_the_cutoffs_gives_the_svd_rule(monkeypatch, second, smallest):
     jac, t_prev = cutoff_case(second, smallest)
     want = svd_rule_corank(jac)
-    calls = counting_svd(monkeypatch)
+    calls = counted(monkeypatch, "svd")
     with np.errstate(all="ignore"):
         got, t = bordered_corank_and_tangent(np.vstack([jac, t_prev]))
     assert got == want
@@ -790,12 +625,11 @@ def test_certificate_near_the_cutoffs_gives_the_svd_rule(monkeypatch, second, sm
         assert want == 1
 
 
-def test_regular_trace_takes_an_svd_only_at_the_seed(monkeypatch):
-    g, lam, rho = dixon1_seed(3, 3)
-    calls = counting_svd(monkeypatch)
-    res = trace(g, lam, rho, config=TraceConfig(step_size=0.05, max_steps=4000))
-    assert (res.steps, res.stop_reason) == (154, "loop_closed")
-    assert calls == [(g.num_vertices + g.num_edges + 3, 3 * g.num_vertices)]
+def test_regular_trace_takes_an_svd_only_at_the_seed():
+    record = pinned("dixon1-K(3,3)")
+    g = record.result.trajectory.graph
+    assert (record.result.steps, record.result.stop_reason) == (154, "loop_closed")
+    assert [a.shape for a in record.svds] == [(g.num_vertices + g.num_edges + 3, 3 * g.num_vertices)]
 
 
 @pytest.mark.parametrize(
@@ -810,10 +644,10 @@ def test_corank_other_than_one_takes_one_svd(monkeypatch, jac_rng, corank):
     jac, rng = jac_rng
     _, kernel = corank_and_tangent(jac)
     bordered = np.vstack([jac, near(kernel, rng)])
-    calls = counting_svd(monkeypatch)
+    calls = counted(monkeypatch, "svd")
     with np.errstate(all="ignore"):
         assert bordered_corank_and_tangent(bordered)[0] == corank
-    assert calls == [jac.shape]
+    assert [a.shape for a in calls] == [jac.shape]
 
 
 @pytest.mark.parametrize(
@@ -844,10 +678,16 @@ def test_trace_config_rejects_min_step_above_step_size():
 
 
 def test_trace_stops_at_max_steps():
-    g, lam, rho = dixon1_seed(3, 3)
-    res = trace(g, lam, rho, config=TraceConfig(step_size=0.05, max_steps=10))
-    assert (res.stop_reason, res.steps, res.closed) == ("max_steps", 10, False)
-    assert len(res.trajectory.points) == 11
+    # max_steps only bounds the loop of steps: a capped trace is the first
+    # steps of the whole one, as reference.prefix takes it
+    for name in ("dixon1-K(3,3)", "cda"):
+        loop = PINNED[name]
+        res = trace(*loop.seed(), config=TraceConfig(step_size=loop.step, max_steps=10))
+        assert (res.stop_reason, res.steps, res.closed) == ("max_steps", 10, False)
+        assert len(res.trajectory.points) == 11
+        want = prefix(name, 10)
+        assert same_bits(res.trajectory.points, want.points)
+        assert same_bits(res.trajectory.parameters, want.parameters)
 
 
 def test_trace_takes_a_step_of_exactly_min_step():
@@ -902,7 +742,6 @@ def test_trace_stops_when_no_step_size_succeeds(monkeypatch):
     assert min(arc_steps[5:]) < 2 * MIN_STEP
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_trace_lets_no_warning_of_an_overflowing_step_escape(monkeypatch):
     # one solve returns a step whose square overflows: the corrector rejects
     # the point it leads to, the step is halved and the loop still closes,
@@ -948,65 +787,26 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def recording(factored, factor):
-    """``factor``, appending a copy of each matrix it is given to ``factored``."""
-
-    def record(a, *rest):
-        factored.append(a.copy())
-        return factor(a, *rest)
-
-    return record
-
-
-def traced_with(oracle, g, lam, rho, config):
-    """``trace`` through the library's step, or with ``oracle`` through the
-    one in stepping.py; returns the result, or the raised error's type and
-    message, the (corank, tangent) of every certificate it took and every
-    matrix the certificates gave a Cholesky factorization."""
-    certify = stepping.bordered_corank_and_tangent if oracle else bordered_corank_and_tangent
-    seen, factored = [], []
-
-    def recording_certificate(bordered):
-        corank, t = certify(bordered)
-        seen.append((corank, t.copy()))
-        return corank, t
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("sphflex.continuation.bordered_corank_and_tangent", recording_certificate)
-        if oracle:
-            mp.setattr(np.linalg, "cholesky", recording(factored, np.linalg.cholesky))
-            mp.setattr("sphflex.continuation.newton_correct", stepping.newton_correct)
-            mp.setattr("sphflex.continuation._norm", stepping.closure_distance)
-        else:
-            mp.setattr("sphflex.continuation._cholesky", recording(factored, _cholesky))
-        try:
-            res = trace(g, lam, rho, config=config)
-        except SphflexError as exc:
-            res = (type(exc), str(exc))
-    return res, seen, factored
-
-
-def assert_trace_equals_oracle(g, lam, rho, config):
-    got, got_seen, got_factored = traced_with(False, g, lam, rho, config)
-    want, want_seen, want_factored = traced_with(True, g, lam, rho, config)
-    if isinstance(want, tuple):
-        assert got == want
+def assert_records_equal(got, want):
+    """Two records of ``reference.traced`` took the same steps, certificates
+    and factorizations, bit for bit."""
+    if isinstance(want.result, tuple):
+        assert got.result == want.result
     else:
-        assert got.stop_reason == want.stop_reason
-        assert same_bits(got.trajectory.points, want.trajectory.points)
-        assert same_bits(got.trajectory.parameters, want.trajectory.parameters)
-    assert len(got_seen) == len(want_seen)
-    for (got_corank, got_t), (want_corank, want_t) in zip(got_seen, want_seen):
+        assert got.result.stop_reason == want.result.stop_reason
+        assert same_bits(got.result.trajectory.points, want.result.trajectory.points)
+        assert same_bits(got.result.trajectory.parameters, want.result.trajectory.parameters)
+    assert len(got.certificates) == len(want.certificates)
+    for (_, got_corank, got_t), (_, want_corank, want_t) in zip(got.certificates, want.certificates):
         assert got_corank == want_corank
         assert same_bits(got_t, want_t)
-    assert len(got_factored) == len(want_factored)
-    assert all(map(same_bits, got_factored, want_factored))
+    assert len(got.factored) == len(want.factored)
+    assert all(map(same_bits, got.factored, want.factored))
 
 
-@pytest.mark.parametrize("make, step, max_steps", PINNED_TRACES)
-def test_pinned_traces_equal_the_oracle_step(make, step, max_steps):
-    g, lam, rho = make()
-    assert_trace_equals_oracle(g, lam, rho, TraceConfig(step_size=step, max_steps=max_steps))
+@pytest.mark.parametrize("name", PINNED)
+def test_pinned_traces_equal_the_oracle_step(name):
+    assert_records_equal(pinned(name), pinned(name, oracle=True))
 
 
 @STEP_PROPERTY
@@ -1017,8 +817,8 @@ def test_random_dixon1_traces_equal_the_oracle_step(m, n, seed):
     slopes_odd, slopes_even = rng.uniform(0.15, 0.75, m), rng.uniform(0.15, 0.75, n)
     g, lam, rho = dixon1_seed(m, n, slopes_odd, slopes_even)
     rot = random_rotation(rng)
-    rho = SphericalRealization({v: rot.apply(p) for v, p in rho.placement.items()})
-    assert_trace_equals_oracle(g, lam, rho, TraceConfig(step_size=0.05, max_steps=400))
+    seed = g, lam, SphericalRealization({v: rot.apply(p) for v, p in rho.placement.items()})
+    assert_records_equal(traced(seed, 0.05, 400), traced(seed, 0.05, 400, oracle=True))
 
 
 def certificate_cases():
@@ -1127,7 +927,7 @@ def test_certificate_equals_the_oracle(monkeypatch, bordered):
 
 def test_certificate_cases_reach_every_branch(monkeypatch):
     # corank 0, 1 and 2, and the lstsq and SVD fallbacks
-    lstsq_calls, svd_calls = counting_lstsq(monkeypatch), counting_svd(monkeypatch)
+    lstsq_calls, svd_calls = counted(monkeypatch, "lstsq"), counted(monkeypatch, "svd")
     coranks = set()
     with np.errstate(all="ignore"):
         for bordered in certificate_cases():
@@ -1181,8 +981,7 @@ def test_norm_equals_numpy_norm(seed, rows, cols):
 
 @pytest.mark.parametrize("arc", [False, True])
 def test_newton_correct_equals_the_oracle(arc):
-    g = k33()
-    lam, seed = cda_seed()
+    g, lam, seed = cda_seed()
     system = ConstraintSystem(g, lam)
     x = re_gauge(seed, g).as_array(g.vertices)
     _, t = corank_and_tangent(system.jacobian(x))

@@ -6,22 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphflex.cli import EXPECTED_CASES
 from sphflex.coloring import flexibility_certificate
-from sphflex.continuation import TraceConfig, _fiber_sizes, empirical_map_degree, trace
+from sphflex.continuation import _fiber_sizes, empirical_map_degree
 from sphflex.errors import SphflexError
-from sphflex.graphs import k33
+from sphflex.graphs import k22
 from sphflex.motions import (
-    Dixon1Params,
+    KIND_UNCLASSIFIED,
     MotionTrajectory,
     cda_motion,
-    cda_params_from_e,
     dixon1_motion,
+    dixon2_motion,
+    make_trajectory,
     polar_nap_motion,
 )
-from sphflex.spherical import random_rotation
+from sphflex.spherical import LengthAssignment, SphericalRealization, random_rotation
 
 from degrees import random_dixon1_loops, window_scan_degree
 from helpers import path_graph
+from reference import CDA, DIXON1, DIXON2, pinned
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +34,7 @@ def loops():
 
 @pytest.fixture(scope="module")
 def acceptance_loop():
-    params = Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7})
-    gen = dixon1_motion(params, [1.0, 1.05])
-    config = TraceConfig(step_size=0.05, max_steps=4000)
-    return trace(k33(), gen.lengths, gen.samples[0].realization, config=config).trajectory
+    return pinned("dixon1-K(3,3)").result.trajectory
 
 
 def test_every_random_slope_dixon1_loop_has_degree_four(loops):
@@ -73,7 +73,7 @@ def test_edge_to_a_kept_vertex_of_higher_label_picks_the_branch():
     # (1, 6), whose forgotten end is its smaller label, keeps one of them;
     # Dixon 1 would not do here: its even vertices share a great circle,
     # so both points meet vertex 6 and the fiber is 2 either way
-    traj = cda_motion(cda_params_from_e(0.75), np.linspace(7.5, 12.0, 60))
+    traj = cda_motion(CDA, np.linspace(7.5, 12.0, 60))
     assert np.all(_fiber_sizes(traj, {1}) == 1)
     assert empirical_map_degree(traj, {1}) == 1
 
@@ -84,3 +84,38 @@ def test_forgotten_set_without_construction_order_raises():
     assert empirical_map_degree(traj, {2}) == 2  # mirror image across the (1, 3) plane
     with pytest.raises(SphflexError, match=r"^no construction order: forgotten vertices \[1\]"):
         empirical_map_degree(traj, {1})
+
+
+@pytest.mark.parametrize(
+    "traj, table",
+    [
+        # a branch that would put vertex 1 antipodal to vertex 3 is dropped
+        (cda_motion(CDA, np.linspace(7.3, 29.9, 41)), EXPECTED_CASES[2]["degree"]),
+        (
+            dixon2_motion(DIXON2, np.linspace(0.45, 0.6, 25)).restrict(range(1, 7)),
+            EXPECTED_CASES[1]["degree"],
+        ),
+        (dixon1_motion(DIXON1, np.linspace(1.0, 1.25, 25)), ((4, 4, 4),) * 3),
+    ],
+    ids=["cda", "dixon2", "dixon1"],
+)
+def test_fiber_tables_of_the_built_motions(traj, table):
+    # entry (o, e) forgets odd o and even e; every sample has the same
+    # fiber sizes, the motion's degree table
+    for o, want in zip((1, 3, 5), table):
+        sizes = [_fiber_sizes(traj, {o, e}) for e in (2, 4, 6)]
+        assert [(int(s.min()), int(s.max())) for s in sizes] == [(w, w) for w in want]
+
+
+def test_retained_vertices_on_a_line_still_raise():
+    # vertices 1 and 3 are antipodal poles, so every point of the equator
+    # meets vertex 2's edges to both: its fiber is a circle
+    pole = np.array([0.0, 0.0, 1.0])
+    frames = [
+        (a, SphericalRealization({1: pole, 2: [1.0, 0.0, 0.0], 3: -pole, 4: [np.cos(a), np.sin(a), 0.0]}))
+        for a in (1.0, 2.0)
+    ]
+    lam = LengthAssignment.induced(k22(), frames[0][1])
+    traj = make_trajectory(k22(), lam, frames, KIND_UNCLASSIFIED)
+    with pytest.raises(SphflexError, match="^placed neighbors span less than a plane$"):
+        empirical_map_degree(traj, {2})

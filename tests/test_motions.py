@@ -28,13 +28,10 @@ from sphflex.quads import EVEN_DELTOID, GENERAL, QuadLengths, classify
 from sphflex.spherical import degenerate_pairs, essentially_distinct
 
 from helpers import dixon2_involutions, gram_matrix
+from reference import CDA, DIXON1, DIXON2
 from trajectories import cda_feasible_intervals_by_points
 
 ANGLES = list(np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False))
-
-
-def dixon1_params():
-    return Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7})
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +91,7 @@ def test_polar_motion_reproducible():
 
 
 def test_dixon1_constant_deltas():
-    traj = dixon1_motion(dixon1_params(), list(np.linspace(1.0, 1.3, 8)))
+    traj = dixon1_motion(DIXON1, list(np.linspace(1.0, 1.3, 8)))
     assert traj.max_residual() <= 1e-12
     base = gram_matrix(traj.samples[0].realization)
     for s in traj.samples[1:]:
@@ -108,7 +105,7 @@ def test_dixon1_constant_deltas():
 
 
 def test_dixon1_cocircular_on_orthogonal_circles():
-    traj = dixon1_motion(dixon1_params(), list(np.linspace(0.9, 1.4, 6)))
+    traj = dixon1_motion(DIXON1, list(np.linspace(0.9, 1.4, 6)))
     for s in traj.samples:
         for v in (1, 3, 5):
             assert s.realization.point(v)[1] == 0.0
@@ -118,25 +115,25 @@ def test_dixon1_cocircular_on_orthogonal_circles():
 
 def test_dixon1_domain_violation():
     with pytest.raises(SphflexError, match=r"^\|c_5 \* s\| > 1 at s=2.0$"):
-        dixon1_motion(dixon1_params(), [2.0, 2.1])
+        dixon1_motion(DIXON1, [2.0, 2.1])
     with pytest.raises(SphflexError, match=r"^\|d_6 / s\| > 1 at s=0.5$"):
-        dixon1_motion(dixon1_params(), [0.5, 0.6])  # d6/s leaves [-1, 1]
+        dixon1_motion(DIXON1, [0.5, 0.6])  # d6/s leaves [-1, 1]
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
 def test_dixon1_non_finite_s_names_s(s):
     with pytest.raises(SphflexError, match=f"> 1 at s={s}$"):
-        dixon1_motion(dixon1_params(), [1.0, s])
+        dixon1_motion(DIXON1, [1.0, s])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, 2.0])
 def test_dixon1_products_outside_the_unit_interval(bad):
     with pytest.raises(SphflexError, match=r"products c_i\*d_j"):
-        Dixon1Params(c={1: bad, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7})
+        Dixon1Params(c={**DIXON1.c, 1: bad}, d=DIXON1.d)
 
 
 def test_dixon1_detected():
-    traj = dixon1_motion(dixon1_params(), list(np.linspace(1.0, 1.3, 8)))
+    traj = dixon1_motion(DIXON1, list(np.linspace(1.0, 1.3, 8)))
     assert detect_k33_motion_kind(traj) == KIND_DIXON1
 
 
@@ -145,7 +142,7 @@ def test_dixon1_subquads_are_never_rhomboids():
     # induced lengths can satisfy the opposite-edge relation
     from sphflex.quads import RHOMBOID
 
-    traj = dixon1_motion(dixon1_params(), [1.0, 1.1])
+    traj = dixon1_motion(DIXON1, [1.0, 1.1])
     lam = traj.lengths
     for k in (1, 3, 5):
         for l in (2, 4, 6):
@@ -165,12 +162,8 @@ def test_dixon1_subquads_are_never_rhomboids():
 # ---------------------------------------------------------------------------
 
 
-def dixon2_params():
-    return Dixon2Params(0.2, 0.15, 0.1)
-
-
 def test_dixon2_sixteen_constant_deltas():
-    traj = dixon2_motion(dixon2_params(), list(np.linspace(0.45, 0.6, 8)))
+    traj = dixon2_motion(DIXON2, list(np.linspace(0.45, 0.6, 8)))
     assert traj.graph.num_edges == 16
     assert traj.max_residual() <= 1e-9
     first = traj.samples[0].realization
@@ -191,7 +184,7 @@ def test_dixon2_involutions_are_symmetries():
         id(sigma): [(1, 7), (3, 5), (2, 8), (4, 6)],
         id(rho): [(1, 5), (3, 7), (2, 6), (4, 8)],
     }
-    traj = dixon2_motion(dixon2_params(), [0.5, 0.55, 0.6])
+    traj = dixon2_motion(DIXON2, [0.5, 0.55, 0.6])
     for s in traj.samples:
         for m in (tau, sigma, rho):
             for a, b in pairs[id(m)]:
@@ -199,7 +192,7 @@ def test_dixon2_involutions_are_symmetries():
 
 
 def test_dixon2_dropped_pair_is_k33_motion():
-    traj = dixon2_motion(dixon2_params(), list(np.linspace(0.45, 0.6, 8)))
+    traj = dixon2_motion(DIXON2, list(np.linspace(0.45, 0.6, 8)))
     sub = traj.restrict(range(1, 7))
     assert sub.graph == k33()
     assert sub.max_residual() <= 1e-9
@@ -245,29 +238,26 @@ def test_cda_params_validation():
 
 
 def test_cda_pole_and_discriminant_errors():
-    params = cda_params_from_e(0.75)
     with pytest.raises(SphflexError, match="^t=1.0 is a pole of the parametrization$"):
-        cda_motion(params, [1.0])
+        cda_motion(CDA, [1.0])
     with pytest.raises(SphflexError, match="^z5 radicand .* < 0 at t=2.0$"):
-        cda_motion(params, [2.0])
+        cda_motion(CDA, [2.0])
     with pytest.raises(SphflexError, match="^y2 radicand .* < 0 at t=-2.0$"):
-        cda_motion(params, [-2.0])
+        cda_motion(CDA, [-2.0])
 
 
 def test_cda_non_finite_and_overflowing_t_name_t():
-    params = cda_params_from_e(0.75)
     for t in (math.nan, math.inf, -math.inf):
         with pytest.raises(SphflexError, match=f"^t={t} is not finite$"):
-            cda_motion(params, [8.0, t])
+            cda_motion(CDA, [8.0, t])
     # 1e100**4 raises OverflowError; (7 t)(t) is inf at -1e200 and 1e308
     for t in (1e100, -1e200, 1e308):
         with pytest.raises(SphflexError, match=re.escape(f"the radicands overflow at t={t}")):
-            cda_motion(params, [8.0, t])
+            cda_motion(CDA, [8.0, t])
 
 
 def test_cda_motion_samples_and_pattern():
-    params = cda_params_from_e(0.75)
-    traj = cda_motion(params, list(np.linspace(7.3, 25.0, 20)))
+    traj = cda_motion(CDA, list(np.linspace(7.3, 25.0, 20)))
     assert traj.max_residual() <= 1e-9
     for s in traj.samples:
         rho = s.realization
@@ -282,16 +272,14 @@ def test_cda_motion_samples_and_pattern():
 
 
 def test_cda_all_branches_valid():
-    params = cda_params_from_e(0.75)
     for y2_sign in (1, -1):
         for z5_sign in (1, -1):
-            traj = cda_motion(params, [8.0, 9.0, 10.0], y2_sign, z5_sign)
+            traj = cda_motion(CDA, [8.0, 9.0, 10.0], y2_sign, z5_sign)
             assert traj.max_residual() <= 1e-9
 
 
 def test_cda_quadrilateral_types():
-    params = cda_params_from_e(0.75)
-    lam = cda_lengths(params)
+    lam = cda_lengths(CDA)
     quad_1234 = QuadLengths(
         lam.delta_of(1, 2), lam.delta_of(2, 3), lam.delta_of(3, 4), lam.delta_of(1, 4)
     )
@@ -315,8 +303,7 @@ def test_cda_feasible_intervals_report():
 
 
 def test_cda_detected():
-    params = cda_params_from_e(0.75)
-    traj = cda_motion(params, list(np.linspace(7.5, 20.0, 8)))
+    traj = cda_motion(CDA, list(np.linspace(7.5, 20.0, 8)))
     assert detect_k33_motion_kind(traj) == KIND_CDA
 
 
@@ -326,7 +313,7 @@ def test_cda_detected():
 
 
 def test_detector_requires_three_distinct_samples():
-    traj = dixon1_motion(dixon1_params(), [1.0, 1.001])
+    traj = dixon1_motion(DIXON1, [1.0, 1.001])
     with pytest.raises(SphflexError, match="^need three essentially distinct samples$"):
         detect_k33_motion_kind(traj)
 
@@ -342,6 +329,5 @@ def test_detector_rejects_degenerate_samples():
 def test_cda_motion_refuses_branch_crossing():
     # an interval straddling the radicand zero at t = 7 must raise rather
     # than silently switch branches
-    params = cda_params_from_e(0.75)
     with pytest.raises(SphflexError, match="^z5 radicand .* < 0 at t=6.9$"):
-        cda_motion(params, [6.9, 7.1, 7.3])
+        cda_motion(CDA, [6.9, 7.1, 7.3])

@@ -16,6 +16,7 @@ from sphflex.quads import (
 )
 from sphflex.spherical import random_unit_point, rotation_about_axis
 
+from reference import lozenge
 from rhomboids import antipodal_normalize, diagonals_not_orthogonal_check, rhomboid_component
 
 
@@ -189,12 +190,4 @@ def test_rhomboid_component_rejects_other_types():
 def test_diagonals_checks():
     rng = np.random.default_rng(7)
     assert diagonals_not_orthogonal_check(rotation_symmetric_rhomboid(rng))
-    c1, c2 = 0.8, 0.5
-    s1, s2 = math.sqrt(1 - c1 * c1), math.sqrt(1 - c2 * c2)
-    lozenge_pts = [
-        np.array([s1, 0, c1]),
-        np.array([0, s2, c2]),
-        np.array([-s1, 0, c1]),
-        np.array([0, -s2, c2]),
-    ]
-    assert not diagonals_not_orthogonal_check(lozenge_pts)
+    assert not diagonals_not_orthogonal_check([lozenge().point(v) for v in (1, 2, 3, 4)])

@@ -5,7 +5,7 @@ import pytest
 
 from sphflex.errors import SphflexError
 from sphflex.graphs import k22, k33, triangle
-from sphflex.motions import Dixon1Params, dixon1_motion
+from sphflex.motions import dixon1_motion
 from sphflex.spherical import (
     COMPAT_TOL,
     LengthAssignment,
@@ -25,6 +25,7 @@ from sphflex.spherical import (
 )
 
 from helpers import apply_rotation, distinctness, gram_matrix, unit_point
+from reference import DIXON1
 
 RNG = np.random.default_rng(42)
 
@@ -261,7 +262,6 @@ def test_realizations_and_samples_compare_by_identity():
     twin = SphericalRealization({1: [1.0, 0, 0], 2: [0, 1.0, 0]})
     assert rho == rho and rho != twin
     assert len({rho, twin, rho}) == 2
-    params = Dixon1Params({1: 0.2, 3: 0.4, 5: 0.6}, {2: 0.3, 4: 0.5, 6: 0.7})
-    first, second = dixon1_motion(params, [1.0, 1.1]).samples
+    first, second = dixon1_motion(DIXON1, [1.0, 1.1]).samples
     assert first == first and first != second
     assert len({first, second, first}) == 2

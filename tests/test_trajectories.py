@@ -38,7 +38,6 @@ from sphflex.motions import (
     _dixon2_samples,
     _solve_dixon2_points,
     cda_motion,
-    cda_params_from_e,
     detect_k33_motion_kind,
     dixon1_motion,
     dixon2_motion,
@@ -74,11 +73,10 @@ from trajectories import (
     trajectory_to_dict_by_samples,
 )
 from commands import FILES, outcome, own_copy
-from degrees import dixon1_placement
 from helpers import distinctness, realization_to_dict, restrict_realization
+from reference import CDA, DIXON1, DIXON2, dixon1_seed
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
-DIXON1 = Dixon1Params(c={1: 0.2, 3: 0.4, 5: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7})
 # K(3,7): vertices 10, 12 and 14 sort before 2 as JSON keys
 K37 = complete_bipartite((1, 3, 5), (2, 4, 6, 8, 10, 12, 14))
 
@@ -155,8 +153,7 @@ def cli_cases(tmp, inputs):
         "k33-cda-signs": ["k33", "--kind", "cda", "--samples", "30", "--y2-sign", "-1",
                           "--z5-sign", "-1", "--t-min", "8", "--t-max", "20"],
     }
-    k55 = complete_bipartite((1, 3, 5, 7, 9), (2, 4, 6, 8, 10))
-    rho = dixon1_placement(k55, np.linspace(0.2, 0.6, 5), np.linspace(0.3, 0.7, 5))
+    k55, k55_lengths, rho = dixon1_seed(5, 5)
     cases["trace-k33"] = [
         "trace",
         "--graph", inputs["K33"],
@@ -167,7 +164,7 @@ def cli_cases(tmp, inputs):
     cases["trace-k55"] = [
         "trace",
         "--graph", write("k55-g.json", formats.graph_to_dict(k55)),
-        "--lengths", write("k55-l.json", formats.lengths_to_dict(LengthAssignment.induced(k55, rho))),
+        "--lengths", write("k55-l.json", formats.lengths_to_dict(k55_lengths)),
         "--seed-realization", write("k55-s.json", realization_to_dict(rho)),
         "--step", "0.05",
     ]
@@ -196,7 +193,7 @@ def test_cli_output_hashes_to_per_sample_digests(tmp_path, inputs):
 def example_trajectories():
     g = k33()
     coloring = flexibility_certificate(K37)
-    d2 = dixon2_motion(Dixon2Params(0.2, 0.15, 0.1), np.linspace(0.45, 0.6, 40))
+    d2 = dixon2_motion(DIXON2, np.linspace(0.45, 0.6, 40))
     d1 = dixon1_motion(DIXON1, [1.0, 1.1])
     return {
         "polar-k33": polar_nap_motion(g, next(iter(enumerate_nap(g))), np.linspace(0, 6, 50)),
@@ -215,7 +212,7 @@ def example_trajectories():
         "dixon1": dixon1_motion(DIXON1, np.linspace(0.95, 1.35, 80)),
         "dixon2-k44": d2,
         "dixon2-k33": d2.restrict(range(1, 7)),
-        "cda": cda_motion(cda_params_from_e(0.75), np.linspace(7.2, 30.0, 80)),
+        "cda": cda_motion(CDA, np.linspace(7.2, 30.0, 80)),
         "traced": trace(
             k33(), d1.lengths, d1.samples[0].realization, config=TraceConfig(step_size=0.1)
         ).trajectory,
@@ -337,7 +334,7 @@ def test_walks_keep_no_per_sample_objects():
     assert sample() is None and rho() is None
     # what a trajectory keeps: its fields and the two per-stack caches
     assert set(vars(traj)) <= {
-        "graph", "lengths", "points", "parameters", "kind", "tol",
+        "graph", "lengths", "points", "parameters", "kind",
         "_degenerate_masks", "_worst_edge_residuals",
     }
 
@@ -551,7 +548,6 @@ def test_nan_point_is_off_the_sphere():
         MotionTrajectory(traj.graph, traj.lengths, pts, traj.parameters, traj.kind)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_coordinate_is_off_the_sphere_without_a_warning():
     # 1e200 squared overflows to inf in a realization, a trajectory and a
     # parsed file alike
@@ -684,7 +680,7 @@ def test_dixon2_solver_equals_scalar_bisection(mags, signs, p1_values):
 
 DIXON2_GRIDS = [
     # the benchmark's and acceptance tests' grids
-    (Dixon2Params(0.2, 0.15, 0.1), np.linspace(0.45, 0.6, 500)),
+    (DIXON2, np.linspace(0.45, 0.6, 500)),
     (Dixon2Params(-0.2, 0.15, -0.1), np.linspace(0.3, 0.7, 41)),
     # p1 near 0, where the brackets start far from the roots
     (Dixon2Params(1e-6, 0.15, 0.1), np.geomspace(2e-6, 1e-2, 25)),
@@ -705,13 +701,13 @@ def test_dixon2_solver_equals_all_halvings(params, p1_values):
 @pytest.mark.parametrize(
     "params, p1_values",
     [
-        (Dixon2Params(0.2, 0.15, 0.1), [0.5, 1.5, 0.0]),
-        (Dixon2Params(0.2, 0.15, 0.1), [0.5, 0.0, 1.5]),
-        (Dixon2Params(0.2, 0.15, 0.1), [0.5, -1.0]),
+        (DIXON2, [0.5, 1.5, 0.0]),
+        (DIXON2, [0.5, 0.0, 1.5]),
+        (DIXON2, [0.5, -1.0]),
         (Dixon2Params(0.9, 0.9, 0.9), [0.95, 0.2]),
-        (Dixon2Params(0.2, 0.15, 0.1), [0.45, 1e-3]),
+        (DIXON2, [0.45, 1e-3]),
         # a NaN row never settles, so the halvings run to the bound
-        (Dixon2Params(0.2, 0.15, 0.1), [0.45, float("nan"), 0.5]),
+        (DIXON2, [0.45, float("nan"), 0.5]),
     ],
 )
 def test_dixon2_solver_errors_equal_all_halvings(params, p1_values):
@@ -723,7 +719,7 @@ def test_dixon2_solver_errors_equal_all_halvings(params, p1_values):
 
 
 def test_dixon2_errors_name_first_failing_p1():
-    params = Dixon2Params(0.2, 0.15, 0.1)
+    params = DIXON2
     with pytest.raises(SphflexError, match=r"^p1=1.5 outside \(0,1\)$"):
         dixon2_motion(params, [0.5, 1.5, 0.0])
     with pytest.raises(SphflexError, match=r"^p1=0.0 outside \(0,1\)$"):
@@ -736,7 +732,7 @@ def test_dixon2_errors_name_first_failing_p1():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_dixon2_rejects_non_finite_p1(bad):
-    params = Dixon2Params(0.2, 0.15, 0.1)
+    params = DIXON2
     with pytest.raises(SphflexError, match=rf"^p1={bad} outside \(0,1\)$"):
         dixon2_motion(params, [0.45, bad, 0.5])
     with pytest.raises(SphflexError, match=rf"^p1={bad} outside \(0,1\)$"):
@@ -829,7 +825,6 @@ def test_cda_kernel_equals_scalar_rows_on_dense_grid():
 
 
 def test_cda_kernel_raises_at_the_first_bad_t():
-    params = cda_params_from_e(0.75)
     for ts, message in (
         ([8.0, 9.0, 2.0, math.nan], "z5 radicand -5.850e+02 < 0 at t=2.0"),
         ([8.0, -2.0, 2.0], "y2 radicand -6.500e+01 < 0 at t=-2.0"),
@@ -838,7 +833,7 @@ def test_cda_kernel_raises_at_the_first_bad_t():
         ([8.0, -1.0, 1e7], "t=-1.0 is a pole of the parametrization"),
     ):
         with pytest.raises(SphflexError) as got:
-            cda_motion(params, ts)
+            cda_motion(CDA, ts)
         assert str(got.value) == message
         with pytest.raises(SphflexError, match=f"^{re.escape(message)}$"):
             for t in ts:
@@ -857,8 +852,8 @@ def k33_examples():
         c, d = np.sort(rng.uniform(0.15, 0.6, 3)), np.sort(rng.uniform(0.15, 0.6, 3))
         params = Dixon1Params(dict(zip((1, 3, 5), c)), dict(zip((2, 4, 6), d)))
         out.append(dixon1_motion(params, np.linspace(1.0, 1.25, n)))
-        out.append(dixon2_motion(Dixon2Params(0.2, 0.15, 0.1), np.linspace(0.45, 0.6, n)).restrict(range(1, 7)))
-        out.append(cda_motion(cda_params_from_e(0.75), np.linspace(7.2, 30.0, n)))
+        out.append(dixon2_motion(DIXON2, np.linspace(0.45, 0.6, n)).restrict(range(1, 7)))
+        out.append(cda_motion(CDA, np.linspace(7.2, 30.0, n)))
     # a rotated Dixon 2 motion keeps its half-turn axes; a rotated
     # Dixon 1 motion keeps its orthogonal circles
     rot = random_rotation(rng)
@@ -907,8 +902,8 @@ def test_detector_per_sample_verdicts_differ_along_a_mixed_stack():
     # samples of a Dixon 2 motion followed by samples of a CDA motion: the
     # per-sample tests must keep their order and disagree where the
     # motions do
-    d2 = dixon2_motion(Dixon2Params(0.2, 0.15, 0.1), np.linspace(0.45, 0.6, 9)).restrict(range(1, 7))
-    cda = cda_motion(cda_params_from_e(0.75), np.linspace(8.0, 20.0, 7))
+    d2 = dixon2_motion(DIXON2, np.linspace(0.45, 0.6, 9)).restrict(range(1, 7))
+    cda = cda_motion(CDA, np.linspace(8.0, 20.0, 7))
     pts = np.concatenate([d2.points, cda.points])
     got = _dixon2_samples(pts, 1e-8)
     want = [is_dixon2_sample(r, 1e-8) for r in d2.realizations() + cda.realizations()]
@@ -973,7 +968,7 @@ def test_degenerate_pair_masks_at_the_exact_thresholds():
 
 
 def test_dixon2_detected_on_bench_sized_stack():
-    traj = dixon2_motion(Dixon2Params(0.2, 0.15, 0.1), np.linspace(0.45, 0.6, 275)).restrict(range(1, 7))
+    traj = dixon2_motion(DIXON2, np.linspace(0.45, 0.6, 275)).restrict(range(1, 7))
     assert detect_k33_motion_kind(traj) == KIND_DIXON2
 
 
