@@ -360,9 +360,7 @@ def _cmd_trace(args) -> int:
         lam = formats.lengths_from_dict(json.loads(fh.read()))
     with open(args.seed_realization) as fh:
         seed = formats.realization_from_dict(json.loads(fh.read()))
-    cfg = continuation.TraceConfig(
-        step_size=args.step, newton_tol=args.tol, max_steps=args.max_steps
-    )
+    cfg = continuation.TraceConfig(step_size=args.step, max_steps=args.max_steps)
     result = continuation.trace(g, lam, seed, config=cfg)
     if args.format == "text":
         _emit(
@@ -551,7 +549,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--lengths", required=True)
     p.add_argument("--seed-realization", required=True, dest="seed_realization")
     p.add_argument("--step", type=float, default=0.02)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-steps", type=int, default=5000)
     _add_io_args(p)
     p.set_defaults(func=_cmd_trace)

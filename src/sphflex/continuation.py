@@ -59,7 +59,6 @@ from .graphs import Graph
 from .motions import HALF_TURN_Z, KIND_TRACED, MotionTrajectory
 from .spherical import (
     DEGENERATE_TOL,
-    ON_SPHERE_TOL,
     LengthAssignment,
     SphericalRealization,
     Vec,
@@ -67,6 +66,8 @@ from .spherical import (
 )
 
 CORANK_REL_TOL = 1e-7
+# the corrector's residual bound; at most spherical.ON_SPHERE_TOL
+NEWTON_TOL = 1e-12
 # Gauss-Newton iterations of one corrector solve
 MAX_NEWTON_ITERS = 30
 # the shortest step a trace tries before it stops halving
@@ -86,7 +87,6 @@ def _gauge(g: Graph) -> tuple[int, int]:
 class TraceConfig:
     step_size: float = 0.02
     max_steps: int = 5000
-    newton_tol: float = 1e-12
 
     def __post_init__(self):
         # a NaN passes every comparison below
@@ -107,15 +107,6 @@ class TraceConfig:
             raise SphflexError(
                 f"trace configuration step_size must be at least {MIN_STEP:g}, "
                 f"got {self.step_size}"
-            )
-        if self.newton_tol < 1e-13:
-            raise SphflexError("newton_tol below 1e-13 is not resolvable")
-        if self.newton_tol > ON_SPHERE_TOL:
-            # Newton stops once the sphere rows are within newton_tol, and
-            # trajectories hold every point to ON_SPHERE_TOL
-            raise SphflexError(
-                f"newton_tol above {ON_SPHERE_TOL:g} leaves traced points off the "
-                "unit sphere"
             )
 
 
@@ -389,7 +380,6 @@ def bordered_corank_and_tangent(bordered: Vec) -> tuple[int, Vec]:
 def newton_correct(
     system: ConstraintSystem,
     coords: Vec,
-    tol: float,
     arc_constraint: Optional[tuple[Vec, Vec, float]] = None,
 ) -> Optional[Vec]:
     """Gauss-Newton projection onto the constraint set.
@@ -401,14 +391,14 @@ def newton_correct(
     regular curve point, so the step solves the normal equations; without
     it the Jacobian is rank-deficient by construction and the step is
     ``lstsq``'s minimum-norm one.  It takes at most ``MAX_NEWTON_ITERS``
-    steps.  A singular input may warn unless the caller enters
-    ``np.errstate``, as ``trace`` does.
+    steps to bring every residual within ``NEWTON_TOL``.  A singular input
+    may warn unless the caller enters ``np.errstate``, as ``trace`` does.
     """
     x = coords.copy()
     tangent = None if arc_constraint is None else arc_constraint[1]
     for _ in range(MAX_NEWTON_ITERS):
         r = system.residual(x, arc_constraint)
-        if np.abs(r).max() <= tol:
+        if np.abs(r).max() <= NEWTON_TOL:
             return x
         # the Jacobian at x, from the gather of its residual
         jac = system._gathered_jacobian(tangent)
@@ -421,7 +411,7 @@ def newton_correct(
             if x is None:
                 return None
     r = system.residual(x, arc_constraint)
-    return x if np.abs(r).max() <= tol else None
+    return x if np.abs(r).max() <= NEWTON_TOL else None
 
 
 @dataclass(frozen=True)
@@ -451,7 +441,7 @@ def _advance(
     reason ``"singular_point"`` or ``"step_failure"``.
     """
     while h >= MIN_STEP:
-        cand = newton_correct(system, x + h * t_prev, cfg.newton_tol, (x, t_prev, h))
+        cand = newton_correct(system, x + h * t_prev, (x, t_prev, h))
         if cand is not None:
             corank, t_new = bordered_corank_and_tangent(system.jacobian(cand, t_prev))
             if corank >= 2:
@@ -502,7 +492,7 @@ def trace(
     x0 = re_gauge(seed, g).as_array(g.vertices)
     # the step tests every value it uses, so a warning would tell nothing
     with np.errstate(all="ignore"):
-        x0 = newton_correct(system, x0, cfg.newton_tol)
+        x0 = newton_correct(system, x0)
         if x0 is None:
             raise SphflexError("seed does not satisfy the constraints")
         corank, tangent = corank_and_tangent(system.jacobian(x0))
@@ -534,8 +524,8 @@ def trace(
                 # candidate return: project onto the curve slice through the
                 # seed orthogonal to the seed tangent; a genuine loop lands on
                 # the seed itself, a near-miss pass does not
-                back = newton_correct(system, x, cfg.newton_tol, (x0, tangent, 0.0))
-                if back is not None and float(np.abs(back - x0).max()) <= 1e3 * cfg.newton_tol:
+                back = newton_correct(system, x, (x0, tangent, 0.0))
+                if back is not None and float(np.abs(back - x0).max()) <= 1e3 * NEWTON_TOL:
                     stop_reason = "loop_closed"
                     break
 
@@ -626,6 +616,11 @@ def _fiber_sizes(traj: MotionTrajectory, forgotten: set[int]) -> Vec:
     samples and branches are placed at once; a branch whose intersection is
     not real holds NaN and fails every edge test.
 
+    Within ``FIBER_TOL`` of a tangency both intersection points are tried,
+    as the later edges may meet either, and their subtrees count once:
+    folding the kept leaves back up the order, a tangency takes the larger
+    of its two counts and any other split their sum.
+
     The paper's realizations put no two vertices on one point or on
     antipodal points, so an intersection point that coincides with or is
     antipodal to a vertex its branch has placed, within ``DEGENERATE_TOL``,
@@ -636,6 +631,7 @@ def _fiber_sizes(traj: MotionTrajectory, forgotten: set[int]) -> Vec:
     col = g.position
     placed = [col[v] for v in g.vertices if v not in forgotten]
     branches = traj.points[:, None]
+    tangencies = []
     for v, a, b in _construction_order(g, forgotten):
         cands, real = _circle_intersections(
             branches[:, :, col[a]],
@@ -644,6 +640,8 @@ def _fiber_sizes(traj: MotionTrajectory, forgotten: set[int]) -> Vec:
             lam.delta_of(v, b),
             FIBER_TOL,
         )
+        tangencies.append(real[..., 0] & ~real[..., 1])
+        real[..., 1] = real[..., 0]
         dots = cands @ branches[:, :, placed].swapaxes(-1, -2)
         real &= ~np.any(np.abs(dots) >= 1.0 - DEGENERATE_TOL, axis=-1)
         branches = np.repeat(branches, 2, axis=1)
@@ -655,7 +653,11 @@ def _fiber_sizes(traj: MotionTrajectory, forgotten: set[int]) -> Vec:
         if a in forgotten or b in forgotten:
             dots = row_dots(branches[:, :, col[a]], branches[:, :, col[b]])
             keep &= np.abs(dots - lam.delta_of(a, b)) <= FIBER_TOL
-    return keep.sum(axis=1)
+    counts = keep.astype(np.int64)
+    for tangency in reversed(tangencies):
+        pairs = counts.reshape(len(counts), -1, 2)
+        counts = np.where(tangency, pairs.max(axis=-1), pairs.sum(axis=-1))
+    return counts[:, 0]
 
 
 def empirical_map_degree(traj: MotionTrajectory, forgotten: Iterable[int]) -> int:

@@ -1,4 +1,5 @@
-"""Every CLI invocation the tests drive, and the input files they read.
+"""The command corpus, and every input file that a CLI invocation of the
+tests reads.
 
 A ``Command`` is an argv, the error it exits 1 with (None: it exits 0),
 and the arguments a drawn number can take, ``{}`` marking where it goes.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from sphflex.cli import run
 from sphflex.coloring import EdgeColoring
 from sphflex.formats import coloring_to_list, graph_to_dict, lengths_to_dict
-from sphflex.graphs import complete, k33, triangle
+from sphflex.graphs import complete, complete_bipartite, cycle_graph, k33, triangle
 from sphflex.spherical import LengthAssignment, SphericalRealization
 
 from helpers import dump_edge_list, realization_to_dict
@@ -36,12 +37,20 @@ class Command:
 STAR = coloring_to_list(EdgeColoring.from_red_edges(k33(), [(1, 2), (1, 4), (1, 6)]))
 _, CDA_LENGTHS, CDA_SEED = cda_seed()
 _, DIXON1_LENGTHS, DIXON1_SEED = dixon1_seed(3, 3)
+K55, K55_LENGTHS, K55_SEED = dixon1_seed(5, 5)
+# K(3,7): vertices 10, 12 and 14 sort before 2 as JSON keys
+K37 = complete_bipartite((1, 3, 5), (2, 4, 6, 8, 10, 12, 14))
 RIGID = SphericalRealization({1: [1.0, 0.0, 0.0], 2: [0.0, 1.0, 0.0], 3: [0.0, 0.0, 1.0]})
 # JSON files as their data, edge lists as their text
 FILES = {
     "K33": graph_to_dict(k33()),
     "K33_EDGES": dump_edge_list(k33()),
     "K8": dump_edge_list(complete(8)),
+    "K37": graph_to_dict(K37),
+    "C12": graph_to_dict(cycle_graph(12)),
+    "K55": graph_to_dict(K55),
+    "K55_LENGTHS": lengths_to_dict(K55_LENGTHS),
+    "K55_SEED": realization_to_dict(K55_SEED),
     "STAR": {"coloring": STAR},
     "CDA_LENGTHS": lengths_to_dict(CDA_LENGTHS),
     "CDA_SEED": realization_to_dict(CDA_SEED),
@@ -85,7 +94,7 @@ COMMANDS = (
     Command(LAMBDAS, numbers=("--lambdas={},0.35,0.15,0.15",)),
     Command(("classify-quad", "--deltas", "0.3,0.3,0.7,0.7,"), "--deltas field 5 of '0.3,0.3,0.7,0.7,' is empty"),
     Command(CDA_TRACE),
-    Command(TRACE, numbers=("--step={}", "--tol={}", "--max-steps={}")),
+    Command(TRACE, numbers=("--step={}", "--max-steps={}")),
     Command((*TRACE, "--max-steps", "3", "--format", "structured")),
     Command((*CDA_TRACE, "--format", "tabular")),
     Command(RIGID_TRACE, "corank 0 at seed: framework is rigid"),

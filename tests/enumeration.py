@@ -1,11 +1,13 @@
-"""Exhaustive generation of small connected graphs up to isomorphism, and
-the oracles for the structural enumerators: the exhaustive scans, and the
-plain structural searches that the output-sensitive ones replaced.
+"""The graphs the tests range over: every small connected graph, the named
+families and random ones; and the oracles for the structural enumerators:
+the exhaustive scans, and the plain structural searches that the
+output-sensitive ones replaced.
 
-Search over isomorphism classes: grow from a single edge by either adding
-an edge between existing vertices or attaching a new leaf vertex, which
-reaches every connected graph.  Deduplication buckets candidates by cheap
-invariants and settles ties with networkx isomorphism tests.
+``connected_graphs`` searches over isomorphism classes: it grows from a
+single edge by either adding an edge between existing vertices or
+attaching a new leaf vertex, which reaches every connected graph.
+Deduplication buckets candidates by cheap invariants and settles ties
+with networkx isomorphism tests.
 """
 
 import itertools
@@ -18,8 +20,16 @@ import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
+from sphflex.cli import CORPUS
 from sphflex.cuts import Cut, marked_labels
-from sphflex.graphs import Graph, build_graph
+from sphflex.graphs import (
+    Graph,
+    build_graph,
+    complete,
+    complete_bipartite,
+    cycle_graph,
+    three_prism,
+)
 
 from helpers import cut_for
 
@@ -91,6 +101,26 @@ def _connected_graphs(max_edges: int, max_vertices: int) -> tuple[Graph, ...]:
             )
     out.sort(key=lambda g: (g.num_vertices, g.num_edges, g.edges))
     return tuple(out)
+
+
+# the command line's corpus, each graph named ``corpus-<name>``
+CORPUS_GRAPHS = {f"corpus-{name}": builder for name, builder in CORPUS.items()}
+# named graphs small enough for the exhaustive scans: K(m,n) with
+# 2 <= m <= n and mn <= 20, the corpus, and four more
+NAMED_GRAPHS = {
+    **{
+        f"K({m},{n})": (
+            lambda m=m, n=n: complete_bipartite(range(1, m + 1), range(m + 1, m + n + 1))
+        )
+        for m in range(2, 5)
+        for n in range(m, 20 // m + 1)
+    },
+    **CORPUS_GRAPHS,
+    "K5": lambda: complete(5),
+    "K6": lambda: complete(6),
+    "C8": lambda: cycle_graph(8),
+    "prism": three_prism,
+}
 
 
 def nap_masks_by_scan(g: Graph, modulo_swap: bool = False) -> list[int]:
@@ -307,15 +337,30 @@ def valid_cuts_by_counts(g: Graph) -> list[Cut]:
 
 
 @st.composite
-def relabeled_graphs(draw, max_vertices=8, max_edges=12):
-    """A random connected graph and a copy under a random vertex relabelling."""
-    n = draw(st.integers(1, max_vertices))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # spanning tree
-    others = [(a, b) for b in range(n) for a in range(b) if (a, b) not in edges]
+def random_graphs(draw, min_vertices=2, max_vertices=12, max_edges=16):
+    """A random connected graph: a random spanning tree on distinct labels
+    drawn from 0..40, and more edges up to ``max_edges`` in all.  Labels
+    from 10 up sort before 2..9 as JSON keys, and the gauge's meridian,
+    the smallest label's first neighbour, lands at varied positions."""
+    n = draw(st.integers(min_vertices, max_vertices))
+    labels = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    edges = {(labels[draw(st.integers(0, v - 1))], labels[v]) for v in range(1, n)}
+    others = [
+        (labels[a], labels[b])
+        for b in range(n)
+        for a in range(b)
+        if (labels[a], labels[b]) not in edges
+    ]
     if others and len(edges) < max_edges:
         room = max_edges - len(edges)
         edges.update(draw(st.lists(st.sampled_from(others), unique=True, max_size=room)))
-    labels = draw(st.permutations(range(n)))
-    g = build_graph(range(n), edges)
-    h = build_graph(labels, [(labels[a], labels[b]) for a, b in edges])
-    return g, h
+    return build_graph(labels, edges)
+
+
+@st.composite
+def relabelled_pairs(draw):
+    """A random connected graph small enough for the exhaustive scans (the
+    single vertex included), and a copy under a random relabelling."""
+    g = draw(random_graphs(min_vertices=1, max_vertices=8, max_edges=12))
+    image = dict(zip(g.vertices, draw(st.permutations(g.vertices))))
+    return g, build_graph(image.values(), [(image[a], image[b]) for a, b in g.edges])

@@ -27,6 +27,7 @@ from sphflex.spherical import (
     Vec,
     _triples,
     distinct_from,
+    random_unit_point,
 )
 from sphflex.errors import SphflexError
 
@@ -96,6 +97,11 @@ def star(leaves: int) -> Graph:
 
 def apply_rotation(r: Rotation, rho: SphericalRealization) -> SphericalRealization:
     return SphericalRealization({v: r.apply(p) for v, p in rho.placement.items()})
+
+
+def random_realization(vertices: Iterable[int], rng: np.random.Generator) -> SphericalRealization:
+    """Each vertex at a random unit point, drawn from ``rng`` in the given order."""
+    return SphericalRealization({v: random_unit_point(rng) for v in vertices})
 
 
 def restrict_realization(rho: SphericalRealization, keep: Iterable[int]) -> SphericalRealization:

@@ -22,6 +22,7 @@ import numpy as np
 from sphflex.continuation import (
     CORANK_REL_TOL,
     MAX_NEWTON_ITERS,
+    NEWTON_TOL,
     ConstraintSystem,
     Vec,
     _corank,
@@ -65,14 +66,13 @@ def bordered_corank_and_tangent(bordered: Vec) -> tuple[int, Vec]:
 def newton_correct(
     system: ConstraintSystem,
     coords: Vec,
-    tol: float,
     arc_constraint: Optional[tuple[Vec, Vec, float]] = None,
 ) -> Optional[Vec]:
     x = coords.copy()
     tangent = None if arc_constraint is None else arc_constraint[1]
     for _ in range(MAX_NEWTON_ITERS):
         r = system.residual(x, arc_constraint)
-        if np.abs(r).max() <= tol:
+        if np.abs(r).max() <= NEWTON_TOL:
             return x
         jac = system.jacobian(x, tangent)
         if arc_constraint is None:
@@ -83,7 +83,7 @@ def newton_correct(
         if not np.all(np.isfinite(x)):
             return None
     r = system.residual(x, arc_constraint)
-    return x if np.abs(r).max() <= tol else None
+    return x if np.abs(r).max() <= NEWTON_TOL else None
 
 
 def closure_distance(v: Vec) -> float:

@@ -26,14 +26,12 @@ from sphflex.graphs import apex_double_triangle, k33, triangle
 from sphflex.motions import cda_motion, dixon1_motion, dixon2_motion, polar_nap_motion
 from sphflex.spherical import (
     LengthAssignment,
-    SphericalRealization,
     degenerate_pairs,
     essentially_distinct,
-    random_unit_point,
 )
 
 from enumeration import connected_graphs
-from helpers import dixon2_involutions, gram_matrix
+from helpers import dixon2_involutions, gram_matrix, random_realization
 from reference import CDA, DIXON1, DIXON2, pinned, prefix
 from rhomboids import diagonals_not_orthogonal_check
 from trajectories import cda_rows_at
@@ -387,8 +385,7 @@ def test_criterion_10_continuation():
     )
 
     g3 = triangle()
-    rng = np.random.default_rng(2)
-    rho3 = SphericalRealization({v: random_unit_point(rng) for v in g3.vertices})
+    rho3 = random_realization(g3.vertices, np.random.default_rng(2))
     lam3 = LengthAssignment.induced(g3, rho3)
     rigid = False
     try:

@@ -10,14 +10,14 @@ to the loop implementation.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from sphflex.coloring import enumerate_nap, nap_pole_partition
 from sphflex.continuation import ConstraintSystem, jacobian, residual_vector
 from sphflex.errors import SphflexError
 from sphflex.formats import trajectory_to_csv
-from sphflex.graphs import build_graph, k33
+from sphflex.graphs import k33
 from sphflex.motions import (
     NORTH,
     MotionTrajectory,
@@ -31,34 +31,14 @@ from sphflex.spherical import (
     SphericalRealization,
     degenerate_pairs,
     max_edge_residual,
-    random_unit_point,
     rotation_about_axis,
 )
 
 from assembly import jacobian_by_loop, residual_by_loop, with_arc_row
-from helpers import restrict_realization
+from enumeration import random_graphs
+from helpers import random_realization, restrict_realization
 from reference import CDA, DIXON1, pinned
 from trajectories import degenerate_pairs_of_all
-
-PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
-
-
-@st.composite
-def graphs(draw, min_vertices=2, max_vertices=9, max_edges=16):
-    """A random connected graph on labels drawn from 1..30."""
-    n = draw(st.integers(min_vertices, max_vertices))
-    labels = draw(st.lists(st.integers(1, 30), min_size=n, max_size=n, unique=True))
-    edges = {(labels[draw(st.integers(0, v - 1))], labels[v]) for v in range(1, n)}
-    others = [
-        (labels[a], labels[b])
-        for b in range(n)
-        for a in range(b)
-        if (labels[a], labels[b]) not in edges
-    ]
-    if others and len(edges) < max_edges:
-        room = max_edges - len(edges)
-        edges.update(draw(st.lists(st.sampled_from(others), unique=True, max_size=room)))
-    return build_graph(labels, edges)
 
 
 @st.composite
@@ -66,7 +46,7 @@ def problems(draw):
     """Graph, lengths, coordinates off the curve and an arclength row.  The
     graph's labels are drawn at random, so the gauge's meridian, the
     smallest label's first neighbour, lands on varied positions."""
-    g = draw(graphs())
+    g = draw(random_graphs())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lam = LengthAssignment({e: rng.uniform(0.05, 0.95) for e in g.edges})
     coords = rng.normal(size=3 * g.num_vertices)
@@ -75,7 +55,6 @@ def problems(draw):
     return g, lam, coords, arc
 
 
-@PROPERTY
 @given(problems(), st.booleans())
 def test_gauged_system_matches_loop_assembler(problem, use_arc):
     g, lam, coords, arc = problem
@@ -152,8 +131,7 @@ def assert_samples_match_loops(traj: MotionTrajectory):
     )
 
 
-@PROPERTY
-@given(graphs(max_vertices=8, max_edges=10), st.data())
+@given(random_graphs(max_vertices=8, max_edges=10), st.data())
 def test_polar_samples_match_per_sample_validation(g, data):
     colorings = enumerate_nap(g)
     if not colorings:
@@ -225,7 +203,7 @@ def test_csv_residuals_match_per_sample_residual(traj):
 
 def test_batched_pairs_use_each_realization_vertex_set():
     rng = np.random.default_rng(8)
-    base = {v: random_unit_point(rng) for v in range(1, 7)}
+    base = dict(random_realization(range(1, 7), rng).placement)
     base[4] = -base[1]
     base[6] = base[2].copy()
     full = SphericalRealization(base)

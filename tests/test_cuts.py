@@ -514,7 +514,7 @@ def small_systems(draw):
     return [Equation(tuple(terms), rhs) for terms, rhs in rows]
 
 
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(small_systems(), st.integers(1, 3))
 def test_mu_solutions_match_backtracking_on_random_systems(eqs, max_solutions):
     assert keyed_items(mu_solutions(eqs, max_solutions)) == keyed_items(

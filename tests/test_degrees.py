@@ -10,9 +10,10 @@ from sphflex.cli import EXPECTED_CASES
 from sphflex.coloring import flexibility_certificate
 from sphflex.continuation import _fiber_sizes, empirical_map_degree
 from sphflex.errors import SphflexError
-from sphflex.graphs import k22
+from sphflex.graphs import build_graph, k22
 from sphflex.motions import (
     KIND_UNCLASSIFIED,
+    Dixon2Params,
     MotionTrajectory,
     cda_motion,
     dixon1_motion,
@@ -53,7 +54,7 @@ def test_exact_degree_matches_window_scan_oracle(loops, acceptance_loop):
         assert empirical_map_degree(traj, {5, 6}) == window_scan_degree(traj, {5, 6}) == 4
 
 
-@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@settings(max_examples=25)
 @given(
     st.integers(0, 15),
     st.sampled_from([{5, 6}, {1}, {1, 2}, {3, 5, 6}]),
@@ -86,25 +87,56 @@ def test_forgotten_set_without_construction_order_raises():
         empirical_map_degree(traj, {1})
 
 
+def dixon2_k33(params):
+    return dixon2_motion(params, np.linspace(0.45, 0.6, 25)).restrict(range(1, 7))
+
+
+# the built K(3,3) motions; the third Dixon 2 set has a sample whose first
+# placement forgetting {1, 4} lies 2.4e-9 inside the tangency band
+MOTIONS = {
+    # a branch that would put vertex 1 antipodal to vertex 3 is dropped
+    "cda": cda_motion(CDA, np.linspace(7.3, 29.9, 41)),
+    "dixon2": dixon2_k33(DIXON2),
+    "dixon2(0.3,0.1,0.25)": dixon2_k33(Dixon2Params(0.3, 0.1, 0.25)),
+    "dixon2(0.15,0.2,0.3)": dixon2_k33(Dixon2Params(0.15, 0.2, 0.3)),
+    "dixon1": dixon1_motion(DIXON1, np.linspace(1.0, 1.25, 25)),
+}
+
+
 @pytest.mark.parametrize(
-    "traj, table",
+    "name, table",
     [
-        # a branch that would put vertex 1 antipodal to vertex 3 is dropped
-        (cda_motion(CDA, np.linspace(7.3, 29.9, 41)), EXPECTED_CASES[2]["degree"]),
-        (
-            dixon2_motion(DIXON2, np.linspace(0.45, 0.6, 25)).restrict(range(1, 7)),
-            EXPECTED_CASES[1]["degree"],
-        ),
-        (dixon1_motion(DIXON1, np.linspace(1.0, 1.25, 25)), ((4, 4, 4),) * 3),
+        ("cda", EXPECTED_CASES[2]["degree"]),
+        ("dixon2", EXPECTED_CASES[1]["degree"]),
+        ("dixon1", ((4, 4, 4),) * 3),
     ],
     ids=["cda", "dixon2", "dixon1"],
 )
-def test_fiber_tables_of_the_built_motions(traj, table):
+def test_fiber_tables_of_the_built_motions(name, table):
     # entry (o, e) forgets odd o and even e; every sample has the same
     # fiber sizes, the motion's degree table
     for o, want in zip((1, 3, 5), table):
-        sizes = [_fiber_sizes(traj, {o, e}) for e in (2, 4, 6)]
+        sizes = [_fiber_sizes(MOTIONS[name], {o, e}) for e in (2, 4, 6)]
         assert [(int(s.min()), int(s.max())) for s in sizes] == [(w, w) for w in want]
+
+
+@pytest.mark.parametrize("name", sorted(MOTIONS))
+def test_every_sample_lies_in_its_own_fiber(name):
+    for o in (1, 3, 5):
+        for e in (2, 4, 6):
+            assert _fiber_sizes(MOTIONS[name], {o, e}).min() >= 1, (o, e)
+
+
+def test_a_tangency_counts_once():
+    # vertex 4 lies on the great circle through its neighbours 1 and 2, so
+    # the circles that place it touch: both intersection points are tried,
+    # and they are one point of the fiber
+    g = build_graph(range(1, 5), [(1, 2), (2, 3), (1, 4), (2, 4)])
+    s = np.sqrt(0.5)
+    fixed = {1: [1.0, 0.0, 0.0], 2: [0.0, 1.0, 0.0], 4: [s, s, 0.0]}
+    frames = [(t, SphericalRealization({**fixed, 3: [np.sin(t), 0.0, np.cos(t)]})) for t in (0.3, 0.6)]
+    traj = make_trajectory(g, LengthAssignment.induced(g, frames[0][1]), frames, KIND_UNCLASSIFIED)
+    assert _fiber_sizes(traj, {4}).tolist() == [1, 1]
 
 
 def test_retained_vertices_on_a_line_still_raise():

@@ -14,9 +14,8 @@ expanded into every label mask.
 import logging
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 
-from sphflex.cli import CORPUS
 from sphflex.coloring import (
     EdgeColoring,
     enumerate_nap,
@@ -25,39 +24,21 @@ from sphflex.coloring import (
 )
 from sphflex.cuts import enumerate_valid_cuts
 from sphflex.errors import SphflexError
-from sphflex.graphs import (
-    complete,
-    complete_bipartite,
-    cycle_graph,
-    three_prism,
-)
+from sphflex.graphs import complete_bipartite, cycle_graph
 
 from enumeration import (
+    CORPUS_GRAPHS,
+    NAMED_GRAPHS,
     connected_graphs,
     nap_masks_by_pole_sets,
     nap_masks_by_scan,
-    relabeled_graphs,
+    relabelled_pairs,
     valid_cuts_by_counts,
     valid_cuts_by_scan,
 )
 from helpers import path_graph
 
 MAX_CUT_VERTICES = 8
-
-NAMED_GRAPHS = {
-    **{
-        f"K({m},{n})": (
-            lambda m=m, n=n: complete_bipartite(range(1, m + 1), range(m + 1, m + n + 1))
-        )
-        for m in range(2, 5)
-        for n in range(m, 20 // m + 1)
-    },
-    **{f"corpus-{name}": builder for name, builder in CORPUS.items()},
-    "K5": lambda: complete(5),
-    "K6": lambda: complete(6),
-    "C8": lambda: cycle_graph(8),
-    "prism": three_prism,
-}
 
 
 def assert_nap_matches_scan(g):
@@ -100,7 +81,7 @@ def test_nap_and_cuts_match_scan_on_named_graphs(name):
 
 
 ORACLE_GRAPHS = {
-    **{f"corpus-{name}": builder for name, builder in CORPUS.items()},
+    **CORPUS_GRAPHS,
     **{
         f"K(2,{n})": (lambda n=n: complete_bipartite(range(1, 3), range(3, n + 3)))
         for n in range(1, 11)
@@ -126,9 +107,8 @@ def test_enumerators_match_slow_paths_on_named_graphs(name):
 
 def test_enumerators_log_their_work_at_debug_only(caplog, capsys):
     with caplog.at_level(logging.DEBUG, logger="sphflex"):
-        sizes = [len(enumerate_nap(complete_bipartite(range(1, 3), range(3, n + 3)), False))
-                 for n in range(1, 11)]
-        cut_counts = [len(enumerate_valid_cuts(g)) for g in (cycle_graph(8), three_prism())]
+        sizes = [len(enumerate_nap(ORACLE_GRAPHS[f"K(2,{n})"](), False)) for n in range(1, 11)]
+        cut_counts = [len(enumerate_valid_cuts(NAMED_GRAPHS[name]())) for name in ("C8", "prism")]
     records = [r for r in caplog.records if r.name.startswith("sphflex")]
     assert all(r.levelno == logging.DEBUG for r in records)
     nap = [r for r in records if r.name == "sphflex.coloring"]
@@ -154,18 +134,14 @@ def test_enumerators_log_their_work_at_debug_only(caplog, capsys):
 # property tests on random connected graphs
 # ---------------------------------------------------------------------------
 
-PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
-
-@PROPERTY
-@given(relabeled_graphs())
+@given(relabelled_pairs())
 def test_enumerators_match_slow_paths_on_random_graphs(pair):
     for g in pair:
         assert_enumerators_match_slow_paths(g)
 
 
-@PROPERTY
-@given(relabeled_graphs())
+@given(relabelled_pairs())
 def test_nap_count_and_certificate_invariant_under_relabelling(pair):
     g, h = pair
     scan = nap_masks_by_scan(g)
@@ -175,8 +151,7 @@ def test_nap_count_and_certificate_invariant_under_relabelling(pair):
     assert (flexibility_certificate(h) is None) == (not scan)
 
 
-@PROPERTY
-@given(relabeled_graphs())
+@given(relabelled_pairs())
 def test_raw_nap_set_closed_under_color_swap(pair):
     g, _ = pair
     full = (1 << g.num_edges) - 1
@@ -185,8 +160,7 @@ def test_raw_nap_set_closed_under_color_swap(pair):
     assert {mask ^ full for mask in masks} == masks
 
 
-@PROPERTY
-@given(relabeled_graphs())
+@given(relabelled_pairs())
 def test_nap_colorings_round_trip_through_pole_partition(pair):
     g, _ = pair
     for c in enumerate_nap(g, modulo_swap=False):
@@ -197,8 +171,7 @@ def test_nap_colorings_round_trip_through_pole_partition(pair):
         assert EdgeColoring.from_red_edges(g, red) == c
 
 
-@PROPERTY
-@given(relabeled_graphs())
+@given(relabelled_pairs())
 def test_valid_cut_count_invariant_under_relabelling(pair):
     g, h = pair
     assert len(enumerate_valid_cuts(h)) == len(valid_cuts_by_scan(g, True))

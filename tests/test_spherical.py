@@ -24,14 +24,10 @@ from sphflex.spherical import (
     sph_dist,
 )
 
-from helpers import apply_rotation, distinctness, gram_matrix, unit_point
+from helpers import apply_rotation, distinctness, gram_matrix, random_realization, unit_point
 from reference import DIXON1
 
 RNG = np.random.default_rng(42)
-
-
-def random_realization(g, rng):
-    return SphericalRealization({v: random_unit_point(rng) for v in g.vertices})
 
 
 def test_delta_basic_values():
@@ -113,7 +109,7 @@ def test_batched_rotation_check_rejects_one_bad_matrix():
 
 def test_apply_rotation_preserves_deltas():
     g = k33()
-    rho = random_realization(g, RNG)
+    rho = random_realization(g.vertices, RNG)
     rot = random_rotation(RNG)
     moved = apply_rotation(rot, rho)
     assert np.abs(gram_matrix(rho) - gram_matrix(moved)).max() <= 1e-12
@@ -130,7 +126,7 @@ def test_length_assignment_rejects_boundary():
 
 def test_max_edge_residual_induced_and_perturbed():
     g = k33()
-    rho = random_realization(g, RNG)
+    rho = random_realization(g.vertices, RNG)
     lam = LengthAssignment.induced(g, rho)
     assert max_edge_residual(g, rho, lam) == 0.0
     moved = dict(rho.placement)
@@ -141,7 +137,7 @@ def test_max_edge_residual_induced_and_perturbed():
 
 def test_max_edge_residual_rotation_invariant():
     g = triangle()
-    rho = random_realization(g, RNG)
+    rho = random_realization(g.vertices, RNG)
     lam = LengthAssignment.induced(g, rho)
     rot = random_rotation(RNG)
     assert max_edge_residual(g, apply_rotation(rot, rho), lam) <= 1e-9
@@ -149,7 +145,7 @@ def test_max_edge_residual_rotation_invariant():
 
 def test_essentially_distinct_rotation_false():
     g = k33()
-    rho = random_realization(g, RNG)
+    rho = random_realization(g.vertices, RNG)
     for _ in range(10):
         rot = random_rotation(RNG)
         turned = apply_rotation(rot, rho)
@@ -159,7 +155,7 @@ def test_essentially_distinct_rotation_false():
 
 def test_essentially_distinct_mirror_true():
     g = triangle()
-    rho = random_realization(g, RNG)
+    rho = random_realization(g.vertices, RNG)
     mirrored = SphericalRealization(
         {v: np.array([p[0], p[1], -p[2]]) for v, p in rho.placement.items()}
     )
@@ -188,8 +184,8 @@ def test_essentially_distinct_degenerate_great_circle():
 
 def test_essentially_distinct_different_shapes():
     g = k22()
-    r1 = random_realization(g, RNG)
-    r2 = random_realization(g, RNG)
+    r1 = random_realization(g.vertices, RNG)
+    r2 = random_realization(g.vertices, RNG)
     assert essentially_distinct(r1, r2)
 
 

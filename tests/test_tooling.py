@@ -36,6 +36,9 @@ itself, ``from module import name``, ``module.name`` after ``import
 module``, or for a fixture of ``conftest.py`` a parameter of its name
 (``unused_test_helpers``).  Each subcommand of the CLI, with
 each of its ``--format`` choices, has a command in ``tests/commands.py``.
+Every property draws the same examples on every run: the Hypothesis
+profile of ``conftest.py`` is derandomized, with no example database and
+no deadline, and no module of ``tests/`` passes those to ``settings``.
 """
 
 import argparse
@@ -52,6 +55,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 from sphflex import cli
 
@@ -584,3 +588,24 @@ def test_every_subcommand_and_format_has_a_corpus_command():
     parsed_argv = [parser.parse_args(command.argv) for command in COMMANDS]
     covered = {(args.command, getattr(args, "format", None)) for args in parsed_argv}
     assert ("trace", "tabular") in needed and sorted(needed - covered) == []
+
+
+def test_every_property_draws_the_same_examples_on_every_run():
+    # conftest.py loads a derandomized profile with no example database and
+    # no deadline, and no module of tests/ sets those in a settings(...)
+    loaded = settings.default
+    assert loaded.derandomize and loaded.database is None and loaded.deadline is None
+    calls = [
+        (stem, node)
+        for stem, tree in modules(TESTS).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "settings"
+    ]
+    overrides = [
+        f"{stem}.py:{node.lineno}"
+        for stem, node in calls
+        if {kw.arg for kw in node.keywords} & {"derandomize", "database", "deadline"}
+    ]
+    # the properties that draw another number of examples set it here
+    assert len(calls) >= 4 and overrides == []

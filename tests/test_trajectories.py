@@ -19,14 +19,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from sphflex import cli, formats
 from sphflex.coloring import EdgeColoring, enumerate_nap, flexibility_certificate
 from sphflex.continuation import TraceConfig, trace
 from sphflex.errors import SphflexError
-from sphflex.graphs import apex_double_triangle, build_graph, complete_bipartite, cycle_graph, k33
+from sphflex.graphs import apex_double_triangle, k33
 from sphflex.motions import (
     KIND_DIXON2,
     KIND_UNCLASSIFIED,
@@ -53,7 +53,6 @@ from sphflex.spherical import (
     degenerate_pairs,
     essentially_distinct,
     random_rotation,
-    random_unit_point,
 )
 
 from trajectories import (
@@ -72,13 +71,10 @@ from trajectories import (
     trajectory_to_csv_by_samples,
     trajectory_to_dict_by_samples,
 )
-from commands import FILES, outcome, own_copy
-from helpers import distinctness, realization_to_dict, restrict_realization
-from reference import CDA, DIXON1, DIXON2, dixon1_seed
-
-PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
-# K(3,7): vertices 10, 12 and 14 sort before 2 as JSON keys
-K37 = complete_bipartite((1, 3, 5), (2, 4, 6, 8, 10, 12, 14))
+from commands import FILES, K37, TRACE, filled, outcome, own_copy
+from enumeration import random_graphs
+from helpers import distinctness, random_realization, restrict_realization
+from reference import CDA, DIXON1, DIXON2
 
 
 # ---------------------------------------------------------------------------
@@ -127,55 +123,34 @@ DIGESTS = {
 }
 
 
-def cli_cases(tmp, inputs):
-    def write(name, payload):
-        path = tmp / name
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    cases = {
-        "realize-k33": ["realize", "--corpus", "k33", "--samples", "40", "--seed", "7"],
-        "realize-k37": ["realize", "--graph", write("k37.json", formats.graph_to_dict(K37)),
-                        "--samples", "30", "--seed", "2"],
-        "realize-c12": ["realize", "--graph",
-                        write("c12.json", formats.graph_to_dict(cycle_graph(12))),
-                        "--samples", "25", "--seed", "4"],
-        "k33-dixon1": ["k33", "--kind", "dixon1", "--samples", "60"],
-        "k33-dixon1-slopes": ["k33", "--kind", "dixon1", "--samples", "33",
-                              "--c", "0.15,0.3,0.55", "--d", "0.2,0.45,0.6",
-                              "--s-min", "0.9", "--s-max", "1.3"],
-        "k33-dixon2": ["k33", "--kind", "dixon2", "--samples", "60"],
-        "k33-dixon2-k44": ["k33", "--kind", "dixon2", "--samples", "60", "--full-k44"],
-        "k33-dixon2-wide": ["k33", "--kind", "dixon2", "--samples", "41", "--p1-min", "0.3",
-                            "--p1-max", "0.7", "--alpha", "0.25", "--beta", "-0.1",
-                            "--gamma", "0.12"],
-        "k33-cda": ["k33", "--kind", "cda", "--samples", "60"],
-        "k33-cda-signs": ["k33", "--kind", "cda", "--samples", "30", "--y2-sign", "-1",
-                          "--z5-sign", "-1", "--t-min", "8", "--t-max", "20"],
-    }
-    k55, k55_lengths, rho = dixon1_seed(5, 5)
-    cases["trace-k33"] = [
-        "trace",
-        "--graph", inputs["K33"],
-        "--lengths", inputs["DIXON1_LENGTHS"],
-        "--seed-realization", inputs["DIXON1_SEED"],
-        "--step", "0.05",
-    ]
-    cases["trace-k55"] = [
-        "trace",
-        "--graph", write("k55-g.json", formats.graph_to_dict(k55)),
-        "--lengths", write("k55-l.json", formats.lengths_to_dict(k55_lengths)),
-        "--seed-realization", write("k55-s.json", realization_to_dict(rho)),
-        "--step", "0.05",
-    ]
-    return cases
+# argvs naming input files by their keys in ``commands.FILES``
+CLI_CASES = {
+    "realize-k33": ["realize", "--corpus", "k33", "--samples", "40", "--seed", "7"],
+    "realize-k37": ["realize", "--graph", "K37", "--samples", "30", "--seed", "2"],
+    "realize-c12": ["realize", "--graph", "C12", "--samples", "25", "--seed", "4"],
+    "k33-dixon1": ["k33", "--kind", "dixon1", "--samples", "60"],
+    "k33-dixon1-slopes": ["k33", "--kind", "dixon1", "--samples", "33",
+                          "--c", "0.15,0.3,0.55", "--d", "0.2,0.45,0.6",
+                          "--s-min", "0.9", "--s-max", "1.3"],
+    "k33-dixon2": ["k33", "--kind", "dixon2", "--samples", "60"],
+    "k33-dixon2-k44": ["k33", "--kind", "dixon2", "--samples", "60", "--full-k44"],
+    "k33-dixon2-wide": ["k33", "--kind", "dixon2", "--samples", "41", "--p1-min", "0.3",
+                        "--p1-max", "0.7", "--alpha", "0.25", "--beta", "-0.1",
+                        "--gamma", "0.12"],
+    "k33-cda": ["k33", "--kind", "cda", "--samples", "60"],
+    "k33-cda-signs": ["k33", "--kind", "cda", "--samples", "30", "--y2-sign", "-1",
+                      "--z5-sign", "-1", "--t-min", "8", "--t-max", "20"],
+    "trace-k33": [*TRACE, "--step", "0.05"],
+    "trace-k55": ["trace", "--graph", "K55", "--lengths", "K55_LENGTHS",
+                  "--seed-realization", "K55_SEED", "--step", "0.05"],
+}
 
 
-def test_cli_output_hashes_to_per_sample_digests(tmp_path, inputs):
+def test_cli_output_hashes_to_per_sample_digests(inputs):
     got = {}
-    for name, argv in cli_cases(tmp_path, inputs).items():
+    for name, argv in CLI_CASES.items():
         for fmt in ("text", "structured", "tabular"):
-            rc, text, _ = outcome([*argv, "--format", fmt])
+            rc, text, _ = outcome([*filled(argv, inputs), "--format", fmt])
             assert rc == 0, name
             got[f"{name}/{fmt}"] = hashlib.sha256(text.encode()).hexdigest()
             if fmt == "structured":
@@ -300,19 +275,7 @@ def test_float_texts_take_one_repr_per_magnitude(monkeypatch):
         assert text == dump_trajectory_by_samples(traj)
 
 
-@st.composite
-def labelled_graphs(draw):
-    """A random connected graph on up to 12 labels drawn from 0..40."""
-    n = draw(st.integers(2, 12))
-    labels = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
-    tree = [(labels[draw(st.integers(0, v - 1))], labels[v]) for v in range(1, n)]
-    extra = draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels)), max_size=8))
-    edges = {(min(a, b), max(a, b)) for a, b in tree + extra if a != b}
-    return build_graph(labels, edges)
-
-
-@PROPERTY
-@given(labelled_graphs(), st.integers(2, 30), st.integers(0, 9))
+@given(random_graphs(), st.integers(2, 30), st.integers(0, 9))
 def test_polar_writers_equal_encoder_on_random_labels(g, samples, seed):
     coloring = flexibility_certificate(g)
     if coloring is None:
@@ -603,7 +566,6 @@ def test_cli_rejects_nan_and_inf_input(inputs, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-@PROPERTY
 @given(
     st.lists(st.floats(0.05, 0.95), min_size=3, max_size=3),
     st.lists(st.floats(0.05, 0.95), min_size=3, max_size=3),
@@ -652,7 +614,6 @@ DIXON2_FAILURES = (
 )
 
 
-@PROPERTY
 @given(
     st.tuples(st.floats(0.02, 0.4), st.floats(0.02, 0.4), st.floats(0.02, 0.4)),
     st.lists(st.sampled_from((1.0, -1.0)), min_size=3, max_size=3),
@@ -935,7 +896,6 @@ def test_detector_errors_match_oracle():
         assert str(got.value) == str(want.value)
 
 
-@PROPERTY
 @given(st.integers(0, 2**32 - 1), st.sampled_from((1e-8, 0.05, 0.2, 0.4)))
 def test_detector_tests_equal_oracle_on_random_stacks(seed, tol):
     # odd vertices at random, even vertices at their antipodes moved by
@@ -1017,11 +977,10 @@ def test_orientation_too_close_to_zero_raises(monkeypatch):
     assert not essentially_distinct(r1, r1)
 
 
-@PROPERTY
 @given(st.integers(3, 9), st.integers(0, 2**32 - 1))
 def test_distinctness_under_rotation_and_mirror(n, seed):
     rng = np.random.default_rng(seed)
-    rho = SphericalRealization({v: random_unit_point(rng) for v in range(n)})
+    rho = random_realization(range(n), rng)
     rot = random_rotation(rng)
     turned = SphericalRealization({v: rot.apply(p) for v, p in rho.placement.items()})
     mirrored = SphericalRealization({v: rot.apply(p * [1, 1, -1]) for v, p in rho.placement.items()})
