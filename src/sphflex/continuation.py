@@ -12,14 +12,18 @@ corrector, ``newton_correct``.  Every Newton solve here, polishing the seed
 and tracing, assembles its equations through one gauged
 ``ConstraintSystem``.  Each Newton iterate gathers the point rows it needs
 with a single ``take``, which feeds both the residual and the Jacobian
-(``put`` scatters its blocks).  The arithmetic goes into preallocated
-buffers, and solves and Cholesky factorizations call LAPACK through the
-gufuncs behind ``np.linalg.solve`` and ``np.linalg.cholesky``, inside the
-one ``np.errstate`` that ``trace`` enters around all its Newton work.  The
-step is written for few numpy calls, not fewer floating-point operations:
-the slow forms of the corrector and the certificate are kept as an oracle
-in ``tests/stepping.py``, and the tests require a trace through them to
-equal one through this module bit for bit.
+(``put`` scatters its blocks), and the point a trace step accepts is not
+gathered again.  The arithmetic goes into buffers, and views of them, that
+the system makes once; the corrector and the corank certificate form their
+normal matrices there too.  Those normal matrices and the matrix-vector
+products call BLAS through ``ndarray.dot``, and solves and Cholesky
+factorizations call LAPACK through the gufuncs behind ``np.linalg.solve``
+and ``np.linalg.cholesky``, inside the one ``np.errstate`` that ``trace``
+enters around all its Newton work.  The step is written for the fewest
+numpy calls that keep its arithmetic, not for fewer floating-point
+operations: the slow forms of the corrector and the certificate are kept
+as an oracle in ``tests/stepping.py``, and the tests require a trace
+through them to equal one through this module bit for bit.
 
 Along the curve the Jacobian is bordered by a pseudo-arclength row, which
 gives it full column rank at a regular point; those systems, the corrector
@@ -157,17 +161,18 @@ class ConstraintSystem:
     row, ``tangent``, when ``jacobian`` is passed ``tangent``).
 
     Index arrays and lengths are built once.  ``residual`` and ``jacobian``
-    gather the point rows of their ``coords`` with one ``take``, and each
+    gather the point rows of their ``coords`` with one ``take``; each
     iterate of ``newton_correct`` assembles its Jacobian from its
-    residual's gather.  The buffers are preallocated, the constant gauge
-    entries set once, and every call returns views of them that the next
-    call overwrites.
+    residual's gather, and a trace step the Jacobian at the point it
+    accepts from the corrector's last gather.  The buffers, and the views
+    of them each call reads or returns, are made once, with the constant
+    gauge entries; every call overwrites what the last one returned.
     """
 
     def __init__(self, g: Graph, lam: LengthAssignment):
         anchor, meridian = _gauge(g)
-        self.order = g.vertices
-        n = len(self.order)
+        n = g.num_vertices
+        self._point_shape = (n, 3)
         rows = [(i, i, -1.0, 0.0, 1.0) for i in range(n)]
         rows += [(i, j, 0.5, 1.0, lam.length(*e)) for (i, j), e in zip(g.ends, g.edges)]
         left, right, scale, offset, target = zip(*rows)
@@ -184,6 +189,7 @@ class ConstraintSystem:
         self._left_rows = self._gathered[:pairs, None, :]
         self._right_rows = self._gathered[pairs:, :, None]
         self._dots = np.empty((pairs, 1, 1))
+        self._dot_column = self._dots[:, 0, 0]
 
         # Jacobian blocks, read from the gather past its first n rows, which
         # are a, vertices, b: the sphere row of vertex i holds 2 p_i at i;
@@ -193,7 +199,10 @@ class ConstraintSystem:
         block_row = np.concatenate([pair, verts, pair])
         block_col = np.concatenate([b, verts, a])
         self._block_src = self._gathered[n:]
-        self._block_coef = np.concatenate([coef, np.full(n, 2.0), coef])[:, None]
+        # each block's coefficient, repeated across its three columns: a
+        # product of equal shapes dispatches faster than a broadcast one
+        coefs = np.concatenate([coef, np.full(n, 2.0), coef])
+        self._block_coef = np.repeat(coefs[:, None], 3, axis=1)
         self._blocks = np.empty_like(self._block_src)
         width = 3 * n
         starts = block_row * width + 3 * block_col
@@ -202,20 +211,29 @@ class ConstraintSystem:
         self._res = np.empty(self.num_rows + 1)
         self._pair_res = self._res[:pairs]
         self._gauge_res = self._res[pairs : self.num_rows]
+        self._unbordered_res = self._res[: self.num_rows]
+        # x - base of the arclength row, and |r| of the corrector's
+        # convergence test
+        self._shifted = np.empty(width)
+        self._magnitudes = np.empty(self.num_rows + 1)
         self._jac = np.zeros((self.num_rows + 1, width))
         self._jac_flat = self._jac.reshape(-1)
+        self._unbordered_jac = self._jac[: self.num_rows]
+        self._arc_row = self._jac[self.num_rows]
         ia, im = g.position[anchor], g.position[meridian]
         self._gauge_cols = np.array([3 * ia + 1, 3 * ia + 2, 3 * im + 2])
         self._jac[pairs + np.arange(3), self._gauge_cols] = 1.0
-        # the normal equations of a corrector step
+        # the normal equations of a corrector step and of a certificate,
+        # with a view of the normal matrix's diagonal
         self._normal = np.empty((width, width))
+        self._diagonal = self._normal.reshape(-1)[:: width + 1]
         self._rhs = np.empty(width)
 
     def _gather(self, coords: Vec) -> None:
         # the reshape refuses coords of another size, so every index is in
         # range, and "clip" lets take write into out where "raise" would
         # go through a buffer
-        pts = coords.reshape(len(self.order), 3)
+        pts = coords.reshape(self._point_shape)
         pts.take(self._gather_index, axis=0, out=self._gathered, mode="clip")
 
     def residual(
@@ -223,17 +241,16 @@ class ConstraintSystem:
     ) -> Vec:
         self._gather(coords)
         # the stacked (1x3)(3x1) products of row_dots, into a buffer
-        dots = np.matmul(self._left_rows, self._right_rows, out=self._dots)[:, 0, 0]
+        np.matmul(self._left_rows, self._right_rows, out=self._dots)
         pair = self._pair_res
-        np.subtract(self._offset, dots, out=pair)
+        np.subtract(self._offset, self._dot_column, out=pair)
         np.multiply(self._scale, pair, out=pair)
         np.subtract(pair, self._target, out=pair)
         coords.take(self._gauge_cols, out=self._gauge_res, mode="clip")
-        k = self.num_rows
         if arc is None:
-            return self._res[:k]
+            return self._unbordered_res
         base, tangent, h = arc
-        self._res[k] = float((coords - base) @ tangent) - h
+        self._res[self.num_rows] = np.subtract(coords, base, out=self._shifted).dot(tangent) - h
         return self._res
 
     def jacobian(self, coords: Vec, tangent: Optional[Vec] = None) -> Vec:
@@ -242,12 +259,14 @@ class ConstraintSystem:
 
     def _gathered_jacobian(self, tangent: Optional[Vec] = None) -> Vec:
         """The Jacobian at the point of the last gather, bordered by the
-        arclength row ``tangent`` when one is given."""
+        arclength row ``tangent`` when one is given.  Without one the
+        buffer's arclength row is left as it is, and the view returned
+        leaves it out."""
         np.multiply(self._block_coef, self._block_src, out=self._blocks)
         self._jac_flat.put(self._block_flat, self._blocks)
         if tangent is None:
-            return self._jac[: self.num_rows]
-        self._jac[self.num_rows] = tangent
+            return self._unbordered_jac
+        self._arc_row[...] = tangent
         return self._jac
 
 
@@ -313,7 +332,7 @@ def _full_rank_step(x: Vec, a: Vec, r: Vec, normal: Vec, rhs: Vec) -> Optional[V
     full column rank after all, and ``lstsq`` gives the step instead.
     """
     at = a.T
-    s = _solve(np.matmul(at, a, out=normal), np.matmul(at, r, out=rhs))
+    s = _solve(at.dot(a, out=normal), at.dot(r, out=rhs))
     stepped = x - s
     if _all_finite(stepped):
         return stepped
@@ -329,7 +348,9 @@ def _norm(v: Vec) -> float:
     return math.sqrt(v.dot(v))
 
 
-def bordered_corank_and_tangent(bordered: Vec) -> tuple[int, Vec]:
+def bordered_corank_and_tangent(
+    bordered: Vec, buffers: Optional[tuple[Vec, Vec]] = None
+) -> tuple[int, Vec]:
     """Corank and unit tangent at a point reached from a known tangent.
 
     ``bordered`` is the Jacobian ``J`` with the previous unit tangent
@@ -354,23 +375,30 @@ def bordered_corank_and_tangent(bordered: Vec) -> tuple[int, Vec]:
 
     Otherwise the singular values of ``J`` decide, so the answer is the
     rule's either way; the margins of ten and two absorb rounding in
-    ``N``, the factorization and the SVD.  A singular ``N`` may warn
-    unless the caller enters ``np.errstate``, as ``trace`` does.
+    ``N``, the factorization and the SVD.  ``buffers``, a square matrix of
+    ``bordered``'s width and a view of its diagonal, receive ``N``; without
+    them ``N`` is allocated.  A singular ``N`` may warn unless the caller
+    enters ``np.errstate``, as ``trace`` does.
     """
     jac, t_prev = bordered[:-1], bordered[-1]
-    normal = bordered.T @ bordered
+    if buffers is None:
+        normal = np.empty((len(t_prev), len(t_prev)))
+        diagonal = normal.reshape(-1)[:: len(t_prev) + 1]
+    else:
+        normal, diagonal = buffers
+    bordered.T.dot(bordered, out=normal)
     # bordered^T e_last is the last row, t_prev, to the bit
     t = _solve(normal, t_prev)
     if not _all_finite(t):
         e_last = np.zeros(len(bordered))
         e_last[-1] = 1.0
         t = np.linalg.lstsq(bordered, e_last, rcond=None)[0]
-    t = t / _norm(t)
-    if _norm(jac @ t) <= 0.5 * CORANK_REL_TOL:
+    t /= _norm(t)
+    if _norm(jac.dot(t)) <= 0.5 * CORANK_REL_TOL:
         shift = 100.0 * (max(_norm(jac.ravel("K")), 1.0) * CORANK_REL_TOL) ** 2
         # normal - shift * I, in place as normal is not read again: off the
         # diagonal, x - 0.0 is x
-        normal.reshape(-1)[:: len(normal) + 1] -= shift
+        diagonal -= shift
         if not math.isnan(_cholesky(normal)[0, -1]):
             return 1, t
     svals = np.linalg.svd(jac, compute_uv=False)
@@ -393,25 +421,37 @@ def newton_correct(
     ``lstsq``'s minimum-norm one.  It takes at most ``MAX_NEWTON_ITERS``
     steps to bring every residual within ``NEWTON_TOL``.  A singular input
     may warn unless the caller enters ``np.errstate``, as ``trace`` does.
+
+    ``coords`` is not written: every step makes a new array, and ``coords``
+    itself comes back when it needs no step.  The point returned is that of
+    ``system``'s last gather, so the Jacobian there is
+    ``system._gathered_jacobian``'s.
     """
-    x = coords.copy()
-    tangent = None if arc_constraint is None else arc_constraint[1]
+    residual, assemble = system.residual, system._gathered_jacobian
+    normal, rhs = system._normal, system._rhs
+    if arc_constraint is None:
+        magnitudes, jac = system._magnitudes[: system.num_rows], system._unbordered_jac
+    else:
+        magnitudes, jac = system._magnitudes, system._jac
+        # the arclength row, which the assembly below leaves as it is
+        system._arc_row[...] = arc_constraint[1]
+    x = coords
     for _ in range(MAX_NEWTON_ITERS):
-        r = system.residual(x, arc_constraint)
-        if np.abs(r).max() <= NEWTON_TOL:
+        r = residual(x, arc_constraint)
+        if np.maximum.reduce(np.abs(r, out=magnitudes)) <= NEWTON_TOL:
             return x
-        # the Jacobian at x, from the gather of its residual
-        jac = system._gathered_jacobian(tangent)
-        if tangent is None:
+        # the Jacobian at x into jac, from the gather of its residual
+        assemble()
+        if arc_constraint is None:
             x = x + np.linalg.lstsq(jac, -r, rcond=None)[0]
             if not np.isfinite(x).all():
                 return None
         else:
-            x = _full_rank_step(x, jac, r, system._normal, system._rhs)
+            x = _full_rank_step(x, jac, r, normal, rhs)
             if x is None:
                 return None
-    r = system.residual(x, arc_constraint)
-    return x if np.abs(r).max() <= NEWTON_TOL else None
+    r = residual(x, arc_constraint)
+    return x if np.maximum.reduce(np.abs(r, out=magnitudes)) <= NEWTON_TOL else None
 
 
 @dataclass(frozen=True)
@@ -431,7 +471,7 @@ class TraceResult:
 
 
 def _advance(
-    system: ConstraintSystem, x: Vec, t_prev: Vec, h: float, cfg: TraceConfig
+    system: ConstraintSystem, x: Vec, t_prev: Vec, h: float
 ) -> tuple[Vec, Vec, float] | str:
     """One predictor-corrector step along ``t_prev``, halving ``h`` until the
     tangent ``t`` at a corrected point keeps ``t . t_prev > 0.2``.
@@ -440,13 +480,16 @@ def _advance(
     the path back.  Returns the accepted ``(point, tangent, h)``, or the stop
     reason ``"singular_point"`` or ``"step_failure"``.
     """
+    buffers = system._normal, system._diagonal
     while h >= MIN_STEP:
         cand = newton_correct(system, x + h * t_prev, (x, t_prev, h))
         if cand is not None:
-            corank, t_new = bordered_corank_and_tangent(system.jacobian(cand, t_prev))
+            # the corrector's last gather was at cand
+            bordered = system._gathered_jacobian(t_prev)
+            corank, t_new = bordered_corank_and_tangent(bordered, buffers)
             if corank >= 2:
                 return "singular_point"
-            if float(t_new @ t_prev) > 0.2:
+            if t_new.dot(t_prev) > 0.2:
                 return cand, t_new, h
         h *= 0.5
     return "step_failure"
@@ -502,25 +545,27 @@ def trace(
         if tangent[np.argmax(np.abs(tangent))] < 0:
             tangent = -tangent
 
+        step_size, max_steps = cfg.step_size, cfg.max_steps
         xs, arclengths = [x0], [0.0]
-        x, t_prev, h = x0, tangent, cfg.step_size
+        x, t_prev, h, arclength = x0, tangent, step_size, 0.0
         went_far = False
         stop_reason = "max_steps"  # the reason when the loop runs out of steps
-        while len(xs) <= cfg.max_steps:
-            step = _advance(system, x, t_prev, h, cfg)
+        while len(xs) <= max_steps:
+            step = _advance(system, x, t_prev, h)
             if isinstance(step, str):
                 stop_reason = step
                 break
             x, t_prev, h = step
+            arclength += h
             xs.append(x)
-            arclengths.append(arclengths[-1] + h)
+            arclengths.append(arclength)
             dist_to_seed = _norm(x - x0)
             # measured in accepted steps: a loop that never gets 3 * step_size
             # from the seed must still be able to close
             went_far = went_far or dist_to_seed > 3.0 * h
-            h = min(h * 1.3, cfg.step_size)
+            h = min(h * 1.3, step_size)
 
-            if went_far and dist_to_seed <= 1.5 * h and float(t_prev @ tangent) > 0.5:
+            if went_far and dist_to_seed <= 1.5 * h and t_prev.dot(tangent) > 0.5:
                 # candidate return: project onto the curve slice through the
                 # seed orthogonal to the seed tangent; a genuine loop lands on
                 # the seed itself, a near-miss pass does not

@@ -146,11 +146,16 @@ def traced(seed, step, max_steps, oracle=False) -> Traced:
     import stepping
     from sphflex import continuation
 
-    certify = (stepping if oracle else continuation).bordered_corank_and_tangent
+    library = continuation.bordered_corank_and_tangent
     record = Traced(None, [], [], [])
 
-    def certificate(bordered):
-        corank, t = certify(bordered)
+    def certificate(bordered, buffers):
+        # the library's step forms the normal matrix in the buffers of the
+        # trace's system, and the oracle allocates its own
+        if oracle:
+            corank, t = stepping.bordered_corank_and_tangent(bordered)
+        else:
+            corank, t = library(bordered, buffers)
         record.certificates.append((bordered.copy(), corank, t.copy()))
         return corank, t
 

@@ -2,15 +2,21 @@
 was trimmed of numpy dispatches, kept as oracles.
 
 ``continuation`` now gathers each iterate's point rows once for the
-residual and the Jacobian, tests finiteness once per iterate, takes norms
-as a dot product and a square root, solves the corrector's normal
+residual and the Jacobian, assembles the Jacobian at a step's accepted
+point from the corrector's last gather, steps from the caller's
+coordinates without copying them, tests finiteness once per iterate, takes
+norms as a dot product and a square root, takes the largest residual
+magnitude as one ``np.maximum.reduce`` over a buffer, forms matrix
+products with ``ndarray.dot`` into the system's buffers, writes the
+arclength row once per corrector call, solves the corrector's normal
 equations for ``r`` and steps ``x - s`` where these solve for ``-r`` and
 step ``x + s``, solves the certificate's normal equations for ``t_prev``
-directly, shifts the normal matrix's diagonal in place, and calls the
-LAPACK gufuncs behind ``np.linalg.solve`` and ``np.linalg.cholesky``
-directly.  Each of those
-performs the same floating-point operations in the same order as the code
-below, so a trace must equal one run through these functions bit for bit.
+directly, normalizes the tangent in place, shifts the normal matrix's
+diagonal in place through a view made once, and calls the LAPACK gufuncs
+behind ``np.linalg.solve`` and ``np.linalg.cholesky`` directly.  Each of
+those performs the same floating-point operations in the same order as
+the code below, so a trace must equal one run through these functions bit
+for bit.
 
 ``closure_distance`` is the loop-closure distance as ``trace`` took it.
 """

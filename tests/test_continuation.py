@@ -692,8 +692,8 @@ def test_trace_without_a_first_step_raises(monkeypatch):
 def test_trace_stops_at_a_singular_point(monkeypatch):
     calls = []
 
-    def corank_two_on_sixth_call(bordered):
-        corank, t = bordered_corank_and_tangent(bordered)
+    def corank_two_on_sixth_call(bordered, buffers):
+        corank, t = bordered_corank_and_tangent(bordered, buffers)
         calls.append(corank)
         return (2 if len(calls) == 6 else corank), t
 
@@ -975,3 +975,57 @@ def test_newton_correct_equals_the_oracle(arc):
         assert (got is None) == (want is None)
         if got is not None:
             assert same_bits(got, want)
+
+
+def corrector_case(arc):
+    """A system at a polished CDA point ``x``, its tangent there, and the
+    arclength row through ``x`` along it (or None)."""
+    g, lam, seed = cda_seed()
+    system = ConstraintSystem(g, lam)
+    x = newton_correct(system, re_gauge(seed, g).as_array(g.vertices))
+    _, t = corank_and_tangent(system.jacobian(x))
+    return system, x, t, ((x, t, 0.0) if arc else None)
+
+
+@pytest.mark.parametrize("arc", [False, True])
+def test_corrector_stops_at_a_residual_of_exactly_newton_tol(monkeypatch, arc):
+    system, x, _, arc_constraint = corrector_case(arc)
+    assemblies = []
+
+    def assemble(*tangent):
+        assemblies.append(tangent)
+        return ConstraintSystem._gathered_jacobian(system, *tangent)
+
+    monkeypatch.setattr(system, "_gathered_jacobian", assemble)
+    for largest, steps in [(NEWTON_TOL, False), (np.nextafter(NEWTON_TOL, 1.0), True)]:
+        # column 1 is the anchor's y coordinate, whose gauge row is that
+        # coordinate itself; every other row stays below NEWTON_TOL
+        start = x.copy()
+        start[1] = largest
+        assert np.abs(system.residual(start, arc_constraint)).max() == largest
+        assemblies.clear()
+        got = newton_correct(system, start, arc_constraint)
+        assert bool(assemblies) == steps
+        assert (got is start) != steps
+
+
+@pytest.mark.parametrize("arc", [False, True])
+def test_newton_correct_leaves_its_input_unchanged(arc):
+    # no iterate is written in place, so the caller's coords need no copy
+    system, x, t, _ = corrector_case(arc)
+    start = x + 1e-3 * np.random.default_rng(3).normal(size=x.size)
+    before = start.copy()
+    got = newton_correct(system, start, (x, t, 0.01) if arc else None)
+    assert got is not None and not np.array_equal(got, start)
+    assert same_bits(start, before)
+
+
+@pytest.mark.parametrize("arc", [False, True])
+def test_corrected_point_is_the_last_gather(arc):
+    # a trace step reads the Jacobian at the point it accepts off the
+    # corrector's last gather
+    system, x, t, _ = corrector_case(arc)
+    start = x + 1e-3 * np.random.default_rng(4).normal(size=x.size)
+    got = newton_correct(system, start, (x, t, 0.01) if arc else None)
+    from_gather = system._gathered_jacobian().copy()
+    assert same_bits(from_gather, system.jacobian(got))
