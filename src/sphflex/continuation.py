@@ -93,10 +93,20 @@ class TraceConfig:
     max_steps: int = 5000
 
     def __post_init__(self):
-        # a NaN passes every comparison below
+        # a bool is an int, and neither field is a truth value
+        if not isinstance(self.max_steps, int) or isinstance(self.max_steps, bool):
+            raise SphflexError(
+                f"trace configuration max_steps must be an integer, got {self.max_steps}"
+            )
+        if isinstance(self.step_size, bool):
+            raise SphflexError(
+                f"trace configuration step_size must be a number, got {self.step_size}"
+            )
+        # a NaN fails both comparisons, and comparing a huge integer with
+        # inf, unlike math.isfinite, does not convert it to a float
         for field in fields(self):
             value = getattr(self, field.name)
-            if not (math.isfinite(value) and value > 0):
+            if not 0 < value < math.inf:
                 raise SphflexError(
                     f"trace configuration {field.name} must be finite and positive, "
                     f"got {value}"

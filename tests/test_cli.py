@@ -199,6 +199,8 @@ def test_cli_samples_below_two_is_a_usage_error(argv, count, capsys):
 
 # messages of a value that got past its check and failed downstream
 LEAKED = re.compile(r"placed off the sphere|length .* for edge|Number of samples")
+# an integer beyond the largest float: an int flag keeps it, a float flag reads inf
+HUGE = "1" + "0" * 400
 
 
 @settings(max_examples=60)
@@ -206,11 +208,13 @@ LEAKED = re.compile(r"placed off the sphere|length .* for edge|Number of samples
     st.builds(
         lambda case, value: [*case[0], case[1].format(value)],
         st.sampled_from([(command.argv, number) for command in COMMANDS for number in command.numbers]),
-        st.sampled_from(("nan", "inf", "-inf", "0", "-1", "1e308", "-0.5", "2")),
+        st.sampled_from(("nan", "inf", "-inf", "0", "-1", "1e308", "-0.5", "2", HUGE)),
     )
 )
 # the step that overflowed the predictor before step_size had a bound
 @example([*TRACE, "--step=1e308"])
+# the step count that overflowed the check's conversion to a float
+@example([*TRACE, f"--max-steps={HUGE}"])
 def test_cli_numeric_flags_exit_cleanly(inputs, argv):
     try:
         code, _, err = outcome(filled(argv, inputs))
@@ -227,6 +231,11 @@ def test_cli_trace_step_is_at_most_pi(inputs, capsys):
     assert run([*argv, "--step=3.2"]) == 1
     assert capsys.readouterr().err == "error: trace configuration step_size must be at most pi, got 3.2\n"
     assert run([*argv, "--step=3.0"]) == 0
+    assert "stop: loop_closed" in capsys.readouterr().out
+
+
+def test_cli_trace_takes_a_step_count_beyond_the_largest_float(inputs, capsys):
+    assert run([*filled(TRACE, inputs), f"--max-steps={HUGE}"]) == 0
     assert "stop: loop_closed" in capsys.readouterr().out
 
 

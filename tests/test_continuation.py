@@ -641,11 +641,14 @@ def test_corank_other_than_one_takes_one_svd(monkeypatch, jac_rng, corank):
         ("step_size", -1.0),
         ("step_size", math.nan),
         ("step_size", math.inf),
+        ("step_size", True),
         ("max_steps", 0),
+        ("max_steps", 2.5),
+        ("max_steps", True),
     ],
 )
 def test_trace_config_names_the_bad_field(field, value):
-    with pytest.raises(SphflexError, match=f"trace configuration {field} must be finite"):
+    with pytest.raises(SphflexError, match=f"^trace configuration {field} must be .+, got {value}$"):
         TraceConfig(**{field: value})
 
 

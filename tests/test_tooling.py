@@ -1,13 +1,14 @@
-"""The benchmark reaches into the package by name, and every public name
-of the package has a caller.
+"""The benchmark runs and passes its own checks, and every public name of
+the package has a caller.
 
-Every guard reads code with ``ast``, not by running it: ``parsed`` parses
-each file once, and ``modules`` gives the trees of the package, of
-``bench/`` or of ``tests/``.  ``bench/tracer.py`` lists the functions its
-span recorder wraps in ``TARGETS``, and ``bench/workloads.py`` calls
-package functions through the modules and names it imports from
-``sphflex`` and methods on the objects they return.  A renamed or removed
-name would only show up as a failed benchmark run, so each one is resolved.
+One cycle of each benchmark workload runs in process with the span
+recorder of ``bench/tracer.py`` installed, the way a traced phase of
+``bench/worker.py`` runs it, and every op's own check must pass.  So a
+name the benchmark uses that the package renamed or removed, or an answer
+that drifted from ``bench/expected.json``, fails here and not first in a
+benchmark run.  Every other guard reads code with ``ast``, not by running
+it: ``parsed`` parses each file once, and ``modules`` gives the trees of
+the package, of ``bench/`` or of ``tests/``.
 
 In the package, a guard fails on each of these unless the README's
 ``KEPT_HEADING`` table keeps it; "there" means the package and ``bench/``.
@@ -45,16 +46,15 @@ import argparse
 import ast
 import dataclasses
 import functools
-import hashlib
 import importlib
-import io
+import json
 import math
 import pkgutil
 import re
-from collections import defaultdict
+import sys
+from collections import Counter, defaultdict
 from pathlib import Path
 
-import numpy as np
 from hypothesis import settings
 
 from sphflex import cli
@@ -63,8 +63,6 @@ from commands import COMMANDS
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
-TRACER = BENCH / "tracer.py"
-WORKLOADS = BENCH / "workloads.py"
 PACKAGE = ROOT / "src" / "sphflex"
 TESTS = ROOT / "tests"
 README = ROOT / "README.md"
@@ -87,109 +85,51 @@ def modules(directory):
     return trees
 
 
-def tracer_targets():
-    for node in parsed(TRACER).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
-            return ast.literal_eval(node.value)
-    raise AssertionError("TARGETS not found in bench/tracer.py")
+def bindings():
+    """``{(owner, name): value}`` over the modules and classes of the
+    package and ``numpy.linalg``: every place the tracer patches."""
+    owners = [m for n, m in sys.modules.items() if n.startswith("sphflex") or n == "numpy.linalg"]
+    owners += [c for m in list(owners) for c in vars(m).values() if isinstance(c, type)]
+    return {(id(owner), name): value for owner in owners for name, value in vars(owner).items()}
 
 
-def resolve(path):
-    """Module or class named by a dotted path: the longest importable
-    prefix, then attributes."""
-    parts = path.split(".")
-    for cut in range(len(parts), 0, -1):
+def test_one_cycle_of_each_workload_runs_traced_and_passes_its_checks(tmp_path):
+    # the ops run as a traced phase of bench/worker.py runs them, less its
+    # gc.collect() before each op, which keeps timings clean and checks nothing
+    path = list(sys.path)
+    sys.path.insert(0, str(BENCH))
+    try:
+        import tracer
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    assert sys.path == path
+    declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert sorted(workloads.WORKLOADS) == sorted(declared)
+    before, families, errors = bindings(), Counter(), []
+    for name, build in workloads.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        (ops,) = build(1, 1, workloads.Files(str(tmp_path / name)))
+        tr = tracer.Tracer()
         try:
-            obj = importlib.import_module(".".join(parts[:cut]))
-        except ModuleNotFoundError:
-            continue
-        for attr in parts[cut:]:
-            obj = getattr(obj, attr)
-        return obj
-    raise ModuleNotFoundError(path)
-
-
-def test_every_tracer_target_resolves():
-    targets = tracer_targets()
-    assert len(targets) > 30
-    missing = [
-        (module, attr)
-        for module, attr, _ in targets
-        if not callable(getattr(resolve(module), attr, None))
-    ]
-    assert missing == []
-
-
-def workload_names():
-    """Dotted paths of the ``sphflex`` names ``bench/workloads.py`` uses:
-    each imported module or name, and each attribute chain rooted at one
-    (``coloring.EdgeColoring.from_red_edges`` becomes
-    ``sphflex.coloring.EdgeColoring.from_red_edges``)."""
-    tree = parsed(WORKLOADS)
-    roots = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sphflex":
-            roots.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
-    paths = set(roots.values())
-    for node in ast.walk(tree):
-        attrs = []
-        while isinstance(node, ast.Attribute):
-            attrs.append(node.attr)
-            node = node.value
-        if attrs and isinstance(node, ast.Name) and node.id in roots:
-            paths.add(".".join([roots[node.id], *reversed(attrs)]))
-    return paths
-
-
-def test_every_name_the_workloads_use_resolves():
-    paths = workload_names()
-    assert "sphflex.formats.coloring_from_list" in paths
-    assert "sphflex.coloring.EdgeColoring.from_red_edges" in paths
-    missing = []
-    for path in sorted(paths):
-        try:
-            resolve(path)
-        except (AttributeError, ModuleNotFoundError):
-            missing.append(path)
-    assert missing == []
-
-
-def object_attributes():
-    """Attribute names ``bench/workloads.py`` reads on objects rather than
-    through an imported name: ``c.canonical_mask()`` on a returned
-    coloring, ``res.trajectory.samples`` on a trace result.  Reads on
-    ``self`` are left out."""
-    tree = parsed(WORKLOADS)
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            root = node.value
-            while isinstance(root, ast.Attribute):
-                root = root.value
-            if not (isinstance(root, ast.Name) and root.id in imported | {"self"}):
-                names.add(node.attr)
-    return names
-
-
-def workload_class_attributes():
-    """Names defined by the classes of ``bench/workloads.py``: methods,
-    class-level and dataclass fields, and ``self.x`` assignments."""
-    names = set()
-    for cls in ast.walk(parsed(WORKLOADS)):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        for node in ast.walk(cls):
-            if isinstance(node, ast.FunctionDef):
-                names.add(node.name)
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names.add(node.target.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-                names.add(node.attr)
-    return names
+            tr.install()  # resolves every TARGETS entry or raises
+            for k, op in enumerate(ops):
+                families[op.family] += 1
+                tr.op_id, tr.active = k, True
+                try:
+                    result = tr.span(tracer.OP_SPAN, op.run)
+                    tr.active = False
+                    op.check(result)
+                except Exception as exc:  # an op that raises fails, as a CheckError does
+                    errors.append(f"{name} {op.name}: {type(exc).__name__}: {exc}")
+        finally:
+            tr.uninstall()
+        # spans of package functions: the patches were live during the ops
+        assert set(tr.names) > {tracer.OP_SPAN}, name
+    assert errors == []
+    assert sorted(families) == sorted(workloads.FAMILIES)
+    after = bindings()
+    assert [key for key, value in before.items() if after.get(key) is not value] == []
 
 
 def package_classes():
@@ -210,18 +150,6 @@ def package_classes():
             if dataclasses.is_dataclass(cls):
                 fields = [f.name for f in dataclasses.fields(cls)]
             yield f"{stem}.{name}", cls, fields, nodes.get(name)
-
-
-def test_every_method_the_workloads_call_on_returned_objects_resolves():
-    # a name the package no longer defines is still found on these types
-    # only if the workloads' own objects have it
-    other_types = (str, list, dict, set, np.ndarray, np.random.Generator, io.StringIO, hashlib.sha256())
-    known = {name for _, cls, fields, _ in package_classes() for name in [*dir(cls), *fields]}
-    known |= workload_class_attributes()
-    known.update(name for kind in other_types for name in dir(kind))
-    names = object_attributes()
-    assert {"canonical_mask", "samples", "trajectory", "stop_reason"} <= names
-    assert sorted(names - known) == []
 
 
 def referenced_names(nodes):
