@@ -54,7 +54,9 @@ import re
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import settings
 
 from sphflex import cli
@@ -93,9 +95,13 @@ def bindings():
     return {(id(owner), name): value for owner in owners for name, value in vars(owner).items()}
 
 
-def test_one_cycle_of_each_workload_runs_traced_and_passes_its_checks(tmp_path):
-    # the ops run as a traced phase of bench/worker.py runs them, less its
-    # gc.collect() before each op, which keeps timings clean and checks nothing
+@pytest.fixture(scope="module")
+def traced_cycle(tmp_path_factory):
+    """One seed-1 cycle of each workload, run as a traced phase of
+    ``bench/worker.py`` runs it, less its ``gc.collect()`` before each op,
+    which keeps timings clean and checks nothing.  Every op runs in a
+    ``bench.op`` span, then its own check runs; an op or check that raises
+    is recorded, as a ``CheckError`` is."""
     path = list(sys.path)
     sys.path.insert(0, str(BENCH))
     try:
@@ -103,33 +109,66 @@ def test_one_cycle_of_each_workload_runs_traced_and_passes_its_checks(tmp_path):
         import workloads
     finally:
         sys.path.remove(str(BENCH))
-    assert sys.path == path
-    declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-    assert sorted(workloads.WORKLOADS) == sorted(declared)
-    before, families, errors = bindings(), Counter(), []
+    out = SimpleNamespace(tracer=tracer, workloads=workloads, path_restored=sys.path == path)
+    out.ran, out.spans, out.families, out.ops, out.checked = [], {}, Counter(), 0, 0
+    out.run_errors, out.check_errors = [], []
+    before, tmp = bindings(), tmp_path_factory.mktemp("bench")
     for name, build in workloads.WORKLOADS.items():
-        (tmp_path / name).mkdir()
-        (ops,) = build(1, 1, workloads.Files(str(tmp_path / name)))
+        (tmp / name).mkdir()
+        (ops,) = build(1, 1, workloads.Files(str(tmp / name)))
         tr = tracer.Tracer()
         try:
             tr.install()  # resolves every TARGETS entry or raises
             for k, op in enumerate(ops):
-                families[op.family] += 1
+                out.ops += 1
+                out.families[op.family] += 1
                 tr.op_id, tr.active = k, True
                 try:
                     result = tr.span(tracer.OP_SPAN, op.run)
+                except Exception as exc:
+                    out.run_errors.append(f"{name} {op.name}: {type(exc).__name__}: {exc}")
+                    continue
+                finally:
                     tr.active = False
+                try:
                     op.check(result)
-                except Exception as exc:  # an op that raises fails, as a CheckError does
-                    errors.append(f"{name} {op.name}: {type(exc).__name__}: {exc}")
+                    out.checked += 1
+                except Exception as exc:
+                    out.check_errors.append(f"{name} {op.name}: {type(exc).__name__}: {exc}")
         finally:
             tr.uninstall()
-        # spans of package functions: the patches were live during the ops
-        assert set(tr.names) > {tracer.OP_SPAN}, name
-    assert errors == []
-    assert sorted(families) == sorted(workloads.FAMILIES)
+        out.ran.append(name)
+        out.spans[name] = set(tr.names)
     after = bindings()
-    assert [key for key, value in before.items() if after.get(key) is not value] == []
+    out.left_patched = [key for key, value in before.items() if after.get(key) is not value]
+    return out
+
+
+def test_every_tracer_target_resolves(traced_cycle):
+    # Tracer.install raised in the fixture if a TARGETS entry did not resolve
+    tracer = traced_cycle.tracer
+    assert len(tracer.TARGETS) > 30
+    # spans of package functions: the patches were live during the ops
+    for name, spans in traced_cycle.spans.items():
+        assert spans > {tracer.OP_SPAN}, name
+    # no later test sees a wrapped function or bench/ on sys.path
+    assert traced_cycle.left_patched == []
+    assert traced_cycle.path_restored
+
+
+def test_every_name_the_workloads_use_resolves(traced_cycle):
+    # every op of both workloads ran the package calls bench/workloads.py makes
+    declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert sorted(traced_cycle.ran) == sorted(declared)
+    assert sorted(traced_cycle.families) == sorted(traced_cycle.workloads.FAMILIES)
+    assert traced_cycle.run_errors == []
+
+
+def test_every_method_the_workloads_call_on_returned_objects_resolves(traced_cycle):
+    # each op's check reads the returned objects and compares them with
+    # bench/expected.json; every op that ran was checked
+    assert traced_cycle.check_errors == []
+    assert traced_cycle.checked == traced_cycle.ops > 0
 
 
 def package_classes():
