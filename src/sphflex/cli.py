@@ -39,6 +39,9 @@ from .graphs import (
 
 _log = logging.getLogger("sphflex")
 
+# the most --samples takes: a K(3,3) stack of them holds 14 MB of points
+MAX_SAMPLES = 100_000
+
 CORPUS: dict[str, Callable[[], Graph]] = {
     "k3": triangle,
     "k4": lambda: complete(4),
@@ -265,13 +268,15 @@ def _floats(flag: str, text: str) -> list[float]:
 
 
 def _sample_count(text: str) -> int:
-    """``--samples``: an integer of at least 2, the fewest a trajectory has."""
+    """``--samples``: an integer from 2, the fewest a trajectory has, to ``MAX_SAMPLES``."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if n < 2:
         raise argparse.ArgumentTypeError(f"a trajectory needs at least 2 samples, got {n}")
+    if n > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"at most {MAX_SAMPLES} samples are allowed, got {n}")
     return n
 
 

@@ -180,35 +180,39 @@ _BLOCK_BITS = (1 << _EDGE_BLOCK) - 1
 
 
 def dump_coloring_set(colorings: tuple[EdgeColoring, ...], modulo_swap: bool) -> str:
-    """The colorings as ``dumps`` writes ``{"colorings": [coloring_to_list(c)
-    for c in colorings], "count": len(colorings), "modulo_swap":
-    modulo_swap}``, assembled from text fragments instead of through the
-    JSON encoder.
+    """The colorings, all of one graph, as ``dumps`` writes
+    ``{"colorings": [coloring_to_list(c) for c in colorings], "count":
+    len(colorings), "modulo_swap": modulo_swap}``, assembled from text
+    fragments instead of through the JSON encoder.
 
     Each block of ``_EDGE_BLOCK`` consecutive edges has one text per
     coloring of its edges, joined from the edges' triples the first time
     a coloring uses it, so a coloring's item joins one text per block.
     """
+    tail = (
+        f'  "count": {json.dumps(len(colorings))},\n'
+        f'  "modulo_swap": {json.dumps(modulo_swap)}\n}}\n'
+    )
+    if not colorings:
+        return f'{{\n  "colorings": [],\n{tail}'
+    graph = colorings[0].graph
+    # fragments[i][bit]: edge i's triple, blue for bit 0, red for 1
+    label = {v: json.dumps(v) for v in graph.vertices}
+    colors = (json.dumps(BLUE), json.dumps(RED))
+    fragments = [
+        tuple(
+            f"      [\n        {label[a]},\n        {label[b]},\n        {col}\n      ]"
+            for col in colors
+        )
+        for a, b in graph.edges
+    ]
+    # (first edge, its fragments, texts by the block's bits)
+    blocks = [
+        (start, fragments[start : start + _EDGE_BLOCK], {})
+        for start in range(0, len(fragments), _EDGE_BLOCK)
+    ]
     items = []
-    graph = None
     for c in colorings:
-        if c.graph is not graph:
-            graph = c.graph
-            # fragments[i][bit]: edge i's triple, blue for bit 0, red for 1
-            label = {v: json.dumps(v) for v in graph.vertices}
-            colors = (json.dumps(BLUE), json.dumps(RED))
-            fragments = [
-                tuple(
-                    f"      [\n        {label[a]},\n        {label[b]},\n        {col}\n      ]"
-                    for col in colors
-                )
-                for a, b in graph.edges
-            ]
-            # (first edge, its fragments, texts by the block's bits)
-            blocks = [
-                (start, fragments[start : start + _EDGE_BLOCK], {})
-                for start in range(0, len(fragments), _EDGE_BLOCK)
-            ]
         parts = []
         for start, pairs, texts in blocks:
             bits = c.mask >> start & _BLOCK_BITS
@@ -219,12 +223,6 @@ def dump_coloring_set(colorings: tuple[EdgeColoring, ...], modulo_swap: bool) ->
                 )
             parts.append(text)
         items.append(",\n".join(parts))
-    tail = (
-        f'  "count": {json.dumps(len(colorings))},\n'
-        f'  "modulo_swap": {json.dumps(modulo_swap)}\n}}\n'
-    )
-    if not items:
-        return f'{{\n  "colorings": [],\n{tail}'
     # the items joined once, straight into the result: each further copy
     # of a long text costs a fresh allocation
     return "".join(

@@ -116,7 +116,10 @@ class MotionTrajectory:
             raise SphflexError(
                 f"sample at parameter {float(params[k])} has edge residual {worst[k]:.3e}"
             )
-        if not distinct_from(pts[0], pts[1:]).any():
+        distinct = distinct_from(pts[0], pts)
+        distinct.flags.writeable = False
+        object.__setattr__(self, "_distinct_from_first", distinct)
+        if not distinct[1:].any():
             raise SphflexError("no two samples are essentially distinct")
 
     @cached_property
@@ -654,10 +657,9 @@ def _cda_pattern(lengths: LengthAssignment, tol: float) -> bool:
     return False
 
 
-def _three_distinct(pts: Vec) -> bool:
+def _three_distinct(pts: Vec, from_first: Vec) -> bool:
     """Whether a greedy scan in sample order picks three pairwise
-    essentially distinct samples."""
-    from_first = distinct_from(pts[0], pts)
+    essentially distinct samples, given their verdicts against the first."""
     later = np.flatnonzero(from_first)
     if not later.size:
         return False
@@ -677,7 +679,7 @@ def detect_k33_motion_kind(traj: MotionTrajectory) -> str:
     if set(traj.graph.vertices) != {1, 2, 3, 4, 5, 6} or traj.graph.num_edges != 9:
         raise SphflexError("detector expects the standard K(3,3)")
     pts = traj.points
-    if not _three_distinct(pts):
+    if not _three_distinct(pts, traj._distinct_from_first):
         raise SphflexError("need three essentially distinct samples")
     improper = np.flatnonzero(~traj.sample_flags()[1])
     if improper.size:

@@ -106,6 +106,25 @@ def test_trace_reports_rigid_triangle():
     assert err.value.corank == 0
 
 
+# the pinned loops on K(m,n) with m, n >= 3; K(2,2) flexes for any lengths
+RIGID_NEAR = [name for name in PINNED if not name.endswith("K(2,2)")]
+
+
+@pytest.mark.parametrize("name", RIGID_NEAR)
+def test_moved_seeds_of_the_pinned_loops_are_rigid(name):
+    # flexibility is a property of the lengths: a generic move of a seed,
+    # with the lengths it induces, gives a rigid framework
+    g, _, rho = PINNED[name].seed()
+    pts = rho.as_array(g.vertices).reshape(-1, 3)
+    rng = np.random.default_rng(24)
+    for _ in range(3):
+        moved = pts + 1e-3 * rng.normal(size=pts.shape)
+        moved /= np.linalg.norm(moved, axis=1, keepdims=True)
+        with pytest.raises(RankDeficientError, match="^corank 0 at seed: framework is rigid$") as err:
+            trace(*induced(g, SphericalRealization(dict(zip(g.vertices, moved)))))
+        assert err.value.corank == 0
+
+
 def test_trace_rejects_bad_seed():
     g, lam, seed = cda_seed()
     other = LengthAssignment(

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from sphflex import motions
 from sphflex.coloring import EdgeColoring
 from sphflex.errors import SphflexError
 from sphflex.graphs import apex_double_triangle, k33
@@ -25,7 +26,7 @@ from sphflex.motions import (
     polar_nap_motion,
 )
 from sphflex.quads import EVEN_DELTOID, GENERAL, QuadLengths, classify
-from sphflex.spherical import degenerate_pairs, essentially_distinct
+from sphflex.spherical import degenerate_pairs, distinct_from, essentially_distinct
 
 from helpers import dixon2_involutions, gram_matrix
 from reference import CDA, DIXON1, DIXON2
@@ -316,6 +317,23 @@ def test_detector_requires_three_distinct_samples():
     traj = dixon1_motion(DIXON1, [1.0, 1.001])
     with pytest.raises(SphflexError, match="^need three essentially distinct samples$"):
         detect_k33_motion_kind(traj)
+
+
+def test_detector_reads_the_verdicts_of_the_construction(monkeypatch):
+    # building the stack scans it against its first sample once, and the
+    # detector reads those verdicts: its one scan of its own starts from the
+    # second sample it picks, the first distinct from sample 0
+    scanned = []
+
+    def counted(ref, pts):
+        scanned.append(len(pts))
+        return distinct_from(ref, pts)
+
+    monkeypatch.setattr(motions, "distinct_from", counted)
+    traj = cda_motion(CDA, list(np.linspace(7.5, 20.0, 8)))
+    assert detect_k33_motion_kind(traj) == KIND_CDA
+    assert scanned == [8, 6]
+    assert not traj._distinct_from_first.flags.writeable
 
 
 def test_detector_rejects_degenerate_samples():

@@ -6,9 +6,11 @@ recorder of ``bench/tracer.py`` installed, the way a traced phase of
 ``bench/worker.py`` runs it, and every op's own check must pass.  So a
 name the benchmark uses that the package renamed or removed, or an answer
 that drifted from ``bench/expected.json``, fails here and not first in a
-benchmark run.  Every other guard reads code with ``ast``, not by running
-it: ``parsed`` parses each file once, and ``modules`` gives the trees of
-the package, of ``bench/`` or of ``tests/``.
+benchmark run; the digests of the structured ``verify`` and ``tables``
+output there are pinned nowhere else.  Every other guard reads code with
+``ast``, not by running it: ``parsed`` parses each file once, and
+``modules`` gives the trees of the package, of ``bench/`` or of
+``tests/``.
 
 In the package, a guard fails on each of these unless the README's
 ``KEPT_HEADING`` table keeps it; "there" means the package and ``bench/``.
@@ -52,7 +54,7 @@ import math
 import pkgutil
 import re
 import sys
-from collections import Counter, defaultdict
+from collections import defaultdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -110,7 +112,8 @@ def traced_cycle(tmp_path_factory):
     finally:
         sys.path.remove(str(BENCH))
     out = SimpleNamespace(tracer=tracer, workloads=workloads, path_restored=sys.path == path)
-    out.ran, out.spans, out.families, out.ops, out.checked = [], {}, Counter(), 0, 0
+    # families: the names of the ops each family ran
+    out.ran, out.spans, out.families, out.ops, out.checked = [], {}, defaultdict(list), 0, 0
     out.run_errors, out.check_errors = [], []
     before, tmp = bindings(), tmp_path_factory.mktemp("bench")
     for name, build in workloads.WORKLOADS.items():
@@ -121,7 +124,7 @@ def traced_cycle(tmp_path_factory):
             tr.install()  # resolves every TARGETS entry or raises
             for k, op in enumerate(ops):
                 out.ops += 1
-                out.families[op.family] += 1
+                out.families[op.family].append(op.name)
                 tr.op_id, tr.active = k, True
                 try:
                     result = tr.span(tracer.OP_SPAN, op.run)
@@ -169,6 +172,12 @@ def test_every_method_the_workloads_call_on_returned_objects_resolves(traced_cyc
     # bench/expected.json; every op that ran was checked
     assert traced_cycle.check_errors == []
     assert traced_cycle.checked == traced_cycle.ops > 0
+
+
+def test_the_fact_commands_run_against_their_pinned_digests(traced_cycle):
+    # their checks compare the structured output with the digests of
+    # bench/expected.json and fail on a failed verify fact
+    assert {"verify", "tables"} <= set(traced_cycle.families["paper-tables"])
 
 
 def package_classes():

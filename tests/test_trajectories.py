@@ -60,7 +60,6 @@ from trajectories import (
     detect_by_samples,
     dixon1_rows,
     dixon2_samples_by_loop,
-    dump_trajectory_by_samples,
     encoded,
     is_dixon1_sample,
     is_dixon2_sample,
@@ -207,7 +206,7 @@ def assert_dict_equals_per_sample_oracle(traj, text):
 def test_writers_equal_per_sample_writers(name):
     traj = EXAMPLES[name]
     text = formats.dump_trajectory(traj)
-    assert text == encoded(traj) == dump_trajectory_by_samples(traj)
+    assert text == encoded(traj)
     assert_dict_equals_per_sample_oracle(traj, text)
     assert formats.trajectory_to_csv(traj) == trajectory_to_csv_by_samples(traj)
     again = parsed(text)
@@ -242,7 +241,7 @@ def test_writers_equal_per_sample_writers_on_signed_zeros_and_distinct_values():
     assert np.unique(distinct.points).size == distinct.points.size
     for traj in (signed, distinct):
         text = formats.dump_trajectory(traj)
-        assert text == dump_trajectory_by_samples(traj) == encoded(traj)
+        assert text == encoded(traj)
         csv = formats.trajectory_to_csv(traj)
         assert csv == trajectory_to_csv_by_samples(traj)
 
@@ -272,7 +271,7 @@ def test_float_texts_take_one_repr_per_magnitude(monkeypatch):
         values = np.concatenate([traj.parameters, traj.points.ravel()])
         by_bits = np.unique(values.view(np.int64)).size
         assert len(calls) == np.unique(np.abs(values)).size < 0.8 * by_bits
-        assert text == dump_trajectory_by_samples(traj)
+        assert text == encoded(traj)
 
 
 @given(random_graphs(), st.integers(2, 30), st.integers(0, 9))
@@ -282,7 +281,7 @@ def test_polar_writers_equal_encoder_on_random_labels(g, samples, seed):
         return
     traj = polar_nap_motion(g, coloring, np.linspace(0.0, 6.0, samples), seed=seed)
     text = formats.dump_trajectory(traj)
-    assert text == encoded(traj) == dump_trajectory_by_samples(traj)
+    assert text == encoded(traj)
     assert_dict_equals_per_sample_oracle(traj, text)
     assert formats.trajectory_to_csv(traj) == trajectory_to_csv_by_samples(traj)
     assert encoded(parsed(text)) == text
@@ -295,10 +294,10 @@ def test_walks_keep_no_per_sample_objects():
     del samples, rhos
     gc.collect()
     assert sample() is None and rho() is None
-    # what a trajectory keeps: its fields and the two per-stack caches
+    # what a trajectory keeps: its fields and the three per-stack caches
     assert set(vars(traj)) <= {
         "graph", "lengths", "points", "parameters", "kind",
-        "_degenerate_masks", "_worst_edge_residuals",
+        "_degenerate_masks", "_distinct_from_first", "_worst_edge_residuals",
     }
 
 

@@ -365,37 +365,6 @@ def trajectory_to_csv_by_samples(traj: MotionTrajectory) -> str:
     return "\n".join(rows) + "\n"
 
 
-_JSON_BOOL = {False: "false", True: "true"}
-
-
-def dump_trajectory_by_samples(traj: MotionTrajectory) -> str:
-    """The structured export with one ``%r`` text template per sample."""
-    head = formats.dumps(
-        {
-            "graph": formats.graph_to_dict(traj.graph),
-            "kind": traj.kind,
-            "lengths": formats.lengths_to_dict(traj.lengths)["lengths"],
-        }
-    )
-    order = traj.graph.vertices
-    cols = sorted(range(len(order)), key=lambda i: str(order[i]))
-    placement = ",\n".join(
-        f'        "{order[i]}": [\n          %r,\n          %r,\n          %r\n        ]'
-        for i in cols
-    )
-    coords = traj.points[:, cols].reshape(len(traj.points), -1).tolist()
-    injective, proper = traj.sample_flags()
-    items = [
-        f'    {{\n      "injective": {_JSON_BOOL[inj]},\n      "parameter": {t!r},\n'
-        f'      "placement": {{\n{placement % tuple(xyz)}\n      }},\n'
-        f'      "proper": {_JSON_BOOL[prop]}\n    }}'
-        for t, xyz, inj, prop in zip(
-            traj.parameters.tolist(), coords, injective.tolist(), proper.tolist()
-        )
-    ]
-    return f'{head[:-3]},\n  "samples": [\n' + ",\n".join(items) + "\n  ]\n}\n"
-
-
 def trajectory_from_dict_by_samples(data: dict[str, Any]) -> MotionTrajectory:
     """Parse-back through one ``realization_from_dict`` per sample."""
     frames = [
