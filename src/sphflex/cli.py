@@ -52,52 +52,51 @@ CORPUS: dict[str, Callable[[], Graph]] = {
     "prism3": three_prism,
 }
 
-# the four degree tables surviving the row/column filter, in the order
-# produced by cuts.admissible_cases(), with their resolved type tables and
-# how each case is settled
-EXPECTED_CASES = (
-    {
+# the four degree tables surviving the row/column filter, by name in the
+# order produced by cuts.admissible_cases(), with their resolved type tables
+# and how each case is settled
+EXPECTED_CASES = {
+    "rhomboid-lozenge": {
         "degree": ((1, 1, 1), (1, 1, 1), (1, 1, 2)),
         "types": (("r", "r", "e"), ("r", "r", "e"), ("o", "o", "l")),
         "outcome": "excluded geometrically: its rhomboids would need orthogonal diagonals",
     },
-    {
+    "three-rhomboids": {
         "degree": ((2, 1, 1), (1, 2, 1), (1, 1, 2)),
         "types": (("r", "g", "g"), ("g", "r", "g"), ("g", "g", "r")),
         "outcome": "realized by the Dixon 2 motion (three rhomboids of component 1)",
     },
-    {
+    "constant-diagonal-angle": {
         "degree": ((1, 1, 2), (1, 1, 2), (2, 2, 2)),
         "types": (("g", "g", "e"), ("g", "g", "e"), ("o", "o", "g")),
         "outcome": "realized by the constant-diagonal-angle motion",
     },
-    {
+    "all-general": {
         "degree": ((2, 2, 2), (2, 2, 2), (2, 2, 2)),
         "types": (("g", "g", "g"), ("g", "g", "g"), ("g", "g", "g")),
         "outcome": "excluded arithmetically: the cut-multiplicity system has no integer solution",
     },
-)
+}
 
 
-def _case3_systems() -> dict[str, list[cuts.Equation]]:
-    """Pullback systems for the three-rhomboid case, both component types."""
-    dt = cuts.DegreeTable(((2, 1, 1), (1, 2, 1), (1, 1, 2)))
-    grid = tuple(
-        tuple("r" if r == c else "g" for c in range(3)) for r in range(3)
-    )
-    tt = cuts.TypeTable(grid)
-    diag = [(1, 2), (3, 4), (5, 6)]
-    out = {}
-    for comp in (1, 2):
-        subcases = {q: comp for q in diag}
-        out[f"type{comp}"] = cuts.build_pullback_system(dt, tt, subcases, ("om", "ou"))
-    return out
+def pullback_systems() -> dict[str, list[cuts.Equation]]:
+    """The integer pullback systems, built from the ``EXPECTED_CASES`` rows
+    and keyed by the labels ``tables`` prints: the all-general case's om
+    pullbacks, and the three-rhomboid case's om and ou pullbacks with every
+    rhomboid of component 1 or of component 2."""
 
+    def system(name: str, divisors: tuple[str, ...], component: Optional[int] = None):
+        case = EXPECTED_CASES[name]
+        tt = cuts.TypeTable(case["types"])
+        quads = [(o, e) for o in cuts.ODD_VERTICES for e in cuts.EVEN_VERTICES]
+        rhomboids = {q: component for q in quads if tt.entry(*q) == "r"}
+        return cuts.build_pullback_system(cuts.DegreeTable(case["degree"]), tt, rhomboids, divisors)
 
-def _case1_system() -> list[cuts.Equation]:
-    dt = cuts.DegreeTable(((2, 2, 2),) * 3)
-    tt = cuts.TypeTable((("g", "g", "g"),) * 3)
-    return cuts.build_pullback_system(dt, tt, {}, ("om",))
+    return {
+        "all-general (om pullbacks)": system("all-general", ("om",)),
+        "three-rhomboids type 1": system("three-rhomboids", ("om", "ou"), 1),
+        "three-rhomboids type 2": system("three-rhomboids", ("om", "ou"), 2),
+    }
 
 
 @dataclass
@@ -114,7 +113,7 @@ class FactCheck:
 def _admissible_cases_match() -> tuple[int, bool]:
     cases = cuts.admissible_cases()
     summary = []
-    for case, expect in zip(cases, EXPECTED_CASES):
+    for case, expect in zip(cases, EXPECTED_CASES.values()):
         target = cuts.DegreeTable(expect["degree"])
         aligned = cuts.align_type_table(case.degree_table, case.type_table, target)
         type_ok = aligned is not None and all(
@@ -164,7 +163,7 @@ def verify_suite() -> list[FactCheck]:
     to a debug record (``fact``, ``elapsed_s``) on the ``sphflex`` logger.
     """
     facts: list[FactCheck] = []
-    case3 = _case3_systems()
+    systems = pullback_systems()
 
     def check(name: str, compute: Callable[[], Any], expected: Any) -> None:
         start = time.perf_counter()
@@ -184,17 +183,17 @@ def verify_suite() -> list[FactCheck]:
     check("admissible-cases", _admissible_cases_match, (4, True))
     check(
         "all-general-case-infeasible",
-        lambda: cuts.mu_system_feasible(_case1_system()) is None,
+        lambda: cuts.mu_system_feasible(systems["all-general (om pullbacks)"]) is None,
         True,
     )
     check(
         "three-rhomboids-type1-unique",
-        lambda: _three_rhomboids_type1_unique(case3["type1"]),
+        lambda: _three_rhomboids_type1_unique(systems["three-rhomboids type 1"]),
         True,
     )
     check(
         "three-rhomboids-type2-infeasible",
-        lambda: cuts.mu_system_feasible(case3["type2"]) is None,
+        lambda: cuts.mu_system_feasible(systems["three-rhomboids type 2"]) is None,
         True,
     )
     check("diagonal-angle-relation-exact", _diagonal_angle_relation, Fraction(0))
@@ -446,14 +445,9 @@ def _cmd_k33(args) -> int:
 def _cmd_tables(args) -> int:
     cases = cuts.admissible_cases()
     raw = sum(c.orbit_size for c in cases)
-    systems = _case3_systems()
     verdicts = {
-        "all-general (om pullbacks)": cuts.mu_system_feasible(_case1_system())
-        is not None,
-        "three-rhomboids type 1": cuts.mu_system_feasible(systems["type1"])
-        is not None,
-        "three-rhomboids type 2": cuts.mu_system_feasible(systems["type2"])
-        is not None,
+        label: cuts.mu_system_feasible(system) is not None
+        for label, system in pullback_systems().items()
     }
     if args.format == "structured":
         payload = {
@@ -467,9 +461,9 @@ def _cmd_tables(args) -> int:
                 {
                     "degree_table": [list(r) for r in c.degree_table.grid],
                     "type_table": [list(r) for r in c.type_table.grid],
-                    "outcome": EXPECTED_CASES[i]["outcome"],
+                    "outcome": expect["outcome"],
                 }
-                for i, c in enumerate(cases)
+                for c, expect in zip(cases, EXPECTED_CASES.values())
             ],
             "feasibility": verdicts,
         }
@@ -483,8 +477,8 @@ def _cmd_tables(args) -> int:
         f"admissible degree tables before quotienting by symmetry: {raw}"
     )
     lines.append("admissible cases (degree table -> type table):")
-    for i, c in enumerate(cases):
-        lines.append(f"  case {i + 1}: {EXPECTED_CASES[i]['outcome']}")
+    for i, (c, expect) in enumerate(zip(cases, EXPECTED_CASES.values()), start=1):
+        lines.append(f"  case {i}: {expect['outcome']}")
         for dr, tr in zip(c.degree_table.grid, c.type_table.grid):
             lines.append(
                 "    " + " ".join(map(str, dr)) + "   |   " + " ".join(tr)

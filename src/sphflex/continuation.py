@@ -168,7 +168,7 @@ class ConstraintSystem:
     one row per edge (s = 1/2, o = 1, t the edge length); then the three
     gauge rows, and the pseudo-arclength row ``(x - base) . tangent - h``
     when ``residual`` is passed ``arc = (base, tangent, h)`` (its Jacobian
-    row, ``tangent``, when ``jacobian`` is passed ``tangent``).
+    row, ``tangent``, when ``_gathered_jacobian`` is passed ``tangent``).
 
     Index arrays and lengths are built once.  ``residual`` and ``jacobian``
     gather the point rows of their ``coords`` with one ``take``; each
@@ -263,9 +263,9 @@ class ConstraintSystem:
         self._res[self.num_rows] = np.subtract(coords, base, out=self._shifted).dot(tangent) - h
         return self._res
 
-    def jacobian(self, coords: Vec, tangent: Optional[Vec] = None) -> Vec:
+    def jacobian(self, coords: Vec) -> Vec:
         self._gather(coords)
-        return self._gathered_jacobian(tangent)
+        return self._gathered_jacobian()
 
     def _gathered_jacobian(self, tangent: Optional[Vec] = None) -> Vec:
         """The Jacobian at the point of the last gather, bordered by the

@@ -5,8 +5,8 @@ The functions here go further on one realization: which of the four
 rhomboid rows of the multiplicity table it sits on, and whether its
 diagonals' great circles are orthogonal (never for a rhomboid motion,
 always for a lozenge).  The package builds no motion whose K(3,3) type
-table is case 0 of the admissible cases, so no command evaluates them; the
-tests check them on synthetic rhomboids and lozenges.
+table is that of the rhomboid-lozenge case, so no command evaluates them;
+the tests check them on synthetic rhomboids and lozenges.
 """
 
 from itertools import combinations

@@ -75,16 +75,15 @@ def newton_correct(
     arc_constraint: Optional[tuple[Vec, Vec, float]] = None,
 ) -> Optional[Vec]:
     x = coords.copy()
-    tangent = None if arc_constraint is None else arc_constraint[1]
     for _ in range(MAX_NEWTON_ITERS):
         r = system.residual(x, arc_constraint)
         if np.abs(r).max() <= NEWTON_TOL:
             return x
-        jac = system.jacobian(x, tangent)
+        jac = system.jacobian(x)
         if arc_constraint is None:
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         else:
-            step = full_rank_lstsq(jac, -r)
+            step = full_rank_lstsq(np.vstack([jac, arc_constraint[1]]), -r)
         x = x + step
         if not np.all(np.isfinite(x)):
             return None

@@ -13,7 +13,7 @@ import numpy as np
 
 from sphflex import continuation as cont
 from sphflex import cuts, motions, quads
-from sphflex.cli import CORPUS, EXPECTED_CASES
+from sphflex.cli import CORPUS, EXPECTED_CASES, pullback_systems
 from sphflex.coloring import (
     EdgeColoring,
     enumerate_nap,
@@ -220,43 +220,24 @@ def test_criterion_8_combinatorial_facts():
             c.degree_table, c.type_table, cuts.DegreeTable(exp["degree"])
         )
         is not None
-        for c, exp in zip(cases, EXPECTED_CASES)
+        for c, exp in zip(cases, EXPECTED_CASES.values())
     )
-
-    all_two = cuts.DegreeTable(((2, 2, 2),) * 3)
-    case1 = cuts.build_pullback_system(
-        all_two, cuts.type_table(all_two), {}, divisors=("om",)
-    )
-    infeasible1 = cuts.mu_system_feasible(case1) is None
-
-    dt3 = cuts.DegreeTable(((2, 1, 1), (1, 2, 1), (1, 1, 2)))
-    tt3 = cuts.TypeTable(
-        tuple(tuple("r" if r == c else "g" for c in range(3)) for r in range(3))
-    )
-    diag = {(1, 2): 1, (3, 4): 1, (5, 6): 1}
-    sols = cuts.mu_solutions(
-        cuts.build_pullback_system(dt3, tt3, diag, ("om", "ou")), max_solutions=3
-    )
+    systems = pullback_systems()
+    infeasible = cuts.mu_system_feasible(systems["all-general (om pullbacks)"]) is None
+    sols = cuts.mu_solutions(systems["three-rhomboids type 1"], max_solutions=3)
     want = {
         cuts.NormalCut(1, "PQQ").canonical(): 1,
         cuts.NormalCut(3, "QPQ").canonical(): 1,
         cuts.NormalCut(5, "QQP").canonical(): 1,
     }
     type1_unique = len(sols) == 1 and {k: v for k, v in sols[0].items() if v} == want
-
-    diag2 = {(1, 2): 2, (3, 4): 2, (5, 6): 2}
-    type2_infeasible = (
-        cuts.mu_system_feasible(
-            cuts.build_pullback_system(dt3, tt3, diag2, ("om", "ou"))
-        )
-        is None
-    )
-    ok = orbits == 26 and case_match and infeasible1 and type1_unique and type2_infeasible
+    type2_infeasible = cuts.mu_system_feasible(systems["three-rhomboids type 2"]) is None
+    ok = orbits == 26 and case_match and infeasible and type1_unique and type2_infeasible
     report(
         8,
         ok,
         f"orbits {orbits}, four admissible cases {case_match}, "
-        f"all-general infeasible {infeasible1}, three-rhomboid component-1 unique "
+        f"all-general infeasible {infeasible}, three-rhomboid component-1 unique "
         f"{type1_unique}, component-2 infeasible {type2_infeasible}",
     )
 

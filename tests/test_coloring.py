@@ -145,11 +145,6 @@ def test_nap_implies_nac_exhaustive_small():
             assert is_nac(c)
 
 
-def test_enumerate_nap_k33_counts():
-    assert len(enumerate_nap(k33(), modulo_swap=True)) == 6
-    assert len(enumerate_nap(k33(), modulo_swap=False)) == 12
-
-
 def test_k33_nap_colorings_are_the_six_stars():
     stars = set()
     for v in range(1, 7):

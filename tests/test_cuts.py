@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphflex.cli import EXPECTED_CASES, pullback_systems
 from sphflex.coloring import is_nap
 from sphflex.cuts import (
     MU_TABLE,
@@ -184,49 +185,44 @@ def test_theta_reads_bools_and_floats_by_value():
     assert theta(np.int64(1), 1, 1) == 1
 
 
-ALL_TWO = DegreeTable(((2, 2, 2),) * 3)
-CASE2_DEGREE = DegreeTable(((1, 1, 1), (1, 1, 1), (1, 1, 2)))
-CASE3_DEGREE = DegreeTable(((2, 1, 1), (1, 2, 1), (1, 1, 2)))
-CASE4_DEGREE = DegreeTable(((1, 1, 2), (1, 1, 2), (2, 2, 2)))
+# each case's degree table and resolved type table, by its name in
+# cli.EXPECTED_CASES
+DEGREES = {name: DegreeTable(case["degree"]) for name, case in EXPECTED_CASES.items()}
+TYPES = {name: TypeTable(case["types"]) for name, case in EXPECTED_CASES.items()}
 
 
 def test_type_table_all_general():
-    assert type_table(ALL_TWO).grid == (("g",) * 3,) * 3
+    assert type_table(DEGREES["all-general"]).grid == (("g",) * 3,) * 3
 
 
-def test_type_table_case3_diagonal():
-    tt = type_table(CASE3_DEGREE)
+def test_type_table_three_rhomboids_diagonal():
+    tt = type_table(DEGREES["three-rhomboids"])
     for r in range(3):
         for c in range(3):
             assert tt.grid[r][c] == ("r/l" if r == c else "g")
     # the resolution displayed for this case (rhomboids on the diagonal)
     # is among the allowed ones
-    rhom_diag = TypeTable(
-        tuple(tuple("r" if r == c else "g" for c in range(3)) for r in range(3))
-    )
-    assert rhom_diag.grid in {t.grid for t in allowed_resolutions(tt)}
+    assert TYPES["three-rhomboids"] in allowed_resolutions(tt)
 
 
-def test_type_table_case4():
-    assert type_table(CASE4_DEGREE).grid == (
+def test_type_table_constant_diagonal_angle():
+    assert type_table(DEGREES["constant-diagonal-angle"]).grid == (
         ("g", "g", "e"),
         ("g", "g", "e"),
         ("o", "o", "g"),
     )
 
 
-def test_type_table_case2_forced_resolution():
-    tt = type_table(CASE2_DEGREE)
+def test_type_table_rhomboid_lozenge_forced_resolution():
+    tt = type_table(DEGREES["rhomboid-lozenge"])
     res = allowed_resolutions(tt)
     assert len(res) == 1
     assert res[0].grid == (("r", "r", "e"), ("r", "r", "e"), ("o", "o", "l"))
 
 
 def test_row_col_allowed_examples():
-    assert allowed_resolutions(
-        TypeTable((("r", "r", "e"), ("r", "r", "e"), ("o", "o", "l")))
-    )
-    assert allowed_resolutions(TypeTable((("g",) * 3,) * 3))
+    assert allowed_resolutions(TYPES["rhomboid-lozenge"])
+    assert allowed_resolutions(TYPES["all-general"])
     assert not allowed_resolutions(
         TypeTable((("e", "e", "o"), ("g", "g", "g"), ("g", "g", "g")))
     )
@@ -299,11 +295,18 @@ def test_orbit_sizes_partition_512():
 
 
 def test_admissible_cases_match_expected_tables():
+    expected = {
+        "rhomboid-lozenge": ((1, 1, 1), (1, 1, 1), (1, 1, 2)),
+        "three-rhomboids": ((2, 1, 1), (1, 2, 1), (1, 1, 2)),
+        "constant-diagonal-angle": ((1, 1, 2), (1, 1, 2), (2, 2, 2)),
+        "all-general": ((2, 2, 2),) * 3,
+    }
+    named = [(name, case["degree"]) for name, case in EXPECTED_CASES.items()]
+    assert named == list(expected.items())
     cases = admissible_cases()
     assert len(cases) == 4
-    expected = [CASE2_DEGREE, CASE3_DEGREE, CASE4_DEGREE, ALL_TWO]
-    for case, exp in zip(cases, expected):
-        assert tables_equivalent(case.degree_table, exp)
+    for case, grid in zip(cases, expected.values()):
+        assert tables_equivalent(case.degree_table, DegreeTable(grid))
 
 
 def test_align_type_table_is_equivariant():
@@ -313,10 +316,7 @@ def test_align_type_table_is_equivariant():
     from sphflex.cuts import GROUP, _act
 
     samples = [
-        ALL_TWO,
-        CASE2_DEGREE,
-        CASE3_DEGREE,
-        CASE4_DEGREE,
+        *DEGREES.values(),
         DegreeTable(((1, 1, 1), (1, 1, 1), (2, 2, 2))),
         DegreeTable(((1, 2, 1), (1, 1, 2), (2, 2, 2))),
     ]
@@ -372,14 +372,14 @@ def by_quad(eqs, divisors=("om", "ou")):
     return dict(zip(keys, eqs))
 
 
-def case1_system():
-    return build_pullback_system(
-        ALL_TWO, type_table(ALL_TWO), {}, divisors=("om",)
-    )
+SYSTEMS = pullback_systems()
+ALL_GENERAL = SYSTEMS["all-general (om pullbacks)"]
+TYPE1 = SYSTEMS["three-rhomboids type 1"]
+TYPE2 = SYSTEMS["three-rhomboids type 2"]
 
 
-def test_case1_equation_for_standard_quad():
-    eq = by_quad(case1_system(), ("om",))[5, 6, "om"]
+def test_all_general_equation_for_standard_quad():
+    eq = by_quad(ALL_GENERAL, ("om",))[5, 6, "om"]
     assert eq.rhs == 2
     assert set(eq.terms) == {
         canon(1, "PQP"),
@@ -389,8 +389,8 @@ def test_case1_equation_for_standard_quad():
     }
 
 
-def test_case1_parity_structure_and_infeasibility():
-    eqs = case1_system()
+def test_all_general_parity_structure_and_infeasibility():
+    eqs = ALL_GENERAL
     assert sum(e.rhs for e in eqs) == 18
     multiplicity = {}
     for e in eqs:
@@ -403,55 +403,36 @@ def test_case1_parity_structure_and_infeasibility():
     assert mu_system_feasible(eqs) is None
 
 
-def case3_system(component):
-    grid = tuple(tuple("r" if r == c else "g" for c in range(3)) for r in range(3))
-    subs = {(1, 2): component, (3, 4): component, (5, 6): component}
-    return build_pullback_system(
-        CASE3_DEGREE, TypeTable(grid), subs, divisors=("om", "ou")
-    )
-
-
-def test_case3_type1_rhs_values():
-    eqs = by_quad(case3_system(1))
+def test_three_rhomboids_type1_rhs_values():
+    eqs = by_quad(TYPE1)
     assert eqs[5, 6, "ou"].rhs == 0
     assert eqs[5, 6, "om"].rhs == 2
     assert eqs[5, 4, "om"].rhs == 1  # general quadrilateral 1236
 
 
-def test_case3_type1_unique_solution():
-    sols = mu_solutions(case3_system(1), max_solutions=3)
-    assert len(sols) == 1
-    nonzero = {k: v for k, v in sols[0].items() if v}
-    assert nonzero == {
-        canon(1, "PQQ"): 1,
-        canon(3, "QPQ"): 1,
-        canon(5, "QQP"): 1,
-    }
-
-
 def test_pullback_system_refuses_an_unresolved_type():
     # the three-rhomboid table with its 3-4 rhomboid left as 'r/l'
-    grid = tuple(
-        tuple(("r/l" if r == 1 else "r") if r == c else "g" for c in range(3)) for r in range(3)
-    )
-    assert TypeTable(grid).entry(3, 4) == "r/l" and TypeTable(grid).entry(1, 2) == "r"
+    grid = [list(row) for row in TYPES["three-rhomboids"].grid]
+    grid[1][1] = "r/l"
+    tt = TypeTable(tuple(map(tuple, grid)))
+    assert tt.entry(3, 4) == "r/l" and tt.entry(1, 2) == "r"
     subs = {(1, 2): 1, (3, 4): 1, (5, 6): 1}
     with pytest.raises(
         SphflexError, match=r"^type of quadrilateral without \{3,4\} is unresolved$"
     ):
-        build_pullback_system(CASE3_DEGREE, TypeTable(grid), subs)
+        build_pullback_system(DEGREES["three-rhomboids"], tt, subs)
 
 
-def test_case3_type2_infeasible_with_general_quads():
-    assert mu_system_feasible(case3_system(2)) is None
+# the type 2 equations of the three rhomboids alone
+RHOMBOID_ONLY = [e for (k, l, _), e in by_quad(TYPE2).items() if l == k + 1]
+
+
+def test_three_rhomboids_type2_infeasible_with_general_quads():
+    assert mu_system_feasible(TYPE2) is None
     # restricted to the three rhomboids alone the system still has the
     # all-apex-pattern solution, so the general quadrilaterals are what
     # refute it
-    rhomboid_only = [
-        e for (k, l, _), e in by_quad(case3_system(2)).items() if l == k + 1
-    ]
-    sols = mu_solutions(rhomboid_only, max_solutions=2)
-    assert len(sols) >= 1
+    assert len(mu_solutions(RHOMBOID_ONLY, max_solutions=2)) >= 1
 
 
 def test_conjugation_merging():
@@ -473,14 +454,12 @@ def test_normalize_cut_rejects_monochromatic_cut():
         normalize_cut(g, c)
 
 
-def paper_systems():
-    case2 = case3_system(2)
-    return {
-        "case1": case1_system(),
-        "type1": case3_system(1),
-        "type2": case2,
-        "rhomboid-only": [e for (k, l, _), e in by_quad(case2).items() if l == k + 1],
-    }
+PAPER_SYSTEMS = {
+    "all-general": ALL_GENERAL,
+    "type1": TYPE1,
+    "type2": TYPE2,
+    "rhomboid-only": RHOMBOID_ONLY,
+}
 
 
 def keyed_items(solutions):
@@ -488,9 +467,9 @@ def keyed_items(solutions):
 
 
 @pytest.mark.parametrize("max_solutions", [1, 2, 3])
-@pytest.mark.parametrize("name", ["case1", "type1", "type2", "rhomboid-only"])
+@pytest.mark.parametrize("name", sorted(PAPER_SYSTEMS))
 def test_mu_solutions_match_backtracking_on_paper_systems(name, max_solutions):
-    eqs = paper_systems()[name]
+    eqs = PAPER_SYSTEMS[name]
     assert keyed_items(mu_solutions(eqs, max_solutions)) == keyed_items(
         tables.mu_solutions_by_backtracking(eqs, max_solutions)
     )
@@ -525,15 +504,15 @@ def test_mu_solutions_match_backtracking_on_random_systems(eqs, max_solutions):
 def test_termless_equation_with_nonzero_rhs_is_infeasible():
     assert mu_solutions([Equation((), 5)]) == []
     assert mu_system_feasible([Equation((), 5)]) is None
-    assert mu_solutions(case3_system(1) + [Equation((), -1)]) == []
+    assert mu_solutions(TYPE1 + [Equation((), -1)]) == []
     assert mu_system_feasible([Equation((), 0)]) == {}
     assert mu_system_feasible([]) == {}
 
 
 def test_mu_solutions_logs_nodes_and_solutions(caplog, capsys):
     with caplog.at_level(logging.DEBUG, logger="sphflex"):
-        found = mu_solutions(case3_system(1), max_solutions=3)
-        again = mu_solutions(case3_system(1), max_solutions=3)
+        found = mu_solutions(TYPE1, max_solutions=3)
+        again = mu_solutions(TYPE1, max_solutions=3)
         none = mu_solutions([Equation((), 5)])
     records = [r for r in caplog.records if r.name.startswith("sphflex")]
     assert [r.solutions for r in records] == [len(found), len(again), len(none)] == [1, 1, 0]

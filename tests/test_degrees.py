@@ -106,8 +106,8 @@ MOTIONS = {
 @pytest.mark.parametrize(
     "name, table",
     [
-        ("cda", EXPECTED_CASES[2]["degree"]),
-        ("dixon2", EXPECTED_CASES[1]["degree"]),
+        ("cda", EXPECTED_CASES["constant-diagonal-angle"]["degree"]),
+        ("dixon2", EXPECTED_CASES["three-rhomboids"]["degree"]),
         ("dixon1", ((4, 4, 4),) * 3),
     ],
     ids=["cda", "dixon2", "dixon1"],

@@ -13,6 +13,7 @@ expanded into every label mask.
 
 import logging
 
+import networkx as nx
 import pytest
 from hypothesis import given
 
@@ -24,7 +25,7 @@ from sphflex.coloring import (
 )
 from sphflex.cuts import enumerate_valid_cuts
 from sphflex.errors import SphflexError
-from sphflex.graphs import complete_bipartite, cycle_graph
+from sphflex.graphs import build_graph, complete_bipartite, cycle_graph
 
 from enumeration import (
     CORPUS_GRAPHS,
@@ -36,7 +37,7 @@ from enumeration import (
     valid_cuts_by_counts,
     valid_cuts_by_scan,
 )
-from helpers import path_graph
+from helpers import is_laman_naive, path_graph
 
 MAX_CUT_VERTICES = 8
 
@@ -73,6 +74,35 @@ def test_nap_and_cuts_match_scan_on_named_graphs(name):
     g = NAMED_GRAPHS[name]()
     assert_nap_matches_scan(g)
     assert_cuts_match_scan(g)
+
+
+# vertex count: Laman classes (OEIS A227117), classes with a NAP-coloring,
+# NAP-colorings modulo swap
+LAMAN_CENSUS = {
+    3: (1, 0, 0),
+    4: (1, 0, 0),
+    5: (3, 1, 1),
+    6: (13, 7, 15),
+    7: (70, 56, 123),
+}
+
+
+def test_laman_census_of_the_atlas():
+    # the atlas holds one graph per isomorphism class up to 7 vertices
+    census = {n: [0, 0, 0] for n in LAMAN_CENSUS}
+    for atlas_graph in nx.graph_atlas_g():
+        n = atlas_graph.number_of_nodes()
+        # a Laman graph is connected, and build_graph refuses one that is not
+        if n not in census or not nx.is_connected(atlas_graph):
+            continue
+        g = build_graph(range(1, n + 1), [(a + 1, b + 1) for a, b in atlas_graph.edges])
+        if not is_laman_naive(g):
+            continue
+        assert_nap_matches_scan(g)
+        found = len(enumerate_nap(g, modulo_swap=True))
+        for k, count in enumerate((1, found > 0, found)):
+            census[n][k] += count
+    assert {n: tuple(row) for n, row in census.items()} == LAMAN_CENSUS
 
 
 # ---------------------------------------------------------------------------

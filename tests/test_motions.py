@@ -1,6 +1,5 @@
 import math
 import re
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -224,11 +223,6 @@ def test_dixon2_products_name_the_parameter(name, bad):
 def test_cda_params_from_e_reference_values():
     params = cda_params_from_e(0.75)
     assert abs(params.a - 0.6) <= 1e-15
-
-
-def test_cda_relation_exact_rational():
-    a, e = Fraction(3, 5), Fraction(3, 4)
-    assert a**3 * e**2 + a**3 - a * e**2 == 0
 
 
 def test_cda_params_validation():

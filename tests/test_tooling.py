@@ -7,9 +7,11 @@ recorder of ``bench/tracer.py`` installed, the way a traced phase of
 name the benchmark uses that the package renamed or removed, or an answer
 that drifted from ``bench/expected.json``, fails here and not first in a
 benchmark run; the digests of the structured ``verify`` and ``tables``
-output there are pinned nowhere else.  Every other guard reads code with
-``ast``, not by running it: ``parsed`` parses each file once, and
-``modules`` gives the trees of the package, of ``bench/`` or of
+output there are pinned nowhere else.  Each per-layer metric that
+``BENCHMARK.json`` declares must read nonzero on one workload or more,
+unless one of two commented lists names it.  Every other guard reads
+code with ``ast``, not by running it: ``parsed`` parses each file once,
+and ``modules`` gives the trees of the package, of ``bench/`` or of
 ``tests/``.
 
 In the package, a guard fails on each of these unless the README's
@@ -114,7 +116,7 @@ def traced_cycle(tmp_path_factory):
     out = SimpleNamespace(tracer=tracer, workloads=workloads, path_restored=sys.path == path)
     # families: the names of the ops each family ran
     out.ran, out.spans, out.families, out.ops, out.checked = [], {}, defaultdict(list), 0, 0
-    out.run_errors, out.check_errors = [], []
+    out.run_errors, out.check_errors, out.metrics = [], [], {}
     before, tmp = bindings(), tmp_path_factory.mktemp("bench")
     for name, build in workloads.WORKLOADS.items():
         (tmp / name).mkdir()
@@ -142,6 +144,7 @@ def traced_cycle(tmp_path_factory):
             tr.uninstall()
         out.ran.append(name)
         out.spans[name] = set(tr.names)
+        out.metrics[name] = tr.metrics()
     after = bindings()
     out.left_patched = [key for key, value in before.items() if after.get(key) is not value]
     return out
@@ -178,6 +181,48 @@ def test_the_fact_commands_run_against_their_pinned_digests(traced_cycle):
     # their checks compare the structured output with the digests of
     # bench/expected.json and fail on a failed verify fact
     assert {"verify", "tables"} <= set(traced_cycle.families["paper-tables"])
+
+
+# declared per-layer metrics that read 0 on both workloads by design: every
+# corrector of the traced loops converges, their seeds need no unbordered
+# Newton step, and no bordered solve falls back to numpy's lstsq
+ZERO_BY_DESIGN = {
+    "continuation.newton_correct.fail_ratio",
+    "linalg.lstsq.calls",
+    "linalg.lstsq.busy_s",
+}
+# declared per-layer metrics that read 0 because no workload runs the code
+# they time; the benchmark's next tracer targets empty this list, which
+# only shrinks
+ZERO_EXPECTED = {
+    *(
+        f"{name}.{part}"
+        for name in (
+            "continuation.residual_vector",
+            "continuation.jacobian",
+            "motions.make_trajectory",
+            "spherical.degenerate_pairs",
+            "spherical.essentially_distinct",
+            "spherical.max_edge_residual",
+        )
+        for part in ("calls", "busy_s")
+    ),
+    "cuts.count_admissible_tables_raw.busy_s",
+    "formats.trajectory_to_dict.busy_s",
+    "layer.spherical.self_share",
+}
+
+
+def test_every_declared_metric_reads_nonzero_on_some_workload(traced_cycle):
+    # a metric that reads 0 on every workload measures nothing; the two
+    # lists above name the ones that still do, and a listed metric that
+    # turns nonzero leaves its list
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = [metric["name"] for metric in benchmark["per_layer"]]
+    layers = [traced_cycle.tracer.per_layer(raw, 1.0) for raw in traced_cycle.metrics.values()]
+    assert len(layers) == 2 and all(set(declared) <= set(layer) for layer in layers)
+    zero = {name for name in declared if all(layer[name][0] == 0 for layer in layers)}
+    assert sorted(zero ^ (ZERO_BY_DESIGN | ZERO_EXPECTED)) == []
 
 
 def package_classes():
