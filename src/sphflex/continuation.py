@@ -70,6 +70,9 @@ from .spherical import (
 )
 
 CORANK_REL_TOL = 1e-7
+# a seed whose smallest singular value lies at or above this share of the
+# corank cutoff, though below it, is too close to call: trace refuses it
+SEED_AMBIGUOUS = 1e-6
 # the corrector's residual bound; at most spherical.ON_SPHERE_TOL
 NEWTON_TOL = 1e-12
 # Gauss-Newton iterations of one corrector solve
@@ -297,11 +300,15 @@ def _corank(svals: Vec, width: int) -> int:
     return int(np.sum(svals < cutoff))
 
 
-def corank_and_tangent(jac: Vec) -> tuple[int, Vec]:
-    """Numeric corank and the unit kernel direction of smallest stretch."""
+def corank_and_tangent(jac: Vec) -> tuple[int, Vec, float]:
+    """Numeric corank, the unit kernel direction of smallest stretch, and
+    the smallest singular value over the cutoff of the corank (0 when the
+    matrix has fewer rows than columns)."""
     # full V: with fewer rows than columns a thin SVD's last row is no kernel vector
     _, svals, vt = np.linalg.svd(jac)
-    return _corank(svals, jac.shape[1]), vt[-1]
+    width = jac.shape[1]
+    smallest = svals[-1] if len(svals) == width else 0.0
+    return _corank(svals, width), vt[-1], smallest / (max(svals[0], 1.0) * CORANK_REL_TOL)
 
 
 def _solve(a: Vec, b: Vec) -> Vec:
@@ -516,8 +523,11 @@ def trace(
     The seed is re-gauged and Newton-polished; a seed the corrector cannot
     polish raises ``SphflexError``, and a Jacobian corank other than 1
     raises ``RankDeficientError`` (corank 0 means the gauged framework is
-    rigid).  Samples are spaced by arclength steps.  The trace stops for one
-    of four reasons, its ``stop_reason``:
+    rigid).  A seed of corank 1 whose smallest singular value is at least
+    ``SEED_AMBIGUOUS`` of the cutoff raises ``SphflexError``: it is most
+    likely a rigid framework near a flexible one, whose trace would be a
+    phantom arc.  Samples are spaced by arclength steps.  The trace stops
+    for one of four reasons, its ``stop_reason``:
 
     - ``"loop_closed"``: it returned to the seed with an aligned tangent;
     - ``"max_steps"``: it took ``max_steps`` steps;
@@ -548,10 +558,14 @@ def trace(
         x0 = newton_correct(system, x0)
         if x0 is None:
             raise SphflexError("seed does not satisfy the constraints")
-        corank, tangent = corank_and_tangent(system.jacobian(x0))
+        corank, tangent, smallest = corank_and_tangent(system.jacobian(x0))
         if corank != 1:
             why = "framework is rigid" if corank == 0 else "not a curve point"
             raise RankDeficientError(corank, f"corank {corank} at seed: {why}")
+        if smallest >= SEED_AMBIGUOUS:
+            raise SphflexError(
+                f"corank ambiguous at seed: smallest singular value is {smallest:.1e} of the cutoff"
+            )
         if tangent[np.argmax(np.abs(tangent))] < 0:
             tangent = -tangent
 

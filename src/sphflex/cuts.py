@@ -2,7 +2,9 @@
 
 Every vertex ``v`` of a graph contributes two marked labels ``P_v`` and
 ``Q_v``.  A *cut* is a bipartition of the marked labels with both sides of
-size at least two.  A cut is *bond-valid* when no edge meets a side in
+size at least two, kept as the bitmask of its I side (bit 2k for ``P``
+and 2k + 1 for ``Q`` of the k-th vertex), as a coloring is kept as its
+red-edge mask.  A cut is *bond-valid* when no edge meets a side in
 exactly two of its four labels; bond-valid cuts induce a total red/blue
 edge coloring (red where at least three labels sit on the I side).
 
@@ -16,8 +18,8 @@ on conjugate pairs, so the 48 normal cuts collapse to 24 unknowns.
 ``enumerate_valid_cuts`` backtracks over how many of each vertex's two
 labels lie on the I side and reaches each class of equivalent cuts
 (complement and P/Q conjugate) once, at the class's smallest label mask,
-from which it builds the cut directly.  The tests keep two oracles for it:
-the search that expands every count vector into every mask and keeps the
+which is the cut it returns.  The tests keep two oracles for it: the
+search that expands every count vector into every mask and keeps the
 smallest of each class, and the scan of all 2^(2|V|) label bipartitions.
 
 The module also ships the intersection-multiplicity table for the five
@@ -61,33 +63,30 @@ EVEN_VERTICES = (2, 4, 6)
 _SWAP = {"P": "Q", "Q": "P"}
 
 
-def marked_labels(g: Graph) -> tuple[Label, ...]:
-    return tuple((kind, v) for v in g.vertices for kind in ("P", "Q"))
-
-
 @dataclass(frozen=True)
 class Cut:
-    """Bipartition (I, J) of the marked labels; sides at least two labels."""
+    """Bipartition (I, J) of the marked labels of ``vertices``, kept as the
+    bitmask of its I side: bit 2k is P and bit 2k + 1 is Q of the k-th
+    vertex, and J holds every other label.  Each side holds two labels or
+    more."""
 
-    I: frozenset[Label]
-    J: frozenset[Label]
+    vertices: tuple[int, ...]
+    mask: int
 
     def __post_init__(self):
-        if self.I & self.J:
-            raise SphflexError("cut sides overlap")
-        if len(self.I) < 2 or len(self.J) < 2:
+        labels = 2 * len(self.vertices)
+        if not 0 <= self.mask < 1 << labels:
+            raise SphflexError(f"cut mask {self.mask} outside 0..{(1 << labels) - 1}")
+        if not 2 <= self.mask.bit_count() <= labels - 2:
             raise SphflexError("each cut side needs at least two labels")
 
 
-def _label_counts(g: Graph, c: Cut) -> dict[int, int]:
-    """How many of each vertex's two labels lie on the I side.  Bond
-    validity and the induced coloring depend only on these counts."""
-    if c.I | c.J != set(marked_labels(g)):
+def _label_counts(g: Graph, c: Cut) -> list[int]:
+    """How many of each vertex's two labels lie on the I side, by position.
+    Bond validity and the induced coloring depend only on these counts."""
+    if c.vertices != g.vertices:
         raise SphflexError("cut does not partition this graph's marked labels")
-    counts = dict.fromkeys(g.vertices, 0)
-    for _, v in c.I:
-        counts[v] += 1
-    return counts
+    return [(c.mask >> 2 * k & 3).bit_count() for k in range(len(c.vertices))]
 
 
 def coloring_from_cut(g: Graph, c: Cut) -> EdgeColoring:
@@ -97,7 +96,7 @@ def coloring_from_cut(g: Graph, c: Cut) -> EdgeColoring:
     validity guarantees every edge receives a color.
     """
     n = _label_counts(g, c)
-    sums = [n[a] + n[b] for a, b in g.edges]
+    sums = [n[i] + n[j] for i, j in g.ends]
     if 2 in sums:
         raise SphflexError("cut is not bond-valid for this graph")
     return EdgeColoring(g, sum(1 << i for i, s in enumerate(sums) if s >= 3))
@@ -110,7 +109,7 @@ def nap_iff_separated_nonedge(g: Graph, c: Cut) -> tuple[bool, Optional[tuple[in
     of c in I and both labels of d in J (or vice versa).
     """
     verdict = is_nap(coloring_from_cut(g, c))
-    n = _label_counts(g, c)
+    n = dict(zip(g.vertices, _label_counts(g, c)))
     witness = next((e for e in sorted(nonedges(g)) if {n[e[0]], n[e[1]]} == {0, 2}), None)
     return verdict, witness
 
@@ -125,11 +124,10 @@ def enumerate_valid_cuts(g: Graph) -> list[Cut]:
     first, rejecting an edge as soon as its counts sum to 2, and keeps
     count vectors whose edge sums reach both >= 3 (red) and <= 1 (blue);
     such a vector puts at least three labels on the I side and at most
-    2|V| - 3, so both sides hold two.  Each survivor expands into label
-    bitmasks (bit 2k for P, 2k + 1 for Q of the k-th vertex) by choosing P
-    or Q wherever the count is 1.  A class of equivalent cuts is
-    represented by its smallest mask, and the classes are listed by that
-    mask in ascending order.
+    2|V| - 3, so both sides hold two.  Each survivor expands into the
+    masks of ``Cut`` by choosing P or Q wherever the count is 1.  A class
+    of equivalent cuts is represented by its smallest mask, and the
+    classes are listed by that mask in ascending order.
 
     The search reaches each class once, at that mask.  The last vertex
     holds the top bits, and a mask and its complement have count vectors c
@@ -138,15 +136,13 @@ def enumerate_valid_cuts(g: Graph) -> list[Cut]:
     conjugate shares c but swaps the letter of every count-1 vertex, and
     the conjugate of the complement has 2 - c with the same letters; so the
     smallest of the four has P at its last count-1 vertex and count 0 at
-    its last vertex of count 0 or 2.  Each cut is built from its mask and
-    the one label tuple.  Each call logs one debug record on the
+    its last vertex of count 0 or 2.  Each call logs one debug record on the
     ``sphflex.cuts`` logger with the count assignments visited and the cuts
     found (``extra`` fields ``nodes`` and ``cuts``).  Graphs beyond 8
     vertices are still rejected.
     """
     if g.num_vertices > 8:
         raise SphflexError("cut enumeration is exhaustive; at most 8 vertices")
-    labels = marked_labels(g)
     n = g.num_vertices
     # above[k]: neighbours of the k-th vertex that come later in vertex
     # order, whose counts are set first
@@ -206,19 +202,7 @@ def enumerate_valid_cuts(g: Graph) -> list[Cut]:
                 )
 
     search(n - 1, False, False, 0, 0, True)
-    keys.sort()
-    # binary digits to 0/1 bytes selecting the I side, or the J side
-    on_i = bytes.maketrans(b"01", b"\x00\x01")
-    on_j = bytes.maketrans(b"01", b"\x01\x00")
-    cuts = []
-    for key in keys:
-        bits = format(key, f"0{2 * n}b")[::-1].encode()  # byte i: bit i of key
-        cuts.append(
-            Cut(
-                frozenset(itertools.compress(labels, bits.translate(on_i))),
-                frozenset(itertools.compress(labels, bits.translate(on_j))),
-            )
-        )
+    cuts = [Cut(g.vertices, key) for key in sorted(keys)]
     _log.debug(
         "enumerate_valid_cuts visited %d nodes and found %d cuts",
         nodes,

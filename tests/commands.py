@@ -82,10 +82,12 @@ COMMANDS = (
     Command(("certify", "--corpus", "k33")),
     Command(("certify", "--graph", "K33", "--format", "structured")),
     Command(("certify", "--graph", "K8"), "28 edges exceeds the exhaustive enumeration budget of 25"),
+    Command(("certify",), "no graph given; use --graph FILE or --corpus NAME"),
     Command(("realize", "--corpus", "k33", "--samples", "3"), numbers=("--samples={}", "--seed={}")),
     Command(REALIZE_STAR),
     Command(("realize", "--corpus", "k33", "--samples", "3", "--format", "tabular")),
     Command(("realize", "--corpus", "k33", "--seed=-1"), "--seed must be a non-negative integer, got -1"),
+    Command(("realize", "--corpus", "k3"), "graph admits no NAP-coloring, nothing to realize"),
     Command(("k33", "--kind", "dixon1", "--samples", "3"), numbers=DIXON1_NUMBERS),
     Command(("k33", "--kind", "dixon1", "--c", "0.2,,0.4,0.6"), "--c field 2 of '0.2,,0.4,0.6' is empty"),
     Command(("k33", "--kind", "dixon2", "--samples", "3", "--format", "structured"), numbers=DIXON2_NUMBERS),
@@ -93,6 +95,7 @@ COMMANDS = (
     Command(("classify-quad", "--deltas", "0.3,0.3,0.7,0.7"), numbers=("--deltas={},0.3,0.7,0.7", "--tol={}")),
     Command(LAMBDAS, numbers=("--lambdas={},0.35,0.15,0.15",)),
     Command(("classify-quad", "--deltas", "0.3,0.3,0.7,0.7,"), "--deltas field 5 of '0.3,0.3,0.7,0.7,' is empty"),
+    Command(("classify-quad", "--deltas", "0.3,0.3,0.7"), "need four edge values (d12, d23, d34, d14)"),
     Command(CDA_TRACE),
     Command(TRACE, numbers=("--step={}", "--max-steps={}")),
     Command((*TRACE, "--max-steps", "3", "--format", "structured")),

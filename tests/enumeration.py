@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from sphflex.cli import CORPUS
-from sphflex.cuts import Cut, marked_labels
+from sphflex.cuts import Cut
 from sphflex.graphs import (
     Graph,
     build_graph,
@@ -30,8 +30,6 @@ from sphflex.graphs import (
     cycle_graph,
     three_prism,
 )
-
-from helpers import cut_for
 
 
 def _invariant(g: nx.Graph):
@@ -148,39 +146,33 @@ def nap_masks_by_scan(g: Graph, modulo_swap: bool = False) -> list[int]:
 def valid_cuts_by_scan(g: Graph, modulo_symmetry: bool) -> list[Cut]:
     """Bond-valid surjective cuts by scanning all 2^(2|V|) label bipartitions.
 
-    Label ``i`` of :func:`marked_labels` is bit ``i`` of a mask, and every
-    mask is tested at once with numpy.  Visiting masks in ascending order,
-    the scan reports a class of cuts (a mask and its complement, and with
-    ``modulo_symmetry`` their P/Q conjugates too) at its first mask, which
-    is the smallest one; validity is the same for every mask of a class.
+    Masks are laid out as in :class:`Cut` (bit 2k for P, 2k + 1 for Q of
+    the k-th vertex), and every mask is tested at once with numpy.
+    Visiting masks in ascending order, the scan reports a class of cuts (a
+    mask and its complement, and with ``modulo_symmetry`` their P/Q
+    conjugates too) at its first mask, which is the smallest one; validity
+    is the same for every mask of a class.
     """
-    labels = marked_labels(g)
-    n = len(labels)
+    n = 2 * g.num_vertices
     full = (1 << n) - 1
-    pos = {label: i for i, label in enumerate(labels)}
     masks = np.arange(1 << n, dtype=np.int64)
     bit = [((masks >> i) & 1).astype(np.int8) for i in range(n)]
     size = sum(bit, np.zeros_like(masks))
     valid = (size >= 2) & (n - size >= 2)
     red = np.zeros_like(valid)
     blue = np.zeros_like(valid)
-    for a, b in g.edges:
-        on_i = bit[pos["P", a]] + bit[pos["Q", a]] + bit[pos["P", b]] + bit[pos["Q", b]]
+    for i, j in g.ends:
+        on_i = bit[2 * i] + bit[2 * i + 1] + bit[2 * j] + bit[2 * j + 1]
         valid &= on_i != 2
         red |= on_i >= 3
         blue |= on_i <= 1
     found = masks[valid & red & blue]
     first = found < found ^ full
     if modulo_symmetry:
-        conj = sum(
-            ((found >> pos[kind, v]) & 1) << pos["Q" if kind == "P" else "P", v]
-            for kind, v in labels
-        )
+        p_bits = full // 3  # 0b0101...: the P label of every vertex
+        conj = (found & p_bits) << 1 | (found >> 1) & p_bits
         first &= (found <= conj) & (found <= conj ^ full)
-    return [
-        cut_for(g, (labels[i] for i in range(n) if mask >> i & 1))
-        for mask in map(int, found[first])
-    ]
+    return [Cut(g.vertices, mask) for mask in map(int, found[first])]
 
 
 def _union(masks: list[int], members: int) -> int:
@@ -282,11 +274,9 @@ def valid_cuts_by_counts(g: Graph) -> list[Cut]:
 
     Backtracks over the counts in {0, 1, 2} in vertex order, expands every
     surviving vector into all its label masks and keys each class by the
-    smallest mask of the class, so a class is reached up to four times;
-    each cut is built by ``cut_for``.  ``enumerate_valid_cuts`` without the
-    one-visit-per-class rules.
+    smallest mask of the class, so a class is reached up to four times.
+    ``enumerate_valid_cuts`` without the one-visit-per-class rules.
     """
-    labels = marked_labels(g)
     n = g.num_vertices
     full = (1 << 2 * n) - 1
     p_bits = full // 3  # 0b0101...: the P label of every vertex
@@ -330,10 +320,7 @@ def valid_cuts_by_counts(g: Graph) -> list[Cut]:
                 counts.pop()
 
     search(0, [], 0, False, False)
-    return [
-        cut_for(g, (labels[i] for i in range(2 * n) if key >> i & 1))
-        for key in sorted(keys)
-    ]
+    return [Cut(g.vertices, key) for key in sorted(keys)]
 
 
 @st.composite

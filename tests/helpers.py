@@ -7,15 +7,7 @@ from typing import Any, Iterable, Optional, Sequence
 import numpy as np
 
 from sphflex.coloring import EdgeColoring
-from sphflex.cuts import (
-    _SWAP,
-    Cut,
-    DegreeTable,
-    Label,
-    NormalCut,
-    all_normal_cuts,
-    marked_labels,
-)
+from sphflex.cuts import Cut, DegreeTable, Label, NormalCut, all_normal_cuts
 from sphflex.formats import coloring_to_list, graph_to_dict
 from sphflex.graphs import Graph, build_graph
 from sphflex.motions import HALF_TURN_X, HALF_TURN_Y, HALF_TURN_Z
@@ -130,27 +122,41 @@ def gram_matrix(rho: SphericalRealization, order: Optional[Sequence[int]] = None
     return pts @ pts.T
 
 
-def conjugate_side(side: frozenset[Label]) -> frozenset[Label]:
-    return frozenset((_SWAP[k], v) for k, v in side)
+def marked_labels(g: Graph | Cut) -> tuple[Label, ...]:
+    """The labels of a graph's or a cut's vertices in mask order: label k
+    is bit k of a ``Cut``'s mask."""
+    return tuple((kind, v) for v in g.vertices for kind in ("P", "Q"))
+
+
+def cut_sides(c: Cut) -> tuple[frozenset[Label], frozenset[Label]]:
+    """The I and J sides of a cut as sets of labels."""
+    labels = marked_labels(c)
+    I = frozenset(label for k, label in enumerate(labels) if c.mask >> k & 1)
+    return I, frozenset(labels) - I
+
+
+def _full(c: Cut) -> int:
+    return (1 << 2 * len(c.vertices)) - 1
 
 
 def swapped_cut(c: Cut) -> Cut:
-    return Cut(c.J, c.I)
+    return Cut(c.vertices, c.mask ^ _full(c))
 
 
 def conjugate_cut(c: Cut) -> Cut:
-    return Cut(conjugate_side(c.I), conjugate_side(c.J))
+    p_bits = _full(c) // 3  # 0b0101...: the P label of every vertex
+    return Cut(c.vertices, (c.mask & p_bits) << 1 | c.mask >> 1 & p_bits)
 
 
 def cut_for(g: Graph, i_side: Iterable[Label]) -> Cut:
     """Cut of g's marked labels with the given I side."""
-    I = frozenset(i_side)
-    J = frozenset(marked_labels(g)) - I
-    return Cut(I, J)
+    bit = {label: k for k, label in enumerate(marked_labels(g))}
+    return Cut(g.vertices, sum(1 << bit[label] for label in set(i_side)))
 
 
-def unordered_cut(c: Cut) -> frozenset[frozenset[Label]]:
-    return frozenset((c.I, c.J))
+def unordered_cut(c: Cut) -> int:
+    """The smaller of the masks of the cut and its swap."""
+    return min(c.mask, c.mask ^ _full(c))
 
 
 def normalize_cut(g: Graph, c: Cut) -> NormalCut:

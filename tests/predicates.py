@@ -9,9 +9,11 @@ edge and intersect them with a side of the cut.
 from typing import Optional
 
 from sphflex.coloring import BLUE, RED, EdgeColoring, PolePartition, is_nap
-from sphflex.cuts import Cut, marked_labels
+from sphflex.cuts import Cut
 from sphflex.errors import SphflexError
 from sphflex.graphs import Graph, nonedges, normalized_edge
+
+from helpers import cut_sides, marked_labels
 
 
 def nap_pole_partition_by_colors(c: EdgeColoring) -> PolePartition:
@@ -33,12 +35,12 @@ def nap_pole_partition_by_colors(c: EdgeColoring) -> PolePartition:
 
 
 def cut_valid_for_bond_by_labels(g: Graph, c: Cut) -> bool:
-    labels = set(marked_labels(g))
-    if c.I | c.J != labels:
+    I, J = cut_sides(c)
+    if I | J != set(marked_labels(g)):
         raise SphflexError("cut does not partition this graph's marked labels")
     for a, b in g.edges:
         quad = {("P", a), ("Q", a), ("P", b), ("Q", b)}
-        if len(quad & c.I) == 2:
+        if len(quad & I) == 2:
             return False
     return True
 
@@ -46,10 +48,11 @@ def cut_valid_for_bond_by_labels(g: Graph, c: Cut) -> bool:
 def coloring_from_cut_by_labels(g: Graph, c: Cut) -> EdgeColoring:
     if not cut_valid_for_bond_by_labels(g, c):
         raise SphflexError("cut is not bond-valid for this graph")
+    I, _ = cut_sides(c)
     red = []
     for a, b in g.edges:
         quad = {("P", a), ("Q", a), ("P", b), ("Q", b)}
-        if len(quad & c.I) >= 3:
+        if len(quad & I) >= 3:
             red.append((a, b))
     return EdgeColoring.from_red_edges(g, red)
 
@@ -58,12 +61,13 @@ def nap_iff_separated_nonedge_by_labels(
     g: Graph, c: Cut
 ) -> tuple[bool, Optional[tuple[int, int]]]:
     verdict = is_nap(coloring_from_cut_by_labels(g, c))
+    I, J = cut_sides(c)
     witness = None
     for a, b in sorted(nonedges(g)):
-        a_in_i = {("P", a), ("Q", a)} <= c.I
-        a_in_j = {("P", a), ("Q", a)} <= c.J
-        b_in_i = {("P", b), ("Q", b)} <= c.I
-        b_in_j = {("P", b), ("Q", b)} <= c.J
+        a_in_i = {("P", a), ("Q", a)} <= I
+        a_in_j = {("P", a), ("Q", a)} <= J
+        b_in_i = {("P", b), ("Q", b)} <= I
+        b_in_j = {("P", b), ("Q", b)} <= J
         if (a_in_i and b_in_j) or (a_in_j and b_in_i):
             witness = (a, b)
             break

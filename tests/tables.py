@@ -25,7 +25,6 @@ from sphflex.cuts import (
     TypeTable,
     _act,
     all_normal_cuts,
-    marked_labels,
     quad_cut_partition,
     quad_cycle,
     type_table,
@@ -189,7 +188,7 @@ def cut_extensions_by_scan(forgot_odd: int, forgot_even: int, kind: str) -> tupl
     """Normal cuts whose full K(3,3) cut restricts to the quadrilateral cut."""
     cycle = quad_cycle(forgot_odd, forgot_even)
     target = quad_cut_partition(cycle, kind)
-    labels = frozenset(marked_labels(k33()))
+    labels = frozenset((kind, v) for v in k33().vertices for kind in "PQ")
 
     def restricted(i_side):
         return frozenset(

@@ -93,7 +93,7 @@ def test_jacobian_matches_finite_differences():
 def test_corank_one_at_flexible_point():
     g, lam, seed = cda_seed()
     x = re_gauge(seed, g).as_array(g.vertices)
-    corank, _ = corank_and_tangent(jacobian(g, lam, x))
+    corank, _, _ = corank_and_tangent(jacobian(g, lam, x))
     assert corank == 1
 
 
@@ -110,19 +110,38 @@ def test_trace_reports_rigid_triangle():
 RIGID_NEAR = [name for name in PINNED if not name.endswith("K(2,2)")]
 
 
+def moved(g, rho, eps, rng):
+    """The seed of ``g`` at ``rho`` moved at random by about ``eps`` and put
+    back on the sphere, with the lengths it induces."""
+    pts = rho.as_array(g.vertices).reshape(-1, 3)
+    pts = pts + eps * rng.normal(size=pts.shape)
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return induced(g, SphericalRealization(dict(zip(g.vertices, pts))))
+
+
 @pytest.mark.parametrize("name", RIGID_NEAR)
 def test_moved_seeds_of_the_pinned_loops_are_rigid(name):
     # flexibility is a property of the lengths: a generic move of a seed,
     # with the lengths it induces, gives a rigid framework
     g, _, rho = PINNED[name].seed()
-    pts = rho.as_array(g.vertices).reshape(-1, 3)
     rng = np.random.default_rng(24)
     for _ in range(3):
-        moved = pts + 1e-3 * rng.normal(size=pts.shape)
-        moved /= np.linalg.norm(moved, axis=1, keepdims=True)
         with pytest.raises(RankDeficientError, match="^corank 0 at seed: framework is rigid$") as err:
-            trace(*induced(g, SphericalRealization(dict(zip(g.vertices, moved)))))
+            trace(*moved(g, rho, 1e-3, rng))
         assert err.value.corank == 0
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-8, 1e-7, 1e-6])
+def test_seeds_moved_too_little_to_call_raise(eps):
+    # a rigid seed this near a flexible one has corank 1 by the rule, and
+    # its trace would be a phantom arc of a few steps
+    g, _, rho = dixon1_seed(3, 3)
+    rng = np.random.default_rng(48)
+    for _ in range(10):
+        with pytest.raises(
+            SphflexError, match=r"^corank ambiguous at seed: smallest singular value is \S+ of the cutoff$"
+        ):
+            trace(*moved(g, rho, eps, rng))
 
 
 def test_trace_rejects_bad_seed():
@@ -193,6 +212,12 @@ def test_dixon1_trace_closes_loop_and_has_degree_four():
     assert res.closed
     assert empirical_map_degree(res.trajectory, {5, 6}) == 4
     assert empirical_map_degree(res.trajectory, set()) == 1
+
+
+def test_empirical_degree_needs_three_retained_vertices():
+    traj = pinned("dixon1-K(3,3)").result.trajectory
+    with pytest.raises(SphflexError, match="^need at least three retained vertices$"):
+        empirical_map_degree(traj, {1, 2, 3, 4})
 
 
 def test_dixon1_trace_closes_loop_at_large_steps():
@@ -326,7 +351,7 @@ def test_corank_tangent_is_kernel_vector_on_wide_jacobian():
     # return only 11 right singular vectors, none of them the kernel
     jac = lozenge_jacobian()
     assert jac.shape == (11, 12)
-    corank, t = corank_and_tangent(jac)
+    corank, t, _ = corank_and_tangent(jac)
     assert corank == 1
     assert np.linalg.norm(jac @ t) <= 1e-12
 
@@ -475,7 +500,7 @@ def near(t, rng, tilt=0.3):
 )
 def test_bordered_corank_and_tangent_match_full_svd(name, jac_rng, corank):
     jac, rng = jac_rng
-    want_corank, want = corank_and_tangent(jac)
+    want_corank, want, _ = corank_and_tangent(jac)
     assert want_corank == corank
     t_prev = near(want, rng)
     # outside trace, a failed factorization warns
@@ -528,7 +553,7 @@ def test_non_finite_normal_solution_falls_back_to_lstsq(monkeypatch):
 
 def test_bordered_tangent_orthogonal_to_kernel_does_not_raise():
     jac = lozenge_jacobian()
-    _, kernel = corank_and_tangent(jac)
+    _, kernel, _ = corank_and_tangent(jac)
     t_prev = np.linalg.svd(jac)[2][0]
     assert abs(float(t_prev @ kernel)) <= 1e-12
     corank, t = bordered_corank_and_tangent(np.vstack([jac, t_prev]))
@@ -544,7 +569,7 @@ def test_solves_without_arc_row_use_minimum_norm_step(monkeypatch):
     plain = newton_correct(system, x)
     assert plain is not None and calls
     calls.clear()
-    _, t = corank_and_tangent(system.jacobian(plain))
+    _, t, _ = corank_and_tangent(system.jacobian(plain))
     arc = newton_correct(system, plain + 0.01 * t, arc_constraint=(plain, t, 0.01))
     assert arc is not None and not calls
     assert abs(float((arc - plain) @ t) - 0.01) <= 1e-12
@@ -645,7 +670,7 @@ def test_regular_trace_takes_an_svd_only_at_the_seed():
 )
 def test_corank_other_than_one_takes_one_svd(monkeypatch, jac_rng, corank):
     jac, rng = jac_rng
-    _, kernel = corank_and_tangent(jac)
+    _, kernel, _ = corank_and_tangent(jac)
     bordered = np.vstack([jac, near(kernel, rng)])
     calls = counted(monkeypatch, "svd")
     with np.errstate(all="ignore"):
@@ -987,7 +1012,7 @@ def test_newton_correct_equals_the_oracle(arc):
     g, lam, seed = cda_seed()
     system = ConstraintSystem(g, lam)
     x = re_gauge(seed, g).as_array(g.vertices)
-    _, t = corank_and_tangent(system.jacobian(x))
+    _, t, _ = corank_and_tangent(system.jacobian(x))
     rng = np.random.default_rng(11)
     for scale in (1e-8, 1e-4, 1e-2, 0.3):
         start = x + scale * rng.normal(size=x.size)
@@ -1005,7 +1030,7 @@ def corrector_case(arc):
     g, lam, seed = cda_seed()
     system = ConstraintSystem(g, lam)
     x = newton_correct(system, re_gauge(seed, g).as_array(g.vertices))
-    _, t = corank_and_tangent(system.jacobian(x))
+    _, t, _ = corank_and_tangent(system.jacobian(x))
     return system, x, t, ((x, t, 0.0) if arc else None)
 
 

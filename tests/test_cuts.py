@@ -9,6 +9,7 @@ from sphflex.cli import EXPECTED_CASES, pullback_systems
 from sphflex.coloring import is_nap
 from sphflex.cuts import (
     MU_TABLE,
+    Cut,
     DegreeTable,
     Equation,
     NormalCut,
@@ -29,6 +30,7 @@ from sphflex.cuts import (
     mu_solutions,
     mu_system_feasible,
     nap_iff_separated_nonedge,
+    quad_cut_partition,
     theta,
     type_table,
 )
@@ -140,6 +142,36 @@ def test_normal_cut_sides_match_notation():
     c2 = NormalCut(2, "PPQ")
     assert c2.i_side() == {("P", 2), ("Q", 2), ("P", 1), ("P", 3), ("Q", 5)}
     assert normalize_cut(g, cut_for(g, c.i_side())) == c
+
+
+def test_normal_cut_refuses_a_bad_apex_or_pattern():
+    with pytest.raises(SphflexError, match=r"^apex 7 outside 1\.\.6$"):
+        NormalCut(7, "PPP")
+    for pattern in ("PQ", "PQR"):
+        with pytest.raises(SphflexError, match=f"^bad pattern '{pattern}'$"):
+            NormalCut(1, pattern)
+
+
+def test_cut_refuses_a_mask_out_of_range_or_a_side_of_one_label():
+    vertices = k22().vertices
+    for mask in (-1, 256):
+        with pytest.raises(SphflexError, match=rf"^cut mask {mask} outside 0\.\.255$"):
+            Cut(vertices, mask)
+    for mask in (0b1, 0b11111110):
+        with pytest.raises(SphflexError, match="^each cut side needs at least two labels$"):
+            Cut(vertices, mask)
+
+
+def test_degree_table_refuses_a_bad_grid():
+    with pytest.raises(SphflexError, match="^degree table must be 3x3$"):
+        DegreeTable(((1, 1, 1), (1, 1, 1)))
+    with pytest.raises(SphflexError, match="^degree table entries must be 1 or 2$"):
+        DegreeTable(((1, 1, 1), (1, 3, 1), (2, 2, 2)))
+
+
+def test_quad_cut_partition_refuses_an_unknown_kind():
+    with pytest.raises(SphflexError, match="^unknown quadrilateral cut 'xu'$"):
+        quad_cut_partition((1, 2, 3, 4), "xu")
 
 
 def test_mu_lookup_rows():

@@ -21,6 +21,7 @@ from sphflex.coloring import (
     EdgeColoring,
     enumerate_nap,
     flexibility_certificate,
+    is_nac,
     nap_pole_partition,
 )
 from sphflex.cuts import enumerate_valid_cuts
@@ -77,19 +78,20 @@ def test_nap_and_cuts_match_scan_on_named_graphs(name):
 
 
 # vertex count: Laman classes (OEIS A227117), classes with a NAP-coloring,
-# NAP-colorings modulo swap
+# NAP-colorings modulo swap, classes with a NAC-coloring, and classes with
+# a NAC-coloring but no NAP-coloring
 LAMAN_CENSUS = {
-    3: (1, 0, 0),
-    4: (1, 0, 0),
-    5: (3, 1, 1),
-    6: (13, 7, 15),
-    7: (70, 56, 123),
+    3: (1, 0, 0, 0, 0),
+    4: (1, 0, 0, 0, 0),
+    5: (3, 1, 1, 1, 0),
+    6: (13, 7, 15, 8, 1),
+    7: (70, 56, 123, 58, 2),
 }
 
 
 def test_laman_census_of_the_atlas():
     # the atlas holds one graph per isomorphism class up to 7 vertices
-    census = {n: [0, 0, 0] for n in LAMAN_CENSUS}
+    census = {n: [0] * 5 for n in LAMAN_CENSUS}
     for atlas_graph in nx.graph_atlas_g():
         n = atlas_graph.number_of_nodes()
         # a Laman graph is connected, and build_graph refuses one that is not
@@ -100,7 +102,9 @@ def test_laman_census_of_the_atlas():
             continue
         assert_nap_matches_scan(g)
         found = len(enumerate_nap(g, modulo_swap=True))
-        for k, count in enumerate((1, found > 0, found)):
+        # the 2^|E| scan, up to the first NAC-coloring
+        nac = any(is_nac(EdgeColoring(g, mask)) for mask in range(1 << g.num_edges))
+        for k, count in enumerate((1, found > 0, found, nac, nac and not found)):
             census[n][k] += count
     assert {n: tuple(row) for n, row in census.items()} == LAMAN_CENSUS
 

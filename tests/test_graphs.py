@@ -82,6 +82,11 @@ def test_induced_subgraph_k23():
     assert set(sub.edges) == {(1, 4), (1, 6), (3, 4), (3, 6), (4, 5), (5, 6)}
 
 
+def test_induced_subgraph_rejects_unknown_vertices():
+    with pytest.raises(SphflexError, match=r"^vertices \[7, 9\] not in graph$"):
+        induced_subgraph(k33(), [1, 2, 9, 7])
+
+
 def test_induced_subgraph_disconnected_rejected():
     with pytest.raises(SphflexError, match="^induced subgraph is not connected$"):
         induced_subgraph(path_graph(3), [1, 3])

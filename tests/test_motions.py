@@ -69,6 +69,8 @@ def test_polar_motion_rejects_non_nap():
 def test_polar_motion_rejects_degenerate_angle_list():
     g = k33()
     c = EdgeColoring.from_red_edges(g, [(1, 2), (1, 4), (1, 6)])
+    with pytest.raises(SphflexError, match="^need at least one angle$"):
+        polar_nap_motion(g, c, [])
     with pytest.raises(SphflexError, match="^need at least two samples$"):
         polar_nap_motion(g, c, [0.0])
     with pytest.raises(SphflexError, match="^no two samples are essentially distinct$"):
@@ -230,6 +232,19 @@ def test_cda_params_validation():
         cda_params_from_e(0.0)
     with pytest.raises(SphflexError, match="^relation residual .* exceeds 1e-12$"):
         CdaParams(0.5, 0.75)  # off the relation curve
+    with pytest.raises(SphflexError, match="^a must be nonzero$"):
+        CdaParams(0.0, 0.75)
+    for a, e in [(1.0, 0.75), (-0.6, 1.0)]:
+        with pytest.raises(SphflexError, match=r"^a and e must lie in \(-1, 1\)$"):
+            CdaParams(a, e)
+    # on the curve to within its 1e-12: 0.003^5 + 0.003^3 - 0.003^3
+    with pytest.raises(SphflexError, match=r"^e = \+-a is excluded$"):
+        CdaParams(0.003, 0.003)
+
+
+def test_dixon1_params_keyed_by_other_vertices():
+    with pytest.raises(SphflexError, match="^c maps odd vertices 1,3,5 and d even 2,4,6$"):
+        Dixon1Params(c={1: 0.2, 3: 0.4, 7: 0.6}, d={2: 0.3, 4: 0.5, 6: 0.7})
 
 
 def test_cda_pole_and_discriminant_errors():

@@ -5,17 +5,11 @@ exceptions with the same messages."""
 import pytest
 
 from sphflex.coloring import enumerate_nap, nap_pole_partition
-from sphflex.cuts import (
-    Cut,
-    coloring_from_cut,
-    marked_labels,
-    nap_iff_separated_nonedge,
-)
+from sphflex.cuts import Cut, coloring_from_cut, nap_iff_separated_nonedge
 from sphflex.errors import SphflexError
 from sphflex.graphs import k22, k32, k33, triangle
 
 from enumeration import connected_graphs
-from helpers import cut_for
 from predicates import (
     coloring_from_cut_by_labels,
     nap_iff_separated_nonedge_by_labels,
@@ -44,17 +38,10 @@ def outcome(f, g, cut):
 @pytest.mark.parametrize("build", [triangle, k22, k32, k33])
 def test_cut_functions_match_four_labels_on_every_bipartition(build):
     g = build()
-    labels = marked_labels(g)
-    cuts = []
-    for key in range(1 << len(labels)):
-        side = [label for k, label in enumerate(labels) if key >> k & 1]
-        if 2 <= len(side) <= len(labels) - 2:
-            cuts.append(cut_for(g, side))
-    # cuts that do not partition the graph's labels: one label left out,
-    # and labels of absent vertices
-    first = cuts[0]
-    cuts.append(Cut(first.I, first.J - {min(first.J)}))
-    cuts.append(Cut(frozenset({("P", 98), ("Q", 98)}), frozenset({("P", 99), ("Q", 99)})))
+    n = 2 * g.num_vertices
+    cuts = [Cut(g.vertices, key) for key in range(1 << n) if 2 <= key.bit_count() <= n - 2]
+    # a cut of absent vertices' labels does not partition the graph's
+    cuts.append(Cut((98, 99), 0b0011))
     for cut in cuts:
         for new, old in CUT_FUNCTIONS:
             assert outcome(new, g, cut) == outcome(old, g, cut), (g, cut, new.__name__)

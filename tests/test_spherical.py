@@ -80,6 +80,18 @@ def test_rotation_validation():
         Rotation(np.diag([1.0, 1.0, -1.0]))  # reflection
     with pytest.raises(SphflexError):
         Rotation(np.ones((3, 3)))
+    with pytest.raises(SphflexError, match="^rotation matrix must be 3x3$"):
+        Rotation(np.eye(2))
+
+
+def test_normalize_refuses_the_zero_vector():
+    with pytest.raises(SphflexError, match="^cannot normalize the zero vector$"):
+        normalize(np.zeros(3))
+
+
+def test_placement_point_needs_three_coordinates():
+    with pytest.raises(SphflexError, match="^every point needs three coordinates$"):
+        SphericalRealization({1: [1.0, 0.0], 2: [0.0, 1.0]})
 
 
 def test_batched_rotations_match_per_angle_rotations():
@@ -187,6 +199,13 @@ def test_essentially_distinct_different_shapes():
     r1 = random_realization(g.vertices, RNG)
     r2 = random_realization(g.vertices, RNG)
     assert essentially_distinct(r1, r2)
+
+
+def test_essentially_distinct_refuses_different_vertex_sets():
+    r1 = random_realization([1, 2, 3], np.random.default_rng(5))
+    r2 = random_realization([1, 2, 4], np.random.default_rng(5))
+    with pytest.raises(SphflexError, match="^realizations have different vertex sets$"):
+        essentially_distinct(r1, r2)
 
 
 # each threshold of ``distinct_from`` set to the very value it is compared

@@ -378,8 +378,12 @@ def test_parse_rejects_samples_placing_other_vertices():
     extra["samples"][1]["placement"]["99"] = [1.0, 0.0, 0.0]
     missing = copy.deepcopy(data)
     del missing["samples"][1]["placement"]["10"]
-    for bad in (extra, missing):
-        with pytest.raises(SphflexError, match="the graph's vertices"):
+    # as many vertices as the graph has, but 99 in place of 10
+    renamed = copy.deepcopy(data)
+    placement = renamed["samples"][1]["placement"]
+    placement["99"] = placement.pop("10")
+    for bad in (extra, missing, renamed):
+        with pytest.raises(SphflexError, match="^every sample must place the graph's vertices$"):
             formats.trajectory_from_dict(bad)
     # keys in any order are put in the graph's order
     shuffled = copy.deepcopy(data)
