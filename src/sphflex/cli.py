@@ -10,7 +10,6 @@ inputs and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -345,7 +344,9 @@ def _cmd_realize(args) -> int:
     g = _load_graph(args)
     if args.coloring:
         with open(args.coloring) as fh:
-            coloring = formats.coloring_from_dict(g, json.loads(fh.read()))
+            coloring = formats.coloring_from_dict(
+                g, formats.read_json(fh.read(), formats.COLORING_SHAPE)
+            )
     else:
         coloring = flexibility_certificate(g)
         if coloring is None:
@@ -361,9 +362,11 @@ def _cmd_trace(args) -> int:
 
     g = _load_graph(args)
     with open(args.lengths) as fh:
-        lam = formats.lengths_from_dict(json.loads(fh.read()))
+        lam = formats.lengths_from_dict(formats.read_json(fh.read(), formats.LENGTHS_SHAPE))
     with open(args.seed_realization) as fh:
-        seed = formats.realization_from_dict(json.loads(fh.read()))
+        seed = formats.realization_from_dict(
+            formats.read_json(fh.read(), formats.PLACEMENT_SHAPE)
+        )
     cfg = continuation.TraceConfig(step_size=args.step, max_steps=args.max_steps)
     result = continuation.trace(g, lam, seed, config=cfg)
     if args.format == "text":

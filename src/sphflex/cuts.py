@@ -11,9 +11,12 @@ edge coloring (red where at least three labels sit on the I side).
 For K(3,3), every cut inducing a surjective coloring can be written in the
 normal form ``(i, T1 T2 T3)``: the I side holds both labels of an apex
 vertex ``i`` plus one label (P or Q, given by the pattern letters) of each
-of the three opposite-parity vertices in increasing order.  Swapping all
-P's and Q's gives the conjugate cut; intersection multiplicities are equal
-on conjugate pairs, so the 48 normal cuts collapse to 24 unknowns.
+of the three opposite-parity vertices in increasing order.  Its ``mask``
+is that I side as a ``Cut`` of K(3,3) keeps it (bit 2(v - 1) for ``P_v``,
+2(v - 1) + 1 for ``Q_v``), and the four quadrilateral cuts are rows of the
+same form on the cycle roles, compared as masks.  Swapping all P's and Q's
+gives the conjugate cut; intersection multiplicities are equal on
+conjugate pairs, so the 48 normal cuts collapse to 24 unknowns.
 
 ``enumerate_valid_cuts`` backtracks over how many of each vertex's two
 labels lie on the I side and reaches each class of equivalent cuts
@@ -29,9 +32,10 @@ systems obtained by pulling divisor cuts back along forgetful projections.
 
 The 72-element row/column/transpose group acts on 3x3 grids by moving
 cells.  With a grid flattened row by row to 9 cells, ``GROUP_INDEX`` is the
-(72, 9) index array with ``flat(_act(grid, *GROUP[k])) ==
-flat(grid)[GROUP_INDEX[k]]``.  ``TABLE_BITS`` holds the 512 degree tables
-as one (512, 9) 0/1 array, 1 where an entry is 2 and cell 0 the most
+(72, 9) index array whose row k names the cell that ``GROUP[k] = (rp, cp,
+flip)`` moves to each cell (r, c): ``3 rp[r] + cp[c]``, or ``3 cp[c] +
+rp[r]`` after a transpose.  ``TABLE_BITS`` holds the 512 degree tables as
+one (512, 9) 0/1 array, 1 where an entry is 2 and cell 0 the most
 significant bit, so a table's row number is its binary code.  The orbit
 counts and the admissibility filter work on these arrays: one product of
 the tables with the group's moved cell weights gives every table's image
@@ -55,12 +59,8 @@ from .graphs import Graph, nonedges
 
 _log = logging.getLogger(__name__)
 
-Label = tuple[str, int]  # ("P" | "Q", vertex)
-
 ODD_VERTICES = (1, 3, 5)
 EVEN_VERTICES = (2, 4, 6)
-
-_SWAP = {"P": "Q", "Q": "P"}
 
 
 @dataclass(frozen=True)
@@ -221,6 +221,18 @@ def _opposite_parity(i: int) -> tuple[int, ...]:
     return EVEN_VERTICES if i % 2 == 1 else ODD_VERTICES
 
 
+def _side_mask(apex: int, letters: str, others: Sequence[int]) -> int:
+    """I-side mask over K(3,3)'s labels: both labels of ``apex`` and the
+    letter's label of each vertex of ``others``."""
+    mask = 3 << 2 * (apex - 1)
+    for letter, v in zip(letters, others):
+        mask |= 1 << 2 * (v - 1) + (letter == "Q")
+    return mask
+
+
+_SWAP_PQ = str.maketrans("PQ", "QP")
+
+
 @dataclass(frozen=True, order=True)
 class NormalCut:
     """Cut ``(i, T1 T2 T3)`` of K(3,3) in normal form.
@@ -238,14 +250,13 @@ class NormalCut:
         if len(self.pattern) != 3 or set(self.pattern) - {"P", "Q"}:
             raise SphflexError(f"bad pattern {self.pattern!r}")
 
-    def i_side(self) -> frozenset[Label]:
-        side = {("P", self.apex), ("Q", self.apex)}
-        for letter, v in zip(self.pattern, _opposite_parity(self.apex)):
-            side.add((letter, v))
-        return frozenset(side)
+    @property
+    def mask(self) -> int:
+        """The I side as the mask of ``Cut(k33().vertices, mask)``."""
+        return _side_mask(self.apex, self.pattern, _opposite_parity(self.apex))
 
     def conjugate(self) -> "NormalCut":
-        return NormalCut(self.apex, "".join(_SWAP[c] for c in self.pattern))
+        return NormalCut(self.apex, self.pattern.translate(_SWAP_PQ))
 
     def canonical(self) -> "NormalCut":
         """Representative of the conjugate pair (lexicographically smaller)."""
@@ -264,15 +275,11 @@ def all_normal_cuts() -> tuple[NormalCut, ...]:
 # quadrilateral cuts and the intersection-multiplicity table
 # ---------------------------------------------------------------------------
 
-# I/J sides of the four named cuts for the standard quadrilateral with
-# cycle roles 1-2-3-4 (odd roles 1, 3; even roles 2, 4).  "o"/"e" says
-# which parity is separated, "m"/"u" whether the remaining labels mix.
-_QUAD_CUTS = {
-    "ou": ({("P", 1), ("Q", 1), ("P", 2), ("P", 4)}, {("P", 3), ("Q", 3), ("Q", 2), ("Q", 4)}),
-    "eu": ({("P", 2), ("Q", 2), ("P", 1), ("P", 3)}, {("P", 4), ("Q", 4), ("Q", 1), ("Q", 3)}),
-    "om": ({("P", 1), ("Q", 1), ("P", 2), ("Q", 4)}, {("P", 3), ("Q", 3), ("Q", 2), ("P", 4)}),
-    "em": ({("P", 2), ("Q", 2), ("P", 1), ("Q", 3)}, {("P", 4), ("Q", 4), ("Q", 1), ("P", 3)}),
-}
+# The four named cuts of the quadrilateral with cycle roles (o1, e1, o2,
+# e2) in normal form (apex role, letters of the two opposite roles).
+# "o"/"e" says which parity is separated, "m"/"u" whether the remaining
+# labels mix.
+_QUAD_CUTS = {"ou": (0, "PP"), "eu": (1, "PP"), "om": (0, "PQ"), "em": (1, "PQ")}
 
 
 def quad_cycle(forgot_odd: int, forgot_even: int) -> tuple[int, int, int, int]:
@@ -283,18 +290,13 @@ def quad_cycle(forgot_odd: int, forgot_even: int) -> tuple[int, int, int, int]:
     return (odds[0], evens[0], odds[1], evens[1])
 
 
-def quad_cut_partition(cycle: Sequence[int], kind: str) -> frozenset[frozenset[Label]]:
-    """The named cut of a quadrilateral, with roles mapped onto ``cycle``."""
+def quad_cut_partition(cycle: Sequence[int], kind: str) -> int:
+    """I-side mask, over K(3,3)'s labels, of the named cut of a
+    quadrilateral with roles mapped onto ``cycle``."""
     if kind not in _QUAD_CUTS:
         raise SphflexError(f"unknown quadrilateral cut {kind!r}")
-    role = {1: cycle[0], 2: cycle[1], 3: cycle[2], 4: cycle[3]}
-    I, J = _QUAD_CUTS[kind]
-    return frozenset(
-        (
-            frozenset((k, role[v]) for k, v in I),
-            frozenset((k, role[v]) for k, v in J),
-        )
-    )
+    apex, letters = _QUAD_CUTS[kind]
+    return _side_mask(cycle[apex], letters, cycle[1 - apex :: 2])
 
 
 @lru_cache(maxsize=None)
@@ -310,8 +312,9 @@ def cut_extensions(forgot_odd: int, forgot_even: int, kind: str) -> tuple[Normal
     # restricted to the quadrilateral, a cut's J side is what its I side
     # leaves of the quadrilateral's labels, so the restriction is the
     # target exactly when the restricted I side is one of its two sides
-    quad_labels = frozenset((k, v) for v in cycle for k in ("P", "Q"))
-    return tuple(nc for nc in all_normal_cuts() if nc.i_side() & quad_labels in target)
+    quad_labels = sum(3 << 2 * (v - 1) for v in cycle)
+    sides = (target, quad_labels ^ target)
+    return tuple(nc for nc in all_normal_cuts() if nc.mask & quad_labels in sides)
 
 
 class MuRow(NamedTuple):
@@ -482,45 +485,36 @@ def allowed_resolutions(tt: TypeTable) -> list[TypeTable]:
 
 # group action: permute rows, permute columns, optionally transpose
 
-
-def _act(grid: Grid, rp: Sequence[int], cp: Sequence[int], flip: bool) -> Grid:
-    g = grid
-    if flip:
-        g = tuple(tuple(g[r][c] for r in range(3)) for c in range(3))
-    return tuple(tuple(g[rp[r]][cp[c]] for c in range(3)) for r in range(3))
-
-
 _PERMS = tuple(itertools.permutations(range(3)))
 GROUP = tuple((rp, cp, f) for rp in _PERMS for cp in _PERMS for f in (False, True))
 
+# GROUP_INDEX[k, 3r + c]: the cell that GROUP[k] moves to cell (r, c)
+GROUP_INDEX = np.array(
+    [
+        [3 * cp[c] + rp[r] if flip else 3 * rp[r] + cp[c] for r in range(3) for c in range(3)]
+        for rp, cp, flip in GROUP
+    ],
+    dtype=np.intp,
+)
+GROUP_INDEX.flags.writeable = False
 
-_PARITY_SWAP = {"o": "e", "e": "o"}
-
-
-def act_on_types(grid: Grid, rp: Sequence[int], cp: Sequence[int], flip: bool) -> Grid:
-    """Group action on type tables; a transpose exchanges the deltoid letters."""
-    out = _act(grid, rp, cp, flip)
-    if flip:
-        out = tuple(tuple(_PARITY_SWAP.get(x, x) for x in row) for row in out)
-    return out
+_SWAP_PARITY = str.maketrans("oe", "eo")
 
 
 def align_type_table(
     dt: DegreeTable, tt: TypeTable, target: DegreeTable
 ) -> Optional[TypeTable]:
-    """Type table transported along a group element taking dt onto target."""
-    for rp, cp, f in GROUP:
-        if _act(dt.grid, rp, cp, f) == target.grid:
-            return TypeTable(act_on_types(tt.grid, rp, cp, f))
+    """Type table transported along the first group element taking dt onto
+    target; a transpose exchanges the deltoid letters."""
+    degrees = [d for row in dt.grid for d in row]
+    types = [tag for row in tt.grid for tag in row]
+    goal = [d for row in target.grid for d in row]
+    for (_, _, flip), index in zip(GROUP, GROUP_INDEX.tolist()):
+        if [degrees[i] for i in index] == goal:
+            moved = [types[i].translate(_SWAP_PARITY) if flip else types[i] for i in index]
+            return TypeTable(tuple(tuple(moved[r : r + 3]) for r in (0, 3, 6)))
     return None
 
-
-# GROUP_INDEX[k, i] is the cell of a flattened grid that GROUP[k] moves to
-# cell i: flat(_act(grid, *GROUP[k])) == flat(grid)[GROUP_INDEX[k]]
-GROUP_INDEX = np.array(
-    [_act(((0, 1, 2), (3, 4, 5), (6, 7, 8)), *gel) for gel in GROUP], dtype=np.intp
-).reshape(len(GROUP), 9)
-GROUP_INDEX.flags.writeable = False
 
 # the 512 degree tables, 1 where the entry is 2; cell 0 is the most
 # significant bit, so a table's row is its binary code

@@ -22,6 +22,9 @@ from .motions import MotionTrajectory
 from .spherical import LengthAssignment, SphericalRealization, Vec, check_on_sphere
 
 
+GRAPH_SHAPE = '{"vertices": [v, ...], "edges": [[a, b], ...]}'
+LENGTHS_SHAPE = '{"lengths": [[a, b, length], ...]}'
+PLACEMENT_SHAPE = '{"placement": {"v": [x, y, z], ...}}'
 COLORING_SHAPE = '{"coloring": [[a, b, "red"|"blue"], ...]}'
 
 # int() alone would also read "+1", "1_0", " 1" and other scripts' digits
@@ -50,6 +53,16 @@ def _is_number(entry: Any) -> bool:
     return isinstance(entry, float) or type(entry) is int and abs(entry) <= sys.float_info.max
 
 
+def read_json(text: str, shape: str) -> Any:
+    """The JSON value of ``text``, a file whose top level must be ``shape``.
+    Every file reader parses through here, so that nesting too deep for the
+    decoder is refused like any other malformed file."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SphflexError(f"expected {shape}: nested too deeply to read") from None
+
+
 def _field(data: Any, key: str, kind: type, shape: str) -> Any:
     """``data[key]``, a ``kind``, of a file whose top level must be ``shape``."""
     if not (isinstance(data, dict) and isinstance(data.get(key), kind)):
@@ -62,8 +75,7 @@ def graph_to_dict(g: Graph) -> dict[str, Any]:
 
 
 def graph_from_dict(data: dict[str, Any]) -> Graph:
-    shape = '{"vertices": [v, ...], "edges": [[a, b], ...]}'
-    vertices, edges = (_field(data, key, list, shape) for key in ("vertices", "edges"))
+    vertices, edges = (_field(data, key, list, GRAPH_SHAPE) for key in ("vertices", "edges"))
     for v in vertices:
         if _label(v) is None:
             raise SphflexError(f"vertex {v!r} is not an integer label")
@@ -99,7 +111,7 @@ def parse_edge_list(text: str) -> Graph:
 def load_graph_text(text: str) -> Graph:
     """Sniff JSON versus edge-list input."""
     if text.lstrip().startswith("{"):
-        return graph_from_dict(json.loads(text))
+        return graph_from_dict(read_json(text, GRAPH_SHAPE))
     return parse_edge_list(text)
 
 
@@ -108,7 +120,7 @@ def lengths_to_dict(lam: LengthAssignment) -> dict[str, Any]:
 
 
 def lengths_from_dict(data: dict[str, Any]) -> LengthAssignment:
-    triples = _field(data, "lengths", list, '{"lengths": [[a, b, length], ...]}')
+    triples = _field(data, "lengths", list, LENGTHS_SHAPE)
     lengths = {}
     for triple in triples:
         match triple:
@@ -127,7 +139,7 @@ def lengths_from_dict(data: dict[str, Any]) -> LengthAssignment:
 
 
 def realization_from_dict(data: dict[str, Any]) -> SphericalRealization:
-    placement = _field(data, "placement", dict, '{"placement": {"v": [x, y, z], ...}}')
+    placement = _field(data, "placement", dict, PLACEMENT_SHAPE)
     points = {}
     for key, point in placement.items():
         v = _label(key, text=True)

@@ -128,9 +128,9 @@ class SphericalRealization:
     def __post_init__(self):
         labels = [int(v) for v in self.placement]
         rows = [np.asarray(p, dtype=float) for p in self.placement.values()]
-        pts = np.array(rows) if rows else np.empty((0, 3))
-        if pts.ndim != 2 or pts.shape[1] != 3:
+        if any(row.shape != (3,) for row in rows):
             raise SphflexError("every point needs three coordinates")
+        pts = np.array(rows) if rows else np.empty((0, 3))
         check_on_sphere(pts, labels)
         pts.flags.writeable = False
         object.__setattr__(self, "placement", dict(zip(labels, pts)))

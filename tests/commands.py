@@ -41,7 +41,18 @@ K55, K55_LENGTHS, K55_SEED = dixon1_seed(5, 5)
 # K(3,7): vertices 10, 12 and 14 sort before 2 as JSON keys
 K37 = complete_bipartite((1, 3, 5), (2, 4, 6, 8, 10, 12, 14))
 RIGID = SphericalRealization({1: [1.0, 0.0, 0.0], 2: [0.0, 1.0, 0.0], 3: [0.0, 0.0, 1.0]})
-# JSON files as their data, edge lists as their text
+
+
+def nested(key):
+    """A JSON object whose ``key`` holds lists nested 1100 deep, past the
+    decoder's recursion limit: text, as ``json.dumps`` cannot write it either."""
+    return f'{{"{key}": {"[" * 1100}{"]" * 1100}}}'
+
+
+TOO_DEEP = ": nested too deeply to read"
+
+
+# JSON files as their data, edge lists and over-nested files as their text
 FILES = {
     "K33": graph_to_dict(k33()),
     "K33_EDGES": dump_edge_list(k33()),
@@ -58,6 +69,10 @@ FILES = {
     "DIXON1_SEED": realization_to_dict(DIXON1_SEED),
     "RIGID_LENGTHS": lengths_to_dict(LengthAssignment.induced(triangle(), RIGID)),
     "RIGID_SEED": realization_to_dict(RIGID),
+    "DEEP_GRAPH": nested("vertices"),
+    "DEEP_COLORING": nested("coloring"),
+    "DEEP_LENGTHS": nested("lengths"),
+    "DEEP_SEED": nested("placement"),
 }
 
 # the Dixon 1 K(3,3) loop traced to closure, and 40 steps of the CDA one
@@ -83,11 +98,19 @@ COMMANDS = (
     Command(("certify", "--graph", "K33", "--format", "structured")),
     Command(("certify", "--graph", "K8"), "28 edges exceeds the exhaustive enumeration budget of 25"),
     Command(("certify",), "no graph given; use --graph FILE or --corpus NAME"),
+    Command(
+        ("certify", "--graph", "DEEP_GRAPH"),
+        'expected {"vertices": [v, ...], "edges": [[a, b], ...]}' + TOO_DEEP,
+    ),
     Command(("realize", "--corpus", "k33", "--samples", "3"), numbers=("--samples={}", "--seed={}")),
     Command(REALIZE_STAR),
     Command(("realize", "--corpus", "k33", "--samples", "3", "--format", "tabular")),
     Command(("realize", "--corpus", "k33", "--seed=-1"), "--seed must be a non-negative integer, got -1"),
     Command(("realize", "--corpus", "k3"), "graph admits no NAP-coloring, nothing to realize"),
+    Command(
+        ("realize", "--corpus", "k33", "--coloring", "DEEP_COLORING"),
+        'expected {"coloring": [[a, b, "red"|"blue"], ...]}' + TOO_DEEP,
+    ),
     Command(("k33", "--kind", "dixon1", "--samples", "3"), numbers=DIXON1_NUMBERS),
     Command(("k33", "--kind", "dixon1", "--c", "0.2,,0.4,0.6"), "--c field 2 of '0.2,,0.4,0.6' is empty"),
     Command(("k33", "--kind", "dixon2", "--samples", "3", "--format", "structured"), numbers=DIXON2_NUMBERS),
@@ -101,6 +124,14 @@ COMMANDS = (
     Command((*TRACE, "--max-steps", "3", "--format", "structured")),
     Command((*CDA_TRACE, "--format", "tabular")),
     Command(RIGID_TRACE, "corank 0 at seed: framework is rigid"),
+    Command(
+        ("trace", "--corpus", "k33", "--lengths", "DEEP_LENGTHS", "--seed-realization", "DIXON1_SEED"),
+        'expected {"lengths": [[a, b, length], ...]}' + TOO_DEEP,
+    ),
+    Command(
+        ("trace", "--corpus", "k33", "--lengths", "DIXON1_LENGTHS", "--seed-realization", "DEEP_SEED"),
+        'expected {"placement": {"v": [x, y, z], ...}}' + TOO_DEEP,
+    ),
 )
 # continuation stays loaded once a trace has run, so every trace command
 # runs after every other one, or their checks would pass on nothing

@@ -7,7 +7,7 @@ from typing import Any, Iterable, Optional, Sequence
 import numpy as np
 
 from sphflex.coloring import EdgeColoring
-from sphflex.cuts import Cut, DegreeTable, Label, NormalCut, all_normal_cuts
+from sphflex.cuts import Cut, DegreeTable, NormalCut, all_normal_cuts
 from sphflex.formats import coloring_to_list, graph_to_dict
 from sphflex.graphs import Graph, build_graph
 from sphflex.motions import HALF_TURN_X, HALF_TURN_Y, HALF_TURN_Z
@@ -24,6 +24,8 @@ from sphflex.spherical import (
 from sphflex.errors import SphflexError
 
 from tables import orbit
+
+Label = tuple[str, int]  # ("P" | "Q", vertex)
 
 
 def unit_point(x: float, y: float, z: float, tol: float = ON_SPHERE_TOL) -> Vec:
@@ -162,7 +164,7 @@ def unordered_cut(c: Cut) -> int:
 def normalize_cut(g: Graph, c: Cut) -> NormalCut:
     """Normal form of a surjective-coloring valid cut of K(3,3)."""
     for nc in all_normal_cuts():
-        if unordered_cut(cut_for(g, nc.i_side())) == unordered_cut(c):
+        if unordered_cut(Cut(g.vertices, nc.mask)) == unordered_cut(c):
             return nc
     raise SphflexError("cut has no normal form; is its coloring surjective?")
 

@@ -1,17 +1,20 @@
 """Straightforward versions of the cut-table machinery, kept as oracles.
 
 The degree-table loops walk the 512 tables of ``all_degree_tables()``
-and move grids cell by cell through ``cuts._act``; the library counts the
-same things from ``cuts.GROUP_INDEX`` and ``cuts.TABLE_BITS``.  The
-resolution filter builds every 'r/l' resolution before checking it, where
-the library prunes rows as it fills them; the pullback solver keeps a dict
-assignment and rescans every equation at each node, where the library
-keeps per-equation running sums; and the cut-extension scan restricts full
-K(3,3) cuts, where the library compares label sets on the quadrilateral.
+and move grids as tuples through ``_act``, which permutes rows and columns
+after an optional transpose; the library counts the same things from the
+cell indices of ``cuts.GROUP_INDEX`` and ``cuts.TABLE_BITS``, and aligns
+type tables through those indices too.  The resolution filter builds every
+'r/l' resolution before checking it, where the library prunes rows as it
+fills them; the pullback solver keeps a dict assignment and rescans every
+equation at each node, where the library keeps per-equation running sums;
+and the cut-extension scan restricts the label sets of full K(3,3) cuts,
+written from the ``(i, T1 T2 T3)`` notation, to the quadrilateral's I and J
+sides, where the library compares label masks on the quadrilateral.
 """
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Optional, Sequence
 
 from sphflex.cuts import (
     ALLOWED_COLS,
@@ -23,13 +26,36 @@ from sphflex.cuts import (
     Grid,
     NormalCut,
     TypeTable,
-    _act,
     all_normal_cuts,
-    quad_cut_partition,
     quad_cycle,
     type_table,
 )
 from sphflex.graphs import k33
+
+
+def _act(grid: Grid, rp: Sequence[int], cp: Sequence[int], flip: bool) -> Grid:
+    """``grid`` transposed if ``flip``, then its rows taken in the order
+    ``rp`` and its columns in the order ``cp``."""
+    g = grid
+    if flip:
+        g = tuple(tuple(g[r][c] for r in range(3)) for c in range(3))
+    return tuple(tuple(g[rp[r]][cp[c]] for c in range(3)) for r in range(3))
+
+
+def align_type_table_by_act(
+    dt: DegreeTable, tt: TypeTable, target: DegreeTable
+) -> Optional[TypeTable]:
+    """The type table moved by the first element of ``GROUP`` that moves dt
+    onto target, with the deltoid letters 'o' and 'e' exchanged when that
+    element transposes."""
+    for rp, cp, flip in GROUP:
+        if _act(dt.grid, rp, cp, flip) == target.grid:
+            moved = _act(tt.grid, rp, cp, flip)
+            if flip:
+                swap = {"o": "e", "e": "o"}
+                moved = tuple(tuple(swap.get(x, x) for x in row) for row in moved)
+            return TypeTable(moved)
+    return None
 
 
 def all_degree_tables() -> Iterable[DegreeTable]:
@@ -184,15 +210,35 @@ def mu_solutions_by_backtracking(
     return solutions
 
 
+def normal_cut_side(nc: NormalCut) -> frozenset[tuple[str, int]]:
+    """The I side of ``(i, T1 T2 T3)`` as labels: P_i, Q_i and the letter
+    T_k of the k-th vertex of the other parity, in increasing order."""
+    others = (2, 4, 6) if nc.apex % 2 else (1, 3, 5)
+    return frozenset({("P", nc.apex), ("Q", nc.apex), *zip(nc.pattern, others)})
+
+
+# I and J sides of the four named quadrilateral cuts on cycle roles 1-2-3-4
+# (odd roles 1, 3; even roles 2, 4)
+QUAD_CUT_SIDES = {
+    "ou": ({("P", 1), ("Q", 1), ("P", 2), ("P", 4)}, {("P", 3), ("Q", 3), ("Q", 2), ("Q", 4)}),
+    "eu": ({("P", 2), ("Q", 2), ("P", 1), ("P", 3)}, {("P", 4), ("Q", 4), ("Q", 1), ("Q", 3)}),
+    "om": ({("P", 1), ("Q", 1), ("P", 2), ("Q", 4)}, {("P", 3), ("Q", 3), ("Q", 2), ("P", 4)}),
+    "em": ({("P", 2), ("Q", 2), ("P", 1), ("Q", 3)}, {("P", 4), ("Q", 4), ("Q", 1), ("P", 3)}),
+}
+
+
 def cut_extensions_by_scan(forgot_odd: int, forgot_even: int, kind: str) -> tuple[NormalCut, ...]:
     """Normal cuts whose full K(3,3) cut restricts to the quadrilateral cut."""
     cycle = quad_cycle(forgot_odd, forgot_even)
-    target = quad_cut_partition(cycle, kind)
-    labels = frozenset((kind, v) for v in k33().vertices for kind in "PQ")
+    role = dict(zip((1, 2, 3, 4), cycle))
+    target = frozenset(
+        frozenset((letter, role[r]) for letter, r in side) for side in QUAD_CUT_SIDES[kind]
+    )
+    labels = frozenset((letter, v) for v in k33().vertices for letter in "PQ")
 
     def restricted(i_side):
         return frozenset(
             frozenset(l for l in side if l[1] in cycle) for side in (i_side, labels - i_side)
         )
 
-    return tuple(nc for nc in all_normal_cuts() if restricted(nc.i_side()) == target)
+    return tuple(nc for nc in all_normal_cuts() if restricted(normal_cut_side(nc)) == target)

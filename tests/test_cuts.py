@@ -73,7 +73,7 @@ def test_swapping_sides_swaps_colors():
 
 def test_coloring_from_apex_cut_is_star():
     g = k33()
-    c = cut_for(g, NormalCut(1, "PPP").i_side())
+    c = Cut(g.vertices, NormalCut(1, "PPP").mask)
     col = coloring_from_cut(g, c)
     reds = set(col.red_edges())
     assert reds == {(1, 2), (1, 4), (1, 6)}
@@ -89,7 +89,7 @@ def test_nap_iff_separated_nonedge_examples():
     verdict, witness = nap_iff_separated_nonedge(k22(), T_OU)
     assert verdict and witness == (1, 3)
     g = k33()
-    verdict, witness = nap_iff_separated_nonedge(g, cut_for(g, NormalCut(1, "PPP").i_side()))
+    verdict, witness = nap_iff_separated_nonedge(g, Cut(g.vertices, NormalCut(1, "PPP").mask))
     assert verdict and witness in {(1, 3), (1, 5)}
 
 
@@ -138,10 +138,14 @@ def test_enumerate_valid_cuts_budget():
 def test_normal_cut_sides_match_notation():
     g = k33()
     c = NormalCut(3, "PQP")
-    assert c.i_side() == {("P", 3), ("Q", 3), ("P", 2), ("Q", 4), ("P", 6)}
+    assert c.mask == cut_for(g, {("P", 3), ("Q", 3), ("P", 2), ("Q", 4), ("P", 6)}).mask
     c2 = NormalCut(2, "PPQ")
-    assert c2.i_side() == {("P", 2), ("Q", 2), ("P", 1), ("P", 3), ("Q", 5)}
-    assert normalize_cut(g, cut_for(g, c.i_side())) == c
+    assert c2.mask == cut_for(g, {("P", 2), ("Q", 2), ("P", 1), ("P", 3), ("Q", 5)}).mask
+    for nc in all_normal_cuts():
+        cut = Cut(g.vertices, nc.mask)
+        assert cut == cut_for(g, tables.normal_cut_side(nc))
+        assert Cut(g.vertices, nc.conjugate().mask) == conjugate_cut(cut)
+        assert normalize_cut(g, cut) == nc
 
 
 def test_normal_cut_refuses_a_bad_apex_or_pattern():
@@ -284,7 +288,7 @@ def flat(grid):
 
 
 def test_group_index_agrees_with_act_on_every_table():
-    from sphflex.cuts import GROUP, GROUP_INDEX, TABLE_BITS, _act, _orbit_codes
+    from sphflex.cuts import GROUP, GROUP_INDEX, TABLE_BITS, _orbit_codes
 
     grids = [dt.grid for dt in all_degree_tables()]
     assert GROUP_INDEX.shape == (len(GROUP), 9)
@@ -294,7 +298,7 @@ def test_group_index_agrees_with_act_on_every_table():
     for t, grid in enumerate(grids):
         cells = np.array(flat(grid))
         for k, gel in enumerate(GROUP):
-            moved = flat(_act(grid, *gel))
+            moved = flat(tables._act(grid, *gel))
             assert moved == tuple(cells[GROUP_INDEX[k]].tolist())
             assert codes[t, k] == code[moved]
 
@@ -345,7 +349,7 @@ def test_align_type_table_is_equivariant():
     # transporting a type table along any group element must agree with
     # recomputing the type table of the transported degree table; the
     # transpose leg swaps the odd/even deltoid letters, which this checks
-    from sphflex.cuts import GROUP, _act
+    from sphflex.cuts import GROUP
 
     samples = [
         *DEGREES.values(),
@@ -355,10 +359,20 @@ def test_align_type_table_is_equivariant():
     for dt in samples:
         tt = type_table(dt)
         for gel in GROUP:
-            target = DegreeTable(_act(dt.grid, *gel))
+            target = DegreeTable(tables._act(dt.grid, *gel))
             aligned = align_type_table(dt, tt, target)
             assert aligned is not None
             assert aligned.grid == type_table(target).grid
+
+
+def test_align_type_table_matches_the_tuple_moves():
+    # every admissible case onto every degree table: the cell indices pick
+    # the same first group element, and move the types as the tuples do
+    for case in admissible_cases():
+        for target in all_degree_tables():
+            assert align_type_table(
+                case.degree_table, case.type_table, target
+            ) == tables.align_type_table_by_act(case.degree_table, case.type_table, target)
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,9 @@ def test_normalize_refuses_the_zero_vector():
 
 
 def test_placement_point_needs_three_coordinates():
-    with pytest.raises(SphflexError, match="^every point needs three coordinates$"):
-        SphericalRealization({1: [1.0, 0.0], 2: [0.0, 1.0]})
+    for placement in ({1: [1.0, 0.0], 2: [0.0, 1.0]}, {1: [1.0, 0.0, 0.0], 2: [0.0, 1.0]}):
+        with pytest.raises(SphflexError, match="^every point needs three coordinates$"):
+            SphericalRealization(placement)
 
 
 def test_batched_rotations_match_per_angle_rotations():
